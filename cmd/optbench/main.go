@@ -17,8 +17,9 @@
 // cluster (prunable layouts end to end: clustered-vs-shuffled filtered
 // read bytes, plus static-vs-work-stealing predicated parallel scan
 // wall-clock per PE count, rule-deviation hard-fail),
-// kernel (general counting kernel: batch-vectorized vs reference
-// per-tuple vs the homogeneous MultiCount fast path, ns/row), twodim
+// kernel (the one counting kernel: batch-vectorized vs reference
+// per-tuple, on the all-attribute rules batch and on a mixed 1-D+2-D
+// batch, ns/row, statistic-deviation hard-fail), twodim
 // (fused all-pairs 2-D engine vs legacy per-pair pipeline: wall-clock
 // and bytes vs pair count and grid side, plus a single-pair all-kinds
 // deep-grid sweep), shards (sharded backend: single-file vs 2/4/8-shard

@@ -148,9 +148,9 @@ func TestMineV3TargetedQueriesMatchV2(t *testing.T) {
 // TestSessionBatchV3MatchesV2 runs one heterogeneous session batch —
 // 1-D rules, a filtered conjunctive query, top-k, an average-operator
 // range, and all 2-D pairs — over both formats and requires every
-// answer to match field for field. This is the shape that exercises
-// the general (vectorized) counting kernel rather than the homogeneous
-// fast path.
+// answer to match field for field. Its mixed tally shapes exercise
+// every part of the counting kernel: shared locate passes, several
+// filters, target sums and pair grids.
 func TestSessionBatchV3MatchesV2(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {

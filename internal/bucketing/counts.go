@@ -100,7 +100,7 @@ func (c *Counts) merge(other *Counts) {
 	}
 	for k := range c.Sum {
 		for i := range c.Sum[k] {
-			//optlint:ignore floatmerge target sums fold in fixed chunk-index order (ParallelMultiCount's coordinator), so the result is deterministic for a given chunk plan regardless of worker count or steal order
+			//optlint:ignore floatmerge target sums fold in fixed segment-index order (ParallelCount's coordinator), so the result is deterministic for a given segment plan regardless of goroutine scheduling
 			c.Sum[k][i] += other.Sum[k][i]
 		}
 	}
@@ -200,10 +200,34 @@ func validateOptions(s relation.Schema, driver int, opts Options) error {
 // scanColumns assembles the column set one counting scan needs:
 // driver + targets (numeric) and objective + filter attributes (bool).
 // It returns the set plus the position of each logical column within
-// it. The single-driver layout is the one-element case of the fused
-// scan's multiScanColumns.
+// it: the driver is numeric column 0, and a Boolean attribute named by
+// both an objective and the filter is read once.
 func scanColumns(driver int, opts Options) (cols relation.ColumnSet, targetPos []int, boolPos []int, filterPos []int) {
-	return multiScanColumns([]int{driver}, opts)
+	cols.Numeric = append(cols.Numeric, driver)
+	targetPos = make([]int, len(opts.Targets))
+	for k, a := range opts.Targets {
+		targetPos[k] = len(cols.Numeric)
+		cols.Numeric = append(cols.Numeric, a)
+	}
+	boolAt := map[int]int{}
+	add := func(attr int) int {
+		if p, ok := boolAt[attr]; ok {
+			return p
+		}
+		p := len(cols.Bool)
+		boolAt[attr] = p
+		cols.Bool = append(cols.Bool, attr)
+		return p
+	}
+	boolPos = make([]int, len(opts.Bools))
+	for k, bc := range opts.Bools {
+		boolPos[k] = add(bc.Attr)
+	}
+	filterPos = make([]int, len(opts.Filter))
+	for k, bc := range opts.Filter {
+		filterPos[k] = add(bc.Attr)
+	}
+	return cols, targetPos, boolPos, filterPos
 }
 
 // countBatch tallies one batch into c.

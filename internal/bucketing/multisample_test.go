@@ -34,115 +34,6 @@ func multiRelation(t testing.TB, n int) *relation.MemoryRelation {
 	return rel
 }
 
-// multiCase is a shared fixture: drivers {A, B}, per-driver boundaries,
-// and options exercising objectives, a target sum, and extremes.
-func multiCase(t testing.TB, opts Options) (*relation.MemoryRelation, []int, []Boundaries) {
-	rel := multiRelation(t, 3000)
-	drivers := []int{0, 1}
-	b0, err := NewBoundaries([]float64{20, 40, 60, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := NewBoundaries([]float64{-1000, 0, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel, drivers, []Boundaries{b0, b1}
-}
-
-func multiOptions() Options {
-	return Options{
-		Bools:         []BoolCond{{Attr: 2, Want: true}, {Attr: 4, Want: false}},
-		Targets:       []int{3},
-		TrackExtremes: true,
-	}
-}
-
-func TestMultiCountMatchesCountPerDriver(t *testing.T) {
-	for _, withFilter := range []bool{false, true} {
-		opts := multiOptions()
-		if withFilter {
-			opts.Filter = []BoolCond{{Attr: 4, Want: true}}
-		}
-		rel, drivers, bounds := multiCase(t, opts)
-		got, err := MultiCount(rel, drivers, bounds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(drivers) {
-			t.Fatalf("got %d counts, want %d", len(got), len(drivers))
-		}
-		for d, driver := range drivers {
-			want, err := Count(rel, driver, bounds[d], opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[d], want) {
-				t.Errorf("filter=%v driver %d: fused counts differ:\n got %+v\nwant %+v",
-					withFilter, driver, got[d], want)
-			}
-		}
-	}
-}
-
-func TestParallelMultiCountMatchesMultiCount(t *testing.T) {
-	opts := multiOptions()
-	rel, drivers, bounds := multiCase(t, opts)
-	want, err := MultiCount(rel, drivers, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pes := range []int{1, 2, 7, 16} {
-		got, err := ParallelMultiCount(rel, drivers, bounds, opts, pes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := range drivers {
-			g, w := got[d], want[d]
-			if !reflect.DeepEqual(g.U, w.U) || !reflect.DeepEqual(g.V, w.V) {
-				t.Errorf("pes=%d driver %d: U/V differ", pes, d)
-			}
-			if !reflect.DeepEqual(g.MinVal, w.MinVal) || !reflect.DeepEqual(g.MaxVal, w.MaxVal) {
-				t.Errorf("pes=%d driver %d: extremes differ", pes, d)
-			}
-			if g.N != w.N || g.Total != w.Total || g.NaNs != w.NaNs {
-				t.Errorf("pes=%d driver %d: totals differ", pes, d)
-			}
-			// Per-segment partial sums add in a different order, so the
-			// target sums agree only up to float rounding.
-			for k := range w.Sum {
-				for i := range w.Sum[k] {
-					if diff := g.Sum[k][i] - w.Sum[k][i]; math.Abs(diff) > 1e-6*(1+math.Abs(w.Sum[k][i])) {
-						t.Errorf("pes=%d driver %d: Sum[%d][%d] = %g, want %g", pes, d, k, i, g.Sum[k][i], w.Sum[k][i])
-					}
-				}
-			}
-		}
-	}
-	if _, err := ParallelMultiCount(rel, drivers, bounds, opts, 0); err == nil {
-		t.Error("pes=0 should be rejected")
-	}
-}
-
-func TestMultiCountValidation(t *testing.T) {
-	opts := multiOptions()
-	rel, drivers, bounds := multiCase(t, opts)
-	if _, err := MultiCount(rel, nil, nil, opts); err == nil {
-		t.Error("no drivers should be rejected")
-	}
-	if _, err := MultiCount(rel, drivers, bounds[:1], opts); err == nil {
-		t.Error("mismatched bounds length should be rejected")
-	}
-	if _, err := MultiCount(rel, []int{0, 2}, bounds, opts); err == nil {
-		t.Error("boolean driver should be rejected")
-	}
-	bad := opts
-	bad.Bools = []BoolCond{{Attr: 0, Want: true}}
-	if _, err := MultiCount(rel, drivers, bounds, bad); err == nil {
-		t.Error("numeric objective should be rejected")
-	}
-}
-
 func TestMultiSampledBoundariesMatchSampledBoundaries(t *testing.T) {
 	rel := multiRelation(t, 3000)
 	attrs := []int{0, 1, 3}
@@ -238,20 +129,5 @@ func TestMultiSampledBoundariesSingleBucket(t *testing.T) {
 	}
 	if counting.Scans != 0 {
 		t.Errorf("single-bucket boundaries should need no scan, got %d", counting.Scans)
-	}
-}
-
-func TestMultiCountOneFusedScan(t *testing.T) {
-	opts := multiOptions()
-	rel, drivers, bounds := multiCase(t, opts)
-	counting := &relation.CountingRelation{R: rel}
-	if _, err := MultiCount(counting, drivers, bounds, opts); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Scans != 1 {
-		t.Errorf("MultiCount issued %d scans, want 1", counting.Scans)
-	}
-	if counting.Rows != int64(rel.NumTuples()) {
-		t.Errorf("MultiCount read %d rows, want %d", counting.Rows, rel.NumTuples())
 	}
 }

@@ -1,7 +1,6 @@
 package bucketing
 
 import (
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -54,7 +53,7 @@ func TestSegmentBoundsAlignment(t *testing.T) {
 // TestSegmentBoundsShardSnapping pins segment planning across shard
 // boundaries: over a sharded relation the planner's interior cuts land
 // on shard or per-shard block-group boundaries (SnapSegment fixed
-// points), so ParallelMultiCount workers never split a shard's group.
+// points), so ParallelCount workers never split a shard's group.
 func TestSegmentBoundsShardSnapping(t *testing.T) {
 	schema := relation.Schema{{Name: "X", Kind: relation.Numeric}}
 	path := filepath.Join(t.TempDir(), "seg.oprs")
@@ -86,124 +85,6 @@ func TestSegmentBoundsShardSnapping(t *testing.T) {
 			}
 			if snapped := sr.SnapSegment(cuts[p]); snapped != cuts[p] {
 				t.Errorf("pes=%d: interior cut %d splits a shard block group (snaps to %d)", pes, cuts[p], snapped)
-			}
-		}
-	}
-}
-
-// TestParallelMultiCountSharded pins that the shard-snapped parallel
-// scan over a SHARDED relation produces counts identical to the
-// sequential fused scan over the same rows — the invariant that lets
-// ParallelMultiCount (and therefore MineAll) run unmodified on the
-// sharded backend.
-func TestParallelMultiCountSharded(t *testing.T) {
-	schema := relation.Schema{
-		{Name: "A", Kind: relation.Numeric},
-		{Name: "B", Kind: relation.Numeric},
-		{Name: "C", Kind: relation.Boolean},
-	}
-	path := filepath.Join(t.TempDir(), "par.oprs")
-	sw, err := relation.NewShardedWriter(path, schema, relation.ShardedWriterOptions{Shards: 4, TotalRows: 12345, GroupRows: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 12345; i++ {
-		if err := sw.Append([]float64{rng.NormFloat64(), rng.Float64() * 100}, []bool{rng.Intn(3) == 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := relation.OpenSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel.Close()
-	drivers := []int{0, 1}
-	rngs := []*rand.Rand{rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))}
-	bounds, err := MultiSampledBoundaries(rel, drivers, 50, 40, 0, rngs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Bools: []BoolCond{{Attr: 2, Want: true}}, TrackExtremes: true}
-	seq, err := MultiCount(rel, drivers, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pes := range []int{2, 5, 16} {
-		par, err := ParallelMultiCount(rel, drivers, bounds, opts, pes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := range seq {
-			if par[d].N != seq[d].N || par[d].Total != seq[d].Total {
-				t.Fatalf("pes=%d driver %d: N/Total %d/%d, want %d/%d", pes, d, par[d].N, par[d].Total, seq[d].N, seq[d].Total)
-			}
-			if !reflect.DeepEqual(par[d].U, seq[d].U) || !reflect.DeepEqual(par[d].V, seq[d].V) {
-				t.Fatalf("pes=%d driver %d: per-bucket counts differ from sequential scan", pes, d)
-			}
-			if !reflect.DeepEqual(par[d].MinVal, seq[d].MinVal) || !reflect.DeepEqual(par[d].MaxVal, seq[d].MaxVal) {
-				t.Fatalf("pes=%d driver %d: extremes differ from sequential scan", pes, d)
-			}
-		}
-	}
-}
-
-// TestParallelMultiCountV2Aligned pins that the group-aligned parallel
-// scan over a v2 disk relation produces counts identical to the
-// sequential fused scan.
-func TestParallelMultiCountV2Aligned(t *testing.T) {
-	schema := relation.Schema{
-		{Name: "A", Kind: relation.Numeric},
-		{Name: "B", Kind: relation.Numeric},
-		{Name: "C", Kind: relation.Boolean},
-	}
-	path := filepath.Join(t.TempDir(), "par_v2.opr")
-	dw, err := relation.NewDiskWriterV2(path, schema, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	n := 12345 // 12 full groups + a 345-row tail
-	for i := 0; i < n; i++ {
-		if err := dw.Append([]float64{rng.NormFloat64(), rng.Float64() * 100}, []bool{rng.Intn(3) == 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := relation.OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drivers := []int{0, 1}
-	rngs := []*rand.Rand{rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))}
-	bounds, err := MultiSampledBoundaries(rel, drivers, 50, 40, 0, rngs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Bools: []BoolCond{{Attr: 2, Want: true}}, TrackExtremes: true}
-	seq, err := MultiCount(rel, drivers, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pes := range []int{2, 3, 7, 16} {
-		par, err := ParallelMultiCount(rel, drivers, bounds, opts, pes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := range seq {
-			if par[d].N != seq[d].N || par[d].Total != seq[d].Total {
-				t.Fatalf("pes=%d driver %d: N/Total %d/%d, want %d/%d", pes, d, par[d].N, par[d].Total, seq[d].N, seq[d].Total)
-			}
-			if !reflect.DeepEqual(par[d].U, seq[d].U) || !reflect.DeepEqual(par[d].V, seq[d].V) {
-				t.Fatalf("pes=%d driver %d: per-bucket counts differ from sequential scan", pes, d)
-			}
-			if !reflect.DeepEqual(par[d].MinVal, seq[d].MinVal) || !reflect.DeepEqual(par[d].MaxVal, seq[d].MaxVal) {
-				t.Fatalf("pes=%d driver %d: extremes differ from sequential scan", pes, d)
 			}
 		}
 	}

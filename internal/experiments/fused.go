@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/datagen"
+	"optrule/internal/plan"
 	"optrule/internal/relation"
 )
 
@@ -64,20 +64,20 @@ func Fused(n int, attrCounts []int, seed int64) (FusedResult, error) {
 			return res, err
 		}
 		s := rel.Schema()
-		attrs := s.NumericIndices()
 		var opts bucketing.Options
 		for _, b := range s.BooleanIndices() {
 			opts.Bools = append(opts.Bools, bucketing.BoolCond{Attr: b, Want: true})
 		}
 		opts.TrackExtremes = true
 		row := FusedRow{Attrs: d}
+		dflt := plan.Defaults{Buckets: res.Buckets, GridSide: 32, SampleFactor: 40, Seed: seed}
 
 		// Legacy: one sampling pass + one counting scan per attribute.
 		counting := &relation.CountingRelation{R: rel}
 		start := time.Now()
-		for _, attr := range attrs {
-			rng := rand.New(rand.NewSource(seed + int64(attr)))
-			bounds, err := bucketing.SampledBoundaries(counting, attr, res.Buckets, 40, rng)
+		for _, attr := range s.NumericIndices() {
+			bounds, err := bucketing.SampledBoundaries(counting, attr, res.Buckets, dflt.SampleFactor,
+				plan.AttrRNG(seed, attr))
 			if err != nil {
 				return res, err
 			}
@@ -89,18 +89,17 @@ func Fused(n int, attrCounts []int, seed int64) (FusedResult, error) {
 		row.LegacyScans = counting.Scans
 		row.LegacyRows = counting.Rows
 
-		// Fused: one sampling scan + one counting scan, total.
+		// Fused: the plan executor's one sampling scan + one counting
+		// scan, total, for the same all-attribute, all-objective batch.
 		counting = &relation.CountingRelation{R: rel}
-		rngs := make([]*rand.Rand, len(attrs))
-		for k, attr := range attrs {
-			rngs[k] = rand.New(rand.NewSource(seed + int64(attr)))
-		}
 		start = time.Now()
-		bounds, err := bucketing.MultiSampledBoundaries(counting, attrs, res.Buckets, 40, 0, rngs)
+		r, err := plan.Resolve(counting, dflt, plan.Query{Op: plan.OpRules})
 		if err != nil {
 			return res, err
 		}
-		if _, err := bucketing.MultiCount(counting, attrs, bounds, opts); err != nil {
+		req := plan.NewRequirements()
+		req.Add(r)
+		if _, err := plan.Run(counting, dflt, plan.NewCache(0), req); err != nil {
 			return res, err
 		}
 		row.FusedSeconds = time.Since(start).Seconds()

@@ -11,35 +11,33 @@ import (
 	"optrule/internal/relation"
 )
 
-// The kernel experiment: how close does the batch-vectorized general
-// counting kernel come to the homogeneous MultiCount fast path, and
-// what did vectorizing buy over the reference per-tuple kernel? Three
-// timings over the same in-memory relation: a same-shape 1-D batch
-// that stays on the fast path, and a mixed 1-D+2-D batch (the same
-// 1-D groups plus a pair grid, which forces every group through the
-// general kernel) run once with the reference kernel and once with
-// the vectorized one. The experiment hard-fails unless both kernels
-// produce bit-identical statistics — 1-D groups and 2-D grid cells.
+// The kernel experiment: what did vectorizing the one counting kernel
+// buy over the reference per-tuple kernel it is pinned against? Two
+// batches over the same in-memory relation, each run once with the
+// reference kernel and once with the vectorized one: the all-attribute
+// rules batch (the MineAll shape: every group the same tally shape)
+// and a mixed 1-D+2-D batch (the same 1-D groups plus a pair grid).
+// The experiment hard-fails unless both kernels produce bit-identical
+// statistics — 1-D groups and 2-D grid cells.
 
 // KernelResult is the counting-kernel experiment's structured result.
 type KernelResult struct {
 	Tuples int
 	Reps   int
-	// FastPath is the homogeneous batch on the MultiCount fast path.
-	FastPathSeconds float64
-	FastPathNsRow   float64
-	// Ref and Vec are the mixed 1-D+2-D batch under the reference
-	// per-tuple kernel and the batch-vectorized kernel.
+	// RulesRef and RulesVec are the all-attribute rules batch under the
+	// reference per-tuple kernel and the batch-vectorized kernel.
+	RulesRefSeconds float64
+	RulesRefNsRow   float64
+	RulesVecSeconds float64
+	RulesVecNsRow   float64
+	// Ref and Vec are the mixed 1-D+2-D batch under the two kernels.
 	RefSeconds float64
 	RefNsRow   float64
 	VecSeconds float64
 	VecNsRow   float64
-	// VecSpeedup is ref/vec; GapToFast is vec/fast — how much slower
-	// the general kernel still is than the fast path (the mixed batch
-	// also fills a pair grid the fast batch does not, so ~1x means the
-	// gap is fully closed).
-	VecSpeedup float64
-	GapToFast  float64
+	// RulesVecSpeedup and VecSpeedup are ref/vec for each batch.
+	RulesVecSpeedup float64
+	VecSpeedup      float64
 }
 
 // kernelRun resolves the batch and times plan.Run, taking the best of
@@ -69,7 +67,7 @@ func kernelRun(rel relation.Relation, d plan.Defaults, queries []plan.Query, rep
 	return set, best, nil
 }
 
-// Kernel measures the three counting configurations on an n-tuple
+// Kernel times both batches under both kernels on an n-tuple
 // in-memory bank relation (memory, so the comparison is pure CPU cost,
 // not I/O).
 func Kernel(n int, seed int64) (KernelResult, error) {
@@ -85,52 +83,54 @@ func Kernel(n int, seed int64) (KernelResult, error) {
 	}
 
 	d := plan.Defaults{Buckets: 500, GridSide: 32, SampleFactor: 40, Seed: seed}
-	// One all-attribute rules query: every group has the same tally
-	// shape, so countScan stays on the homogeneous MultiCount path.
-	fast := []plan.Query{{Op: plan.OpRules}}
-	// Adding a 2-D pair makes the batch mixed-schedule and forces
-	// every group — the same 1-D groups plus the pair grid — through
-	// the general kernel.
-	general := append(fast, plan.Query{
+	dRef := d
+	dRef.RefKernel = true
+	rules := []plan.Query{{Op: plan.OpRules}}
+	mixed := append(rules, plan.Query{
 		Op: plan.OpRules2D, Numeric: "Balance", NumericB: "Age",
 		Objective: "CardLoan", ObjectiveValue: true,
 	})
-
-	if _, res.FastPathSeconds, err = kernelRun(rel, d, fast, reps); err != nil {
-		return res, err
-	}
-	dRef := d
-	dRef.RefKernel = true
-	refSet, refSec, err := kernelRun(rel, dRef, general, reps)
-	if err != nil {
-		return res, err
-	}
-	vecSet, vecSec, err := kernelRun(rel, d, general, reps)
-	if err != nil {
-		return res, err
-	}
-	res.RefSeconds, res.VecSeconds = refSec, vecSec
-	if len(refSet.Groups) == 0 || len(refSet.Pairs) == 0 {
-		return res, fmt.Errorf("kernel: reference run produced %d groups, %d pairs; the comparison is vacuous",
-			len(refSet.Groups), len(refSet.Pairs))
-	}
-	if !reflect.DeepEqual(refSet.Groups, vecSet.Groups) {
-		return res, fmt.Errorf("kernel: vectorized 1-D statistics deviate from the reference kernel")
-	}
-	for k, w := range refSet.Pairs {
-		g, ok := vecSet.Pairs[k]
-		if !ok || w.N != g.N || w.Hits != g.Hits ||
-			!reflect.DeepEqual(w.Grid.U, g.Grid.U) || !reflect.DeepEqual(w.Grid.V, g.Grid.V) {
-			return res, fmt.Errorf("kernel: vectorized pair grid %v deviates from the reference kernel", k)
+	// compare times one batch under both kernels and checks them
+	// bit-identical; pairs is the number of pair grids the batch fills.
+	compare := func(name string, queries []plan.Query, pairs int) (refSec, vecSec float64, err error) {
+		refSet, refSec, err := kernelRun(rel, dRef, queries, reps)
+		if err != nil {
+			return 0, 0, err
 		}
+		vecSet, vecSec, err := kernelRun(rel, d, queries, reps)
+		if err != nil {
+			return 0, 0, err
+		}
+		if len(refSet.Groups) == 0 || len(refSet.Pairs) != pairs {
+			return 0, 0, fmt.Errorf("kernel: %s: reference run produced %d groups, %d pairs; the comparison is vacuous",
+				name, len(refSet.Groups), len(refSet.Pairs))
+		}
+		if !reflect.DeepEqual(refSet.Groups, vecSet.Groups) {
+			return 0, 0, fmt.Errorf("kernel: %s: vectorized 1-D statistics deviate from the reference kernel", name)
+		}
+		for k, w := range refSet.Pairs {
+			g, ok := vecSet.Pairs[k]
+			if !ok || w.N != g.N || w.Hits != g.Hits ||
+				!reflect.DeepEqual(w.Grid.U, g.Grid.U) || !reflect.DeepEqual(w.Grid.V, g.Grid.V) {
+				return 0, 0, fmt.Errorf("kernel: %s: vectorized pair grid %v deviates from the reference kernel", name, k)
+			}
+		}
+		return refSec, vecSec, nil
+	}
+	if res.RulesRefSeconds, res.RulesVecSeconds, err = compare("rules", rules, 0); err != nil {
+		return res, err
+	}
+	if res.RefSeconds, res.VecSeconds, err = compare("mixed", mixed, 1); err != nil {
+		return res, err
 	}
 
 	perRow := func(s float64) float64 { return s * 1e9 / float64(n) }
-	res.FastPathNsRow = perRow(res.FastPathSeconds)
+	res.RulesRefNsRow = perRow(res.RulesRefSeconds)
+	res.RulesVecNsRow = perRow(res.RulesVecSeconds)
 	res.RefNsRow = perRow(res.RefSeconds)
 	res.VecNsRow = perRow(res.VecSeconds)
+	res.RulesVecSpeedup = res.RulesRefSeconds / res.RulesVecSeconds
 	res.VecSpeedup = res.RefSeconds / res.VecSeconds
-	res.GapToFast = res.VecSeconds / res.FastPathSeconds
 	return res, nil
 }
 
@@ -138,8 +138,9 @@ func Kernel(n int, seed int64) (KernelResult, error) {
 func (r KernelResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Counting kernels: %d in-memory tuples, best of %d runs\n", r.Tuples, r.Reps)
 	fmt.Fprintf(w, "%28s  %10s  %10s\n", "configuration", "seconds", "ns/row")
-	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "fast path (homogeneous)", r.FastPathSeconds, r.FastPathNsRow)
-	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "general, reference kernel", r.RefSeconds, r.RefNsRow)
-	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "general, vectorized kernel", r.VecSeconds, r.VecNsRow)
-	fmt.Fprintf(w, "vectorized vs reference: %.2fx; gap to fast path: %.2fx\n", r.VecSpeedup, r.GapToFast)
+	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "rules, reference kernel", r.RulesRefSeconds, r.RulesRefNsRow)
+	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "rules, vectorized kernel", r.RulesVecSeconds, r.RulesVecNsRow)
+	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "mixed, reference kernel", r.RefSeconds, r.RefNsRow)
+	fmt.Fprintf(w, "%28s  %10.3f  %10.1f\n", "mixed, vectorized kernel", r.VecSeconds, r.VecNsRow)
+	fmt.Fprintf(w, "vectorized vs reference: %.2fx on rules, %.2fx on mixed\n", r.RulesVecSpeedup, r.VecSpeedup)
 }

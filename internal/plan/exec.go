@@ -143,12 +143,15 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 	return set, nil
 }
 
-// scanParallelism picks the counting scan's segment count. 1-D counting
-// parallelism stays opt-in (Config.PEs), matching the one-shot
-// pipelines; a pure pair-grid scan parallelizes by default because its
-// merge is exact. Groups accumulating float target sums force a serial
-// scan so totals are bit-reproducible regardless of segmentation (the
-// average-operator queries have always accumulated serially).
+// scanParallelism picks the counting scan's worker count. 1-D counting
+// parallelism stays opt-in (Config.PEs): each chunk of a parallel scan
+// allocates its own tally state, which a schedule of many 1-D groups
+// pays for in memory. A pure pair-grid scan parallelizes by default.
+// Every merge of integer tallies is exact, so results never depend on
+// the worker count. Groups accumulating float target sums force a
+// serial scan, so totals are bit-reproducible regardless of
+// segmentation (the average-operator queries have always accumulated
+// serially).
 func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pairs []*PairNeed) int {
 	for _, g := range groups {
 		if len(g.Targets) > 0 {
@@ -172,69 +175,17 @@ func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pai
 }
 
 // countScan runs the fused counting scan for the scheduled groups and
-// pairs and stores the results in set.
+// pairs and stores the results in set. Every schedule — the all-1-D
+// MineAll shape included — runs on the one general kernel; only the
+// executor around it varies.
 func countScan(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed) error {
 	// Scatter-gather path: enabled workers, integer-exact schedule. The
-	// worker-count-0 default takes the existing executors untouched.
+	// worker-count-0 default takes the serial/segmented executor.
 	if useScatter(rel, d, groups) {
 		return countScatter(ctx, rel, d, set, groups, pairs)
 	}
 	pes := scanParallelism(rel, d, groups, pairs)
-
-	// Fast path: a homogeneous all-1-D schedule (same filter, rows, and
-	// extremes for every group — the MineAll shape, and any single-group
-	// batch) runs on the register-optimized fused kernel.
-	if len(pairs) == 0 && homogeneous(groups) {
-		return countGroupsFused(rel, set, groups, pes)
-	}
 	return countGeneral(ctx, rel, set, groups, pairs, pes, d.RefKernel)
-}
-
-// homogeneous reports whether every group wants the same tally shape,
-// over distinct drivers, so bucketing.MultiCount can serve them all.
-func homogeneous(groups []*GroupNeed) bool {
-	if len(groups) == 0 {
-		return false
-	}
-	first := groups[0]
-	seen := map[int]bool{}
-	for _, g := range groups {
-		if seen[g.Driver] {
-			return false
-		}
-		seen[g.Driver] = true
-		if g.Key.Filter != first.Key.Filter || g.TrackExtremes != first.TrackExtremes {
-			return false
-		}
-		if !sameBools(g.Bools, first.Bools) || !sameInts(g.Targets, first.Targets) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBools(a, b []bucketing.BoolCond) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // boundsOf fetches a group's boundaries from the working set.
@@ -246,62 +197,8 @@ func (s *StatsSet) boundsOf(k BoundKey) (bucketing.Boundaries, error) {
 	return b, nil
 }
 
-// countGroupsFused is the homogeneous fast path over
-// bucketing.MultiCount / ParallelMultiCount.
-func countGroupsFused(rel relation.Relation, set *StatsSet, groups []*GroupNeed, pes int) error {
-	drivers := make([]int, len(groups))
-	bounds := make([]bucketing.Boundaries, len(groups))
-	for i, g := range groups {
-		drivers[i] = g.Driver
-		b, err := set.boundsOf(BoundKey{Attr: g.Driver, M: g.Key.M, Exact: g.Key.Exact})
-		if err != nil {
-			return err
-		}
-		bounds[i] = b
-	}
-	opts := bucketing.Options{
-		Bools:         groups[0].Bools,
-		Targets:       groups[0].Targets,
-		Filter:        groups[0].Filter,
-		TrackExtremes: groups[0].TrackExtremes,
-	}
-	var cs []*bucketing.Counts
-	var err error
-	if pes > 1 {
-		rs := rel.(relation.RangeScanner) // guaranteed by scanParallelism
-		cs, err = bucketing.ParallelMultiCount(rs, drivers, bounds, opts, pes)
-	} else {
-		cs, err = bucketing.MultiCount(rel, drivers, bounds, opts)
-	}
-	if err != nil {
-		return fmt.Errorf("plan: counting: %w", err)
-	}
-	for i, g := range groups {
-		set.Groups[g.Key] = statsFromCounts(cs[i], g)
-	}
-	return nil
-}
-
-// statsFromCounts reshapes a Counts into the cached Stats1D form.
-func statsFromCounts(c *bucketing.Counts, g *GroupNeed) *Stats1D {
-	s := &Stats1D{
-		M: c.M, N: c.N, Total: c.Total, NaNs: c.NaNs,
-		U:      c.U,
-		MinVal: c.MinVal, MaxVal: c.MaxVal,
-		V:   map[bucketing.BoolCond][]int{},
-		Sum: map[int][]float64{},
-	}
-	for k, bc := range g.Bools {
-		s.V[bc] = c.V[k]
-	}
-	for k, t := range g.Targets {
-		s.Sum[t] = c.Sum[k]
-	}
-	return s
-}
-
 // ---------------------------------------------------------------------
-// General fused kernel: heterogeneous 1-D groups and 2-D pair grids in
+// The counting kernel: any mix of 1-D groups and 2-D pair grids in
 // one scan. Each tuple's bucket is located ONCE per distinct
 // (attribute, resolution) and shared by every consumer; per-filter row
 // masks are computed once per batch.

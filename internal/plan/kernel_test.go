@@ -39,8 +39,8 @@ func kernelTestRelation(t *testing.T, n int) *relation.MemoryRelation {
 // kernelBatchRequirements resolves a deliberately heterogeneous batch
 // — unfiltered rules with extremes, a filtered conjunctive query, an
 // average-operator target sum, and a 2-D pair — whose mixed tally
-// shapes force countScan off the homogeneous fast path and into the
-// general kernel.
+// shapes exercise every part of the counting kernel: shared locate
+// passes, several filters, target sums and a pair grid.
 func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults, withTargets bool) *Requirements {
 	t.Helper()
 	queries := []Query{
@@ -198,9 +198,9 @@ func TestGeneralKernelPushdownOverV3(t *testing.T) {
 	v2 := write(t, dir+"/rel.v2.opr", relation.DiskFormatV2)
 	v3 := write(t, dir+"/rel.v3.opr", relation.DiskFormatV3)
 	// Two resolutions of one filtered attribute: the same-driver groups
-	// differ only in M, which forces countScan off the homogeneous fast
-	// path into countGeneral — where their identical filter qualifies
-	// for the common-filter pushdown.
+	// differ only in M, so the kernel runs two locate passes over one
+	// column, and their identical filter qualifies for the common-filter
+	// pushdown.
 	queries := []Query{
 		{Op: OpRules, Numeric: "X", Objective: "C", ObjectiveValue: true,
 			Conditions: []Condition{{Attr: "F", Value: true}}},

@@ -1,10 +1,13 @@
 package relation
 
+import "sync"
+
 // CountingRelation wraps a Relation and counts the scans issued against
 // it. The paper's cost model is sequential passes over the database, so
 // tests and experiments assert on this counter — "MineAll costs one
 // sampling scan plus one counting scan" — instead of wall-clock time,
-// which is hardware dependent and flaky.
+// which is hardware dependent and flaky. Concurrent scans may share one
+// wrapper; read the counters once they have returned.
 type CountingRelation struct {
 	R Relation
 	// Scans is the number of Scan calls issued.
@@ -12,6 +15,8 @@ type CountingRelation struct {
 	// Rows is the total number of tuples delivered to scan callbacks
 	// (a partial scan that aborts early contributes only what it read).
 	Rows int64
+
+	mu sync.Mutex // guards Scans and Rows while scans run
 }
 
 // Schema implements Relation.
@@ -22,9 +27,13 @@ func (c *CountingRelation) NumTuples() int { return c.R.NumTuples() }
 
 // Scan implements Relation, counting the pass and the rows it delivers.
 func (c *CountingRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
+	c.mu.Lock()
 	c.Scans++
+	c.mu.Unlock()
 	return c.R.Scan(cols, func(b *Batch) error {
+		c.mu.Lock()
 		c.Rows += int64(b.Len)
+		c.mu.Unlock()
 		return fn(b)
 	})
 }

@@ -183,11 +183,11 @@
 //     size or mix: one fused sampling scan builds every missing
 //     boundary set, one fused counting scan fills every missing count
 //     group and pair grid (segmented across processing elements on
-//     range-scanning storage). Same-shape batches take the fused
-//     MultiCount path; heterogeneous batches run a batch-vectorized
-//     general kernel — per-batch columnar passes over precomputed
-//     effective-bucket arrays instead of per-tuple branching — pinned
-//     bit-identical to its per-tuple reference. When every group in
+//     range-scanning storage). Every batch, same-shape or mixed, runs
+//     on one batch-vectorized counting kernel — per-batch columnar
+//     passes over precomputed effective-bucket arrays instead of
+//     per-tuple branching — pinned bit-identical to its per-tuple
+//     reference. When every group in
 //     the batch shares one conjunctive filter, the filter is pushed
 //     into the storage layer, where v3 zone maps skip whole block
 //     groups that provably contain no matching row.
