@@ -277,21 +277,57 @@ func countBatch(c *Counts, b *relation.Batch, bounds Boundaries, opts Options, t
 
 // Count performs step 4 of Algorithm 3.1 in a single sequential scan:
 // it assigns every tuple to its bucket by binary search and accumulates
-// the per-bucket statistics requested in opts. O(N log M).
+// the per-bucket statistics requested in opts. O(N log M). A filter is
+// pushed down to the storage layer when the relation supports pruned
+// scans (see prunedScanner).
 func Count(rel relation.Relation, driver int, bounds Boundaries, opts Options) (*Counts, error) {
 	if err := validateOptions(rel.Schema(), driver, opts); err != nil {
 		return nil, err
 	}
 	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
 	c := newCounts(bounds.NumBuckets(), opts)
-	err := rel.Scan(cols, func(b *relation.Batch) error {
+	fn := func(b *relation.Batch) error {
 		countBatch(c, b, bounds, opts, targetPos, boolPos, filterPos)
 		return nil
-	})
+	}
+	var err error
+	if prs, pred := prunedScanner(rel, opts); prs != nil {
+		err = prs.ScanRangePruned(0, rel.NumTuples(), cols, pred, c.skip, fn)
+	} else {
+		err = rel.Scan(cols, fn)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// prunedScanner returns rel as a PrunedRangeScanner together with
+// opts.Filter as its pushdown predicate, or nil when there is no filter
+// or rel cannot prune. Every filter condition is a Boolean conjunct,
+// which is exactly what the v3 zone maps (per-block true counts) can
+// refute.
+func prunedScanner(rel relation.Relation, opts Options) (relation.PrunedRangeScanner, *relation.Predicate) {
+	if len(opts.Filter) == 0 {
+		return nil, nil
+	}
+	prs, ok := rel.(relation.PrunedRangeScanner)
+	if !ok {
+		return nil, nil
+	}
+	pred := &relation.Predicate{}
+	for _, bc := range opts.Filter {
+		pred.Bools = append(pred.Bools, relation.BoolPredicate{Attr: bc.Attr, Want: bc.Want})
+	}
+	return prs, pred
+}
+
+// skip accounts rows a pruned scan never read. The filter provably
+// rejects them, so Total is the only statistic they touch; the counts
+// are identical whether a block group is skipped or read and filtered.
+func (c *Counts) skip(rows int) error {
+	c.Total += rows
+	return nil
 }
 
 // segmentBounds splits [0, n) into pes contiguous segments for the
@@ -322,6 +358,7 @@ func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opt
 		return Count(rel, driver, bounds, opts)
 	}
 	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
+	prs, pred := prunedScanner(rel, opts)
 	segs := segmentBounds(rel, n, pes)
 	partials := make([]*Counts, pes)
 	errs := make(chan error, pes)
@@ -330,10 +367,15 @@ func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opt
 			start, end := segs[p], segs[p+1]
 			local := newCounts(bounds.NumBuckets(), opts)
 			partials[p] = local
-			errs <- rel.ScanRange(start, end, cols, func(b *relation.Batch) error {
+			fn := func(b *relation.Batch) error {
 				countBatch(local, b, bounds, opts, targetPos, boolPos, filterPos)
 				return nil
-			})
+			}
+			if prs != nil {
+				errs <- prs.ScanRangePruned(start, end, cols, pred, local.skip, fn)
+			} else {
+				errs <- rel.ScanRange(start, end, cols, fn)
+			}
 		}(p)
 	}
 	var firstErr error

@@ -238,6 +238,61 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelMultiCountMatchesMultiCount pins ParallelCount against
+// Count for each of several drivers (one with NaN holes) with two
+// objectives, a target sum and extremes. Per-segment partial sums add in
+// a different order, so the target sums agree only up to float rounding;
+// every other statistic must be identical.
+func TestParallelMultiCountMatchesMultiCount(t *testing.T) {
+	rel := multiRelation(t, 3000)
+	b0, err := NewBoundaries([]float64{20, 40, 60, 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := NewBoundaries([]float64{-1000, 0, 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := []int{0, 1}
+	bounds := []Boundaries{b0, b1}
+	opts := Options{
+		Bools:         []BoolCond{{Attr: 2, Want: true}, {Attr: 4, Want: false}},
+		Targets:       []int{3},
+		TrackExtremes: true,
+	}
+	for d, driver := range drivers {
+		want, err := Count(rel, driver, bounds[d], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pes := range []int{1, 2, 7, 16} {
+			got, err := ParallelCount(rel, driver, bounds[d], opts, pes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.U, want.U) || !reflect.DeepEqual(got.V, want.V) {
+				t.Errorf("pes=%d driver %d: U/V differ", pes, driver)
+			}
+			if !reflect.DeepEqual(got.MinVal, want.MinVal) || !reflect.DeepEqual(got.MaxVal, want.MaxVal) {
+				t.Errorf("pes=%d driver %d: extremes differ", pes, driver)
+			}
+			if got.N != want.N || got.Total != want.Total || got.NaNs != want.NaNs {
+				t.Errorf("pes=%d driver %d: totals differ", pes, driver)
+			}
+			for k := range want.Sum {
+				for i := range want.Sum[k] {
+					if diff := got.Sum[k][i] - want.Sum[k][i]; math.Abs(diff) > 1e-6*(1+math.Abs(want.Sum[k][i])) {
+						t.Errorf("pes=%d driver %d: Sum[%d][%d] = %g, want %g", pes, driver, k, i, got.Sum[k][i], want.Sum[k][i])
+					}
+				}
+			}
+		}
+		if want.NaNs == 0 && driver == 1 {
+			t.Errorf("driver %d has no NaN values; the NaN path is untested", driver)
+		}
+	}
+}
+
 func TestParallelCountMorePEsThanRows(t *testing.T) {
 	rel := uniformRelation(t, 3, 8)
 	bounds, _ := NewBoundaries([]float64{0.5e6})

@@ -9,6 +9,10 @@ import (
 	"optrule/internal/relation"
 )
 
+// The MultiCount names below are kept from the multi-driver counting API
+// these tests first pinned; the per-driver Count and ParallelCount carry
+// the same contracts in this package.
+
 // pushdownFixture writes a clustered-filter data set as a v3 file and
 // mirrors it in memory: F is true only in rows [lo,hi), so every block
 // group outside that band is provably filter-free and prunable.
@@ -42,15 +46,16 @@ func pushdownFixture(t *testing.T, n, gr, lo, hi int) (*relation.DiskRelation, *
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { dr.Close() })
 	return dr, mem
 }
 
-// TestMultiCountFilterPushdownOverV3 pins the fused counting scan's
-// zone-map filter pushdown: with a clustered filter column, MultiCount
-// over a v3 relation must produce Counts identical to the in-memory
-// reference — Total included, i.e. skipped rows are accounted without
-// being read — while reading strictly fewer physical bytes than the
-// same call without a filter.
+// TestMultiCountFilterPushdownOverV3 pins the counting scan's zone-map
+// filter pushdown: with a clustered filter column, Count over a v3
+// relation must produce Counts identical to the in-memory reference —
+// Total included, i.e. skipped rows are accounted without being read —
+// while reading strictly fewer physical bytes than the same call
+// without a filter.
 func TestMultiCountFilterPushdownOverV3(t *testing.T) {
 	const n, gr = 20000, 1000
 	dr, mem := pushdownFixture(t, n, gr, 4000, 8000)
@@ -64,28 +69,28 @@ func TestMultiCountFilterPushdownOverV3(t *testing.T) {
 		Filter:        []BoolCond{{Attr: 2, Want: true}},
 		TrackExtremes: true,
 	}
-	want, err := MultiCount(mem, []int{0}, []Boundaries{bounds}, opts)
+	want, err := Count(mem, 0, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := dr.BytesRead()
-	got, err := MultiCount(dr, []int{0}, []Boundaries{bounds}, opts)
+	got, err := Count(dr, 0, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	filtered := dr.BytesRead() - before
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("pushdown changed the counts:\n  memory: %+v\n  v3:     %+v", want[0], got[0])
+		t.Errorf("pushdown changed the counts:\n  memory: %+v\n  v3:     %+v", want, got)
 	}
-	if got[0].Total != n {
-		t.Errorf("Total = %d, want %d (skipped rows must still be accounted)", got[0].Total, n)
+	if got.Total != n {
+		t.Errorf("Total = %d, want %d (skipped rows must still be accounted)", got.Total, n)
 	}
 	// The unfiltered scan reads every block; the pruned scan must skip
 	// the 16 of 20 groups whose F zone map refutes the filter.
 	unfiltered := opts
 	unfiltered.Filter = nil
 	before = dr.BytesRead()
-	if _, err := MultiCount(dr, []int{0}, []Boundaries{bounds}, unfiltered); err != nil {
+	if _, err := Count(dr, 0, bounds, unfiltered); err != nil {
 		t.Fatal(err)
 	}
 	full := dr.BytesRead() - before
@@ -96,8 +101,9 @@ func TestMultiCountFilterPushdownOverV3(t *testing.T) {
 
 // TestParallelMultiCountFilterPushdownOverV3 checks the segmented scan
 // path: per-segment pruned scans must still account every skipped row
-// in the merged totals and agree with the serial result exactly (no
-// float targets, so all statistics are integers and extremes).
+// in the merged totals, agree with the serial result exactly (no float
+// targets, so all statistics are integers and extremes), and read fewer
+// bytes than the unfiltered parallel scan.
 func TestParallelMultiCountFilterPushdownOverV3(t *testing.T) {
 	const n, gr = 20000, 1000
 	dr, mem := pushdownFixture(t, n, gr, 4000, 8000)
@@ -110,19 +116,32 @@ func TestParallelMultiCountFilterPushdownOverV3(t *testing.T) {
 		Filter:        []BoolCond{{Attr: 2, Want: true}},
 		TrackExtremes: true,
 	}
-	want, err := MultiCount(mem, []int{0}, []Boundaries{bounds}, opts)
+	want, err := Count(mem, 0, bounds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParallelMultiCount(dr, []int{0}, []Boundaries{bounds}, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("parallel pushdown changed the counts:\n  serial memory: %+v\n  parallel v3:   %+v",
-			want[0], got[0])
-	}
-	if got[0].Total != n {
-		t.Errorf("Total = %d, want %d", got[0].Total, n)
+	unfiltered := opts
+	unfiltered.Filter = nil
+	for _, pes := range []int{2, 4, 7} {
+		before := dr.BytesRead()
+		got, err := ParallelCount(dr, 0, bounds, opts, pes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered := dr.BytesRead() - before
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("pes=%d: parallel pushdown changed the counts:\n  serial memory: %+v\n  parallel v3:   %+v",
+				pes, want, got)
+		}
+		if got.Total != n {
+			t.Errorf("pes=%d: Total = %d, want %d", pes, got.Total, n)
+		}
+		before = dr.BytesRead()
+		if _, err := ParallelCount(dr, 0, bounds, unfiltered, pes); err != nil {
+			t.Fatal(err)
+		}
+		if full := dr.BytesRead() - before; filtered >= full {
+			t.Errorf("pes=%d: filtered scan read %d bytes, unfiltered read %d; zone maps pruned nothing", pes, filtered, full)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package bucketing
 
 import (
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -88,4 +89,104 @@ func TestSegmentBoundsShardSnapping(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parallelMatchesSequential checks that ParallelCount over rel equals
+// the sequential Count for each driver at every listed worker count,
+// with two drivers' boundaries drawn by one fused sampling pass.
+func parallelMatchesSequential(t *testing.T, rel relation.RangeScanner, pesList []int) {
+	t.Helper()
+	drivers := []int{0, 1}
+	rngs := []*rand.Rand{rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6))}
+	bounds, err := MultiSampledBoundaries(rel, drivers, 50, 40, 0, rngs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Bools: []BoolCond{{Attr: 2, Want: true}}, TrackExtremes: true}
+	for d, driver := range drivers {
+		seq, err := Count(rel, driver, bounds[d], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pes := range pesList {
+			par, err := ParallelCount(rel, driver, bounds[d], opts, pes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.N != seq.N || par.Total != seq.Total {
+				t.Fatalf("pes=%d driver %d: N/Total %d/%d, want %d/%d", pes, driver, par.N, par.Total, seq.N, seq.Total)
+			}
+			if !reflect.DeepEqual(par.U, seq.U) || !reflect.DeepEqual(par.V, seq.V) {
+				t.Fatalf("pes=%d driver %d: per-bucket counts differ from sequential scan", pes, driver)
+			}
+			if !reflect.DeepEqual(par.MinVal, seq.MinVal) || !reflect.DeepEqual(par.MaxVal, seq.MaxVal) {
+				t.Fatalf("pes=%d driver %d: extremes differ from sequential scan", pes, driver)
+			}
+		}
+	}
+}
+
+// TestParallelMultiCountSharded pins that the segmented parallel scan
+// over a SHARDED relation produces counts identical to the sequential
+// scan over the same rows — the invariant that lets ParallelCount run
+// unmodified on the sharded backend. (The name is kept from the
+// multi-driver counting API this test first pinned.)
+func TestParallelMultiCountSharded(t *testing.T) {
+	schema := relation.Schema{
+		{Name: "A", Kind: relation.Numeric},
+		{Name: "B", Kind: relation.Numeric},
+		{Name: "C", Kind: relation.Boolean},
+	}
+	path := filepath.Join(t.TempDir(), "par.oprs")
+	sw, err := relation.NewShardedWriter(path, schema, relation.ShardedWriterOptions{Shards: 4, TotalRows: 12345, GroupRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 12345; i++ {
+		if err := sw.Append([]float64{rng.NormFloat64(), rng.Float64() * 100}, []bool{rng.Intn(3) == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := relation.OpenSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	parallelMatchesSequential(t, rel, []int{2, 5, 16})
+}
+
+// TestParallelMultiCountV2Aligned pins that the group-aligned parallel
+// scan over a v2 disk relation produces counts identical to the
+// sequential scan.
+func TestParallelMultiCountV2Aligned(t *testing.T) {
+	schema := relation.Schema{
+		{Name: "A", Kind: relation.Numeric},
+		{Name: "B", Kind: relation.Numeric},
+		{Name: "C", Kind: relation.Boolean},
+	}
+	path := filepath.Join(t.TempDir(), "par_v2.opr")
+	dw, err := relation.NewDiskWriterV2(path, schema, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	n := 12345 // 12 full groups + a 345-row tail
+	for i := 0; i < n; i++ {
+		if err := dw.Append([]float64{rng.NormFloat64(), rng.Float64() * 100}, []bool{rng.Intn(3) == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := relation.OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	parallelMatchesSequential(t, rel, []int{2, 3, 7, 16})
 }
