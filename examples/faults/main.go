@@ -21,6 +21,9 @@
 //
 //  5. Close racing a scan — a defined ErrBusy, never a torn mapping.
 //
+// Each scenario checks its own guarantee and the walkthrough exits
+// non-zero when one fails, so it doubles as an end-to-end check.
+//
 // The bit-identity this example demonstrates is also enforced at the
 // source level: the optlint suite (`go run ./cmd/optlint ./...`; see
 // "Enforced invariants" in the package docs) mechanically rejects
@@ -79,8 +82,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	identical := reflect.DeepEqual(baseline.Rules, got.Rules)
 	fmt.Printf("healthy:   %d rules serial, %d rules over 4 workers, identical=%v\n",
-		len(baseline.Rules), len(got.Rules), reflect.DeepEqual(baseline.Rules, got.Rules))
+		len(baseline.Rules), len(got.Rules), identical)
+	expect(identical, "healthy: scattered rules differ from serial")
 
 	// 2. Flaky pool: every worker reads through the fault harness — a
 	// third of its scans die 10k rows into a task. The coordinator
@@ -102,9 +107,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	identical = reflect.DeepEqual(baseline.Rules, got.Rules)
 	fmt.Printf("flaky:     %d tasks, %d retries, %d fallbacks — identical=%v\n",
-		stats.Tasks.Load(), stats.Retries.Load(), stats.Fallbacks.Load(),
-		reflect.DeepEqual(baseline.Rules, got.Rules))
+		stats.Tasks.Load(), stats.Retries.Load(), stats.Fallbacks.Load(), identical)
+	expect(identical, "flaky: rules differ from serial")
+	expect(stats.Tasks.Load() > 0, "flaky: no task was scattered")
 
 	// 3. Broken pool: every worker fails every scan before the first
 	// batch. Attempts exhaust, and the coordinator falls back to
@@ -127,8 +134,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	identical = reflect.DeepEqual(baseline.Rules, got.Rules)
 	fmt.Printf("broken:    all %d tasks direct-scanned by the coordinator (%d fallbacks) — identical=%v\n",
-		stats.Tasks.Load(), stats.Fallbacks.Load(), reflect.DeepEqual(baseline.Rules, got.Rules))
+		stats.Tasks.Load(), stats.Fallbacks.Load(), identical)
+	expect(identical, "broken: rules differ from serial")
+	expect(stats.Tasks.Load() > 0, "broken: no task was scattered")
+	expect(stats.Fallbacks.Load() == stats.Tasks.Load(), "broken: %d fallbacks for %d tasks, want all",
+		stats.Fallbacks.Load(), stats.Tasks.Load())
 
 	// 4. Broken storage: the relation ITSELF fails every scan after
 	// the sampling pass, so workers and the direct fallback all fail.
@@ -155,7 +167,9 @@ func main() {
 		log.Fatal(err) // only cancellation fails the batch itself
 	}
 	for i, a := range answers {
-		fmt.Printf("exhausted: query %d: injected=%v (%v)\n", i, errors.Is(a.Err, optrule.ErrInjected), a.Err)
+		injected := errors.Is(a.Err, optrule.ErrInjected)
+		fmt.Printf("exhausted: query %d: injected=%v (%v)\n", i, injected, a.Err)
+		expect(injected, "exhausted: query %d lost the injected fault's identity", i)
 	}
 
 	// 5. Close vs Scan: closing mid-scan is a defined error, not a
@@ -175,11 +189,21 @@ func main() {
 		})
 	}()
 	<-inScan
-	err = rel.Close()
-	fmt.Printf("close:     during scan -> ErrBusy=%v", errors.Is(err, optrule.ErrBusy))
+	busy := errors.Is(rel.Close(), optrule.ErrBusy)
+	fmt.Printf("close:     during scan -> ErrBusy=%v", busy)
 	close(unblock)
 	if err := <-scanDone; err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("; after scan -> err=%v\n", rel.Close())
+	err = rel.Close()
+	fmt.Printf("; after scan -> err=%v\n", err)
+	expect(busy, "close: Close during a scan did not report ErrBusy")
+	expect(err == nil, "close: Close after the scan failed: %v", err)
+}
+
+// expect stops the walkthrough when a scenario misses its guarantee.
+func expect(ok bool, format string, args ...any) {
+	if !ok {
+		log.Fatalf("faults: "+format, args...)
+	}
 }

@@ -178,16 +178,16 @@ type Config struct {
 	// rather than bucket approximations. Attributes with more distinct
 	// values fall back to the sampled equi-depth buckets.
 	ExactDomainLimit int
-	// Scatter enables the fault-tolerant scatter-gather counting
-	// executor: Scatter.Workers > 0 scatters each counting scan one
-	// task per shard across an in-process worker pool, with retries,
-	// re-routing, and a direct-scan fallback. Mined rules are identical
-	// at every worker count (see plan.ScatterConfig); the zero value
-	// keeps the classic executors.
+	// Scatter sets the counting executor's recovery policy:
+	// Scatter.Workers > 0 hands each counting scan, batch and delta
+	// refresh alike, to an in-process worker pool one task per shard,
+	// with retries, re-routing, and a direct-scan fallback. Mined rules
+	// are identical at every worker count (see plan.ScatterConfig); the
+	// zero value counts in-process, one attempt per chunk.
 	Scatter ScatterConfig
 }
 
-// ScatterConfig tunes the scatter-gather counting executor; see
+// ScatterConfig sets the counting executor's recovery policy; see
 // plan.ScatterConfig.
 type ScatterConfig = plan.ScatterConfig
 

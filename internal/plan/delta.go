@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/relation"
@@ -68,9 +66,10 @@ func resampleBudget(sampleFactor int) float64 {
 //     group and grid counted over replaced cuts is dropped (its old
 //     counts are misaligned) and recounts on next demand.
 //   - Surviving groups and grids are completed by ONE fused counting
-//     scan over just the tail — reusing the general kernel, the common-
-//     filter zone-map pushdown, and the cost-balanced chunk planner —
-//     and advanced to generation gen by integer-exact folds. Float
+//     scan over just the tail — the batch executor, countRange, run on
+//     [oldN, newN) with the same pushdown, chunk plan and recovery
+//     policy (a scattered session retries its tail scans too) — and
+//     advanced to generation gen by integer-exact folds. Float
 //     target sums are stripped by the fold (their accumulation order is
 //     observable); the next average query recounts them serially and
 //     merges them back, keeping every extracted rule bit-identical to a
@@ -85,7 +84,7 @@ func RunDelta(ctx context.Context, rel relation.Relation, d Defaults, cache *LRU
 	if newN == oldN {
 		return ds, nil
 	}
-	rs, rangeOK := rel.(relation.RangeScanner)
+	_, rangeOK := rel.(relation.RangeScanner)
 	if newN < oldN || !rangeOK {
 		// Shrinkage means an in-place rewrite, not an append; a relation
 		// without range scans gives the tail no address. Either way the
@@ -243,7 +242,7 @@ func RunDelta(ctx context.Context, rel relation.Relation, d Defaults, cache *LRU
 	}
 
 	// One fused counting scan over the tail only.
-	if err := countTail(ctx, rel, rs, d, set, groups, pairs, oldN, newN); err != nil {
+	if err := countRange(ctx, rel, d, set, groups, pairs, oldN, newN); err != nil {
 		return ds, err
 	}
 	ds.TailScans = 1
@@ -296,112 +295,4 @@ func needFromCachedGroup(gk GroupKey, s *Stats1D) (*GroupNeed, error) {
 		Bools:         bools,
 		TrackExtremes: s.MinVal != nil,
 	}, nil
-}
-
-// countTail is countGeneral clipped to the appended tail [start, end):
-// same fused kernel, same pushdown, same cost-balanced chunk plan with
-// every chunk intersected against the tail. All tail tallies are
-// integer-exact (the reconstructed needs carry no float targets), so
-// segmentation cannot perturb the folded statistics.
-func countTail(ctx context.Context, rel relation.Relation, rs relation.RangeScanner,
-	d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
-	cols, numPos, boolPos := execLayout(groups, pairs)
-	pred := commonFilterPred(groups, pairs)
-	pes := scanParallelism(rel, d, groups, pairs)
-	if n := end - start; pes > n {
-		pes = n
-	}
-	if pes <= 1 {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
-		if err != nil {
-			return err
-		}
-		if err := prunedOrRange(rel, rs, start, end, cols, pred, st,
-			func(b *relation.Batch) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				st.countBatch(b)
-				return nil
-			}); err != nil {
-			return fmt.Errorf("plan: delta counting: %w", err)
-		}
-		st.publish(set)
-		return nil
-	}
-	// Clip the full-relation chunk plan to the tail; chunks entirely
-	// before start drop out, the straddling chunk shrinks. Per-chunk
-	// states merge in chunk index (row) order, exactly like countGeneral.
-	full := relation.PlanScanChunks(rel, pes, cols, pred)
-	var chunks []relation.ScanChunk
-	for _, c := range full {
-		if c.End <= start || c.Start >= end {
-			continue
-		}
-		if c.Start < start {
-			c.Start = start
-			c.Pruned = false // the clipped part was priced, not this slice
-		}
-		if c.End > end {
-			c.End = end
-			c.Pruned = false
-		}
-		chunks = append(chunks, c)
-	}
-	if len(chunks) == 0 {
-		chunks = []relation.ScanChunk{{Start: start, End: end}}
-	}
-	states := make([]*execState, len(chunks))
-	errs := make([]error, len(chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := pes
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				local, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				states[i] = local
-				if chunks[i].Pruned {
-					rows := chunks[i].End - chunks[i].Start
-					for _, gs := range local.groups {
-						gs.total += rows
-					}
-					continue
-				}
-				errs[i] = prunedOrRange(rel, rs, chunks[i].Start, chunks[i].End, cols, pred, local,
-					func(b *relation.Batch) error {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						local.countBatch(b)
-						return nil
-					})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("plan: delta counting: %w", err)
-		}
-	}
-	total := states[0]
-	for _, part := range states[1:] {
-		total.merge(part)
-	}
-	total.publish(set)
-	return nil
 }

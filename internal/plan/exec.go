@@ -2,12 +2,14 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/region"
@@ -36,8 +38,8 @@ func Run(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (*St
 
 // RunContext is Run under a context: cancellation and deadlines are
 // observed between phases, between batches of the counting scan, and
-// throughout the scatter-gather coordinator (whose per-worker timeouts
-// derive from it). The sampling scan itself runs to completion — it is
+// throughout its worker pool (whose per-attempt timeouts derive from
+// it). The sampling scan itself runs to completion — it is
 // bounded by the sample size, not the relation size.
 func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Cache, req *Requirements) (*StatsSet, error) {
 	set := newStatsSet()
@@ -124,7 +126,7 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := countScan(ctx, rel, d, set, groups, pairs); err != nil {
+	if err := countRange(ctx, rel, d, set, groups, pairs, 0, rel.NumTuples()); err != nil {
 		return nil, err
 	}
 	// Publish through the cache, which merges fresh rows into any
@@ -168,24 +170,234 @@ func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pai
 	if _, ok := rel.(relation.RangeScanner); !ok {
 		return 1
 	}
-	if n := rel.NumTuples(); pes > n {
-		pes = n
-	}
 	return pes
 }
 
-// countScan runs the fused counting scan for the scheduled groups and
-// pairs and stores the results in set. Every schedule — the all-1-D
-// MineAll shape included — runs on the one general kernel; only the
-// executor around it varies.
-func countScan(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed) error {
-	// Scatter-gather path: enabled workers, integer-exact schedule. The
-	// worker-count-0 default takes the serial/segmented executor.
-	if useScatter(rel, d, groups) {
-		return countScatter(ctx, rel, d, set, groups, pairs)
+// ---------------------------------------------------------------------
+// The counting executor: the paper's parallel counting (Algorithm 3.2)
+// once, for every caller. Rows are split into chunks, each chunk is
+// tallied into a private partial, and the partials are summed in chunk
+// order. Batches count [0, n), delta refreshes an appended tail; the
+// worker count and Defaults.Scatter decide who scans each chunk and
+// what a failed chunk costs (see recovery in scatter.go).
+
+// countRange runs the fused counting scan of the scheduled groups and
+// pairs over rows [start, end) and publishes the totals into set. Every
+// schedule runs on the one general kernel.
+//
+// Without a scatter pool and with one worker it issues exactly one
+// scan of the range. Otherwise the whole relation's chunk plan —
+// shard-exact scatterCuts for a scatter pool, cost-balanced
+// PlanScanChunks otherwise — is clipped to the range, a pool drains one
+// queue of chunks, and each chunk keeps its own partial. Chunks
+// PlanScanChunks proved empty under the pushdown predicate are settled
+// without a scan. The partials merge in chunk order, so integer statistics are
+// bit-identical across worker counts, placements, steal orders and
+// recovery actions, and the first error in chunk order is the one
+// reported. Cancellation is observed between batches, while waiting on
+// a retry and across the pool.
+func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet,
+	groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
+	cols, numPos, boolPos := execLayout(groups, pairs)
+	pred := commonFilterPred(groups, pairs)
+	// direct counts one chunk in-process: the serial scan, the parallel
+	// chunks and the scatter pool's last-resort fallback.
+	direct := func(c relation.ScanChunk) (*execState, error) {
+		st, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
+		if err != nil {
+			return nil, err
+		}
+		if c.Pruned {
+			st.skip(c.End - c.Start)
+			return st, nil
+		}
+		return st, scanChunk(ctx, rel, cols, pred, st, c.Start, c.End)
 	}
-	pes := scanParallelism(rel, d, groups, pairs)
-	return countGeneral(ctx, rel, set, groups, pairs, pes, d.RefKernel)
+	sc, workers := recovery(rel, d, groups)
+	pes := len(workers)
+	if workers == nil {
+		pes = min(scanParallelism(rel, d, groups, pairs), end-start)
+		if pes <= 1 {
+			st, err := direct(relation.ScanChunk{Start: start, End: end})
+			if err != nil {
+				return fmt.Errorf("plan: counting: %w", err)
+			}
+			st.publish(set)
+			return nil
+		}
+	}
+
+	var planned []relation.ScanChunk
+	if workers != nil {
+		cuts := scatterCuts(rel, pes, cols, pred)
+		for i := 1; i < len(cuts); i++ {
+			planned = append(planned, relation.ScanChunk{Start: cuts[i-1], End: cuts[i]})
+		}
+	} else {
+		planned = relation.PlanScanChunks(rel, pes, cols, pred)
+	}
+	// Clip the plan to the range. A clipped pruned chunk stays pruned:
+	// every block group it overlaps is refuted.
+	var chunks []relation.ScanChunk
+	for _, c := range planned {
+		c.Start, c.End = max(c.Start, start), min(c.End, end)
+		if c.Start < c.End {
+			chunks = append(chunks, c)
+		}
+	}
+	if len(chunks) == 0 {
+		chunks = []relation.ScanChunk{{Start: start, End: end}}
+	}
+	if workers != nil {
+		sc.Stats.Tasks.Add(int64(len(chunks)))
+	}
+
+	// attempt runs one try of chunk i on pool slot s.
+	attempt := func(s, i int) (*execState, error) {
+		c := chunks[i]
+		if workers == nil {
+			return direct(c)
+		}
+		p, err := attemptTask(ctx, workers[s], &CountTask{Start: c.Start, End: c.End,
+			Groups: groups, Pairs: pairs, Set: set}, sc.TaskTimeout)
+		if err != nil {
+			return nil, err
+		}
+		return p.st, nil
+	}
+
+	// Per-chunk scheduling state. A queued chunk is owned by whichever
+	// slot received it, so only that slot touches its entries.
+	states := make([]*execState, len(chunks))
+	errs := make([]error, len(chunks))
+	attempts := make([]int, len(chunks))
+	lastSlot := make([]int, len(chunks))
+	queue := make(chan int, len(chunks)) // one slot per chunk: a requeue never blocks
+	for i := range chunks {
+		lastSlot[i] = -1
+		queue <- i
+	}
+	var pending atomic.Int64
+	pending.Store(int64(len(chunks)))
+	settled := make(chan struct{}) // closed once every chunk succeeded or spent its attempts
+	settle := func() {
+		if pending.Add(-1) == 0 {
+			close(settled)
+		}
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < pes; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				var i int
+				select {
+				case <-settled:
+					return
+				case <-ctx.Done():
+					return
+				case i = <-queue:
+				}
+				// Re-route: leave a chunk this worker just failed to another.
+				if len(workers) > 1 && lastSlot[i] == s {
+					queue <- i
+					if !sleepCtx(ctx, time.Millisecond) {
+						return
+					}
+					continue
+				}
+				st, err := attempt(s, i)
+				if err == nil {
+					states[i] = st
+					settle()
+					continue
+				}
+				if ctx.Err() != nil {
+					return
+				}
+				if errors.Is(err, context.DeadlineExceeded) {
+					sc.Stats.Timeouts.Add(1)
+				}
+				lastSlot[i], errs[i] = s, err
+				attempts[i]++
+				if attempts[i] >= sc.MaxAttempts {
+					settle()
+					continue
+				}
+				sc.Stats.Retries.Add(1)
+				backoff := sc.Backoff << (attempts[i] - 1)
+				if backoff > sc.MaxBackoff {
+					backoff = sc.MaxBackoff
+				}
+				if !sleepCtx(ctx, backoff) {
+					return
+				}
+				queue <- i
+			}
+		}()
+	}
+	wg.Wait() // every slot returns once all chunks settle or ctx ends
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("plan: counting: %w", err)
+	}
+
+	// A chunk that spent its attempts fails the scan unless the policy
+	// has a fallback: the scatter pool's coordinator then counts it
+	// directly, so a batch completes whenever the files are readable.
+	for i, c := range chunks {
+		if states[i] != nil {
+			continue
+		}
+		if workers == nil {
+			return fmt.Errorf("plan: counting: %w", errs[i])
+		}
+		sc.Stats.Fallbacks.Add(1)
+		st, err := direct(c)
+		if err != nil {
+			return fmt.Errorf("plan: counting rows [%d,%d): %w (after %d worker attempts, last: %v)",
+				c.Start, c.End, err, attempts[i], errs[i])
+		}
+		states[i] = st
+	}
+	total := states[0]
+	for _, part := range states[1:] {
+		total.merge(part)
+	}
+	total.publish(set)
+	return nil
+}
+
+// scanChunk is the one chunk scan: it tallies rows [start, end) into
+// st, through the zone-map pruned path when a pushdown predicate and a
+// PrunedRangeScanner are at hand, and checks ctx between batches. The
+// whole relation is read with a plain Scan, so relations without range
+// scans count serially.
+func scanChunk(ctx context.Context, rel relation.Relation, cols relation.ColumnSet,
+	pred *relation.Predicate, st *execState, start, end int) error {
+	count := func(b *relation.Batch) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st.countBatch(b)
+		return nil
+	}
+	if pred != nil {
+		if prs, ok := rel.(relation.PrunedRangeScanner); ok {
+			return prs.ScanRangePruned(start, end, cols, pred, func(rows int) error {
+				st.skip(rows)
+				return nil
+			}, count)
+		}
+	}
+	if start == 0 && end == rel.NumTuples() {
+		return rel.Scan(cols, count)
+	}
+	rs, ok := rel.(relation.RangeScanner)
+	if !ok {
+		return fmt.Errorf("plan: relation %T cannot scan row ranges", rel)
+	}
+	return rs.ScanRange(start, end, cols, count)
 }
 
 // boundsOf fetches a group's boundaries from the working set.
@@ -640,8 +852,10 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 // countBatchRef is the reference per-tuple kernel: one branchy row
 // loop per group and pair, kept both as the differential baseline the
 // vectorized kernel is pinned against and as a Defaults.RefKernel
-// escape hatch for regression triage. It shares the padded tally
-// layout, so merge and publish are kernel-agnostic.
+// escape hatch for regression triage. Every mode of the executor —
+// serial, parallel, delta, scattered and the direct fallback — honors
+// the switch. It shares the padded tally layout, so merge and publish
+// are kernel-agnostic.
 func (st *execState) countBatchRef(b *relation.Batch) {
 	n := b.Len
 	for _, gs := range st.groups {
@@ -730,6 +944,15 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 	}
 }
 
+// skip settles rows a filter provably rejects without a scan: they
+// count toward every group's Total, the only statistic such a row
+// touches.
+func (st *execState) skip(rows int) {
+	for _, gs := range st.groups {
+		gs.total += rows
+	}
+}
+
 // merge folds other's tallies into st, padding slots included. All
 // statistics are integer counts or extremes (float sums force a serial
 // scan; the pair objective tallies are exact small integers in
@@ -750,7 +973,7 @@ func (st *execState) merge(other *execState) {
 		}
 		for k := range gs.sum {
 			for j := range gs.sum[k] {
-				//optlint:ignore floatmerge unreachable in parallel: float target sums force scanParallelism to 1 and useScatter rejects target schedules, so this fold only ever sees the single serial partial
+				//optlint:ignore floatmerge unreachable: float target sums force scanParallelism to 1 and useScatter rejects them, so countRange scans such a schedule once and never merges it
 				gs.sum[k][j] += og.sum[k][j]
 			}
 		}
@@ -861,124 +1084,4 @@ func commonFilterPred(groups []*GroupNeed, pairs []*PairNeed) *relation.Predicat
 		p.Bools = append(p.Bools, relation.BoolPredicate{Attr: bc.Attr, Want: bc.Want})
 	}
 	return p
-}
-
-// prunedOrRange scans [start,end) through the pruned path when both a
-// pushdown predicate and a PrunedRangeScanner are at hand, and through
-// the plain range scan otherwise. Skipped rows fold into every group's
-// Total — the only statistic a filter-rejected row touches.
-func prunedOrRange(rel relation.Relation, rs relation.RangeScanner, start, end int,
-	cols relation.ColumnSet, pred *relation.Predicate, st *execState,
-	fn func(*relation.Batch) error) error {
-	if pred != nil {
-		if prs, ok := rel.(relation.PrunedRangeScanner); ok {
-			return prs.ScanRangePruned(start, end, cols, pred, func(rows int) error {
-				for _, gs := range st.groups {
-					gs.total += rows
-				}
-				return nil
-			}, fn)
-		}
-	}
-	if rs != nil {
-		return rs.ScanRange(start, end, cols, fn)
-	}
-	return rel.Scan(cols, fn)
-}
-
-// countGeneral runs the general fused counting scan, serial or
-// dynamically scheduled over cost-balanced storage-aligned chunks
-// (PlanScanChunks), with the common-filter zone-map pushdown when the
-// schedule allows it. ref selects the reference per-tuple kernel.
-// Cancellation is observed between batches.
-func countGeneral(ctx context.Context, rel relation.Relation, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed, pes int, ref bool) error {
-	cols, numPos, boolPos := execLayout(groups, pairs)
-	pred := commonFilterPred(groups, pairs)
-	if pes <= 1 {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
-		if err != nil {
-			return err
-		}
-		if err := prunedOrRange(rel, nil, 0, rel.NumTuples(), cols, pred, st,
-			func(b *relation.Batch) error {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				st.countBatch(b)
-				return nil
-			}); err != nil {
-			return fmt.Errorf("plan: counting: %w", err)
-		}
-		st.publish(set)
-		return nil
-	}
-	rs := rel.(relation.RangeScanner) // guaranteed by scanParallelism
-	// Zone-map-aware dynamic scheduling: the storage layer prices
-	// block-group-aligned chunks under the pushdown predicate (pruned
-	// groups ~0), pes workers claim them off a shared counter, and the
-	// per-CHUNK states merge in chunk index order. The chunk plan and
-	// fold order are deterministic, so the published integer statistics
-	// are bit-identical across worker counts, placements, and steal
-	// orders; directory-less storage degrades to the static aligned
-	// segments.
-	chunks := relation.PlanScanChunks(rel, pes, cols, pred)
-	states := make([]*execState, len(chunks))
-	// One error slot per chunk: the FIRST error in chunk (row) order is
-	// the one reported, deterministically — not whichever worker's
-	// failure happened to land on a channel first.
-	errs := make([]error, len(chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := pes
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				local, err := newExecState(set, groups, pairs, numPos, boolPos, ref)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				states[i] = local
-				if chunks[i].Pruned {
-					// Planner-proved empty under the pushdown predicate: no
-					// scan issued; the rows fold into every group's Total,
-					// exactly as the skip callback would settle them.
-					rows := chunks[i].End - chunks[i].Start
-					for _, gs := range local.groups {
-						gs.total += rows
-					}
-					continue
-				}
-				errs[i] = prunedOrRange(rel, rs, chunks[i].Start, chunks[i].End, cols, pred, local,
-					func(b *relation.Batch) error {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						local.countBatch(b)
-						return nil
-					})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("plan: counting: %w", err)
-		}
-	}
-	total := states[0]
-	for _, part := range states[1:] {
-		total.merge(part)
-	}
-	total.publish(set)
-	return nil
 }

@@ -27,9 +27,9 @@ type Defaults struct {
 	// (the differential tests pin this); the switch exists for
 	// benchmark comparisons and regression triage.
 	RefKernel bool
-	// Scatter enables the fault-tolerant scatter-gather counting
-	// executor (scatter.go). The zero value keeps the serial/segmented
-	// executors untouched.
+	// Scatter sets the counting executor's recovery policy for batches
+	// and delta refreshes alike (scatter.go). The zero value counts
+	// chunks in-process, one attempt each, with no fallback.
 	Scatter ScatterConfig
 }
 

@@ -2,31 +2,30 @@ package plan
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"optrule/internal/relation"
 )
 
-// Scatter-gather counting: the batch's deduplicated counting schedule
-// is split at shard boundaries (storage-aligned segments on unsharded
-// backends), scattered one-task-per-shard across a pool of workers,
-// and the partial tallies are gathered and merged exactly. The merge
-// is bit-exact because a scattered schedule carries only integer
-// counts and extremes (float target sums force the serial path — see
-// scanParallelism), so mined rules are identical to a single-node run
-// REGARDLESS of worker count, task placement, retries, or which
-// failure path produced each partial.
+// The counting executor's recovery policy and its Worker seam. With
+// Defaults.Scatter.Workers > 0, countRange hands its chunks — cut at
+// shard boundaries on sharded relations — to a pool of Workers instead
+// of scanning them in-process, and the policy below decides what a
+// failed chunk costs. The merge is bit-exact because a scattered
+// schedule carries only integer counts and extremes (float target sums
+// never scatter — see useScatter), so mined rules are identical to a
+// single-node run REGARDLESS of worker count, task placement, retries,
+// or which recovery action produced each partial.
 //
-// Failure handling, in escalation order: a failed or timed-out task is
-// retried with capped exponential backoff, re-routed away from the
+// Failure handling, in escalation order: a failed or timed-out attempt
+// is retried with capped exponential backoff, re-routed away from the
 // worker that just failed it, and — once its attempt budget is spent —
 // counted directly by the coordinator against the underlying relation,
-// so a batch always completes if the files are readable. A task whose
-// direct scan also fails surfaces one clean error.
+// so a batch always completes if the files are readable. A chunk whose
+// direct scan also fails surfaces one clean error. The zero
+// ScatterConfig is the degenerate policy: chunks are scanned
+// in-process, once, with no fallback.
 
 // CountTask is one shard slice's share of a batch's fused counting
 // schedule: tally every group and pair over global rows [Start, End).
@@ -82,20 +81,8 @@ func (w *localWorker) Count(ctx context.Context, task *CountTask) (*Partial, err
 	if err != nil {
 		return nil, err
 	}
-	rs, ok := w.rel.(relation.RangeScanner)
-	if !ok && (task.Start != 0 || task.End != w.rel.NumTuples()) {
-		return nil, fmt.Errorf("plan: worker relation %T cannot scan row ranges", w.rel)
-	}
 	pred := commonFilterPred(task.Groups, task.Pairs)
-	err = prunedOrRange(w.rel, rs, task.Start, task.End, cols, pred, st,
-		func(b *relation.Batch) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			st.countBatch(b)
-			return nil
-		})
-	if err != nil {
+	if err := scanChunk(ctx, w.rel, cols, pred, st, task.Start, task.End); err != nil {
 		return nil, err
 	}
 	return &Partial{st: st}, nil
@@ -111,11 +98,11 @@ type ScatterStats struct {
 	Fallbacks atomic.Int64 // tasks the coordinator direct-scanned
 }
 
-// ScatterConfig enables and tunes the scatter-gather counting path.
-// The zero value disables it: Workers <= 0 keeps the existing serial /
-// segmented executors byte-for-byte (the no-regression baseline).
+// ScatterConfig is the counting executor's recovery policy. The zero
+// value (Workers <= 0) counts every chunk in-process with one attempt
+// and no fallback.
 type ScatterConfig struct {
-	// Workers is the worker-pool size. 0 disables scatter-gather.
+	// Workers is the worker-pool size. 0 counts in-process.
 	Workers int
 	// NewWorker supplies worker i's implementation; nil uses the
 	// in-process NewLocalWorker over the session relation. Tests inject
@@ -157,8 +144,8 @@ func (sc ScatterConfig) withDefaults() ScatterConfig {
 	return sc
 }
 
-// useScatter reports whether the scatter-gather coordinator should run
-// this counting scan: workers enabled, an integer-exact schedule
+// useScatter reports whether a counting scan hands its chunks to the
+// worker pool: workers enabled, an integer-exact schedule
 // (float target sums stay serial so their addition order never depends
 // on segmentation — the scanParallelism rule), and a range-scannable,
 // non-empty relation.
@@ -175,6 +162,26 @@ func useScatter(rel relation.Relation, d Defaults, groups []*GroupNeed) bool {
 		return false
 	}
 	return rel.NumTuples() > 0
+}
+
+// recovery derives the executor's recovery policy and worker pool from
+// d.Scatter. When the schedule does not scatter, chunks are scanned
+// in-process (nil pool) with one attempt each and no fallback, so a
+// failed chunk fails the scan.
+func recovery(rel relation.Relation, d Defaults, groups []*GroupNeed) (ScatterConfig, []Worker) {
+	if !useScatter(rel, d, groups) {
+		return ScatterConfig{MaxAttempts: 1, Stats: &ScatterStats{}}, nil
+	}
+	sc := d.Scatter.withDefaults()
+	workers := make([]Worker, sc.Workers)
+	for i := range workers {
+		if sc.NewWorker != nil {
+			workers[i] = sc.NewWorker(i, rel)
+		} else {
+			workers[i] = NewLocalWorker(rel, d.RefKernel)
+		}
+	}
+	return sc, workers
 }
 
 // scatterCuts picks the task boundaries: exact shard boundaries on a
@@ -211,150 +218,6 @@ func scatterCuts(rel relation.Relation, workers int, cols relation.ColumnSet, pr
 	return cuts
 }
 
-// scatterTask is one task's scheduling state. A task is owned by
-// exactly one worker goroutine at a time (the queue hands it over), so
-// attempts/lastWorker/lastErr need no locking beyond the atomics used
-// for the cross-worker re-route check.
-type scatterTask struct {
-	idx        int
-	attempts   int
-	lastWorker atomic.Int32
-	lastErr    error
-	done       bool
-}
-
-// countScatter scatters the schedule, gathers the partials, merges
-// them in task order, and publishes into set.
-func countScatter(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet,
-	groups []*GroupNeed, pairs []*PairNeed) error {
-	sc := d.Scatter.withDefaults()
-	scanCols, _, _ := execLayout(groups, pairs)
-	cuts := scatterCuts(rel, sc.Workers, scanCols, commonFilterPred(groups, pairs))
-	nTasks := len(cuts) - 1
-	if nTasks < 1 {
-		return countGeneral(ctx, rel, set, groups, pairs, 1, d.RefKernel)
-	}
-	workers := make([]Worker, sc.Workers)
-	for i := range workers {
-		if sc.NewWorker != nil {
-			workers[i] = sc.NewWorker(i, rel)
-		} else {
-			workers[i] = NewLocalWorker(rel, d.RefKernel)
-		}
-	}
-
-	tasks := make([]*scatterTask, nTasks)
-	partials := make([]*Partial, nTasks)
-	queue := make(chan *scatterTask, nTasks) // never blocks: one slot per task
-	for i := range tasks {
-		t := &scatterTask{idx: i}
-		t.lastWorker.Store(-1)
-		tasks[i] = t
-		queue <- t
-	}
-	sc.Stats.Tasks.Add(int64(nTasks))
-
-	var pending atomic.Int64
-	pending.Store(int64(nTasks))
-	settled := make(chan struct{}) // closed when every task succeeded or exhausted its attempts
-	var settleOnce sync.Once
-	settle := func() {
-		if pending.Add(-1) == 0 {
-			settleOnce.Do(func() { close(settled) })
-		}
-	}
-
-	makeTask := func(t *scatterTask) *CountTask {
-		return &CountTask{Start: cuts[t.idx], End: cuts[t.idx+1], Groups: groups, Pairs: pairs, Set: set}
-	}
-
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-settled:
-					return
-				case <-ctx.Done():
-					return
-				case t := <-queue:
-					// Re-route: don't immediately re-attempt a task on the
-					// worker that just failed it while others could take it.
-					if len(workers) > 1 && t.lastWorker.Load() == int32(i) {
-						queue <- t // capacity nTasks: never blocks
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					p, err := attemptTask(ctx, workers[i], makeTask(t), sc.TaskTimeout)
-					if err == nil {
-						partials[t.idx] = p
-						t.done = true
-						settle()
-						continue
-					}
-					if ctx.Err() != nil {
-						return
-					}
-					if errors.Is(err, context.DeadlineExceeded) {
-						sc.Stats.Timeouts.Add(1)
-					}
-					t.lastWorker.Store(int32(i))
-					t.attempts++
-					t.lastErr = err
-					if t.attempts >= sc.MaxAttempts {
-						settle() // direct-scan fallback picks it up
-						continue
-					}
-					sc.Stats.Retries.Add(1)
-					backoff := sc.Backoff << (t.attempts - 1)
-					if backoff > sc.MaxBackoff {
-						backoff = sc.MaxBackoff
-					}
-					time.Sleep(backoff)
-					queue <- t
-				}
-			}
-		}(i)
-	}
-
-	select {
-	case <-settled:
-	case <-ctx.Done():
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("plan: counting: %w", err)
-	}
-
-	// Last resort: the coordinator counts exhausted tasks itself,
-	// straight off the relation — the batch completes whenever the
-	// underlying files are readable, no matter how broken the pool is.
-	direct := NewLocalWorker(rel, d.RefKernel)
-	for _, t := range tasks {
-		if t.done {
-			continue
-		}
-		sc.Stats.Fallbacks.Add(1)
-		p, err := direct.Count(ctx, makeTask(t))
-		if err != nil {
-			return fmt.Errorf("plan: counting rows [%d,%d): %w (after %d worker attempts, last: %v)",
-				cuts[t.idx], cuts[t.idx+1], err, t.attempts, t.lastErr)
-		}
-		partials[t.idx] = p
-	}
-
-	// Gather: merge in fixed task order. Integer-exact statistics make
-	// the fold independent of which worker produced which partial.
-	total := partials[0]
-	for _, p := range partials[1:] {
-		total.Merge(p)
-	}
-	total.st.publish(set)
-	return nil
-}
-
 // attemptTask runs one attempt of one task under the per-attempt
 // deadline. A worker that outlives its deadline is abandoned: its
 // goroutine finishes into a buffered channel and is garbage collected,
@@ -381,5 +244,18 @@ func attemptTask(ctx context.Context, w Worker, task *CountTask, timeout time.Du
 		return r.p, r.err
 	case <-actx.Done():
 		return nil, actx.Err()
+	}
+}
+
+// sleepCtx waits for d, or until ctx is done; it reports whether the
+// full wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }

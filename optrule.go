@@ -245,17 +245,19 @@
 //
 // # Fault tolerance & scatter-gather execution
 //
-// Counting is where a mining batch spends its I/O, so that is the pass
-// the engine can scatter: with Config.Scatter.Workers > 0, the batch's
-// fused counting schedule is split at shard boundaries (storage-aligned
-// segments on single-file relations), each slice is dispatched as one
-// task to a pool of Workers, and the partial tallies are gathered and
-// merged. The merge is EXACT — a scattered schedule carries only
-// integer counts and extremes, never order-sensitive float sums (the
-// average operator's target sums always take the serial path) — so the
-// mined rules are bit-identical at every worker count, under every
-// placement, and after every recovery action. The zero value of
-// Config.Scatter keeps the classic executors untouched.
+// Counting is where a mining batch spends its I/O, and one executor
+// runs every counting scan — batch, delta refresh, serial or parallel.
+// It splits the rows into chunks, tallies each chunk privately and
+// merges the partials in chunk order. Config.Scatter sets its recovery
+// policy: with Config.Scatter.Workers > 0 the chunks are cut at shard
+// boundaries (storage-aligned segments on single-file relations) and
+// each is dispatched as one task to a pool of Workers. The merge is
+// EXACT — a scattered schedule carries only integer counts and
+// extremes, never order-sensitive float sums (the average operator's
+// target sums always count serially) — so the mined rules are
+// bit-identical at every worker count, under every placement, and after
+// every recovery action. The zero value of Config.Scatter counts the
+// chunks in-process, one attempt each, with no fallback.
 //
 // Failures escalate through three layers, and a batch completes
 // whenever the underlying files are readable:
@@ -643,10 +645,11 @@ func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (int
 	return relation.AppendToSharded(manifestPath, src, opts)
 }
 
-// ScatterConfig enables and tunes the fault-tolerant scatter-gather
-// counting executor (Config.Scatter); the zero value keeps the classic
-// serial/segmented executors. See the package documentation's Fault
-// tolerance section.
+// ScatterConfig sets the counting executor's recovery policy
+// (Config.Scatter): a worker pool with retries, re-routing and a
+// direct-scan fallback. The zero value counts chunks in-process, one
+// attempt each. See the package documentation's Fault tolerance
+// section.
 type ScatterConfig = miner.ScatterConfig
 
 // ScatterStats carries the scatter coordinator's recovery counters
