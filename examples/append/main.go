@@ -23,7 +23,11 @@
 //     refresh re-samples boundaries instead of folding — the
 //     correctness backstop.
 //
-//     go run ./examples/append
+// The walkthrough checks its own claims and exits non-zero when the
+// refresh scans more than the appended tail, the re-query reads any
+// byte, or the bulk refresh fails to re-sample.
+//
+//	go run ./examples/append
 package main
 
 import (
@@ -108,6 +112,9 @@ func main() {
 		"re-sampled %d boundary sets (%.2f MB read)\n",
 		added, stats.RowsScanned, stats.EntriesFolded, stats.Resamples,
 		float64(rel.BytesRead())/(1<<20))
+	if stats.RowsScanned != int64(added) {
+		log.Fatalf("refresh scanned %d rows, want exactly the %d appended", stats.RowsScanned, added)
+	}
 
 	// Moment 3: the same batch on the GROWN relation — every statistic
 	// was folded in place, so nothing is read at all.
@@ -118,6 +125,9 @@ func main() {
 	}
 	fmt.Printf("re-query over %d tuples: %d bytes read (served from the folded cache)\n",
 		rel.NumTuples(), rel.BytesRead())
+	if rel.BytesRead() != 0 {
+		log.Fatalf("re-query read %d bytes, want 0", rel.BytesRead())
+	}
 	printFirstRule(answers)
 
 	st := session.CacheStats()
@@ -143,6 +153,9 @@ func main() {
 	}
 	fmt.Printf("\nbulk append of 40000 rows: %d boundary sets re-sampled, %d entries dropped "+
 		"(growth left the bucket-error budget)\n", stats.Resamples, stats.EntriesDropped)
+	if stats.Resamples == 0 {
+		log.Fatal("bulk append stayed inside the bucket-error budget; want a re-sample")
+	}
 	if _, err := session.ExecuteBatch(batch); err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +188,8 @@ func sampleRow(rng *rand.Rand) ([]float64, []bool) {
 	return []float64{balance, age}, []bool{rng.Float64() < p, auto}
 }
 
-// writeShards streams n customers into a 2-shard relation.
+// writeShards streams n customers into a 2-shard relation, removing
+// every file it wrote when any step fails.
 func writeShards(manifest string, rng *rand.Rand, n int) error {
 	w, err := optrule.NewShardedWriter(manifest, bankSchema(), optrule.ShardedWriterOptions{
 		Shards: 2, TotalRows: n,
@@ -186,6 +200,7 @@ func writeShards(manifest string, rng *rand.Rand, n int) error {
 	for i := 0; i < n; i++ {
 		nums, bools := sampleRow(rng)
 		if err := w.Append(nums, bools); err != nil {
+			w.Discard()
 			return err
 		}
 	}

@@ -139,6 +139,7 @@ func WriteSharded(manifestPath string, src RowSource, n int, seed int64, shards,
 	for i := 0; i < n; i++ {
 		nums, bools = src.Row(rng, nums[:0], bools[:0])
 		if err := sw.Append(nums, bools); err != nil {
+			sw.Discard()
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package datagen
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -385,5 +386,49 @@ func TestWriteDiskRoundTrip(t *testing.T) {
 	}
 	if err := WriteDisk(filepath.Join(t.TempDir(), "x.opr"), bank, -1, 0); err == nil {
 		t.Errorf("negative count accepted")
+	}
+}
+
+// badRowSource wraps a RowSource and returns a wrong-shaped tuple (one
+// numeric value missing) as row failAt.
+type badRowSource struct {
+	RowSource
+	failAt, rows int
+}
+
+func (s *badRowSource) Row(rng *rand.Rand, nums []float64, bools []bool) ([]float64, []bool) {
+	nums, bools = s.RowSource.Row(rng, nums, bools)
+	s.rows++
+	if s.rows == s.failAt {
+		nums = nums[:len(nums)-1]
+	}
+	return nums, bools
+}
+
+// TestWriteShardedCleansUpOnError pins that a sharded write failing
+// mid-stream — after a shard has already been committed — leaves no
+// file behind, like its single-file twin.
+func TestWriteShardedCleansUpOnError(t *testing.T) {
+	bank, _ := NewBank(BankConfig{})
+	cases := map[string]func(dir string, src RowSource) error{
+		"sharded": func(dir string, src RowSource) error {
+			return WriteSharded(filepath.Join(dir, "rel.oprs"), src, 400, 3, 4, relation.DiskFormatV2)
+		},
+		"single": func(dir string, src RowSource) error {
+			return WriteDiskFormat(filepath.Join(dir, "rel.opr"), src, 400, 3, relation.DiskFormatV2)
+		},
+	}
+	for name, write := range cases {
+		dir := t.TempDir()
+		if err := write(dir, &badRowSource{RowSource: bank, failAt: 150}); err == nil {
+			t.Fatalf("%s: wrong-shaped row accepted", name)
+		}
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("%s: failed write left %s behind", name, e.Name())
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -270,5 +272,177 @@ func TestShardedAppenderContinuesNumbering(t *testing.T) {
 	defer sr.Close()
 	if sr.NumTuples() != 15 {
 		t.Errorf("relation holds %d tuples, want 15", sr.NumTuples())
+	}
+}
+
+// dirListing returns the sorted file names in dir.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestShardedAppendFaultMidStreamRollsBack pins the all-or-nothing
+// contract when the source fails AFTER appended shards were already
+// committed: the injected error surfaces, the committed shards are
+// removed, and the manifest is byte-identical.
+func TestShardedAppendFaultMidStreamRollsBack(t *testing.T) {
+	manifest, _ := writeShardedFixture(t, 29, []int{20}, []int{DiskFormatV2}, 16)
+	dir := filepath.Dir(manifest)
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := dirListing(t, dir)
+	tail := NewFaultRelation(appendFixtureTail(rand.New(rand.NewSource(31)), 40),
+		FaultConfig{FailScans: []int{1}, FailAfterRows: 25})
+	// 10-row shards: rows 0-19 fill two committed shards before the
+	// fault at row 25 interrupts the third.
+	if _, err := AppendToSharded(manifest, tail, AppendOptions{RowsPerShard: 10}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append over a faulting source: err = %v, want ErrInjected", err)
+	}
+	after, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("failed append rewrote the manifest:\n%s", after)
+	}
+	if got := dirListing(t, dir); !reflect.DeepEqual(got, listing) {
+		t.Errorf("failed append left the directory at %v, want %v", got, listing)
+	}
+}
+
+// TestShardedWriteAndAppendManifestBytes pins the exact manifest text
+// of a fresh write and of grows onto it and onto a hand-written
+// relation with custom shard names, whose lines must survive verbatim.
+func TestShardedWriteAndAppendManifestBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	readManifest := func(path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	fresh := filepath.Join(t.TempDir(), "rel.oprs")
+	sw, err := NewShardedWriter(fresh, bankSchema(), ShardedWriterOptions{Shards: 3, TotalRows: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendAll(appendFixtureTail(rng, 9), sw.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "OPTSHARD 1\n" +
+		"shard 3 rel-s00000.opr\n" +
+		"shard 3 rel-s00001.opr\n" +
+		"shard 3 rel-s00002.opr\n"
+	if got := readManifest(fresh); got != want {
+		t.Fatalf("fresh manifest:\n%s\nwant:\n%s", got, want)
+	}
+	if _, err := AppendToSharded(fresh, appendFixtureTail(rng, 7), AppendOptions{RowsPerShard: 5}); err != nil {
+		t.Fatal(err)
+	}
+	want += "shard 5 rel-s00003.opr\n" +
+		"shard 2 rel-s00004.opr\n"
+	if got := readManifest(fresh); got != want {
+		t.Errorf("grown manifest:\n%s\nwant:\n%s", got, want)
+	}
+
+	custom, _ := writeShardedFixture(t, 41, []int{20, 10}, []int{DiskFormatV1, DiskFormatV2}, 16)
+	if _, err := AppendToSharded(custom, appendFixtureTail(rng, 7), AppendOptions{RowsPerShard: 5}); err != nil {
+		t.Fatal(err)
+	}
+	want = "OPTSHARD 1\n" +
+		"shard 20 part-00.opr\n" +
+		"shard 10 part-01.opr\n" +
+		"shard 5 rel-s00002.opr\n" +
+		"shard 2 rel-s00003.opr\n"
+	if got := readManifest(custom); got != want {
+		t.Errorf("grown custom-named manifest:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestShardedWriterDiscardAfterRollover pins Discard's contract: every
+// file the writer created — committed shards and the in-progress
+// shard's temp file — is removed, an existing manifest is untouched,
+// and the writer refuses further use.
+func TestShardedWriterDiscardAfterRollover(t *testing.T) {
+	manifest, _ := writeShardedFixture(t, 43, []int{10}, []int{DiskFormatV2}, 16)
+	dir := filepath.Dir(manifest)
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := dirListing(t, dir)
+	sw, err := NewShardedWriter(manifest, bankSchema(), ShardedWriterOptions{RowsPerShard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 rows: two committed shards and a third in progress.
+	if err := appendAll(appendFixtureTail(rand.New(rand.NewSource(47)), 5), sw.Append); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirListing(t, dir); len(got) != len(listing)+3 {
+		t.Fatalf("after two rollovers the directory holds %v; want 2 committed shards and a temp file beside %v", got, listing)
+	}
+	sw.Discard()
+	if got := dirListing(t, dir); !reflect.DeepEqual(got, listing) {
+		t.Errorf("Discard left the directory at %v, want %v", got, listing)
+	}
+	after, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("Discard touched the existing manifest")
+	}
+	if err := sw.Append([]float64{1, 2}, []bool{true, false}); err == nil {
+		t.Error("Append after Discard succeeded")
+	}
+	if err := sw.Close(); err == nil {
+		t.Error("Close after Discard succeeded")
+	}
+}
+
+// TestShardedWriterFailedCloseRemovesShards pins that a Close whose
+// manifest commit fails leaves no committed shard behind and stays
+// failed.
+func TestShardedWriterFailedCloseRemovesShards(t *testing.T) {
+	dir := t.TempDir()
+	// A non-empty directory where the manifest should go: every shard
+	// commits, then the manifest rename fails.
+	manifest := filepath.Join(dir, "rel.oprs")
+	if err := os.MkdirAll(filepath.Join(manifest, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	listing := dirListing(t, dir)
+	sw, err := NewShardedWriter(manifest, bankSchema(), ShardedWriterOptions{RowsPerShard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendAll(appendFixtureTail(rand.New(rand.NewSource(53)), 5), sw.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err == nil {
+		t.Fatal("Close committed a manifest over a directory")
+	}
+	if got := dirListing(t, dir); !reflect.DeepEqual(got, listing) {
+		t.Errorf("failed Close left the directory at %v, want %v", got, listing)
+	}
+	if err := sw.Close(); err == nil {
+		t.Error("second Close after a failed Close reported success")
 	}
 }

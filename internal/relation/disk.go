@@ -162,24 +162,32 @@ func (dw *DiskWriter) abort() {
 	os.Remove(dw.tmp)
 }
 
-// commit finishes a staged write: close the temp file (delayed write
-// errors surface here), give it the destination's permissions (the
-// temp was 0600), and atomically rename it over the destination.
+// commit finishes the staged write with the destination's
+// permissions (or commitMode, when set).
 func (dw *DiskWriter) commit() error {
-	if err := dw.f.Close(); err != nil {
-		os.Remove(dw.tmp)
-		return err
-	}
 	mode := dw.commitMode
 	if mode == 0 {
 		mode = outputMode([]string{dw.dst})
 	}
-	if err := os.Chmod(dw.tmp, mode); err != nil {
-		os.Remove(dw.tmp)
+	return commitStaged(dw.f, dw.dst, mode)
+}
+
+// commitStaged is the one commit of a staged write: close the temp file
+// f (delayed write errors surface here), give it mode (CreateTemp files
+// are 0600), and atomically rename it over dst. On any failure the temp
+// file is removed and dst keeps whatever it held.
+func commitStaged(f *os.File, dst string, mode os.FileMode) error {
+	tmp := f.Name()
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(dw.tmp, dw.dst); err != nil {
-		os.Remove(dw.tmp)
+	if err := os.Chmod(tmp, mode); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, dst); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return nil

@@ -540,19 +540,35 @@ func sameFile(a, b string) bool {
 }
 
 // NewDiskWriterFormat creates a relation file at path in the given
-// format version with default layout parameters — the single place the
-// version-to-writer dispatch lives.
+// format version with default layout parameters.
 func NewDiskWriterFormat(path string, schema Schema, version int) (*DiskWriter, error) {
+	return newFormatWriter(path, schema, version, 0)
+}
+
+// newFormatWriter is the one version-to-writer dispatch: version 0
+// selects the v2 default, groupRows 0 the default v2/v3 block-group
+// size, and an unknown version is refused before any file is created.
+func newFormatWriter(path string, schema Schema, version, groupRows int) (*DiskWriter, error) {
+	if err := checkFormat(version); err != nil {
+		return nil, err
+	}
 	switch version {
 	case DiskFormatV1:
 		return NewDiskWriter(path, schema)
-	case DiskFormatV2:
-		return NewDiskWriterV2(path, schema, 0)
 	case DiskFormatV3:
-		return NewDiskWriterV3(path, schema, 0)
+		return NewDiskWriterV3(path, schema, groupRows)
 	default:
-		return nil, fmt.Errorf("relation: unknown disk format version %d", version)
+		return NewDiskWriterV2(path, schema, groupRows)
 	}
+}
+
+// checkFormat refuses a write format version newFormatWriter does not
+// know; 0 (the v2 default) is accepted.
+func checkFormat(version int) error {
+	if version < 0 || version > DiskFormatV3 {
+		return fmt.Errorf("relation: unknown disk format version %d", version)
+	}
+	return nil
 }
 
 // ConvertDiskFrom is ConvertDisk over an already-open source relation,

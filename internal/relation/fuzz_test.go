@@ -54,7 +54,7 @@ func FuzzOpenSharded(f *testing.F) {
 	f.Add("OPTSHARD 1\nshard x s0.opr\nshard 3 s1.opr junk\n")
 	f.Add("OPTR not a manifest")
 	f.Add("")
-	// Appended-manifest shapes: the ShardedAppender rewrites manifests
+	// Appended-manifest shapes: AppendToSharded rewrites manifests
 	// as existing lines verbatim plus appended `m-sNNNNN.opr` lines, so
 	// opened-after-append relations look like these — including a shard
 	// repeated between the seed and appended sections, and appended

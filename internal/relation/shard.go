@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,7 +92,7 @@ var (
 // The shard list lives in an immutable snapshot (shardSet) swapped
 // atomically by Reopen: every operation loads the snapshot once and
 // works against it, so an open relation can pick up shards appended to
-// the manifest (by a ShardedAppender) without invalidating in-flight
+// the manifest (by AppendToSharded) without invalidating in-flight
 // scans — appends only ever extend the shard list, so a scan bounded
 // by an older snapshot's row count stays valid against any newer one.
 type ShardedRelation struct {
@@ -130,7 +131,8 @@ type shardSet struct {
 
 // shardManifestEntry is one parsed manifest line. raw preserves the
 // path exactly as written (before resolving against the manifest
-// directory), so an appender can rewrite existing lines verbatim.
+// directory), so a ShardedWriter growing the relation can rewrite
+// existing lines verbatim.
 type shardManifestEntry struct {
 	rows int
 	path string
@@ -804,7 +806,11 @@ func (o ShardedWriterOptions) rowsPerShard() (int, error) {
 // <base>-s00001.opr, …), a new shard starting whenever the splitting
 // policy says so, and the manifest itself is written last — to a temp
 // file renamed into place on Close, so a crashed or failed write never
-// leaves a manifest pointing at missing or short shards.
+// leaves a manifest pointing at missing or short shards. The same
+// writer grows an existing relation (AppendToSharded): existing
+// manifest lines are kept verbatim and new shards are numbered past
+// any base-named file already on disk, so existing shard files are
+// never touched and the old relation stays a valid prefix of the new.
 type ShardedWriter struct {
 	manifestPath string
 	dir          string
@@ -813,13 +819,16 @@ type ShardedWriter struct {
 	format       int
 	groupRows    int
 	rowsPerShard int
-	cur          *DiskWriter
-	curRows      int
-	rows         int
-	entries      []shardManifestEntry // closed shards, base-named paths
-	created      []string             // every file this writer created
-	closed       bool
-	closeErr     error // sticky result of the first Close
+	// entries holds the manifest lines: the existing ones (a grow keeps
+	// them verbatim) followed by every shard this writer committed.
+	entries  []shardManifestEntry
+	existing int
+	next     int // shard file number of the current (or next) shard
+	cur      *DiskWriter
+	curRows  int
+	rows     int
+	closed   bool
+	closeErr error // sticky result of the first Close
 	// writeErr latches a failed shard rollover: the writer has lost rows
 	// (a shard closed but its successor was never created), so every
 	// later Append and the final Close must fail rather than commit a
@@ -838,26 +847,36 @@ func NewShardedWriter(manifestPath string, schema Schema, opts ShardedWriterOpti
 	if err != nil {
 		return nil, err
 	}
-	format := opts.Format
-	if format == 0 {
-		format = DiskFormatV2
-	}
-	if format != DiskFormatV1 && format != DiskFormatV2 && format != DiskFormatV3 {
-		return nil, fmt.Errorf("relation: unknown disk format version %d", format)
-	}
-	sw := &ShardedWriter{
-		manifestPath: manifestPath,
-		dir:          filepath.Dir(manifestPath),
-		base:         shardBaseName(manifestPath),
-		schema:       schema,
-		format:       format,
-		groupRows:    opts.GroupRows,
-		rowsPerShard: rps,
+	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, nil, 0)
+	if err != nil {
+		return nil, err
 	}
 	if err := sw.startShard(); err != nil {
 		return nil, err
 	}
 	return sw, nil
+}
+
+// newShardedWriter builds a writer whose manifest starts with existing
+// (nil for a fresh relation) and whose first shard is numbered next.
+// No file is created until the first shard starts, so a grow that
+// appends nothing leaves the directory and the manifest untouched.
+func newShardedWriter(manifestPath string, schema Schema, format, groupRows, rowsPerShard int, existing []shardManifestEntry, next int) (*ShardedWriter, error) {
+	if err := checkFormat(format); err != nil {
+		return nil, err
+	}
+	return &ShardedWriter{
+		manifestPath: manifestPath,
+		dir:          filepath.Dir(manifestPath),
+		base:         shardBaseName(manifestPath),
+		schema:       schema,
+		format:       format,
+		groupRows:    groupRows,
+		rowsPerShard: rowsPerShard,
+		entries:      existing,
+		existing:     len(existing),
+		next:         next,
+	}, nil
 }
 
 // shardBaseName derives the shard files' name stem from the manifest
@@ -871,47 +890,34 @@ func shardBaseName(manifestPath string) string {
 }
 
 // shardFileName returns the base name of shard i for the given stem —
-// the ONE place the naming scheme lives; the writer and the
-// ConvertToSharded freshness pre-check both use it, so the check can
-// never drift from the names the writer actually creates.
+// the ONE place the naming scheme lives; the writer, the grow
+// numbering, and the ConvertToSharded freshness pre-check all use it,
+// so they can never drift from the names the writer actually creates.
 func shardFileName(base string, i int) string {
 	return fmt.Sprintf("%s-s%05d.opr", base, i)
 }
 
-// shardName returns the base name of shard i.
-func (sw *ShardedWriter) shardName(i int) string {
-	return shardFileName(sw.base, i)
-}
-
 // startShard opens the next shard file.
 func (sw *ShardedWriter) startShard() error {
-	name := sw.shardName(len(sw.entries))
-	path := filepath.Join(sw.dir, name)
-	var dw *DiskWriter
-	var err error
-	switch sw.format {
-	case DiskFormatV2:
-		dw, err = NewDiskWriterV2(path, sw.schema, sw.groupRows)
-	case DiskFormatV3:
-		dw, err = NewDiskWriterV3(path, sw.schema, sw.groupRows)
-	default:
-		dw, err = NewDiskWriter(path, sw.schema)
-	}
+	path := filepath.Join(sw.dir, shardFileName(sw.base, sw.next))
+	dw, err := newFormatWriter(path, sw.schema, sw.format, sw.groupRows)
 	if err != nil {
 		return err
 	}
 	sw.cur = dw
 	sw.curRows = 0
-	sw.created = append(sw.created, path)
 	return nil
 }
 
-// finishShard closes the current shard and records its manifest entry.
+// finishShard commits the current shard and records its manifest entry
+// (relative path: shards always live beside the manifest).
 func (sw *ShardedWriter) finishShard() error {
 	if err := sw.cur.Close(); err != nil {
 		return err
 	}
-	sw.entries = append(sw.entries, shardManifestEntry{rows: sw.curRows, path: sw.shardName(len(sw.entries))})
+	name := shardFileName(sw.base, sw.next)
+	sw.entries = append(sw.entries, shardManifestEntry{rows: sw.curRows, path: filepath.Join(sw.dir, name), raw: name})
+	sw.next++
 	sw.cur = nil
 	return nil
 }
@@ -928,10 +934,12 @@ func (sw *ShardedWriter) Append(nums []float64, bools []bool) error {
 	if sw.writeErr != nil {
 		return sw.writeErr
 	}
-	if sw.curRows == sw.rowsPerShard {
-		if err := sw.finishShard(); err != nil {
-			sw.writeErr = err
-			return err
+	if sw.cur == nil || sw.curRows == sw.rowsPerShard {
+		if sw.cur != nil {
+			if err := sw.finishShard(); err != nil {
+				sw.writeErr = err
+				return err
+			}
 		}
 		if err := sw.startShard(); err != nil {
 			sw.writeErr = err
@@ -948,14 +956,19 @@ func (sw *ShardedWriter) Append(nums []float64, bools []bool) error {
 
 // Close finalizes the last shard and writes the manifest (temp file in
 // the manifest's directory, renamed into place), so readers only ever
-// see a manifest whose shards are complete. A failed Close is sticky:
-// repeated calls return the first error instead of a false success.
+// see a manifest whose shards are complete. A grow that appended no
+// rows leaves the manifest byte-identical. A failed Close removes
+// every shard the writer committed, leaves the manifest as it was, and
+// is sticky: repeated calls return the first error instead of a false
+// success.
 func (sw *ShardedWriter) Close() error {
 	if sw.closed {
 		return sw.closeErr
 	}
 	sw.closed = true
-	sw.closeErr = sw.commit()
+	if sw.closeErr = sw.commit(); sw.closeErr != nil {
+		sw.abort()
+	}
 	return sw.closeErr
 }
 
@@ -963,56 +976,84 @@ func (sw *ShardedWriter) Close() error {
 func (sw *ShardedWriter) commit() error {
 	if sw.writeErr != nil {
 		// A rollover already failed: refuse to commit a manifest missing
-		// part of the stream, and release the current shard's handle.
-		if sw.cur != nil {
-			sw.cur.Discard()
-			sw.cur = nil
-		}
+		// part of the stream.
 		return fmt.Errorf("relation: sharded writer failed before Close: %w", sw.writeErr)
 	}
-	if err := sw.finishShard(); err != nil {
+	if sw.cur != nil {
+		if err := sw.finishShard(); err != nil {
+			return err
+		}
+	}
+	if len(sw.entries) == sw.existing {
+		return nil // nothing appended: manifest untouched
+	}
+	// The manifest is data, not a secret: a fresh one carries the mode
+	// of the shard files it points at, a grown one keeps its own.
+	modeOf := sw.manifestPath
+	if sw.existing == 0 {
+		modeOf = sw.entries[0].path
+	}
+	return writeShardManifest(sw.manifestPath, sw.entries, outputMode([]string{modeOf}))
+}
+
+// Discard abandons the write: every file this writer created is
+// removed and the manifest keeps whatever it held before. Callers that
+// fail mid-stream must Discard rather than Close — Close would commit
+// the rows written so far. A no-op after Close or a second Discard;
+// later Appends and Closes fail.
+func (sw *ShardedWriter) Discard() {
+	if sw.closed {
+		return
+	}
+	sw.closed = true
+	sw.closeErr = errors.New("relation: sharded writer discarded")
+	sw.abort()
+}
+
+// abort removes the current shard's staging file and every shard the
+// writer committed.
+func (sw *ShardedWriter) abort() {
+	if sw.cur != nil {
+		sw.cur.Discard()
+		sw.cur = nil
+	}
+	for _, e := range sw.entries[sw.existing:] {
+		os.Remove(e.path)
+	}
+	sw.entries = sw.entries[:sw.existing]
+}
+
+// writeFrom streams every tuple of src into sw and commits it; on any
+// error nothing sw wrote is left behind.
+func (sw *ShardedWriter) writeFrom(src Relation) error {
+	if err := appendAll(src, sw.Append); err != nil {
+		sw.Discard()
 		return err
 	}
+	return sw.Close()
+}
+
+// writeShardManifest renders entries as manifest text — each line from
+// raw, so existing lines are rewritten verbatim — and commits it over
+// path through a staged temp file, so readers see the old manifest or
+// the new one, never a torn one.
+func writeShardManifest(path string, entries []shardManifestEntry, mode os.FileMode) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %d\n", shardManifestMagic, ShardManifestVersion)
-	for _, e := range sw.entries {
-		fmt.Fprintf(&b, "shard %d %s\n", e.rows, e.path)
+	for _, e := range entries {
+		fmt.Fprintf(&b, "shard %d %s\n", e.rows, e.raw)
 	}
-	tf, err := os.CreateTemp(sw.dir, filepath.Base(sw.manifestPath)+".tmp-*")
+	tf, err := createStaged(path)
 	if err != nil {
 		return err
 	}
-	tmp := tf.Name()
-	shardPaths := append([]string(nil), sw.created...)
-	sw.created = append(sw.created, tmp)
 	if _, err := tf.WriteString(b.String()); err != nil {
 		tf.Close()
-		os.Remove(tmp)
+		os.Remove(tf.Name())
 		return err
 	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// CreateTemp files are 0600; the manifest is data, not a secret, and
-	// must carry exactly the mode of the shard files it points at (which
-	// os.Create gave the user's umask-derived permissions).
-	if err := os.Chmod(tmp, outputMode(shardPaths)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, sw.manifestPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	sw.created = append(sw.created, sw.manifestPath)
-	return nil
+	return commitStaged(tf, path, mode)
 }
-
-// CreatedPaths returns every file the writer has created so far —
-// shard files, the manifest, and any leftover temp file — so failed
-// conversions can clean up after themselves.
-func (sw *ShardedWriter) CreatedPaths() []string { return sw.created }
 
 // ConvertToSharded streams an open relation into a sharded relation at
 // manifestPath with the given shard count and shard format version
@@ -1030,9 +1071,6 @@ func ConvertToSharded(src Relation, manifestPath string, shards, version int) er
 		return fmt.Errorf("relation: shard count %d must be positive", shards)
 	}
 	opts := ShardedWriterOptions{Shards: shards, TotalRows: src.NumTuples(), Format: version}
-	if opts.Format == 0 {
-		opts.Format = DiskFormatV2
-	}
 	rps, err := opts.rowsPerShard()
 	if err != nil {
 		return err
@@ -1057,21 +1095,10 @@ func ConvertToSharded(src Relation, manifestPath string, shards, version int) er
 	if err != nil {
 		return err
 	}
-	if err := appendAll(src, sw.Append); err != nil {
-		if sw.cur != nil {
-			sw.cur.Discard()
-		}
-		removeAll(sw.CreatedPaths())
-		return err
-	}
-	if err := sw.Close(); err != nil {
-		removeAll(sw.CreatedPaths())
-		return err
-	}
-	return nil
+	return sw.writeFrom(src)
 }
 
-// AppendOptions configures NewShardedAppender.
+// AppendOptions configures AppendToSharded.
 type AppendOptions struct {
 	// RowsPerShard, when positive, starts a new appended shard every
 	// RowsPerShard rows; 0 puts the whole appended stream in one new
@@ -1085,256 +1112,57 @@ type AppendOptions struct {
 	GroupRows int
 }
 
-// ShardedAppender grows an EXISTING sharded relation: appended tuples
-// stream into fresh shard files next to the manifest (continuing the
-// <base>-sNNNNN.opr numbering past any name already on disk), and
-// Close rewrites the manifest — existing lines verbatim, new `shard`
-// lines added — through the same temp+rename discipline as
-// ShardedWriter. A reader that opens (or Reopens) the manifest
-// therefore sees either the old relation or the fully-committed grown
-// one, never a partial append; existing shard files are never touched,
-// so the old relation remains a valid prefix of the new one.
-type ShardedAppender struct {
-	manifestPath string
-	dir          string
-	base         string
-	schema       Schema
-	format       int
-	groupRows    int
-	rowsPerShard int
-	existing     []shardManifestEntry
-	nextIdx      int // shard file number for the next started shard
-	cur          *DiskWriter
-	curRows      int
-	rows         int
-	newEntries   []shardManifestEntry
-	created      []string
-	closed       bool
-	closeErr     error
-	// writeErr latches a failed rollover, like ShardedWriter: rows are
-	// lost, so later Appends and Close must fail rather than commit.
-	writeErr error
-}
-
-// NewShardedAppender opens the manifest at manifestPath for appending.
-// The manifest's schema (shard 0's) becomes the appender's schema;
-// callers must append tuples of exactly that schema.
-func NewShardedAppender(manifestPath string, opts AppendOptions) (*ShardedAppender, error) {
+// AppendToSharded streams every tuple of src onto the end of the
+// sharded relation at manifestPath: the tuples land in fresh shard
+// files next to the manifest, and the manifest is rewritten —
+// existing lines verbatim, new `shard` lines added — through the same
+// temp+rename commit as a fresh write, so a reader that opens (or
+// Reopens) it sees either the old relation or the fully grown one.
+// The source schema must equal the relation's schema exactly (names
+// and kinds, in order) — mismatches are refused before any file is
+// created. On any error the appended shard files are removed and the
+// manifest is left as it was, so the relation either grows by all of
+// src or not at all.
+func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
 	entries, err := readShardManifest(manifestPath)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	dr, err := OpenDisk(entries[0].path)
 	if err != nil {
-		return nil, fmt.Errorf("relation: %s: shard 0: %w", manifestPath, err)
+		return 0, fmt.Errorf("relation: %s: shard 0: %w", manifestPath, err)
 	}
 	schema := dr.Schema()
 	dr.Close()
-	format := opts.Format
-	if format == 0 {
-		format = DiskFormatV2
-	}
-	if format != DiskFormatV1 && format != DiskFormatV2 && format != DiskFormatV3 {
-		return nil, fmt.Errorf("relation: unknown disk format version %d", format)
-	}
-	sa := &ShardedAppender{
-		manifestPath: manifestPath,
-		dir:          filepath.Dir(manifestPath),
-		base:         shardBaseName(manifestPath),
-		schema:       schema,
-		format:       format,
-		groupRows:    opts.GroupRows,
-		rowsPerShard: opts.RowsPerShard,
-		existing:     entries,
-		nextIdx:      len(entries),
-	}
-	// Continue the numbering past any existing file: a relation written
-	// with custom shard names, or grown and partially cleaned up, may
-	// hold base-named files beyond len(entries). Never truncate one.
-	for {
-		p := filepath.Join(sa.dir, shardFileName(sa.base, sa.nextIdx))
-		if _, err := os.Stat(p); err == nil {
-			sa.nextIdx++
-			continue
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-		break
-	}
-	return sa, nil
-}
-
-// Schema returns the relation's schema, for callers validating their
-// rows before appending.
-func (sa *ShardedAppender) Schema() Schema { return sa.schema }
-
-// Rows returns the number of tuples appended so far.
-func (sa *ShardedAppender) Rows() int { return sa.rows }
-
-// startShard opens the next appended shard file. The first shard is
-// started lazily by Append, so a zero-row appender Closes without
-// touching the manifest or the directory.
-func (sa *ShardedAppender) startShard() error {
-	name := shardFileName(sa.base, sa.nextIdx)
-	path := filepath.Join(sa.dir, name)
-	var dw *DiskWriter
-	var err error
-	switch sa.format {
-	case DiskFormatV2:
-		dw, err = NewDiskWriterV2(path, sa.schema, sa.groupRows)
-	case DiskFormatV3:
-		dw, err = NewDiskWriterV3(path, sa.schema, sa.groupRows)
-	default:
-		dw, err = NewDiskWriter(path, sa.schema)
-	}
-	if err != nil {
-		return err
-	}
-	sa.cur = dw
-	sa.curRows = 0
-	sa.nextIdx++
-	sa.created = append(sa.created, path)
-	return nil
-}
-
-// finishShard closes the current shard and records its manifest entry
-// (relative path: appended shards always live beside the manifest).
-func (sa *ShardedAppender) finishShard() error {
-	if err := sa.cur.Close(); err != nil {
-		return err
-	}
-	name := shardFileName(sa.base, sa.nextIdx-1)
-	sa.newEntries = append(sa.newEntries, shardManifestEntry{rows: sa.curRows, path: filepath.Join(sa.dir, name), raw: name})
-	sa.cur = nil
-	return nil
-}
-
-// Append writes one tuple (same contract as DiskWriter.Append),
-// rolling to a new shard file when RowsPerShard fills the current one.
-func (sa *ShardedAppender) Append(nums []float64, bools []bool) error {
-	if sa.closed {
-		return fmt.Errorf("relation: append to closed ShardedAppender")
-	}
-	if sa.writeErr != nil {
-		return sa.writeErr
-	}
-	if sa.cur == nil || (sa.rowsPerShard > 0 && sa.curRows == sa.rowsPerShard) {
-		if sa.cur != nil {
-			if err := sa.finishShard(); err != nil {
-				sa.writeErr = err
-				return err
-			}
-		}
-		if err := sa.startShard(); err != nil {
-			sa.writeErr = err
-			return err
-		}
-	}
-	if err := sa.cur.Append(nums, bools); err != nil {
-		return err
-	}
-	sa.curRows++
-	sa.rows++
-	return nil
-}
-
-// Close finalizes the appended shards and commits the grown manifest
-// via temp+rename. Closing with zero appended rows is a no-op success:
-// the manifest is left byte-identical. A failed Close is sticky.
-func (sa *ShardedAppender) Close() error {
-	if sa.closed {
-		return sa.closeErr
-	}
-	sa.closed = true
-	sa.closeErr = sa.commit()
-	return sa.closeErr
-}
-
-// commit is Close's one-shot body.
-func (sa *ShardedAppender) commit() error {
-	if sa.writeErr != nil {
-		if sa.cur != nil {
-			sa.cur.Discard()
-			sa.cur = nil
-		}
-		return fmt.Errorf("relation: sharded appender failed before Close: %w", sa.writeErr)
-	}
-	if sa.cur != nil {
-		if err := sa.finishShard(); err != nil {
-			return err
-		}
-	}
-	if len(sa.newEntries) == 0 {
-		return nil // nothing appended: manifest untouched
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d\n", shardManifestMagic, ShardManifestVersion)
-	for _, e := range sa.existing {
-		fmt.Fprintf(&b, "shard %d %s\n", e.rows, e.raw)
-	}
-	for _, e := range sa.newEntries {
-		fmt.Fprintf(&b, "shard %d %s\n", e.rows, e.raw)
-	}
-	tf, err := os.CreateTemp(sa.dir, filepath.Base(sa.manifestPath)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := tf.Name()
-	sa.created = append(sa.created, tmp)
-	if _, err := tf.WriteString(b.String()); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Match the manifest's own existing mode (CreateTemp files are 0600).
-	if err := os.Chmod(tmp, outputMode([]string{sa.manifestPath})); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, sa.manifestPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// CreatedPaths returns every file the appender created so far (new
-// shard files and any leftover temp manifest), so a failed append can
-// clean up after itself — the original relation's files are never in
-// this list.
-func (sa *ShardedAppender) CreatedPaths() []string { return sa.created }
-
-// AppendToSharded streams every tuple of src onto the end of the
-// sharded relation at manifestPath. The source schema must equal the
-// relation's schema exactly (names and kinds, in order) — mismatches
-// are refused before any file is created. On any error the appended
-// shard files are removed and the manifest is left as it was, so the
-// relation either grows by all of src or not at all.
-func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
-	sa, err := NewShardedAppender(manifestPath, opts)
-	if err != nil {
-		return 0, err
-	}
-	if !sameSchema(sa.Schema(), src.Schema()) {
+	if !sameSchema(schema, src.Schema()) {
 		return 0, fmt.Errorf("relation: append schema %v does not match %s schema %v",
-			src.Schema().Names(), manifestPath, sa.Schema().Names())
+			src.Schema().Names(), manifestPath, schema.Names())
 	}
-	if err := appendAll(src, sa.Append); err != nil {
-		if sa.cur != nil {
-			sa.cur.Discard()
+	// Number past any existing file: a relation written with custom
+	// shard names, or grown and partially cleaned up, may hold
+	// base-named files beyond len(entries). Never overwrite one.
+	next := len(entries)
+	for dir, base := filepath.Dir(manifestPath), shardBaseName(manifestPath); ; next++ {
+		_, err := os.Stat(filepath.Join(dir, shardFileName(base, next)))
+		if os.IsNotExist(err) {
+			break
 		}
-		removeAll(sa.CreatedPaths())
+		if err != nil {
+			return 0, err
+		}
+	}
+	rps := opts.RowsPerShard
+	if rps <= 0 {
+		rps = math.MaxInt // the whole stream in one shard
+	}
+	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, next)
+	if err != nil {
 		return 0, err
 	}
-	if err := sa.Close(); err != nil {
-		removeAll(sa.CreatedPaths())
+	if err := sw.writeFrom(src); err != nil {
 		return 0, err
 	}
-	return sa.Rows(), nil
+	return sw.rows, nil
 }
 
 // storagePathsOf returns the files backing rel, when it declares them.
