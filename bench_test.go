@@ -15,7 +15,6 @@ import (
 	"optrule/internal/core"
 	"optrule/internal/datagen"
 	"optrule/internal/experiments"
-	"optrule/internal/miner"
 	"optrule/internal/relation"
 	"optrule/internal/stats"
 )
@@ -243,29 +242,12 @@ func bankDisk1M(b *testing.B) *relation.DiskRelation {
 
 // BenchmarkMine2D measures the rebuilt single-pair 2-D miner on the
 // 1M-tuple disk bank at grid side 64: one fused sampling scan for both
-// axes, one counting scan, parallel rectangle sweep. Compare against
-// BenchmarkMine2DPerPair, the pre-PR three-scan serial path.
+// axes, one counting scan, parallel rectangle sweep.
 func BenchmarkMine2D(b *testing.B) {
 	rel := bankDisk1M(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine2D(rel, "Age", "Balance", "CardLoan", true,
-			OptimizedConfidence, 64, Config{MinSupport: 0.05, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rel.BytesRead())/float64(b.N), "diskB/op")
-}
-
-// BenchmarkMine2DPerPair is the legacy per-pair pipeline (two sampling
-// scans, one counting scan, serial kernels) on the same workload — the
-// pre-PR baseline for BenchmarkMine2D.
-func BenchmarkMine2DPerPair(b *testing.B) {
-	rel := bankDisk1M(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := miner.Mine2DPerPair(rel, "Age", "Balance", "CardLoan", true,
 			OptimizedConfidence, 64, Config{MinSupport: 0.05, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}

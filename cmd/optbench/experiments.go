@@ -134,152 +134,6 @@ func runRegions(full bool, seed int64) (any, error) {
 	return res, nil
 }
 
-func runFused(full bool, seed int64) (any, error) {
-	n := 200000
-	if full {
-		n = 2000000
-	}
-	res, err := experiments.Fused(n, []int{1, 2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runColScan(full bool, seed int64) (any, error) {
-	n := 300000
-	if full {
-		n = 3000000
-	}
-	res, err := experiments.ColScan(n, 8, []int{1, 2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runCluster(full bool, seed int64) (any, error) {
-	n, groupRows := 2000000, 1<<9
-	if full {
-		n, groupRows = 8000000, 1<<10
-	}
-	res, err := experiments.Cluster(n, groupRows, []int{1, 2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runV3Scan(full bool, seed int64) (any, error) {
-	n, groupRows := 300000, 1<<14
-	if full {
-		n, groupRows = 3000000, 1<<16
-	}
-	res, err := experiments.V3Scan(n, groupRows, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runKernel(full bool, seed int64) (any, error) {
-	n := 300000
-	if full {
-		n = 2000000
-	}
-	res, err := experiments.Kernel(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runShards(full bool, seed int64) (any, error) {
-	n := 400000
-	if full {
-		n = 4000000
-	}
-	res, err := experiments.Shards(n, []int{2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runScatter(full bool, seed int64) (any, error) {
-	n, shards := 400000, 8
-	if full {
-		n = 4000000
-	}
-	res, err := experiments.Scatter(n, shards, []int{0, 1, 2, 4, 8}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runBatch(full bool, seed int64) (any, error) {
-	n := 500000
-	if full {
-		n = 4000000
-	}
-	res, err := experiments.Batch(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runAppend(full bool, seed int64) (any, error) {
-	n := 500000
-	if full {
-		n = 4000000
-	}
-	// 0.1% and 1% stay inside the §3.4 bucket-error budget and must
-	// fold; the cumulative ~11% of the last step must re-sample.
-	res, err := experiments.Append(n, []float64{0.001, 0.01, 0.10}, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
-func runTwoDim(full bool, seed int64) (any, error) {
-	n := 200000
-	attrCounts := []int{2, 4, 6}
-	sides := []int{16, 32, 64}
-	targeted := []int{64, 128, 256}
-	if full {
-		n = 1000000
-		attrCounts = []int{2, 4, 8}
-	}
-	res, err := experiments.TwoDim(n, attrCounts, sides, targeted, seed)
-	if err != nil {
-		return nil, err
-	}
-	res.Print(os.Stdout)
-	fmt.Println()
-	return res, nil
-}
-
 func runParallel(full bool, seed int64) (any, error) {
 	n := 1000000
 	if full {

@@ -4,35 +4,19 @@
 //	optbench -exp all          # everything at scaled-down sizes
 //	optbench -exp fig9 -full   # Figure 9 at paper scale (5·10⁵…5·10⁶ tuples)
 //	optbench -exp fig10        # optimized-confidence rule timings
-//	optbench -exp colscan -json BENCH_colscan.json
+//	optbench -exp fig1,table1 -json BENCH_paper.json
 //
 // Experiments: fig1 (sample-size analysis), table1 (approximation error
-// bounds and measurements), fig9 (bucketing performance), fig10
+// bounds and measurements), fig9 (bucketing performance), fig9disk
+// (out-of-core bucketing vs external sort, counted I/O), fig10
 // (optimized-confidence rules vs naive), fig11 (optimized-support rules
-// vs naive), par (parallel bucketing, Section 3.3), fused (one-scan
-// multi-attribute counting engine vs per-attribute passes), colscan
-// (column-major v2 disk format vs row-major v1, counted bytes), v3scan
-// (compressed v3 format vs v2: file size, unfiltered scan cost, and
-// zone-map pruning on a clustered filter, rule-deviation hard-fail),
-// cluster (prunable layouts end to end: clustered-vs-shuffled filtered
-// read bytes, plus static-vs-work-stealing predicated parallel scan
-// wall-clock per PE count, rule-deviation hard-fail),
-// kernel (the one counting kernel: batch-vectorized vs reference
-// per-tuple, on the all-attribute rules batch and on a mixed 1-D+2-D
-// batch, ns/row, statistic-deviation hard-fail), twodim
-// (fused all-pairs 2-D engine vs legacy per-pair pipeline: wall-clock
-// and bytes vs pair count and grid side, plus a single-pair all-kinds
-// deep-grid sweep), shards (sharded backend: single-file vs 2/4/8-shard
-// MineAll, serial and concurrent sub-scans, counted bytes), batch
-// (plan/execute session: a mixed B-query workload per-query vs batched
-// vs session-cached re-query, wall-clock and counted bytes), append
-// (incremental ingest: a warm session absorbing 0.1%/1%/10% appends by
-// delta statistics merge vs a cold two-scan cache rebuild, wall-clock
-// and counted bytes, answer-deviation and byte-ratio hard-fail).
+// vs naive), par (parallel bucketing, Section 3.3), ablate (sample
+// factor, hull tree, bucket count and bucketing scheme ablations) and
+// regions (the 2-D region extensions).
 //
 // -json FILE additionally writes every experiment's structured result
-// to FILE as a single JSON document, so the perf trajectory can be
-// tracked across commits by archiving BENCH_*.json files.
+// to FILE as a single JSON document. Engine performance is measured by
+// the perfbench module, not here.
 package main
 
 import (
@@ -60,7 +44,7 @@ type report struct {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("optbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig1, table1, fig9, fig9disk, fig10, fig11, par, ablate, regions, fused, colscan, v3scan, cluster, kernel, twodim, shards, batch, append, scatter, or all")
+	exp := fs.String("exp", "all", "experiment: fig1, table1, fig9, fig9disk, fig10, fig11, par, ablate, regions, or all")
 	full := fs.Bool("full", false, "paper-scale sizes (slow; needs several GB of RAM for fig9)")
 	seed := fs.Int64("seed", 1, "random seed")
 	jsonPath := fs.String("json", "", "also write structured results as JSON to this file (e.g. BENCH_optbench.json)")
@@ -92,16 +76,6 @@ func run(args []string) error {
 		{"par", runParallel},
 		{"ablate", runAblations},
 		{"regions", runRegions},
-		{"fused", runFused},
-		{"colscan", runColScan},
-		{"v3scan", runV3Scan},
-		{"cluster", runCluster},
-		{"kernel", runKernel},
-		{"twodim", runTwoDim},
-		{"shards", runShards},
-		{"batch", runBatch},
-		{"append", runAppend},
-		{"scatter", runScatter},
 	}
 	known := map[string]bool{"all": true}
 	for _, r := range runners {

@@ -56,9 +56,9 @@
 // bit-identical twin of a from-scratch 4010000-row generation via
 // `append -skip 4000000 -n 10000`. A schema mismatch is refused
 // before any file is touched. Appending is what makes incremental
-// mining (miner.Session.RefreshFromStorage, optbench -exp append)
-// O(Δ) instead of O(n): open sessions fold statistics for just the
-// appended tail into their caches.
+// mining (miner.Session.RefreshFromStorage; its byte ceiling is pinned
+// by miner's TestAppendByteCeiling) O(Δ) instead of O(n): open sessions
+// fold statistics for just the appended tail into their caches.
 package main
 
 import (

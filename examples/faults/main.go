@@ -98,7 +98,7 @@ func main() {
 		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
 			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
 				Seed: int64(i), FailProb: 0.33, FailAfterRows: 10000,
-			}), false)
+			}))
 		},
 		Backoff: time.Millisecond,
 		Stats:   &stats,
@@ -124,7 +124,7 @@ func main() {
 		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
 			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
 				FailEvery: 1, // every scan, forever
-			}), false)
+			}))
 		},
 		MaxAttempts: 2,
 		Backoff:     time.Millisecond,

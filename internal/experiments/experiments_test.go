@@ -147,33 +147,6 @@ func TestFig9DiskShapeSmall(t *testing.T) {
 	}
 }
 
-func TestFusedExperimentShape(t *testing.T) {
-	res, err := Fused(20000, []int{1, 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.FusedScans != 2 {
-			t.Errorf("attrs=%d: fused pipeline issued %d scans, want 2", row.Attrs, row.FusedScans)
-		}
-		if want := 2 * row.Attrs; row.LegacyScans != want {
-			t.Errorf("attrs=%d: legacy pipeline issued %d scans, want %d", row.Attrs, row.LegacyScans, want)
-		}
-		if row.Attrs > 1 && row.FusedRows >= row.LegacyRows {
-			t.Errorf("attrs=%d: fused streamed %d rows, legacy %d; fused should read less",
-				row.Attrs, row.FusedRows, row.LegacyRows)
-		}
-	}
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if !strings.Contains(buf.String(), "Fused counting engine") {
-		t.Errorf("print malformed")
-	}
-}
-
 func TestFig10And11ShapeSmall(t *testing.T) {
 	f10 := Fig10([]int{500, 5000}, 5000, 2)
 	f11 := Fig11([]int{500, 5000}, 5000, 2)

@@ -90,8 +90,8 @@ type Result2D struct {
 // fused sampling scan, one fused counting scan — run by the plan
 // executor of a throwaway Session). Pairs with no tuple where both
 // attributes are finite are skipped. Output is rule-for-rule identical
-// to running the legacy per-pair pipeline (Mine2DPerPair) for each
-// pair and kind.
+// to running the legacy per-pair pipeline (the tests' mine2DPerPair)
+// for each pair and kind.
 func MineAll2D(rel relation.Relation, opt Options2D, cfg Config) (*Result2D, error) {
 	s, err := NewSession(rel, cfg)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestMine2DFusedMatchesPerPair(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: fused: %v", name, kind, err)
 			}
-			legacy, err := Mine2DPerPair(rel, a, b, obj, true, kind, 24, cfg)
+			legacy, err := mine2DPerPair(rel, a, b, obj, true, kind, 24, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: legacy: %v", name, kind, err)
 			}
@@ -155,7 +155,7 @@ func TestMineAll2DMatchesPerPairUnion(t *testing.T) {
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			for _, kind := range kinds {
-				r, err := Mine2DPerPair(rel, names[i], names[j], obj, true, kind, 16, cfg)
+				r, err := mine2DPerPair(rel, names[i], names[j], obj, true, kind, 16, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,7 +254,7 @@ func TestMine2DFusedMatchesPerPairNaN(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v fused: %v", pair, kind, err)
 			}
-			legacy, err := Mine2DPerPair(rel, pair[0], pair[1], "Hit", true, kind, 20, cfg)
+			legacy, err := mine2DPerPair(rel, pair[0], pair[1], "Hit", true, kind, 20, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v legacy: %v", pair, kind, err)
 			}
@@ -301,11 +301,13 @@ func TestMineAll2DTwoScans(t *testing.T) {
 		}
 		// The legacy path costs 3 scans PER PAIR on the same relation —
 		// the gap the fused engine exists to close.
+		fusedBytes := disk.BytesRead()
+		disk.ResetBytesRead()
 		countingLegacy := &relation.CountingRelation{R: disk}
 		nums := s.NumericIndices()
 		for i := 0; i < len(nums); i++ {
 			for j := i + 1; j < len(nums); j++ {
-				if _, err := Mine2DPerPair(countingLegacy, s[nums[i]].Name, s[nums[j]].Name,
+				if _, err := mine2DPerPair(countingLegacy, s[nums[i]].Name, s[nums[j]].Name,
 					obj, true, OptimizedConfidence, 16, Config{Seed: 1}); err != nil {
 					t.Fatal(err)
 				}
@@ -313,6 +315,10 @@ func TestMineAll2DTwoScans(t *testing.T) {
 		}
 		if want := 3 * pairs; countingLegacy.Scans != want {
 			t.Errorf("attrs=%d: legacy issued %d scans, want %d", numAttrs, countingLegacy.Scans, want)
+		}
+		if legacyBytes := disk.BytesRead(); fusedBytes >= legacyBytes {
+			t.Errorf("attrs=%d: fused engine read %d bytes, per-pair loop %d; fused must read fewer",
+				numAttrs, fusedBytes, legacyBytes)
 		}
 	}
 }

@@ -504,3 +504,98 @@ func TestSessionRefreshScansTailOnly(t *testing.T) {
 		t.Errorf("post-refresh re-query issued %d new scans, want 0", len(counting.Ranges)-refreshScans)
 	}
 }
+
+// TestAppendByteCeiling pins the O(Δ) ingest cost in counted bytes on
+// a 4-shard v2 relation. A 1% append inside the §3.4 bucket-error
+// budget — AppendToSharded, RefreshFromStorage and the re-query
+// together — reads at most 5% of what a cold rebuild of the grown
+// relation reads, and the refresh scans exactly the appended rows. A
+// further 10% append leaves the budget: the refresh re-samples and
+// folds nothing.
+func TestAppendByteCeiling(t *testing.T) {
+	const n = 20000
+	bank, err := datagen.NewBank(datagen.BankConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := t.TempDir() + "/bank.oprs"
+	if err := datagen.WriteSharded(manifest, bank, n, 1, 4, relation.DiskFormatV2); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := relation.OpenSharded(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rel.Close() })
+	cfg := Config{Buckets: 1000, Seed: 1}
+	queries := appendDiffQueries()
+	warm, err := NewSession(rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := warm.ExecuteBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnswers(t, answers)
+
+	grown := n
+	// grow appends the next delta rows of the seed's stream (the prefix
+	// property makes them exactly the rows the relation lacks),
+	// refreshes the warm session and re-runs the batch. It returns the
+	// refresh statistics and the bytes the whole cycle read.
+	grow := func(delta int) (DeltaStats, int64) {
+		tail, err := datagen.MaterializeRange(bank, 1, grown, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown += delta
+		rel.ResetBytesRead()
+		if _, err := relation.AppendToSharded(manifest, tail, relation.AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := warm.RefreshFromStorage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := warm.ExecuteBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswers(t, answers)
+		return ds, rel.BytesRead()
+	}
+
+	ds, deltaBytes := grow(n / 100)
+	if ds.Resamples != 0 {
+		t.Errorf("1%% append re-sampled %d boundary sets inside the budget", ds.Resamples)
+	}
+	if ds.EntriesFolded == 0 {
+		t.Errorf("1%% append folded no cache entries")
+	}
+	if ds.RowsScanned != n/100 {
+		t.Errorf("refresh scanned %d rows, appended %d", ds.RowsScanned, n/100)
+	}
+	rel.ResetBytesRead()
+	cold, err := NewSession(rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err = cold.ExecuteBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnswers(t, answers)
+	if coldBytes := rel.BytesRead(); deltaBytes*20 > coldBytes {
+		t.Errorf("append, refresh and re-query read %d bytes, over 5%% of the cold rebuild's %d",
+			deltaBytes, coldBytes)
+	}
+
+	ds, _ = grow(n / 10)
+	if ds.Resamples == 0 {
+		t.Errorf("a further 10%% append did not trip the bucket-error budget")
+	}
+	if ds.EntriesFolded != 0 {
+		t.Errorf("over-budget refresh folded %d entries, want 0", ds.EntriesFolded)
+	}
+}

@@ -78,7 +78,7 @@ func TestFaultMatrixRulesIdentical(t *testing.T) {
 					cfg.Scatter.NewWorker = func(i int, r relation.Relation) Worker {
 						wcfg := mcfg
 						wcfg.Seed = int64(1000 + i)
-						return NewLocalWorker(relation.NewFaultRelation(r, wcfg), false)
+						return NewLocalWorker(relation.NewFaultRelation(r, wcfg))
 					}
 				}
 				if mode.scatter != nil {

@@ -168,6 +168,10 @@ func TestMineAllTwoScansOnDisk(t *testing.T) {
 		if want := 2 * numAttrs; countingLegacy.Scans != want {
 			t.Errorf("attrs=%d: legacy issued %d scans, want %d", numAttrs, countingLegacy.Scans, want)
 		}
+		if numAttrs > 1 && counting.Rows >= countingLegacy.Rows {
+			t.Errorf("attrs=%d: fused scans delivered %d rows, legacy %d; fused must stream fewer",
+				numAttrs, counting.Rows, countingLegacy.Rows)
+		}
 	}
 }
 

@@ -21,7 +21,8 @@
 // session batch reads it twice for ANY number of queries. The one-shot
 // functions (MineAll, Mine, MineTopK, …) wrap a throwaway session; the
 // pre-session pipelines survive as differential-test references
-// (mineAllPerAttribute, legacyMine, Mine2DPerPair, …).
+// (mineAllPerAttribute, legacyMine, …, and the test-only
+// mine2DPerPair).
 package miner
 
 import (
@@ -200,8 +201,8 @@ type Worker = plan.Worker
 
 // NewLocalWorker returns the in-process scatter-gather worker over
 // rel; see plan.NewLocalWorker.
-func NewLocalWorker(rel relation.Relation, ref bool) Worker {
-	return plan.NewLocalWorker(rel, ref)
+func NewLocalWorker(rel relation.Relation) Worker {
+	return plan.NewLocalWorker(rel)
 }
 
 // withDefaults fills zero fields.

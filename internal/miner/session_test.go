@@ -370,6 +370,83 @@ func TestSessionBatchMatchesOneShots(t *testing.T) {
 	requireDeepEqual(t, "batch average", *answers[4].Range, wantAvg)
 }
 
+// TestSessionBatchSharesScans pins what batching buys in counted bytes
+// on a v2 disk relation: one batched session answers the mixed
+// workload exactly as per-query sessions do while reading strictly
+// fewer bytes, and a re-thresholded re-query on the warm session reads
+// none at all.
+func TestSessionBatchSharesScans(t *testing.T) {
+	bank, err := datagen.NewBank(datagen.BankConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/bank.opr"
+	if err := datagen.WriteDiskFormat(path, bank, 6000, 1, relation.DiskFormatV2); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := relation.OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rel.Close() })
+	cfg := Config{Buckets: 200, Seed: 1}
+	queries := mixedBatch()
+
+	var perQuery []Answer
+	for _, q := range queries {
+		s, err := NewSession(rel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := s.ExecuteBatch([]Query{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perQuery = append(perQuery, answers...)
+	}
+	perQueryBytes := rel.BytesRead()
+
+	s, err := NewSession(rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.ResetBytesRead()
+	batched, err := s.ExecuteBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchBytes := rel.BytesRead()
+	requireAnswersEqual(t, "batched vs per-query", batched, perQuery)
+	if batchBytes <= 0 || batchBytes >= perQueryBytes {
+		t.Errorf("batch read %d bytes, per-query sessions %d: want 0 < batch < per-query", batchBytes, perQueryBytes)
+	}
+
+	requery := make([]Query, len(queries))
+	for i, q := range queries {
+		if q.Op == OpAverage {
+			q.MinSupport = 0.25 // the average operator takes no confidence threshold
+		} else {
+			q.MinSupport, q.MinConfidence = 0.12, 0.65
+		}
+		switch q.Op {
+		case OpTopK:
+			q.K = 5
+		case OpRules2D:
+			q.Regions = []RegionClass{RectilinearConvexClass}
+		}
+		requery[i] = q
+	}
+	rel.ResetBytesRead()
+	answers, err := s.ExecuteBatch(requery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnswers(t, answers)
+	if n := rel.BytesRead(); n != 0 {
+		t.Errorf("cached re-query read %d bytes, want 0", n)
+	}
+}
+
 // TestSessionBadQueryDoesNotSinkBatch pins per-query error isolation.
 func TestSessionBadQueryDoesNotSinkBatch(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})

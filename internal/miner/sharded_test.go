@@ -31,6 +31,9 @@ func shardedOf(t *testing.T, src datagen.RowSource, n int, seed int64, shards in
 // to MineAll over the equivalent single-file relation — for bank and
 // retail data, serial and concurrent sub-scans, and with the parallel
 // counting engine planning segments across shard boundaries (PEs > 1).
+// It also reads the same counted bytes, plus at most one byte per
+// Boolean attribute per shard: each shard rounds every Boolean column
+// up to whole bytes.
 func TestMineAllShardedMatchesSingleFile(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -53,10 +56,13 @@ func TestMineAllShardedMatchesSingleFile(t *testing.T) {
 		{"exact-domains", Config{Buckets: 60, Seed: 11, ExactDomainLimit: 100}},
 		{"parallel-pes", Config{Buckets: 90, Seed: 5, PEs: 4}},
 	}
+	const shards = 3
 	for _, g := range gens {
 		single := diskOf(t, g.gen, 8000, 42)
-		sharded := shardedOf(t, g.gen, 8000, 42, 3)
+		sharded := shardedOf(t, g.gen, 8000, 42, shards)
+		pad := int64(len(single.Schema().BooleanIndices()) * shards)
 		for _, c := range cfgs {
+			single.ResetBytesRead()
 			want, err := MineAll(single, c.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: single-file: %v", g.name, c.name, err)
@@ -66,11 +72,16 @@ func TestMineAllShardedMatchesSingleFile(t *testing.T) {
 			}
 			for _, ahead := range []int{0, 2} {
 				sharded.SetConcurrentScans(ahead)
+				sharded.ResetBytesRead()
 				got, err := MineAll(sharded, c.cfg)
 				if err != nil {
 					t.Fatalf("%s/%s/ahead=%d: sharded: %v", g.name, c.name, ahead, err)
 				}
 				sameRules(t, g.name+"/"+c.name, got, want)
+				if d := sharded.BytesRead() - single.BytesRead(); d < 0 || d > pad {
+					t.Errorf("%s/%s/ahead=%d: sharded read %d bytes, single file %d (allowed padding %d)",
+						g.name, c.name, ahead, sharded.BytesRead(), single.BytesRead(), pad)
+				}
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	// direct counts one chunk in-process: the serial scan, the parallel
 	// chunks and the scatter pool's last-resort fallback.
 	direct := func(c relation.ScanChunk) (*execState, error) {
-		st, err := newExecState(set, groups, pairs, numPos, boolPos, d.RefKernel)
+		st, err := newExecState(ctx, set, groups, pairs, numPos, boolPos)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +443,10 @@ type execState struct {
 	masks   [][]bool
 
 	combos []*effCombo // distinct (loc, maskIdx) effective-index passes
-	useRef bool        // run the reference per-tuple kernel instead
+
+	// kernel, when set, replaces countBatchVec. Only this package's
+	// tests set it, to run the reference per-tuple kernel.
+	kernel func(*execState, *relation.Batch)
 
 	groups []*groupState
 	pairs  []*pairState
@@ -534,11 +537,16 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 	return cols, numPos, boolPos
 }
 
-// newExecState builds one worker's tally state. ref selects the
-// reference per-tuple kernel over the batch-vectorized one.
-func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
-	numPos, boolPos map[int]int, ref bool) (*execState, error) {
-	st := &execState{numPos: numPos, boolPos: boolPos, useRef: ref}
+// kernelKey is the context key under which this package's tests
+// install the reference per-tuple kernel in place of the vectorized
+// one (see export_test.go). Production contexts never carry it.
+type kernelKey struct{}
+
+// newExecState builds one worker's tally state.
+func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
+	numPos, boolPos map[int]int) (*execState, error) {
+	st := &execState{numPos: numPos, boolPos: boolPos}
+	st.kernel, _ = ctx.Value(kernelKey{}).(func(*execState, *relation.Batch))
 	locOf := map[BoundKey]int{}
 	locate := func(k BoundKey) (int, error) {
 		if i, ok := locOf[k]; ok {
@@ -654,10 +662,10 @@ func newExecState(set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 
 // countBatch tallies one batch into every group and pair: bucket
 // indices are located once per (attribute, resolution), row masks are
-// computed once per distinct filter, then either the batch-vectorized
-// kernel or the reference per-tuple kernel consumes them. Both kernels
-// feed every valid bucket the identical addition sequence in row
-// order, so their outputs — float target sums included — are
+// computed once per distinct filter, then the batch-vectorized kernel
+// consumes them. It feeds every valid bucket the same addition
+// sequence in row order as the reference per-tuple kernel the tests
+// pin it against, so their outputs — float target sums included — are
 // bit-identical.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
@@ -688,8 +696,8 @@ func (st *execState) countBatch(b *relation.Batch) {
 			}
 		}
 	}
-	if st.useRef {
-		st.countBatchRef(b)
+	if st.kernel != nil {
+		st.kernel(st, b)
 		return
 	}
 	st.countBatchVec(b)
@@ -844,101 +852,6 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 			}
 			if bv > maxB[e] {
 				maxB[e] = bv
-			}
-		}
-	}
-}
-
-// countBatchRef is the reference per-tuple kernel: one branchy row
-// loop per group and pair, kept both as the differential baseline the
-// vectorized kernel is pinned against and as a Defaults.RefKernel
-// escape hatch for regression triage. Every mode of the executor —
-// serial, parallel, delta, scattered and the direct fallback — honors
-// the switch. It shares the padded tally layout, so merge and publish
-// are kernel-agnostic.
-func (st *execState) countBatchRef(b *relation.Batch) {
-	n := b.Len
-	for _, gs := range st.groups {
-		gs.total += n
-		idx := st.idx[gs.loc][:n]
-		col := b.Numeric[gs.col]
-		var mask []bool
-		if gs.maskIdx >= 0 {
-			mask = st.masks[gs.maskIdx][:n]
-		}
-		for row := 0; row < n; row++ {
-			if mask != nil && !mask[row] {
-				continue
-			}
-			i := int(idx[row])
-			if i < 0 { // NaN driver: belongs to no bucket
-				gs.nans++
-				continue
-			}
-			gs.u[i]++
-			if gs.minv != nil {
-				x := col[row]
-				if x < gs.minv[i] {
-					gs.minv[i] = x
-				}
-				if x > gs.maxv[i] {
-					gs.maxv[i] = x
-				}
-			}
-			for k := range gs.v {
-				e := 0
-				if b.Bool[gs.boolCol[k]][row] == gs.boolWant[k] {
-					e = 1
-				}
-				gs.v[k][i] += e
-			}
-			for k := range gs.sum {
-				gs.sum[k][i] += b.Numeric[gs.targetCol[k]][row]
-			}
-		}
-	}
-	for _, ps := range st.pairs {
-		ia := st.idx[ps.locA][:n]
-		ib := st.idx[ps.locB][:n]
-		colA := b.Numeric[ps.colA]
-		colB := b.Numeric[ps.colB]
-		obj := b.Bool[ps.objCol]
-		pu, pv, cols := ps.pu, ps.pv, ps.cols
-		minA, maxA := ps.minA, ps.maxA
-		minB, maxB := ps.minB, ps.maxB
-		want := ps.want
-		for row := 0; row < n; row++ {
-			ri := int(ia[row])
-			if ri < 0 {
-				continue
-			}
-			rj := int(ib[row])
-			if rj < 0 {
-				continue
-			}
-			idx := ri*cols + rj
-			pu[idx]++
-			// Flagless objective tally (as in the 1-D counting kernel):
-			// the objective bit is ~50% either way, so a conditional
-			// increment would mispredict constantly.
-			e := 0.0
-			if obj[row] == want {
-				e = 1
-			}
-			pv[idx] += e
-			a := colA[row]
-			if a < minA[ri] {
-				minA[ri] = a
-			}
-			if a > maxA[ri] {
-				maxA[ri] = a
-			}
-			bv := colB[row]
-			if bv < minB[rj] {
-				minB[rj] = bv
-			}
-			if bv > maxB[rj] {
-				maxB[rj] = bv
 			}
 		}
 	}

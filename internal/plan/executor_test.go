@@ -299,7 +299,7 @@ func TestRunDeltaScatterRetriesAppendedShards(t *testing.T) {
 	d.Scatter = ScatterConfig{
 		Workers: 2,
 		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &flakyWorker{inner: NewLocalWorker(r, false)}
+			w := &flakyWorker{inner: NewLocalWorker(r)}
 			w.left.Store(1) // each worker's first attempt fails
 			return w
 		},

@@ -1,0 +1,111 @@
+package plan
+
+import (
+	"context"
+
+	"optrule/internal/relation"
+)
+
+// withRefKernel returns a context under which every counting scan —
+// serial, parallel, delta, scattered and the direct fallback — runs
+// the reference kernel countBatchRef instead of the vectorized one.
+func withRefKernel(ctx context.Context) context.Context {
+	return context.WithValue(ctx, kernelKey{}, (*execState).countBatchRef)
+}
+
+// runRef is Run on the reference kernel.
+func runRef(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (*StatsSet, error) {
+	return RunContext(withRefKernel(context.Background()), rel, d, cache, req)
+}
+
+// countBatchRef is the reference per-tuple kernel: one branchy row
+// loop per group and pair, the differential baseline the vectorized
+// kernel is pinned against. It shares the padded tally layout, so merge
+// and publish are kernel-agnostic.
+func (st *execState) countBatchRef(b *relation.Batch) {
+	n := b.Len
+	for _, gs := range st.groups {
+		gs.total += n
+		idx := st.idx[gs.loc][:n]
+		col := b.Numeric[gs.col]
+		var mask []bool
+		if gs.maskIdx >= 0 {
+			mask = st.masks[gs.maskIdx][:n]
+		}
+		for row := 0; row < n; row++ {
+			if mask != nil && !mask[row] {
+				continue
+			}
+			i := int(idx[row])
+			if i < 0 { // NaN driver: belongs to no bucket
+				gs.nans++
+				continue
+			}
+			gs.u[i]++
+			if gs.minv != nil {
+				x := col[row]
+				if x < gs.minv[i] {
+					gs.minv[i] = x
+				}
+				if x > gs.maxv[i] {
+					gs.maxv[i] = x
+				}
+			}
+			for k := range gs.v {
+				e := 0
+				if b.Bool[gs.boolCol[k]][row] == gs.boolWant[k] {
+					e = 1
+				}
+				gs.v[k][i] += e
+			}
+			for k := range gs.sum {
+				gs.sum[k][i] += b.Numeric[gs.targetCol[k]][row]
+			}
+		}
+	}
+	for _, ps := range st.pairs {
+		ia := st.idx[ps.locA][:n]
+		ib := st.idx[ps.locB][:n]
+		colA := b.Numeric[ps.colA]
+		colB := b.Numeric[ps.colB]
+		obj := b.Bool[ps.objCol]
+		pu, pv, cols := ps.pu, ps.pv, ps.cols
+		minA, maxA := ps.minA, ps.maxA
+		minB, maxB := ps.minB, ps.maxB
+		want := ps.want
+		for row := 0; row < n; row++ {
+			ri := int(ia[row])
+			if ri < 0 {
+				continue
+			}
+			rj := int(ib[row])
+			if rj < 0 {
+				continue
+			}
+			idx := ri*cols + rj
+			pu[idx]++
+			// Flagless objective tally (as in the 1-D counting kernel):
+			// the objective bit is ~50% either way, so a conditional
+			// increment would mispredict constantly.
+			e := 0.0
+			if obj[row] == want {
+				e = 1
+			}
+			pv[idx] += e
+			a := colA[row]
+			if a < minA[ri] {
+				minA[ri] = a
+			}
+			if a > maxA[ri] {
+				maxA[ri] = a
+			}
+			bv := colB[row]
+			if bv < minB[rj] {
+				minB[rj] = bv
+			}
+			if bv > maxB[rj] {
+				maxB[rj] = bv
+			}
+		}
+	}
+}

@@ -122,6 +122,16 @@ func runHom(t *testing.T, rel relation.Relation, d Defaults, req *Requirements) 
 	return set
 }
 
+// runHomRef is runHom on the reference kernel.
+func runHomRef(t *testing.T, rel relation.Relation, d Defaults, req *Requirements) *StatsSet {
+	t.Helper()
+	set, err := runRef(rel, d, NewCache(0), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // TestHomogeneousKernelMatchesReference is the differential for the
 // MineAll-shaped schedule: at 0, 1, 3 and 8 objectives, the vectorized
 // kernel must match the serial reference kernel bit for bit — serial
@@ -141,9 +151,7 @@ func TestHomogeneousKernelMatchesReference(t *testing.T) {
 	}
 	for _, objs := range []int{0, 1, 3, 8} {
 		base := Defaults{Buckets: 60, GridSide: 8, SampleFactor: 40, Seed: 3}
-		ref := base
-		ref.RefKernel = true
-		want := runHom(t, mem, ref, homRequirements(mem.Schema(), ref, objs, nil, nil))
+		want := runHomRef(t, mem, base, homRequirements(mem.Schema(), base, objs, nil, nil))
 		if len(want.Groups) != 4 {
 			t.Fatalf("objs=%d: reference produced %d groups, want 4", objs, len(want.Groups))
 		}
@@ -305,9 +313,7 @@ func TestHomogeneousFilterPushdownOverV3(t *testing.T) {
 	mem, v2, v3 := filteredFixture(t, n, gr, 4000, 8000)
 	filter := []bucketing.BoolCond{{Attr: 4, Want: true}}
 	base := Defaults{Buckets: 50, GridSide: 8, SampleFactor: 40, Seed: 2}
-	ref := base
-	ref.RefKernel = true
-	want := runHom(t, mem, ref, homRequirements(mem.Schema(), ref, 2, nil, filter))
+	want := runHomRef(t, mem, base, homRequirements(mem.Schema(), base, 2, nil, filter))
 	for _, g := range want.Groups {
 		if g.Total != n || g.N == 0 || g.N >= n/2 {
 			t.Fatalf("degenerate fixture: N=%d of Total=%d", g.N, g.Total)
@@ -379,9 +385,7 @@ func TestHomogeneousDynamicPruned(t *testing.T) {
 
 	filter := []bucketing.BoolCond{{Attr: 3, Want: true}}
 	base := Defaults{Buckets: 6, GridSide: 8, SampleFactor: 40, Seed: 4}
-	ref := base
-	ref.RefKernel = true
-	want := runHom(t, dr, ref, homRequirements(schema, ref, 1, nil, filter))
+	want := runHomRef(t, dr, base, homRequirements(schema, base, 1, nil, filter))
 	for _, g := range want.Groups {
 		if g.N == 0 || g.N == g.Total {
 			t.Fatalf("degenerate fixture: N=%d of Total=%d", g.N, g.Total)

@@ -131,9 +131,13 @@ func TestVectorizedKernelMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ref bool) *StatsSet {
 				d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40,
-					Seed: 5, PEs: tc.pes, RefKernel: ref}
+					Seed: 5, PEs: tc.pes}
 				req := kernelBatchRequirements(t, rel, d, tc.withTargets)
-				set, err := Run(rel, d, NewCache(0), req)
+				exec := Run
+				if ref {
+					exec = runRef
+				}
+				set, err := exec(rel, d, NewCache(0), req)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,11 +22,6 @@ type Defaults struct {
 	Seed             int64
 	// PEs > 1 segments the counting scan (Algorithm 3.2); see Run.
 	PEs int
-	// RefKernel forces the general counting scan's reference per-tuple
-	// kernel instead of the batch-vectorized one. Results are identical
-	// (the differential tests pin this); the switch exists for
-	// benchmark comparisons and regression triage.
-	RefKernel bool
 	// Scatter sets the counting executor's recovery policy for batches
 	// and delta refreshes alike (scatter.go). The zero value counts
 	// chunks in-process, one attempt each, with no fallback.

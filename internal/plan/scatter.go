@@ -63,13 +63,11 @@ type Worker interface {
 // localWorker counts against a relation in-process.
 type localWorker struct {
 	rel relation.Relation
-	ref bool
 }
 
-// NewLocalWorker returns the in-process Worker over rel. ref selects
-// the reference per-tuple kernel (Defaults.RefKernel).
-func NewLocalWorker(rel relation.Relation, ref bool) Worker {
-	return &localWorker{rel: rel, ref: ref}
+// NewLocalWorker returns the in-process Worker over rel.
+func NewLocalWorker(rel relation.Relation) Worker {
+	return &localWorker{rel: rel}
 }
 
 // Count implements Worker: one fused counting scan of the task's row
@@ -77,7 +75,7 @@ func NewLocalWorker(rel relation.Relation, ref bool) Worker {
 // cut a scan short instead of running it to completion.
 func (w *localWorker) Count(ctx context.Context, task *CountTask) (*Partial, error) {
 	cols, numPos, boolPos := execLayout(task.Groups, task.Pairs)
-	st, err := newExecState(task.Set, task.Groups, task.Pairs, numPos, boolPos, w.ref)
+	st, err := newExecState(ctx, task.Set, task.Groups, task.Pairs, numPos, boolPos)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +96,9 @@ type ScatterStats struct {
 	Fallbacks atomic.Int64 // tasks the coordinator direct-scanned
 }
 
-// ScatterConfig is the counting executor's recovery policy. The zero
+// ScatterConfig is the counting executor's recovery policy, not a
+// speedup: it wraps retries, re-routing and a fallback around the same
+// chunk scans that Defaults.PEs parallelizes without it. The zero
 // value (Workers <= 0) counts every chunk in-process with one attempt
 // and no fallback.
 type ScatterConfig struct {
@@ -178,7 +178,7 @@ func recovery(rel relation.Relation, d Defaults, groups []*GroupNeed) (ScatterCo
 		if sc.NewWorker != nil {
 			workers[i] = sc.NewWorker(i, rel)
 		} else {
-			workers[i] = NewLocalWorker(rel, d.RefKernel)
+			workers[i] = NewLocalWorker(rel)
 		}
 	}
 	return sc, workers

@@ -174,7 +174,7 @@ func TestScatterRetriesTransientFailures(t *testing.T) {
 	ds.Scatter = ScatterConfig{
 		Workers: 3,
 		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &flakyWorker{inner: NewLocalWorker(r, false)}
+			w := &flakyWorker{inner: NewLocalWorker(r)}
 			w.left.Store(1) // each worker's first attempt fails
 			return w
 		},
@@ -233,7 +233,7 @@ func TestScatterTimeoutAbandonsStalledWorker(t *testing.T) {
 	ds.Scatter = ScatterConfig{
 		Workers: 2,
 		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &stallFirstWorker{inner: NewLocalWorker(r, false)}
+			w := &stallFirstWorker{inner: NewLocalWorker(r)}
 			w.stalls.Store(1)
 			return w
 		},

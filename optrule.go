@@ -226,8 +226,8 @@
 // operator's target sums) are stripped and recounted on next demand —
 // so a refreshed session answers bit-identically to a cold rebuild
 // over the grown relation with the same boundaries. Ingest is O(Δ),
-// not O(n): the `optbench -exp append` experiment hard-fails if a 1%
-// append costs more than 5% of a cold rebuild's counted bytes.
+// not O(n): miner's TestAppendByteCeiling fails if a 1% append costs
+// more than 5% of a cold rebuild's counted bytes.
 // Bucket boundaries are reused until the accumulated appended
 // fraction exceeds the §3.4 bucket-error budget (≈0.5/√SampleFactor);
 // past it the refresh re-samples the affected attributes over the
@@ -662,9 +662,9 @@ type ScatterStats = miner.ScatterStats
 type Worker = miner.Worker
 
 // NewLocalWorker returns the in-process scatter-gather worker over
-// rel. ref selects the reference per-tuple counting kernel.
-func NewLocalWorker(rel Relation, ref bool) Worker {
-	return miner.NewLocalWorker(rel, ref)
+// rel.
+func NewLocalWorker(rel Relation) Worker {
+	return miner.NewLocalWorker(rel)
 }
 
 // FaultRelation wraps any relation with deterministic, seed-driven
