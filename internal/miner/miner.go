@@ -162,11 +162,13 @@ type Config struct {
 	Workers int
 	// MineNegations also mines rules whose objective is (C = no).
 	MineNegations bool
-	// PEs, when greater than 1, runs each counting scan with that many
-	// parallel processing elements (Algorithm 3.2) provided the relation
-	// supports range scans. Workers parallelizes ACROSS attributes; PEs
-	// parallelizes WITHIN one attribute's scan — useful when mining a
-	// single attribute pair of a large relation.
+	// PEs is the number of parallel processing elements each counting
+	// scan runs with (Algorithm 3.2) when the relation supports range
+	// scans. 0 means all CPUs (runtime.GOMAXPROCS(0)) and 1 forces a
+	// serial scan. Scans accumulating float target sums (the average
+	// operator) stay serial at any setting, so their totals never depend
+	// on segmentation. Workers parallelizes ACROSS attributes; PEs
+	// parallelizes WITHIN one scan.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

@@ -145,23 +145,22 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 	return set, nil
 }
 
-// scanParallelism picks the counting scan's worker count. 1-D counting
-// parallelism stays opt-in (Config.PEs): each chunk of a parallel scan
-// allocates its own tally state, which a schedule of many 1-D groups
-// pays for in memory. A pure pair-grid scan parallelizes by default.
-// Every merge of integer tallies is exact, so results never depend on
-// the worker count. Groups accumulating float target sums force a
-// serial scan, so totals are bit-reproducible regardless of
-// segmentation (the average-operator queries have always accumulated
-// serially).
-func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pairs []*PairNeed) int {
+// scanParallelism picks the counting scan's worker count: Defaults.PEs,
+// where 0 means runtime.GOMAXPROCS(0) and 1 forces a serial scan.
+// Every merge of integer tallies and extremes is exact, so results
+// never depend on the worker count. Groups accumulating float target
+// sums force a serial scan, so totals are bit-reproducible regardless
+// of segmentation (the average-operator queries have always accumulated
+// serially), as does a relation without range scans. Pair grids tally
+// exact integer counts, so they never force a serial scan.
+func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, _ []*PairNeed) int {
 	for _, g := range groups {
 		if len(g.Targets) > 0 {
 			return 1
 		}
 	}
 	pes := d.PEs
-	if pes == 0 && len(groups) == 0 {
+	if pes == 0 {
 		pes = runtime.GOMAXPROCS(0)
 	}
 	if pes <= 1 {
@@ -188,24 +187,32 @@ func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, pai
 // Without a scatter pool and with one worker it issues exactly one
 // scan of the range. Otherwise the whole relation's chunk plan —
 // shard-exact scatterCuts for a scatter pool, cost-balanced
-// PlanScanChunks otherwise — is clipped to the range, a pool drains one
-// queue of chunks, and each chunk keeps its own partial. Chunks
-// PlanScanChunks proved empty under the pushdown predicate are settled
-// without a scan. The partials merge in chunk order, so integer statistics are
-// bit-identical across worker counts, placements, steal orders and
-// recovery actions, and the first error in chunk order is the one
-// reported. Cancellation is observed between batches, while waiting on
-// a retry and across the pool.
+// PlanScanChunks otherwise — is clipped to the range and a pool drains
+// one queue of chunks. Chunks PlanScanChunks proved empty under the
+// pushdown predicate are settled without a scan. In-process, each pool
+// slot folds every chunk it drains into one lazily built tally state:
+// a failed chunk fails the scan, so no partial ever has to be thrown
+// away, and tally memory grows with the worker count rather than the
+// chunk count. A scatter pool keeps one partial per chunk, because a
+// retried chunk's partial must be discardable. Every merged statistic
+// is an integer count or an extreme, so the totals are bit-identical
+// across worker counts, placements, steal orders and recovery actions
+// whatever the fold order, and the first error in chunk order is the
+// one reported. Cancellation is observed between batches, while
+// waiting on a retry and across the pool.
 func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet,
 	groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
-	// direct counts one chunk in-process: the serial scan, the parallel
-	// chunks and the scatter pool's last-resort fallback.
-	direct := func(c relation.ScanChunk) (*execState, error) {
-		st, err := newExecState(ctx, set, groups, pairs, numPos, boolPos)
-		if err != nil {
-			return nil, err
+	// direct counts one chunk in-process into st, building st first when
+	// it is nil: the serial scan, the pool slots' chunks and the scatter
+	// pool's last-resort fallback.
+	direct := func(st *execState, c relation.ScanChunk) (*execState, error) {
+		if st == nil {
+			var err error
+			if st, err = newExecState(ctx, set, groups, pairs, numPos, boolPos); err != nil {
+				return nil, err
+			}
 		}
 		if c.Pruned {
 			st.skip(c.End - c.Start)
@@ -218,7 +225,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	if workers == nil {
 		pes = min(scanParallelism(rel, d, groups, pairs), end-start)
 		if pes <= 1 {
-			st, err := direct(relation.ScanChunk{Start: start, End: end})
+			st, err := direct(nil, relation.ScanChunk{Start: start, End: end})
 			if err != nil {
 				return fmt.Errorf("plan: counting: %w", err)
 			}
@@ -252,11 +259,16 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 		sc.Stats.Tasks.Add(int64(len(chunks)))
 	}
 
+	// slots holds each in-process pool slot's tally state; only slot s
+	// touches slots[s] until the pool has drained.
+	slots := make([]*execState, pes)
 	// attempt runs one try of chunk i on pool slot s.
 	attempt := func(s, i int) (*execState, error) {
 		c := chunks[i]
 		if workers == nil {
-			return direct(c)
+			st, err := direct(slots[s], c)
+			slots[s] = st
+			return st, err
 		}
 		p, err := attemptTask(ctx, workers[s], &CountTask{Start: c.Start, End: c.End,
 			Groups: groups, Pairs: pairs, Set: set}, sc.TaskTimeout)
@@ -267,7 +279,8 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	}
 
 	// Per-chunk scheduling state. A queued chunk is owned by whichever
-	// slot received it, so only that slot touches its entries.
+	// slot received it, so only that slot touches its entries. states[i]
+	// is chunk i's partial: the counting slot's state in-process.
 	states := make([]*execState, len(chunks))
 	errs := make([]error, len(chunks))
 	attempts := make([]int, len(chunks))
@@ -353,16 +366,26 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			return fmt.Errorf("plan: counting: %w", errs[i])
 		}
 		sc.Stats.Fallbacks.Add(1)
-		st, err := direct(c)
+		st, err := direct(nil, c)
 		if err != nil {
 			return fmt.Errorf("plan: counting rows [%d,%d): %w (after %d worker attempts, last: %v)",
 				c.Start, c.End, err, attempts[i], errs[i])
 		}
 		states[i] = st
 	}
-	total := states[0]
-	for _, part := range states[1:] {
-		total.merge(part)
+	parts := states
+	if workers == nil {
+		parts = slots
+	}
+	var total *execState
+	for _, part := range parts {
+		switch {
+		case part == nil: // a slot that drew no chunk
+		case total == nil:
+			total = part
+		default:
+			total.merge(part)
+		}
 	}
 	total.publish(set)
 	return nil

@@ -20,7 +20,8 @@ type Defaults struct {
 	SampleFactor     int
 	ExactDomainLimit int
 	Seed             int64
-	// PEs > 1 segments the counting scan (Algorithm 3.2); see Run.
+	// PEs is the counting scan's worker count (Algorithm 3.2): 0 means
+	// runtime.GOMAXPROCS(0), 1 a serial scan; see scanParallelism.
 	PEs int
 	// Scatter sets the counting executor's recovery policy for batches
 	// and delta refreshes alike (scatter.go). The zero value counts

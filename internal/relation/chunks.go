@@ -19,13 +19,11 @@ package relation
 //
 // Determinism contract: the chunk list is a pure function of the
 // relation's directory, the column set, the predicate, and the worker
-// count — it does NOT depend on timing. Callers keep one partial per
-// CHUNK (not per worker) and fold the partials in chunk index order,
-// so every integer statistic is bit-identical across worker counts,
-// placements, and steal orders; float accumulations are identical for
-// a fixed worker count (same chunk plan, same fold order) and remain
-// subject to the serial-scan rule when bit-reproducibility across
-// worker counts is required.
+// count — it does NOT depend on timing. Integer counts and extremes
+// merge exactly in any order, so every such statistic is bit-identical
+// across worker counts, placements, and steal orders however callers
+// group the chunks into partials; float accumulations depend on the
+// fold and stay subject to the serial-scan rule.
 
 // ScanChunk is one dynamically claimable unit of a parallel scan:
 // global rows [Start, End), with the scheduler's cost estimate (v3:

@@ -37,10 +37,10 @@ import (
 // to make offsets explicit (future block compression or reordering) and
 // to let the reader validate a file before trusting it.
 //
-// Scans overlap I/O with decoding: a prefetcher goroutine reads group
-// N+1's selected column blocks while the caller decodes and counts
-// group N (see scanRangeV2). Memory stays bounded at
-// v2ReadAheadGroups buffers of selected-columns size.
+// Scans overlap I/O with decoding: a prefetcher goroutine reads the
+// next batch-sized window of the selected column blocks while the
+// caller decodes and counts the current one (see scanRangeV2). Memory
+// stays bounded at 2 × selected columns × DefaultBatchSize values.
 
 const (
 	// DefaultGroupRows is the block-group size NewDiskWriterV2 uses when
@@ -52,8 +52,11 @@ const (
 	// from demanding absurd buffers.
 	maxGroupRows = 1 << 22
 	// v2ReadAheadGroups is the depth of the scan pipeline: how many
-	// filled group buffers may exist at once (the consumer's current
-	// group plus the prefetcher's read-ahead).
+	// filled buffers may exist at once (the consumer's current one plus
+	// the prefetcher's read-ahead). A v2 buffer holds one window of at
+	// most DefaultBatchSize rows, so a v2 scan holds at most
+	// 2 × selected columns × DefaultBatchSize values; a v3 buffer holds
+	// one block group's encoded selected blocks.
 	v2ReadAheadGroups = 2
 )
 
@@ -300,21 +303,20 @@ func (dr *DiskRelation) rowsInGroup(g int) int {
 	return dr.groupRows
 }
 
-// v2Fetch is one block group's selected column data, produced by the
-// prefetcher and consumed by the decode loop. buf holds the selected
-// numeric column slices back to back (rows×8 bytes each), then the
-// selected boolean column byte ranges (all the same length for a given
-// row window).
+// v2Fetch is one read-ahead window's selected column data, produced
+// by the prefetcher and consumed by the decode loop. buf holds the
+// selected numeric column slices back to back (rows×8 bytes each),
+// then the selected boolean column byte ranges (all the same length
+// for a given row window).
 type v2Fetch struct {
-	group int
-	first int // first delivered row within the group
+	first int // first delivered row within the block group
 	rows  int
 	buf   []byte
 	err   error
 }
 
-// v2BufPool recycles group buffers across scans so steady-state
-// pipelines allocate nothing per group.
+// v2BufPool recycles window buffers across scans so steady-state
+// pipelines allocate nothing per window.
 var v2BufPool sync.Pool
 
 func v2GetBuf(size int) []byte {
@@ -324,13 +326,38 @@ func v2GetBuf(size int) []byte {
 	return make([]byte, size)
 }
 
+// v2BatchPool recycles decode batches across scans, so the many chunk
+// scans of one parallel count allocate batches per worker, not per
+// chunk.
+var v2BatchPool sync.Pool
+
+// v2GetBatch returns a batch of nums numeric and bools Boolean columns,
+// each with room for DefaultBatchSize rows.
+func v2GetBatch(nums, bools int) *Batch {
+	if b, ok := v2BatchPool.Get().(*Batch); ok && len(b.Numeric) == nums && len(b.Bool) == bools {
+		return b
+	}
+	b := &Batch{Numeric: make([][]float64, nums), Bool: make([][]bool, bools)}
+	for k := range b.Numeric {
+		b.Numeric[k] = make([]float64, DefaultBatchSize)
+	}
+	for k := range b.Bool {
+		b.Bool[k] = make([]bool, DefaultBatchSize)
+	}
+	return b
+}
+
 // scanRangeV2 streams rows [start, end) of a v2 file through fn with an
-// overlapped read-ahead pipeline: a prefetcher goroutine reads block
-// group N+1's selected column blocks (one pread per column) while this
-// goroutine decodes group N into batches and runs fn. Double-buffered:
-// at most v2ReadAheadGroups group buffers are in flight, so memory is
-// bounded by 2 × (selected columns × group size) regardless of the
-// relation's size.
+// overlapped read-ahead pipeline: a prefetcher goroutine reads window
+// N+1's selected column slices (one pread per column) while this
+// goroutine decodes window N into one batch and runs fn. A window is
+// up to DefaultBatchSize rows of one block group, cut at group-relative
+// multiples of DefaultBatchSize and clipped to [start, end); the cuts
+// are byte-aligned, so the windows' Boolean byte spans tile each
+// group's span and BytesRead charges exactly what reading whole groups
+// would. At most v2ReadAheadGroups window buffers are in flight, so
+// memory is bounded by 2 × selected columns × DefaultBatchSize values
+// regardless of the relation's or the block group's size.
 func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Batch) error) error {
 	f, err := os.Open(dr.path)
 	if err != nil {
@@ -346,8 +373,11 @@ func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Bat
 	for k, i := range cols.Bool {
 		boolSel[k] = dr.boolPos[i]
 	}
+	// Every window fits one buffer of bufCap bytes: an unaligned first
+	// row can stretch a Boolean span by one byte.
+	winRows := min(DefaultBatchSize, dr.groupRows)
+	bufCap := len(numSel)*winRows*8 + len(boolSel)*((winRows+7)/8+1)
 
-	g0, g1 := start/dr.groupRows, (end-1)/dr.groupRows
 	ready := make(chan *v2Fetch, v2ReadAheadGroups)
 	free := make(chan []byte, v2ReadAheadGroups)
 	for i := 0; i < v2ReadAheadGroups; i++ {
@@ -356,7 +386,7 @@ func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Bat
 	stop := make(chan struct{})
 	prefDone := make(chan struct{})
 	// On every exit path — completion, callback error, early abort —
-	// stop the prefetcher, wait for it to exit, then reclaim all group
+	// stop the prefetcher, wait for it to exit, then reclaim all window
 	// buffers into the pool. Early aborts are the COMMON case (the
 	// sampling pass always stops at its last sorted index), so buffers
 	// parked in free or queued in ready must survive for the next scan,
@@ -385,26 +415,19 @@ func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Bat
 		}
 	}()
 
-	fill := func(g int, buf []byte) *v2Fetch {
+	// fill reads group-relative rows [first, last) of block group g.
+	fill := func(g, first, last int, buf []byte) *v2Fetch {
 		gRows := dr.rowsInGroup(g)
-		gStart := g * dr.groupRows
-		first, last := 0, gRows
-		if start > gStart {
-			first = start - gStart
-		}
-		if end < gStart+gRows {
-			last = end - gStart
-		}
 		rows := last - first
 		numLen := rows * 8
-		byteLo, byteHi := first/8, (first+rows+7)/8
+		byteLo, byteHi := first/8, (last+7)/8
 		boolLen := byteHi - byteLo
 		total := len(numSel)*numLen + len(boolSel)*boolLen
 		if cap(buf) < total {
-			buf = v2GetBuf(total)
+			buf = v2GetBuf(bufCap)
 		}
 		buf = buf[:total]
-		fg := &v2Fetch{group: g, first: first, rows: rows, buf: buf}
+		fg := &v2Fetch{first: first, rows: rows, buf: buf}
 		base := dr.groupOffs[g]
 		boolBase := base + int64(dr.nums)*8*int64(gRows)
 		bytesPerBool := int64((gRows + 7) / 8)
@@ -431,14 +454,18 @@ func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Bat
 	go func() {
 		defer close(prefDone)
 		defer close(ready)
-		for g := g0; g <= g1; g++ {
+		for row := start; row < end; {
+			g := row / dr.groupRows
+			gStart := g * dr.groupRows
+			first := row - gStart
+			last := min((first/DefaultBatchSize+1)*DefaultBatchSize, dr.rowsInGroup(g), end-gStart)
 			var buf []byte
 			select {
 			case buf = <-free:
 			case <-stop:
 				return
 			}
-			fg := fill(g, buf)
+			fg := fill(g, first, last, buf)
 			select {
 			case ready <- fg:
 			case <-stop:
@@ -447,61 +474,48 @@ func (dr *DiskRelation) scanRangeV2(start, end int, cols ColumnSet, fn func(*Bat
 			if fg.err != nil {
 				return
 			}
+			row = gStart + last
 		}
 	}()
 
-	batch := &Batch{
-		Numeric: make([][]float64, len(cols.Numeric)),
-		Bool:    make([][]bool, len(cols.Bool)),
-	}
-	for k := range batch.Numeric {
-		batch.Numeric[k] = make([]float64, DefaultBatchSize)
-	}
-	for k := range batch.Bool {
-		batch.Bool[k] = make([]bool, DefaultBatchSize)
-	}
-
+	batch := v2GetBatch(len(cols.Numeric), len(cols.Bool))
+	defer v2BatchPool.Put(batch)
 	for fg := range ready {
 		if fg.err != nil {
 			v2BufPool.Put(fg.buf)
 			return fg.err
 		}
 		// Count bytes at delivery, not inside the prefetcher: a scan the
-		// caller aborts early must not charge for a group whose read-ahead
+		// caller aborts early must not charge for a window whose read-ahead
 		// happened to finish — whether it did is a goroutine race, and
 		// BytesRead is documented as a deterministic cost model.
 		dr.bytesRead.Add(int64(len(fg.buf)))
-		numLen := fg.rows * 8
-		boolLen := (fg.first+fg.rows+7)/8 - fg.first/8
+		n := fg.rows
+		numLen := n * 8
+		boolLen := (fg.first+n+7)/8 - fg.first/8
 		boolStart := len(numSel) * numLen
 		bitBase := fg.first % 8
-		for r0 := 0; r0 < fg.rows; r0 += DefaultBatchSize {
-			n := DefaultBatchSize
-			if r0+n > fg.rows {
-				n = fg.rows - r0
+		for k := range numSel {
+			src := fg.buf[k*numLen:]
+			dst := batch.Numeric[k][:n]
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
 			}
-			for k := range numSel {
-				src := fg.buf[k*numLen+r0*8:]
-				dst := batch.Numeric[k][:n]
-				for i := range dst {
-					dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-				}
-				batch.Numeric[k] = dst
+			batch.Numeric[k] = dst
+		}
+		for k := range boolSel {
+			src := fg.buf[boolStart+k*boolLen:]
+			dst := batch.Bool[k][:n]
+			for i := range dst {
+				bit := bitBase + i
+				dst[i] = src[bit>>3]&(1<<uint(bit&7)) != 0
 			}
-			for k := range boolSel {
-				src := fg.buf[boolStart+k*boolLen:]
-				dst := batch.Bool[k][:n]
-				bit := bitBase + r0
-				for i := range dst {
-					dst[i] = src[(bit+i)>>3]&(1<<uint((bit+i)&7)) != 0
-				}
-				batch.Bool[k] = dst
-			}
-			batch.Len = n
-			if err := fn(batch); err != nil {
-				v2BufPool.Put(fg.buf)
-				return err
-			}
+			batch.Bool[k] = dst
+		}
+		batch.Len = n
+		if err := fn(batch); err != nil {
+			v2BufPool.Put(fg.buf)
+			return err
 		}
 		select {
 		case free <- fg.buf:

@@ -710,3 +710,103 @@ func TestNewDiskWriterV2Errors(t *testing.T) {
 		t.Errorf("append after close accepted")
 	}
 }
+
+// TestDiskV2WindowByteModel pins the batch-sized read-ahead windows of
+// scanRangeV2 against the per-group byte model. Block groups of 20000
+// rows (not a multiple of DefaultBatchSize) hold two full windows and
+// a short one each. Ranges start off byte boundaries, sit inside one
+// window, cross window and group boundaries, and end mid-window; each
+// must deliver exactly Scan's rows and charge, per block group it
+// touches, selected numerics × rows × 8 plus the Boolean byte span
+// [first/8, ceil(last/8)) of every selected Boolean.
+func TestDiskV2WindowByteModel(t *testing.T) {
+	const n, groupRows = 50000, 20000
+	path, _ := writeTestFileV2(t, n, 11, groupRows)
+	dr, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dr.Close()
+	collect := func(scan func(ColumnSet, func(*Batch) error) error, cols ColumnSet) ([][]float64, [][]bool) {
+		nums := make([][]float64, len(cols.Numeric))
+		bools := make([][]bool, len(cols.Bool))
+		if err := scan(cols, func(b *Batch) error {
+			if b.Len > DefaultBatchSize {
+				t.Fatalf("batch of %d rows exceeds DefaultBatchSize", b.Len)
+			}
+			for k := range nums {
+				nums[k] = append(nums[k], b.Numeric[k][:b.Len]...)
+			}
+			for k := range bools {
+				bools[k] = append(bools[k], b.Bool[k][:b.Len]...)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return nums, bools
+	}
+	groupModel := func(start, end int, cols ColumnSet) int64 {
+		var want int64
+		for g0 := 0; g0 < n; g0 += groupRows {
+			first, last := max(start, g0)-g0, min(end, g0+groupRows)-g0
+			if first >= last {
+				continue
+			}
+			want += int64(len(cols.Numeric)*(last-first)*8 + len(cols.Bool)*((last+7)/8-first/8))
+		}
+		return want
+	}
+	ranges := [][2]int{
+		{0, n},             // whole relation
+		{3, n},             // start mod 8 != 0 through the tail group
+		{100, 205},         // inside one window
+		{8000, 8500},       // across a window boundary
+		{8195, 16381},      // unaligned at both ends, inside one window
+		{19995, 20013},     // across a group boundary
+		{16000, 41000},     // across windows and two group boundaries
+		{13, 30001},        // unaligned start, ends mid-window
+		{28190, 28195},     // straddles a window cut inside group 1
+		{49999, 50000},     // last row
+		{500, 500},         // empty
+		{40001, 48193},     // tail group, ends one past a window cut
+		{1, groupRows - 1}, // one group minus its edges
+	}
+	for _, cols := range []ColumnSet{
+		{Numeric: []int{0, 1}, Bool: []int{2, 3}},
+		{Bool: []int{3}},
+		{Numeric: []int{1}},
+	} {
+		wholeN, wholeB := collect(dr.Scan, cols)
+		for _, rg := range ranges {
+			start, end := rg[0], rg[1]
+			dr.ResetBytesRead()
+			gotN, gotB := collect(func(c ColumnSet, fn func(*Batch) error) error {
+				return dr.ScanRange(start, end, c, fn)
+			}, cols)
+			if got, want := dr.BytesRead(), groupModel(start, end, cols); got != want {
+				t.Errorf("range %v cols %v: charged %d bytes, per-group model %d", rg, cols, got, want)
+			}
+			for k := range gotN {
+				if len(gotN[k]) != end-start {
+					t.Fatalf("range %v: numeric column %d delivered %d rows, want %d", rg, k, len(gotN[k]), end-start)
+				}
+				for i, v := range gotN[k] {
+					if math.Float64bits(v) != math.Float64bits(wholeN[k][start+i]) {
+						t.Fatalf("range %v: numeric column %d row %d differs from Scan", rg, k, start+i)
+					}
+				}
+			}
+			for k := range gotB {
+				if len(gotB[k]) != end-start {
+					t.Fatalf("range %v: boolean column %d delivered %d rows, want %d", rg, k, len(gotB[k]), end-start)
+				}
+				for i, v := range gotB[k] {
+					if v != wholeB[k][start+i] {
+						t.Fatalf("range %v: boolean column %d row %d differs from Scan", rg, k, start+i)
+					}
+				}
+			}
+		}
+	}
+}

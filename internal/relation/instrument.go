@@ -54,6 +54,8 @@ type RangeCountingRelation struct {
 	// Ranges records every ScanRange's [start, end) in call order; full
 	// Scans record [0, NumTuples()).
 	Ranges [][2]int
+
+	mu sync.Mutex // guards the counters while parallel range scans run
 }
 
 // Schema implements Relation.
@@ -64,27 +66,39 @@ func (c *RangeCountingRelation) NumTuples() int { return c.R.NumTuples() }
 
 // Scan implements Relation.
 func (c *RangeCountingRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
-	c.Scans++
-	c.Ranges = append(c.Ranges, [2]int{0, c.R.NumTuples()})
-	return c.R.Scan(cols, func(b *Batch) error {
-		c.Rows += int64(b.Len)
-		return fn(b)
-	})
+	c.record(0, c.R.NumTuples())
+	return c.R.Scan(cols, c.counted(fn))
 }
 
 // ScanRange implements RangeScanner.
 func (c *RangeCountingRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
+	c.record(start, end)
+	return c.R.ScanRange(start, end, cols, c.counted(fn))
+}
+
+// record counts one scan of rows [start, end).
+func (c *RangeCountingRelation) record(start, end int) {
+	c.mu.Lock()
 	c.Scans++
 	c.Ranges = append(c.Ranges, [2]int{start, end})
-	return c.R.ScanRange(start, end, cols, func(b *Batch) error {
+	c.mu.Unlock()
+}
+
+// counted wraps fn to total the rows it is delivered.
+func (c *RangeCountingRelation) counted(fn func(*Batch) error) func(*Batch) error {
+	return func(b *Batch) error {
+		c.mu.Lock()
 		c.Rows += int64(b.Len)
+		c.mu.Unlock()
 		return fn(b)
-	})
+	}
 }
 
 // MinScanned returns the lowest row any recorded scan touched, or -1
 // when no scan ran.
 func (c *RangeCountingRelation) MinScanned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	min := -1
 	for _, r := range c.Ranges {
 		if r[0] == r[1] {

@@ -210,7 +210,6 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 			return nil, err
 		}
 		idx[k] = ix
-		out[k].Sample = make([]float64, 0, req.S)
 		if len(ix) > 0 && ix[len(ix)-1]+1 > limit {
 			limit = ix[len(ix)-1] + 1
 		}
@@ -251,6 +250,7 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 	}
 	dist := make([]distinct, len(reqs))
 	for k, req := range reqs {
+		out[k].Sample = make([]float64, 0, req.S)
 		if req.TrackDistinct > 0 {
 			dist[k].seen = make(map[float64]struct{})
 		}

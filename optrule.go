@@ -109,8 +109,9 @@
 //     is settled without issuing a scan at all — and workers claim
 //     chunks dynamically, so the surviving band spreads across workers
 //     instead of stranding on whichever static segment covers it.
-//     Partials fold in fixed chunk order, keeping every integer
-//     statistic bit-identical across worker counts and steal orders.
+//     Integer counts and extremes merge exactly in any order, keeping
+//     every such statistic bit-identical across worker counts and
+//     steal orders.
 //
 // Choose the cluster column with `optdata inspect`, which reports each
 // column's encoding mix, zone-map tightness, and estimated
@@ -247,8 +248,12 @@
 //
 // Counting is where a mining batch spends its I/O, and one executor
 // runs every counting scan — batch, delta refresh, serial or parallel.
-// It splits the rows into chunks, tallies each chunk privately and
-// merges the partials in chunk order. Config.Scatter sets its recovery
+// It splits the rows into chunks, tallies them privately and merges
+// the partials. Config.PEs sets its worker count (Algorithm 3.2): 0,
+// the default, means all CPUs, and 1 forces a serial scan. Schedules
+// accumulating float target sums (the average operator) stay serial at
+// any setting, so their totals never depend on segmentation; all other
+// statistics merge exactly. Config.Scatter sets its recovery
 // policy: with Config.Scatter.Workers > 0 the chunks are cut at shard
 // boundaries (storage-aligned segments on single-file relations) and
 // each is dispatched as one task to a pool of Workers. The merge is
