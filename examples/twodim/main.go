@@ -33,8 +33,8 @@ func main() {
 	}
 
 	// Single-pair mining, one call per kind. Grid-side guidance: the
-	// rectangle sweep is O(side³) and the region DPs O(side³·log²side),
-	// so the side is a quality/cost dial — 32–64 is plenty to display a
+	// rectangle sweep and the region DPs are all O(side³), so the
+	// side is a quality/cost dial — 32–64 is plenty to display a
 	// rule (each bucket holds ~n/side² tuples); up to 256 is practical
 	// for a targeted pair on a multicore machine thanks to the parallel
 	// kernels; keep it at 64 or below when sweeping many pairs.

@@ -5,9 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"optrule/internal/bucketing"
 	"optrule/internal/plan"
-	"optrule/internal/region"
 	"optrule/internal/relation"
 )
 
@@ -104,11 +102,9 @@ func MineRectilinearConvex(rel relation.Relation, numericA, numericB, objective 
 
 // mineRegion runs one region class for one pair on the session 2-D
 // engine: one fused sampling scan for both axes' boundaries, one
-// counting scan, then the parallel gain DP — two relation scans where
-// the legacy path (mineRegionPerPair) pays three. Boundaries come from
-// the same per-attribute random streams, and the parallel DPs are
-// pinned identical to the serial kernels, so mined regions match the
-// legacy path rule for rule.
+// counting scan, then the parallel gain DP — two relation scans in
+// all. Boundaries come from per-attribute random streams, and the
+// parallel DPs are pinned identical to the serial kernels.
 func mineRegion(rel relation.Relation, numericA, numericB, objective string,
 	objectiveValue bool, gridSide int, cfg Config, class RegionClass) (*RegionRule, error) {
 	s, err := NewSession(rel, cfg)
@@ -116,136 +112,4 @@ func mineRegion(rel relation.Relation, numericA, numericB, objective string,
 		return nil, err
 	}
 	return s.mineRegion(numericA, numericB, objective, objectiveValue, gridSide, class)
-}
-
-// mineRegionPerPair is the legacy single-pair region pipeline (two
-// sampling passes plus one counting scan, serial DP kernels), kept as
-// the differential-testing reference for the fused path.
-func mineRegionPerPair(rel relation.Relation, numericA, numericB, objective string,
-	objectiveValue bool, gridSide int, cfg Config, class RegionClass) (*RegionRule, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if gridSide == 0 {
-		gridSide = DefaultGridSide
-	}
-	if gridSide < 1 {
-		return nil, fmt.Errorf("miner: grid side %d must be positive", gridSide)
-	}
-	s := rel.Schema()
-	aAttr := s.Index(numericA)
-	if aAttr < 0 || s[aAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", numericA)
-	}
-	bAttr := s.Index(numericB)
-	if bAttr < 0 || s[bAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", numericB)
-	}
-	if aAttr == bAttr {
-		return nil, fmt.Errorf("miner: the two numeric attributes must differ")
-	}
-	objAttr := s.Index(objective)
-	if objAttr < 0 || s[objAttr].Kind != relation.Boolean {
-		return nil, fmt.Errorf("miner: %q is not a Boolean attribute", objective)
-	}
-	if rel.NumTuples() == 0 {
-		return nil, fmt.Errorf("miner: empty relation")
-	}
-
-	rngA := attrRNG(cfg.Seed, aAttr)
-	boundsA, err := bucketing.SampledBoundaries(rel, aAttr, gridSide, cfg.SampleFactor, rngA)
-	if err != nil {
-		return nil, err
-	}
-	rngB := attrRNG(cfg.Seed, bAttr)
-	boundsB, err := bucketing.SampledBoundaries(rel, bAttr, gridSide, cfg.SampleFactor, rngB)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := region.NewGrid(boundsA.NumBuckets(), boundsB.NumBuckets())
-	if err != nil {
-		return nil, err
-	}
-	// Per-row observed extremes of A (for band value ranges).
-	minA := make([]float64, boundsA.NumBuckets())
-	maxA := make([]float64, boundsA.NumBuckets())
-	for i := range minA {
-		minA[i], maxA[i] = math.Inf(1), math.Inf(-1)
-	}
-	n, hits := 0, 0
-	err = rel.Scan(relation.ColumnSet{Numeric: []int{aAttr, bAttr}, Bool: []int{objAttr}},
-		func(batch *relation.Batch) error {
-			for row := 0; row < batch.Len; row++ {
-				a := batch.Numeric[0][row]
-				b := batch.Numeric[1][row]
-				if math.IsNaN(a) || math.IsNaN(b) {
-					continue
-				}
-				ra := boundsA.Locate(a)
-				cb := boundsB.Locate(b)
-				grid.U[ra][cb]++
-				n++
-				if batch.Bool[0][row] == objectiveValue {
-					grid.V[ra][cb]++
-					hits++
-				}
-				if a < minA[ra] {
-					minA[ra] = a
-				}
-				if a > maxA[ra] {
-					maxA[ra] = a
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("miner: no tuples with finite (%s, %s) values", numericA, numericB)
-	}
-
-	var xm region.XMonotoneRegion
-	var ok bool
-	switch class {
-	case XMonotoneClass:
-		xm, ok, err = region.MaxGainXMonotone(grid, cfg.MinConfidence)
-	case RectilinearConvexClass:
-		xm, ok, err = region.MaxGainRectilinearConvex(grid, cfg.MinConfidence)
-	default:
-		return nil, fmt.Errorf("miner: region class %v not supported here (rectangles use Mine2D)", class)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !ok || xm.Gain <= 0 {
-		return nil, nil
-	}
-	out := &RegionRule{
-		Class:          class,
-		NumericA:       numericA,
-		NumericB:       numericB,
-		Objective:      objective,
-		ObjectiveValue: objectiveValue,
-		Support:        float64(xm.Count) / float64(n),
-		Count:          xm.Count,
-		Confidence:     xm.Conf,
-		Baseline:       float64(hits) / float64(n),
-		Gain:           xm.Gain,
-	}
-	for _, ci := range xm.Columns {
-		bLo, bHi := boundsB.BucketRange(ci.Col)
-		band := RegionBand{BLo: bLo, BHi: bHi, ALo: math.Inf(1), AHi: math.Inf(-1)}
-		for r := ci.Lo; r <= ci.Hi; r++ {
-			if minA[r] < band.ALo {
-				band.ALo = minA[r]
-			}
-			if maxA[r] > band.AHi {
-				band.AHi = maxA[r]
-			}
-		}
-		out.Bands = append(out.Bands, band)
-	}
-	return out, nil
 }

@@ -108,10 +108,16 @@ func TestParallelRectMatchesNaiveOracle(t *testing.T) {
 
 func TestParallelDPsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(20)
-		cols := 1 + rng.Intn(20)
-		g := randomGrid(rng, rows, cols, 6)
+	// 40 random grids up to 20x20, then three 64x64 tie-heavy grids,
+	// where equally optimal regions are common and only the tie rule
+	// decides which one is returned.
+	for trial := 0; trial < 43; trial++ {
+		var g *Grid
+		if trial < 40 {
+			g = randomGrid(rng, 1+rng.Intn(20), 1+rng.Intn(20), 6)
+		} else {
+			g = tieHeavyGrid(rng, 64, 64)
+		}
 		theta := float64(rng.Intn(101)) / 100
 		for _, workers := range []int{2, 5, 16} {
 			sx, okS, err := MaxGainXMonotone(g, theta)

@@ -14,161 +14,156 @@ package region
 // MaxGainRectilinearConvex finds the gain-optimal such region by
 // dynamic programming over columns with four phase layers
 // (a still-descending / a ascending) × (b still-ascending / b
-// descending). Predecessor maxima are 2-D box queries answered by
-// per-layer sparse tables, giving O(cols · rows² · log² rows) time —
-// heavier than the companion paper's specialized algorithm but exact,
-// and fast at mining grid sizes. The parallel variant builds the four
-// phase tables concurrently (partitioning each doubling step across
-// workers) and partitions every layer's DP-cell fill; each cell is a
-// pure function of the previous column's tables, so parallel results
-// are exactly the serial ones.
+// descending). A target interval [a, b] in layer (pa, pb) extends the
+// best previous-column interval [a', b'] of an allowed predecessor
+// layer (a phase only moves forward, 0 → 1) inside one box:
+//
+//	(0,0): a' ∈ [a, b],  b' ∈ [a, b]
+//	(0,1): a' ∈ [a, b],  b' ∈ [b, rows)
+//	(1,0): a' ∈ [0, a],  b' ∈ [a, b]
+//	(1,1): a' ∈ [0, a],  b' ∈ [b, rows)
+//
+// Every box is separable, so each column builds one staircase box
+// table per target layer — the idiom of the x-monotone DP — in
+// O(rows²): the elementwise max of the allowed previous layers, then a
+// pass along b' within each row and a pass along a' down each column,
+// each a prefix or suffix max over intervals only (a' ≤ b'), which
+// turns the boxes' two-sided bounds into one-sided ones (see build).
+// The DP is O(cols · rows²) time, the bound of the x-monotone DP and
+// of the companion paper's algorithm.
+//
+// Tie rule: when predecessors tie, the one with the higher value wins,
+// then the lower predecessor layer, then the lower flat index
+// a'·rows+b'. Every pass and the layer combine compare by this total
+// order, so the chosen predecessor — and the backtracked region — is
+// the same for any pass order or worker partition. Optimal gains do
+// not depend on the rule; only which of several equally optimal
+// regions is returned does.
+//
+// The parallel variant builds the four box tables concurrently (each
+// pass partitioned across workers: rows for the b' pass, columns for
+// the a' pass) and partitions every layer's DP-cell fill by a; each
+// cell is a pure function of the previous column's tables, so parallel
+// results are exactly the serial ones.
 
 // layer indices: pa=0 a-descending stage, pa=1 a-ascending stage;
 // pb=0 b-ascending stage, pb=1 b-descending stage.
 const numPhases = 2
 
-// sparse2D answers max queries over rectangles of a rows×rows value
-// grid, tracking the argmax. Values at invalid cells are negInfF.
-type sparse2D struct {
-	rows int
-	logs []int
-	// t[ka][kb] is the (rows × rows) table of maxima over blocks of
-	// size 2^ka × 2^kb; flattened.
-	val [][]float64
-	arg [][]int32
+// boxTable is one target layer's predecessor table for a column:
+// val[a*rows+b] is the best previous-column value in the layer's box
+// for target [a, b], and key[a*rows+b] names it as
+// layer·rows² + a'·rows + b' — so comparing keys compares (layer,
+// flat index) lexicographically, which is the tie rule.
+type boxTable struct {
+	val []float64
+	key []int32
 }
 
-func newSparse2D(rows int) *sparse2D {
-	s := &sparse2D{rows: rows, logs: make([]int, rows+1)}
-	for i := 2; i <= rows; i++ {
-		s.logs[i] = s.logs[i/2] + 1
-	}
-	k := s.logs[rows] + 1
-	s.val = make([][]float64, k*k)
-	s.arg = make([][]int32, k*k)
-	for i := range s.val {
-		s.val[i] = make([]float64, rows*rows)
-		s.arg[i] = make([]int32, rows*rows)
-	}
-	return s
+// beats reports whether candidate (v, k) wins over (bv, bk) under the
+// tie rule: higher value, then lower key.
+func beats(v float64, k int32, bv float64, bk int32) bool {
+	return v > bv || (v == bv && k < bk)
 }
 
-// build loads the base layer from f (flattened rows×rows; caller marks
-// invalid cells with negInfF) and fills the doubling tables. Each
-// doubling step's cells depend only on the previous step, so steps are
-// partitioned across workers; cell values and argmaxes are identical
-// for any worker count.
-func (s *sparse2D) build(f []float64, workers int) {
-	rows := s.rows
-	k := s.logs[rows] + 1
-	base := s.val[0]
-	copy(base, f)
-	arg0 := s.arg[0]
-	for i := range f {
-		arg0[i] = int32(i)
-	}
-	// Double along the first (a) dimension.
-	for ka := 1; ka < k; ka++ {
-		src := s.val[(ka-1)*k]
-		srcA := s.arg[(ka-1)*k]
-		dst := s.val[ka*k]
-		dstA := s.arg[ka*k]
-		half := 1 << (ka - 1)
-		span := rows - (1 << ka) + 1
-		parallelFor(workers, span, func(lo, hi int) {
-			for a := lo; a < hi; a++ {
-				for b := 0; b < rows; b++ {
-					i1 := a*rows + b
-					i2 := (a+half)*rows + b
-					if src[i1] >= src[i2] {
-						dst[a*rows+b] = src[i1]
-						dstA[a*rows+b] = srcA[i1]
-					} else {
-						dst[a*rows+b] = src[i2]
-						dstA[a*rows+b] = srcA[i2]
+// build fills t for target layer l from the previous column's layers
+// fPrev. Only intervals — cells with a ≤ b — are read or written. The
+// b' pass runs along each row's intervals (prefix from b' = a' for
+// pb=0, suffix for pb=1); the a' pass runs down each column's
+// intervals (prefix for pa=1, suffix from a' = b for pa=0). Layers
+// with pa=1 take the a' pass first, so the b' pass's lower bound
+// b' ≥ a is the row's first interval; layers with pa=0 take the b'
+// pass first, so the a' pass's upper bound a' ≤ b is the column's
+// last interval. Each pass is independent across rows (b' pass) or
+// columns (a' pass), so both partition across workers.
+func (t boxTable) build(l int, fPrev [][]float64, rows, workers int) {
+	rr := rows * rows
+	pa, pb := l/2, l%2
+	preds := predLayersTab[l]
+	parallelFor(workers, rows, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			row := a * rows
+			val, key := t.val[row+a:row+rows], t.key[row+a:row+rows]
+			copy(val, fPrev[preds[0]][row+a:row+rows])
+			base := int32(preds[0]*rr + row + a)
+			for j := range key {
+				key[j] = base + int32(j)
+			}
+			for _, p := range preds[1:] {
+				base := int32(p*rr + row + a)
+				for j, v := range fPrev[p][row+a : row+rows] {
+					if k := base + int32(j); beats(v, k, val[j], key[j]) {
+						val[j], key[j] = v, k
 					}
+				}
+			}
+		}
+	})
+	bPass := func() {
+		parallelFor(workers, rows, func(lo, hi int) {
+			for a := lo; a < hi; a++ {
+				row := a * rows
+				runMax(t.val[row+a:row+rows], t.key[row+a:row+rows], pb == 0)
+			}
+		})
+	}
+	aPass := func() {
+		parallelFor(workers, rows, func(lo, hi int) {
+			if pa == 1 {
+				for a := 1; a < hi; a++ {
+					if from := max(lo, a); from < hi {
+						t.fold(a*rows+from, (a-1)*rows+from, hi-from)
+					}
+				}
+				return
+			}
+			for a := hi - 2; a >= 0; a-- {
+				if from := max(lo, a+1); from < hi {
+					t.fold(a*rows+from, (a+1)*rows+from, hi-from)
 				}
 			}
 		})
 	}
-	// Double along the second (b) dimension for every ka.
-	for ka := 0; ka < k; ka++ {
-		aSpan := rows
-		if ka > 0 {
-			aSpan = rows - (1 << ka) + 1
-		}
-		for kb := 1; kb < k; kb++ {
-			src := s.val[ka*k+kb-1]
-			srcA := s.arg[ka*k+kb-1]
-			dst := s.val[ka*k+kb]
-			dstA := s.arg[ka*k+kb]
-			half := 1 << (kb - 1)
-			parallelFor(workers, aSpan, func(lo, hi int) {
-				for a := lo; a < hi; a++ {
-					for b := 0; b+(1<<kb) <= rows; b++ {
-						i1 := a*rows + b
-						i2 := a*rows + b + half
-						if src[i1] >= src[i2] {
-							dst[i1] = src[i1]
-							dstA[i1] = srcA[i1]
-						} else {
-							dst[i1] = src[i2]
-							dstA[i1] = srcA[i2]
-						}
-					}
-				}
-			})
+	if pa == 1 {
+		aPass()
+		bPass()
+	} else {
+		bPass()
+		aPass()
+	}
+}
+
+// runMax replaces every cell of val/key with the tie-rule maximum of
+// itself and the cells before it, scanning left to right (forward) or
+// right to left.
+func runMax(val []float64, key []int32, forward bool) {
+	n := len(val)
+	key = key[:n]
+	j, dir := 0, 1
+	if !forward {
+		j, dir = n-1, -1
+	}
+	bv, bk := val[j], key[j]
+	for i := 1; i < n; i++ {
+		j += dir
+		if beats(val[j], key[j], bv, bk) {
+			bv, bk = val[j], key[j]
+		} else {
+			val[j], key[j] = bv, bk
 		}
 	}
 }
 
-// query returns the max and argmax over a' ∈ [a1, a2], b' ∈ [b1, b2]
-// (inclusive). Empty ranges return negInfF.
-func (s *sparse2D) query(a1, a2, b1, b2 int) (float64, int32) {
-	if a1 < 0 {
-		a1 = 0
+// fold replaces each of the n cells from dst with the tie-rule winner
+// of itself and the matching cell from src.
+func (t boxTable) fold(dst, src, n int) {
+	dv, dk := t.val[dst:dst+n], t.key[dst:dst+n]
+	sv, sk := t.val[src:src+n], t.key[src:src+n]
+	for j := range dv {
+		if beats(sv[j], sk[j], dv[j], dk[j]) {
+			dv[j], dk[j] = sv[j], sk[j]
+		}
 	}
-	if b1 < 0 {
-		b1 = 0
-	}
-	if a2 >= s.rows {
-		a2 = s.rows - 1
-	}
-	if b2 >= s.rows {
-		b2 = s.rows - 1
-	}
-	if a1 > a2 || b1 > b2 {
-		return negInfF, -1
-	}
-	k := s.logs[s.rows] + 1
-	ka := s.logs[a2-a1+1]
-	kb := s.logs[b2-b1+1]
-	t := s.val[ka*k+kb]
-	ta := s.arg[ka*k+kb]
-	rows := s.rows
-	a3 := a2 - (1 << ka) + 1
-	b3 := b2 - (1 << kb) + 1
-	best, arg := t[a1*rows+b1], ta[a1*rows+b1]
-	if v := t[a1*rows+b3]; v > best {
-		best, arg = v, ta[a1*rows+b3]
-	}
-	if v := t[a3*rows+b1]; v > best {
-		best, arg = v, ta[a3*rows+b1]
-	}
-	if v := t[a3*rows+b3]; v > best {
-		best, arg = v, ta[a3*rows+b3]
-	}
-	return best, arg
-}
-
-// rcBack is one column×layer slab of backtracking state: the
-// predecessor's flattened interval index (−1 when the region starts
-// here) and its phase layer, in parallel arrays to avoid struct
-// padding — at grid side 256 the backtracking state is the DP's
-// dominant memory cost.
-type rcBack struct {
-	idx []int32
-	lay []int8
 }
 
 // MaxGainRectilinearConvex returns the rectilinear-convex region
@@ -181,7 +176,7 @@ func MaxGainRectilinearConvex(g *Grid, theta float64) (XMonotoneRegion, bool, er
 }
 
 // MaxGainRectilinearConvexParallel is MaxGainRectilinearConvex with the
-// phase-table builds and DP-cell fills partitioned across workers
+// box-table builds and DP-cell fills partitioned across workers
 // goroutines. Results — including the backtracked column intervals —
 // are identical to the serial kernel for any worker count.
 func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMonotoneRegion, bool, error) {
@@ -189,22 +184,28 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 		return XMonotoneRegion{}, false, err
 	}
 	rows, cols := g.Rows(), g.Cols()
+	rr := rows * rows
 	uf, vf := g.flat()
 	gainT := transposedGain(uf, vf, rows, cols, theta)
 
-	w := make([]float64, rows*rows)
+	w := make([]float64, rr)
 	// fPrev/fCur[layer][idx]; layer = pa*2+pb.
 	fPrev := make([][]float64, 4)
 	fCur := make([][]float64, 4)
+	fSlab := make([]float64, 8*rr)
+	tabVal := make([]float64, 4*rr)
+	tabKey := make([]int32, 4*rr)
+	var tables [4]boxTable
 	for l := 0; l < 4; l++ {
-		fPrev[l] = make([]float64, rows*rows)
-		fCur[l] = make([]float64, rows*rows)
+		fPrev[l] = fSlab[l*rr : (l+1)*rr]
+		fCur[l] = fSlab[(4+l)*rr : (5+l)*rr]
+		tables[l] = boxTable{val: tabVal[l*rr : (l+1)*rr], key: tabKey[l*rr : (l+1)*rr]}
 	}
-	tables := make([]*sparse2D, 4)
-	for l := range tables {
-		tables[l] = newSparse2D(rows)
-	}
-	back := make([][4]rcBack, cols)
+	// Backtracking: back[(c*4+l)*rr+idx] is the predecessor's key
+	// (layer·rr + flat index) extended by cell idx of layer l at column
+	// c, or −1 when the region starts there. One slab for the whole
+	// call; at grid side 256 it is the DP's dominant memory cost.
+	back := make([]int32, cols*4*rr)
 
 	bestGain := negInfF
 	bestCol, bestIdx, bestLayer := -1, -1, 0
@@ -213,10 +214,11 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 		bestPerLA[l] = make([]cellBest, rows)
 	}
 
-	// The four layers' fills are independent given the tables, so they
-	// run concurrently — but never with more goroutines than the
-	// caller's worker budget: layerPar layers run at once, each with
-	// layerWorkers of the pool. workers=1 stays fully serial.
+	// The four layers' builds and fills are independent given the
+	// previous column, so they run concurrently — but never with more
+	// goroutines than the caller's worker budget: layerPar layers run
+	// at once, each with layerWorkers of the pool. workers=1 stays
+	// fully serial.
 	layerPar := workers
 	if layerPar > 4 {
 		layerPar = 4
@@ -237,76 +239,35 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 				}
 			}
 		})
-		for l := 0; l < 4; l++ {
-			back[c][l] = rcBack{idx: make([]int32, rows*rows), lay: make([]int8, rows*rows)}
-		}
-		if c > 0 {
-			// The four phase tables are independent; build them
-			// concurrently, each partitioning its doubling steps.
-			parallelFor(layerPar, 4, func(lo, hi int) {
-				for l := lo; l < hi; l++ {
-					tables[l].build(fPrev[l], layerWorkers)
-				}
-			})
-		}
 		parallelFor(layerPar, 4, func(llo, lhi int) {
 			for l := llo; l < lhi; l++ {
-				pa, pb := l/2, l%2
+				tab := tables[l]
+				if c > 0 {
+					tab.build(l, fPrev, rows, layerWorkers)
+				}
 				cur := fCur[l]
-				bk := back[c][l]
+				bk := back[(c*4+l)*rr : (c*4+l+1)*rr]
 				perA := bestPerLA[l]
 				parallelFor(layerWorkers, rows, func(lo, hi int) {
 					for a := lo; a < hi; a++ {
+						row := a * rows
+						cRow, bRow, wRow := cur[row:row+rows], bk[row:row+rows], w[row:row+rows]
+						tv, tk := tab.val[row:row+rows], tab.key[row:row+rows]
 						ab := cellBest{gain: negInfF}
 						for b := a; b < rows; b++ {
-							idx := a*rows + b
-							// Starting fresh at this column is always allowed
-							// for layer (0, 0) semantics; a region of one column
-							// is in every phase, so seed all layers identically.
-							bestPrev := negInfF
-							var bestArg int32 = -1
-							var bestL int8 = -1
-							if c > 0 {
-								// Predecessor interval ranges by phase:
-								// a' ∈ [a, b] when pa=0 (a non-increasing stage:
-								// a <= a', plus overlap a' <= b);
-								// a' ∈ [0, a] when pa=1 (a >= a').
-								a1, a2 := a, b
-								if pa == 1 {
-									a1, a2 = 0, a
-								}
-								// b' ∈ [a, b] when pb=0 (b >= b', overlap b' >= a);
-								// b' ∈ [b, rows) when pb=1 (b <= b').
-								b1, b2 := a, b
-								if pb == 1 {
-									b1, b2 = b, rows-1
-								}
-								// Allowed predecessor layers: pa'=0 always; pa'=1
-								// only if pa=1. Same for pb.
-								for _, pl := range predLayers(pa, pb) {
-									if v, arg := tables[pl].query(a1, a2, b1, b2); v > bestPrev {
-										bestPrev = v
-										bestArg = arg
-										bestL = int8(pl)
-									}
-								}
+							// A region may start fresh at any column: a
+							// one-column region is in every phase.
+							v, k := wRow[b], int32(-1)
+							if c > 0 && tv[b] > 0 {
+								v += tv[b]
+								k = tk[b]
 							}
-							if bestPrev > 0 {
-								cur[idx] = w[idx] + bestPrev
-								bk.idx[idx], bk.lay[idx] = bestArg, bestL
-							} else {
-								cur[idx] = w[idx]
-								bk.idx[idx], bk.lay[idx] = -1, -1
-							}
-							if !ab.found || cur[idx] > ab.gain {
-								ab = cellBest{gain: cur[idx], idx: idx, found: true}
+							cRow[b], bRow[b] = v, k
+							if !ab.found || v > ab.gain {
+								ab = cellBest{gain: v, idx: row + b, found: true}
 							}
 						}
 						perA[a] = ab
-						// Invalid (a > b) cells must never win queries.
-						for b := 0; b < a; b++ {
-							cur[a*rows+b] = negInfF
-						}
 					}
 				})
 			}
@@ -331,11 +292,11 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 	c, idx, l := bestCol, bestIdx, bestLayer
 	for {
 		rev = append(rev, ColumnInterval{Col: c, Lo: idx / rows, Hi: idx % rows})
-		bk := back[c][l]
-		if bk.idx[idx] < 0 {
+		k := back[(c*4+l)*rr+idx]
+		if k < 0 {
 			break
 		}
-		idx, l = int(bk.idx[idx]), int(bk.lay[idx])
+		l, idx = int(k)/rr, int(k)%rr
 		c--
 	}
 	region := XMonotoneRegion{Gain: bestGain}
@@ -355,19 +316,14 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 	return region, true, nil
 }
 
-// predLayersTab backs predLayers; a package-level table keeps the hot
-// per-cell loop allocation-free.
+// predLayersTab lists, in ascending order, the predecessor phase
+// layers a target layer pa*2+pb may extend: a phase can only move
+// forward (0 → 1), never back.
 var predLayersTab = [numPhases * numPhases][]int{
 	{0},          // (pa=0, pb=0)
 	{0, 1},       // (pa=0, pb=1)
 	{0, 2},       // (pa=1, pb=0)
 	{0, 1, 2, 3}, // (pa=1, pb=1)
-}
-
-// predLayers lists the predecessor phase layers a target (pa, pb) may
-// extend: a phase can only move forward (0 → 1), never back.
-func predLayers(pa, pb int) []int {
-	return predLayersTab[pa*2+pb]
 }
 
 // IsRectilinearConvex reports whether a region's endpoints satisfy the

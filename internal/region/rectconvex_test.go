@@ -3,6 +3,7 @@ package region
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,126 @@ func TestRectConvexMatchesBruteForce(t *testing.T) {
 		}
 		if math.Abs(recomputed-fast.Gain) > 1e-9 {
 			t.Fatalf("trial %d: region gain %g != reported %g", trial, recomputed, fast.Gain)
+		}
+	}
+}
+
+// tieHeavyGrid returns a grid of small integer cells with about two
+// thirds of them zeroed, so equal-gain predecessors and tied optima
+// are common.
+func tieHeavyGrid(rng *rand.Rand, rows, cols int) *Grid {
+	g := randomGrid(rng, rows, cols, 4)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if rng.Intn(3) != 0 {
+				g.U[r][c], g.V[r][c] = 0, 0
+			}
+		}
+	}
+	return g
+}
+
+// referenceRectConvex is the rectilinear-convex DP with every
+// predecessor found by scanning all allowed (layer, a', b') of the
+// previous column, straight from the phase definitions, under the
+// documented tie rule: higher value, then lower layer, then lower flat
+// index a'·rows+b'. The optimum is the first strictly best cell in
+// (column, layer, a, b) order, as in the kernel.
+func referenceRectConvex(g *Grid, theta float64) XMonotoneRegion {
+	rows, cols := g.Rows(), g.Cols()
+	rr := rows * rows
+	type link struct{ layer, idx int } // layer −1: the region starts here
+	f := make([][4][]float64, cols)
+	back := make([][4][]link, cols)
+	bestGain := math.Inf(-1)
+	bestCol, bestLayer, bestIdx := -1, -1, -1
+	for c := 0; c < cols; c++ {
+		for l := 0; l < 4; l++ {
+			f[c][l] = make([]float64, rr)
+			back[c][l] = make([]link, rr)
+			pa, pb := l/2, l%2
+			for a := 0; a < rows; a++ {
+				w := 0.0
+				for b := a; b < rows; b++ {
+					w += g.V[b][c] - theta*float64(g.U[b][c])
+					found, bv, bl, bi := false, 0.0, 0, 0
+					for p := 0; c > 0 && p < 4; p++ {
+						if p/2 > pa || p%2 > pb {
+							continue // phases only move forward
+						}
+						for a2 := 0; a2 < rows; a2++ {
+							for b2 := a2; b2 < rows; b2++ {
+								if a2 > b || b2 < a {
+									continue // no overlap
+								}
+								if (pa == 0 && a2 < a) || (pa == 1 && a2 > a) ||
+									(pb == 0 && b2 > b) || (pb == 1 && b2 < b) {
+									continue // endpoint moves against the phase
+								}
+								v, i := f[c-1][p][a2*rows+b2], a2*rows+b2
+								if !found || v > bv || (v == bv && (p < bl || (p == bl && i < bi))) {
+									found, bv, bl, bi = true, v, p, i
+								}
+							}
+						}
+					}
+					idx := a*rows + b
+					if found && bv > 0 {
+						f[c][l][idx] = w + bv
+						back[c][l][idx] = link{bl, bi}
+					} else {
+						f[c][l][idx] = w
+						back[c][l][idx] = link{-1, 0}
+					}
+					if f[c][l][idx] > bestGain {
+						bestGain, bestCol, bestLayer, bestIdx = f[c][l][idx], c, l, idx
+					}
+				}
+			}
+		}
+	}
+	region := XMonotoneRegion{Gain: bestGain}
+	c, l, idx := bestCol, bestLayer, bestIdx
+	for {
+		region.Columns = append([]ColumnInterval{{Col: c, Lo: idx / rows, Hi: idx % rows}}, region.Columns...)
+		lk := back[c][l][idx]
+		if lk.layer < 0 {
+			break
+		}
+		c, l, idx = c-1, lk.layer, lk.idx
+	}
+	for _, ci := range region.Columns {
+		for r := ci.Lo; r <= ci.Hi; r++ {
+			region.Count += g.U[r][ci.Col]
+			region.SumV += g.V[r][ci.Col]
+		}
+	}
+	if region.Count > 0 {
+		region.Conf = region.SumV / float64(region.Count)
+	}
+	return region
+}
+
+// TestRectConvexTieRuleMatchesReference pins the backtracked region,
+// not only the gain: on tie-heavy grids the kernel must return exactly
+// the region the tie rule selects, for every worker count.
+func TestRectConvexTieRuleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 150; trial++ {
+		rows := 1 + rng.Intn(20)
+		cols := 1 + rng.Intn(20)
+		g := tieHeavyGrid(rng, rows, cols)
+		theta := float64(rng.Intn(101)) / 100
+		want := referenceRectConvex(g, theta)
+		for _, workers := range []int{1, 2, 5} {
+			got, ok, err := MaxGainRectilinearConvexParallel(g, theta, workers)
+			if err != nil || !ok {
+				t.Fatalf("trial %d workers %d: ok=%v err=%v", trial, workers, ok, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers %d (%dx%d, θ=%g): kernel %+v, reference %+v",
+					trial, workers, rows, cols, theta, got, want)
+			}
 		}
 	}
 }

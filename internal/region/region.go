@@ -32,6 +32,12 @@
 //     hardware. The parallelism is what raises the practical grid
 //     side from 64 to 256.
 //
+// The two region DPs (MaxGainXMonotone, MaxGainRectilinearConvex) both
+// run in O(cols · rows²) time: per column, every interval's best
+// predecessor comes from staircase max tables over the previous
+// column — one for the x-monotone DP, one per phase layer (four) for
+// the rectilinear-convex DP.
+//
 // The miner's fused 2-D engine (miner.MineAll2D) fills many Grids —
 // one per attribute pair — from a single relation scan and runs these
 // kernels on the in-memory grids.

@@ -104,10 +104,10 @@ func MaxGainXMonotoneParallel(g *Grid, theta float64, workers int) (XMonotoneReg
 	stair := make([]float64, rows*rows)
 	stairArg := make([]int32, rows*rows)
 
-	// Backtracking: choice[c][a*rows+b] = the previous column's interval
-	// index (a'<<16|b') extended by (a,b), or -1 when the region starts
-	// at column c.
-	choice := make([][]int32, cols)
+	// Backtracking: choice[c*rows*rows+a*rows+b] = the previous column's
+	// interval index (a'<<16|b') extended by (a,b), or -1 when the region
+	// starts at column c. One slab for the whole call.
+	choice := make([]int32, cols*rows*rows)
 
 	bestGain := negInfF
 	bestCol, bestIdx := -1, -1
@@ -125,8 +125,7 @@ func MaxGainXMonotoneParallel(g *Grid, theta float64, workers int) (XMonotoneReg
 				}
 			}
 		})
-		choice[c] = make([]int32, rows*rows)
-		cchoice := choice[c]
+		cchoice := choice[c*rows*rows : (c+1)*rows*rows]
 		if c > 0 {
 			// Staircase max over fPrev: stair(x, y) = max over a'<=x,
 			// b'>=y of fPrev[a'][b']. Fill y descending, x ascending;
@@ -200,7 +199,7 @@ func MaxGainXMonotoneParallel(g *Grid, theta float64, workers int) (XMonotoneReg
 	for {
 		a, b := idx/rows, idx%rows
 		rev = append(rev, ColumnInterval{Col: c, Lo: a, Hi: b})
-		prevArg := choice[c][idx]
+		prevArg := choice[c*rows*rows+idx]
 		if prevArg < 0 {
 			break
 		}
