@@ -165,10 +165,10 @@ type Config struct {
 	// PEs is the number of parallel processing elements each counting
 	// scan runs with (Algorithm 3.2) when the relation supports range
 	// scans. 0 means all CPUs (runtime.GOMAXPROCS(0)) and 1 forces a
-	// serial scan. Scans accumulating float target sums (the average
-	// operator) stay serial at any setting, so their totals never depend
-	// on segmentation. Workers parallelizes ACROSS attributes; PEs
-	// parallelizes WITHIN one scan.
+	// serial scan. Results are bit-identical at any setting: float
+	// target sums (the average operator) are added in the serial scan's
+	// order. Workers parallelizes ACROSS attributes; PEs parallelizes
+	// WITHIN one scan.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

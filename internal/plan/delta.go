@@ -71,9 +71,10 @@ func resampleBudget(sampleFactor int) float64 {
 //     policy (a scattered session retries its tail scans too) — and
 //     advanced to generation gen by integer-exact folds. Float
 //     target sums are stripped by the fold (their accumulation order is
-//     observable); the next average query recounts them serially and
-//     merges them back, keeping every extracted rule bit-identical to a
-//     cold rebuild over the same boundaries.
+//     observable); the next average query recounts them over the full
+//     relation, in the serial scan's addition order, and merges them
+//     back, keeping every extracted rule bit-identical to a cold
+//     rebuild over the same boundaries.
 //
 // Relations that cannot scan ranges fall back to invalidation. The
 // caller (the session layer) must serialize RunDelta against batch

@@ -91,7 +91,7 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 		boundOrder = append(boundOrder, k)
 	}
 	for _, need := range groups {
-		wantBound(BoundKey{Attr: need.Driver, M: need.Key.M, Exact: need.Key.Exact})
+		wantBound(need.boundKey())
 	}
 	for _, pk := range req.PairOrder {
 		wantBound(BoundKey{Attr: pk.A, M: pk.Side})
@@ -146,19 +146,12 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 }
 
 // scanParallelism picks the counting scan's worker count: Defaults.PEs,
-// where 0 means runtime.GOMAXPROCS(0) and 1 forces a serial scan.
-// Every merge of integer tallies and extremes is exact, so results
-// never depend on the worker count. Groups accumulating float target
-// sums force a serial scan, so totals are bit-reproducible regardless
-// of segmentation (the average-operator queries have always accumulated
-// serially), as does a relation without range scans. Pair grids tally
-// exact integer counts, so they never force a serial scan.
-func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, _ []*PairNeed) int {
-	for _, g := range groups {
-		if len(g.Targets) > 0 {
-			return 1
-		}
-	}
+// where 0 means runtime.GOMAXPROCS(0) and 1 forces a serial scan. The
+// schedule does not matter: integer tallies and extremes merge exactly,
+// and float target sums replay in the serial scan's addition order (see
+// sumLog), so every statistic is bit-identical at any worker count. A
+// relation without range scans counts serially.
+func scanParallelism(rel relation.Relation, d Defaults, _ []*GroupNeed, _ []*PairNeed) int {
 	pes := d.PEs
 	if pes == 0 {
 		pes = runtime.GOMAXPROCS(0)
@@ -193,39 +186,49 @@ func scanParallelism(rel relation.Relation, d Defaults, groups []*GroupNeed, _ [
 // slot folds every chunk it drains into one lazily built tally state:
 // a failed chunk fails the scan, so no partial ever has to be thrown
 // away, and tally memory grows with the worker count rather than the
-// chunk count. A scatter pool keeps one partial per chunk, because a
-// retried chunk's partial must be discardable. Every merged statistic
-// is an integer count or an extreme, so the totals are bit-identical
-// across worker counts, placements, steal orders and recovery actions
-// whatever the fold order, and the first error in chunk order is the
-// one reported. Cancellation is observed between batches, while
-// waiting on a retry and across the pool.
+// chunk count. Float target sums bypass the slot states: each chunk
+// logs them and a sumLog replays the logs in chunk order. A scatter
+// pool keeps one partial per chunk, because a retried chunk's partial
+// must be discardable; it never carries target sums (see useScatter).
+// Every merged statistic is an integer count or an extreme, so the
+// totals are bit-identical across worker counts, placements, steal
+// orders and recovery actions whatever the fold order, and the first
+// error in chunk order is the one reported. Cancellation is observed
+// between batches, while waiting on a retry and across the pool.
 func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet,
 	groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
-	// direct counts one chunk in-process into st, building st first when
+	// direct counts chunk i in-process into st, building st first when
 	// it is nil: the serial scan, the pool slots' chunks and the scatter
-	// pool's last-resort fallback.
-	direct := func(st *execState, c relation.ScanChunk) (*execState, error) {
+	// pool's last-resort fallback. A state built with a sumLog logs the
+	// chunk's target sums into it.
+	direct := func(st *execState, sums *sumLog, i int, c relation.ScanChunk) (*execState, error) {
 		if st == nil {
 			var err error
-			if st, err = newExecState(ctx, set, groups, pairs, numPos, boolPos); err != nil {
+			if st, err = newExecState(ctx, set, groups, pairs, numPos, boolPos, sums); err != nil {
 				return nil, err
 			}
 		}
+		if st.clog != nil {
+			st.clog.chunk = i
+		}
 		if c.Pruned {
 			st.skip(c.End - c.Start)
-			return st, nil
+		} else if err := scanChunk(ctx, rel, cols, pred, st, c.Start, c.End); err != nil {
+			return st, err
 		}
-		return st, scanChunk(ctx, rel, cols, pred, st, c.Start, c.End)
+		if st.clog != nil {
+			st.clog.finish()
+		}
+		return st, nil
 	}
 	sc, workers := recovery(rel, d, groups)
 	pes := len(workers)
 	if workers == nil {
 		pes = min(scanParallelism(rel, d, groups, pairs), end-start)
 		if pes <= 1 {
-			st, err := direct(nil, relation.ScanChunk{Start: start, End: end})
+			st, err := direct(nil, nil, 0, relation.ScanChunk{Start: start, End: end})
 			if err != nil {
 				return fmt.Errorf("plan: counting: %w", err)
 			}
@@ -258,6 +261,12 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	if workers != nil {
 		sc.Stats.Tasks.Add(int64(len(chunks)))
 	}
+	// sums is the ordered replay of float target sums; nil for an
+	// integer-only schedule, which every scattered schedule is.
+	sums, err := newSumLog(set, groups, len(chunks))
+	if err != nil {
+		return fmt.Errorf("plan: counting: %w", err)
+	}
 
 	// slots holds each in-process pool slot's tally state; only slot s
 	// touches slots[s] until the pool has drained.
@@ -266,7 +275,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	attempt := func(s, i int) (*execState, error) {
 		c := chunks[i]
 		if workers == nil {
-			st, err := direct(slots[s], c)
+			st, err := direct(slots[s], sums, i, c)
 			slots[s] = st
 			return st, err
 		}
@@ -366,7 +375,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			return fmt.Errorf("plan: counting: %w", errs[i])
 		}
 		sc.Stats.Fallbacks.Add(1)
-		st, err := direct(nil, c)
+		st, err := direct(nil, nil, i, c)
 		if err != nil {
 			return fmt.Errorf("plan: counting rows [%d,%d): %w (after %d worker attempts, last: %v)",
 				c.Start, c.End, err, attempts[i], errs[i])
@@ -385,6 +394,11 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			total = part
 		default:
 			total.merge(part)
+		}
+	}
+	if sums != nil {
+		for j, gi := range sums.logged {
+			total.groups[gi].sum = sums.sums[j]
 		}
 	}
 	total.publish(set)
@@ -454,7 +468,6 @@ type effCombo struct {
 
 // execState is one worker's private tally state.
 type execState struct {
-	numPos  map[int]int // attr -> position in cols.Numeric
 	boolPos map[int]int // attr -> position in cols.Bool
 
 	locKeys []BoundKey
@@ -470,6 +483,10 @@ type execState struct {
 	// kernel, when set, replaces countBatchVec. Only this package's
 	// tests set it, to run the reference per-tuple kernel.
 	kernel func(*execState, *relation.Batch)
+
+	// clog, when set, logs the target-carrying groups' sums; those
+	// groups then keep no sum arrays of their own.
+	clog *chunkLog
 
 	groups []*groupState
 	pairs  []*pairState
@@ -565,10 +582,14 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 // one (see export_test.go). Production contexts never carry it.
 type kernelKey struct{}
 
-// newExecState builds one worker's tally state.
+// newExecState builds one worker's tally state. With a sumLog the
+// state logs its target sums into it instead of tallying them.
 func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
-	numPos, boolPos map[int]int) (*execState, error) {
-	st := &execState{numPos: numPos, boolPos: boolPos}
+	numPos, boolPos map[int]int, sums *sumLog) (*execState, error) {
+	st := &execState{boolPos: boolPos}
+	if sums != nil {
+		st.clog = &chunkLog{l: sums}
+	}
 	st.kernel, _ = ctx.Value(kernelKey{}).(func(*execState, *relation.Batch))
 	locOf := map[BoundKey]int{}
 	locate := func(k BoundKey) (int, error) {
@@ -613,7 +634,7 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		return i
 	}
 	for _, g := range groups {
-		loc, err := locate(BoundKey{Attr: g.Driver, M: g.Key.M, Exact: g.Key.Exact})
+		loc, err := locate(g.boundKey())
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +651,9 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 			gs.boolWant = append(gs.boolWant, bc.Want)
 		}
 		for _, t := range g.Targets {
-			gs.sum = append(gs.sum, make([]float64, m+1))
+			if sums == nil {
+				gs.sum = append(gs.sum, make([]float64, m+1))
+			}
 			gs.targetCol = append(gs.targetCol, numPos[t])
 		}
 		if g.TrackExtremes {
@@ -689,7 +712,8 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 // consumes them. It feeds every valid bucket the same addition
 // sequence in row order as the reference per-tuple kernel the tests
 // pin it against, so their outputs — float target sums included — are
-// bit-identical.
+// bit-identical. A state with a sumLog then logs the batch's target
+// values for the ordered replay.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
 	// Bucket indices once per (attribute, resolution): every group and
@@ -721,9 +745,12 @@ func (st *execState) countBatch(b *relation.Batch) {
 	}
 	if st.kernel != nil {
 		st.kernel(st, b)
-		return
+	} else {
+		st.countBatchVec(b)
 	}
-	st.countBatchVec(b)
+	if st.clog != nil {
+		st.clog.record(st, b)
+	}
 }
 
 // countBatchVec is the batch-vectorized kernel. The per-tuple
@@ -890,10 +917,10 @@ func (st *execState) skip(rows int) {
 }
 
 // merge folds other's tallies into st, padding slots included. All
-// statistics are integer counts or extremes (float sums force a serial
-// scan; the pair objective tallies are exact small integers in
-// float64), so the merged state matches a serial scan exactly
-// regardless of segmentation.
+// statistics are integer counts or extremes (the pair objective
+// tallies are exact small integers in float64; float target sums never
+// reach a merged state — see sumLog), so the merged state matches a
+// serial scan exactly regardless of segmentation.
 func (st *execState) merge(other *execState) {
 	for i, gs := range st.groups {
 		og := other.groups[i]
@@ -905,12 +932,6 @@ func (st *execState) merge(other *execState) {
 		for k := range gs.v {
 			for j := range gs.v[k] {
 				gs.v[k][j] += og.v[k][j]
-			}
-		}
-		for k := range gs.sum {
-			for j := range gs.sum[k] {
-				//optlint:ignore floatmerge unreachable: float target sums force scanParallelism to 1 and useScatter rejects them, so countRange scans such a schedule once and never merges it
-				gs.sum[k][j] += og.sum[k][j]
 			}
 		}
 		if gs.minv != nil {

@@ -21,7 +21,9 @@ func runRef(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (
 // countBatchRef is the reference per-tuple kernel: one branchy row
 // loop per group and pair, the differential baseline the vectorized
 // kernel is pinned against. It shares the padded tally layout, so merge
-// and publish are kernel-agnostic.
+// and publish are kernel-agnostic. A state that logs its target sums
+// (see sumLog) gets each logged group's per-row bucket from it, written
+// into the group's effective-index pass for countBatch to log.
 func (st *execState) countBatchRef(b *relation.Batch) {
 	n := b.Len
 	for _, gs := range st.groups {
@@ -32,6 +34,17 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 		if gs.maskIdx >= 0 {
 			mask = st.masks[gs.maskIdx][:n]
 		}
+		var eff []int32 // logged buckets; the trash slot unless counted
+		if st.clog != nil && len(gs.targetCol) > 0 {
+			c := st.combos[gs.combo]
+			if cap(c.eff) < n {
+				c.eff = make([]int32, n)
+			}
+			eff = c.eff[:n]
+			for row := range eff {
+				eff[row] = int32(gs.m)
+			}
+		}
 		for row := 0; row < n; row++ {
 			if mask != nil && !mask[row] {
 				continue
@@ -40,6 +53,9 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			if i < 0 { // NaN driver: belongs to no bucket
 				gs.nans++
 				continue
+			}
+			if eff != nil {
+				eff[row] = int32(i)
 			}
 			gs.u[i]++
 			if gs.minv != nil {

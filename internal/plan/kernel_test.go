@@ -116,8 +116,8 @@ func compareStatsSets(t *testing.T, want, got *StatsSet) {
 
 // TestVectorizedKernelMatchesReference is the kernel differential: the
 // batch-vectorized general counting kernel must produce statistics
-// bit-identical to the reference per-tuple kernel — serial with float
-// target sums, and segmented in parallel without them.
+// bit-identical to the reference per-tuple kernel — serial and
+// segmented in parallel, with float target sums and without them.
 func TestVectorizedKernelMatchesReference(t *testing.T) {
 	rel := kernelTestRelation(t, 20000)
 	for _, tc := range []struct {
@@ -125,8 +125,9 @@ func TestVectorizedKernelMatchesReference(t *testing.T) {
 		pes         int
 		withTargets bool
 	}{
-		{"serial_with_target_sums", 0, true},
+		{"serial_with_target_sums", 1, true},
 		{"parallel_4pe", 4, false},
+		{"parallel_with_target_sums", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ref bool) *StatsSet {

@@ -21,7 +21,9 @@ type Defaults struct {
 	ExactDomainLimit int
 	Seed             int64
 	// PEs is the counting scan's worker count (Algorithm 3.2): 0 means
-	// runtime.GOMAXPROCS(0), 1 a serial scan; see scanParallelism.
+	// runtime.GOMAXPROCS(0), 1 a serial scan. Every statistic, float
+	// target sums included, is bit-identical at any worker count; see
+	// scanParallelism.
 	PEs int
 	// Scatter sets the counting executor's recovery policy for batches
 	// and delta refreshes alike (scatter.go). The zero value counts

@@ -75,7 +75,7 @@ func NewLocalWorker(rel relation.Relation) Worker {
 // cut a scan short instead of running it to completion.
 func (w *localWorker) Count(ctx context.Context, task *CountTask) (*Partial, error) {
 	cols, numPos, boolPos := execLayout(task.Groups, task.Pairs)
-	st, err := newExecState(ctx, task.Set, task.Groups, task.Pairs, numPos, boolPos)
+	st, err := newExecState(ctx, task.Set, task.Groups, task.Pairs, numPos, boolPos, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +145,10 @@ func (sc ScatterConfig) withDefaults() ScatterConfig {
 }
 
 // useScatter reports whether a counting scan hands its chunks to the
-// worker pool: workers enabled, an integer-exact schedule
-// (float target sums stay serial so their addition order never depends
-// on segmentation — the scanParallelism rule), and a range-scannable,
-// non-empty relation.
+// worker pool: workers enabled, an integer-exact schedule (a partial
+// carrying float target sums could not be merged bit-exactly, so such
+// a schedule is counted in-process, where sumLog replays its sums in
+// chunk order), and a range-scannable, non-empty relation.
 func useScatter(rel relation.Relation, d Defaults, groups []*GroupNeed) bool {
 	if d.Scatter.Workers <= 0 {
 		return false

@@ -204,12 +204,12 @@ func (s *Stats1D) mergedWith(fresh *Stats1D) *Stats1D {
 // locks, so neither input is touched. All folds are integer-exact
 // (counts add; extremes take min/max) EXCEPT float target sums, whose
 // accumulation order is observable in the last bits — a folded sum
-// would differ from a cold serial recount — so Sum rows are STRIPPED:
-// the next query needing one recounts it (serially, over the full
-// relation) and merges it back in, preserving bit-identity with a cold
-// rebuild. Rows of s that tail does not carry are dropped the same way
-// (the tail scan is planned FROM s, so in practice tail carries
-// everything).
+// would differ from a cold recount — so Sum rows are STRIPPED: the
+// next query needing one recounts it over the full relation (in the
+// serial scan's addition order at any worker count) and merges it back
+// in, preserving bit-identity with a cold rebuild. Rows of s that tail
+// does not carry are dropped the same way (the tail scan is planned
+// FROM s, so in practice tail carries everything).
 func (s *Stats1D) foldedWith(tail *Stats1D, gen int64) *Stats1D {
 	out := &Stats1D{
 		M: s.M, N: s.N + tail.N, Total: s.Total + tail.Total, NaNs: s.NaNs + tail.NaNs,
@@ -357,6 +357,11 @@ type GroupNeed struct {
 	Bools         []bucketing.BoolCond // union, first-seen order
 	Targets       []int                // union, first-seen order
 	TrackExtremes bool
+}
+
+// boundKey names the boundary set the group buckets its driver by.
+func (n *GroupNeed) boundKey() BoundKey {
+	return BoundKey{Attr: n.Driver, M: n.Key.M, Exact: n.Key.Exact}
 }
 
 // addBools unions conditions into the need.

@@ -16,6 +16,23 @@ import (
 // decode batch. Keeping a state per chunk costs six more states here
 // and fails the bound.
 func TestParallelTallyMemoryPerWorker(t *testing.T) {
+	checkParallelTallyMemory(t, false)
+}
+
+// TestParallelTargetSumMemory is the same bound for a schedule carrying
+// float target sums, plus the documented log bound of sumLog: one
+// segment per started DefaultBatchSize rows of every chunk. One group
+// logs one target, so a segment is small beside a tally state and a
+// state per chunk still fails the bound.
+func TestParallelTargetSumMemory(t *testing.T) {
+	checkParallelTallyMemory(t, true)
+}
+
+// checkParallelTallyMemory measures a PEs: 2 pass against a PEs: 1 pass
+// of the homogeneous 8-objective schedule; withSums adds a target to
+// its first group.
+func checkParallelTallyMemory(t *testing.T, withSums bool) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
@@ -27,8 +44,12 @@ func TestParallelTallyMemoryPerWorker(t *testing.T) {
 	for _, gk := range req.GroupOrder {
 		groups = append(groups, req.Groups[gk])
 	}
+	if withSums {
+		groups[0].addTargets(schema.NumericIndices()[2:3])
+	}
 	cols, numPos, boolPos := execLayout(groups, nil)
-	if chunks := relation.PlanScanChunks(dr, 2, cols, nil); len(chunks) < 8 {
+	chunks := relation.PlanScanChunks(dr, 2, cols, nil)
+	if len(chunks) < 8 {
 		t.Fatalf("planned %d chunks for 2 workers, want at least 8", len(chunks))
 	}
 	warm := NewCache(0)
@@ -77,16 +98,24 @@ func TestParallelTallyMemoryPerWorker(t *testing.T) {
 		batch.Bool[k] = make([]bool, batchRows)
 	}
 	state := allocated(func() {
-		st, err := newExecState(context.Background(), set, groups, nil, numPos, boolPos)
+		st, err := newExecState(context.Background(), set, groups, nil, numPos, boolPos, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.countBatch(batch)
 	})
 	batchBytes := uint64(relation.DefaultBatchSize * (8*len(cols.Numeric) + len(cols.Bool)))
-	if parallel > serial+state+batchBytes {
-		t.Fatalf("PEs 2 pass allocated %d B, more than the PEs 1 pass (%d B) plus one tally state (%d B) and one batch (%d B)",
-			parallel, serial, state, batchBytes)
+	var logBytes uint64
+	if withSums {
+		// One logged group with one target: a bucket and a value per row.
+		segBytes := uint64(relation.DefaultBatchSize * (4 + 8))
+		for _, c := range chunks {
+			logBytes += segBytes * uint64((c.End-c.Start+relation.DefaultBatchSize-1)/relation.DefaultBatchSize)
+		}
 	}
-	t.Logf("PEs 1: %d B, PEs 2: %d B, tally state %d B, batch %d B", serial, parallel, state, batchBytes)
+	if parallel > serial+state+batchBytes+logBytes {
+		t.Fatalf("PEs 2 pass allocated %d B, more than the PEs 1 pass (%d B) plus one tally state (%d B), one batch (%d B) and the sum log bound (%d B)",
+			parallel, serial, state, batchBytes, logBytes)
+	}
+	t.Logf("PEs 1: %d B, PEs 2: %d B, tally state %d B, batch %d B, sum log bound %d B", serial, parallel, state, batchBytes, logBytes)
 }

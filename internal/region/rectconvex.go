@@ -203,9 +203,11 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 	}
 	// Backtracking: back[(c*4+l)*rr+idx] is the predecessor's key
 	// (layer·rr + flat index) extended by cell idx of layer l at column
-	// c, or −1 when the region starts there. One slab for the whole
-	// call; at grid side 256 it is the DP's dominant memory cost.
-	back := make([]int32, cols*4*rr)
+	// c, or −1 when the region starts there. One recycled slab for the
+	// whole call; at grid side 256 it is the DP's dominant memory cost.
+	backSlab := backPool.get(cols * 4 * rr)
+	defer backPool.put(backSlab)
+	back := *backSlab
 
 	bestGain := negInfF
 	bestCol, bestIdx, bestLayer := -1, -1, 0

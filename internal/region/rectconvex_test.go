@@ -307,3 +307,59 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 		t.Errorf("b-endpoint hill violation not detected")
 	}
 }
+
+// TestDPSlabReuse pins the recycled backtracking slabs: a small
+// tie-heavy grid, then a 64×64 one, run through both DPs on freshly
+// allocated slabs; then each runs again on recycled slabs overwritten
+// with stale predecessor links. Every region must equal its fresh-slab
+// run, and the small grid's rectilinear-convex region the naive
+// reference's.
+func TestDPSlabReuse(t *testing.T) {
+	drain := func() {
+		for _, sp := range []*slabPool{&choicePool, &backPool} {
+			for sp.p.Get() != nil {
+			}
+		}
+	}
+	poison := func() {
+		for _, sp := range []*slabPool{&choicePool, &backPool} {
+			s := sp.get(64 * 4 * 64 * 64)
+			for i := range *s {
+				(*s)[i] = 1 // a valid but stale link: layer 0, cell (0, 1)
+			}
+			sp.put(s)
+		}
+	}
+	type result struct{ xm, rc XMonotoneRegion }
+	solve := func(g *Grid, theta float64) result {
+		xm, ok, err := MaxGainXMonotoneParallel(g, theta, 2)
+		if err != nil || !ok {
+			t.Fatalf("x-monotone: ok=%v err=%v", ok, err)
+		}
+		rc, ok, err := MaxGainRectilinearConvexParallel(g, theta, 2)
+		if err != nil || !ok {
+			t.Fatalf("rectilinear-convex: ok=%v err=%v", ok, err)
+		}
+		return result{xm, rc}
+	}
+	rng := rand.New(rand.NewSource(67))
+	small, large := tieHeavyGrid(rng, 9, 11), tieHeavyGrid(rng, 64, 64)
+	const theta = 0.4
+	drain()
+	freshSmall := solve(small, theta)
+	if want := referenceRectConvex(small, theta); !reflect.DeepEqual(freshSmall.rc, want) {
+		t.Fatalf("small grid: kernel %+v, reference %+v", freshSmall.rc, want)
+	}
+	drain()
+	freshLarge := solve(large, theta)
+	for _, tc := range []struct {
+		name  string
+		g     *Grid
+		fresh result
+	}{{"64x64", large, freshLarge}, {"9x11", small, freshSmall}} {
+		poison()
+		if got := solve(tc.g, theta); !reflect.DeepEqual(got, tc.fresh) {
+			t.Fatalf("%s on recycled slabs: %+v, fresh slabs: %+v", tc.name, got, tc.fresh)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package region
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // X-monotone regions (§1.4 of the paper; developed in the SIGMOD'96
 // companion [7]): a connected union of grid cells whose intersection
@@ -57,6 +60,30 @@ type cellBest struct {
 	found bool
 }
 
+// slabPool recycles one DP's backtracking slabs across calls; at grid
+// side 64 the rectilinear-convex slab alone is 4 MB. A recycled slab
+// needs no clearing: every interval cell (a <= b) of every column is
+// written before backtracking reads it, and backtracking reads no
+// other cell.
+type slabPool struct{ p sync.Pool }
+
+// get returns a slab of n cells with stale contents.
+func (sp *slabPool) get(n int) *[]int32 {
+	if s, ok := sp.p.Get().(*[]int32); ok && cap(*s) >= n {
+		*s = (*s)[:n]
+		return s
+	}
+	s := make([]int32, n)
+	return &s
+}
+
+// put hands a slab back once nothing reads it.
+func (sp *slabPool) put(s *[]int32) { sp.p.Put(s) }
+
+// choicePool and backPool hold the x-monotone and rectilinear-convex
+// backtracking slabs.
+var choicePool, backPool slabPool
+
 // transposedGain returns gainT with gainT[c*rows+r] = V[r][c] − θ·U[r][c]:
 // the per-cell gains laid out column-major, so the per-column DP loops
 // stream contiguous memory.
@@ -106,8 +133,10 @@ func MaxGainXMonotoneParallel(g *Grid, theta float64, workers int) (XMonotoneReg
 
 	// Backtracking: choice[c*rows*rows+a*rows+b] = the previous column's
 	// interval index (a'<<16|b') extended by (a,b), or -1 when the region
-	// starts at column c. One slab for the whole call.
-	choice := make([]int32, cols*rows*rows)
+	// starts at column c. One recycled slab for the whole call.
+	choiceSlab := choicePool.get(cols * rows * rows)
+	defer choicePool.put(choiceSlab)
+	choice := *choiceSlab
 
 	bestGain := negInfF
 	bestCol, bestIdx := -1, -1

@@ -806,6 +806,40 @@ type v3DecodeState struct {
 	scratch []uint64
 }
 
+// v3DecodePool recycles decode states across scans, so the many chunk
+// scans of one parallel count allocate decode scratch per worker, not
+// per chunk.
+var v3DecodePool sync.Pool
+
+// v3GetDecodeState returns a decode state of exactly nums numeric and
+// bools Boolean columns, each with room for rows values. A recycled
+// state is cut to the scan's own selection: its loops range over these
+// columns.
+func v3GetDecodeState(nums, bools, rows int) *v3DecodeState {
+	dec, ok := v3DecodePool.Get().(*v3DecodeState)
+	if !ok {
+		dec = &v3DecodeState{}
+	}
+	dec.nums = v3Columns(dec.nums, nums, rows)
+	dec.bools = v3Columns(dec.bools, bools, rows)
+	return dec
+}
+
+// v3Columns resizes cols to n columns of at least rows values, keeping
+// every column buffer that is long enough.
+func v3Columns[T any](cols [][]T, n, rows int) [][]T {
+	if cap(cols) < n {
+		cols = append(cols[:cap(cols)], make([][]T, n-cap(cols))...)
+	}
+	cols = cols[:n]
+	for k := range cols {
+		if len(cols[k]) < rows {
+			cols[k] = make([]T, rows)
+		}
+	}
+	return cols
+}
+
 // v3BufPool recycles compressed-group buffers across scans.
 var v3BufPool sync.Pool
 
@@ -942,16 +976,8 @@ func (dr *DiskRelation) scanRangeV3(start, end int, cols ColumnSet, pred *Predic
 		}
 	}()
 
-	dec := &v3DecodeState{
-		nums:  make([][]float64, len(numSel)),
-		bools: make([][]bool, len(boolSel)),
-	}
-	for k := range dec.nums {
-		dec.nums[k] = make([]float64, dr.groupRows)
-	}
-	for k := range dec.bools {
-		dec.bools[k] = make([]bool, dr.groupRows)
-	}
+	dec := v3GetDecodeState(len(numSel), len(boolSel), dr.groupRows)
+	defer v3DecodePool.Put(dec)
 	batch := &Batch{
 		Numeric: make([][]float64, len(cols.Numeric)),
 		Bool:    make([][]bool, len(cols.Bool)),

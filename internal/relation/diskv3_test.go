@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -974,5 +975,78 @@ func TestShardedV3Mix(t *testing.T) {
 	}
 	if delivered != 0 || skipped != n {
 		t.Errorf("sharded pruned scan delivered %d, skipped %d; want 0, %d", delivered, skipped, n)
+	}
+}
+
+// TestDiskV3RecycledDecodeState pins the recycled v3 decode scratch:
+// scans of one file selecting 3, then 2, then 3 numeric columns (and
+// differing Boolean sets), then a scan of a file with larger block
+// groups, each deliver exactly the rows of the in-memory twin, so a
+// recycled state is cut to each scan's own selection and regrown to
+// each file's group size.
+func TestDiskV3RecycledDecodeState(t *testing.T) {
+	schema := Schema{
+		{Name: "A", Kind: Numeric}, {Name: "B", Kind: Numeric}, {Name: "C", Kind: Numeric},
+		{Name: "P", Kind: Boolean}, {Name: "Q", Kind: Boolean}, {Name: "R", Kind: Boolean},
+	}
+	write := func(groupRows int) (*DiskRelation, *MemoryRelation) {
+		path := filepath.Join(t.TempDir(), "recycle.opr")
+		dw, err := NewDiskWriterV3(path, schema, groupRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := MustNewMemoryRelation(schema)
+		rng := rand.New(rand.NewSource(int64(groupRows)))
+		for i := 0; i < 2345; i++ {
+			nums := []float64{rng.NormFloat64(), float64(rng.Intn(9)), rng.Float64() * 1e3}
+			bools := []bool{rng.Intn(2) == 0, rng.Intn(3) == 0, i%5 == 0}
+			if err := dw.Append(nums, bools); err != nil {
+				t.Fatal(err)
+			}
+			mem.MustAppend(nums, bools)
+		}
+		if err := dw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dr, err := OpenDisk(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dr.Close() })
+		return dr, mem
+	}
+	collect := func(r Relation, cols ColumnSet) ([][]float64, [][]bool) {
+		nums := make([][]float64, len(cols.Numeric))
+		bools := make([][]bool, len(cols.Bool))
+		if err := r.Scan(cols, func(b *Batch) error {
+			for k := range nums {
+				nums[k] = append(nums[k], b.Numeric[k][:b.Len]...)
+			}
+			for k := range bools {
+				bools[k] = append(bools[k], b.Bool[k][:b.Len]...)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return nums, bools
+	}
+	small, smallMem := write(400)
+	large, largeMem := write(1500)
+	for i, sc := range []struct {
+		dr   *DiskRelation
+		mem  *MemoryRelation
+		cols ColumnSet
+	}{
+		{small, smallMem, ColumnSet{Numeric: []int{0, 1, 2}, Bool: []int{3, 5}}},
+		{small, smallMem, ColumnSet{Numeric: []int{2, 0}, Bool: []int{4, 3, 5}}},
+		{small, smallMem, ColumnSet{Numeric: []int{1, 2, 0}, Bool: []int{4}}},
+		{large, largeMem, ColumnSet{Numeric: []int{0, 2}, Bool: []int{5, 3}}},
+	} {
+		gotN, gotB := collect(sc.dr, sc.cols)
+		wantN, wantB := collect(sc.mem, sc.cols)
+		if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotB, wantB) {
+			t.Fatalf("scan %d (%+v): rows differ from the in-memory twin", i, sc.cols)
+		}
 	}
 }

@@ -250,18 +250,19 @@
 // runs every counting scan — batch, delta refresh, serial or parallel.
 // It splits the rows into chunks, tallies them privately and merges
 // the partials. Config.PEs sets its worker count (Algorithm 3.2): 0,
-// the default, means all CPUs, and 1 forces a serial scan. Schedules
-// accumulating float target sums (the average operator) stay serial at
-// any setting, so their totals never depend on segmentation; all other
-// statistics merge exactly. Config.Scatter sets its recovery
-// policy: with Config.Scatter.Workers > 0 the chunks are cut at shard
-// boundaries (storage-aligned segments on single-file relations) and
-// each is dispatched as one task to a pool of Workers. The merge is
-// EXACT — a scattered schedule carries only integer counts and
-// extremes, never order-sensitive float sums (the average operator's
-// target sums always count serially) — so the mined rules are
-// bit-identical at every worker count, under every placement, and after
-// every recovery action. The zero value of Config.Scatter counts the
+// the default, means all CPUs, and 1 forces a serial scan. Integer
+// counts and extremes merge exactly; float target sums (the average
+// operator) are logged per chunk and replayed in chunk order, the
+// serial scan's exact addition sequence, so no statistic depends on
+// segmentation. Config.Scatter sets its recovery policy: with
+// Config.Scatter.Workers > 0 the chunks are cut at shard boundaries
+// (storage-aligned segments on single-file relations) and each is
+// dispatched as one task to a pool of Workers. The merge is EXACT — a
+// scattered schedule carries only integer counts and extremes, never
+// order-sensitive float sums (schedules with the average operator's
+// target sums count in-process) — so the mined rules are bit-identical
+// at every worker count, under every placement, and after every
+// recovery action. The zero value of Config.Scatter counts the
 // chunks in-process, one attempt each, with no fallback.
 //
 // Failures escalate through three layers, and a batch completes
@@ -313,7 +314,7 @@
 //   - floatmerge — functions reachable from a parallel merge entry
 //     point may not accumulate floats with +=: float addition is
 //     order-dependent, so merged tallies stay integer-exact and
-//     float target sums take the serial path.
+//     float target sums are never merged, only replayed in order.
 //   - bytecount — raw file reads in internal/relation live only in
 //     countio.go, whose helpers charge Stats.BytesRead; every other
 //     read goes through them, keeping the cost model honest.
