@@ -186,8 +186,9 @@ func scanParallelism(rel relation.Relation, d Defaults, _ []*GroupNeed, _ []*Pai
 // slot folds every chunk it drains into one lazily built tally state:
 // a failed chunk fails the scan, so no partial ever has to be thrown
 // away, and tally memory grows with the worker count rather than the
-// chunk count. Float target sums bypass the slot states: each chunk
-// logs them and a sumLog replays the logs in chunk order. A scatter
+// chunk count. Float target sums bypass the tally states, serial or
+// parallel: each chunk logs them and a sumLog replays the logs in
+// chunk order, in chunks of at most about sumChunkRows rows. A scatter
 // pool keeps one partial per chunk, because a retried chunk's partial
 // must be discardable; it never carries target sums (see useScatter).
 // Every merged statistic is an integer count or an extreme, so the
@@ -202,7 +203,8 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	// direct counts chunk i in-process into st, building st first when
 	// it is nil: the serial scan, the pool slots' chunks and the scatter
 	// pool's last-resort fallback. A state built with a sumLog logs the
-	// chunk's target sums into it.
+	// chunk's target sums into it, and closes the chunk's log even when
+	// the scan fails, so no later chunk waits on it.
 	direct := func(st *execState, sums *sumLog, i int, c relation.ScanChunk) (*execState, error) {
 		if st == nil {
 			var err error
@@ -210,29 +212,34 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 				return nil, err
 			}
 		}
+		var err error
 		if st.clog != nil {
 			st.clog.chunk = i
 		}
 		if c.Pruned {
 			st.skip(c.End - c.Start)
-		} else if err := scanChunk(ctx, rel, cols, pred, st, c.Start, c.End); err != nil {
-			return st, err
+		} else {
+			err = scanChunk(ctx, rel, cols, pred, st, c.Start, c.End)
 		}
 		if st.clog != nil {
 			st.clog.finish()
 		}
-		return st, nil
+		return st, err
 	}
 	sc, workers := recovery(rel, d, groups)
 	pes := len(workers)
 	if workers == nil {
 		pes = min(scanParallelism(rel, d, groups, pairs), end-start)
 		if pes <= 1 {
-			st, err := direct(nil, nil, 0, relation.ScanChunk{Start: start, End: end})
+			sums, err := newSumLog(set, groups, 1, 1)
 			if err != nil {
 				return fmt.Errorf("plan: counting: %w", err)
 			}
-			st.publish(set)
+			st, err := direct(nil, sums, 0, relation.ScanChunk{Start: start, End: end})
+			if err != nil {
+				return fmt.Errorf("plan: counting: %w", err)
+			}
+			st.publish(set, sums)
 			return nil
 		}
 	}
@@ -244,7 +251,13 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			planned = append(planned, relation.ScanChunk{Start: cuts[i-1], End: cuts[i]})
 		}
 	} else {
-		planned = relation.PlanScanChunks(rel, pes, cols, pred)
+		// Target sums wait for replay until every earlier chunk is done,
+		// so their scans plan chunks of at most about sumChunkRows rows.
+		planPEs := pes
+		if carriesTargets(groups) {
+			planPEs = max(pes, (rel.NumTuples()+sumChunkRows-1)/sumChunkRows)
+		}
+		planned = relation.PlanScanChunks(rel, planPEs, cols, pred)
 	}
 	// Clip the plan to the range. A clipped pruned chunk stays pruned:
 	// every block group it overlaps is refuted.
@@ -263,7 +276,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	}
 	// sums is the ordered replay of float target sums; nil for an
 	// integer-only schedule, which every scattered schedule is.
-	sums, err := newSumLog(set, groups, len(chunks))
+	sums, err := newSumLog(set, groups, len(chunks), pes)
 	if err != nil {
 		return fmt.Errorf("plan: counting: %w", err)
 	}
@@ -396,12 +409,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			total.merge(part)
 		}
 	}
-	if sums != nil {
-		for j, gi := range sums.logged {
-			total.groups[gi].sum = sums.sums[j]
-		}
-	}
-	total.publish(set)
+	total.publish(set, sums)
 	return nil
 }
 
@@ -484,8 +492,8 @@ type execState struct {
 	// tests set it, to run the reference per-tuple kernel.
 	kernel func(*execState, *relation.Batch)
 
-	// clog, when set, logs the target-carrying groups' sums; those
-	// groups then keep no sum arrays of their own.
+	// clog, when set, logs the target-carrying groups' sums: a tally
+	// state keeps no sums of its own.
 	clog *chunkLog
 
 	groups []*groupState
@@ -506,8 +514,7 @@ type groupState struct {
 	// the padding back off; merge folds it along with the real slots.
 	total, nans int
 	u           []int
-	v           [][]int     // need.Bools order
-	sum         [][]float64 // need.Targets order
+	v           [][]int // need.Bools order
 	minv, maxv  []float64
 	boolCol     []int
 	boolWant    []bool
@@ -582,8 +589,8 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 // one (see export_test.go). Production contexts never carry it.
 type kernelKey struct{}
 
-// newExecState builds one worker's tally state. With a sumLog the
-// state logs its target sums into it instead of tallying them.
+// newExecState builds one worker's tally state. Its target sums are
+// logged into sums, which must be non-nil when a group carries targets.
 func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 	numPos, boolPos map[int]int, sums *sumLog) (*execState, error) {
 	st := &execState{boolPos: boolPos}
@@ -651,9 +658,6 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 			gs.boolWant = append(gs.boolWant, bc.Want)
 		}
 		for _, t := range g.Targets {
-			if sums == nil {
-				gs.sum = append(gs.sum, make([]float64, m+1))
-			}
 			gs.targetCol = append(gs.targetCol, numPos[t])
 		}
 		if g.TrackExtremes {
@@ -711,9 +715,9 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 // computed once per distinct filter, then the batch-vectorized kernel
 // consumes them. It feeds every valid bucket the same addition
 // sequence in row order as the reference per-tuple kernel the tests
-// pin it against, so their outputs — float target sums included — are
-// bit-identical. A state with a sumLog then logs the batch's target
-// values for the ordered replay.
+// pin it against, so their outputs are bit-identical. A state with
+// target sums then logs the batch's target values for the ordered
+// replay (see sumLog), under either kernel.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
 	// Bucket indices once per (attribute, resolution): every group and
@@ -831,13 +835,6 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 				vk[e] += d
 			}
 		}
-		for k := range gs.sum {
-			sk := gs.sum[k]
-			colt := b.Numeric[gs.targetCol[k]][:n]
-			for row, e := range eff {
-				sk[e] += colt[row]
-			}
-		}
 	}
 	for _, ps := range st.pairs {
 		ia := st.idx[ps.locA][:n]
@@ -918,8 +915,8 @@ func (st *execState) skip(rows int) {
 
 // merge folds other's tallies into st, padding slots included. All
 // statistics are integer counts or extremes (the pair objective
-// tallies are exact small integers in float64; float target sums never
-// reach a merged state — see sumLog), so the merged state matches a
+// tallies are exact small integers in float64; tally states hold no
+// float target sums — see sumLog), so the merged state matches a
 // serial scan exactly regardless of segmentation.
 func (st *execState) merge(other *execState) {
 	for i, gs := range st.groups {
@@ -973,12 +970,12 @@ func (st *execState) merge(other *execState) {
 	}
 }
 
-// publish converts the final tally state into cached statistics,
-// slicing the trash slots off every padded array (with full capacity
-// caps, so no later append can reach into them) and copying the pair
-// tallies into their grids' flat backing.
-func (st *execState) publish(set *StatsSet) {
-	for _, gs := range st.groups {
+// publish converts the final tally state and the replayed target sums
+// into cached statistics, slicing the trash slots off every padded array
+// (with full capacity caps, so no later append can reach into them) and
+// copying the pair tallies into their grids' flat backing.
+func (st *execState) publish(set *StatsSet, sums *sumLog) {
+	for gi, gs := range st.groups {
 		var minv, maxv []float64
 		if gs.minv != nil {
 			minv = gs.minv[:gs.m:gs.m]
@@ -998,7 +995,7 @@ func (st *execState) publish(set *StatsSet) {
 			s.V[bc] = gs.v[k][:gs.m:gs.m]
 		}
 		for k, t := range gs.need.Targets {
-			s.Sum[t] = gs.sum[k][:gs.m:gs.m]
+			s.Sum[t] = sums.sums[gi][k][:gs.m:gs.m]
 		}
 		set.Groups[gs.need.Key] = s
 	}

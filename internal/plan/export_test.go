@@ -21,9 +21,9 @@ func runRef(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (
 // countBatchRef is the reference per-tuple kernel: one branchy row
 // loop per group and pair, the differential baseline the vectorized
 // kernel is pinned against. It shares the padded tally layout, so merge
-// and publish are kernel-agnostic. A state that logs its target sums
-// (see sumLog) gets each logged group's per-row bucket from it, written
-// into the group's effective-index pass for countBatch to log.
+// and publish are kernel-agnostic. Target sums are logged (see sumLog):
+// each target-carrying group's per-row bucket is written into the
+// group's effective-index pass for countBatch to log.
 func (st *execState) countBatchRef(b *relation.Batch) {
 	n := b.Len
 	for _, gs := range st.groups {
@@ -35,7 +35,7 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			mask = st.masks[gs.maskIdx][:n]
 		}
 		var eff []int32 // logged buckets; the trash slot unless counted
-		if st.clog != nil && len(gs.targetCol) > 0 {
+		if len(gs.targetCol) > 0 {
 			c := st.combos[gs.combo]
 			if cap(c.eff) < n {
 				c.eff = make([]int32, n)
@@ -73,9 +73,6 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 					e = 1
 				}
 				gs.v[k][i] += e
-			}
-			for k := range gs.sum {
-				gs.sum[k][i] += b.Numeric[gs.targetCol[k]][row]
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +73,12 @@ func NewLocalWorker(rel relation.Relation) Worker {
 
 // Count implements Worker: one fused counting scan of the task's row
 // range, checking ctx between batches so cancellation and deadlines
-// cut a scan short instead of running it to completion.
+// cut a scan short instead of running it to completion. A partial holds
+// no float target sums, so a task carrying them is refused.
 func (w *localWorker) Count(ctx context.Context, task *CountTask) (*Partial, error) {
+	if carriesTargets(task.Groups) {
+		return nil, errors.New("plan: a counting task cannot carry target sums")
+	}
 	cols, numPos, boolPos := execLayout(task.Groups, task.Pairs)
 	st, err := newExecState(ctx, task.Set, task.Groups, task.Pairs, numPos, boolPos, nil)
 	if err != nil {
@@ -150,13 +155,8 @@ func (sc ScatterConfig) withDefaults() ScatterConfig {
 // a schedule is counted in-process, where sumLog replays its sums in
 // chunk order), and a range-scannable, non-empty relation.
 func useScatter(rel relation.Relation, d Defaults, groups []*GroupNeed) bool {
-	if d.Scatter.Workers <= 0 {
+	if d.Scatter.Workers <= 0 || carriesTargets(groups) {
 		return false
-	}
-	for _, g := range groups {
-		if len(g.Targets) > 0 {
-			return false
-		}
 	}
 	if _, ok := rel.(relation.RangeScanner); !ok {
 		return false

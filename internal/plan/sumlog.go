@@ -6,33 +6,50 @@ import (
 	"optrule/internal/relation"
 )
 
-// Float target sums through a parallel counting scan. Float addition is
+// Float target sums, serial or parallel. Float addition is
 // order-dependent, so partial sums tallied per chunk and folded together
-// would differ from the serial scan in the last bits. Instead, while the
-// in-process pool counts, each chunk logs every row's (bucket, target
-// value) pairs in DefaultBatchSize-row segments, and one mutex-guarded
-// applier replays the logs strictly in chunk order, row order within a
-// chunk, into one sums-only target. That is the serial kernel's exact
-// addition sequence, so the totals are bit-identical to a PEs: 1 scan at
-// every worker count and chunk plan.
+// would differ from the serial scan in the last bits. Instead each chunk
+// logs every row's (bucket, target value) pairs in DefaultBatchSize-row
+// segments, and one mutex-guarded applier replays the logs strictly in
+// chunk order, row order within a chunk, into one sums-only target. That
+// is the addition sequence of a scan over the rows in order, so the
+// totals are bit-identical at every worker count and chunk plan. A
+// serial scan is one chunk whose segments replay as they close.
 //
-// Segments come from a free list the sumLog owns. A chunk's segments are
-// replayed as soon as every earlier chunk is done, so the head chunk —
-// the lowest one still counting — holds at most its open segment, and
-// log memory at any moment is one open segment per worker plus the
-// closed segments of chunks that ran ahead of the head. It never exceeds
-// one segment per started DefaultBatchSize rows of every chunk.
+// Segments come from a free list the sumLog owns. The head chunk — the
+// lowest one still counting — replays each segment as it closes; a
+// chunk ahead of the head keeps its closed segments until every earlier
+// chunk is done. Backpressure bounds that window: once limit closed
+// segments wait for replay, a chunk ahead of the head blocks before
+// closing another until the head advances. The head never blocks, so
+// the scan always progresses, and log memory never exceeds one open
+// segment per worker plus limit closed ones, whatever the relation
+// size. countRange plans target-sum scans in chunks of at most about
+// sumChunkRows rows, so in a balanced scan a worker stays within a
+// chunk or two of the head and rarely waits.
+
+// sumChunkRows caps the rows per chunk of a parallel scan carrying
+// target sums, where the storage layout allows: one v2/v3 block group
+// is the smallest chunk.
+const sumChunkRows = relation.DefaultGroupRows
+
+// sumPendingPerWorker is the backpressure limit per worker, in closed
+// segments waiting for replay: two sumChunkRows chunks.
+const sumPendingPerWorker = 2 * sumChunkRows / relation.DefaultBatchSize
 
 // sumLog is one countRange call's ordered replay of float target sums.
 type sumLog struct {
 	logged []int // positions in the schedule of the target-carrying groups
+	limit  int   // closed segments that may wait for replay
 
-	mu   sync.Mutex
-	sums [][][]float64 // per logged group, per target: the padded totals
-	head int           // lowest chunk whose log is not fully replayed
-	pend [][]*sumSeg   // per chunk: closed segments awaiting replay, in row order
-	done []bool        // per chunk: every segment is closed
-	free []*sumSeg
+	mu      sync.Mutex
+	advance sync.Cond     // broadcast when the head moves on
+	sums    [][][]float64 // per scheduled group (nil without targets), per target: the padded totals
+	head    int           // lowest chunk whose log is not fully replayed
+	pend    [][]*sumSeg   // per chunk: closed segments awaiting replay, in row order
+	waiting int           // closed segments awaiting replay, over all chunks
+	done    []bool        // per chunk: every segment is closed
+	free    []*sumSeg
 }
 
 // sumSeg is one segment of a chunk's log: for rows [0, n), each logged
@@ -45,16 +62,22 @@ type sumSeg struct {
 }
 
 // newSumLog returns the ordered replay for a schedule counted in chunks
-// chunks, or nil when no group carries target sums: integer-only
-// schedules build none of this bookkeeping.
-func newSumLog(set *StatsSet, groups []*GroupNeed, chunks int) (*sumLog, error) {
-	var l *sumLog
+// chunks by workers workers, or nil when no group carries target sums:
+// integer-only schedules build none of this bookkeeping.
+func newSumLog(set *StatsSet, groups []*GroupNeed, chunks, workers int) (*sumLog, error) {
+	if !carriesTargets(groups) {
+		return nil, nil
+	}
+	l := &sumLog{
+		limit: workers * sumPendingPerWorker,
+		sums:  make([][][]float64, len(groups)),
+		pend:  make([][]*sumSeg, chunks),
+		done:  make([]bool, chunks),
+	}
+	l.advance.L = &l.mu
 	for gi, g := range groups {
 		if len(g.Targets) == 0 {
 			continue
-		}
-		if l == nil {
-			l = &sumLog{pend: make([][]*sumSeg, chunks), done: make([]bool, chunks)}
 		}
 		b, err := set.boundsOf(g.boundKey())
 		if err != nil {
@@ -65,9 +88,19 @@ func newSumLog(set *StatsSet, groups []*GroupNeed, chunks int) (*sumLog, error) 
 			sums[k] = make([]float64, b.NumBuckets()+1)
 		}
 		l.logged = append(l.logged, gi)
-		l.sums = append(l.sums, sums)
+		l.sums[gi] = sums
 	}
 	return l, nil
+}
+
+// carriesTargets reports whether any group tallies float target sums.
+func carriesTargets(groups []*GroupNeed) bool {
+	for _, g := range groups {
+		if len(g.Targets) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // segment returns an empty segment, recycled when one is free.
@@ -81,10 +114,10 @@ func (l *sumLog) segment() *sumSeg {
 		return s
 	}
 	s := &sumSeg{eff: make([][]int32, len(l.logged)), val: make([][][]float64, len(l.logged))}
-	for j, sums := range l.sums {
+	for j, gi := range l.logged {
 		s.eff[j] = make([]int32, relation.DefaultBatchSize)
-		s.val[j] = make([][]float64, len(sums))
-		for k := range sums {
+		s.val[j] = make([][]float64, len(l.sums[gi]))
+		for k := range s.val[j] {
 			s.val[j][k] = make([]float64, relation.DefaultBatchSize)
 		}
 	}
@@ -93,36 +126,47 @@ func (l *sumLog) segment() *sumSeg {
 
 // close hands chunk its next segment in row order (nil for none) and,
 // when last, marks the chunk's log complete; every log the head has
-// reached is replayed before it returns.
+// reached is replayed before it returns. A chunk ahead of the head
+// first waits while limit closed segments await replay.
 func (l *sumLog) close(chunk int, s *sumSeg, last bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if s != nil {
+		for chunk != l.head && l.waiting >= l.limit {
+			l.advance.Wait()
+		}
 		l.pend[chunk] = append(l.pend[chunk], s)
+		l.waiting++
 	}
 	if last {
 		l.done[chunk] = true
 	}
+	moved := false
 	for l.head < len(l.done) {
 		for _, s := range l.pend[l.head] {
 			l.replay(s)
 			l.free = append(l.free, s)
 		}
-		l.pend[l.head] = nil
+		l.waiting -= len(l.pend[l.head])
+		l.pend[l.head] = l.pend[l.head][:0]
 		if !l.done[l.head] {
-			return
+			break
 		}
 		l.head++
+		moved = true
+	}
+	if moved {
+		l.advance.Broadcast()
 	}
 }
 
 // replay adds one segment into the totals, row by row: the addition
-// sequence of the serial kernel over the same rows.
+// sequence of a scan over the same rows.
 func (l *sumLog) replay(s *sumSeg) {
 	for j, vals := range s.val {
 		eff := s.eff[j][:s.n]
 		for k, val := range vals {
-			sk := l.sums[j][k]
+			sk := l.sums[l.logged[j]][k]
 			for row, e := range eff {
 				sk[e] += val[row]
 			}

@@ -5,8 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"optrule/internal/bucketing"
 	"optrule/internal/relation"
 )
 
@@ -179,5 +182,165 @@ func TestParallelTargetSumsMatchSerial(t *testing.T) {
 				compareStatsSets(t, want, got)
 			})
 		}
+	}
+}
+
+// testSumLog returns the ordered replay of one group with m buckets and
+// one target, counted in chunks chunks by workers workers.
+func testSumLog(t *testing.T, m, chunks, workers int) *sumLog {
+	t.Helper()
+	cuts := make([]float64, m-1)
+	for i := range cuts {
+		cuts[i] = float64(i)
+	}
+	b, err := bucketing.NewBoundaries(cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := newStatsSet()
+	g := &GroupNeed{Key: GroupKey{Driver: 0, M: m}, Targets: []int{1}}
+	set.Bounds[g.boundKey()] = b
+	l, err := newSumLog(set, []*GroupNeed{g}, chunks, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// logRows is one segment's content: a bucket (m is the trash slot) and
+// a target value per row.
+type logRows struct {
+	eff []int32
+	val []float64
+}
+
+// fill copies rows into a fresh segment of l.
+func (r logRows) fill(l *sumLog) *sumSeg {
+	s := l.segment()
+	s.n = copy(s.eff[0], r.eff)
+	copy(s.val[0][0], r.val)
+	return s
+}
+
+// addInOrder sums segments' rows one by one into m+1 padded totals.
+func addInOrder(m int, segs ...logRows) []float64 {
+	sums := make([]float64, m+1)
+	for _, r := range segs {
+		for row, e := range r.eff {
+			sums[e] += r.val[row]
+		}
+	}
+	return sums
+}
+
+// sameBits reports whether two sum arrays agree bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSumLogReplaysInChunkOrder drives the ordered replay by hand with
+// chunks closing out of order: chunk 2 finishes first, chunk 1 closes a
+// segment before the head does, and the head's last segment then
+// carries the replay across both finished chunks. The totals must equal
+// adding every row in chunk order, and the fixture's values are checked
+// to be order-sensitive: adding the segments in completion order gives
+// different bits.
+func TestSumLogReplaysInChunkOrder(t *testing.T) {
+	const m = 3
+	rng := rand.New(rand.NewSource(41))
+	seg := func() logRows {
+		var r logRows
+		for row := 0; row < 60; row++ {
+			r.eff = append(r.eff, int32(rng.Intn(m+1)))
+			r.val = append(r.val, []float64{1e16, -1e16, 1, 0.5, 3}[rng.Intn(5)])
+		}
+		return r
+	}
+	c0a, c0b, c1a, c1b, c2a, c2b := seg(), seg(), seg(), seg(), seg(), seg()
+	want := addInOrder(m, c0a, c0b, c1a, c1b, c2a, c2b)
+	if sameBits(want, addInOrder(m, c2a, c2b, c1a, c0a, c1b, c0b)) {
+		t.Fatal("completion-order addition matches chunk order; the fixture cannot catch a misordered replay")
+	}
+
+	l := testSumLog(t, m, 3, 3)
+	l.close(2, c2a.fill(l), false)
+	l.close(2, c2b.fill(l), true)
+	l.close(1, c1a.fill(l), false)
+	if !sameBits(l.sums[0][0], make([]float64, m+1)) {
+		t.Fatalf("segments of chunks ahead of the head were replayed early: %v", l.sums[0][0])
+	}
+	l.close(0, c0a.fill(l), false)
+	if got := l.sums[0][0]; !sameBits(got, addInOrder(m, c0a)) {
+		t.Fatalf("after the head's first segment: sums %v, want %v", got, addInOrder(m, c0a))
+	}
+	l.close(1, c1b.fill(l), true)
+	l.close(0, c0b.fill(l), true)
+	if got := l.sums[0][0]; !sameBits(got, want) {
+		t.Fatalf("sums %v, want the chunk-order sums %v", got, want)
+	}
+	if l.head != 3 || l.waiting != 0 {
+		t.Fatalf("head %d with %d segments waiting, want 3 and 0", l.head, l.waiting)
+	}
+}
+
+// TestSumLogBackpressure pins the log's memory bound: with the head
+// stalled, a chunk ahead of it blocks once limit closed segments wait
+// for replay, the head itself never blocks, and the blocked chunk
+// resumes once the head is done. Every segment the log ever allocated
+// ends on its free list, so the list's length is the peak: at most the
+// limit plus the two open segments, however many the chunk closes.
+func TestSumLogBackpressure(t *testing.T) {
+	const m = 2
+	l := testSumLog(t, m, 3, 1)
+	rows := func(i int) logRows {
+		return logRows{eff: []int32{int32(i % (m + 1))}, val: []float64{float64(i%7) + 0.25}}
+	}
+	ahead := 3 * l.limit
+	var closed atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < ahead; i++ {
+			l.close(1, rows(i).fill(l), false)
+			closed.Add(1)
+		}
+		l.close(1, nil, true)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for closed.Load() < int64(l.limit) {
+		if time.Now().After(deadline) {
+			t.Fatalf("chunk 1 closed %d segments in 10 s, want %d", closed.Load(), l.limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := closed.Load(); got != int64(l.limit) {
+		t.Fatalf("chunk 1 closed %d segments ahead of a stalled head, want it blocked at the limit %d", got, l.limit)
+	}
+	var segs []logRows
+	for i := 0; i < 2*l.limit; i++ { // the head closes past the limit without blocking
+		r := rows(1000 + i)
+		segs = append(segs, r)
+		l.close(0, r.fill(l), false)
+	}
+	l.close(0, nil, true)
+	<-finished
+	l.close(2, nil, true)
+	for i := 0; i < ahead; i++ {
+		segs = append(segs, rows(i))
+	}
+	if got, want := l.sums[0][0], addInOrder(m, segs...); !sameBits(got, want) {
+		t.Fatalf("sums %v, want the chunk-order sums %v", got, want)
+	}
+	if n := len(l.free); n > l.limit+2 {
+		t.Fatalf("log allocated %d segments, want at most the limit %d plus two open ones", n, l.limit)
 	}
 }

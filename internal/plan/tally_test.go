@@ -3,8 +3,11 @@ package plan
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"optrule/internal/relation"
 )
@@ -16,23 +19,6 @@ import (
 // decode batch. Keeping a state per chunk costs six more states here
 // and fails the bound.
 func TestParallelTallyMemoryPerWorker(t *testing.T) {
-	checkParallelTallyMemory(t, false)
-}
-
-// TestParallelTargetSumMemory is the same bound for a schedule carrying
-// float target sums, plus the documented log bound of sumLog: one
-// segment per started DefaultBatchSize rows of every chunk. One group
-// logs one target, so a segment is small beside a tally state and a
-// state per chunk still fails the bound.
-func TestParallelTargetSumMemory(t *testing.T) {
-	checkParallelTallyMemory(t, true)
-}
-
-// checkParallelTallyMemory measures a PEs: 2 pass against a PEs: 1 pass
-// of the homogeneous 8-objective schedule; withSums adds a target to
-// its first group.
-func checkParallelTallyMemory(t *testing.T, withSums bool) {
-	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
@@ -44,9 +30,6 @@ func checkParallelTallyMemory(t *testing.T, withSums bool) {
 	for _, gk := range req.GroupOrder {
 		groups = append(groups, req.Groups[gk])
 	}
-	if withSums {
-		groups[0].addTargets(schema.NumericIndices()[2:3])
-	}
 	cols, numPos, boolPos := execLayout(groups, nil)
 	chunks := relation.PlanScanChunks(dr, 2, cols, nil)
 	if len(chunks) < 8 {
@@ -57,33 +40,8 @@ func checkParallelTallyMemory(t *testing.T, withSums bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	// pass counts the schedule against cached boundaries, so only the
-	// counting scan runs; the least of three runs filters out noise.
-	pass := func(pes int) uint64 {
-		dd := d
-		dd.PEs = pes
-		least := uint64(math.MaxUint64)
-		for rep := 0; rep < 3; rep++ {
-			cache := NewCache(0)
-			cache.CopyBoundsFrom(warm)
-			least = min(least, allocated(func() {
-				if _, err := Run(dr, dd, cache, req); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
-		return least
-	}
-	pass(2) // fill the scan buffer pools for both workers
-	serial, parallel := pass(1), pass(2)
+	pass(t, dr, d, warm, req, 2) // fill the scan buffer pools for both workers
+	serial, parallel := pass(t, dr, d, warm, req, 1), pass(t, dr, d, warm, req, 2)
 
 	// One tally state, with the scratch its first batch allocates. The
 	// fixture's 1000-row block groups cap every delivered batch at 1000
@@ -105,17 +63,133 @@ func checkParallelTallyMemory(t *testing.T, withSums bool) {
 		st.countBatch(batch)
 	})
 	batchBytes := uint64(relation.DefaultBatchSize * (8*len(cols.Numeric) + len(cols.Bool)))
-	var logBytes uint64
-	if withSums {
-		// One logged group with one target: a bucket and a value per row.
-		segBytes := uint64(relation.DefaultBatchSize * (4 + 8))
-		for _, c := range chunks {
-			logBytes += segBytes * uint64((c.End-c.Start+relation.DefaultBatchSize-1)/relation.DefaultBatchSize)
+	if parallel > serial+state+batchBytes {
+		t.Fatalf("PEs 2 pass allocated %d B, more than the PEs 1 pass (%d B) plus one tally state (%d B) and one batch (%d B)",
+			parallel, serial, state, batchBytes)
+	}
+	t.Logf("PEs 1: %d B, PEs 2: %d B, tally state %d B, batch %d B", serial, parallel, state, batchBytes)
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// pass returns the bytes a counting pass of req at pes workers
+// allocates against warm's cached boundaries, so only the counting scan
+// runs; the least of three runs filters out noise.
+func pass(t *testing.T, rel relation.Relation, d Defaults, warm *LRUCache, req *Requirements, pes int) uint64 {
+	t.Helper()
+	d.PEs = pes
+	least := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		cache := NewCache(0)
+		cache.CopyBoundsFrom(warm)
+		least = min(least, allocated(func() {
+			if _, err := Run(rel, d, cache, req); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	return least
+}
+
+// stalledHead delays the scan of the first chunk of each parallel pass
+// until the last chunk's scan has started, or for stall at most, so
+// every other chunk runs ahead of the head.
+type stalledHead struct {
+	relation.Relation
+	stall time.Duration
+
+	mu      sync.Mutex
+	tailRun chan struct{} // closed when the last chunk's scan starts
+}
+
+func (r *stalledHead) ScanRange(start, end int, cols relation.ColumnSet, fn func(*relation.Batch) error) error {
+	r.mu.Lock()
+	switch {
+	case end == r.NumTuples():
+		if r.tailRun != nil {
+			close(r.tailRun)
+			r.tailRun = nil
 		}
+		r.mu.Unlock()
+	case start == 0:
+		tail := make(chan struct{})
+		r.tailRun = tail
+		r.mu.Unlock()
+		select {
+		case <-tail:
+		case <-time.After(r.stall):
+		}
+	default:
+		r.mu.Unlock()
 	}
-	if parallel > serial+state+batchBytes+logBytes {
-		t.Fatalf("PEs 2 pass allocated %d B, more than the PEs 1 pass (%d B) plus one tally state (%d B), one batch (%d B) and the sum log bound (%d B)",
-			parallel, serial, state, batchBytes, logBytes)
+	return r.Relation.(relation.RangeScanner).ScanRange(start, end, cols, fn)
+}
+
+// TestParallelTargetSumMemory bounds an average-carrying scan at PEs 2
+// whose head chunk stalls: the pass may allocate no more than the PEs 1
+// pass plus one tally state, one batch and the sum log's bound — one
+// open segment per worker plus the backpressure limit — which does not
+// grow with the relation. Logging every chunk that runs ahead of the
+// stalled head would exceed that bound twice over on this relation.
+func TestParallelTargetSumMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
 	}
-	t.Logf("PEs 1: %d B, PEs 2: %d B, tally state %d B, batch %d B, sum log bound %d B", serial, parallel, state, batchBytes, logBytes)
+	const n = 700_000
+	schema := relation.Schema{
+		{Name: "X", Kind: relation.Numeric},
+		{Name: "T", Kind: relation.Numeric},
+	}
+	mem := relation.MustNewMemoryRelation(schema)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < n; i++ {
+		mem.MustAppend([]float64{rng.Float64() * 100, rng.NormFloat64()}, nil)
+	}
+	d := Defaults{Buckets: 100, GridSide: 4, SampleFactor: 40, Seed: 5}
+	req := NewRequirements()
+	r, err := Resolve(mem, d, Query{Op: OpAverage, Numeric: "X", Target: "T", MinSupport: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Add(r)
+	warm := NewCache(0)
+	set, err := Run(mem, d, warm, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []*GroupNeed
+	for _, gk := range req.GroupOrder {
+		groups = append(groups, req.Groups[gk])
+	}
+	_, numPos, boolPos := execLayout(groups, nil)
+
+	const pes = 2
+	segBytes := uint64(relation.DefaultBatchSize * (4 + 8)) // one logged target
+	logBound := segBytes * pes * (1 + sumPendingPerWorker)
+	if ahead := uint64(n-sumChunkRows) * (4 + 8); ahead < 2*logBound {
+		t.Fatalf("logging the %d rows ahead of the head costs %d B, under twice the log bound %d B; grow the relation",
+			n-sumChunkRows, ahead, logBound)
+	}
+	stalled := &stalledHead{Relation: mem, stall: 200 * time.Millisecond}
+	serial := pass(t, stalled, d, warm, req, 1)
+	parallel := pass(t, stalled, d, warm, req, pes)
+	state := allocated(func() {
+		if _, err := newExecState(context.Background(), set, groups, nil, numPos, boolPos, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	batchBytes := uint64(relation.DefaultBatchSize * 8 * len(schema))
+	if parallel > serial+state+batchBytes+logBound {
+		t.Fatalf("PEs %d pass allocated %d B, more than the PEs 1 pass (%d B) plus one tally state (%d B), one batch (%d B) and the sum log bound (%d B)",
+			pes, parallel, serial, state, batchBytes, logBound)
+	}
+	t.Logf("PEs 1: %d B, PEs %d: %d B, tally state %d B, batch %d B, sum log bound %d B",
+		serial, pes, parallel, state, batchBytes, logBound)
 }
