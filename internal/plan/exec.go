@@ -458,7 +458,10 @@ func (s *StatsSet) boundsOf(k BoundKey) (bucketing.Boundaries, error) {
 // The counting kernel: any mix of 1-D groups and 2-D pair grids in
 // one scan. Each tuple's bucket is located ONCE per distinct
 // (attribute, resolution) and shared by every consumer; per-filter row
-// masks are computed once per batch.
+// masks and per-condition-run row codes are computed once per batch.
+// Counts live in integer scatter tables and are derived into U, V and
+// N only when the scan publishes; float target sums go through the
+// ordered replay (see sumLog).
 
 // effCombo is one distinct (boundary set, filter) combination's
 // effective-index pass: eff[row] is the row's bucket index with
@@ -474,6 +477,26 @@ type effCombo struct {
 	nans int
 }
 
+// laneBits is how many Boolean conditions one lane packs into a row
+// code at most: a lane over b conditions has 1<<b cells per bucket.
+const laneBits = 3
+
+// codePass is one distinct run of up to laneBits (Bool column, want)
+// conditions: code[row] has bit k set when the row meets condition k.
+// Every lane over the same run shares the pass.
+type codePass struct {
+	cols []int // Bool column position per condition
+	flip uint8 // bit k set when condition k wants false
+	code []uint8
+}
+
+// cells is a scatter table of 32-bit counts. Before a count could wrap,
+// fold adds the counts into 64-bit totals, allocated on first use.
+type cells struct {
+	n    []uint32
+	wide []int
+}
+
 // execState is one worker's private tally state.
 type execState struct {
 	boolPos map[int]int // attr -> position in cols.Bool
@@ -487,6 +510,11 @@ type execState struct {
 	masks   [][]bool
 
 	combos []*effCombo // distinct (loc, maskIdx) effective-index passes
+	codes  []*codePass // distinct condition runs
+
+	// tallied counts the rows scattered into the 32-bit cells since
+	// their last fold; no cell can hold more.
+	tallied int64
 
 	// kernel, when set, replaces countBatchVec. Only this package's
 	// tests set it, to run the reference per-tuple kernel.
@@ -500,6 +528,13 @@ type execState struct {
 	pairs  []*pairState
 }
 
+// groupState tallies one group. Each lane covers a run of up to
+// laneBits of need.Bools, in order: cell e<<bits | code of its table
+// counts bucket e's rows whose conditions match code (bit k for the
+// run's condition k). A group without Bools keeps one zero-bit lane,
+// its bucket counts. Tables and extremes carry one trash bucket, m,
+// that absorbs masked-out and NaN-driver rows so the vectorized
+// kernel's loops carry no per-row branch; publish drops it.
 type groupState struct {
 	need    *GroupNeed
 	col     int // driver column position
@@ -508,17 +543,17 @@ type groupState struct {
 	combo   int // effective-index pass (loc, maskIdx)
 	m       int
 
-	// Tally arrays are padded to m+1 slots: slot m is the trash slot
-	// the vectorized kernel scatters masked-out and NaN-driver rows
-	// into, so its inner loops carry no per-row branch. publish slices
-	// the padding back off; merge folds it along with the real slots.
 	total, nans int
-	u           []int
-	v           [][]int // need.Bools order
+	lanes       []*lane
 	minv, maxv  []float64
-	boolCol     []int
-	boolWant    []bool
 	targetCol   []int
+}
+
+// lane is one group's table over one condition run.
+type lane struct {
+	code int // code pass index; -1 for the zero-bit lane
+	bits uint
+	cells
 }
 
 type pairState struct {
@@ -526,19 +561,18 @@ type pairState struct {
 	locA, locB int
 	colA, colB int
 	objCol     int
-	want       bool
+	flip       uint8 // 1 when the objective wants false
 
-	// grid is the published result; the kernels tally into pu/pv —
-	// padded (cells+1-slot) shadows of its flat backing whose last slot
-	// absorbs rows falling outside either bucketing — and publish
-	// copies the real cells in. The axis extreme arrays carry one trash
-	// slot each for the same reason.
-	grid       *region.Grid
-	gu         []int
-	gv         []float64
-	cols       int
-	pu         []int
-	pv         []float64
+	// grid is the published result. The kernels tally cell<<1 | hit
+	// into cells, where hit is the row's objective bit; its last two
+	// slots form a trash cell for rows outside either bucketing, and
+	// publish derives the grid's U and V from the rest. The axis
+	// extreme arrays carry one trash slot each for the same reason.
+	grid *region.Grid
+	gu   []int
+	gv   []float64
+	cols int
+	cells
 	minA, maxA []float64
 	minB, maxB []float64
 
@@ -640,6 +674,29 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		st.combos = append(st.combos, &effCombo{loc: loc, maskIdx: mi, m: m})
 		return i
 	}
+	type runKey struct {
+		n     int
+		conds [laneBits]bucketing.BoolCond
+	}
+	codeOf := map[runKey]int{}
+	code := func(conds []bucketing.BoolCond) int {
+		key := runKey{n: len(conds)}
+		copy(key.conds[:], conds)
+		if i, ok := codeOf[key]; ok {
+			return i
+		}
+		p := &codePass{}
+		for k, bc := range conds {
+			p.cols = append(p.cols, boolPos[bc.Attr])
+			if !bc.Want {
+				p.flip |= 1 << k
+			}
+		}
+		i := len(st.codes)
+		codeOf[key] = i
+		st.codes = append(st.codes, p)
+		return i
+	}
 	for _, g := range groups {
 		loc, err := locate(g.boundKey())
 		if err != nil {
@@ -650,12 +707,14 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		gs := &groupState{
 			need: g, col: numPos[g.Driver], loc: loc,
 			maskIdx: mi, combo: combo(loc, mi, m), m: m,
-			u: make([]int, m+1),
 		}
-		for _, bc := range g.Bools {
-			gs.v = append(gs.v, make([]int, m+1))
-			gs.boolCol = append(gs.boolCol, boolPos[bc.Attr])
-			gs.boolWant = append(gs.boolWant, bc.Want)
+		for k := 0; k == 0 || k < len(g.Bools); k += laneBits {
+			l := &lane{code: -1}
+			if run := g.Bools[k:min(k+laneBits, len(g.Bools))]; len(run) > 0 {
+				l.code, l.bits = code(run), uint(len(run))
+			}
+			l.n = make([]uint32, (m+1)<<l.bits)
+			gs.lanes = append(gs.lanes, l)
 		}
 		for _, t := range g.Targets {
 			gs.targetCol = append(gs.targetCol, numPos[t])
@@ -692,12 +751,14 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		ps := &pairState{
 			need: p, locA: locA, locB: locB,
 			colA: numPos[p.A], colB: numPos[p.B],
-			objCol: boolPos[p.Obj.Attr], want: p.Obj.Want,
-			grid: g, gu: gu, gv: gv, cols: g.Cols(),
-			pu:   make([]int, rows*colsN+1),
-			pv:   make([]float64, rows*colsN+1),
-			minA: make([]float64, rows+1), maxA: make([]float64, rows+1),
+			objCol: boolPos[p.Obj.Attr],
+			grid:   g, gu: gu, gv: gv, cols: colsN,
+			cells: cells{n: make([]uint32, (rows*colsN+1)<<1)},
+			minA:  make([]float64, rows+1), maxA: make([]float64, rows+1),
 			minB: make([]float64, colsN+1), maxB: make([]float64, colsN+1),
+		}
+		if !p.Obj.Want {
+			ps.flip = 1
 		}
 		for i := range ps.minA {
 			ps.minA[i], ps.maxA[i] = math.Inf(1), math.Inf(-1)
@@ -710,16 +771,21 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 	return st, nil
 }
 
-// countBatch tallies one batch into every group and pair: bucket
-// indices are located once per (attribute, resolution), row masks are
-// computed once per distinct filter, then the batch-vectorized kernel
-// consumes them. It feeds every valid bucket the same addition
-// sequence in row order as the reference per-tuple kernel the tests
-// pin it against, so their outputs are bit-identical. A state with
-// target sums then logs the batch's target values for the ordered
-// replay (see sumLog), under either kernel.
+// countBatch tallies one batch into every group and pair. When the
+// batch could carry a 32-bit cell past math.MaxUint32, every cell
+// first folds into its 64-bit totals. Bucket indices are then located
+// once per (attribute, resolution) and row masks computed once per
+// distinct filter, and the batch-vectorized kernel consumes them.
+// Either kernel scatters every counted row into the same cells, so
+// their outputs are bit-identical. A state with target sums then logs
+// the batch's target values for the ordered replay (see sumLog), under
+// either kernel.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
+	if st.tallied+int64(n) > math.MaxUint32 {
+		st.fold()
+	}
+	st.tallied += int64(n)
 	// Bucket indices once per (attribute, resolution): every group and
 	// pair sharing the boundary set shares the locate pass.
 	for t := range st.locKeys {
@@ -759,12 +825,14 @@ func (st *execState) countBatch(b *relation.Batch) {
 
 // countBatchVec is the batch-vectorized kernel. The per-tuple
 // branching of the reference kernel — mask check, NaN check, extreme
-// tracking, per-objective conditionals — is restructured into columnar
+// tracking, per-condition conditionals — is restructured into columnar
 // passes: one effective-index pass per distinct (boundary set, filter)
-// combination routes every excluded row to a trash slot, and each
-// statistic then runs one tight scatter loop over the whole batch with
-// no row-level control flow. Trash-slot garbage (counts, NaN sums,
-// extremes of masked rows) never surfaces: publish slices it off.
+// combination routes every excluded row to a trash bucket, one code
+// pass per distinct condition run packs the row's condition bits into a
+// byte, and each lane and extreme then runs one tight scatter loop over
+// the whole batch with no row-level control flow. A row costs one
+// scatter-add per lane, not one per condition plus one for its bucket.
+// Trash-bucket garbage never surfaces: publish drops it.
 func (st *execState) countBatchVec(b *relation.Batch) {
 	n := b.Len
 	for _, c := range st.combos {
@@ -799,15 +867,14 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 		}
 		c.nans = nans
 	}
+	for _, p := range st.codes {
+		p.build(b)
+	}
 	for _, gs := range st.groups {
 		c := st.combos[gs.combo]
 		eff := c.eff[:n]
 		gs.total += n
 		gs.nans += c.nans
-		u := gs.u
-		for _, e := range eff {
-			u[e]++
-		}
 		if gs.minv != nil {
 			col := b.Numeric[gs.col][:n]
 			minv, maxv := gs.minv, gs.maxv
@@ -821,18 +888,18 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 				}
 			}
 		}
-		for k := range gs.v {
-			vk := gs.v[k]
-			colb := b.Bool[gs.boolCol[k]][:n]
-			want := gs.boolWant[k]
-			for row, e := range eff {
-				// Flagless increment: the objective bit is ~50% either
-				// way, so a conditional add would mispredict constantly.
-				d := 0
-				if colb[row] == want {
-					d = 1
+		for _, l := range gs.lanes {
+			t := l.n
+			if l.code < 0 {
+				for _, e := range eff {
+					t[e]++
 				}
-				vk[e] += d
+				continue
+			}
+			code := st.codes[l.code].code[:len(eff)]
+			bits := l.bits & 63 // a masked shift compiles to one instruction
+			for row, e := range eff {
+				t[int(e)<<bits|int(code[row])]++
 			}
 		}
 	}
@@ -848,7 +915,7 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 		effA := ps.effA[:n]
 		effB := ps.effB[:n]
 		cols := int32(ps.cols)
-		trashCell := int32(len(ps.pu) - 1)
+		trashCell := int32(len(ps.n)>>1 - 1)
 		trashA := int32(len(ps.minA) - 1)
 		trashB := int32(len(ps.minB) - 1)
 		for row := 0; row < n; row++ {
@@ -866,18 +933,11 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 			effA[row] = ri
 			effB[row] = rj
 		}
-		pu, pv := ps.pu, ps.pv
-		for _, e := range effCell {
-			pu[e]++
-		}
-		obj := b.Bool[ps.objCol][:n]
-		want := ps.want
+		t := ps.n
+		obj := b.Bool[ps.objCol][:len(effCell)]
+		flip := ps.flip
 		for row, e := range effCell {
-			x := 0.0
-			if obj[row] == want {
-				x = 1
-			}
-			pv[e] += x
+			t[int(e)<<1|int(b2u(obj[row])^flip)]++
 		}
 		colA := b.Numeric[ps.colA][:n]
 		minA, maxA := ps.minA, ps.maxA
@@ -904,6 +964,42 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 	}
 }
 
+// build fills the pass's code byte for every row of b.
+func (p *codePass) build(b *relation.Batch) {
+	n := b.Len
+	if cap(p.code) < n {
+		p.code = make([]uint8, n)
+	}
+	code := p.code[:n]
+	c0 := b.Bool[p.cols[0]][:n]
+	switch len(p.cols) {
+	case 1:
+		for row, x := range c0 {
+			code[row] = b2u(x) ^ p.flip
+		}
+	case 2:
+		c1 := b.Bool[p.cols[1]][:n]
+		for row, x := range c0 {
+			code[row] = (b2u(x) | b2u(c1[row])<<1) ^ p.flip
+		}
+	default:
+		c1 := b.Bool[p.cols[1]][:n]
+		c2 := b.Bool[p.cols[2]][:n]
+		for row, x := range c0 {
+			code[row] = (b2u(x) | b2u(c1[row])<<1 | b2u(c2[row])<<2) ^ p.flip
+		}
+	}
+}
+
+// b2u is 1 for true and 0 for false; the compiler makes it branch-free.
+func b2u(x bool) uint8 {
+	var u uint8
+	if x {
+		u = 1
+	}
+	return u
+}
+
 // skip settles rows a filter provably rejects without a scan: they
 // count toward every group's Total, the only statistic such a row
 // touches.
@@ -913,23 +1009,71 @@ func (st *execState) skip(rows int) {
 	}
 }
 
-// merge folds other's tallies into st, padding slots included. All
-// statistics are integer counts or extremes (the pair objective
-// tallies are exact small integers in float64; tally states hold no
-// float target sums — see sumLog), so the merged state matches a
-// serial scan exactly regardless of segmentation.
+// fold moves every 32-bit cell's count into its 64-bit totals.
+func (st *execState) fold() {
+	for _, gs := range st.groups {
+		for _, l := range gs.lanes {
+			l.fold()
+		}
+	}
+	for _, ps := range st.pairs {
+		ps.fold()
+	}
+	st.tallied = 0
+}
+
+// fold moves the 32-bit counts into the 64-bit totals.
+func (c *cells) fold() {
+	if c.wide == nil {
+		c.wide = make([]int, len(c.n))
+	}
+	for i, x := range c.n {
+		c.wide[i] += int(x)
+	}
+	clear(c.n)
+}
+
+// add folds o's counts into c. The caller keeps c's 32-bit cells from
+// wrapping.
+func (c *cells) add(o *cells) {
+	for i, x := range o.n {
+		c.n[i] += x
+	}
+	if o.wide != nil {
+		if c.wide == nil {
+			c.wide = make([]int, len(c.n))
+		}
+		for i, x := range o.wide {
+			c.wide[i] += x
+		}
+	}
+}
+
+// at returns cell i's count.
+func (c *cells) at(i int) int {
+	x := int(c.n[i])
+	if c.wide != nil {
+		x += c.wide[i]
+	}
+	return x
+}
+
+// merge folds other's tallies into st, trash buckets included, first
+// folding st's 32-bit cells when the two states' rows together could
+// wrap one. Every statistic is an integer count or an extreme (tally
+// states hold no float target sums — see sumLog), so the merged state
+// matches a serial scan exactly regardless of segmentation.
 func (st *execState) merge(other *execState) {
+	if st.tallied+other.tallied > math.MaxUint32 {
+		st.fold()
+	}
+	st.tallied += other.tallied
 	for i, gs := range st.groups {
 		og := other.groups[i]
 		gs.total += og.total
 		gs.nans += og.nans
-		for j := range gs.u {
-			gs.u[j] += og.u[j]
-		}
-		for k := range gs.v {
-			for j := range gs.v[k] {
-				gs.v[k][j] += og.v[k][j]
-			}
+		for k, l := range gs.lanes {
+			l.add(&og.lanes[k].cells)
 		}
 		if gs.minv != nil {
 			for j := range gs.minv {
@@ -944,13 +1088,7 @@ func (st *execState) merge(other *execState) {
 	}
 	for i, ps := range st.pairs {
 		op := other.pairs[i]
-		for j := range ps.pu {
-			ps.pu[j] += op.pu[j]
-		}
-		for j := range ps.pv {
-			//optlint:ignore floatmerge pair objective tallies are exact small integer counts stored in float64; integer-valued addition is exact, so the fold order cannot change the result
-			ps.pv[j] += op.pv[j]
-		}
+		ps.add(&op.cells)
 		for j := range ps.minA {
 			if op.minA[j] < ps.minA[j] {
 				ps.minA[j] = op.minA[j]
@@ -971,44 +1109,68 @@ func (st *execState) merge(other *execState) {
 }
 
 // publish converts the final tally state and the replayed target sums
-// into cached statistics, slicing the trash slots off every padded array
-// (with full capacity caps, so no later append can reach into them) and
-// copying the pair tallies into their grids' flat backing.
+// into cached statistics. A group's U sums each bucket's cells of its
+// first lane; V for condition k sums the cells of lane k/laneBits whose
+// code has bit k%laneBits set. A grid cell's U sums its two objective
+// cells and its V is the hit cell. Trash buckets are dropped, and the
+// extreme arrays are sliced with full capacity caps so no later append
+// can reach into them.
 func (st *execState) publish(set *StatsSet, sums *sumLog) {
 	for gi, gs := range st.groups {
+		m := gs.m
 		var minv, maxv []float64
 		if gs.minv != nil {
-			minv = gs.minv[:gs.m:gs.m]
-			maxv = gs.maxv[:gs.m:gs.m]
+			minv = gs.minv[:m:m]
+			maxv = gs.maxv[:m:m]
 		}
+		counts := make([]int, m*(1+len(gs.need.Bools)))
 		s := &Stats1D{
-			M: gs.m, Total: gs.total, NaNs: gs.nans,
-			U:      gs.u[:gs.m:gs.m],
+			M: m, Total: gs.total, NaNs: gs.nans,
+			U:      counts[:m:m],
 			MinVal: minv, MaxVal: maxv,
 			V:   map[bucketing.BoolCond][]int{},
 			Sum: map[int][]float64{},
 		}
-		for _, u := range gs.u[:gs.m] {
-			s.N += u
+		l := gs.lanes[0]
+		for e := range s.U {
+			for c := e << l.bits; c < (e+1)<<l.bits; c++ {
+				s.U[e] += l.at(c)
+			}
+			s.N += s.U[e]
 		}
 		for k, bc := range gs.need.Bools {
-			s.V[bc] = gs.v[k][:gs.m:gs.m]
+			l, bit := gs.lanes[k/laneBits], k%laneBits
+			v := counts[(k+1)*m : (k+2)*m : (k+2)*m]
+			for e := range v {
+				base := e << l.bits
+				for code := 0; code < 1<<l.bits; code++ {
+					if code>>bit&1 != 0 {
+						v[e] += l.at(base | code)
+					}
+				}
+			}
+			s.V[bc] = v
 		}
 		for k, t := range gs.need.Targets {
-			s.Sum[t] = sums.sums[gi][k][:gs.m:gs.m]
+			s.Sum[t] = sums.sums[gi][k][:m:m]
 		}
 		set.Groups[gs.need.Key] = s
 	}
 	for _, ps := range st.pairs {
-		copy(ps.gu, ps.pu) // padding slot beyond len(gu) stays behind
-		copy(ps.gv, ps.pv)
+		hits := 0
+		for c := range ps.gu {
+			miss, hit := ps.at(c<<1), ps.at(c<<1|1)
+			ps.gu[c] = miss + hit
+			ps.gv[c] = float64(hit)
+			hits += hit
+		}
 		ra, ca := ps.grid.Rows(), ps.grid.Cols()
 		set.Pairs[ps.need.Key] = &Stats2D{
 			Grid: ps.grid,
 			MinA: ps.minA[:ra:ra], MaxA: ps.maxA[:ra:ra],
 			MinB: ps.minB[:ca:ca], MaxB: ps.maxB[:ca:ca],
 			N:    ps.grid.Total(),
-			Hits: int(ps.grid.SumV()),
+			Hits: hits,
 		}
 	}
 }

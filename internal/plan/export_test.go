@@ -20,10 +20,13 @@ func runRef(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (
 
 // countBatchRef is the reference per-tuple kernel: one branchy row
 // loop per group and pair, the differential baseline the vectorized
-// kernel is pinned against. It shares the padded tally layout, so merge
-// and publish are kernel-agnostic. Target sums are logged (see sumLog):
-// each target-carrying group's per-row bucket is written into the
-// group's effective-index pass for countBatch to log.
+// kernel is pinned against. It computes each row's lane codes from the
+// raw Boolean columns, one condition at a time, and scatters only the
+// counted rows into the same lane tables, so merge and publish are
+// kernel-agnostic; TestKernelWideBooleansMatchBruteForce checks the
+// tables' derivation against plain per-row counts. Target sums are
+// logged (see sumLog): each target-carrying group's per-row bucket is
+// written into the group's effective-index pass for countBatch to log.
 func (st *execState) countBatchRef(b *relation.Batch) {
 	n := b.Len
 	for _, gs := range st.groups {
@@ -57,7 +60,6 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			if eff != nil {
 				eff[row] = int32(i)
 			}
-			gs.u[i]++
 			if gs.minv != nil {
 				x := col[row]
 				if x < gs.minv[i] {
@@ -67,12 +69,15 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 					gs.maxv[i] = x
 				}
 			}
-			for k := range gs.v {
-				e := 0
-				if b.Bool[gs.boolCol[k]][row] == gs.boolWant[k] {
-					e = 1
+			for li, l := range gs.lanes {
+				code := 0
+				for k := uint(0); k < l.bits; k++ {
+					bc := gs.need.Bools[li*laneBits+int(k)]
+					if b.Bool[st.boolPos[bc.Attr]][row] == bc.Want {
+						code |= 1 << k
+					}
 				}
-				gs.v[k][i] += e
+				l.n[i<<l.bits|code]++
 			}
 		}
 	}
@@ -82,10 +87,10 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 		colA := b.Numeric[ps.colA]
 		colB := b.Numeric[ps.colB]
 		obj := b.Bool[ps.objCol]
-		pu, pv, cols := ps.pu, ps.pv, ps.cols
+		cols := ps.cols
 		minA, maxA := ps.minA, ps.maxA
 		minB, maxB := ps.minB, ps.maxB
-		want := ps.want
+		want := ps.need.Obj.Want
 		for row := 0; row < n; row++ {
 			ri := int(ia[row])
 			if ri < 0 {
@@ -95,16 +100,11 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			if rj < 0 {
 				continue
 			}
-			idx := ri*cols + rj
-			pu[idx]++
-			// Flagless objective tally (as in the 1-D counting kernel):
-			// the objective bit is ~50% either way, so a conditional
-			// increment would mispredict constantly.
-			e := 0.0
+			cell := (ri*cols + rj) << 1
 			if obj[row] == want {
-				e = 1
+				cell |= 1
 			}
-			pv[idx] += e
+			ps.n[cell]++
 			a := colA[row]
 			if a < minA[ri] {
 				minA[ri] = a

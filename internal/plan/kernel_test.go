@@ -64,6 +64,33 @@ func kernelBatchRequirements(t *testing.T, rel relation.Relation, d Defaults, wi
 	return req
 }
 
+// wideBatchRequirements resolves a batch over wideSchema whose groups
+// tally all nine Booleans (three full lanes), a filtered group with a
+// false objective, and a pair grid with a false objective.
+func wideBatchRequirements(t *testing.T, rel relation.Relation, d Defaults) *Requirements {
+	t.Helper()
+	req := NewRequirements()
+	for _, q := range []Query{
+		{Op: OpRules},
+		{Op: OpRules, Numeric: "X", Objective: "B3", ObjectiveValue: false,
+			Conditions: []Condition{{Attr: "B1", Value: true}}},
+		{Op: OpRules2D, Numeric: "X", NumericB: "Y", Objective: "B4", ObjectiveValue: false},
+	} {
+		r, err := Resolve(rel, d, q)
+		if err != nil {
+			t.Fatalf("resolve %+v: %v", q, err)
+		}
+		req.Add(r)
+	}
+	for _, g := range req.Groups {
+		if len(g.Bools) == 9 {
+			return req
+		}
+	}
+	t.Fatal("no group tallies nine Booleans")
+	return nil
+}
+
 // compareStatsSets requires bit-identical statistics: every 1-D group
 // field (including float target sums) and every 2-D grid cell and
 // axis extreme must match exactly.
@@ -120,25 +147,33 @@ func compareStatsSets(t *testing.T, want, got *StatsSet) {
 // segmented in parallel, with float target sums and without them.
 func TestVectorizedKernelMatchesReference(t *testing.T) {
 	rel := kernelTestRelation(t, 20000)
+	wide := wideRelations(t, 20000)["memory"]
 	for _, tc := range []struct {
 		name        string
 		pes         int
 		withTargets bool
+		wide        bool
 	}{
-		{"serial_with_target_sums", 1, true},
-		{"parallel_4pe", 4, false},
-		{"parallel_with_target_sums", 4, true},
+		{"serial_with_target_sums", 1, true, false},
+		{"parallel_4pe", 4, false, false},
+		{"parallel_with_target_sums", 4, true, false},
+		{"wide_booleans", 1, false, true},
+		{"wide_booleans_4pe", 4, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ref bool) *StatsSet {
 				d := Defaults{Buckets: 137, GridSide: 23, SampleFactor: 40,
 					Seed: 5, PEs: tc.pes}
+				var r relation.Relation = rel
 				req := kernelBatchRequirements(t, rel, d, tc.withTargets)
+				if tc.wide {
+					r, req = wide, wideBatchRequirements(t, wide, d)
+				}
 				exec := Run
 				if ref {
 					exec = runRef
 				}
-				set, err := exec(rel, d, NewCache(0), req)
+				set, err := exec(r, d, NewCache(0), req)
 				if err != nil {
 					t.Fatal(err)
 				}

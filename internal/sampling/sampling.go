@@ -12,11 +12,15 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
 	"optrule/internal/relation"
 )
+
+// intHoldsFloat64 reports whether an int can carry a float64's bits.
+const intHoldsFloat64 = bits.UintSize == 64
 
 // WithReplacementIndices draws s indices uniformly at random with
 // replacement from [0, n) and returns them sorted ascending. The sorted
@@ -40,15 +44,29 @@ func WithReplacementIndices(rng *rand.Rand, n, s int) ([]int, error) {
 	if s == 0 {
 		return idx, nil
 	}
-	cum := make([]float64, s)
+	// idx first holds the running sums themselves, as float64 bit
+	// patterns, so the draw needs no second array. A 32-bit int cannot
+	// hold one; there the sums get their own array.
+	var cum []float64
+	if !intHoldsFloat64 {
+		cum = make([]float64, s)
+	}
 	total := 0.0
-	for i := range cum {
+	for i := range idx {
 		total += rng.ExpFloat64()
-		cum[i] = total
+		if intHoldsFloat64 {
+			idx[i] = int(math.Float64bits(total))
+		} else {
+			cum[i] = total
+		}
 	}
 	total += rng.ExpFloat64()
 	scale := float64(n) / total
-	for i, c := range cum {
+	for i := range idx {
+		c := math.Float64frombits(uint64(idx[i]))
+		if !intHoldsFloat64 {
+			c = cum[i]
+		}
 		k := int(c * scale)
 		if k >= n {
 			k = n - 1 // guard the half-open interval against rounding

@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,46 @@ func TestWithReplacementIndicesBounds(t *testing.T) {
 	for _, i := range idx {
 		if i < 0 || i >= 100 {
 			t.Fatalf("index %d out of range", i)
+		}
+	}
+}
+
+// cumulativeIndices is the two-array form of the exponential-spacings
+// draw: the running sums in their own float64 array, then scaled into
+// indices.
+func cumulativeIndices(rng *rand.Rand, n, s int) []int {
+	cum := make([]float64, s)
+	total := 0.0
+	for i := range cum {
+		total += rng.ExpFloat64()
+		cum[i] = total
+	}
+	total += rng.ExpFloat64()
+	scale := float64(n) / total
+	idx := make([]int, s)
+	for i, c := range cum {
+		idx[i] = min(int(c*scale), n-1)
+	}
+	return idx
+}
+
+// TestWithReplacementIndicesMatchesCumulativeFormula pins that keeping
+// the running sums in the index array as float64 bits draws exactly
+// the indices of the two-array formula, across seeds and sizes: one
+// draw, fewer draws than the population, and more.
+func TestWithReplacementIndicesMatchesCumulativeFormula(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, c := range []struct{ n, s int }{
+			{1, 1}, {7, 1}, {1000, 1}, {1000, 10}, {10, 1000}, {1, 50}, {1 << 20, 40000},
+		} {
+			got, err := WithReplacementIndices(rand.New(rand.NewSource(seed)), c.n, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cumulativeIndices(rand.New(rand.NewSource(seed)), c.n, c.s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d n=%d s=%d: indices differ from the two-array formula", seed, c.n, c.s)
+			}
 		}
 	}
 }

@@ -24,7 +24,9 @@ func SortFloat64s(xs []float64) {
 	}
 	// Map each float to a uint64 key that orders like the float: flip
 	// all bits of negatives, flip only the sign bit of non-negatives.
-	keys := make([]uint64, len(xs))
+	// The keys live in xs itself, as float64 bit patterns that are only
+	// moved, never computed on, so every pass needs just one scratch
+	// buffer.
 	for i, x := range xs {
 		b := math.Float64bits(x)
 		if b&(1<<63) != 0 {
@@ -32,19 +34,19 @@ func SortFloat64s(xs []float64) {
 		} else {
 			b |= 1 << 63
 		}
-		keys[i] = b
+		xs[i] = math.Float64frombits(b)
 	}
-	buf := make([]uint64, len(keys))
+	keys, buf := xs, make([]float64, len(xs))
 	var counts [256]int
 	for shift := uint(0); shift < 64; shift += 8 {
 		for i := range counts {
 			counts[i] = 0
 		}
 		for _, k := range keys {
-			counts[(k>>shift)&0xff]++
+			counts[(math.Float64bits(k)>>shift)&0xff]++
 		}
 		// Skip passes where every key shares the byte.
-		if counts[(keys[0]>>shift)&0xff] == len(keys) {
+		if counts[(math.Float64bits(keys[0])>>shift)&0xff] == len(keys) {
 			continue
 		}
 		pos := 0
@@ -53,13 +55,14 @@ func SortFloat64s(xs []float64) {
 			pos += c
 		}
 		for _, k := range keys {
-			b := (k >> shift) & 0xff
+			b := (math.Float64bits(k) >> shift) & 0xff
 			buf[counts[b]] = k
 			counts[b]++
 		}
 		keys, buf = buf, keys
 	}
-	for i, k := range keys {
+	for i, x := range keys {
+		k := math.Float64bits(x)
 		if k&(1<<63) != 0 {
 			k &^= 1 << 63
 		} else {

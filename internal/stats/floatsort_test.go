@@ -35,6 +35,54 @@ func TestSortFloat64sMatchesStdlib(t *testing.T) {
 			}
 		}
 	}
+	t.Run("special_keys", checkSpecialKeys)
+}
+
+// checkSpecialKeys sorts values whose radix keys are NaN bit patterns
+// — −0 and the negative subnormals — beside ±Inf, +0, positive
+// subnormals, the normal extremes and NaNs of both signs. The keys pass
+// through xs as float64 values, so the result must match the IEEE-754
+// total order bit for bit: sort.Float64s's order, with −0 before +0 and
+// NaNs placed by their bits.
+func checkSpecialKeys(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+		math.Float64frombits(1<<63 | 0x000f_ffff_ffff_ffff), // largest negative subnormal
+		math.Float64frombits(1<<63 | 0x0000_0000_dead_beef),
+		math.Float64frombits(0x0008_0000_0000_0000), // positive subnormal
+		-math.MaxFloat64, math.MaxFloat64, -1, 1,
+		math.NaN(), math.Float64frombits(1<<63 | 0x7ff8_0000_0000_0001), // NaNs of both signs
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+	}
+	// key is the IEEE-754 total order as an unsigned integer.
+	key := func(x float64) uint64 {
+		b := math.Float64bits(x)
+		if b&(1<<63) != 0 {
+			return ^b
+		}
+		return b | 1<<63
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{600, 4000} {
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(2) == 0 {
+				xs[i] = special[rng.Intn(len(special))]
+			} else {
+				// Subnormals of either sign, whose negatives key to NaNs.
+				xs[i] = math.Float64frombits(uint64(rng.Intn(2))<<63 | uint64(rng.Int63n(1<<52)))
+			}
+		}
+		want := append([]float64(nil), xs...)
+		sort.Slice(want, func(i, j int) bool { return key(want[i]) < key(want[j]) })
+		SortFloat64s(xs)
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: [%d] = %#x, want %#x", n, i, math.Float64bits(xs[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
 }
 
 func BenchmarkSortFloat64sRadix(b *testing.B) {

@@ -187,8 +187,14 @@
 //     range-scanning storage). Every batch, same-shape or mixed, runs
 //     on one batch-vectorized counting kernel — per-batch columnar
 //     passes over precomputed effective-bucket arrays instead of
-//     per-tuple branching — pinned bit-identical to its per-tuple
-//     reference. When every group in
+//     per-tuple branching. It packs each row's Boolean conditions,
+//     three at a time, into a code byte and scatter-adds the row once
+//     per three conditions into a 32-bit (bucket, code) table, from
+//     which the per-bucket counts u_i and v_i are derived; pair grids
+//     tally (cell, objective bit) the same way. Counts stay exact
+//     integers, folded into 64-bit totals before a cell could wrap,
+//     and the kernel is pinned bit-identical to its per-tuple
+//     reference and to plain per-row counts. When every group in
 //     the batch shares one conjunctive filter, the filter is pushed
 //     into the storage layer, where v3 zone maps skip whole block
 //     groups that provably contain no matching row.
