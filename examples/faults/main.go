@@ -1,23 +1,26 @@
-// Fault-tolerant mining: the scatter-gather walkthrough.
+// Fault-tolerant mining: the retry walkthrough.
 //
 // The counting scan is where a mining batch spends its I/O, so it is
-// the pass that scatters: with Config.Scatter.Workers > 0 the fused
-// counting schedule is split at shard boundaries, dispatched one task
-// per shard across a worker pool, and the partial tallies are merged
-// EXACTLY — integer counts only — so the mined rules are bit-identical
-// at every worker count. This example walks the recovery ladder with
-// faults injected by the deterministic harness (optrule.FaultRelation):
+// the pass that recovers from storage faults. It splits the rows into
+// chunks across Config.PEs workers and merges their tallies EXACTLY,
+// and Config.Scatter sets its per-chunk retry policy: a failed or
+// timed-out chunk is retried by the worker that counted it, which
+// first drops its partial tallies and requeues every chunk they held.
+// Average queries' float sums resume where the failed attempt's logged
+// rows end, so every answer stays bit-identical to a healthy run. This
+// example injects faults on the session's own relation with the
+// deterministic harness (optrule.FaultRelation):
 //
-//  1. a healthy baseline, serial vs scattered — identical rules;
+//  1. a healthy baseline, serial vs four workers — identical answers;
 //
-//  2. a pool whose workers' scans keep dying mid-task — retries and
-//     re-routing absorb every failure, rules still identical;
+//  2. scans that die mid-chunk — retries absorb every failure, answers
+//     still identical;
 //
-//  3. a pool that is broken outright — the coordinator direct-scans
-//     each task itself, rules still identical;
+//  3. scans that stall past the per-attempt timeout — the attempts are
+//     cut and retried, answers still identical;
 //
-//  4. storage so broken even the direct scans fail — the batch still
-//     returns, with the fault's identity in each query's Answer.Err;
+//  4. storage so broken every attempt fails — the batch still returns,
+//     with the fault's identity in each query's Answer.Err;
 //
 //  5. Close racing a scan — a defined ErrBusy, never a torn mapping.
 //
@@ -52,8 +55,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A sharded relation: 200k bank tuples in 8 shards. Shard
-	// boundaries are the scatter-gather task boundaries.
+	// A sharded relation: 200k bank tuples in 8 shards.
 	const tuples, shards = 200000, 8
 	src, err := optrule.SampleBankData(tuples, 42)
 	if err != nil {
@@ -69,104 +71,73 @@ func main() {
 	}
 	defer rel.Close()
 
-	cfg := optrule.Config{MinSupport: 0.05, MinConfidence: 0.55, Buckets: 500, Seed: 7}
-
-	// 1. Healthy baseline: serial, then scattered over four workers.
-	baseline, err := optrule.MineAll(rel, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scattered := cfg
-	scattered.Scatter = optrule.ScatterConfig{Workers: 4}
-	got, err := optrule.MineAll(rel, scattered)
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical := reflect.DeepEqual(baseline.Rules, got.Rules)
-	fmt.Printf("healthy:   %d rules serial, %d rules over 4 workers, identical=%v\n",
-		len(baseline.Rules), len(got.Rules), identical)
-	expect(identical, "healthy: scattered rules differ from serial")
-
-	// 2. Flaky pool: every worker reads through the fault harness — a
-	// third of its scans die 10k rows into a task. The coordinator
-	// retries failed tasks (re-routed off the failing worker) and the
-	// merge stays exact, so the rules cannot drift.
-	var stats optrule.ScatterStats
-	flaky := cfg
-	flaky.Scatter = optrule.ScatterConfig{
-		Workers: 4,
-		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
-			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
-				Seed: int64(i), FailProb: 0.33, FailAfterRows: 10000,
-			}))
-		},
-		Backoff: time.Millisecond,
-		Stats:   &stats,
-	}
-	got, err = optrule.MineAll(rel, flaky)
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical = reflect.DeepEqual(baseline.Rules, got.Rules)
-	fmt.Printf("flaky:     %d tasks, %d retries, %d fallbacks — identical=%v\n",
-		stats.Tasks.Load(), stats.Retries.Load(), stats.Fallbacks.Load(), identical)
-	expect(identical, "flaky: rules differ from serial")
-	expect(stats.Tasks.Load() > 0, "flaky: no task was scattered")
-
-	// 3. Broken pool: every worker fails every scan before the first
-	// batch. Attempts exhaust, and the coordinator falls back to
-	// direct scans of the (healthy) relation — the batch completes
-	// because the files are readable.
-	stats = optrule.ScatterStats{}
-	broken := cfg
-	broken.Scatter = optrule.ScatterConfig{
-		Workers: 2,
-		NewWorker: func(i int, rel optrule.Relation) optrule.Worker {
-			return optrule.NewLocalWorker(optrule.NewFaultRelation(rel, optrule.FaultConfig{
-				FailEvery: 1, // every scan, forever
-			}))
-		},
-		MaxAttempts: 2,
-		Backoff:     time.Millisecond,
-		Stats:       &stats,
-	}
-	got, err = optrule.MineAll(rel, broken)
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical = reflect.DeepEqual(baseline.Rules, got.Rules)
-	fmt.Printf("broken:    all %d tasks direct-scanned by the coordinator (%d fallbacks) — identical=%v\n",
-		stats.Tasks.Load(), stats.Fallbacks.Load(), identical)
-	expect(identical, "broken: rules differ from serial")
-	expect(stats.Tasks.Load() > 0, "broken: no task was scattered")
-	expect(stats.Fallbacks.Load() == stats.Tasks.Load(), "broken: %d fallbacks for %d tasks, want all",
-		stats.Fallbacks.Load(), stats.Tasks.Load())
-
-	// 4. Broken storage: the relation ITSELF fails every scan after
-	// the sampling pass, so workers and the direct fallback all fail.
-	// The batch still returns cleanly: each resolved query carries the
-	// storage error in its Answer.Err, and errors.Is reaches the
-	// injected sentinel through every layer.
-	fail := make([]int, 64)
-	for i := range fail {
-		fail[i] = i + 2 // ordinal 1 is the sampling scan; everything after fails
-	}
-	frel := optrule.NewFaultRelation(rel, optrule.FaultConfig{FailScans: fail, FailAfterRows: 5000})
-	session, err := optrule.NewSession(frel, optrule.Config{
-		Buckets: 500, Seed: 7,
-		Scatter: optrule.ScatterConfig{Workers: 2, MaxAttempts: 2, Backoff: time.Millisecond},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	answers, err := session.ExecuteBatch([]optrule.Query{
+	cfg := optrule.Config{MinSupport: 0.05, MinConfidence: 0.55, Buckets: 500, Seed: 7, PEs: 4}
+	queries := []optrule.Query{
 		{Op: optrule.OpRules, Objective: "CardLoan", ObjectiveValue: true},
 		{Op: optrule.OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: true},
-	})
-	if err != nil {
-		log.Fatal(err) // only cancellation fails the batch itself
+		{Op: optrule.OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1},
 	}
-	for i, a := range answers {
+	batch := func(rel optrule.Relation, cfg optrule.Config) []optrule.Answer {
+		session, err := optrule.NewSession(rel, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		answers, err := session.ExecuteBatch(queries)
+		if err != nil {
+			log.Fatal(err) // only cancellation fails the batch itself
+		}
+		return answers
+	}
+
+	// 1. Healthy baseline: serial, then four workers.
+	serial := cfg
+	serial.PEs = 1
+	baseline := batch(rel, serial)
+	for i, a := range baseline {
+		expect(a.Err == nil, "healthy: query %d: %v", i, a.Err)
+	}
+	expect(baseline[2].Range != nil, "healthy: the average query found no range")
+	identical := reflect.DeepEqual(baseline, batch(rel, cfg))
+	fmt.Printf("healthy:   %d rules + average range, serial vs 4 workers, identical=%v\n",
+		len(baseline[0].Rules)+len(baseline[1].Rules), identical)
+	expect(identical, "healthy: parallel answers differ from serial")
+
+	// 2. Flaky storage: three counting scans die 10k rows into their
+	// chunk. Each failed chunk is retried, and the merge stays exact,
+	// so neither the rules nor the average's float sums can drift.
+	var stats optrule.ScatterStats
+	flaky := cfg
+	flaky.Scatter = optrule.ScatterConfig{MaxAttempts: 4, Stats: &stats}
+	frel := optrule.NewFaultRelation(rel, optrule.FaultConfig{FailScans: []int{1, 3, 4}, FailAfterRows: 10000})
+	identical = reflect.DeepEqual(baseline, batch(frel, flaky))
+	fmt.Printf("flaky:     %d faults injected, %d retries — identical=%v\n",
+		frel.Injected(), stats.Retries.Load(), identical)
+	expect(identical, "flaky: answers differ from serial")
+	expect(stats.Retries.Load() > 0, "flaky: no chunk was retried")
+
+	// 3. Stalled storage: two scans hang 300 ms before their first
+	// batch, past the 100 ms per-attempt timeout. The attempts are cut
+	// and retried.
+	stats = optrule.ScatterStats{}
+	stall := cfg
+	stall.Scatter = optrule.ScatterConfig{MaxAttempts: 3, TaskTimeout: 100 * time.Millisecond, Stats: &stats}
+	frel = optrule.NewFaultRelation(rel, optrule.FaultConfig{
+		FailScans: []int{1, 2}, StallOnly: true, Stall: 300 * time.Millisecond,
+	})
+	identical = reflect.DeepEqual(baseline, batch(frel, stall))
+	fmt.Printf("stall:     %d timeouts, %d retries — identical=%v\n",
+		stats.Timeouts.Load(), stats.Retries.Load(), identical)
+	expect(identical, "stall: answers differ from serial")
+	expect(stats.Timeouts.Load() > 0, "stall: no attempt timed out")
+
+	// 4. Broken storage: every counting scan fails, so every chunk
+	// spends its attempts. The batch still returns cleanly: each
+	// resolved query carries the storage error in its Answer.Err, and
+	// errors.Is reaches the injected sentinel through every layer.
+	broken := cfg
+	broken.Scatter = optrule.ScatterConfig{MaxAttempts: 2}
+	frel = optrule.NewFaultRelation(rel, optrule.FaultConfig{FailEvery: 1, FailAfterRows: 5000})
+	for i, a := range batch(frel, broken) {
 		injected := errors.Is(a.Err, optrule.ErrInjected)
 		fmt.Printf("exhausted: query %d: injected=%v (%v)\n", i, injected, a.Err)
 		expect(injected, "exhausted: query %d lost the injected fault's identity", i)

@@ -3,6 +3,8 @@ package miner
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -30,74 +32,94 @@ func faultMatrixBackends(t *testing.T, n int) map[string]relation.Relation {
 	}
 }
 
-// TestFaultMatrixRulesIdentical is the differential fault matrix: for
-// every backend × worker count × failure mode, the mined rules must be
-// bit-identical to the healthy zero-worker baseline — faults may cost
-// retries, re-routes, timeouts, and fallbacks, but never a different
-// answer. Worker-layer faults are injected by wrapping each pool
-// worker's relation in the deterministic fault harness.
-func TestFaultMatrixRulesIdentical(t *testing.T) {
-	backends := faultMatrixBackends(t, 6000)
-	base := Config{Buckets: 60, Seed: 7, Workers: 2}
+// faultMatrixQueries is the matrix's batch: every numeric attribute's
+// rules, a conditioned rule query and an average query, whose float
+// target sums must survive retries bit for bit.
+var faultMatrixQueries = []Query{
+	{Op: OpRules, Objective: "CardLoan", ObjectiveValue: true},
+	{Op: OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: true,
+		Conditions: []Condition{{Attr: "AutoWithdraw", Value: true}}},
+	{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1},
+}
 
-	baseline, err := MineAll(backends["memory"], base)
+// faultMatrixBatch answers faultMatrixQueries in a fresh session over
+// rel, failing the test on any batch or per-query error.
+func faultMatrixBatch(t *testing.T, name string, rel relation.Relation, cfg Config) []Answer {
+	t.Helper()
+	sess, err := NewSession(rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(baseline.Rules) == 0 {
-		t.Fatal("degenerate matrix: baseline mined no rules")
+	answers, err := sess.ExecuteBatch(faultMatrixQueries)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i, a := range answers {
+		if a.Err != nil {
+			t.Fatalf("%s: query %d: %v", name, i, a.Err)
+		}
+	}
+	return answers
+}
+
+// TestFaultMatrixRulesIdentical is the differential fault matrix: for
+// every backend × PEs × storage fault mode, the batch's answers must be
+// bit-identical to the healthy serial baseline — faults may cost
+// retries and timeouts, but never a different answer. Faults are
+// injected on the session's own relation, with budgets the retry
+// policy outlasts.
+func TestFaultMatrixRulesIdentical(t *testing.T) {
+	backends := faultMatrixBackends(t, 6000)
+	base := Config{Buckets: 60, Seed: 7, Workers: 2, PEs: 1}
+	baseline := faultMatrixBatch(t, "baseline", backends["memory"], base)
+	if len(baseline[0].Rules) == 0 || baseline[2].Range == nil {
+		t.Fatal("degenerate matrix: baseline mined no rules or no average range")
 	}
 
 	modes := []struct {
 		name    string
-		cfg     relation.FaultConfig // per-worker fault plan (Seed is offset per worker)
-		scatter func(sc *ScatterConfig)
+		faults  relation.FaultConfig
+		timeout time.Duration
 	}{
 		{name: "healthy"},
-		{name: "midscan-fail", cfg: relation.FaultConfig{FailProb: 0.4, FailAfterRows: 1200}},
-		{name: "open-fail", cfg: relation.FaultConfig{FailProb: 0.4}},
-		{name: "short-batches", cfg: relation.FaultConfig{ShortBatches: 97}},
-		{name: "stall-timeout",
-			cfg: relation.FaultConfig{FailEvery: 1, StallOnly: true, Stall: 80 * time.Millisecond},
-			scatter: func(sc *ScatterConfig) {
-				sc.TaskTimeout = 15 * time.Millisecond
-				sc.MaxAttempts = 2
-			}},
+		{name: "midscan-fail", faults: relation.FaultConfig{FailScans: []int{1, 2, 3}, FailAfterRows: 1200}},
+		{name: "open-fail", faults: relation.FaultConfig{FailProb: 1, MaxFaults: 2}},
+		{name: "short-batches", faults: relation.FaultConfig{ShortBatches: 97}},
+		{name: "stall-timeout", timeout: 50 * time.Millisecond,
+			faults: relation.FaultConfig{FailScans: []int{1}, StallOnly: true, Stall: 200 * time.Millisecond}},
 	}
-
 	for name, rel := range backends {
-		for _, workers := range []int{0, 2, 4} {
+		for _, pes := range []int{1, 2, 4} {
 			for _, mode := range modes {
-				if workers == 0 && mode.name != "healthy" {
-					continue // worker-layer faults need a worker pool
-				}
+				run := fmt.Sprintf("%s/pes%d/%s", name, pes, mode.name)
+				var stats ScatterStats
 				cfg := base
-				cfg.Scatter = ScatterConfig{Workers: workers, Backoff: time.Microsecond}
-				if workers > 0 && mode.name != "healthy" {
-					mcfg := mode.cfg
-					cfg.Scatter.NewWorker = func(i int, r relation.Relation) Worker {
-						wcfg := mcfg
-						wcfg.Seed = int64(1000 + i)
-						return NewLocalWorker(relation.NewFaultRelation(r, wcfg))
-					}
+				cfg.PEs = pes
+				cfg.Scatter = ScatterConfig{MaxAttempts: 4, TaskTimeout: mode.timeout, Stats: &stats}
+				frel := relation.NewFaultRelation(rel, mode.faults)
+				got := faultMatrixBatch(t, run, frel, cfg)
+				if !reflect.DeepEqual(got, baseline) {
+					t.Errorf("%s: answers differ from the healthy baseline", run)
 				}
-				if mode.scatter != nil {
-					mode.scatter(&cfg.Scatter)
+				retries, timeouts := stats.Retries.Load(), stats.Timeouts.Load()
+				if (mode.faults.FailScans != nil || mode.faults.FailProb > 0) && retries == 0 {
+					t.Errorf("%s: no fault was retried", run)
 				}
-				got, err := MineAll(rel, cfg)
-				if err != nil {
-					t.Fatalf("%s/w=%d/%s: %v", name, workers, mode.name, err)
+				if mode.timeout > 0 && timeouts == 0 {
+					t.Errorf("%s: no attempt timed out", run)
 				}
-				sameRules(t, name+"/w="+mode.name, got, baseline)
+				if frel.Injected() != retries-timeouts {
+					t.Errorf("%s: %d faults injected but %d retried", run, frel.Injected(), retries-timeouts)
+				}
 			}
 		}
 	}
 }
 
 // TestFaultMatrixTransientWholeRelation injects budget-bounded faults
-// at the RELATION layer — the session's own scans fail, not just the
-// pool's — and pins that retries plus the direct fallback still
-// deliver the exact baseline rules once the fault budget runs dry.
+// on every backend's own scans: the first two counting scans fail
+// mid-chunk, then the budget is dry and the retries succeed with the
+// exact baseline rules.
 func TestFaultMatrixTransientWholeRelation(t *testing.T) {
 	backends := faultMatrixBackends(t, 6000)
 	base := Config{Buckets: 60, Seed: 7, Workers: 2}
@@ -106,17 +128,14 @@ func TestFaultMatrixTransientWholeRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, rel := range backends {
-		if name == "memory" {
-			continue // scatter needs range scans; memory has no worker pool to retry with
-		}
-		// Ordinal 1 is the sampling scan — kept healthy so boundaries
-		// match the baseline run; the next two scans (worker counting
-		// attempts) fail, then the budget is dry and retries succeed.
+		// Sampling reads points, which are never faulted, so ordinal 1
+		// is the first counting scan.
 		frel := relation.NewFaultRelation(rel, relation.FaultConfig{
-			FailScans: []int{2, 3}, FailAfterRows: 800, MaxFaults: 2,
+			FailScans: []int{1, 2}, FailAfterRows: 800, MaxFaults: 2,
 		})
 		cfg := base
-		cfg.Scatter = ScatterConfig{Workers: 2, Backoff: time.Microsecond}
+		cfg.PEs = 2
+		cfg.Scatter = ScatterConfig{MaxAttempts: 3}
 		got, err := MineAll(frel, cfg)
 		if err != nil {
 			t.Fatalf("%s: transient faults not recovered: %v", name, err)
@@ -129,52 +148,47 @@ func TestFaultMatrixTransientWholeRelation(t *testing.T) {
 }
 
 // TestBatchRetryExhaustionPerQueryErrors pins the terminal error
-// semantics: when storage failures outlast every recovery layer
-// (workers, retries, AND the coordinator's direct scan), the batch
+// semantics: when storage failures outlast every retry, the batch
 // still returns — no panic, no deadlock — with the injected fault's
-// identity in each resolved query's Answer.Err, while resolution
-// errors stay per-query too.
+// identity in each resolved query's Answer.Err, average queries
+// included, while resolution errors stay per-query too.
 func TestBatchRetryExhaustionPerQueryErrors(t *testing.T) {
-	bank, err := datagen.NewBank(datagen.BankConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := shardedOf(t, bank, 4000, 42, 3)
-	fail := make([]int, 64)
-	for i := range fail {
-		fail[i] = i + 2 // every scan after the sampling pass fails, forever
-	}
-	frel := relation.NewFaultRelation(sr, relation.FaultConfig{FailScans: fail, FailAfterRows: 500})
-	sess, err := NewSession(frel, Config{
-		Buckets: 40, Seed: 7,
-		Scatter: ScatterConfig{Workers: 2, MaxAttempts: 2, Backoff: time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers, err := sess.ExecuteBatch([]Query{
-		{Op: OpRules, Objective: "CardLoan", ObjectiveValue: true},
-		{Op: OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: true},
-		{Op: OpRules, Numeric: "NoSuchAttr", Objective: "CardLoan", ObjectiveValue: true},
-	})
-	if err != nil {
-		t.Fatalf("storage exhaustion must scope to queries, not fail the batch: %v", err)
-	}
-	if len(answers) != 3 {
-		t.Fatalf("got %d answers for 3 queries", len(answers))
-	}
-	for i := 0; i < 2; i++ {
-		if !errors.Is(answers[i].Err, relation.ErrInjected) {
-			t.Errorf("query %d: Answer.Err = %v, want the injected fault's identity", i, answers[i].Err)
+	queries := append(append([]Query(nil), faultMatrixQueries...),
+		Query{Op: OpRules, Numeric: "NoSuchAttr", Objective: "CardLoan", ObjectiveValue: true})
+	for name, rel := range faultMatrixBackends(t, 4000) {
+		for _, pes := range []int{1, 2, 4} {
+			run := fmt.Sprintf("%s/pes%d", name, pes)
+			// Every counting scan fails, forever; sampling reads points.
+			frel := relation.NewFaultRelation(rel, relation.FaultConfig{FailEvery: 1, FailAfterRows: 500})
+			sess, err := NewSession(frel, Config{
+				Buckets: 40, Seed: 7, PEs: pes,
+				Scatter: ScatterConfig{MaxAttempts: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers, err := sess.ExecuteBatch(queries)
+			if err != nil {
+				t.Fatalf("%s: storage exhaustion must scope to queries, not fail the batch: %v", run, err)
+			}
+			if len(answers) != len(queries) {
+				t.Fatalf("%s: got %d answers for %d queries", run, len(answers), len(queries))
+			}
+			last := len(queries) - 1
+			for i := 0; i < last; i++ {
+				if !errors.Is(answers[i].Err, relation.ErrInjected) {
+					t.Errorf("%s: query %d: Answer.Err = %v, want the injected fault's identity", run, i, answers[i].Err)
+				}
+			}
+			if answers[last].Err == nil || errors.Is(answers[last].Err, relation.ErrInjected) {
+				t.Errorf("%s: query %d: resolution error replaced by the storage error: %v", run, last, answers[last].Err)
+			}
+			// The one-shot wrappers unwrap the per-query error into a
+			// plain error return.
+			if _, err := MineAll(frel, Config{Buckets: 40, Seed: 7, PEs: pes}); !errors.Is(err, relation.ErrInjected) {
+				t.Errorf("%s: MineAll over broken storage: %v, want injected-fault error", run, err)
+			}
 		}
-	}
-	if answers[2].Err == nil || errors.Is(answers[2].Err, relation.ErrInjected) {
-		t.Errorf("query 2: resolution error replaced by the storage error: %v", answers[2].Err)
-	}
-	// The one-shot wrappers unwrap the per-query error into a plain
-	// error return — the contract the pre-scatter fault tests pinned.
-	if _, err := MineAll(frel, Config{Buckets: 40, Seed: 7}); err == nil || !errors.Is(err, relation.ErrInjected) {
-		t.Errorf("MineAll over broken storage: %v, want injected-fault error", err)
 	}
 }
 

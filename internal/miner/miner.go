@@ -181,31 +181,21 @@ type Config struct {
 	// rather than bucket approximations. Attributes with more distinct
 	// values fall back to the sampled equi-depth buckets.
 	ExactDomainLimit int
-	// Scatter sets the counting executor's recovery policy:
-	// Scatter.Workers > 0 hands each counting scan, batch and delta
-	// refresh alike, to an in-process worker pool one task per shard,
-	// with retries, re-routing, and a direct-scan fallback. Mined rules
-	// are identical at every worker count (see plan.ScatterConfig); the
-	// zero value counts in-process, one attempt per chunk.
+	// Scatter sets the counting executor's per-chunk retry policy for
+	// every counting scan, batch and delta refresh alike: attempts per
+	// chunk, a per-attempt timeout, and the recovery counters. Mined
+	// rules are identical whatever is retried (see plan.ScatterConfig);
+	// the zero value counts each chunk once.
 	Scatter ScatterConfig
 }
 
-// ScatterConfig sets the counting executor's recovery policy; see
-// plan.ScatterConfig.
+// ScatterConfig sets the counting executor's per-chunk retry policy;
+// see plan.ScatterConfig.
 type ScatterConfig = plan.ScatterConfig
 
-// ScatterStats carries the scatter coordinator's recovery counters;
-// see plan.ScatterStats.
+// ScatterStats carries the counting executor's recovery counters; see
+// plan.ScatterStats.
 type ScatterStats = plan.ScatterStats
-
-// Worker executes scatter-gather counting tasks; see plan.Worker.
-type Worker = plan.Worker
-
-// NewLocalWorker returns the in-process scatter-gather worker over
-// rel; see plan.NewLocalWorker.
-func NewLocalWorker(rel relation.Relation) Worker {
-	return plan.NewLocalWorker(rel)
-}
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {

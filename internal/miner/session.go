@@ -279,7 +279,7 @@ func (s *Session) refreshLocked(ctx context.Context) (DeltaStats, error) {
 // (zero when everything is cached), and extraction runs per query on
 // the in-memory statistics. The returned slice is parallel to queries;
 // per-query failures — resolution errors AND storage failures the
-// scatter-gather executor could not recover from — land in Answer.Err,
+// counting executor's retries could not recover from — land in Answer.Err,
 // so a batch always returns one answer per query when the caller's
 // context is live.
 func (s *Session) ExecuteBatch(queries []Query) ([]Answer, error) {

@@ -67,8 +67,8 @@ func resampleBudget(sampleFactor int) float64 {
 //     counts are misaligned) and recounts on next demand.
 //   - Surviving groups and grids are completed by ONE fused counting
 //     scan over just the tail — the batch executor, countRange, run on
-//     [oldN, newN) with the same pushdown, chunk plan and recovery
-//     policy (a scattered session retries its tail scans too) — and
+//     [oldN, newN) with the same pushdown, chunk plan and retry
+//     policy — and
 //     advanced to generation gen by integer-exact folds. Float
 //     target sums are stripped by the fold (their accumulation order is
 //     observable); the next average query recounts them over the full

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/region"
@@ -151,7 +150,7 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 // and float target sums replay in the serial scan's addition order (see
 // sumLog), so every statistic is bit-identical at any worker count. A
 // relation without range scans counts serially.
-func scanParallelism(rel relation.Relation, d Defaults, _ []*GroupNeed, _ []*PairNeed) int {
+func scanParallelism(rel relation.Relation, d Defaults) int {
 	pes := d.PEs
 	if pes == 0 {
 		pes = runtime.GOMAXPROCS(0)
@@ -168,245 +167,192 @@ func scanParallelism(rel relation.Relation, d Defaults, _ []*GroupNeed, _ []*Pai
 // ---------------------------------------------------------------------
 // The counting executor: the paper's parallel counting (Algorithm 3.2)
 // once, for every caller. Rows are split into chunks, each chunk is
-// tallied into a private partial, and the partials are summed in chunk
-// order. Batches count [0, n), delta refreshes an appended tail; the
-// worker count and Defaults.Scatter decide who scans each chunk and
-// what a failed chunk costs (see recovery in scatter.go).
+// tallied into a private partial, and the partials are summed. Batches
+// count [0, n), delta refreshes an appended tail; Defaults.PEs sets the
+// worker count and Defaults.Scatter what a failed chunk costs (see
+// scatter.go).
 
 // countRange runs the fused counting scan of the scheduled groups and
 // pairs over rows [start, end) and publishes the totals into set. Every
-// schedule runs on the one general kernel.
+// schedule runs on the one general kernel and the one pool.
 //
-// Without a scatter pool and with one worker it issues exactly one
-// scan of the range. Otherwise the whole relation's chunk plan —
-// shard-exact scatterCuts for a scatter pool, cost-balanced
-// PlanScanChunks otherwise — is clipped to the range and a pool drains
-// one queue of chunks. Chunks PlanScanChunks proved empty under the
-// pushdown predicate are settled without a scan. In-process, each pool
-// slot folds every chunk it drains into one lazily built tally state:
-// a failed chunk fails the scan, so no partial ever has to be thrown
-// away, and tally memory grows with the worker count rather than the
-// chunk count. Float target sums bypass the tally states, serial or
-// parallel: each chunk logs them and a sumLog replays the logs in
-// chunk order, in chunks of at most about sumChunkRows rows. A scatter
-// pool keeps one partial per chunk, because a retried chunk's partial
-// must be discardable; it never carries target sums (see useScatter).
-// Every merged statistic is an integer count or an extreme, so the
-// totals are bit-identical across worker counts, placements, steal
-// orders and recovery actions whatever the fold order, and the first
-// error in chunk order is the one reported. Cancellation is observed
-// between batches, while waiting on a retry and across the pool.
+// With one worker the pool has one slot and the single chunk [start,
+// end), so it issues exactly one scan of the range. Otherwise the whole
+// relation's cost-balanced PlanScanChunks plan is clipped to the range
+// and the slots drain one queue of chunks; chunks the plan proved empty
+// under the pushdown predicate are settled without a scan. Each slot
+// folds every chunk it drains into one lazily built tally state, so
+// tally memory grows with the worker count rather than the chunk count.
+// Float target sums bypass the tally states: each chunk logs them and a
+// sumLog replays the logs in chunk order, in chunks of at most about
+// sumChunkRows rows. A failed attempt is retried under Defaults.Scatter
+// by the slot that made it, which first drops its state and requeues
+// every other chunk the state had folded. Every merged statistic is an
+// integer count or an extreme, so the totals are bit-identical across
+// worker counts, steal orders and retries whatever the fold order. A
+// chunk that spends its attempts fails the scan, with the first error
+// in chunk order. Cancellation is observed between batches, while
+// waiting on a retry and across the pool.
 func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *StatsSet,
 	groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
-	// direct counts chunk i in-process into st, building st first when
-	// it is nil: the serial scan, the pool slots' chunks and the scatter
-	// pool's last-resort fallback. A state built with a sumLog logs the
-	// chunk's target sums into it, and closes the chunk's log even when
-	// the scan fails, so no later chunk waits on it.
-	direct := func(st *execState, sums *sumLog, i int, c relation.ScanChunk) (*execState, error) {
-		if st == nil {
-			var err error
-			if st, err = newExecState(ctx, set, groups, pairs, numPos, boolPos, sums); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if st.clog != nil {
-			st.clog.chunk = i
-		}
-		if c.Pruned {
-			st.skip(c.End - c.Start)
-		} else {
-			err = scanChunk(ctx, rel, cols, pred, st, c.Start, c.End)
-		}
-		if st.clog != nil {
-			st.clog.finish()
-		}
-		return st, err
-	}
-	sc, workers := recovery(rel, d, groups)
-	pes := len(workers)
-	if workers == nil {
-		pes = min(scanParallelism(rel, d, groups, pairs), end-start)
-		if pes <= 1 {
-			sums, err := newSumLog(set, groups, 1, 1)
-			if err != nil {
-				return fmt.Errorf("plan: counting: %w", err)
-			}
-			st, err := direct(nil, sums, 0, relation.ScanChunk{Start: start, End: end})
-			if err != nil {
-				return fmt.Errorf("plan: counting: %w", err)
-			}
-			st.publish(set, sums)
-			return nil
-		}
-	}
-
-	var planned []relation.ScanChunk
-	if workers != nil {
-		cuts := scatterCuts(rel, pes, cols, pred)
-		for i := 1; i < len(cuts); i++ {
-			planned = append(planned, relation.ScanChunk{Start: cuts[i-1], End: cuts[i]})
-		}
-	} else {
+	pes := max(1, min(scanParallelism(rel, d), end-start))
+	chunks := []relation.ScanChunk{{Start: start, End: end}}
+	if pes > 1 {
 		// Target sums wait for replay until every earlier chunk is done,
 		// so their scans plan chunks of at most about sumChunkRows rows.
 		planPEs := pes
 		if carriesTargets(groups) {
 			planPEs = max(pes, (rel.NumTuples()+sumChunkRows-1)/sumChunkRows)
 		}
-		planned = relation.PlanScanChunks(rel, planPEs, cols, pred)
-	}
-	// Clip the plan to the range. A clipped pruned chunk stays pruned:
-	// every block group it overlaps is refuted.
-	var chunks []relation.ScanChunk
-	for _, c := range planned {
-		c.Start, c.End = max(c.Start, start), min(c.End, end)
-		if c.Start < c.End {
-			chunks = append(chunks, c)
+		// Clip the plan to the range. A clipped pruned chunk stays
+		// pruned: every block group it overlaps is refuted.
+		var clipped []relation.ScanChunk
+		for _, c := range relation.PlanScanChunks(rel, planPEs, cols, pred) {
+			c.Start, c.End = max(c.Start, start), min(c.End, end)
+			if c.Start < c.End {
+				clipped = append(clipped, c)
+			}
+		}
+		if len(clipped) > 0 {
+			chunks = clipped
 		}
 	}
-	if len(chunks) == 0 {
-		chunks = []relation.ScanChunk{{Start: start, End: end}}
-	}
-	if workers != nil {
-		sc.Stats.Tasks.Add(int64(len(chunks)))
-	}
 	// sums is the ordered replay of float target sums; nil for an
-	// integer-only schedule, which every scattered schedule is.
+	// integer-only schedule.
 	sums, err := newSumLog(set, groups, len(chunks), pes)
 	if err != nil {
 		return fmt.Errorf("plan: counting: %w", err)
 	}
-
-	// slots holds each in-process pool slot's tally state; only slot s
-	// touches slots[s] until the pool has drained.
-	slots := make([]*execState, pes)
-	// attempt runs one try of chunk i on pool slot s.
-	attempt := func(s, i int) (*execState, error) {
-		c := chunks[i]
-		if workers == nil {
-			st, err := direct(slots[s], sums, i, c)
-			slots[s] = st
-			return st, err
-		}
-		p, err := attemptTask(ctx, workers[s], &CountTask{Start: c.Start, End: c.End,
-			Groups: groups, Pairs: pairs, Set: set}, sc.TaskTimeout)
-		if err != nil {
-			return nil, err
-		}
-		return p.st, nil
+	policy := d.Scatter
+	stats := policy.Stats
+	if stats == nil {
+		stats = &ScatterStats{}
 	}
 
-	// Per-chunk scheduling state. A queued chunk is owned by whichever
-	// slot received it, so only that slot touches its entries. states[i]
-	// is chunk i's partial: the counting slot's state in-process.
-	states := make([]*execState, len(chunks))
+	// attempt counts chunk i once into st, building st first when it is
+	// nil, under the per-attempt deadline. A chunk counted to the end
+	// completes its log.
+	attempt := func(st *execState, i int) (*execState, error) {
+		if st == nil {
+			var err error
+			if st, err = newExecState(ctx, set, groups, pairs, numPos, boolPos, sums); err != nil {
+				return nil, err
+			}
+		}
+		if st.clog != nil {
+			st.clog.begin(i)
+		}
+		actx := ctx
+		if policy.TaskTimeout > 0 {
+			var cancel context.CancelFunc
+			actx, cancel = context.WithTimeout(ctx, policy.TaskTimeout)
+			defer cancel()
+		}
+		if c := chunks[i]; c.Pruned {
+			st.skip(c.End - c.Start)
+		} else if err := scanChunk(actx, rel, cols, pred, st, c.Start, c.End); err != nil {
+			return st, err
+		}
+		if st.clog != nil {
+			st.clog.finish()
+		}
+		return st, nil
+	}
+
+	// A queued chunk is owned by whichever slot received it, so only
+	// that slot touches its entries; the queue holds every chunk at most
+	// once, so a requeue never blocks.
 	errs := make([]error, len(chunks))
-	attempts := make([]int, len(chunks))
-	lastSlot := make([]int, len(chunks))
-	queue := make(chan int, len(chunks)) // one slot per chunk: a requeue never blocks
+	queue := make(chan int, len(chunks))
 	for i := range chunks {
-		lastSlot[i] = -1
 		queue <- i
 	}
 	var pending atomic.Int64
 	pending.Store(int64(len(chunks)))
-	settled := make(chan struct{}) // closed once every chunk succeeded or spent its attempts
+	settled := make(chan struct{}) // closed once every chunk is counted or failed for good
 	settle := func() {
 		if pending.Add(-1) == 0 {
 			close(settled)
 		}
 	}
-	var wg sync.WaitGroup
-	for s := 0; s < pes; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var i int
-				select {
-				case <-settled:
-					return
-				case <-ctx.Done():
-					return
-				case i = <-queue:
-				}
-				// Re-route: leave a chunk this worker just failed to another.
-				if len(workers) > 1 && lastSlot[i] == s {
-					queue <- i
-					if !sleepCtx(ctx, time.Millisecond) {
-						return
-					}
-					continue
-				}
-				st, err := attempt(s, i)
+	// slots[s] is pool slot s's tally state, nil until it counts a chunk
+	// and after a failed attempt.
+	slots := make([]*execState, pes)
+	slot := func(s int) {
+		var folded []int // chunks slots[s] holds
+		for {
+			var i int
+			select {
+			case <-settled:
+				return
+			case <-ctx.Done():
+				return
+			case i = <-queue:
+			}
+			for failures := 1; ; failures++ {
+				st, err := attempt(slots[s], i)
 				if err == nil {
-					states[i] = st
+					slots[s], folded = st, append(folded, i)
 					settle()
-					continue
+					break
 				}
+				// The failed attempt left the state partial.
+				slots[s] = nil
 				if ctx.Err() != nil {
+					sums.finish(i)
 					return
 				}
 				if errors.Is(err, context.DeadlineExceeded) {
-					sc.Stats.Timeouts.Add(1)
+					stats.Timeouts.Add(1)
 				}
-				lastSlot[i], errs[i] = s, err
-				attempts[i]++
-				if attempts[i] >= sc.MaxAttempts {
+				if failures >= policy.MaxAttempts {
+					errs[i] = err
+					sums.finish(i)
 					settle()
-					continue
+					folded = folded[:0]
+					break
 				}
-				sc.Stats.Retries.Add(1)
-				backoff := sc.Backoff << (attempts[i] - 1)
-				if backoff > sc.MaxBackoff {
-					backoff = sc.MaxBackoff
+				stats.Retries.Add(1)
+				pending.Add(int64(len(folded)))
+				for _, j := range folded {
+					queue <- j
 				}
-				if !sleepCtx(ctx, backoff) {
+				folded = folded[:0]
+				if !sleepCtx(ctx, backoff(failures)) {
+					sums.finish(i)
 					return
 				}
-				queue <- i
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	for s := 1; s < pes; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slot(s)
 		}()
 	}
+	slot(0)
 	wg.Wait() // every slot returns once all chunks settle or ctx ends
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("plan: counting: %w", err)
 	}
-
-	// A chunk that spent its attempts fails the scan unless the policy
-	// has a fallback: the scatter pool's coordinator then counts it
-	// directly, so a batch completes whenever the files are readable.
-	for i, c := range chunks {
-		if states[i] != nil {
-			continue
-		}
-		if workers == nil {
-			return fmt.Errorf("plan: counting: %w", errs[i])
-		}
-		sc.Stats.Fallbacks.Add(1)
-		st, err := direct(nil, nil, i, c)
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("plan: counting rows [%d,%d): %w (after %d worker attempts, last: %v)",
-				c.Start, c.End, err, attempts[i], errs[i])
+			return fmt.Errorf("plan: counting: %w", err)
 		}
-		states[i] = st
-	}
-	parts := states
-	if workers == nil {
-		parts = slots
 	}
 	var total *execState
-	for _, part := range parts {
+	for _, st := range slots {
 		switch {
-		case part == nil: // a slot that drew no chunk
+		case st == nil: // a slot that drew no chunk
 		case total == nil:
-			total = part
+			total = st
 		default:
-			total.merge(part)
+			total.merge(st)
 		}
 	}
 	total.publish(set, sums)

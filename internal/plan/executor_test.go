@@ -2,62 +2,13 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"optrule/internal/relation"
 )
-
-// TestScatterCancellationDuringBackoff pins that a retry backoff never
-// outlives the batch: with every worker failing and a 2 s backoff,
-// cancelling the context must end the run promptly, not after the
-// sleep.
-func TestScatterCancellationDuringBackoff(t *testing.T) {
-	rel, d := scatterFixture(t, 6000, 4)
-	ds := d
-	ds.Scatter = ScatterConfig{
-		Workers: 2,
-		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &flakyWorker{}
-			w.left.Store(1 << 30) // never recovers
-			return w
-		},
-		Backoff:    2 * time.Second,
-		MaxBackoff: 2 * time.Second,
-	}
-	req := NewRequirements()
-	for _, q := range scatterQueries() {
-		r, err := Resolve(rel, ds, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Add(r)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, rel, ds, NewCache(0), req)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	cancelled := time.Now()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-		}
-		if waited := time.Since(cancelled); waited > 250*time.Millisecond {
-			t.Fatalf("cancelled run returned %v after cancel: the backoff sleep held it", waited)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled run did not return")
-	}
-}
 
 // writeDeltaRel copies mem into a relation writer (a v3 file or a
 // sharded writer) with small block groups, so a tail chunk can start
@@ -233,7 +184,7 @@ func TestRunDeltaParallelTailMatchesSerialAndCold(t *testing.T) {
 				}
 				d := deltaTestDefaults
 				d.PEs = pes
-				if planPEs := scanParallelism(l.rel, d, groups, pairs); planPEs > 1 {
+				if planPEs := scanParallelism(l.rel, d); planPEs > 1 {
 					cols, _, _ := execLayout(groups, pairs)
 					pred := commonFilterPred(groups, pairs)
 					straddles := false
@@ -258,12 +209,11 @@ func TestRunDeltaParallelTailMatchesSerialAndCold(t *testing.T) {
 	}
 }
 
-// TestRunDeltaScatterRetriesAppendedShards pins that a scattered
-// session's tail scans go through the recovery policy: after an
-// AppendToSharded, the fold scatters one task per appended shard over
-// flaky workers, retries the failures, and folds statistics
-// bit-identical to the unscattered delta.
-func TestRunDeltaScatterRetriesAppendedShards(t *testing.T) {
+// TestRecoveryDeltaRetriesAppendedShards pins that delta refreshes go
+// through the retry policy: after an AppendToSharded, the tail scan
+// over faulty storage retries its failed chunks and folds statistics
+// bit-identical to the healthy delta.
+func TestRecoveryDeltaRetriesAppendedShards(t *testing.T) {
 	const oldN, newN, tailShard = 4000, 4200, 100
 	manifest := filepath.Join(t.TempDir(), "rel.oprs")
 	if err := relation.ConvertToSharded(deltaTestRel(t, oldN), manifest, 4, relation.DiskFormatV3); err != nil {
@@ -274,8 +224,8 @@ func TestRunDeltaScatterRetriesAppendedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sr.Close() })
-	plain, scattered := NewCache(-1), NewCache(-1)
-	for _, c := range []*LRUCache{plain, scattered} {
+	plain, retried := NewCache(-1), NewCache(-1)
+	for _, c := range []*LRUCache{plain, retried} {
 		if _, err := Run(sr, deltaTestDefaults, c, deltaTestReq(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -296,31 +246,21 @@ func TestRunDeltaScatterRetriesAppendedShards(t *testing.T) {
 	}
 	var stats ScatterStats
 	d := deltaTestDefaults
-	d.Scatter = ScatterConfig{
-		Workers: 2,
-		NewWorker: func(i int, r relation.Relation) Worker {
-			w := &flakyWorker{inner: NewLocalWorker(r)}
-			w.left.Store(1) // each worker's first attempt fails
-			return w
-		},
-		Backoff: time.Microsecond,
-		Stats:   &stats,
-	}
-	ds, err := RunDelta(context.Background(), sr, d, scattered, oldN, newN, 1)
+	d.PEs = 2
+	d.Scatter = ScatterConfig{MaxAttempts: 3, Stats: &stats}
+	frel := relation.NewFaultRelation(sr, relation.FaultConfig{FailScans: []int{1, 2}, FailAfterRows: 30})
+	ds, err := RunDelta(context.Background(), frel, d, retried, oldN, newN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.EntriesFolded != 3 {
-		t.Fatalf("scattered delta folded %d entries, want 3", ds.EntriesFolded)
+		t.Fatalf("retried delta folded %d entries, want 3", ds.EntriesFolded)
 	}
-	if want := int64((newN - oldN) / tailShard); stats.Tasks.Load() != want {
-		t.Errorf("scattered delta ran %d tasks, want one per appended shard (%d)", stats.Tasks.Load(), want)
-	}
-	if stats.Retries.Load() == 0 {
-		t.Error("flaky workers failed but no retries recorded")
+	if frel.Injected() != 2 || stats.Retries.Load() != 2 {
+		t.Errorf("%d faults injected, %d retries; want 2 and 2", frel.Injected(), stats.Retries.Load())
 	}
 	req := deltaTestReq(1)
-	if !reflect.DeepEqual(deltaSnapshot(t, scattered, req), deltaSnapshot(t, plain, req)) {
-		t.Error("scattered delta fold differs from the unscattered one")
+	if !reflect.DeepEqual(deltaSnapshot(t, retried, req), deltaSnapshot(t, plain, req)) {
+		t.Error("retried delta fold differs from the healthy one")
 	}
 }

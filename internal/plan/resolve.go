@@ -25,9 +25,9 @@ type Defaults struct {
 	// target sums included, is bit-identical at any worker count; see
 	// scanParallelism.
 	PEs int
-	// Scatter sets the counting executor's recovery policy for batches
-	// and delta refreshes alike (scatter.go). The zero value counts
-	// chunks in-process, one attempt each, with no fallback.
+	// Scatter sets the counting executor's per-chunk retry policy for
+	// batches and delta refreshes alike (scatter.go). The zero value
+	// counts each chunk once.
 	Scatter ScatterConfig
 }
 

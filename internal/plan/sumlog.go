@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"sync"
 
 	"optrule/internal/relation"
@@ -27,6 +28,12 @@ import (
 // size. countRange plans target-sum scans in chunks of at most about
 // sumChunkRows rows, so in a balanced scan a worker stays within a
 // chunk or two of the head and rarely waits.
+//
+// A failed attempt's open segment is never closed, so a retried chunk
+// resumes logging at its first row not yet closed into the log, and a
+// chunk whose log is complete logs nothing when it is counted again.
+// A retry therefore keeps the addition sequence whatever rows the
+// failed attempt had logged.
 
 // sumChunkRows caps the rows per chunk of a parallel scan carrying
 // target sums, where the storage layout allows: one v2/v3 block group
@@ -47,6 +54,7 @@ type sumLog struct {
 	sums    [][][]float64 // per scheduled group (nil without targets), per target: the padded totals
 	head    int           // lowest chunk whose log is not fully replayed
 	pend    [][]*sumSeg   // per chunk: closed segments awaiting replay, in row order
+	rows    []int         // per chunk: logged rows in closed segments
 	waiting int           // closed segments awaiting replay, over all chunks
 	done    []bool        // per chunk: every segment is closed
 	free    []*sumSeg
@@ -72,6 +80,7 @@ func newSumLog(set *StatsSet, groups []*GroupNeed, chunks, workers int) (*sumLog
 		limit: workers * sumPendingPerWorker,
 		sums:  make([][][]float64, len(groups)),
 		pend:  make([][]*sumSeg, chunks),
+		rows:  make([]int, chunks),
 		done:  make([]bool, chunks),
 	}
 	l.advance.L = &l.mu
@@ -136,6 +145,7 @@ func (l *sumLog) close(chunk int, s *sumSeg, last bool) {
 			l.advance.Wait()
 		}
 		l.pend[chunk] = append(l.pend[chunk], s)
+		l.rows[chunk] += s.n
 		l.waiting++
 	}
 	if last {
@@ -174,19 +184,42 @@ func (l *sumLog) replay(s *sumSeg) {
 	}
 }
 
+// finish marks chunk's log complete without closing another segment:
+// the log of a chunk that failed for good, so no later chunk waits on
+// it. A nil log has nothing to finish.
+func (l *sumLog) finish(chunk int) {
+	if l != nil {
+		l.close(chunk, nil, true)
+	}
+}
+
 // chunkLog is a tally state's writer into a sumLog: the state's
 // target-carrying groups log their sums instead of adding them.
 type chunkLog struct {
 	l     *sumLog
 	chunk int
+	skip  int     // the chunk's rows still to count before the next logged row
 	seg   *sumSeg // open segment, nil until the chunk's next logged row
 }
 
-// record logs rows [0, b.Len) of a counted batch. Each logged group's
-// effective buckets are its effective-index pass's, which the kernel
-// has just filled.
+// begin points the writer at chunk, resuming after the rows already
+// closed into its log; a complete log is not written again.
+func (w *chunkLog) begin(chunk int) {
+	w.l.mu.Lock()
+	defer w.l.mu.Unlock()
+	w.chunk, w.skip = chunk, w.l.rows[chunk]
+	if w.l.done[chunk] {
+		w.skip = math.MaxInt
+	}
+}
+
+// record logs the rows of a counted batch past the writer's skip. Each
+// logged group's effective buckets are its effective-index pass's,
+// which the kernel has just filled.
 func (w *chunkLog) record(st *execState, b *relation.Batch) {
-	for r0 := 0; r0 < b.Len; {
+	r0 := min(w.skip, b.Len)
+	w.skip -= r0
+	for r0 < b.Len {
 		if w.seg == nil {
 			w.seg = w.l.segment()
 		}

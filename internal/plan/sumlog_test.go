@@ -102,9 +102,11 @@ func sumRelations(t *testing.T, n int) []struct {
 // TestParallelTargetSumsMatchSerial pins the ordered replay of float
 // target sums: average-operator groups over order-sensitive targets,
 // scheduled beside integer-only groups, count bit-identically at PEs
-// 1, 2 and 5 on every backend. The fixture is checked to be
-// adversarial: summing each planned chunk on its own and folding the
-// partials in chunk order gives different bits than the serial scan.
+// 1, 2 and 5 on every backend, and at PEs 2 when transient faults cut
+// both chunks' first scans past their first log segment. The fixture
+// is checked to be adversarial: summing each planned chunk on its own
+// and folding the partials in chunk order gives different bits than
+// the serial scan.
 func TestParallelTargetSumsMatchSerial(t *testing.T) {
 	const n = 30000
 	rels := sumRelations(t, n)
@@ -114,8 +116,8 @@ func TestParallelTargetSumsMatchSerial(t *testing.T) {
 		{Op: OpAverage, Numeric: "Y", Target: "T", MinSupport: 0.1},
 		{Op: OpRules, Numeric: "X", Objective: "C", ObjectiveValue: true},
 	}
-	run := func(rel relation.Relation, pes int) (*StatsSet, *Requirements) {
-		d := Defaults{Buckets: 5, GridSide: 4, SampleFactor: 40, Seed: 3, PEs: pes}
+	run := func(rel relation.Relation, pes int, policy ScatterConfig) (*StatsSet, *Requirements) {
+		d := Defaults{Buckets: 5, GridSide: 4, SampleFactor: 40, Seed: 3, PEs: pes, Scatter: policy}
 		req := NewRequirements()
 		for _, q := range queries {
 			r, err := Resolve(rel, d, q)
@@ -130,7 +132,7 @@ func TestParallelTargetSumsMatchSerial(t *testing.T) {
 		}
 		return set, req
 	}
-	want, req := run(rels[0].rel, 1)
+	want, req := run(rels[0].rel, 1, ScatterConfig{})
 
 	// Non-vacuity: folding per-chunk partial sums must lose bit identity.
 	var groups []*GroupNeed
@@ -178,11 +180,20 @@ func TestParallelTargetSumsMatchSerial(t *testing.T) {
 	for _, r := range rels {
 		for _, pes := range []int{1, 2, 5} {
 			t.Run(fmt.Sprintf("%s/pes%d", r.name, pes), func(t *testing.T) {
-				got, _ := run(r.rel, pes)
+				got, _ := run(r.rel, pes, ScatterConfig{})
 				compareStatsSets(t, want, got)
 			})
 		}
 	}
+	t.Run("memory/pes2/transient", func(t *testing.T) {
+		var stats ScatterStats
+		frel := relation.NewFaultRelation(rels[0].rel, relation.FaultConfig{FailScans: []int{1, 2}, FailAfterRows: 9000})
+		got, _ := run(frel, 2, ScatterConfig{MaxAttempts: 2, Stats: &stats})
+		if frel.Injected() != 2 || stats.Retries.Load() != 2 {
+			t.Fatalf("%d faults injected, %d retries; want 2 and 2", frel.Injected(), stats.Retries.Load())
+		}
+		compareStatsSets(t, want, got)
+	})
 }
 
 // testSumLog returns the ordered replay of one group with m buckets and

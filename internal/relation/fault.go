@@ -11,8 +11,8 @@ import (
 // Deterministic storage fault injection. FaultRelation wraps any
 // backend — memory, v1/v2/v3 disk, sharded — and injects failures into
 // its scan surface so the layers above (prefetchers, shard pipelines,
-// the plan executor, the scatter-gather coordinator) can be driven
-// through their error paths on demand. Injection is seed-driven and
+// the plan executor and its per-chunk retries) can be driven through
+// their error paths on demand. Injection is seed-driven and
 // deterministic: which scans fail is a pure function of the config and
 // each scan's ordinal (a process-wide atomic counter per wrapper), so a
 // failing test case replays exactly.
@@ -53,7 +53,7 @@ type FaultConfig struct {
 	MaxFaults int
 	// Stall is slept before a selected scan delivers its fault (or its
 	// first batch, when StallOnly is set) — long enough a stall trips
-	// per-worker timeouts in the scatter executor.
+	// the counting executor's per-attempt timeout.
 	Stall time.Duration
 	// StallOnly turns selected scans into slow-but-successful ones:
 	// they stall, then complete normally without error.

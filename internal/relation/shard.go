@@ -347,14 +347,6 @@ func (sr *ShardedRelation) NumTuples() int { return sr.cur.Load().numRows }
 // NumShards returns the number of shard files backing the relation.
 func (sr *ShardedRelation) NumShards() int { return len(sr.cur.Load().shards) }
 
-// ShardStarts returns the global row offset of each shard's first
-// tuple plus a final NumTuples entry (len NumShards()+1, monotone
-// non-decreasing) — the natural task boundaries for a scatter-gather
-// coordinator assigning one worker per shard.
-func (sr *ShardedRelation) ShardStarts() []int {
-	return append([]int(nil), sr.cur.Load().starts...)
-}
-
 // ManifestPath returns the path the relation was opened from.
 func (sr *ShardedRelation) ManifestPath() string { return sr.manifestPath }
 

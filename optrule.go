@@ -250,7 +250,7 @@
 // to their pre-session behavior (differential tests pin this across
 // all storage backends).
 //
-// # Fault tolerance & scatter-gather execution
+// # Fault tolerance
 //
 // Counting is where a mining batch spends its I/O, and one executor
 // runs every counting scan — batch, delta refresh, serial or parallel.
@@ -260,33 +260,25 @@
 // counts and extremes merge exactly; float target sums (the average
 // operator) are logged per chunk and replayed in chunk order, the
 // serial scan's exact addition sequence, so no statistic depends on
-// segmentation. Config.Scatter sets its recovery policy: with
-// Config.Scatter.Workers > 0 the chunks are cut at shard boundaries
-// (storage-aligned segments on single-file relations) and each is
-// dispatched as one task to a pool of Workers. The merge is EXACT — a
-// scattered schedule carries only integer counts and extremes, never
-// order-sensitive float sums (schedules with the average operator's
-// target sums count in-process) — so the mined rules are bit-identical
-// at every worker count, under every placement, and after every
-// recovery action. The zero value of Config.Scatter counts the
-// chunks in-process, one attempt each, with no fallback.
+// segmentation. Config.Scatter sets its per-chunk retry policy:
+// MaxAttempts, a per-attempt TaskTimeout, and ScatterStats counters.
+// The zero value counts each chunk once.
 //
-// Failures escalate through three layers, and a batch completes
-// whenever the underlying files are readable:
+// Failures go through two layers:
 //
-//  1. RETRY — a failed or timed-out task attempt is retried with capped
-//     exponential backoff, re-routed away from the worker that just
-//     failed it. A stalled worker is abandoned at TaskTimeout and its
-//     partial is discarded, never merged.
-//  2. FALLBACK — a task that exhausts MaxAttempts is counted by the
-//     coordinator itself, directly against the relation.
-//  3. SURFACE — if even the direct scan fails, the error is scoped to
-//     the QUERIES it starved, not the process: every resolved query in
-//     the batch gets the storage error in its Answer.Err and
+//  1. RETRY — a failed or timed-out attempt is retried after a capped
+//     exponential backoff (2 ms doubling to 250 ms) by the worker that
+//     made it. The worker drops its partial and recounts every chunk
+//     that partial held, and a retried chunk's target sums resume
+//     where its logged rows end, so the mined rules are bit-identical
+//     whatever is retried, average batches included.
+//  2. SURFACE — once a chunk spends MaxAttempts, the error is scoped
+//     to the QUERIES it starved, not the process: every resolved query
+//     in the batch gets the storage error in its Answer.Err and
 //     ExecuteBatch itself returns nil error. Context cancellation, by
 //     contrast, is a caller decision and fails the whole batch
-//     (ExecuteBatchContext). ScatterStats exposes the recovery
-//     counters.
+//     (ExecuteBatchContext), also while a retry waits. ScatterStats
+//     exposes the retry and timeout counters.
 //
 // The machinery is testable because faults are injectable: FaultRelation
 // wraps any backend with a deterministic, seed-driven fault plan
@@ -657,27 +649,15 @@ func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (int
 	return relation.AppendToSharded(manifestPath, src, opts)
 }
 
-// ScatterConfig sets the counting executor's recovery policy
-// (Config.Scatter): a worker pool with retries, re-routing and a
-// direct-scan fallback. The zero value counts chunks in-process, one
-// attempt each. See the package documentation's Fault tolerance
-// section.
+// ScatterConfig sets the counting executor's per-chunk retry policy
+// (Config.Scatter): attempts per chunk, a per-attempt timeout, and the
+// recovery counters. The zero value counts each chunk once. See the
+// package documentation's Fault tolerance section.
 type ScatterConfig = miner.ScatterConfig
 
-// ScatterStats carries the scatter coordinator's recovery counters
-// (tasks, retries, timeouts, fallbacks), written atomically.
+// ScatterStats carries the counting executor's recovery counters
+// (retries, timeouts), written atomically.
 type ScatterStats = miner.ScatterStats
-
-// Worker executes scatter-gather counting tasks; the in-process
-// implementation is NewLocalWorker, and ScatterConfig.NewWorker
-// injects alternatives (including faulty ones, for testing).
-type Worker = miner.Worker
-
-// NewLocalWorker returns the in-process scatter-gather worker over
-// rel.
-func NewLocalWorker(rel Relation) Worker {
-	return miner.NewLocalWorker(rel)
-}
 
 // FaultRelation wraps any relation with deterministic, seed-driven
 // storage fault injection — the harness behind the fault-matrix tests.
