@@ -147,7 +147,8 @@ func BenchmarkFig11SupportNaive(b *testing.B) {
 }
 
 // BenchmarkParallelBucketing measures the Section 3.3 parallel counting
-// scan (Algorithm 3.2) with 8 processing elements over 1M tuples.
+// scan (Algorithm 3.2) with 8 workers of the engine's counting
+// executor over 1M tuples, the path experiments.Parallel times.
 func BenchmarkParallelBucketing(b *testing.B) {
 	shape, err := datagen.NewPerfShape(1, 4, nil)
 	if err != nil {
@@ -159,13 +160,9 @@ func BenchmarkParallelBucketing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var opts bucketing.Options
-	for _, bi := range rel.Schema().BooleanIndices() {
-		opts.Bools = append(opts.Bools, bucketing.BoolCond{Attr: bi, Want: true})
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bucketing.ParallelCount(rel, 0, bounds, opts, 8); err != nil {
+		if err := experiments.CountScan(rel, 0, bounds, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

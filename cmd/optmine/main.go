@@ -105,17 +105,24 @@ func run(args []string, w *os.File) error {
 		return runBatch(rel, *batch, cfg, *jsonOut, *cacheStats, w)
 	}
 
+	// Every other mode runs its queries on one session, so queries that
+	// share statistics share the session's scans.
+	session, err := miner.NewSession(rel, cfg)
+	if err != nil {
+		return err
+	}
+
 	if *avg {
 		if *numeric == "" || *target == "" {
 			return fmt.Errorf("average mode requires -numeric and -target")
 		}
-		got, err := miner.MaxAverageRange(rel, *numeric, *target, *minSup, cfg)
+		got, err := session.MaxAverageRange(*numeric, *target, *minSup)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "maximum-average range:", got)
 		if *minAvg > 0 {
-			msr, err := miner.MaxSupportRange(rel, *numeric, *target, *minAvg, cfg)
+			msr, err := session.MaxSupportRange(*numeric, *target, *minAvg)
 			if err != nil {
 				return err
 			}
@@ -147,7 +154,7 @@ func run(args []string, w *os.File) error {
 		default:
 			return fmt.Errorf("unknown region class %q (want xmonotone or rectconvex)", *regionClass)
 		}
-		res, err := miner.MineAll2D(rel, opt, cfg)
+		res, err := session.MineAll2D(opt)
 		if err != nil {
 			return err
 		}
@@ -188,7 +195,7 @@ func run(args []string, w *os.File) error {
 		}
 		var rules []*miner.Rule2D
 		for _, kind := range []miner.RuleKind{miner.OptimizedSupport, miner.OptimizedConfidence} {
-			r, err := miner.Mine2D(rel, *numeric, *numeric2, *objective, *objValue, kind, *gridSide, cfg)
+			r, err := session.Mine2D(*numeric, *numeric2, *objective, *objValue, kind, *gridSide)
 			if err != nil {
 				return err
 			}
@@ -200,9 +207,9 @@ func run(args []string, w *os.File) error {
 		switch *regionClass {
 		case "":
 		case "xmonotone":
-			regionRule, err = miner.MineXMonotone(rel, *numeric, *numeric2, *objective, *objValue, *gridSide, cfg)
+			regionRule, err = session.MineXMonotone(*numeric, *numeric2, *objective, *objValue, *gridSide)
 		case "rectconvex":
-			regionRule, err = miner.MineRectilinearConvex(rel, *numeric, *numeric2, *objective, *objValue, *gridSide, cfg)
+			regionRule, err = session.MineRectilinearConvex(*numeric, *numeric2, *objective, *objValue, *gridSide)
 		default:
 			return fmt.Errorf("unknown region class %q (want xmonotone or rectconvex)", *regionClass)
 		}
@@ -246,7 +253,7 @@ func run(args []string, w *os.File) error {
 		if err != nil {
 			return err
 		}
-		sup, conf, err := miner.Mine(rel, *numeric, *objective, *objValue, conditions, cfg)
+		sup, conf, err := session.Mine(*numeric, *objective, *objValue, conditions)
 		if err != nil {
 			return err
 		}
@@ -269,7 +276,7 @@ func run(args []string, w *os.File) error {
 			fmt.Fprintln(w, conf)
 		}
 		if *topK > 1 {
-			rules, err := miner.MineTopK(rel, *numeric, *objective, *objValue, miner.OptimizedConfidence, *topK, cfg)
+			rules, err := session.MineTopK(*numeric, *objective, *objValue, miner.OptimizedConfidence, *topK)
 			if err != nil {
 				return err
 			}
@@ -279,7 +286,7 @@ func run(args []string, w *os.File) error {
 			}
 		}
 		if *profile {
-			prof, err := miner.BuildProfile(rel, *numeric, *objective, *objValue, 25, cfg)
+			prof, err := session.Profile(*numeric, *objective, *objValue, 25)
 			if err != nil {
 				return err
 			}
@@ -293,7 +300,7 @@ func run(args []string, w *os.File) error {
 		return nil
 	}
 
-	res, err := miner.MineAll(rel, cfg)
+	res, err := session.MineAll()
 	if err != nil {
 		return err
 	}

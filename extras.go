@@ -17,7 +17,8 @@ type ProfileBucket = miner.ProfileBucket
 type Verification = miner.Verification
 
 // BuildProfile computes the confidence-by-bucket profile of one
-// attribute pair with the given display resolution.
+// attribute pair with the given display resolution, on a throwaway
+// session (Session.Profile serves profiles from a session's cache).
 func BuildProfile(rel Relation, numeric, objective string, value bool, buckets int, cfg Config) (*Profile, error) {
 	return miner.BuildProfile(rel, numeric, objective, value, buckets, cfg)
 }

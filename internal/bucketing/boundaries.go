@@ -311,15 +311,6 @@ func SampledBoundaries(rel relation.Relation, attr, m, sampleFactor int, rng *ra
 	return FromSortedSample(clean, m)
 }
 
-// ExactBoundaries computes perfectly equi-depth boundaries by sorting a
-// full copy of the column. This is the non-approximate reference that
-// the Naive Sort and Vertical Split Sort baselines reduce to once the
-// column is in memory.
-func ExactBoundaries(column []float64, m int) (Boundaries, error) {
-	sorted := stats.SortedCopy(column)
-	return FromSortedSample(sorted, m)
-}
-
 // EquiWidthBoundaries cuts [lo, hi] into m equal-width buckets. The
 // paper's footnote 3 argues AGAINST this scheme — on skewed data some
 // equi-width bucket holds far more than 1/M of the tuples, inflating
@@ -381,7 +372,7 @@ func DistinctValueBoundaries(rel relation.Relation, attr, maxDistinct int) (Boun
 				// NaN is never equal to itself, so it can neither be a
 				// distinct "value" nor a well-ordered cut point; finest
 				// buckets don't apply (callers fall back to sampling,
-				// exactly as the fused MultiSampledBoundaries does).
+				// exactly as the fused MultiSampledBoundarySpecs does).
 				return fmt.Errorf("bucketing: attribute %d contains NaN; use equi-depth buckets instead", attr)
 			}
 			if _, ok := seen[v]; !ok {

@@ -224,3 +224,12 @@ func TestDistinctValueBoundariesFinest(t *testing.T) {
 		t.Errorf("empty relation accepted")
 	}
 }
+
+// ExactBoundaries computes perfectly equi-depth boundaries by sorting a
+// full copy of the column. This is the non-approximate reference that
+// the Naive Sort and Vertical Split Sort baselines reduce to once the
+// column is in memory.
+func ExactBoundaries(column []float64, m int) (Boundaries, error) {
+	sorted := stats.SortedCopy(column)
+	return FromSortedSample(sorted, m)
+}

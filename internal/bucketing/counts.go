@@ -85,37 +85,6 @@ func newCounts(m int, opts Options) *Counts {
 	return c
 }
 
-// merge adds other into c. Shapes must match.
-func (c *Counts) merge(other *Counts) {
-	c.N += other.N
-	c.Total += other.Total
-	c.NaNs += other.NaNs
-	for i := range c.U {
-		c.U[i] += other.U[i]
-	}
-	for k := range c.V {
-		for i := range c.V[k] {
-			c.V[k][i] += other.V[k][i]
-		}
-	}
-	for k := range c.Sum {
-		for i := range c.Sum[k] {
-			//optlint:ignore floatmerge target sums fold in fixed segment-index order (ParallelCount's coordinator), so the result is deterministic for a given segment plan regardless of goroutine scheduling
-			c.Sum[k][i] += other.Sum[k][i]
-		}
-	}
-	if c.MinVal != nil && other.MinVal != nil {
-		for i := range c.MinVal {
-			if other.MinVal[i] < c.MinVal[i] {
-				c.MinVal[i] = other.MinVal[i]
-			}
-			if other.MaxVal[i] > c.MaxVal[i] {
-				c.MaxVal[i] = other.MaxVal[i]
-			}
-		}
-	}
-}
-
 // Compact removes empty buckets, returning new counts whose buckets all
 // satisfy the u_i >= 1 assumption of Section 4's algorithms, plus a
 // mapping from compact bucket index to original bucket index. Adjacent
@@ -328,68 +297,4 @@ func prunedScanner(rel relation.Relation, opts Options) (relation.PrunedRangeSca
 func (c *Counts) skip(rows int) error {
 	c.Total += rows
 	return nil
-}
-
-// segmentBounds splits [0, n) into pes contiguous segments for the
-// parallel counting scan; see relation.AlignedSegments (where the
-// block-group-snapping logic now lives, shared with the miner's fused
-// 2-D counting scan).
-func segmentBounds(rel relation.Relation, n, pes int) []int {
-	return relation.AlignedSegments(rel, n, pes)
-}
-
-// ParallelCount is Algorithm 3.2: the relation's rows are split into
-// pes contiguous segments (aligned to the storage layer's block groups
-// when it declares them), each counted by its own goroutine
-// ("processing element") with no shared state, and the coordinator sums
-// the partial counts. Results are identical to Count.
-func ParallelCount(rel relation.RangeScanner, driver int, bounds Boundaries, opts Options, pes int) (*Counts, error) {
-	if pes < 1 {
-		return nil, fmt.Errorf("bucketing: processing element count %d must be positive", pes)
-	}
-	if err := validateOptions(rel.Schema(), driver, opts); err != nil {
-		return nil, err
-	}
-	n := rel.NumTuples()
-	if pes > n {
-		pes = n
-	}
-	if pes <= 1 {
-		return Count(rel, driver, bounds, opts)
-	}
-	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
-	prs, pred := prunedScanner(rel, opts)
-	segs := segmentBounds(rel, n, pes)
-	partials := make([]*Counts, pes)
-	errs := make(chan error, pes)
-	for p := 0; p < pes; p++ {
-		go func(p int) {
-			start, end := segs[p], segs[p+1]
-			local := newCounts(bounds.NumBuckets(), opts)
-			partials[p] = local
-			fn := func(b *relation.Batch) error {
-				countBatch(local, b, bounds, opts, targetPos, boolPos, filterPos)
-				return nil
-			}
-			if prs != nil {
-				errs <- prs.ScanRangePruned(start, end, cols, pred, local.skip, fn)
-			} else {
-				errs <- rel.ScanRange(start, end, cols, fn)
-			}
-		}(p)
-	}
-	var firstErr error
-	for p := 0; p < pes; p++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	total := newCounts(bounds.NumBuckets(), opts)
-	for _, part := range partials {
-		total.merge(part)
-	}
-	return total, nil
 }

@@ -2,7 +2,6 @@ package bucketing
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -202,148 +201,5 @@ func TestCompact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mapping, []int{0, 1, 2, 3}) {
 		t.Errorf("identity mapping = %v", mapping)
-	}
-}
-
-func TestParallelCountMatchesSequential(t *testing.T) {
-	n := 30000
-	rel := uniformRelation(t, n, 5)
-	rng := rand.New(rand.NewSource(6))
-	bounds, err := SampledBoundaries(rel, 0, 100, 40, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Bools: []BoolCond{{Attr: 1, Want: true}}, TrackExtremes: true}
-	seq, err := Count(rel, 0, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pes := range []int{1, 2, 3, 7, 16} {
-		par, err := ParallelCount(rel, 0, bounds, opts, pes)
-		if err != nil {
-			t.Fatalf("pes=%d: %v", pes, err)
-		}
-		if !reflect.DeepEqual(par.U, seq.U) {
-			t.Errorf("pes=%d: U differs", pes)
-		}
-		if !reflect.DeepEqual(par.V, seq.V) {
-			t.Errorf("pes=%d: V differs", pes)
-		}
-		if !reflect.DeepEqual(par.MinVal, seq.MinVal) || !reflect.DeepEqual(par.MaxVal, seq.MaxVal) {
-			t.Errorf("pes=%d: extremes differ", pes)
-		}
-		if par.N != seq.N || par.Total != seq.Total {
-			t.Errorf("pes=%d: totals differ", pes)
-		}
-	}
-}
-
-// TestParallelMultiCountMatchesMultiCount pins ParallelCount against
-// Count for each of several drivers (one with NaN holes) with two
-// objectives, a target sum and extremes. Per-segment partial sums add in
-// a different order, so the target sums agree only up to float rounding;
-// every other statistic must be identical.
-func TestParallelMultiCountMatchesMultiCount(t *testing.T) {
-	rel := multiRelation(t, 3000)
-	b0, err := NewBoundaries([]float64{20, 40, 60, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := NewBoundaries([]float64{-1000, 0, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drivers := []int{0, 1}
-	bounds := []Boundaries{b0, b1}
-	opts := Options{
-		Bools:         []BoolCond{{Attr: 2, Want: true}, {Attr: 4, Want: false}},
-		Targets:       []int{3},
-		TrackExtremes: true,
-	}
-	for d, driver := range drivers {
-		want, err := Count(rel, driver, bounds[d], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pes := range []int{1, 2, 7, 16} {
-			got, err := ParallelCount(rel, driver, bounds[d], opts, pes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.U, want.U) || !reflect.DeepEqual(got.V, want.V) {
-				t.Errorf("pes=%d driver %d: U/V differ", pes, driver)
-			}
-			if !reflect.DeepEqual(got.MinVal, want.MinVal) || !reflect.DeepEqual(got.MaxVal, want.MaxVal) {
-				t.Errorf("pes=%d driver %d: extremes differ", pes, driver)
-			}
-			if got.N != want.N || got.Total != want.Total || got.NaNs != want.NaNs {
-				t.Errorf("pes=%d driver %d: totals differ", pes, driver)
-			}
-			for k := range want.Sum {
-				for i := range want.Sum[k] {
-					if diff := got.Sum[k][i] - want.Sum[k][i]; math.Abs(diff) > 1e-6*(1+math.Abs(want.Sum[k][i])) {
-						t.Errorf("pes=%d driver %d: Sum[%d][%d] = %g, want %g", pes, driver, k, i, got.Sum[k][i], want.Sum[k][i])
-					}
-				}
-			}
-		}
-		if want.NaNs == 0 && driver == 1 {
-			t.Errorf("driver %d has no NaN values; the NaN path is untested", driver)
-		}
-	}
-}
-
-func TestParallelCountMorePEsThanRows(t *testing.T) {
-	rel := uniformRelation(t, 3, 8)
-	bounds, _ := NewBoundaries([]float64{0.5e6})
-	c, err := ParallelCount(rel, 0, bounds, Options{}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.N != 3 {
-		t.Errorf("N = %d, want 3", c.N)
-	}
-	if _, err := ParallelCount(rel, 0, bounds, Options{}, 0); err == nil {
-		t.Errorf("zero PEs accepted")
-	}
-}
-
-func TestParallelCountOnDiskRelation(t *testing.T) {
-	// Algorithm 3.2's real use case: disjoint scans of an on-disk file.
-	schema := relation.Schema{
-		{Name: "X", Kind: relation.Numeric},
-		{Name: "C", Kind: relation.Boolean},
-	}
-	path := t.TempDir() + "/par.opr"
-	dw, err := relation.NewDiskWriter(path, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	n := 20000
-	for i := 0; i < n; i++ {
-		if err := dw.Append([]float64{rng.Float64() * 100}, []bool{rng.Intn(3) == 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dr, err := relation.OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds, _ := NewBoundaries([]float64{25, 50, 75})
-	opts := Options{Bools: []BoolCond{{Attr: 1, Want: true}}}
-	seq, err := Count(dr, 0, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ParallelCount(dr, 0, bounds, opts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.U, par.U) || !reflect.DeepEqual(seq.V, par.V) {
-		t.Errorf("disk parallel count differs from sequential")
 	}
 }

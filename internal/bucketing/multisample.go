@@ -19,34 +19,6 @@ import (
 // counting scan, that is what lets the whole MineAll pipeline cost two
 // scans regardless of how many numeric attributes the relation has.
 
-// MultiSampledBoundaries fuses steps 1–3 of Algorithm 3.1 for several
-// numeric attributes into ONE sampling scan: each attrs[k] gets an
-// independent with-replacement sample of m·sampleFactor values driven by
-// rngs[k] (the same stream SampledBoundaries would consume), and its
-// equi-depth cut points are read off the sorted sample. Per-attribute
-// results are identical to SampledBoundaries(rel, attrs[k], m,
-// sampleFactor, rngs[k]).
-//
-// If exactDomainLimit > 0, the same scan also tracks each attribute's
-// distinct value set; attributes with at most exactDomainLimit distinct
-// finite values (and no NaNs) get finest buckets (Definition 2.5) —
-// one bucket per distinct value — exactly as DistinctValueBoundaries
-// would build, while the rest fall back to the sampled cut points.
-func MultiSampledBoundaries(rel relation.Relation, attrs []int, m, sampleFactor, exactDomainLimit int, rngs []*rand.Rand) ([]Boundaries, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("bucketing: bucket count %d must be positive", m)
-	}
-	if len(attrs) != len(rngs) {
-		return nil, fmt.Errorf("bucketing: %d attributes but %d rngs", len(attrs), len(rngs))
-	}
-	specs := make([]BoundarySpec, len(attrs))
-	for k, attr := range attrs {
-		specs[k] = BoundarySpec{Attr: attr, M: m, SampleFactor: sampleFactor,
-			ExactDomainLimit: exactDomainLimit}
-	}
-	return MultiSampledBoundarySpecs(rel, specs, rngs)
-}
-
 // BoundarySpec is one attribute's boundary request in a fused sampling
 // scan: M almost equi-depth buckets from a sample of M·SampleFactor
 // values, with the finest-bucket promotion (Definition 2.5) when
@@ -60,11 +32,18 @@ type BoundarySpec struct {
 	ExactDomainLimit int // 0 = no finest-bucket promotion
 }
 
-// MultiSampledBoundarySpecs generalizes MultiSampledBoundaries to
-// heterogeneous per-attribute resolutions: every spec's result is
-// identical to SampledBoundaries (or the finest-bucket path) run alone
-// with rngs[k], while the relation is scanned at most once for the
-// whole set.
+// MultiSampledBoundarySpecs fuses steps 1–3 of Algorithm 3.1 for
+// several numeric attributes, each at its own resolution, into ONE
+// sampling scan: spec k gets an independent with-replacement sample of
+// M·SampleFactor values driven by rngs[k] (the stream SampledBoundaries
+// would consume), and its equi-depth cut points are read off the sorted
+// sample. If a spec's ExactDomainLimit > 0, the same scan also tracks
+// the attribute's distinct values; one with at most that many distinct
+// finite values (and no NaNs) gets finest buckets (Definition 2.5), as
+// DistinctValueBoundaries would build. Every spec's result is identical
+// to SampledBoundaries (or the finest-bucket path) run alone with
+// rngs[k], while the relation is scanned at most once for the whole
+// set.
 func MultiSampledBoundarySpecs(rel relation.Relation, specs []BoundarySpec, rngs []*rand.Rand) ([]Boundaries, error) {
 	if len(specs) != len(rngs) {
 		return nil, fmt.Errorf("bucketing: %d specs but %d rngs", len(specs), len(rngs))

@@ -59,14 +59,6 @@ func TestCountSkipsNaNDrivers(t *testing.T) {
 			t.Errorf("NaN leaked into bucket %d extremes", i)
 		}
 	}
-	// NaNs survive merge (parallel counting).
-	par, err := ParallelCount(rel, 0, bounds, Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.NaNs != wantNaN {
-		t.Errorf("parallel NaNs = %d, want %d", par.NaNs, wantNaN)
-	}
 	// NaNs survive Compact.
 	compact, _ := c.Compact()
 	if compact.NaNs != c.NaNs {

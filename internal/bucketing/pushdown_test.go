@@ -9,9 +9,8 @@ import (
 	"optrule/internal/relation"
 )
 
-// The MultiCount names below are kept from the multi-driver counting API
-// these tests first pinned; the per-driver Count and ParallelCount carry
-// the same contracts in this package.
+// The MultiCount name below is kept from the multi-driver counting API
+// it first pinned; the per-driver Count carries the same contract.
 
 // pushdownFixture writes a clustered-filter data set as a v3 file and
 // mirrors it in memory: F is true only in rows [lo,hi), so every block
@@ -96,52 +95,5 @@ func TestMultiCountFilterPushdownOverV3(t *testing.T) {
 	full := dr.BytesRead() - before
 	if filtered >= full {
 		t.Errorf("filtered scan read %d bytes, unfiltered read %d; zone maps pruned nothing", filtered, full)
-	}
-}
-
-// TestParallelMultiCountFilterPushdownOverV3 checks the segmented scan
-// path: per-segment pruned scans must still account every skipped row
-// in the merged totals, agree with the serial result exactly (no float
-// targets, so all statistics are integers and extremes), and read fewer
-// bytes than the unfiltered parallel scan.
-func TestParallelMultiCountFilterPushdownOverV3(t *testing.T) {
-	const n, gr = 20000, 1000
-	dr, mem := pushdownFixture(t, n, gr, 4000, 8000)
-	bounds, err := SampledBoundaries(mem, 0, 50, 40, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		Bools:         []BoolCond{{Attr: 3, Want: true}},
-		Filter:        []BoolCond{{Attr: 2, Want: true}},
-		TrackExtremes: true,
-	}
-	want, err := Count(mem, 0, bounds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfiltered := opts
-	unfiltered.Filter = nil
-	for _, pes := range []int{2, 4, 7} {
-		before := dr.BytesRead()
-		got, err := ParallelCount(dr, 0, bounds, opts, pes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		filtered := dr.BytesRead() - before
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("pes=%d: parallel pushdown changed the counts:\n  serial memory: %+v\n  parallel v3:   %+v",
-				pes, want, got)
-		}
-		if got.Total != n {
-			t.Errorf("pes=%d: Total = %d, want %d", pes, got.Total, n)
-		}
-		before = dr.BytesRead()
-		if _, err := ParallelCount(dr, 0, bounds, unfiltered, pes); err != nil {
-			t.Fatal(err)
-		}
-		if full := dr.BytesRead() - before; filtered >= full {
-			t.Errorf("pes=%d: filtered scan read %d bytes, unfiltered read %d; zone maps pruned nothing", pes, filtered, full)
-		}
 	}
 }

@@ -20,22 +20,31 @@ import (
 // the optimized-confidence rule; when v_i sums a target attribute, it
 // is the maximum-average range of Section 5.
 func OptimalSlopePair(u []int, v []float64, minSupCount float64) (best Pair, ok bool, err error) {
+	return OptimalSlopePairScratch(u, v, minSupCount, nil)
+}
+
+// OptimalSlopePairScratch is OptimalSlopePair with pooled working
+// storage; see Scratch. sc may be nil.
+func OptimalSlopePairScratch(u []int, v []float64, minSupCount float64, sc *Scratch) (best Pair, ok bool, err error) {
 	if err := validate(u, v); err != nil {
 		return Pair{}, false, err
 	}
 	m := len(u)
-	pu, pv := prefixes(u, v)
+	pu, pv := sc.prefixes(u, v)
 	if float64(pu[m]) < minSupCount {
 		return Pair{}, false, nil // not even the full range is ample
 	}
 
 	// Points Q_0 … Q_M; X strictly increasing because u_i >= 1.
-	pts := make([]hull.Point, m+1)
+	pts := sc.points(m + 1)
 	for k := 0; k <= m; k++ {
 		pts[k] = hull.Point{X: float64(pu[k]), Y: pv[k]}
 	}
-	tree, err := hull.NewTree(pts)
-	if err != nil {
+	tree := &hull.Tree{}
+	if sc != nil {
+		tree = &sc.tree
+	}
+	if err := tree.Init(pts); err != nil {
 		return Pair{}, false, fmt.Errorf("core: building hull tree: %w", err)
 	}
 
@@ -126,7 +135,7 @@ func NaiveOptimalSlopePair(u []int, v []float64, minSupCount float64) (best Pair
 		return Pair{}, false, err
 	}
 	m := len(u)
-	pu, pv := prefixes(u, v)
+	pu, pv := prefixes(u, v, nil, nil)
 	bs, bt := -1, -1
 	for s := 0; s < m; s++ {
 		for t := s; t < m; t++ {

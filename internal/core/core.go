@@ -55,12 +55,14 @@ func validate(u []int, v []float64) error {
 }
 
 // prefixes returns cumulative sums PU, PV with PU[k] = Σ_{i<k} u_i and
-// PV[k] = Σ_{i<k} v_i (lengths M+1, index 0 is zero). These are the
-// coordinates of the paper's points Q_k.
-func prefixes(u []int, v []float64) (pu []int, pv []float64) {
+// PV[k] = Σ_{i<k} v_i (lengths M+1, index 0 is zero), in the given
+// buffers when they are large enough. These are the coordinates of the
+// paper's points Q_k.
+func prefixes(u []int, v []float64, puBuf []int, pvBuf []float64) (pu []int, pv []float64) {
 	m := len(u)
-	pu = make([]int, m+1)
-	pv = make([]float64, m+1)
+	pu = intSlice(puBuf, m+1)
+	pv = floatSlice(pvBuf, m+1)
+	pu[0], pv[0] = 0, 0
 	for i := 0; i < m; i++ {
 		pu[i+1] = pu[i] + u[i]
 		pv[i+1] = pv[i] + v[i]

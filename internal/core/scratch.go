@@ -1,22 +1,19 @@
 package core
 
-import (
-	"fmt"
-
-	"optrule/internal/hull"
-)
+import "optrule/internal/hull"
 
 // Scratch pools the per-call working storage of the Section 4 solvers:
 // prefix-sum tables, the gain table, the effective-index list, the hull
-// points, and the hull tree arena. One solver call allocates half a
-// dozen M-sized slices; the 2-D rectangle sweep makes O(M²) such calls
-// per grid, so callers there keep one Scratch per worker and use the
+// points, and the hull tree arena. One solver call allocates a few
+// M-sized slices; the 2-D rectangle sweep makes O(M²) such calls per
+// grid, so callers there keep one Scratch per worker and use the
 // *Scratch solver variants, which reuse the buffers across calls.
 //
 // A Scratch is NOT safe for concurrent use; give each goroutine its
-// own. The zero value is ready to use. Passing nil to the *Scratch
-// variants falls back to fresh allocations, which is exactly what the
-// plain entry points do.
+// own. The zero value is ready to use. A nil *Scratch allocates fresh
+// storage on every call; the plain entry points (OptimalSlopePair,
+// OptimalSupportPair) are the *Scratch variants with a nil Scratch, so
+// each solver has one body.
 type Scratch struct {
 	pu   []int
 	pv   []float64
@@ -26,38 +23,47 @@ type Scratch struct {
 	tree hull.Tree
 }
 
-// prefixesInto computes the cumulative tables PU, PV like prefixes,
-// reusing sc's buffers when sc is non-nil. The arithmetic is identical,
-// so scratch and non-scratch solver results are bit-for-bit equal.
-func prefixesInto(sc *Scratch, u []int, v []float64) (pu []int, pv []float64) {
+// prefixes computes the cumulative tables PU, PV in sc's buffers; a nil
+// sc allocates them.
+func (sc *Scratch) prefixes(u []int, v []float64) (pu []int, pv []float64) {
 	if sc == nil {
-		return prefixes(u, v)
+		return prefixes(u, v, nil, nil)
 	}
-	m := len(u)
-	sc.pu = intSlice(sc.pu, m+1)
-	sc.pv = floatSlice(sc.pv, m+1)
-	pu, pv = sc.pu, sc.pv
-	pu[0], pv[0] = 0, 0
-	for i := 0; i < m; i++ {
-		pu[i+1] = pu[i] + u[i]
-		pv[i+1] = pv[i] + v[i]
-	}
-	return pu, pv
+	sc.pu, sc.pv = prefixes(u, v, sc.pu, sc.pv)
+	return sc.pu, sc.pv
 }
 
-// gainPrefixInto computes the cumulative gain table F like gainPrefix,
-// reusing sc's buffer when sc is non-nil.
-func gainPrefixInto(sc *Scratch, u []int, v []float64, theta float64) []float64 {
+// gainPrefix computes the cumulative gain table F in sc's buffer; a nil
+// sc allocates it.
+func (sc *Scratch) gainPrefix(u []int, v []float64, theta float64) []float64 {
 	if sc == nil {
-		return gainPrefix(u, v, theta)
+		return gainPrefix(u, v, theta, nil)
 	}
-	sc.f = floatSlice(sc.f, len(u)+1)
-	f := sc.f
-	f[0] = 0
-	for i := range u {
-		f[i+1] = f[i] + (v[i] - theta*float64(u[i]))
+	sc.f = gainPrefix(u, v, theta, sc.f)
+	return sc.f
+}
+
+// effective returns an empty effective-index list with room for m
+// indices.
+func (sc *Scratch) effective(m int) []int {
+	if sc == nil {
+		return make([]int, 0, m)
 	}
-	return f
+	if cap(sc.eff) < m {
+		sc.eff = make([]int, 0, m)
+	}
+	return sc.eff[:0]
+}
+
+// points returns an n-point buffer for the hull points Q_k.
+func (sc *Scratch) points(n int) []hull.Point {
+	if sc == nil {
+		return make([]hull.Point, n)
+	}
+	if cap(sc.pts) < n {
+		sc.pts = make([]hull.Point, n)
+	}
+	return sc.pts[:n]
 }
 
 func intSlice(buf []int, n int) []int {
@@ -72,132 +78,4 @@ func floatSlice(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// OptimalSlopePairScratch is OptimalSlopePair with pooled working
-// storage; see Scratch. sc may be nil.
-func OptimalSlopePairScratch(u []int, v []float64, minSupCount float64, sc *Scratch) (best Pair, ok bool, err error) {
-	if err := validate(u, v); err != nil {
-		return Pair{}, false, err
-	}
-	m := len(u)
-	pu, pv := prefixesInto(sc, u, v)
-	if float64(pu[m]) < minSupCount {
-		return Pair{}, false, nil // not even the full range is ample
-	}
-
-	// Points Q_0 … Q_M; X strictly increasing because u_i >= 1.
-	var pts []hull.Point
-	var tree *hull.Tree
-	if sc == nil {
-		pts = make([]hull.Point, m+1)
-	} else {
-		if cap(sc.pts) < m+1 {
-			sc.pts = make([]hull.Point, m+1)
-		}
-		pts = sc.pts[:m+1]
-	}
-	for k := 0; k <= m; k++ {
-		pts[k] = hull.Point{X: float64(pu[k]), Y: pv[k]}
-	}
-	if sc == nil {
-		tree, err = hull.NewTree(pts)
-	} else {
-		tree = &sc.tree
-		err = tree.Init(pts)
-	}
-	if err != nil {
-		return Pair{}, false, fmt.Errorf("core: building hull tree: %w", err)
-	}
-
-	// Identical to OptimalSlopePair from here on (Algorithm 4.2).
-	lm, lt := -1, -1
-	bs, bt := -1, -1
-	r := 0
-	for anchor := 0; anchor < m; anchor++ {
-		if r < anchor+1 {
-			r = anchor + 1
-		}
-		for r <= m && float64(pu[r]-pu[anchor]) < minSupCount {
-			r++
-		}
-		if r > m {
-			break
-		}
-		tree.AdvanceTo(r)
-
-		if lm >= 0 && hull.AboveOrOn(pts[anchor], pts[lm], pts[lt]) {
-			continue
-		}
-		var t int
-		if lt >= r {
-			t = counterclockwiseSearch(tree, pts, anchor, lt)
-		} else {
-			t = clockwiseSearch(tree, pts, anchor)
-		}
-		lm, lt = anchor, t
-		if bs < 0 || cmpSlopePairs(pu, pv, anchor, t-1, bs, bt) > 0 {
-			bs, bt = anchor, t-1
-		}
-	}
-	if bs < 0 {
-		return Pair{}, false, nil
-	}
-	return makePair(pu, pv, bs, bt), true, nil
-}
-
-// OptimalSupportPairScratch is OptimalSupportPair with pooled working
-// storage; see Scratch. sc may be nil.
-func OptimalSupportPairScratch(u []int, v []float64, theta float64, sc *Scratch) (best Pair, ok bool, err error) {
-	if err := validate(u, v); err != nil {
-		return Pair{}, false, err
-	}
-	m := len(u)
-	f := gainPrefixInto(sc, u, v, theta)
-
-	// Algorithm 4.3 inline over the shared F table (same arithmetic as
-	// EffectiveIndices, which allocates its own F).
-	var eff []int
-	if sc == nil {
-		eff = make([]int, 0, m)
-	} else {
-		if cap(sc.eff) < m {
-			sc.eff = make([]int, 0, m)
-		}
-		eff = sc.eff[:0]
-	}
-	eff = append(eff, 0)
-	minF := f[0]
-	for s := 1; s < m; s++ {
-		if f[s-1] < minF {
-			minF = f[s-1]
-		}
-		if f[s]-minF < 0 {
-			eff = append(eff, s)
-		}
-	}
-	if sc != nil {
-		sc.eff = eff
-	}
-	pu, pv := prefixesInto(sc, u, v)
-
-	// Algorithm 4.4, identical to OptimalSupportPair.
-	bs, bt := -1, -1
-	i := m - 1
-	for j := len(eff) - 1; j >= 0; j-- {
-		s := eff[j]
-		for i >= s && f[i+1]-f[s] < 0 {
-			i--
-		}
-		if i < s {
-			continue
-		}
-		if bs < 0 || pu[i+1]-pu[s] >= pu[bt+1]-pu[bs] {
-			bs, bt = s, i
-		}
-	}
-	if bs < 0 {
-		return Pair{}, false, nil
-	}
-	return makePair(pu, pv, bs, bt), true, nil
 }

@@ -60,3 +60,27 @@ func TestScratchValidation(t *testing.T) {
 		t.Error("empty bucket accepted")
 	}
 }
+
+// TestSolverAllocations pins the one-body solvers' allocation counts
+// at M = 1000: a reused Scratch allocates nothing, and a nil Scratch
+// builds each optimized-support table once (F, effective indices, PU,
+// PV).
+func TestSolverAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	u := make([]int, 1000)
+	v := make([]float64, 1000)
+	for i := range u {
+		u[i] = 1 + rng.Intn(20)
+		v[i] = float64(rng.Intn(u[i] + 1))
+	}
+	sc := &Scratch{}
+	if n := testing.AllocsPerRun(10, func() { OptimalSlopePairScratch(u, v, 2500, sc) }); n != 0 {
+		t.Errorf("OptimalSlopePairScratch with a reused Scratch: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { OptimalSupportPairScratch(u, v, 0.5, sc) }); n != 0 {
+		t.Errorf("OptimalSupportPairScratch with a reused Scratch: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { OptimalSupportPair(u, v, 0.5) }); n > 4 {
+		t.Errorf("OptimalSupportPair: %v allocations, want at most 4", n)
+	}
+}

@@ -7,12 +7,13 @@ package core
 // which the paper discusses to show gain maximization is not equivalent
 // to support optimization.
 
-// gainPrefix returns F with F[j] = Σ_{i<j} (v_i − θ·u_i), length M+1.
-// Every algorithm below derives range sums from this one table so that
-// floating-point behaviour is identical between the fast path and the
-// naive oracle.
-func gainPrefix(u []int, v []float64, theta float64) []float64 {
-	f := make([]float64, len(u)+1)
+// gainPrefix returns F with F[j] = Σ_{i<j} (v_i − θ·u_i), length M+1,
+// in buf when it is large enough. Every algorithm below derives range
+// sums from this one table so that floating-point behaviour is
+// identical between the fast path and the naive oracle.
+func gainPrefix(u []int, v []float64, theta float64, buf []float64) []float64 {
+	f := floatSlice(buf, len(u)+1)
+	f[0] = 0
 	for i := range u {
 		f[i+1] = f[i] + (v[i] - theta*float64(u[i]))
 	}
@@ -27,15 +28,19 @@ func EffectiveIndices(u []int, v []float64, theta float64) ([]int, error) {
 	if err := validate(u, v); err != nil {
 		return nil, err
 	}
-	// Algorithm 4.3's running value w = max_{j<s} Σ_{i=j}^{s−1} g_i
-	// equals F[s] − min_{j<s} F[j]; we evaluate it through the shared
-	// cumulative table F (which Algorithm 4.4 precomputes anyway) so
-	// that effectiveness and the confidence test of the two-pointer use
-	// bit-identical floating-point values.
-	f := gainPrefix(u, v, theta)
-	eff := []int{0}
+	return effectiveIndices(gainPrefix(u, v, theta, nil), nil), nil
+}
+
+// effectiveIndices is Algorithm 4.3 over the cumulative gain table f
+// (length M+1), appending to eff. Algorithm 4.3's running value
+// w = max_{j<s} Σ_{i=j}^{s−1} g_i equals F[s] − min_{j<s} F[j]; we
+// evaluate it through F (which Algorithm 4.4 precomputes anyway) so
+// that effectiveness and the confidence test of the two-pointer use
+// bit-identical floating-point values.
+func effectiveIndices(f []float64, eff []int) []int {
+	eff = append(eff, 0)
 	minF := f[0]
-	for s := 1; s < len(u); s++ {
+	for s := 1; s < len(f)-1; s++ {
 		if f[s-1] < minF {
 			minF = f[s-1]
 		}
@@ -43,7 +48,7 @@ func EffectiveIndices(u []int, v []float64, theta float64) ([]int, error) {
 			eff = append(eff, s)
 		}
 	}
-	return eff, nil
+	return eff
 }
 
 // OptimalSupportPair computes the optimized-support rule's range
@@ -59,13 +64,19 @@ func EffectiveIndices(u []int, v []float64, theta float64) ([]int, error) {
 // when v_i sums a target attribute and theta is the minimum average, it
 // is the maximum-support range of Section 5.
 func OptimalSupportPair(u []int, v []float64, theta float64) (best Pair, ok bool, err error) {
-	eff, err := EffectiveIndices(u, v, theta)
-	if err != nil {
+	return OptimalSupportPairScratch(u, v, theta, nil)
+}
+
+// OptimalSupportPairScratch is OptimalSupportPair with pooled working
+// storage; see Scratch. sc may be nil.
+func OptimalSupportPairScratch(u []int, v []float64, theta float64, sc *Scratch) (best Pair, ok bool, err error) {
+	if err := validate(u, v); err != nil {
 		return Pair{}, false, err
 	}
 	m := len(u)
-	pu, pv := prefixes(u, v)
-	f := gainPrefix(u, v, theta)
+	f := sc.gainPrefix(u, v, theta)
+	eff := effectiveIndices(f, sc.effective(m))
+	pu, pv := sc.prefixes(u, v)
 
 	// Algorithm 4.4: scan effective indices from the largest down while
 	// the top pointer i descends from M−1; Lemma 4.2 (top is
@@ -101,8 +112,8 @@ func NaiveOptimalSupportPair(u []int, v []float64, theta float64) (best Pair, ok
 		return Pair{}, false, err
 	}
 	m := len(u)
-	pu, pv := prefixes(u, v)
-	f := gainPrefix(u, v, theta)
+	pu, pv := prefixes(u, v, nil, nil)
+	f := gainPrefix(u, v, theta, nil)
 	bs, bt := -1, -1
 	for s := 0; s < m; s++ {
 		for t := s; t < m; t++ {
@@ -133,7 +144,7 @@ func MaxGainRange(u []int, v []float64, theta float64) (s, t int, gain float64, 
 	// Kadane via the cumulative table: the best range ending at t is
 	// F[t+1] − min_{k<=t} F[k]. Using F keeps the arithmetic identical
 	// to the other algorithms in this package.
-	f := gainPrefix(u, v, theta)
+	f := gainPrefix(u, v, theta, nil)
 	minIdx := 0
 	s, t, gain = 0, 0, f[1]-f[0]
 	for j := 0; j < len(u); j++ {

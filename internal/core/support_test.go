@@ -9,7 +9,7 @@ import (
 // bruteForceEffective checks the definition directly: s is effective
 // iff avg(j, s−1) < θ for every j < s.
 func bruteForceEffective(u []int, v []float64, theta float64) []int {
-	f := gainPrefix(u, v, theta)
+	f := gainPrefix(u, v, theta, nil)
 	var eff []int
 	for s := 0; s < len(u); s++ {
 		effective := true
@@ -193,7 +193,7 @@ func TestMaxGainRangeMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := gainPrefix(u, v, theta)
+		f := gainPrefix(u, v, theta, nil)
 		bestGain := f[1] - f[0]
 		for a := 0; a < m; a++ {
 			for b := a; b < m; b++ {

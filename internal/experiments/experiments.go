@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,6 +21,8 @@ import (
 	"optrule/internal/bucketing"
 	"optrule/internal/core"
 	"optrule/internal/datagen"
+	"optrule/internal/plan"
+	"optrule/internal/relation"
 	"optrule/internal/stats"
 )
 
@@ -357,7 +360,7 @@ type ParallelResult struct {
 }
 
 // Parallel measures Algorithm 3.2's counting scan with 1 … maxPEs
-// goroutine processing elements over an n-tuple relation.
+// workers of the engine's counting executor over an n-tuple relation.
 func Parallel(n, maxPEs int, seed int64) (ParallelResult, error) {
 	if n <= 0 {
 		n = 2000000
@@ -379,15 +382,10 @@ func Parallel(n, maxPEs int, seed int64) (ParallelResult, error) {
 	if err != nil {
 		return res, err
 	}
-	s := rel.Schema()
-	var opts bucketing.Options
-	for _, b := range s.BooleanIndices() {
-		opts.Bools = append(opts.Bools, bucketing.BoolCond{Attr: b, Want: true})
-	}
 	var base float64
 	for pes := 1; pes <= maxPEs; pes *= 2 {
 		start := time.Now()
-		if _, err := bucketing.ParallelCount(rel, 0, bounds, opts, pes); err != nil {
+		if err := CountScan(rel, 0, bounds, pes); err != nil {
 			return res, err
 		}
 		sec := time.Since(start).Seconds()
@@ -397,6 +395,26 @@ func Parallel(n, maxPEs int, seed int64) (ParallelResult, error) {
 		res.Rows = append(res.Rows, ParallelRow{PEs: pes, Seconds: sec, Speedup: base / sec})
 	}
 	return res, nil
+}
+
+// CountScan runs one counting scan of the engine's executor
+// (plan.RunContext, Algorithm 3.2) with pes workers: the driver is
+// bucketed by bounds and every Boolean attribute's "yes" count is
+// tallied. The cache is fresh and seeded with bounds, so the call is
+// the counting scan alone.
+func CountScan(rel relation.Relation, driver int, bounds bucketing.Boundaries, pes int) error {
+	d := plan.Defaults{Buckets: bounds.NumBuckets(), GridSide: 1, SampleFactor: 1, PEs: pes}
+	r, err := plan.Resolve(rel, d, plan.Query{Op: plan.OpRules,
+		Numeric: rel.Schema()[driver].Name, Kinds: []plan.RuleKind{}})
+	if err != nil {
+		return err
+	}
+	req := plan.NewRequirements()
+	req.Add(r)
+	cache := plan.NewCache(0)
+	cache.PutBounds(plan.BoundKey{Attr: driver, M: bounds.NumBuckets()}, bounds, rel.NumTuples())
+	_, err = plan.RunContext(context.Background(), rel, d, cache, req)
+	return err
 }
 
 // Print writes the scalability rows.

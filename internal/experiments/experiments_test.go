@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"optrule/internal/bucketing"
+	"optrule/internal/datagen"
+	"optrule/internal/relation"
 )
 
 func TestFig1ShapeMatchesPaper(t *testing.T) {
@@ -238,5 +243,37 @@ func TestParallelSmall(t *testing.T) {
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "parallel bucketing") {
 		t.Errorf("print output malformed")
+	}
+}
+
+// TestCountScanIsTheCountingScan pins what the §3.3 table times: one
+// counting scan of the engine's executor, every row read once, no
+// sampling scan (the boundaries are seeded), split across workers when
+// PEs > 1.
+func TestCountScanIsTheCountingScan(t *testing.T) {
+	shape, err := datagen.NewPerfShape(1, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	mem := datagen.MustMaterialize(shape, n, 3)
+	bounds, err := bucketing.SampledBoundaries(mem, 0, 100, 40, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pes := range []int{1, 4} {
+		rel := &relation.RangeCountingRelation{R: mem}
+		if err := CountScan(rel, 0, bounds, pes); err != nil {
+			t.Fatal(err)
+		}
+		if rel.Rows != n {
+			t.Errorf("pes=%d: read %d rows, want %d (one counting scan, no sampling)", pes, rel.Rows, n)
+		}
+		if pes == 1 && rel.Scans != 1 {
+			t.Errorf("pes=1: %d scans, want 1", rel.Scans)
+		}
+		if pes > 1 && rel.Scans < 2 {
+			t.Errorf("pes=%d: %d scans, want the rows split across workers", pes, rel.Scans)
+		}
 	}
 }

@@ -250,3 +250,31 @@ func TestTreeBranchStacksDisjointCover(t *testing.T) {
 		}
 	}
 }
+
+// Cur returns the index m such that the stack currently holds U_m.
+func (t *Tree) Cur() int { return t.cur }
+
+// NumPoints returns the number of points the tree was built over.
+func (t *Tree) NumPoints() int { return len(t.pts) }
+
+// HullLeftToRight returns the current hull's point indices from the
+// leftmost node (Q_cur) to the rightmost (Q_{n−1}).
+func (t *Tree) HullLeftToRight() []int {
+	out := make([]int, len(t.stack))
+	for i := range out {
+		out[i] = t.stack[len(t.stack)-1-i]
+	}
+	return out
+}
+
+// Point returns the coordinates of point index i.
+func (t *Tree) Point(i int) Point { return t.pts[i] }
+
+// NewTree runs the preparatory phase over pts into a fresh Tree.
+func NewTree(pts []Point) (*Tree, error) {
+	t := &Tree{}
+	if err := t.Init(pts); err != nil {
+		return nil, err
+	}
+	return t, nil
+}

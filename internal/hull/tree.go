@@ -4,7 +4,7 @@ import "fmt"
 
 // Tree is the convex hull tree of Algorithm 4.1. Given points
 // Q_0 … Q_{n−1} sorted by strictly increasing X, the preparatory phase
-// (NewTree) computes, in O(n) total time, the branch stacks D_i holding
+// (Init) computes, in O(n) total time, the branch stacks D_i holding
 // the nodes that belong to U_{i+1} (the upper hull of {Q_{i+1}, …,
 // Q_{n−1}}) but not to U_i. Afterwards the stack S holds U_0, and the
 // restoration phase (Advance) transforms S from U_cur to U_{cur+1} in
@@ -27,23 +27,13 @@ type Tree struct {
 	cur  int
 }
 
-// NewTree runs the preparatory phase over pts, which must be sorted by
-// strictly increasing X (cumulative bucket sizes guarantee this). After
-// construction the stack holds U_0.
-func NewTree(pts []Point) (*Tree, error) {
-	t := &Tree{}
-	if err := t.Init(pts); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Init (re)runs the preparatory phase over pts, reusing the tree's
-// backing storage when capacities allow. Callers that solve many small
-// hull problems back to back — the 2-D rectangle sweep runs one per row
-// pair — keep one Tree per worker and Init it per problem instead of
-// paying NewTree's allocations every time. The computation is identical
-// to NewTree's.
+// Init runs the preparatory phase over pts, which must be sorted by
+// strictly increasing X (cumulative bucket sizes guarantee this);
+// afterwards the stack holds U_0. The zero Tree is ready for Init, and
+// a re-Init reuses the tree's backing storage when capacities allow:
+// callers that solve many small hull problems back to back — the 2-D
+// rectangle sweep runs one per row pair — keep one Tree per worker and
+// Init it per problem.
 func (t *Tree) Init(pts []Point) error {
 	n := len(pts)
 	if n == 0 {
@@ -112,12 +102,6 @@ func (t *Tree) popToBuf() {
 	t.dBuf = append(t.dBuf, top)
 }
 
-// Cur returns the index m such that the stack currently holds U_m.
-func (t *Tree) Cur() int { return t.cur }
-
-// NumPoints returns the number of points the tree was built over.
-func (t *Tree) NumPoints() int { return len(t.pts) }
-
 // Advance performs one restoration step, turning U_cur into U_{cur+1}.
 // It panics if the tree is already at the last suffix.
 func (t *Tree) Advance() {
@@ -140,8 +124,8 @@ func (t *Tree) Advance() {
 	t.cur++
 }
 
-// AdvanceTo advances until the stack holds U_m. m must be >= Cur() and
-// < NumPoints().
+// AdvanceTo advances until the stack holds U_m. m must be at least the
+// current suffix index and less than the number of points.
 func (t *Tree) AdvanceTo(m int) {
 	if m < t.cur {
 		panic(fmt.Sprintf("hull: cannot rewind from U_%d to U_%d", t.cur, m))
@@ -161,17 +145,3 @@ func (t *Tree) NodeAt(p int) int { return t.stack[p] }
 // Pos returns the stack position of node, or −1 if the node is not on
 // the current hull.
 func (t *Tree) Pos(node int) int { return t.pos[node] }
-
-// Point returns the coordinates of point index i.
-func (t *Tree) Point(i int) Point { return t.pts[i] }
-
-// HullLeftToRight returns the current hull's point indices from the
-// leftmost node (Q_cur) to the rightmost (Q_{n−1}). Intended for tests
-// and debugging; allocates a fresh slice.
-func (t *Tree) HullLeftToRight() []int {
-	out := make([]int, len(t.stack))
-	for i := range out {
-		out[i] = t.stack[len(t.stack)-1-i]
-	}
-	return out
-}

@@ -32,37 +32,6 @@ func (a AvgRange) String() string {
 		a.Target, a.Driver, a.Low, a.High, a.Average, a.Count, 100*a.Support, a.OverallAverage)
 }
 
-// averageSetup buckets the driver attribute and accumulates per-bucket
-// target sums in one scan.
-func averageSetup(rel relation.Relation, driver, target string, cfg Config) (*bucketing.Counts, error) {
-	s := rel.Schema()
-	dAttr := s.Index(driver)
-	if dAttr < 0 || s[dAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", driver)
-	}
-	tAttr := s.Index(target)
-	if tAttr < 0 || s[tAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", target)
-	}
-	if rel.NumTuples() == 0 {
-		return nil, fmt.Errorf("miner: empty relation")
-	}
-	rng := attrRNG(cfg.Seed, dAttr)
-	bounds, err := bucketing.SampledBoundaries(rel, dAttr, cfg.Buckets, cfg.SampleFactor, rng)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := bucketing.Count(rel, dAttr, bounds, bucketing.Options{
-		Targets:       []int{tAttr},
-		TrackExtremes: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	compact, _ := counts.Compact()
-	return compact, nil
-}
-
 // fillAvg assembles an AvgRange from a bucket-range solution.
 func fillAvg(driver, target string, p core.Pair, c *bucketing.Counts) AvgRange {
 	totalSum := 0.0
@@ -93,30 +62,6 @@ func MaxAverageRange(rel relation.Relation, driver, target string, minSupport fl
 	return s.MaxAverageRange(driver, target, minSupport)
 }
 
-// legacyMaxAverageRange is the pre-session pipeline, kept as the
-// differential-testing reference for the session-backed MaxAverageRange.
-func legacyMaxAverageRange(rel relation.Relation, driver, target string, minSupport float64, cfg Config) (AvgRange, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return AvgRange{}, err
-	}
-	if minSupport < 0 || minSupport > 1 {
-		return AvgRange{}, fmt.Errorf("miner: minSupport %g out of [0,1]", minSupport)
-	}
-	compact, err := averageSetup(rel, driver, target, cfg)
-	if err != nil {
-		return AvgRange{}, err
-	}
-	p, ok, err := core.OptimalSlopePair(compact.U, compact.Sum[0], minSupport*float64(compact.N))
-	if err != nil {
-		return AvgRange{}, err
-	}
-	if !ok {
-		return AvgRange{}, fmt.Errorf("miner: no range reaches support %g", minSupport)
-	}
-	return fillAvg(driver, target, p, compact), nil
-}
-
 // MaxSupportRange computes the range of driver values that maximizes
 // support among ranges whose target average is at least minAverage —
 // Definition 5.3, solved with the optimal-support-pair algorithm. As
@@ -129,25 +74,4 @@ func MaxSupportRange(rel relation.Relation, driver, target string, minAverage fl
 		return AvgRange{}, err
 	}
 	return s.MaxSupportRange(driver, target, minAverage)
-}
-
-// legacyMaxSupportRange is the pre-session pipeline, kept as the
-// differential-testing reference for the session-backed MaxSupportRange.
-func legacyMaxSupportRange(rel relation.Relation, driver, target string, minAverage float64, cfg Config) (AvgRange, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return AvgRange{}, err
-	}
-	compact, err := averageSetup(rel, driver, target, cfg)
-	if err != nil {
-		return AvgRange{}, err
-	}
-	p, ok, err := core.OptimalSupportPair(compact.U, compact.Sum[0], minAverage)
-	if err != nil {
-		return AvgRange{}, err
-	}
-	if !ok {
-		return AvgRange{}, fmt.Errorf("miner: no range reaches average %g", minAverage)
-	}
-	return fillAvg(driver, target, p, compact), nil
 }

@@ -1,12 +1,6 @@
 package miner
 
-import (
-	"fmt"
-
-	"optrule/internal/bucketing"
-	"optrule/internal/core"
-	"optrule/internal/relation"
-)
+import "optrule/internal/relation"
 
 // MineConjunctive mines the fully general rule form of Section 4.3:
 //
@@ -26,106 +20,4 @@ func MineConjunctive(rel relation.Relation, numeric string, objectives []Conditi
 		return nil, nil, err
 	}
 	return s.MineConjunctive(numeric, objectives, conditions)
-}
-
-// legacyMineConjunctive is the pre-session pipeline (two counting
-// scans sharing one boundary set), kept as the differential-testing
-// reference for the session-backed MineConjunctive.
-func legacyMineConjunctive(rel relation.Relation, numeric string, objectives []Condition,
-	conditions []Condition, cfg Config) (supportRule, confidenceRule *Rule, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(objectives) == 0 {
-		return nil, nil, fmt.Errorf("miner: at least one objective condition required")
-	}
-	s := rel.Schema()
-	numAttr := s.Index(numeric)
-	if numAttr < 0 || s[numAttr].Kind != relation.Numeric {
-		return nil, nil, fmt.Errorf("miner: %q is not a numeric attribute", numeric)
-	}
-	resolve := func(conds []Condition) ([]bucketing.BoolCond, error) {
-		var out []bucketing.BoolCond
-		for _, c := range conds {
-			a := s.Index(c.Attr)
-			if a < 0 || s[a].Kind != relation.Boolean {
-				return nil, fmt.Errorf("miner: condition attribute %q is not Boolean", c.Attr)
-			}
-			out = append(out, bucketing.BoolCond{Attr: a, Want: c.Value})
-		}
-		return out, nil
-	}
-	c1, err := resolve(conditions)
-	if err != nil {
-		return nil, nil, err
-	}
-	c2, err := resolve(objectives)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rel.NumTuples() == 0 {
-		return nil, nil, fmt.Errorf("miner: empty relation")
-	}
-
-	rng := attrRNG(cfg.Seed, numAttr)
-	bounds, err := attrBoundaries(rel, numAttr, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Scan 1: u_i over C1.
-	uCounts, err := countScan(rel, numAttr, bounds, bucketing.Options{
-		Filter:        c1,
-		TrackExtremes: true,
-	}, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uCounts.N == 0 {
-		return nil, nil, nil // C1 excludes everything
-	}
-	// Scan 2: v_i over C1 ∧ C2.
-	vCounts, err := countScan(rel, numAttr, bounds, bucketing.Options{
-		Filter: append(append([]bucketing.BoolCond{}, c1...), c2...),
-	}, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Compact on u (v is bounded by u bucketwise).
-	compact, keep := uCounts.Compact()
-	v := make([]float64, compact.M)
-	hits := 0
-	for j, i := range keep {
-		v[j] = float64(vCounts.U[i])
-		hits += vCounts.U[i]
-	}
-	cond := condString(s, c1)
-	objNames := condString(s, c2)
-	base := Rule{
-		Numeric:   s[numAttr].Name,
-		Objective: objNames,
-		// ObjectiveValue is absorbed into the rendered conjunction.
-		ObjectiveValue: true,
-		Condition:      cond,
-		Baseline:       float64(hits) / float64(compact.N),
-		Buckets:        compact.M,
-	}
-	if p, ok, err := core.OptimalSupportPair(compact.U, v, cfg.MinConfidence); err != nil {
-		return nil, nil, err
-	} else if ok {
-		r := base
-		r.Kind = OptimizedSupport
-		fillPair(&r, p, compact)
-		supportRule = &r
-	}
-	if p, ok, err := core.OptimalSlopePair(compact.U, v, cfg.MinSupport*float64(compact.N)); err != nil {
-		return nil, nil, err
-	} else if ok {
-		r := base
-		r.Kind = OptimizedConfidence
-		fillPair(&r, p, compact)
-		confidenceRule = &r
-	}
-	return supportRule, confidenceRule, nil
 }

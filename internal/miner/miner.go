@@ -19,20 +19,17 @@
 // fused pipeline reads a d-numeric-attribute relation twice end to end
 // where a per-attribute pipeline would read it d+1 times — and a
 // session batch reads it twice for ANY number of queries. The one-shot
-// functions (MineAll, Mine, MineTopK, …) wrap a throwaway session; the
-// pre-session pipelines survive as differential-test references
-// (mineAllPerAttribute, legacyMine, …, and the test-only
-// mine2DPerPair).
+// functions (MineAll, Mine, MineTopK, BuildProfile, …) wrap a throwaway
+// session. The pre-session pipelines live on only as test oracles in
+// oracle_test.go (mineAllPerAttribute, legacyMine, mine2DPerPair, …),
+// which pin the session's output rule for rule.
 package miner
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"optrule/internal/bucketing"
 	"optrule/internal/core"
@@ -250,82 +247,11 @@ func condString(s relation.Schema, conds []bucketing.BoolCond) string {
 	return strings.Join(parts, " and ")
 }
 
-// attrRNG derives the deterministic random stream for one numeric
-// attribute. EVERY entry point that buckets an attribute must use this
-// — the session engine, the legacy per-attribute pipeline, and the
-// targeted queries stay boundary-identical (and therefore
-// rule-identical) only because they all draw from the same stream. The
-// formula lives in plan.AttrRNG, next to the executor that consumes it.
-func attrRNG(seed int64, attr int) *rand.Rand {
-	return plan.AttrRNG(seed, attr)
-}
-
-// attrBoundaries picks the bucketing for one numeric attribute: finest
-// buckets when the domain is small enough and exact mining is enabled,
-// otherwise the randomized equi-depth buckets of Algorithm 3.1.
-func attrBoundaries(rel relation.Relation, numAttr int, cfg Config, rng *rand.Rand) (bucketing.Boundaries, error) {
-	if cfg.ExactDomainLimit > 0 {
-		bounds, err := bucketing.DistinctValueBoundaries(rel, numAttr, cfg.ExactDomainLimit)
-		if err == nil {
-			return bounds, nil
-		}
-		// Large or empty domains fall back to sampling below.
-	}
-	return bucketing.SampledBoundaries(rel, numAttr, cfg.Buckets, cfg.SampleFactor, rng)
-}
-
-// countScan performs the counting pass, fanning out over PEs
-// (Algorithm 3.2) when configured and supported by the relation.
-func countScan(rel relation.Relation, driver int, bounds bucketing.Boundaries,
-	opts bucketing.Options, cfg Config) (*bucketing.Counts, error) {
-	if cfg.PEs > 1 {
-		if rs, ok := rel.(relation.RangeScanner); ok {
-			return bucketing.ParallelCount(rs, driver, bounds, opts, cfg.PEs)
-		}
-	}
-	return bucketing.Count(rel, driver, bounds, opts)
-}
-
-// attrRules mines all rules for one numeric attribute. The counting
-// scan covers every requested objective in a single pass.
-func attrRules(rel relation.Relation, numAttr int, objectives []bucketing.BoolCond,
-	filter []bucketing.BoolCond, cfg Config, rng *rand.Rand) ([]Rule, error) {
-	s := rel.Schema()
-	bounds, err := attrBoundaries(rel, numAttr, cfg, rng)
-	if err != nil {
-		return nil, fmt.Errorf("miner: bucketing %s: %w", s[numAttr].Name, err)
-	}
-	counts, err := countScan(rel, numAttr, bounds, bucketing.Options{
-		Bools:         objectives,
-		Filter:        filter,
-		TrackExtremes: true,
-	}, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("miner: counting %s: %w", s[numAttr].Name, err)
-	}
-	return rulesFromCounts(s, numAttr, objectives, filter, cfg, counts)
-}
-
-// rulesFromCounts applies the Section 4 optimized-rule algorithms to
-// one attribute's per-bucket counts with the config's kind selection.
-// Pure CPU on in-memory counts: this is the tail of the legacy
-// per-attribute path and delegates to the session engine's extraction,
-// so both produce rule-for-rule identical output.
-func rulesFromCounts(s relation.Schema, numAttr int, objectives []bucketing.BoolCond,
-	filter []bucketing.BoolCond, cfg Config, counts *bucketing.Counts) ([]Rule, error) {
-	kinds := []RuleKind{OptimizedSupport, OptimizedConfidence}
-	if cfg.MineGain {
-		kinds = append(kinds, OptimizedGain)
-	}
-	return extractRulesFromCounts(s, numAttr, objectives, filter, kinds,
-		cfg.MinSupport, cfg.MinConfidence, counts)
-}
-
 // extractRulesFromCounts is the kind-selectable rule extraction every
 // 1-D path funnels through. For each objective it emits the requested
 // kinds in the fixed order support, confidence, gain (whatever subset
 // kinds names), which keeps the lift-sorted assembly stable across the
-// session and legacy pipelines.
+// session and the test oracles.
 func extractRulesFromCounts(s relation.Schema, numAttr int, objectives []bucketing.BoolCond,
 	filter []bucketing.BoolCond, kinds []RuleKind, minSupport, minConfidence float64,
 	counts *bucketing.Counts) ([]Rule, error) {
@@ -438,48 +364,6 @@ type Result struct {
 	Config Config
 }
 
-// mineAllSetup validates cfg and the relation and derives the shared
-// inputs of both MineAll pipelines: the numeric attribute positions and
-// the Boolean objective conditions.
-func mineAllSetup(rel relation.Relation, cfg Config) (Config, []int, []bucketing.BoolCond, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return cfg, nil, nil, err
-	}
-	s := rel.Schema()
-	if rel.NumTuples() == 0 {
-		return cfg, nil, nil, fmt.Errorf("miner: empty relation")
-	}
-	numIdx := s.NumericIndices()
-	if len(numIdx) == 0 {
-		return cfg, nil, nil, fmt.Errorf("miner: no numeric attributes")
-	}
-	var objectives []bucketing.BoolCond
-	for _, b := range s.BooleanIndices() {
-		objectives = append(objectives, bucketing.BoolCond{Attr: b, Want: true})
-		if cfg.MineNegations {
-			objectives = append(objectives, bucketing.BoolCond{Attr: b, Want: false})
-		}
-	}
-	if len(objectives) == 0 {
-		return cfg, nil, nil, fmt.Errorf("miner: no Boolean attributes to use as objectives")
-	}
-	return cfg, numIdx, objectives, nil
-}
-
-// assembleResult orders per-attribute rule sets by schema position and
-// sorts the merged set by descending lift.
-func assembleResult(rel relation.Relation, cfg Config, byPos [][]Rule) *Result {
-	res := &Result{Tuples: rel.NumTuples(), Config: cfg}
-	for _, rs := range byPos {
-		res.Rules = append(res.Rules, rs...)
-	}
-	sort.SliceStable(res.Rules, func(i, j int) bool {
-		return res.Rules[i].Lift() > res.Rules[j].Lift()
-	})
-	return res
-}
-
 // MineAll mines optimized-support and optimized-confidence rules for
 // every (numeric attribute, Boolean attribute) combination of the
 // relation, using cfg. Rules are sorted by descending lift.
@@ -500,60 +384,6 @@ func MineAll(rel relation.Relation, cfg Config) (*Result, error) {
 	return s.MineAll()
 }
 
-// mineAllPerAttribute is the legacy unfused pipeline: one sampling pass
-// plus one counting scan per numeric attribute (d+1 relation reads for
-// d attributes). Kept as the differential-testing reference for the
-// fused MineAll, which must produce rule-for-rule identical output.
-func mineAllPerAttribute(rel relation.Relation, cfg Config) (*Result, error) {
-	cfg, numIdx, objectives, err := mineAllSetup(rel, cfg)
-	if err != nil {
-		return nil, err
-	}
-	type job struct {
-		pos  int
-		attr int
-	}
-	type out struct {
-		pos   int
-		rules []Rule
-		err   error
-	}
-	jobs := make(chan job)
-	outs := make(chan out, len(numIdx))
-	workers := cfg.Workers
-	if workers > len(numIdx) {
-		workers = len(numIdx)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// Independent deterministic stream per attribute.
-				rng := attrRNG(cfg.Seed, j.attr)
-				rules, err := attrRules(rel, j.attr, objectives, nil, cfg, rng)
-				outs <- out{pos: j.pos, rules: rules, err: err}
-			}
-		}()
-	}
-	for pos, attr := range numIdx {
-		jobs <- job{pos: pos, attr: attr}
-	}
-	close(jobs)
-	wg.Wait()
-	close(outs)
-
-	byPos := make([][]Rule, len(numIdx))
-	for o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		byPos[o.pos] = o.rules
-	}
-	return assembleResult(rel, cfg, byPos), nil
-}
-
 // Mine computes the two optimized rules for a single numeric attribute
 // and Boolean objective, optionally under a conjunction of presumptive
 // Boolean conditions (the generalized rules of Section 4.3:
@@ -568,49 +398,6 @@ func Mine(rel relation.Relation, numeric, objective string, objectiveValue bool,
 		return nil, nil, err
 	}
 	return s.Mine(numeric, objective, objectiveValue, conditions)
-}
-
-// legacyMine is the pre-session targeted pipeline (its own sampling
-// pass + counting scan via attrRules), kept as the differential-testing
-// reference for the session-backed Mine.
-func legacyMine(rel relation.Relation, numeric, objective string, objectiveValue bool,
-	conditions []Condition, cfg Config) (supportRule, confidenceRule *Rule, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	s := rel.Schema()
-	numAttr := s.Index(numeric)
-	if numAttr < 0 || s[numAttr].Kind != relation.Numeric {
-		return nil, nil, fmt.Errorf("miner: %q is not a numeric attribute", numeric)
-	}
-	objAttr := s.Index(objective)
-	if objAttr < 0 || s[objAttr].Kind != relation.Boolean {
-		return nil, nil, fmt.Errorf("miner: %q is not a Boolean attribute", objective)
-	}
-	var filter []bucketing.BoolCond
-	for _, c := range conditions {
-		a := s.Index(c.Attr)
-		if a < 0 || s[a].Kind != relation.Boolean {
-			return nil, nil, fmt.Errorf("miner: condition attribute %q is not Boolean", c.Attr)
-		}
-		filter = append(filter, bucketing.BoolCond{Attr: a, Want: c.Value})
-	}
-	rng := attrRNG(cfg.Seed, numAttr)
-	rules, err := attrRules(rel, numAttr,
-		[]bucketing.BoolCond{{Attr: objAttr, Want: objectiveValue}}, filter, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range rules {
-		switch rules[i].Kind {
-		case OptimizedSupport:
-			supportRule = &rules[i]
-		case OptimizedConfidence:
-			confidenceRule = &rules[i]
-		}
-	}
-	return supportRule, confidenceRule, nil
 }
 
 // Condition is a named primitive Boolean condition for Mine; it is

@@ -1,11 +1,12 @@
 package miner
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"optrule/internal/bucketing"
+	"optrule/internal/plan"
 	"optrule/internal/relation"
 )
 
@@ -31,45 +32,62 @@ type ProfileBucket struct {
 }
 
 // BuildProfile computes a Profile with the given number of buckets
-// (coarser than mining resolution, intended for display).
+// (coarser than mining resolution, intended for display). Thin wrapper
+// over a throwaway Session; see Session.Profile.
 func BuildProfile(rel relation.Relation, numeric, objective string, objectiveValue bool,
 	buckets int, cfg Config) (*Profile, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("miner: profile bucket count %d must be positive", buckets)
-	}
-	s := rel.Schema()
-	numAttr := s.Index(numeric)
-	if numAttr < 0 || s[numAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", numeric)
-	}
-	objAttr := s.Index(objective)
-	if objAttr < 0 || s[objAttr].Kind != relation.Boolean {
-		return nil, fmt.Errorf("miner: %q is not a Boolean attribute", objective)
-	}
-	if rel.NumTuples() == 0 {
-		return nil, fmt.Errorf("miner: empty relation")
-	}
-	rng := attrRNG(cfg.Seed, numAttr)
-	bounds, err := bucketing.SampledBoundaries(rel, numAttr, buckets, cfg.SampleFactor, rng)
+	s, err := NewSession(rel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := bucketing.Count(rel, numAttr, bounds, bucketing.Options{
-		Bools:         []bucketing.BoolCond{{Attr: objAttr, Want: objectiveValue}},
-		TrackExtremes: true,
-	})
+	return s.Profile(numeric, objective, objectiveValue, buckets)
+}
+
+// Profile computes the per-bucket confidence landscape of one
+// (numeric, Boolean) attribute pair at the given bucket count from the
+// session's statistics: the first profile at a resolution costs the
+// session's two scans, a repeat none. Profiles bucket with the sampled
+// equi-depth boundaries (Config.ExactDomainLimit does not apply), so
+// they share statistics with rule, top-k and average queries at the
+// same resolution.
+func (s *Session) Profile(numeric, objective string, objectiveValue bool, buckets int) (*Profile, error) {
+	if buckets < 1 {
+		return nil, fmt.Errorf("miner: profile bucket count %d must be positive", buckets)
+	}
+	d := s.d
+	d.ExactDomainLimit = 0
+	q := Query{Op: OpRules, Numeric: numeric, Objective: objective,
+		ObjectiveValue: objectiveValue, Buckets: buckets, Kinds: []RuleKind{}}
+	var p *Profile
+	answers, err := s.execute(context.Background(), d, []Query{q},
+		func(a *Answer, r *plan.Resolved, set *plan.StatsSet) {
+			p, a.Err = s.extractProfile(r, set)
+		})
+	if err != nil {
+		return nil, err
+	}
+	if answers[0].Err != nil {
+		return nil, answers[0].Err
+	}
+	return p, nil
+}
+
+// extractProfile reads one profile off the cached group.
+func (s *Session) extractProfile(r *plan.Resolved, set *plan.StatsSet) (*Profile, error) {
+	st, ok := set.Groups[r.Keys[0]]
+	if !ok {
+		return nil, fmt.Errorf("miner: group %+v missing from working set", r.Keys[0])
+	}
+	counts, err := st.Counts(r.Objs, nil, true)
 	if err != nil {
 		return nil, err
 	}
 	compact, _ := counts.Compact()
+	schema := s.rel.Schema()
 	p := &Profile{
-		Numeric:        numeric,
-		Objective:      objective,
-		ObjectiveValue: objectiveValue,
+		Numeric:        schema[r.Drivers[0]].Name,
+		Objective:      schema[r.Objs[0].Attr].Name,
+		ObjectiveValue: r.Objs[0].Want,
 		N:              compact.N,
 	}
 	hits := 0

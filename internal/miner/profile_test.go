@@ -2,8 +2,11 @@ package miner
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"optrule/internal/relation"
 )
 
 func TestBuildProfileShape(t *testing.T) {
@@ -86,5 +89,89 @@ func TestBuildProfileValidation(t *testing.T) {
 	}
 	if _, err := BuildProfile(rel, "X", "B", true, 0, Config{}); err == nil {
 		t.Errorf("zero buckets accepted")
+	}
+}
+
+// TestProfileMatchesOracle pins Session.Profile and the one-shot
+// BuildProfile to the pre-session profile pipeline across every storage
+// backend, worker count, exact-domain setting (which profiles ignore),
+// resolution and objective value. One session per configuration
+// answers every profile, so repeats also exercise the shared cache.
+func TestProfileMatchesOracle(t *testing.T) {
+	for name, rel := range faultMatrixBackends(t, 3000) {
+		for _, pes := range []int{1, 4} {
+			for _, exact := range []int{0, 80} {
+				cfg := Config{Seed: 7, SampleFactor: 10, PEs: pes, ExactDomainLimit: exact}
+				sess, err := NewSession(rel, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, numeric := range []string{"Age", "Balance"} {
+					for _, buckets := range []int{1, 12, 400} {
+						for _, value := range []bool{true, false} {
+							id := fmt.Sprintf("%s/pes=%d/exact=%d/%s/M=%d/%v", name, pes, exact, numeric, buckets, value)
+							want, err := legacyBuildProfile(rel, numeric, "CardLoan", value, buckets, cfg)
+							if err != nil {
+								t.Fatalf("%s: oracle: %v", id, err)
+							}
+							got, err := sess.Profile(numeric, "CardLoan", value, buckets)
+							if err != nil {
+								t.Fatalf("%s: session: %v", id, err)
+							}
+							requireDeepEqual(t, id+" session", got, want)
+							oneShot, err := BuildProfile(rel, numeric, "CardLoan", value, buckets, cfg)
+							if err != nil {
+								t.Fatalf("%s: one-shot: %v", id, err)
+							}
+							requireDeepEqual(t, id+" one-shot", oneShot, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSessionProfileScans pins the profile path's scan cost on one
+// session: Mine pays the session's two scans, top-k at the same
+// resolution is served from its statistics, a profile at a new
+// resolution pays two scans, and repeating the profile pays none.
+func TestSessionProfileScans(t *testing.T) {
+	base, _ := bankRelation(t, 4000)
+	counting := &relation.CountingRelation{R: base}
+	s, err := NewSession(counting, Config{Buckets: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name  string
+		run   func() error
+		scans int
+	}{
+		{"Mine", func() error {
+			_, _, err := s.Mine("Balance", "CardLoan", true, nil)
+			return err
+		}, 2},
+		{"MineTopK", func() error {
+			_, err := s.MineTopK("Balance", "CardLoan", true, OptimizedConfidence, 3)
+			return err
+		}, 0},
+		{"Profile", func() error {
+			_, err := s.Profile("Balance", "CardLoan", true, 25)
+			return err
+		}, 2},
+		{"Profile again", func() error {
+			_, err := s.Profile("Balance", "CardLoan", true, 25)
+			return err
+		}, 0},
+	}
+	for _, step := range steps {
+		before := counting.Scans
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := counting.Scans - before; got != step.scans {
+			t.Errorf("%s issued %d scans, want %d", step.name, got, step.scans)
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // EXTRACT answers from the in-memory statistics. The one-shot package
 // functions (MineAll, Mine, MineTopK, …) are thin wrappers over a
 // throwaway session, pinned rule-for-rule identical to the
-// pre-session pipelines by differential tests.
+// pre-session pipelines (test oracles) by differential tests.
 
 // Query is the session IR: one mining request. See the plan package
 // for field semantics; the zero value of each optional field selects
@@ -293,6 +293,14 @@ func (s *Session) ExecuteBatch(queries []Query) ([]Answer, error) {
 // error in its Answer.Err and the batch itself returns nil error, so
 // callers draining a mixed batch see exactly which answers are usable.
 func (s *Session) ExecuteBatchContext(ctx context.Context, queries []Query) ([]Answer, error) {
+	return s.execute(ctx, s.d, queries, s.extract)
+}
+
+// execute resolves queries under d, materializes their statistics
+// (plan.RunContext), and hands each resolved query with the batch's
+// working set to extract. Every session read runs through it.
+func (s *Session) execute(ctx context.Context, d plan.Defaults, queries []Query,
+	extract func(*Answer, *plan.Resolved, *plan.StatsSet)) ([]Answer, error) {
 	// The read side of refreshMu spans resolve, execute, AND extract: a
 	// concurrent Append cannot slip between the batch planning against N
 	// rows and publishing statistics counted over them, so every cache
@@ -305,7 +313,7 @@ func (s *Session) ExecuteBatchContext(ctx context.Context, queries []Query) ([]A
 	req.Gen = s.gen
 	for i, q := range queries {
 		answers[i].Query = q
-		r, err := plan.Resolve(s.rel, s.d, q)
+		r, err := plan.Resolve(s.rel, d, q)
 		if err != nil {
 			answers[i].Err = err
 			continue
@@ -313,7 +321,7 @@ func (s *Session) ExecuteBatchContext(ctx context.Context, queries []Query) ([]A
 		resolved[i] = r
 		req.Add(r)
 	}
-	set, err := plan.RunContext(ctx, s.rel, s.d, s.c, req)
+	set, err := plan.RunContext(ctx, s.rel, d, s.c, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
@@ -330,7 +338,7 @@ func (s *Session) ExecuteBatchContext(ctx context.Context, queries []Query) ([]A
 		if r == nil {
 			continue
 		}
-		s.extract(&answers[i], r, set)
+		extract(&answers[i], r, set)
 	}
 	return answers, nil
 }

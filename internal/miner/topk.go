@@ -1,12 +1,6 @@
 package miner
 
-import (
-	"fmt"
-
-	"optrule/internal/bucketing"
-	"optrule/internal/core"
-	"optrule/internal/relation"
-)
+import "optrule/internal/relation"
 
 // MineTopK mines up to k pairwise-disjoint optimized ranges for one
 // (numeric, Boolean) attribute pair — the ranked list of clusters a
@@ -23,76 +17,4 @@ func MineTopK(rel relation.Relation, numeric, objective string, objectiveValue b
 		return nil, err
 	}
 	return s.MineTopK(numeric, objective, objectiveValue, kind, k)
-}
-
-// legacyMineTopK is the pre-session pipeline (its own sampling pass +
-// counting scan), kept as the differential-testing reference for the
-// session-backed MineTopK.
-func legacyMineTopK(rel relation.Relation, numeric, objective string, objectiveValue bool,
-	kind RuleKind, k int, cfg Config) ([]Rule, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("miner: k = %d must be positive", k)
-	}
-	s := rel.Schema()
-	numAttr := s.Index(numeric)
-	if numAttr < 0 || s[numAttr].Kind != relation.Numeric {
-		return nil, fmt.Errorf("miner: %q is not a numeric attribute", numeric)
-	}
-	objAttr := s.Index(objective)
-	if objAttr < 0 || s[objAttr].Kind != relation.Boolean {
-		return nil, fmt.Errorf("miner: %q is not a Boolean attribute", objective)
-	}
-	if rel.NumTuples() == 0 {
-		return nil, fmt.Errorf("miner: empty relation")
-	}
-	rng := attrRNG(cfg.Seed, numAttr)
-	bounds, err := bucketing.SampledBoundaries(rel, numAttr, cfg.Buckets, cfg.SampleFactor, rng)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := bucketing.Count(rel, numAttr, bounds, bucketing.Options{
-		Bools:         []bucketing.BoolCond{{Attr: objAttr, Want: objectiveValue}},
-		TrackExtremes: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	compact, _ := counts.Compact()
-	v := make([]float64, compact.M)
-	hits := 0
-	for i, c := range compact.V[0] {
-		v[i] = float64(c)
-		hits += c
-	}
-
-	var pairs []core.Pair
-	switch kind {
-	case OptimizedConfidence:
-		pairs, err = core.TopKSlopePairs(compact.U, v, cfg.MinSupport*float64(compact.N), k)
-	case OptimizedSupport:
-		pairs, err = core.TopKSupportPairs(compact.U, v, cfg.MinConfidence, k)
-	default:
-		return nil, fmt.Errorf("miner: unknown rule kind %v", kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rules := make([]Rule, 0, len(pairs))
-	for _, p := range pairs {
-		r := Rule{
-			Kind:           kind,
-			Numeric:        s[numAttr].Name,
-			Objective:      s[objAttr].Name,
-			ObjectiveValue: objectiveValue,
-			Baseline:       float64(hits) / float64(compact.N),
-			Buckets:        compact.M,
-		}
-		fillPair(&r, p, compact)
-		rules = append(rules, r)
-	}
-	return rules, nil
 }

@@ -16,10 +16,11 @@ import (
 )
 
 // AttrRNG derives the deterministic random stream for one numeric
-// attribute's sampling pass. EVERY boundary build — fused, cached, or
-// legacy per-attribute — must draw from this stream: sessions, one-shot
-// wrappers, and the pre-refactor pipelines stay boundary-identical
-// (and therefore rule-identical) only because they all do.
+// attribute's sampling pass. Every boundary build — fused or cached,
+// and the miner's test oracles — must draw from this stream: sessions,
+// one-shot wrappers, and the per-attribute reference pipelines stay
+// boundary-identical (and therefore rule-identical) only because they
+// all do.
 func AttrRNG(seed int64, attr int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(attr)*1e6 + 17))
 }

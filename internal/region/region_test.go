@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"optrule/internal/core"
 )
 
 // randomGrid builds a rows×cols grid with cell counts in [0, maxU]
@@ -210,4 +212,24 @@ func TestRectValidation(t *testing.T) {
 	if _, ok, err := OptimalRectConfidence(g3, 1); err != nil || ok {
 		t.Errorf("empty grid should return ok=false: %v %v", ok, err)
 	}
+}
+
+// NaiveOptimalRectConfidence is the O(M⁴) property-test oracle and
+// complexity baseline: the same row-range sweep, but with core's
+// quadratic 1-D solver per collapsed row range. Because the 1-D naive
+// solvers share every floating-point operation with the fast solvers,
+// the oracle is bit-for-bit comparable to the sweep even at exact
+// confidence-threshold ties.
+func NaiveOptimalRectConfidence(g *Grid, minSupCount float64) (Rect, bool, error) {
+	return optimalRect(g, func(u []int, v []float64, _ *core.Scratch) (core.Pair, bool, error) {
+		return core.NaiveOptimalSlopePair(u, v, minSupCount)
+	}, betterConfidence, nil, 1)
+}
+
+// NaiveOptimalRectSupport is the O(M⁴) oracle for the support
+// objective; see NaiveOptimalRectConfidence.
+func NaiveOptimalRectSupport(g *Grid, theta float64) (Rect, bool, error) {
+	return optimalRect(g, func(u []int, v []float64, _ *core.Scratch) (core.Pair, bool, error) {
+		return core.NaiveOptimalSupportPair(u, v, theta)
+	}, betterSupport, nil, 1)
 }

@@ -245,10 +245,11 @@
 // relation REWRITTEN in place (rows changed or removed), where every
 // cached statistic is stale and must be dropped.
 //
-// The one-shot functions below (MineAll, Mine, MineTopK, …) are thin
-// wrappers over a throwaway session and remain rule-for-rule identical
-// to their pre-session behavior (differential tests pin this across
-// all storage backends).
+// The one-shot functions below (MineAll, Mine, MineTopK, BuildProfile,
+// …) are thin wrappers over a throwaway session and remain
+// rule-for-rule identical to their pre-session behavior (differential
+// tests pin this against reference pipelines across all storage
+// backends).
 //
 // # Fault tolerance
 //
