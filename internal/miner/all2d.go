@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"optrule/internal/bucketing"
+	"optrule/internal/plan"
 	"optrule/internal/region"
 	"optrule/internal/relation"
 )
@@ -100,37 +101,30 @@ func MineAll2D(rel relation.Relation, opt Options2D, cfg Config) (*Result2D, err
 	return s.MineAll2D(opt)
 }
 
-// pair2D is one attribute pair's grid and statistics: rows bucket the
-// first attribute, columns the second, and the observed per-bucket
-// value extremes translate bucket ranges back to closed value ranges.
-// A tuple counts toward a pair iff BOTH its values are finite, so the
-// extremes are tracked per pair, not per attribute — exactly the
-// legacy per-pair semantics. The grids and extremes are produced (and
-// cached) by the plan executor's fused counting scan.
+// pair2D is one attribute pair: ai and bi index the resolved attribute
+// list, and the embedded statistics are the working set's grid (rows
+// bucket the first attribute, columns the second) with the per-bucket
+// value extremes that translate bucket ranges back to closed value
+// ranges. A tuple counts toward a pair iff BOTH its values are finite,
+// so the extremes are tracked per pair, not per attribute — exactly
+// the legacy per-pair semantics. The plan executor's fused counting
+// scan produces (and caches) them.
 type pair2D struct {
-	ai, bi int // indices into the engine's attribute list
-	grid   *region.Grid
-	minA   []float64
-	maxA   []float64
-	minB   []float64
-	maxB   []float64
-	n      int // tuples with both values finite
-	hits   int // of those, tuples meeting the objective
+	ai, bi int
+	*plan.Stats2D
 }
 
-// engine2D carries the extraction phase's state: the statistics the
-// plan layer produced plus the query's thresholds and kernel
-// selection. Session.extract2D assembles it.
+// engine2D carries the extraction phase's state: the resolved query
+// (names, objective value, kinds, region classes), the statistics the
+// plan layer produced, and the query's thresholds. Session.extract2D
+// assembles it.
 type engine2D struct {
-	cfg     Config
-	opt     Options2D
-	attrs   []int    // schema positions of opt.Numerics
-	names   []string // resolved attribute names
-	objAttr int
-	side    int
-	tuples  int
-	bounds  []bucketing.Boundaries
-	pairs   []pair2D
+	cfg       Config
+	r         *plan.Resolved
+	objective string // name of r.ObjAttr
+	tuples    int
+	bounds    []bucketing.Boundaries
+	pairs     []pair2D
 }
 
 // rectRule runs one rectangle kernel on one pair's grid with the given
@@ -142,11 +136,11 @@ func (e *engine2D) rectRule(pr *pair2D, kind RuleKind, workers int) (*Rule2D, er
 	var err error
 	switch kind {
 	case OptimizedConfidence:
-		rect, ok, err = region.OptimalRectConfidenceParallel(pr.grid, e.cfg.MinSupport*float64(pr.n), workers)
+		rect, ok, err = region.OptimalRectConfidenceParallel(pr.Grid, e.cfg.MinSupport*float64(pr.N), workers)
 	case OptimizedSupport:
-		rect, ok, err = region.OptimalRectSupportParallel(pr.grid, e.cfg.MinConfidence, workers)
+		rect, ok, err = region.OptimalRectSupportParallel(pr.Grid, e.cfg.MinConfidence, workers)
 	case OptimizedGain:
-		rect, ok, err = region.MaxGainRectParallel(pr.grid, e.cfg.MinConfidence, workers)
+		rect, ok, err = region.MaxGainRectParallel(pr.Grid, e.cfg.MinConfidence, workers)
 		if err == nil && ok && rect.Gain <= 0 {
 			ok = false // no rectangle beats the threshold anywhere
 		}
@@ -158,37 +152,37 @@ func (e *engine2D) rectRule(pr *pair2D, kind RuleKind, workers int) (*Rule2D, er
 	}
 	out := &Rule2D{
 		Kind:           kind,
-		NumericA:       e.names[pr.ai],
-		NumericB:       e.names[pr.bi],
-		Objective:      e.opt.Objective,
-		ObjectiveValue: e.opt.ObjectiveValue,
-		Support:        float64(rect.Count) / float64(pr.n),
+		NumericA:       e.r.Names[pr.ai],
+		NumericB:       e.r.Names[pr.bi],
+		Objective:      e.objective,
+		ObjectiveValue: e.r.ObjWant,
+		Support:        float64(rect.Count) / float64(pr.N),
 		Count:          rect.Count,
 		Confidence:     rect.Conf,
-		Baseline:       float64(pr.hits) / float64(pr.n),
+		Baseline:       float64(pr.Hits) / float64(pr.N),
 		Gain:           rect.Gain,
-		GridRows:       pr.grid.Rows(),
-		GridCols:       pr.grid.Cols(),
+		GridRows:       pr.Grid.Rows(),
+		GridCols:       pr.Grid.Cols(),
 	}
 	// Observed value ranges over the rectangle's rows/columns; empty
 	// rows or columns inside the rectangle contribute ±Inf extremes
 	// that min/max absorb naturally.
 	out.LowA, out.HighA = math.Inf(1), math.Inf(-1)
 	for r := rect.R1; r <= rect.R2; r++ {
-		if pr.minA[r] < out.LowA {
-			out.LowA = pr.minA[r]
+		if pr.MinA[r] < out.LowA {
+			out.LowA = pr.MinA[r]
 		}
-		if pr.maxA[r] > out.HighA {
-			out.HighA = pr.maxA[r]
+		if pr.MaxA[r] > out.HighA {
+			out.HighA = pr.MaxA[r]
 		}
 	}
 	out.LowB, out.HighB = math.Inf(1), math.Inf(-1)
 	for c := rect.C1; c <= rect.C2; c++ {
-		if pr.minB[c] < out.LowB {
-			out.LowB = pr.minB[c]
+		if pr.MinB[c] < out.LowB {
+			out.LowB = pr.MinB[c]
 		}
-		if pr.maxB[c] > out.HighB {
-			out.HighB = pr.maxB[c]
+		if pr.MaxB[c] > out.HighB {
+			out.HighB = pr.MaxB[c]
 		}
 	}
 	return out, nil
@@ -203,9 +197,9 @@ func (e *engine2D) regionRule(pr *pair2D, class RegionClass, workers int) (*Regi
 	var err error
 	switch class {
 	case XMonotoneClass:
-		xm, ok, err = region.MaxGainXMonotoneParallel(pr.grid, e.cfg.MinConfidence, workers)
+		xm, ok, err = region.MaxGainXMonotoneParallel(pr.Grid, e.cfg.MinConfidence, workers)
 	case RectilinearConvexClass:
-		xm, ok, err = region.MaxGainRectilinearConvexParallel(pr.grid, e.cfg.MinConfidence, workers)
+		xm, ok, err = region.MaxGainRectilinearConvexParallel(pr.Grid, e.cfg.MinConfidence, workers)
 	default:
 		return nil, fmt.Errorf("miner: region class %v not supported here (rectangles use Kinds)", class)
 	}
@@ -217,14 +211,14 @@ func (e *engine2D) regionRule(pr *pair2D, class RegionClass, workers int) (*Regi
 	}
 	out := &RegionRule{
 		Class:          class,
-		NumericA:       e.names[pr.ai],
-		NumericB:       e.names[pr.bi],
-		Objective:      e.opt.Objective,
-		ObjectiveValue: e.opt.ObjectiveValue,
-		Support:        float64(xm.Count) / float64(pr.n),
+		NumericA:       e.r.Names[pr.ai],
+		NumericB:       e.r.Names[pr.bi],
+		Objective:      e.objective,
+		ObjectiveValue: e.r.ObjWant,
+		Support:        float64(xm.Count) / float64(pr.N),
 		Count:          xm.Count,
 		Confidence:     xm.Conf,
-		Baseline:       float64(pr.hits) / float64(pr.n),
+		Baseline:       float64(pr.Hits) / float64(pr.N),
 		Gain:           xm.Gain,
 	}
 	boundsB := e.bounds[pr.bi]
@@ -232,11 +226,11 @@ func (e *engine2D) regionRule(pr *pair2D, class RegionClass, workers int) (*Regi
 		bLo, bHi := boundsB.BucketRange(ci.Col)
 		band := RegionBand{BLo: bLo, BHi: bHi, ALo: math.Inf(1), AHi: math.Inf(-1)}
 		for r := ci.Lo; r <= ci.Hi; r++ {
-			if pr.minA[r] < band.ALo {
-				band.ALo = pr.minA[r]
+			if pr.MinA[r] < band.ALo {
+				band.ALo = pr.MinA[r]
 			}
-			if pr.maxA[r] > band.AHi {
-				band.AHi = pr.maxA[r]
+			if pr.MaxA[r] > band.AHi {
+				band.AHi = pr.MaxA[r]
 			}
 		}
 		out.Bands = append(out.Bands, band)
@@ -259,14 +253,14 @@ func (e *engine2D) mineAll() (*Result2D, error) {
 	var tasks []task
 	mined := 0
 	for p := range e.pairs {
-		if e.pairs[p].n == 0 {
+		if e.pairs[p].N == 0 {
 			continue // no tuple has both values finite; skip the pair
 		}
 		mined++
-		for _, kind := range e.opt.Kinds {
+		for _, kind := range e.r.Kinds {
 			tasks = append(tasks, task{pair: p, kind: kind})
 		}
-		for _, class := range e.opt.Regions {
+		for _, class := range e.r.Regions {
 			tasks = append(tasks, task{pair: p, class: class, isRegion: true})
 		}
 	}
@@ -313,7 +307,7 @@ func (e *engine2D) mineAll() (*Result2D, error) {
 	for t, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("miner: pair (%s, %s): %w",
-				e.names[e.pairs[tasks[t].pair].ai], e.names[e.pairs[tasks[t].pair].bi], err)
+				e.r.Names[e.pairs[tasks[t].pair].ai], e.r.Names[e.pairs[tasks[t].pair].bi], err)
 		}
 	}
 	for _, r := range rules {

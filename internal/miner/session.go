@@ -558,25 +558,14 @@ func (s *Session) extractAverage(r *plan.Resolved, set *plan.StatsSet) (*AvgRang
 // extract2D assembles the 2-D engine over the batch's cached pair
 // grids and runs the region kernels (all2d.go).
 func (s *Session) extract2D(r *plan.Resolved, set *plan.StatsSet) (*Result2D, error) {
-	schema := s.rel.Schema()
 	cfg := s.cfg
 	cfg.MinSupport, cfg.MinConfidence = r.MinSupport, r.MinConfidence
 	eng := &engine2D{
-		cfg: cfg,
-		opt: Options2D{
-			Numerics:       r.Names,
-			Objective:      schema[r.ObjAttr].Name,
-			ObjectiveValue: r.ObjWant,
-			Kinds:          r.Kinds,
-			Regions:        r.Regions,
-			GridSide:       r.Side,
-		},
-		attrs:   r.Attrs,
-		names:   r.Names,
-		objAttr: r.ObjAttr,
-		side:    r.Side,
-		tuples:  s.rel.NumTuples(),
-		bounds:  make([]bucketing.Boundaries, len(r.Attrs)),
+		cfg:       cfg,
+		r:         r,
+		objective: s.rel.Schema()[r.ObjAttr].Name,
+		tuples:    s.rel.NumTuples(),
+		bounds:    make([]bucketing.Boundaries, len(r.Attrs)),
 	}
 	for k, attr := range r.Attrs {
 		b, ok := set.Bounds[plan.BoundKey{Attr: attr, M: r.Side}]
@@ -593,12 +582,7 @@ func (s *Session) extract2D(r *plan.Resolved, set *plan.StatsSet) (*Result2D, er
 			if !ok {
 				return nil, fmt.Errorf("miner: pair grid (%s, %s) missing from working set", r.Names[i], r.Names[j])
 			}
-			eng.pairs = append(eng.pairs, pair2D{
-				ai: i, bi: j, grid: st.Grid,
-				minA: st.MinA, maxA: st.MaxA,
-				minB: st.MinB, maxB: st.MaxB,
-				n: st.N, hits: st.Hits,
-			})
+			eng.pairs = append(eng.pairs, pair2D{ai: i, bi: j, Stats2D: st})
 		}
 	}
 	return eng.mineAll()

@@ -69,10 +69,7 @@ const scanChunksPerPE = 4
 // the planner to equal-row packing with steal slack. v1 row-major
 // files return nil (no preferred atoms).
 func (dr *DiskRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []int64) {
-	if dr.version != DiskFormatV2 && dr.version != DiskFormatV3 {
-		return nil, nil
-	}
-	groups := len(dr.groupOffs)
+	groups := dr.numGroups
 	if groups == 0 {
 		return nil, nil
 	}
@@ -93,10 +90,10 @@ func (dr *DiskRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []int
 		}
 		var c int64
 		for _, a := range cols.Numeric {
-			c += int64(dr.v3NumBlock(g, dr.numPos[a]).encLen)
+			c += int64(dr.numBlock(g, dr.numPos[a]).encLen)
 		}
 		for _, a := range cols.Bool {
-			c += int64(dr.v3BoolBlock(g, dr.boolPos[a]).encLen)
+			c += int64(dr.boolBlock(g, dr.boolPos[a]).encLen)
 		}
 		if c == 0 {
 			// Degenerate column set: keep surviving groups visibly more

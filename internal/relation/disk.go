@@ -33,14 +33,17 @@ import (
 //
 // Format v2 — column-major block groups — stores each column
 // contiguously within groups of GroupRows tuples, so a scan selecting
-// k of d columns reads ~k/d of the bytes; see diskv2.go for the layout
-// and the overlapped read-ahead scan pipeline.
+// k of d columns reads ~k/d of the bytes; see diskv2.go for the layout.
 //
 // Format v3 — compressed column-major block groups — keeps the v2
-// block-group discipline but encodes each column block (delta bit
-// packing, dictionary coding, bitmaps, raw fallback) and stores
-// per-block zone maps in the directory so predicated scans skip whole
-// groups; see diskv3.go.
+// block-group layout but encodes each column block (delta bit packing,
+// dictionary coding, bitmaps, raw fallback) and stores per-block zone
+// maps in the directory so predicated scans skip whole groups; see
+// diskv3.go.
+//
+// One block-group engine (diskblock.go) writes, opens, scans and
+// point-reads both v2 and v3 files; only the directory encoding
+// differs between them.
 
 var diskMagic = [4]byte{'O', 'P', 'T', 'R'}
 
@@ -55,21 +58,27 @@ const (
 	DiskFormatV3 = 3
 )
 
-// rowWidth returns the encoded size in bytes of one v1 tuple.
-func rowWidth(s Schema) int {
-	numNumeric, numBool := 0, 0
+// counts returns the schema's numeric and Boolean attribute counts.
+func (s Schema) counts() (nums, bools int) {
 	for _, a := range s {
 		if a.Kind == Numeric {
-			numNumeric++
+			nums++
 		} else {
-			numBool++
+			bools++
 		}
 	}
-	return 8*numNumeric + (numBool+7)/8
+	return nums, bools
 }
 
-// DiskWriter streams tuples into the binary on-disk format (either
-// version; NewDiskWriter writes v1, NewDiskWriterV2 writes v2).
+// rowWidth returns the encoded size in bytes of one v1 tuple.
+func rowWidth(s Schema) int {
+	nums, bools := s.counts()
+	return 8*nums + (bools+7)/8
+}
+
+// DiskWriter streams tuples into any binary on-disk format:
+// NewDiskWriter writes v1, NewDiskWriterV2 v2 and NewDiskWriterV3 v3
+// (NewDiskWriterFormat picks by version).
 type DiskWriter struct {
 	f       *os.File
 	w       *bufio.Writer
@@ -94,20 +103,18 @@ type DiskWriter struct {
 	// v1 state: one encoded row, reused.
 	rowBuf []byte
 
-	// v2 state: the pending block group's columns, flushed every
-	// groupRows tuples (see diskv2.go).
+	// v2/v3 state (see diskblock.go): the pending block group's
+	// columns, flushed every groupRows tuples, the entries of every
+	// block written so far (the directory Close writes), the next
+	// block's file offset, and the encoding scratch.
 	groupRows int
 	colNums   [][]float64
 	colBools  [][]byte
 	pending   int
-	groupOffs []int64
+	blocks    []blockEntry
 	off       int64
 	encodeBuf []byte
-
-	// v3 state: the accumulated block directory and the bit-packing
-	// scratch (see diskv3.go).
-	v3Dir     []byte
-	v3Scratch []uint64
+	scratch   []uint64
 
 	// cluster state (see cluster.go): while clustering, Append buffers
 	// whole columns instead of streaming them into groups, and Close
@@ -226,13 +233,7 @@ func NewDiskWriter(path string, schema Schema) (*DiskWriter, error) {
 		return nil, err
 	}
 	dw.rowsOff = rowsOff
-	for _, a := range schema {
-		if a.Kind == Numeric {
-			dw.nums++
-		} else {
-			dw.bools++
-		}
-	}
+	dw.nums, dw.bools = schema.counts()
 	return dw, nil
 }
 
@@ -256,8 +257,8 @@ func (dw *DiskWriter) Append(nums []float64, bools []bool) error {
 		dw.bufRows++
 		return nil
 	}
-	if dw.version == DiskFormatV2 || dw.version == DiskFormatV3 {
-		return dw.appendV2(nums, bools)
+	if dw.version != DiskFormatV1 {
+		return dw.appendBlockRow(nums, bools)
 	}
 	buf := dw.rowBuf
 	off := 0
@@ -280,39 +281,50 @@ func (dw *DiskWriter) Append(nums []float64, bools []bool) error {
 	return nil
 }
 
-// Close flushes buffered rows, patches the row count (and, for v2/v3,
-// the block-group directory location) into the header, closes the
-// staging file, and renames it over the destination — the commit point
-// of the staged write.
+// Close flushes buffered rows (for v2/v3 also the tail group and the
+// directory, see writeDirectory), patches the row count into the header,
+// closes the staging file, and renames it over the destination — the
+// commit point of the staged write.
 func (dw *DiskWriter) Close() error {
 	if dw.closed {
 		return nil
 	}
-	if dw.clustering {
-		if err := dw.replayClustered(); err != nil {
-			dw.closed = true
-			dw.abort()
-			return err
-		}
-	}
+	err := dw.finish() // before closed is set: a clustered replay Appends
 	dw.closed = true
-	if dw.version == DiskFormatV3 {
-		return dw.closeV3()
-	}
-	if dw.version == DiskFormatV2 {
-		return dw.closeV2()
-	}
-	if err := dw.w.Flush(); err != nil {
-		dw.abort()
-		return err
-	}
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], dw.rows)
-	if _, err := dw.f.WriteAt(u64[:], dw.rowsOff); err != nil {
+	if err != nil {
 		dw.abort()
 		return err
 	}
 	return dw.commit()
+}
+
+// finish is Close's write phase: everything but the commit. The
+// header patch is numRows, then for v2/v3 the tail after it (groupRows
+// again, numGroups, dirOff).
+func (dw *DiskWriter) finish() error {
+	if dw.clustering {
+		if err := dw.replayClustered(); err != nil {
+			return err
+		}
+	}
+	var patch [8 + 4 + 4 + 8]byte
+	n := 8
+	if dw.version != DiskFormatV1 {
+		numGroups, dirOff, err := dw.writeDirectory()
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(patch[8:], uint32(dw.groupRows))
+		binary.LittleEndian.PutUint32(patch[12:], uint32(numGroups))
+		binary.LittleEndian.PutUint64(patch[16:], uint64(dirOff))
+		n = len(patch)
+	}
+	binary.LittleEndian.PutUint64(patch[:], dw.rows)
+	if err := dw.w.Flush(); err != nil {
+		return err
+	}
+	_, err := dw.f.WriteAt(patch[:n], dw.rowsOff)
+	return err
 }
 
 // DiskRelation is a Relation backed by either binary on-disk format. It
@@ -331,12 +343,12 @@ type DiskRelation struct {
 	numPos  []int // schema index -> dense numeric position
 	boolPos []int // schema index -> dense boolean position
 
-	// v2/v3 layout (see diskv2.go, diskv3.go). groupOffs holds each
-	// group's first byte; v3 additionally keeps the decoded per-block
-	// directory with encodings and zone maps.
+	// v2/v3 layout (see diskblock.go): every group's block entries,
+	// numeric columns then Boolean ones in dense order — read from a v3
+	// directory, derived from a v2 one.
 	groupRows int
-	groupOffs []int64
-	v3Blocks  []v3Block
+	numGroups int
+	blocks    []blockEntry
 
 	// bytesRead counts payload bytes delivered from disk by scans — the
 	// deterministic counted-I/O model experiments and tests compare
@@ -439,14 +451,8 @@ func OpenDisk(path string) (*DiskRelation, error) {
 			dr.bools++
 		}
 	}
-	if version == DiskFormatV2 {
-		if err := dr.openV2Meta(f, r); err != nil {
-			return nil, err
-		}
-		return dr, nil
-	}
-	if version == DiskFormatV3 {
-		if err := dr.openV3Meta(f, r); err != nil {
+	if version != DiskFormatV1 {
+		if err := dr.openBlockMeta(f, r); err != nil {
 			return nil, err
 		}
 		return dr, nil
@@ -481,20 +487,18 @@ func (dr *DiskRelation) StoragePaths() []string { return []string{dr.path} }
 // GroupRows returns the rows per block group for v2/v3 files and 0 for
 // v1.
 func (dr *DiskRelation) GroupRows() int {
-	if dr.version == DiskFormatV2 || dr.version == DiskFormatV3 {
-		return dr.groupRows
-	}
-	return 0
+	return dr.groupRows
 }
 
 // BytesRead returns the total payload bytes scans have delivered from
 // disk since open (or the last ResetBytesRead). Header and directory
 // reads are excluded, so the counter is a deterministic I/O cost model:
-// v1 scans cost rowWidth bytes per row regardless of the column set,
-// v2 scans cost only the selected column blocks, and v3 scans cost the
-// PHYSICAL post-compression bytes of the selected blocks — so a v3
-// scan of compressible columns counts strictly fewer bytes than the
-// same v2 scan, and a zone-skipped group counts zero. Point reads
+// v1 scans cost rowWidth bytes per row regardless of the column set;
+// v2 and v3 scans cost the scanned rows of the selected raw and bitmap
+// blocks plus, in v3, the PHYSICAL post-compression bytes of each
+// selected encoded block once per group touched — so a v3 scan of
+// compressible columns counts strictly fewer bytes than the same v2
+// scan, and a zone-skipped group counts zero. Point reads
 // charge a flat 8 bytes per unique row in every format. Safe for
 // concurrent use.
 func (dr *DiskRelation) BytesRead() int64 { return dr.bytesRead.Load() }
@@ -507,7 +511,7 @@ func (dr *DiskRelation) ResetBytesRead() { dr.bytesRead.Store(0) }
 // group costs two partial — or, compressed, two full — column-block
 // reads instead of one); v1 rows are individually addressable.
 func (dr *DiskRelation) ScanAlignment() int {
-	if dr.version == DiskFormatV2 || dr.version == DiskFormatV3 {
+	if dr.version != DiskFormatV1 {
 		return dr.groupRows
 	}
 	return 1
@@ -520,8 +524,10 @@ func (dr *DiskRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 
 // ScanRange streams rows [start, end) through fn. Each call opens its
 // own file handle, so disjoint ranges may be scanned concurrently — the
-// access pattern of the parallel bucketing Algorithm 3.2. On v2 files
-// the scan runs the overlapped read-ahead pipeline of diskv2.go.
+// access pattern of the parallel bucketing Algorithm 3.2. On v2 and v3
+// files the scan runs the block-group engine's overlapped read-ahead
+// pipeline (scanBlocks in diskblock.go); v1 files stream rows through
+// the loop below.
 func (dr *DiskRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
 	dr.ops.RLock()
 	defer dr.ops.RUnlock()
@@ -534,11 +540,8 @@ func (dr *DiskRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch
 	if start == end {
 		return nil
 	}
-	if dr.version == DiskFormatV3 {
-		return dr.scanRangeV3(start, end, cols, nil, nil, fn)
-	}
-	if dr.version == DiskFormatV2 {
-		return dr.scanRangeV2(start, end, cols, fn)
+	if dr.version != DiskFormatV1 {
+		return dr.scanBlocks(start, end, cols, nil, nil, fn)
 	}
 	f, err := os.Open(dr.path)
 	if err != nil {

@@ -627,38 +627,44 @@ func TestDiskV2SelectiveScanBytes(t *testing.T) {
 
 // TestDiskV2EarlyAbortBytesDeterministic pins that BytesRead is a
 // deterministic cost model even when the caller aborts the scan early:
-// only delivered groups are charged, never the prefetcher's in-flight
-// read-ahead (whether that read finished is a goroutine race).
+// only delivered windows are charged, never the prefetcher's in-flight
+// read-ahead (whether that read finished is a goroutine race). Both
+// block formats run through the one pipeline; the v3 file has a raw and
+// a delta-coded numeric column.
 func TestDiskV2EarlyAbortBytesDeterministic(t *testing.T) {
-	path, _ := writeTestFileV2(t, 20000, 7, 1000)
-	dr, err := OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := fmt.Errorf("stop")
-	abortingScan := func() int64 {
-		dr.ResetBytesRead()
-		batches := 0
-		err := dr.Scan(ColumnSet{Numeric: []int{0}}, func(b *Batch) error {
-			batches++
-			if batches == 2 {
-				return stop
+	v2Path, _ := writeTestFileV2(t, 20000, 7, 1000)
+	v3Path, _ := writeTestFileV3(t, 20000, 7, 1000)
+	for _, path := range []string{v2Path, v3Path} {
+		dr, err := OpenDisk(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := fmt.Errorf("stop")
+		abortingScan := func() int64 {
+			dr.ResetBytesRead()
+			batches := 0
+			err := dr.Scan(ColumnSet{Numeric: []int{0, 1}, Bool: []int{2}}, func(b *Batch) error {
+				batches++
+				if batches == 2 {
+					return stop
+				}
+				return nil
+			})
+			if err != stop {
+				t.Fatalf("v%d: scan error = %v, want %v", dr.Version(), err, stop)
 			}
-			return nil
-		})
-		if err != stop {
-			t.Fatalf("scan error = %v, want %v", err, stop)
+			return dr.BytesRead()
 		}
-		return dr.BytesRead()
-	}
-	first := abortingScan()
-	if first <= 0 {
-		t.Fatalf("aborted scan counted %d bytes, want > 0", first)
-	}
-	for i := 0; i < 20; i++ {
-		if got := abortingScan(); got != first {
-			t.Fatalf("aborted scan counted %d bytes on repeat %d, want %d every time", got, i, first)
+		first := abortingScan()
+		if first <= 0 {
+			t.Fatalf("v%d: aborted scan counted %d bytes, want > 0", dr.Version(), first)
 		}
+		for i := 0; i < 20; i++ {
+			if got := abortingScan(); got != first {
+				t.Fatalf("v%d: aborted scan counted %d bytes on repeat %d, want %d every time", dr.Version(), got, i, first)
+			}
+		}
+		dr.Close()
 	}
 }
 
@@ -712,21 +718,35 @@ func TestNewDiskWriterV2Errors(t *testing.T) {
 }
 
 // TestDiskV2WindowByteModel pins the batch-sized read-ahead windows of
-// scanRangeV2 against the per-group byte model. Block groups of 20000
-// rows (not a multiple of DefaultBatchSize) hold two full windows and
-// a short one each. Ranges start off byte boundaries, sit inside one
-// window, cross window and group boundaries, and end mid-window; each
-// must deliver exactly Scan's rows and charge, per block group it
-// touches, selected numerics × rows × 8 plus the Boolean byte span
-// [first/8, ceil(last/8)) of every selected Boolean.
+// the block-group scan against the per-group byte model, on a v2 file
+// and on a v3 file with the same rows (Balance raw, Age delta-coded).
+// Block groups of 20000 rows (not a multiple of DefaultBatchSize) hold
+// two full windows and a short one each, and the last group is
+// partial. Ranges start off byte boundaries, sit inside one window,
+// cross window and group boundaries, and end mid-window; each must
+// deliver exactly Scan's rows and charge, per block group it touches,
+// rows × 8 per selected raw numeric block, the whole encLen of every
+// selected encoded block, and the Boolean byte span [first/8,
+// ceil(last/8)) of every selected Boolean.
 func TestDiskV2WindowByteModel(t *testing.T) {
 	const n, groupRows = 50000, 20000
-	path, _ := writeTestFileV2(t, n, 11, groupRows)
-	dr, err := OpenDisk(path)
-	if err != nil {
-		t.Fatal(err)
+	v2Path, _ := writeTestFileV2(t, n, 11, groupRows)
+	v3Path, _ := writeTestFileV3(t, n, 11, groupRows)
+	for _, path := range []string{v2Path, v3Path} {
+		dr, err := OpenDisk(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dr.Close()
+		t.Run(fmt.Sprintf("v%d", dr.Version()), func(t *testing.T) {
+			checkWindowByteModel(t, dr, n, groupRows)
+		})
 	}
-	defer dr.Close()
+}
+
+// checkWindowByteModel runs TestDiskV2WindowByteModel's ranges over dr.
+func checkWindowByteModel(t *testing.T, dr *DiskRelation, n, groupRows int) {
+	encoded := false
 	collect := func(scan func(ColumnSet, func(*Batch) error) error, cols ColumnSet) ([][]float64, [][]bool) {
 		nums := make([][]float64, len(cols.Numeric))
 		bools := make([][]bool, len(cols.Bool))
@@ -753,7 +773,15 @@ func TestDiskV2WindowByteModel(t *testing.T) {
 			if first >= last {
 				continue
 			}
-			want += int64(len(cols.Numeric)*(last-first)*8 + len(cols.Bool)*((last+7)/8-first/8))
+			for _, a := range cols.Numeric {
+				if blk := dr.numBlock(g0/groupRows, dr.numPos[a]); blk.enc != v3EncRaw {
+					encoded = true
+					want += int64(blk.encLen)
+				} else {
+					want += int64((last - first) * 8)
+				}
+			}
+			want += int64(len(cols.Bool) * ((last+7)/8 - first/8))
 		}
 		return want
 	}
@@ -808,5 +836,8 @@ func TestDiskV2WindowByteModel(t *testing.T) {
 				}
 			}
 		}
+	}
+	if want := dr.Version() == DiskFormatV3; encoded != want {
+		t.Errorf("v%d file: encoded numeric blocks present = %v, want %v", dr.Version(), encoded, want)
 	}
 }

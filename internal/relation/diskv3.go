@@ -1,20 +1,18 @@
 package relation
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"sync"
 )
 
 // Format v3 — compressed column-major block groups (little endian).
-// The header and block-group discipline are v2's (see diskv2.go); what
-// changes is that every column block is individually ENCODED and the
-// footer directory carries one entry per block — its file location,
-// its encoding, and a zone map — instead of one entry per group:
+// The header and block-group layout are the engine's shared ones (see
+// diskblock.go); what v3 adds over v2 is that every column block is
+// individually ENCODED and the footer directory carries one entry per
+// block — its file location, its encoding, and a zone map — instead of
+// one entry per group:
 //
 //	magic     [4]byte  "OPTR"
 //	version   uint32   3
@@ -75,14 +73,15 @@ import (
 // row accounting — and BytesRead then grows by nothing for that group.
 //
 // BytesRead contract under compression: scans charge the PHYSICAL
-// post-compression bytes actually fetched (whole encoded blocks of the
-// selected columns; zone-skipped groups charge zero), so v3 scans of
-// compressible columns cost strictly fewer counted bytes than the same
-// v2 scan. Point reads keep the flat 8-bytes-per-unique-row price of
-// the other formats: the value's location is computed in O(1) from the
-// directory entry (bit arithmetic for packed blocks; RLE blocks
-// binary-search their run directory in O(log runs) tiny fetches),
-// never by decoding the block.
+// bytes actually fetched — the scanned rows of raw and bitmap blocks,
+// as in v2, and each encoded block of the selected columns whole, once
+// per group the range touches; zone-skipped groups charge zero — so v3
+// scans of compressible columns cost strictly fewer counted bytes than
+// the same v2 scan. Point reads keep the flat 8-bytes-per-unique-row
+// price of the other formats: the value's location is computed in O(1)
+// from the directory entry (bit arithmetic for packed blocks; RLE
+// blocks binary-search their run directory in O(log runs) tiny
+// fetches), never by decoding the block.
 
 // Numeric/Boolean block encodings of the v3 format.
 const (
@@ -124,17 +123,6 @@ const (
 // v3GroupEntrySize returns the directory bytes per block group.
 func v3GroupEntrySize(nums, bools int) int {
 	return nums*v3NumEntrySize + bools*v3BoolEntrySize
-}
-
-// v3Block is one decoded directory entry. Numeric blocks use min/max
-// (the zone map; min also anchors encDelta); Boolean blocks use
-// trueCount.
-type v3Block struct {
-	off      int64
-	encLen   int
-	enc      uint8
-	min, max float64
-	trueCnt  int
 }
 
 // ---------------------------------------------------------------------
@@ -209,29 +197,12 @@ func unpackBits(src []byte, bw, n int, dst []uint64) {
 // ---------------------------------------------------------------------
 // Writer.
 
-// NewDiskWriterV3 creates (staged like NewDiskWriterV2) the file at path and writes a v3
-// compressed column-major header. groupRows is the block-group size; 0
-// selects DefaultGroupRows. Call Append for each tuple and Close to
-// finalize.
+// NewDiskWriterV3 creates a v3 compressed column-major relation file at
+// path, staged like NewDiskWriterV2. groupRows is the block-group size;
+// 0 selects DefaultGroupRows. Call Append for each tuple and Close to
+// finalize (or Discard to abandon).
 func NewDiskWriterV3(path string, schema Schema, groupRows int) (*DiskWriter, error) {
-	dw, err := NewDiskWriterV2(path, schema, groupRows)
-	if err != nil {
-		return nil, err
-	}
-	// The v2 constructor wrote "version 2" into the header prefix; patch
-	// the version field in place before any data lands after it.
-	dw.version = DiskFormatV3
-	if err := dw.w.Flush(); err != nil {
-		dw.abort()
-		return nil, err
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(DiskFormatV3))
-	if _, err := dw.f.WriteAt(u32[:], 4); err != nil {
-		dw.abort()
-		return nil, err
-	}
-	return dw, nil
+	return newBlockWriter(path, schema, groupRows, DiskFormatV3)
 }
 
 // v3MinMax returns the zone map of a numeric block: min/max over the
@@ -406,225 +377,97 @@ func v3EncodeNumeric(col []float64, enc uint8, size, bw int, dict []float64, mn 
 	return out, scratch
 }
 
-// flushGroupV3 encodes and writes the pending block group's columns and
-// appends their directory entries.
-func (dw *DiskWriter) flushGroupV3() error {
-	g := dw.pending
-	if g == 0 {
-		return nil
+// v3DirEntry encodes blk's directory entry into buf: the numeric
+// layout with its zone-map min/max, or the Boolean one with its
+// trueCount.
+func v3DirEntry(buf []byte, blk *blockEntry, boolean bool) []byte {
+	binary.LittleEndian.PutUint64(buf[0:], uint64(blk.off))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(blk.encLen))
+	buf[12] = blk.enc
+	if boolean {
+		binary.LittleEndian.PutUint32(buf[13:], uint32(blk.trueCnt))
+		return buf[:v3BoolEntrySize]
 	}
-	if dw.encodeBuf == nil {
-		dw.encodeBuf = make([]byte, 8*dw.groupRows)
-	}
-	var entry [v3NumEntrySize]byte
-	for _, col := range dw.colNums {
-		mn, mx := v3MinMax(col)
-		enc, size, bw, dict := v3PlanNumeric(col, mn, mx)
-		var payload []byte
-		payload, dw.v3Scratch = v3EncodeNumeric(col, enc, size, bw, dict, mn, dw.encodeBuf, dw.v3Scratch)
-		if _, err := dw.w.Write(payload); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(entry[0:], uint64(dw.off))
-		binary.LittleEndian.PutUint32(entry[8:], uint32(size))
-		entry[12] = enc
-		binary.LittleEndian.PutUint64(entry[13:], math.Float64bits(mn))
-		binary.LittleEndian.PutUint64(entry[21:], math.Float64bits(mx))
-		dw.v3Dir = append(dw.v3Dir, entry[:v3NumEntrySize]...)
-		dw.off += int64(size)
-	}
-	for _, col := range dw.colBools {
-		if _, err := dw.w.Write(col); err != nil {
-			return err
-		}
-		trueCount := 0
-		for _, b := range col {
-			trueCount += bits.OnesCount8(b)
-		}
-		binary.LittleEndian.PutUint64(entry[0:], uint64(dw.off))
-		binary.LittleEndian.PutUint32(entry[8:], uint32(len(col)))
-		entry[12] = v3EncBitmap
-		binary.LittleEndian.PutUint32(entry[13:], uint32(trueCount))
-		dw.v3Dir = append(dw.v3Dir, entry[:v3BoolEntrySize]...)
-		dw.off += int64(len(col))
-	}
-	dw.groupOffs = append(dw.groupOffs, dw.off) // group count tracking only
-	for j := range dw.colNums {
-		dw.colNums[j] = dw.colNums[j][:0]
-	}
-	for j := range dw.colBools {
-		dw.colBools[j] = dw.colBools[j][:0]
-	}
-	dw.pending = 0
-	return nil
-}
-
-// closeV3 flushes the tail group, writes the block directory, and
-// patches numRows, numGroups, and dirOff into the header.
-func (dw *DiskWriter) closeV3() error {
-	fail := func(err error) error {
-		dw.abort()
-		return err
-	}
-	if err := dw.flushGroupV3(); err != nil {
-		return fail(err)
-	}
-	dirOff := dw.off
-	if _, err := dw.w.Write(dw.v3Dir); err != nil {
-		return fail(err)
-	}
-	if err := dw.w.Flush(); err != nil {
-		return fail(err)
-	}
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], dw.rows)
-	if _, err := dw.f.WriteAt(u64[:], dw.rowsOff); err != nil {
-		return fail(err)
-	}
-	var tailer [12]byte
-	binary.LittleEndian.PutUint32(tailer[0:], uint32(len(dw.groupOffs)))
-	binary.LittleEndian.PutUint64(tailer[4:], uint64(dirOff))
-	if _, err := dw.f.WriteAt(tailer[:], dw.rowsOff+8+4); err != nil {
-		return fail(err)
-	}
-	return dw.commit()
+	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(blk.min))
+	binary.LittleEndian.PutUint64(buf[21:], math.Float64bits(blk.max))
+	return buf[:v3NumEntrySize]
 }
 
 // ---------------------------------------------------------------------
 // Reader.
 
-// openV3Meta parses and validates the v3 header tail and block
-// directory. Like openV2Meta, every declared quantity is cross-checked
-// before any group-sized allocation: block bounds must sit inside the
-// data region, encodings must be legal for the column kind, zone maps
+// parseV3Group decodes and validates group g's directory entries
+// against the data region [dataOff, dirOff): block bounds must sit
+// inside it, encodings must be legal for the column kind, zone maps
 // must be coherent (min ≤ max or the all-NaN marker; trueCount within
 // the group) — so a hostile directory fails at open with a clear error.
 // Per-block payload corruption is detected at decode time.
-func (dr *DiskRelation) openV3Meta(f *os.File, r *bufio.Reader) error {
-	var tail [16]byte
-	if _, err := metaReadFull(r, tail[:]); err != nil {
-		return fmt.Errorf("relation: %s: reading v3 header: %w", dr.path, err)
-	}
-	dr.groupRows = int(binary.LittleEndian.Uint32(tail[0:]))
-	numGroups := int(binary.LittleEndian.Uint32(tail[4:]))
-	dirOff := int64(binary.LittleEndian.Uint64(tail[8:]))
-	dr.dataOff += 16
-	if dr.groupRows < 1 || dr.groupRows > maxGroupRows {
-		return fmt.Errorf("relation: %s: group size %d rows out of [1, %d]", dr.path, dr.groupRows, maxGroupRows)
-	}
-	wantGroups := (dr.numRows + dr.groupRows - 1) / dr.groupRows
-	if numGroups != wantGroups {
-		return fmt.Errorf("relation: %s: directory declares %d block groups, %d rows of %d need %d",
-			dr.path, numGroups, dr.numRows, dr.groupRows, wantGroups)
-	}
-	if dirOff < dr.dataOff {
-		return fmt.Errorf("relation: %s: directory offset %d inside header (data starts at %d)", dr.path, dirOff, dr.dataOff)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	entrySize := v3GroupEntrySize(dr.nums, dr.bools)
-	dirBytes := int64(numGroups) * int64(entrySize)
-	if dirOff+dirBytes > st.Size() {
-		return fmt.Errorf("relation: %s truncated: %d bytes, directory needs [%d, %d)",
-			dr.path, st.Size(), dirOff, dirOff+dirBytes)
-	}
-	dir := make([]byte, dirBytes)
-	if _, err := metaReadAt(f, dir, dirOff); err != nil {
-		return fmt.Errorf("relation: %s: reading block directory: %w", dr.path, err)
-	}
-	dr.v3Blocks = make([]v3Block, numGroups*(dr.nums+dr.bools))
-	dr.groupOffs = make([]int64, numGroups)
+func (dr *DiskRelation) parseV3Group(g int, dir []byte, dirOff int64) error {
+	gRows := dr.rowsInGroup(g)
 	pos := 0
-	for g := 0; g < numGroups; g++ {
-		gRows := dr.groupRows
-		if g == numGroups-1 {
-			gRows = dr.numRows - (numGroups-1)*dr.groupRows
+	for p := 0; p < dr.nums; p++ {
+		blk := blockEntry{
+			off:    int64(binary.LittleEndian.Uint64(dir[pos:])),
+			encLen: int(binary.LittleEndian.Uint32(dir[pos+8:])),
+			enc:    dir[pos+12],
+			min:    math.Float64frombits(binary.LittleEndian.Uint64(dir[pos+13:])),
+			max:    math.Float64frombits(binary.LittleEndian.Uint64(dir[pos+21:])),
 		}
-		for p := 0; p < dr.nums; p++ {
-			blk := v3Block{
-				off:    int64(binary.LittleEndian.Uint64(dir[pos:])),
-				encLen: int(binary.LittleEndian.Uint32(dir[pos+8:])),
-				enc:    dir[pos+12],
-				min:    math.Float64frombits(binary.LittleEndian.Uint64(dir[pos+13:])),
-				max:    math.Float64frombits(binary.LittleEndian.Uint64(dir[pos+21:])),
-			}
-			pos += v3NumEntrySize
-			switch blk.enc {
-			case v3EncRaw, v3EncDelta, v3EncDict, v3EncRLE, v3EncFOR:
-			default:
-				return fmt.Errorf("relation: %s: group %d column %d: unknown numeric encoding %d", dr.path, g, p, blk.enc)
-			}
-			if blk.encLen < 0 || blk.off < dr.dataOff || blk.off+int64(blk.encLen) > dirOff {
-				return fmt.Errorf("relation: %s: group %d column %d: block [%d, %d) outside data region [%d, %d)",
-					dr.path, g, p, blk.off, blk.off+int64(blk.encLen), dr.dataOff, dirOff)
-			}
-			// Zone-map coherence: min ≤ max, or the all-NaN marker
-			// (+Inf, −Inf). A NaN bound fails both tests and is rejected
-			// — an inverted or poisoned zone map could otherwise skip
-			// blocks that DO contain matching rows, a silent miscount.
-			if !(blk.min <= blk.max) && !(math.IsInf(blk.min, 1) && math.IsInf(blk.max, -1)) {
-				return fmt.Errorf("relation: %s: group %d column %d: inverted zone map [%v, %v]",
-					dr.path, g, p, blk.min, blk.max)
-			}
-			dr.v3Blocks[g*(dr.nums+dr.bools)+p] = blk
+		pos += v3NumEntrySize
+		switch blk.enc {
+		case v3EncRaw, v3EncDelta, v3EncDict, v3EncRLE, v3EncFOR:
+		default:
+			return fmt.Errorf("relation: %s: group %d column %d: unknown numeric encoding %d", dr.path, g, p, blk.enc)
 		}
-		for q := 0; q < dr.bools; q++ {
-			blk := v3Block{
-				off:     int64(binary.LittleEndian.Uint64(dir[pos:])),
-				encLen:  int(binary.LittleEndian.Uint32(dir[pos+8:])),
-				enc:     dir[pos+12],
-				trueCnt: int(binary.LittleEndian.Uint32(dir[pos+13:])),
-			}
-			pos += v3BoolEntrySize
-			if blk.enc != v3EncBitmap {
-				return fmt.Errorf("relation: %s: group %d bool column %d: unknown encoding %d", dr.path, g, q, blk.enc)
-			}
-			if blk.encLen != (gRows+7)/8 {
-				return fmt.Errorf("relation: %s: group %d bool column %d: %d payload bytes, %d rows need %d",
-					dr.path, g, q, blk.encLen, gRows, (gRows+7)/8)
-			}
-			if blk.off < dr.dataOff || blk.off+int64(blk.encLen) > dirOff {
-				return fmt.Errorf("relation: %s: group %d bool column %d: block [%d, %d) outside data region [%d, %d)",
-					dr.path, g, q, blk.off, blk.off+int64(blk.encLen), dr.dataOff, dirOff)
-			}
-			if blk.trueCnt < 0 || blk.trueCnt > gRows {
-				return fmt.Errorf("relation: %s: group %d bool column %d: trueCount %d of %d rows",
-					dr.path, g, q, blk.trueCnt, gRows)
-			}
-			dr.v3Blocks[g*(dr.nums+dr.bools)+dr.nums+q] = blk
+		if blk.encLen < 0 || blk.off < dr.dataOff || blk.off+int64(blk.encLen) > dirOff {
+			return fmt.Errorf("relation: %s: group %d column %d: block [%d, %d) outside data region [%d, %d)",
+				dr.path, g, p, blk.off, blk.off+int64(blk.encLen), dr.dataOff, dirOff)
 		}
-		dr.groupOffs[g] = dr.v3Blocks[g*(dr.nums+dr.bools)].off
+		// Zone-map coherence: min ≤ max, or the all-NaN marker
+		// (+Inf, −Inf). A NaN bound fails both tests and is rejected
+		// — an inverted or poisoned zone map could otherwise skip
+		// blocks that DO contain matching rows, a silent miscount.
+		if !(blk.min <= blk.max) && !(math.IsInf(blk.min, 1) && math.IsInf(blk.max, -1)) {
+			return fmt.Errorf("relation: %s: group %d column %d: inverted zone map [%v, %v]",
+				dr.path, g, p, blk.min, blk.max)
+		}
+		*dr.numBlock(g, p) = blk
+	}
+	for q := 0; q < dr.bools; q++ {
+		blk := blockEntry{
+			off:     int64(binary.LittleEndian.Uint64(dir[pos:])),
+			encLen:  int(binary.LittleEndian.Uint32(dir[pos+8:])),
+			enc:     dir[pos+12],
+			trueCnt: int(binary.LittleEndian.Uint32(dir[pos+13:])),
+		}
+		pos += v3BoolEntrySize
+		if blk.enc != v3EncBitmap {
+			return fmt.Errorf("relation: %s: group %d bool column %d: unknown encoding %d", dr.path, g, q, blk.enc)
+		}
+		if blk.encLen != (gRows+7)/8 {
+			return fmt.Errorf("relation: %s: group %d bool column %d: %d payload bytes, %d rows need %d",
+				dr.path, g, q, blk.encLen, gRows, (gRows+7)/8)
+		}
+		if blk.off < dr.dataOff || blk.off+int64(blk.encLen) > dirOff {
+			return fmt.Errorf("relation: %s: group %d bool column %d: block [%d, %d) outside data region [%d, %d)",
+				dr.path, g, q, blk.off, blk.off+int64(blk.encLen), dr.dataOff, dirOff)
+		}
+		if blk.trueCnt < 0 || blk.trueCnt > gRows {
+			return fmt.Errorf("relation: %s: group %d bool column %d: trueCount %d of %d rows",
+				dr.path, g, q, blk.trueCnt, gRows)
+		}
+		*dr.boolBlock(g, q) = blk
 	}
 	return nil
 }
 
-// v3NumBlock returns the directory entry of group g's numeric column at
-// dense position p.
-func (dr *DiskRelation) v3NumBlock(g, p int) *v3Block {
-	return &dr.v3Blocks[g*(dr.nums+dr.bools)+p]
-}
-
-// v3BoolBlock returns the directory entry of group g's Boolean column
-// at dense position q.
-func (dr *DiskRelation) v3BoolBlock(g, q int) *v3Block {
-	return &dr.v3Blocks[g*(dr.nums+dr.bools)+dr.nums+q]
-}
-
-// v3DecodeNumeric decodes one numeric block payload into dst[:rows],
-// validating the payload's shape and every dictionary index against
-// the directory entry — hostile block bytes must produce an error,
-// never a panic or an out-of-range read.
-func v3DecodeNumeric(blk *v3Block, data []byte, rows int, dst []float64, scratch *[]uint64) error {
+// v3DecodeNumeric decodes one encoded (non-raw) numeric block payload
+// into dst[:rows], validating the payload's shape and every dictionary
+// index against the block entry — hostile block bytes must produce an
+// error, never a panic or an out-of-range read. Raw blocks are
+// row-addressable; the scan decodes their windows directly.
+func v3DecodeNumeric(blk *blockEntry, data []byte, rows int, dst []float64, scratch *[]uint64) error {
 	switch blk.enc {
-	case v3EncRaw:
-		if len(data) != 8*rows {
-			return fmt.Errorf("raw block holds %d bytes, %d rows need %d", len(data), rows, 8*rows)
-		}
-		for i := 0; i < rows; i++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-		}
 	case v3EncDelta:
 		if len(data) < 1 {
 			return fmt.Errorf("empty delta block")
@@ -746,20 +589,6 @@ func v3DecodeNumeric(blk *v3Block, data []byte, rows int, dst []float64, scratch
 	return nil
 }
 
-// v3DecodeBool decodes one bitmap block payload into dst[:rows].
-func v3DecodeBool(blk *v3Block, data []byte, rows int, dst []bool) error {
-	if blk.enc != v3EncBitmap {
-		return fmt.Errorf("unknown boolean encoding %d", blk.enc)
-	}
-	if len(data) != (rows+7)/8 {
-		return fmt.Errorf("bitmap block holds %d bytes, %d rows need %d", len(data), rows, (rows+7)/8)
-	}
-	for i := 0; i < rows; i++ {
-		dst[i] = data[i>>3]&(1<<uint(i&7)) != 0
-	}
-	return nil
-}
-
 // v3GroupPruned reports whether the zone maps prove that NO row of
 // group g can satisfy pred: some Boolean conjunct's block has the wrong
 // constant population, or some range conjunct lies entirely outside a
@@ -768,7 +597,7 @@ func v3DecodeBool(blk *v3Block, data []byte, rows int, dst []bool) error {
 func (dr *DiskRelation) v3GroupPruned(g int, pred *Predicate) bool {
 	gRows := dr.rowsInGroup(g)
 	for _, bp := range pred.Bools {
-		blk := dr.v3BoolBlock(g, dr.boolPos[bp.Attr])
+		blk := dr.boolBlock(g, dr.boolPos[bp.Attr])
 		if bp.Want && blk.trueCnt == 0 {
 			return true
 		}
@@ -777,7 +606,7 @@ func (dr *DiskRelation) v3GroupPruned(g int, pred *Predicate) bool {
 		}
 	}
 	for _, rp := range pred.Ranges {
-		blk := dr.v3NumBlock(g, dr.numPos[rp.Attr])
+		blk := dr.numBlock(g, dr.numPos[rp.Attr])
 		if blk.min > rp.Hi || blk.max < rp.Lo {
 			return true
 		}
@@ -785,342 +614,81 @@ func (dr *DiskRelation) v3GroupPruned(g int, pred *Predicate) bool {
 	return false
 }
 
-// v3Fetch is one block group's compressed column payloads (or a
-// zone-skip marker), produced by the prefetcher and consumed by the
-// decode loop. buf holds the selected numeric blocks back to back in
-// selection order, then the selected Boolean blocks.
-type v3Fetch struct {
-	group int
-	first int // first delivered row within the group
-	rows  int // delivered rows
-	skip  bool
-	buf   []byte
-	err   error
-}
-
-// v3DecodeState is the consumer-side scratch of one v3 scan: fully
-// decoded selected columns of the current group, reused group to group.
-type v3DecodeState struct {
-	nums    [][]float64
-	bools   [][]bool
-	scratch []uint64
-}
-
-// v3DecodePool recycles decode states across scans, so the many chunk
-// scans of one parallel count allocate decode scratch per worker, not
-// per chunk.
-var v3DecodePool sync.Pool
-
-// v3GetDecodeState returns a decode state of exactly nums numeric and
-// bools Boolean columns, each with room for rows values. A recycled
-// state is cut to the scan's own selection: its loops range over these
-// columns.
-func v3GetDecodeState(nums, bools, rows int) *v3DecodeState {
-	dec, ok := v3DecodePool.Get().(*v3DecodeState)
-	if !ok {
-		dec = &v3DecodeState{}
-	}
-	dec.nums = v3Columns(dec.nums, nums, rows)
-	dec.bools = v3Columns(dec.bools, bools, rows)
-	return dec
-}
-
-// v3Columns resizes cols to n columns of at least rows values, keeping
-// every column buffer that is long enough.
-func v3Columns[T any](cols [][]T, n, rows int) [][]T {
-	if cap(cols) < n {
-		cols = append(cols[:cap(cols)], make([][]T, n-cap(cols))...)
-	}
-	cols = cols[:n]
-	for k := range cols {
-		if len(cols[k]) < rows {
-			cols[k] = make([]T, rows)
-		}
-	}
-	return cols
-}
-
-// v3BufPool recycles compressed-group buffers across scans.
-var v3BufPool sync.Pool
-
-func v3GetBuf(size int) []byte {
-	if b, ok := v3BufPool.Get().([]byte); ok && cap(b) >= size {
-		return b[:size]
-	}
-	return make([]byte, size)
-}
-
-// scanRangeV3 streams rows [start, end) of a v3 file through fn with
-// the same overlapped read-ahead pipeline as v2 (see scanRangeV2): the
-// prefetcher reads group N+1's compressed column blocks while this
-// goroutine decodes group N and runs fn. When pred is non-nil, groups
-// whose zone maps prove no row can match are never read: the
-// prefetcher sends a skip marker, the consumer reports the window's
-// rows through skip, and BytesRead grows by nothing.
-func (dr *DiskRelation) scanRangeV3(start, end int, cols ColumnSet, pred *Predicate, skipFn func(rows int) error, fn func(*Batch) error) error {
-	f, err := os.Open(dr.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	numSel := make([]int, len(cols.Numeric)) // dense numeric positions
-	for k, i := range cols.Numeric {
-		numSel[k] = dr.numPos[i]
-	}
-	boolSel := make([]int, len(cols.Bool)) // dense boolean positions
-	for k, i := range cols.Bool {
-		boolSel[k] = dr.boolPos[i]
-	}
-	if pred != nil && pred.Empty() {
-		pred = nil
-	}
-
-	g0, g1 := start/dr.groupRows, (end-1)/dr.groupRows
-	ready := make(chan *v3Fetch, v2ReadAheadGroups)
-	free := make(chan []byte, v2ReadAheadGroups)
-	for i := 0; i < v2ReadAheadGroups; i++ {
-		free <- nil // sized lazily by the prefetcher
-	}
-	stop := make(chan struct{})
-	prefDone := make(chan struct{})
-	defer func() {
-		close(stop)
-		<-prefDone
-		for {
-			select {
-			case fg, ok := <-ready:
-				if ok && fg.buf != nil {
-					v3BufPool.Put(fg.buf)
-				}
-				if !ok {
-					ready = nil
-				}
-			case buf := <-free:
-				if buf != nil {
-					v3BufPool.Put(buf)
-				}
-			default:
-				return
-			}
-		}
-	}()
-
-	fill := func(g int, buf []byte) *v3Fetch {
-		gRows := dr.rowsInGroup(g)
-		gStart := g * dr.groupRows
-		first, last := 0, gRows
-		if start > gStart {
-			first = start - gStart
-		}
-		if end < gStart+gRows {
-			last = end - gStart
-		}
-		fg := &v3Fetch{group: g, first: first, rows: last - first}
-		if pred != nil && dr.v3GroupPruned(g, pred) {
-			fg.skip = true
-			fg.buf = buf // hand the free-list token back through the consumer
-			return fg
-		}
-		total := 0
-		for _, p := range numSel {
-			total += dr.v3NumBlock(g, p).encLen
-		}
-		for _, q := range boolSel {
-			total += dr.v3BoolBlock(g, q).encLen
-		}
-		if cap(buf) < total {
-			buf = v3GetBuf(total)
-		}
-		buf = buf[:total]
-		fg.buf = buf
-		pos := 0
-		for _, p := range numSel {
-			blk := dr.v3NumBlock(g, p)
-			if _, err := uncountedReadAt(f, buf[pos:pos+blk.encLen], blk.off); err != nil {
-				fg.err = fmt.Errorf("relation: reading column block of group %d of %s: %w", g, dr.path, err)
-				return fg
-			}
-			pos += blk.encLen
-		}
-		for _, q := range boolSel {
-			blk := dr.v3BoolBlock(g, q)
-			if _, err := uncountedReadAt(f, buf[pos:pos+blk.encLen], blk.off); err != nil {
-				fg.err = fmt.Errorf("relation: reading boolean block of group %d of %s: %w", g, dr.path, err)
-				return fg
-			}
-			pos += blk.encLen
-		}
-		return fg
-	}
-
-	go func() {
-		defer close(prefDone)
-		defer close(ready)
-		for g := g0; g <= g1; g++ {
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-stop:
-				return
-			}
-			fg := fill(g, buf)
-			select {
-			case ready <- fg:
-			case <-stop:
-				return
-			}
-			if fg.err != nil {
-				return
-			}
-		}
-	}()
-
-	dec := v3GetDecodeState(len(numSel), len(boolSel), dr.groupRows)
-	defer v3DecodePool.Put(dec)
-	batch := &Batch{
-		Numeric: make([][]float64, len(cols.Numeric)),
-		Bool:    make([][]bool, len(cols.Bool)),
-	}
-
-	for fg := range ready {
-		if fg.err != nil {
-			v3BufPool.Put(fg.buf)
-			return fg.err
-		}
-		if fg.skip {
-			select {
-			case free <- fg.buf:
-			default:
-				if fg.buf != nil {
-					v3BufPool.Put(fg.buf)
-				}
-			}
-			if err := skipFn(fg.rows); err != nil {
-				return err
-			}
-			continue
-		}
-		// Count physical (post-compression) bytes at delivery, not inside
-		// the prefetcher — same deterministic-cost-model reasoning as v2.
-		dr.bytesRead.Add(int64(len(fg.buf)))
-		gRows := dr.rowsInGroup(fg.group)
-		pos := 0
-		for k, p := range numSel {
-			blk := dr.v3NumBlock(fg.group, p)
-			if err := v3DecodeNumeric(blk, fg.buf[pos:pos+blk.encLen], gRows, dec.nums[k], &dec.scratch); err != nil {
-				v3BufPool.Put(fg.buf)
-				return fmt.Errorf("relation: group %d column %d of %s: %w", fg.group, cols.Numeric[k], dr.path, err)
-			}
-			pos += blk.encLen
-		}
-		for k, q := range boolSel {
-			blk := dr.v3BoolBlock(fg.group, q)
-			if err := v3DecodeBool(blk, fg.buf[pos:pos+blk.encLen], gRows, dec.bools[k]); err != nil {
-				v3BufPool.Put(fg.buf)
-				return fmt.Errorf("relation: group %d bool column %d of %s: %w", fg.group, cols.Bool[k], dr.path, err)
-			}
-			pos += blk.encLen
-		}
-		for r0 := 0; r0 < fg.rows; r0 += DefaultBatchSize {
-			n := DefaultBatchSize
-			if r0+n > fg.rows {
-				n = fg.rows - r0
-			}
-			lo := fg.first + r0
-			for k := range dec.nums {
-				batch.Numeric[k] = dec.nums[k][lo : lo+n]
-			}
-			for k := range dec.bools {
-				batch.Bool[k] = dec.bools[k][lo : lo+n]
-			}
-			batch.Len = n
-			if err := fn(batch); err != nil {
-				v3BufPool.Put(fg.buf)
-				return err
-			}
-		}
-		select {
-		case free <- fg.buf:
-		default:
-			v3BufPool.Put(fg.buf)
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Point reads.
 
-// v3PointValue serves one row of one numeric column without decoding
-// the block: the value's location is computed from the directory entry
-// — a direct 8-byte read for raw blocks, O(1) bit arithmetic into the
-// packed payload for delta, dict, and FOR blocks, and an O(log runs)
-// binary search of the run directory for RLE blocks. get must fill its
-// buffer from the given file offset.
-func (dr *DiskRelation) v3PointValue(p, row int, get func(off int64, dst []byte) error) (float64, error) {
+// blockPointValue serves one row of the numeric column at dense
+// position p of a v2 or v3 file without decoding the block: the value's
+// location is computed from the block entry — a direct 8-byte read for
+// raw blocks (every v2 block), O(1) bit arithmetic into the packed
+// payload for delta, dict, and FOR blocks, and an O(log runs) binary
+// search of the run directory for RLE blocks.
+func (dr *DiskRelation) blockPointValue(p, row int, src *pointSource) (float64, error) {
 	g := row / dr.groupRows
 	r := row - g*dr.groupRows
 	gRows := dr.rowsInGroup(g)
-	blk := dr.v3NumBlock(g, p)
-	var buf [16]byte
+	blk := dr.numBlock(g, p)
 	switch blk.enc {
 	case v3EncRaw:
 		if blk.encLen != 8*gRows {
 			return 0, fmt.Errorf("relation: %s: raw block holds %d bytes, %d rows need %d", dr.path, blk.encLen, gRows, 8*gRows)
 		}
-		if err := get(blk.off+int64(8*r), buf[:8]); err != nil {
+		b, err := src.at(blk.off+int64(8*r), 8)
+		if err != nil {
 			return 0, err
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:8])), nil
+		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 	case v3EncDelta:
-		if err := get(blk.off, buf[:1]); err != nil {
+		b, err := src.at(blk.off, 1)
+		if err != nil {
 			return 0, err
 		}
-		bw := int(buf[0])
+		bw := int(b[0])
 		if bw > 64 || blk.encLen != 1+(gRows*bw+7)/8 {
 			return 0, fmt.Errorf("relation: %s: malformed delta block (width %d, %d bytes, %d rows)", dr.path, bw, blk.encLen, gRows)
 		}
 		if math.IsNaN(blk.min) || math.IsInf(blk.min, 0) {
 			return 0, fmt.Errorf("relation: %s: delta block anchored at non-finite minimum %v", dr.path, blk.min)
 		}
-		d, err := dr.v3PointBits(blk.off+1, blk.encLen-1, r, bw, get)
+		d, err := dr.packedPointBits(blk.off+1, blk.encLen-1, r, bw, src)
 		if err != nil {
 			return 0, err
 		}
 		return blk.min + float64(d), nil
 	case v3EncDict:
-		if err := get(blk.off, buf[:2]); err != nil {
+		b, err := src.at(blk.off, 2)
+		if err != nil {
 			return 0, err
 		}
-		count := int(binary.LittleEndian.Uint16(buf[:2]))
+		count := int(binary.LittleEndian.Uint16(b))
 		head := 2 + 8*count + 1
 		if count < 1 || count > v3MaxDict || blk.encLen < head {
 			return 0, fmt.Errorf("relation: %s: malformed dict block (dictionary of %d, %d bytes)", dr.path, count, blk.encLen)
 		}
-		if err := get(blk.off+int64(2+8*count), buf[:1]); err != nil {
+		if b, err = src.at(blk.off+int64(2+8*count), 1); err != nil {
 			return 0, err
 		}
-		bw := int(buf[0])
+		bw := int(b[0])
 		if bw > v3MaxDictBits || blk.encLen != head+(gRows*bw+7)/8 {
 			return 0, fmt.Errorf("relation: %s: malformed dict block (width %d, %d bytes, %d rows)", dr.path, bw, blk.encLen, gRows)
 		}
-		ix, err := dr.v3PointBits(blk.off+int64(head), blk.encLen-head, r, bw, get)
+		ix, err := dr.packedPointBits(blk.off+int64(head), blk.encLen-head, r, bw, src)
 		if err != nil {
 			return 0, err
 		}
 		if ix >= uint64(count) {
 			return 0, fmt.Errorf("relation: %s: dict index %d out of dictionary of %d", dr.path, ix, count)
 		}
-		if err := get(blk.off+int64(2+8*int(ix)), buf[:8]); err != nil {
+		if b, err = src.at(blk.off+int64(2+8*int(ix)), 8); err != nil {
 			return 0, err
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:8])), nil
+		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 	case v3EncRLE:
-		if err := get(blk.off, buf[:4]); err != nil {
+		b, err := src.at(blk.off, 4)
+		if err != nil {
 			return 0, err
 		}
-		runs := int(binary.LittleEndian.Uint32(buf[:4]))
+		runs := int(binary.LittleEndian.Uint32(b))
 		if runs < 1 || runs > gRows || blk.encLen != 4+v3RLERunSize*runs {
 			return 0, fmt.Errorf("relation: %s: malformed RLE block (%d runs, %d bytes, %d rows)", dr.path, runs, blk.encLen, gRows)
 		}
@@ -1128,10 +696,11 @@ func (dr *DiskRelation) v3PointValue(p, row int, get func(off int64, dst []byte)
 		// exclusive end exceeds r — O(log runs) tiny fetches instead of a
 		// block decode.
 		readEnd := func(k int) (int, error) {
-			if err := get(blk.off+int64(4+v3RLERunSize*k), buf[:4]); err != nil {
+			b, err := src.at(blk.off+int64(4+v3RLERunSize*k), 4)
+			if err != nil {
 				return 0, err
 			}
-			return int(binary.LittleEndian.Uint32(buf[:4])), nil
+			return int(binary.LittleEndian.Uint32(b)), nil
 		}
 		lo, hi := 0, runs-1
 		for lo < hi {
@@ -1153,20 +722,21 @@ func (dr *DiskRelation) v3PointValue(p, row int, get func(off int64, dst []byte)
 		} else if end <= r || end > gRows {
 			return 0, fmt.Errorf("relation: %s: RLE run directory does not cover row %d", dr.path, r)
 		}
-		if err := get(blk.off+int64(4+v3RLERunSize*lo+4), buf[:8]); err != nil {
+		if b, err = src.at(blk.off+int64(4+v3RLERunSize*lo+4), 8); err != nil {
 			return 0, err
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:8])), nil
+		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 	case v3EncFOR:
-		if err := get(blk.off, buf[:9]); err != nil {
+		b, err := src.at(blk.off, 9)
+		if err != nil {
 			return 0, err
 		}
-		base := int64(binary.LittleEndian.Uint64(buf[:8]))
-		bw := int(buf[8])
+		base := int64(binary.LittleEndian.Uint64(b))
+		bw := int(b[8])
 		if bw > 63 || blk.encLen != 9+(gRows*bw+7)/8 {
 			return 0, fmt.Errorf("relation: %s: malformed FOR block (width %d, %d bytes, %d rows)", dr.path, bw, blk.encLen, gRows)
 		}
-		d, err := dr.v3PointBits(blk.off+9, blk.encLen-9, r, bw, get)
+		d, err := dr.packedPointBits(blk.off+9, blk.encLen-9, r, bw, src)
 		if err != nil {
 			return 0, err
 		}
@@ -1180,9 +750,9 @@ func (dr *DiskRelation) v3PointValue(p, row int, get func(off int64, dst []byte)
 	}
 }
 
-// v3PointBits extracts the r-th bw-bit value from a packed payload of
-// payloadLen bytes starting at file offset payloadOff.
-func (dr *DiskRelation) v3PointBits(payloadOff int64, payloadLen, r, bw int, get func(off int64, dst []byte) error) (uint64, error) {
+// packedPointBits extracts the r-th bw-bit value from a packed payload
+// of payloadLen bytes starting at file offset payloadOff.
+func (dr *DiskRelation) packedPointBits(payloadOff int64, payloadLen, r, bw int, src *pointSource) (uint64, error) {
 	if bw == 0 {
 		return 0, nil
 	}
@@ -1193,16 +763,16 @@ func (dr *DiskRelation) v3PointBits(payloadOff int64, payloadLen, r, bw int, get
 	if byteOff+span > payloadLen {
 		return 0, fmt.Errorf("relation: %s: packed value beyond block payload", dr.path)
 	}
-	var buf [9]byte
-	if err := get(payloadOff+int64(byteOff), buf[:span]); err != nil {
+	b, err := src.at(payloadOff+int64(byteOff), span)
+	if err != nil {
 		return 0, err
 	}
 	var w uint64
 	for j := 0; j < span; j++ {
 		if j == 0 {
-			w = uint64(buf[0]) >> shift
+			w = uint64(b[0]) >> shift
 		} else {
-			w |= uint64(buf[j]) << (uint(8*j) - shift)
+			w |= uint64(b[j]) << (uint(8*j) - shift)
 		}
 	}
 	return w & (^uint64(0) >> uint(64-bw)), nil

@@ -187,7 +187,7 @@ func TestDiskV3EncodingRoundTrips(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.wantEnc != 255 {
-				if got := dr.v3NumBlock(0, 0).enc; got != tc.wantEnc {
+				if got := dr.numBlock(0, 0).enc; got != tc.wantEnc {
 					t.Errorf("group 0 chose encoding %d, want %d", got, tc.wantEnc)
 				}
 			}
@@ -761,10 +761,10 @@ func TestDiskV3CorruptionRLEFOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc := dr.v3NumBlock(0, 0).enc; enc != v3EncRLE {
+	if enc := dr.numBlock(0, 0).enc; enc != v3EncRLE {
 		t.Fatalf("column S chose encoding %d, want RLE", enc)
 	}
-	if enc := dr.v3NumBlock(0, 1).enc; enc != v3EncFOR {
+	if enc := dr.numBlock(0, 1).enc; enc != v3EncFOR {
 		t.Fatalf("column F chose encoding %d, want FOR", enc)
 	}
 	valid, err := os.ReadFile(path)
@@ -853,7 +853,7 @@ func TestDiskV3BadDictIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := dr.v3NumBlock(0, 0)
+	blk := dr.numBlock(0, 0)
 	if blk.enc != v3EncDict {
 		t.Fatalf("crafted block chose encoding %d, want dict", blk.enc)
 	}
@@ -978,12 +978,12 @@ func TestShardedV3Mix(t *testing.T) {
 	}
 }
 
-// TestDiskV3RecycledDecodeState pins the recycled v3 decode scratch:
+// TestDiskV3RecycledDecodeState pins the recycled block-scan state:
 // scans of one file selecting 3, then 2, then 3 numeric columns (and
 // differing Boolean sets), then a scan of a file with larger block
 // groups, each deliver exactly the rows of the in-memory twin, so a
-// recycled state is cut to each scan's own selection and regrown to
-// each file's group size.
+// recycled state is cut to each scan's own selection and its decoded
+// group of the encoded column B is regrown to each file's group size.
 func TestDiskV3RecycledDecodeState(t *testing.T) {
 	schema := Schema{
 		{Name: "A", Kind: Numeric}, {Name: "B", Kind: Numeric}, {Name: "C", Kind: Numeric},

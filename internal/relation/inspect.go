@@ -81,7 +81,7 @@ func (dr *DiskRelation) InspectLayout() (*LayoutInspection, error) {
 	if dr.version != DiskFormatV3 {
 		return nil, fmt.Errorf("relation: %s: layout inspection requires the v3 format (file is v%d)", dr.path, dr.version)
 	}
-	groups := len(dr.groupOffs)
+	groups := dr.numGroups
 	insp := &LayoutInspection{
 		Path:      dr.path,
 		Rows:      dr.numRows,
@@ -96,16 +96,13 @@ func (dr *DiskRelation) InspectLayout() (*LayoutInspection, error) {
 		// min/max envelope matches nothing).
 		colMin, colMax := math.Inf(1), math.Inf(-1)
 		for g := 0; g < groups; g++ {
-			gRows := dr.groupRows
-			if g == groups-1 {
-				gRows = dr.numRows - (groups-1)*dr.groupRows
-			}
-			var blk *v3Block
+			gRows := dr.rowsInGroup(g)
+			var blk *blockEntry
 			if attr.Kind == Numeric {
-				blk = dr.v3NumBlock(g, dr.numPos[a])
+				blk = dr.numBlock(g, dr.numPos[a])
 				col.RawBytes += int64(8 * gRows)
 			} else {
-				blk = dr.v3BoolBlock(g, dr.boolPos[a])
+				blk = dr.boolBlock(g, dr.boolPos[a])
 				col.RawBytes += int64((gRows + 7) / 8)
 			}
 			col.Encodings[v3EncodingName(blk.enc)]++
@@ -120,11 +117,7 @@ func (dr *DiskRelation) InspectLayout() (*LayoutInspection, error) {
 		case attr.Kind == Boolean:
 			mixed := 0
 			for g := 0; g < groups; g++ {
-				gRows := dr.groupRows
-				if g == groups-1 {
-					gRows = dr.numRows - (groups-1)*dr.groupRows
-				}
-				if tc := dr.v3BoolBlock(g, dr.boolPos[a]).trueCnt; tc > 0 && tc < gRows {
+				if tc := dr.boolBlock(g, dr.boolPos[a]).trueCnt; tc > 0 && tc < dr.rowsInGroup(g) {
 					mixed++
 				}
 			}
@@ -134,7 +127,7 @@ func (dr *DiskRelation) InspectLayout() (*LayoutInspection, error) {
 			span := colMax - colMin
 			sum := 0.0
 			for g := 0; g < groups; g++ {
-				blk := dr.v3NumBlock(g, dr.numPos[a])
+				blk := dr.numBlock(g, dr.numPos[a])
 				if blk.min <= blk.max {
 					sum += (blk.max - blk.min) / span
 				}

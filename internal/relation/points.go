@@ -117,28 +117,44 @@ func (dr *DiskRelation) pointData() []byte {
 	return dr.mmapData
 }
 
-// pointOffset returns the byte offset of the given row's value in the
-// numeric column at dense position p: v1 has a fixed row stride; v2
-// locates the group via the directory, then the column block within
-// it.
-func (dr *DiskRelation) pointOffset(p, row int) int64 {
-	if dr.version == DiskFormatV2 {
-		g := row / dr.groupRows
-		gRows := dr.rowsInGroup(g)
-		r := row - g*dr.groupRows
-		return dr.groupOffs[g] + int64(p)*8*int64(gRows) + int64(r)*8
+// pointSource serves the file bytes point reads need: from the
+// point-read mapping when there is one, else by positioned reads.
+type pointSource struct {
+	path string
+	data []byte
+	f    *os.File
+	buf  [16]byte // the widest positioned fetch is a FOR header's 9 bytes
+}
+
+// at returns the n file bytes at offset off; the slice is valid until
+// the next call.
+func (s *pointSource) at(off int64, n int) ([]byte, error) {
+	if s.data == nil {
+		if _, err := uncountedReadAt(s.f, s.buf[:n], off); err != nil {
+			return nil, fmt.Errorf("relation: point read of %s: %w", s.path, err)
+		}
+		return s.buf[:n], nil
 	}
+	if off < 0 || off+int64(n) > int64(len(s.data)) {
+		return nil, fmt.Errorf("relation: point read of %s out of mapped range", s.path)
+	}
+	return s.data[off : off+int64(n)], nil
+}
+
+// pointOffset returns the byte offset of the given row's value in the
+// numeric column at dense position p of a v1 file: a fixed row stride.
+func (dr *DiskRelation) pointOffset(p, row int) int64 {
 	return dr.dataOff + int64(row)*int64(dr.rowSize) + int64(8*p)
 }
 
 // ReadNumericPoints implements NumericPointReader for all disk
 // formats: the value's location is computable directly (v1: fixed row
-// stride; v2: group directory plus the column block's position within
-// the group; v3: O(1) bit arithmetic from the block's directory entry,
-// never a block decode), so each unique row costs a handful of bytes —
-// served from a lazily-created read-only mapping of the file when the
-// platform supports it, or positioned reads otherwise. Duplicate rows
-// are served from the previous value. BytesRead grows by a flat 8 per
+// stride; v2/v3: the block entry's offset plus, for encoded v3 blocks,
+// O(1) bit arithmetic into the payload — never a block decode), so
+// each unique row costs a handful of bytes — served from a
+// lazily-created read-only mapping of the file when the platform
+// supports it, or positioned reads otherwise. Duplicate rows are
+// served from the previous value. BytesRead grows by a flat 8 per
 // unique row in EVERY format — the counted cost model's point-read
 // price, versus a whole column block per group for a scan — even
 // though a v3 packed value physically touches fewer bytes.
@@ -152,72 +168,14 @@ func (dr *DiskRelation) ReadNumericPoints(attr int, rows []int, out []float64) e
 		return nil
 	}
 	p := dr.numPos[attr]
-	if dr.version == DiskFormatV3 {
-		return dr.readNumericPointsV3(p, rows, out)
-	}
-	read := 0
-	if data := dr.pointData(); data != nil {
-		for i, row := range rows {
-			if i > 0 && row == rows[i-1] {
-				out[i] = out[i-1] // with-replacement duplicate
-				continue
-			}
-			off := dr.pointOffset(p, row)
-			if off < 0 || off+8 > int64(len(data)) {
-				return fmt.Errorf("relation: point read row %d of %s out of mapped range", row, dr.path)
-			}
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			read++
-		}
-		dr.bytesRead.Add(int64(read) * 8)
-		return nil
-	}
-	f, err := os.Open(dr.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var buf [8]byte
-	for i, row := range rows {
-		if i > 0 && row == rows[i-1] {
-			out[i] = out[i-1] // with-replacement duplicate
-			continue
-		}
-		if _, err := uncountedReadAt(f, buf[:], dr.pointOffset(p, row)); err != nil {
-			return fmt.Errorf("relation: point read row %d of %s: %w", row, dr.path, err)
-		}
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		read++
-	}
-	dr.bytesRead.Add(int64(read) * 8)
-	return nil
-}
-
-// readNumericPointsV3 serves point reads from a v3 file through
-// v3PointValue's per-encoding partial decode, backed by the point-read
-// mapping when available and positioned reads otherwise.
-func (dr *DiskRelation) readNumericPointsV3(p int, rows []int, out []float64) error {
-	var get func(off int64, dst []byte) error
-	if data := dr.pointData(); data != nil {
-		get = func(off int64, dst []byte) error {
-			if off < 0 || off+int64(len(dst)) > int64(len(data)) {
-				return fmt.Errorf("relation: point read of %s out of mapped range", dr.path)
-			}
-			copy(dst, data[off:])
-			return nil
-		}
-	} else {
+	src := &pointSource{path: dr.path, data: dr.pointData()}
+	if src.data == nil {
 		f, err := os.Open(dr.path)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		get = func(off int64, dst []byte) error {
-			if _, err := uncountedReadAt(f, dst, off); err != nil {
-				return fmt.Errorf("relation: point read of %s: %w", dr.path, err)
-			}
-			return nil
-		}
+		src.f = f
 	}
 	read := 0
 	for i, row := range rows {
@@ -225,11 +183,19 @@ func (dr *DiskRelation) readNumericPointsV3(p int, rows []int, out []float64) er
 			out[i] = out[i-1] // with-replacement duplicate
 			continue
 		}
-		v, err := dr.v3PointValue(p, row, get)
-		if err != nil {
-			return err
+		if dr.version != DiskFormatV1 {
+			v, err := dr.blockPointValue(p, row, src)
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		} else {
+			b, err := src.at(dr.pointOffset(p, row), 8)
+			if err != nil {
+				return err
+			}
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
-		out[i] = v
 		read++
 	}
 	dr.bytesRead.Add(int64(read) * 8)

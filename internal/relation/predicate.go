@@ -97,7 +97,7 @@ func (dr *DiskRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Pr
 		if skip == nil {
 			skip = func(int) error { return nil }
 		}
-		return dr.scanRangeV3(start, end, cols, pred, skip, fn)
+		return dr.scanBlocks(start, end, cols, pred, skip, fn)
 	}
 	return dr.ScanRange(start, end, cols, fn)
 }

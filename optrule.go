@@ -54,10 +54,11 @@
 //     tuples are grouped into block groups (64Ki rows by default) and
 //     each column is stored contiguously within a group, so a scan
 //     selecting k of d attributes reads ~k/d of the bytes. Scans run an
-//     overlapped read-ahead pipeline — a prefetcher goroutine reads
-//     block group N+1's column blocks while the caller decodes and
-//     counts group N — with double-buffered pooled buffers, so memory
-//     stays bounded regardless of relation size. Parallel counting
+//     overlapped read-ahead pipeline — a prefetcher goroutine reads the
+//     next batch-sized window of the selected column blocks while the
+//     caller decodes and counts the current one — with double-buffered
+//     pooled buffers, so memory stays bounded regardless of relation
+//     size. Parallel counting
 //     aligns its segment boundaries to block groups, and the sampling
 //     pass stops at the last sorted sample index instead of reading the
 //     tail.
