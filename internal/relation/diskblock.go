@@ -278,6 +278,20 @@ func (dr *DiskRelation) openBlockMeta(f *os.File, r *bufio.Reader) error {
 		return fmt.Errorf("relation: %s truncated: %d bytes, directory needs [%d, %d)",
 			dr.path, st.Size(), dirOff, dirOff+dirBytes)
 	}
+	if dr.version == DiskFormatV2 && numGroups > 0 {
+		// A v3 directory costs file bytes per block entry; a v2 one only
+		// per group, and each group is checked against the data region on
+		// its own, so groups sharing one offset could declare far more
+		// block entries than the file holds. Valid v2 groups tile the data
+		// region, so require the bytes they must cover to fit it.
+		region := dirOff - dr.dataOff
+		full := groupBytesV2(dr.nums, dr.bools, dr.groupRows)
+		last := groupBytesV2(dr.nums, dr.bools, dr.numRows-(numGroups-1)*dr.groupRows)
+		if last > region || (full > 0 && int64(numGroups-1) > (region-last)/full) {
+			return fmt.Errorf("relation: %s: %d block groups of %d rows do not fit the %d-byte data region",
+				dr.path, numGroups, dr.groupRows, region)
+		}
+	}
 	dir := make([]byte, dirBytes)
 	if _, err := metaReadAt(f, dir, dirOff); err != nil {
 		return fmt.Errorf("relation: %s: reading block directory: %w", dr.path, err)

@@ -472,6 +472,44 @@ func TestDiskV2CorruptionErrors(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[dirOff+8:], 7) // first entry rows
 			return d
 		}, "rows"},
+		{"wide groups sharing one offset", func([]byte) []byte {
+			// A one-row file of a wide schema whose header then declares
+			// many one-row groups, every directory entry pointing at the
+			// one real group: each entry fits the data region on its own,
+			// but together they would need groups × columns block entries.
+			wide := make(Schema, 1024)
+			for i := range wide {
+				wide[i] = Attribute{Name: fmt.Sprintf("a%d", i), Kind: Numeric}
+			}
+			p := filepath.Join(t.TempDir(), "wide.opr")
+			dw, err := NewDiskWriterV2(p, wide, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dw.Append(make([]float64, len(wide)), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := dw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const groups = 64
+			rowsOff, _, numGroupsOff, dirOffOff := v2HeaderOffsets(wide)
+			dataOff := uint64(rowsOff + 24)
+			binary.LittleEndian.PutUint64(d[rowsOff:], groups)
+			binary.LittleEndian.PutUint32(d[numGroupsOff:], groups)
+			binary.LittleEndian.PutUint64(d[dirOffOff:], uint64(len(d)))
+			var entry [12]byte
+			binary.LittleEndian.PutUint64(entry[:], dataOff)
+			binary.LittleEndian.PutUint32(entry[8:], 1)
+			for g := 0; g < groups; g++ {
+				d = append(d, entry[:]...)
+			}
+			return d
+		}, "do not fit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

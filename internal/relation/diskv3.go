@@ -617,27 +617,14 @@ func (dr *DiskRelation) v3GroupPruned(g int, pred *Predicate) bool {
 // ---------------------------------------------------------------------
 // Point reads.
 
-// blockPointValue serves one row of the numeric column at dense
-// position p of a v2 or v3 file without decoding the block: the value's
-// location is computed from the block entry — a direct 8-byte read for
-// raw blocks (every v2 block), O(1) bit arithmetic into the packed
-// payload for delta, dict, and FOR blocks, and an O(log runs) binary
-// search of the run directory for RLE blocks.
-func (dr *DiskRelation) blockPointValue(p, row int, src *pointSource) (float64, error) {
-	g := row / dr.groupRows
-	r := row - g*dr.groupRows
-	gRows := dr.rowsInGroup(g)
-	blk := dr.numBlock(g, p)
+// blockPointValue serves group-relative row r of an encoded numeric
+// block of a gRows-row group without decoding the block: O(1) bit
+// arithmetic into the packed payload for delta, dict, and FOR blocks,
+// and an O(log runs) binary search of the run directory for RLE
+// blocks. Raw blocks (every v2 block) are addressed directly by
+// ReadNumericPoints.
+func (dr *DiskRelation) blockPointValue(blk *blockEntry, r, gRows int, src *pointSource) (float64, error) {
 	switch blk.enc {
-	case v3EncRaw:
-		if blk.encLen != 8*gRows {
-			return 0, fmt.Errorf("relation: %s: raw block holds %d bytes, %d rows need %d", dr.path, blk.encLen, gRows, 8*gRows)
-		}
-		b, err := src.at(blk.off+int64(8*r), 8)
-		if err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 	case v3EncDelta:
 		b, err := src.at(blk.off, 1)
 		if err != nil {

@@ -112,7 +112,7 @@ func FuzzOpenSharded(f *testing.F) {
 // with a row count other than the declared one.
 func FuzzOpenDisk(f *testing.F) {
 	// Seed with a genuine v1 file.
-	dir := os.TempDir()
+	dir := f.TempDir()
 	path := filepath.Join(dir, "fuzz-seed.opr")
 	dw, err := NewDiskWriter(path, Schema{{Name: "X", Kind: Numeric}, {Name: "B", Kind: Boolean}})
 	if err != nil {

@@ -178,25 +178,43 @@ func (dr *DiskRelation) ReadNumericPoints(attr int, rows []int, out []float64) e
 		src.f = f
 	}
 	read := 0
+	g, gRows := -1, 0
+	var blk *blockEntry // block group g's block of the column (v2/v3)
 	for i, row := range rows {
 		if i > 0 && row == rows[i-1] {
 			out[i] = out[i-1] // with-replacement duplicate
 			continue
 		}
-		if dr.version != DiskFormatV1 {
-			v, err := dr.blockPointValue(p, row, src)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		} else {
-			b, err := src.at(dr.pointOffset(p, row), 8)
-			if err != nil {
-				return err
-			}
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		}
 		read++
+		var off int64
+		if dr.version == DiskFormatV1 {
+			off = dr.pointOffset(p, row)
+		} else {
+			// Sorted rows stay in one group for long runs: look its block
+			// up and check it once per group.
+			if row/dr.groupRows != g {
+				g = row / dr.groupRows
+				gRows, blk = dr.rowsInGroup(g), dr.numBlock(g, p)
+				if blk.enc == v3EncRaw && blk.encLen != 8*gRows {
+					return fmt.Errorf("relation: %s: raw block holds %d bytes, %d rows need %d", dr.path, blk.encLen, gRows, 8*gRows)
+				}
+			}
+			r := row - g*dr.groupRows
+			if blk.enc != v3EncRaw {
+				v, err := dr.blockPointValue(blk, r, gRows, src)
+				if err != nil {
+					return err
+				}
+				out[i] = v
+				continue
+			}
+			off = blk.off + int64(8*r)
+		}
+		b, err := src.at(off, 8)
+		if err != nil {
+			return err
+		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
 	dr.bytesRead.Add(int64(read) * 8)
 	return nil
