@@ -46,11 +46,12 @@
 // tightness — the numbers that predict whether clustering paid off.
 //
 // The append subcommand grows an existing SHARDED relation in place:
-// new rows land in fresh shard files and the manifest is swapped by
-// temp+rename, so readers always see either the old relation or the
-// whole grown one. Rows come from a CSV file (-in, parsed against the
-// relation's own schema) or from a generator: with the prefix
-// property of the deterministic generators, -kind/-seed/-skip/-n
+// new rows land in fresh shard files and their manifest lines are
+// committed in place past the manifest's committed end, so readers
+// always see either the old relation or the whole grown one. Rows
+// come from a CSV file (-in, parsed against the relation's own
+// schema) or from a generator: with the prefix property of the
+// deterministic generators, -kind/-seed/-skip/-n
 // appends rows [skip, skip+n) of the seed's stream — so a relation
 // originally built with `-kind bank -n 4000000 -seed 1` grows into a
 // bit-identical twin of a from-scratch 4010000-row generation via
@@ -277,12 +278,13 @@ func runConvert(args []string) error {
 }
 
 // runAppend grows an existing sharded relation: new rows are written
-// to fresh shard files and committed by swapping the manifest
-// (temp+rename), leaving the original shards untouched. Rows come
-// either from a CSV file parsed against the relation's own schema, or
-// from a generator offset into the seed's deterministic stream with
-// -skip (the prefix property: rows [skip, skip+n) of the stream are
-// exactly what a relation built from the first skip rows is missing).
+// to fresh shard files and committed by writing their manifest lines
+// in place past the committed end, leaving the original shards and
+// manifest lines untouched. Rows come either from a CSV file parsed
+// against the relation's own schema, or from a generator offset into
+// the seed's deterministic stream with -skip (the prefix property:
+// rows [skip, skip+n) of the stream are exactly what a relation built
+// from the first skip rows is missing).
 func runAppend(args []string) error {
 	fs := flag.NewFlagSet("optdata append", flag.ContinueOnError)
 	to := fs.String("to", "", "shard manifest of the relation to grow (required; append needs a sharded relation — use convert to shard a single file first)")

@@ -12,8 +12,9 @@
 //     a mixed batch (two fused scans);
 //
 //  2. a day of new rows lands via AppendToSharded — new shard files,
-//     manifest swapped atomically — and RefreshFromStorage folds them
-//     in with a tail-only counting scan, no boundary re-sampling;
+//     their manifest lines committed in place — and RefreshFromStorage
+//     folds them in with a tail-only counting scan, no boundary
+//     re-sampling;
 //
 //  3. the warmed batch re-runs on the grown relation with ZERO
 //     relation reads, and the delta telemetry shows what the refresh
@@ -93,8 +94,8 @@ func main() {
 	printFirstRule(answers)
 
 	// Moment 2: a day of rows arrives. AppendToSharded writes them to
-	// a fresh shard file and swaps the manifest atomically; the open
-	// handle keeps its snapshot until the session refreshes.
+	// a fresh shard file and commits its manifest line in place; the
+	// open handle keeps its snapshot until the session refreshes.
 	day, err := sampleDay(rng, 2000)
 	if err != nil {
 		log.Fatal(err)

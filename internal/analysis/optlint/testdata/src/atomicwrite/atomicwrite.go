@@ -15,6 +15,22 @@ func directCreate(path string) (*os.File, error) {
 	return os.Create(path) // want `os.Create writes the destination in place`
 }
 
+func truncatingOpen(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644) // want `os.OpenFile with os.O_TRUNC rewrites the destination in place`
+}
+
+func inPlaceWrite(path string, data []byte, off int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0) // a positioned write past committed bytes: no truncation
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(data, off); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func staged(path string, data []byte) error {
 	tf, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*") // temp file: the staging half
 	if err != nil {

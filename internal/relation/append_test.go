@@ -135,8 +135,7 @@ func TestShardedAppendSchemaMismatchRefused(t *testing.T) {
 }
 
 // TestShardedAppendZeroRowsUntouched pins that appending an empty
-// source leaves the manifest byte-identical (no temp-rename cycle for
-// nothing).
+// source leaves the manifest byte-identical (no commit for nothing).
 func TestShardedAppendZeroRowsUntouched(t *testing.T) {
 	manifest, _ := writeShardedFixture(t, 11, []int{20}, []int{DiskFormatV2}, 16)
 	before, err := os.ReadFile(manifest)
@@ -445,4 +444,259 @@ func TestShardedWriterFailedCloseRemovesShards(t *testing.T) {
 	if err := sw.Close(); err == nil {
 		t.Error("second Close after a failed Close reported success")
 	}
+}
+
+// checkRows requires the relation at manifest to hold exactly the rows
+// of want, concatenated in order.
+func checkRows(t *testing.T, manifest string, want ...*MemoryRelation) {
+	t.Helper()
+	sr, err := OpenSharded(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	var wantN []float64
+	var wantB []bool
+	for _, rel := range want {
+		n, b := collectRange(t, rel, 0, rel.NumTuples())
+		wantN, wantB = append(wantN, n...), append(wantB, b...)
+	}
+	gotN, gotB := collectRange(t, sr, 0, sr.NumTuples())
+	if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotB, wantB) {
+		t.Fatalf("relation holds %d rows that differ from the %d-row stream", len(gotN), len(wantN))
+	}
+}
+
+// TestShardedAppendKeepsHandWrittenLines pins that a grow commits in
+// place: a hand-written manifest's comments and blank lines survive,
+// its missing final newline is supplied, the manifest keeps its inode
+// (no rename), and the relation reads as the old rows then the new.
+func TestShardedAppendKeepsHandWrittenLines(t *testing.T) {
+	manifest, mem := writeShardedFixture(t, 59, []int{20, 10}, []int{DiskFormatV2, DiskFormatV1}, 16)
+	hand := "OPTSHARD 1\n# nightly load\n\nshard 20 part-00.opr\n\n  # second part\nshard 10 part-01.opr"
+	if err := os.WriteFile(manifest, []byte(hand), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := appendFixtureTail(rand.New(rand.NewSource(61)), 7)
+	if _, err := AppendToSharded(manifest, tail, AppendOptions{RowsPerShard: 5}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hand + "\nshard 5 rel-s00002.opr\nshard 2 rel-s00003.opr\n"; string(got) != want {
+		t.Errorf("grown hand-written manifest:\n%q\nwant:\n%q", got, want)
+	}
+	after, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Errorf("grow replaced the manifest file instead of writing it in place")
+	}
+	checkRows(t, manifest, mem, tail)
+}
+
+// copyRelationDir copies every file of a relation's directory into a
+// fresh directory and returns the manifest's path there.
+func copyRelationDir(t *testing.T, manifest string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range dirListing(t, filepath.Dir(manifest)) {
+		data, err := os.ReadFile(filepath.Join(filepath.Dir(manifest), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return filepath.Join(dir, filepath.Base(manifest))
+}
+
+// writeAt writes data into the existing file at path at offset off.
+func writeAt(t *testing.T, path string, data []byte, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, off); err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedTornGrowMatrix cuts a one-shard and a two-shard grow onto
+// a v2 set at every byte of its staged manifest record. Before the
+// commit byte, OpenSharded and a Reopen see exactly the old relation;
+// after it (written only once the whole record is staged), the whole
+// grow. From every state the next AppendToSharded succeeds, cuts off
+// the stale staged tail, and the relation equals the same stream in
+// memory.
+func TestShardedTornGrowMatrix(t *testing.T) {
+	base, mem := writeShardedFixture(t, 67, []int{20, 12}, []int{DiskFormatV2, DiskFormatV2}, 8)
+	committed, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(71))
+	next := appendFixtureTail(rng, 6)
+	for _, grow := range []struct {
+		name   string
+		rows   int
+		shards int
+		opts   AppendOptions
+	}{
+		{"one-shard", 7, 1, AppendOptions{}},
+		{"two-shard", 9, 2, AppendOptions{RowsPerShard: 5}},
+	} {
+		t.Run(grow.name, func(t *testing.T) {
+			tail := appendFixtureTail(rng, grow.rows)
+			grown := copyRelationDir(t, base)
+			if _, err := AppendToSharded(grown, tail, grow.opts); err != nil {
+				t.Fatal(err)
+			}
+			full, err := os.ReadFile(grown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			record := full[len(committed):]
+			staged := append([]byte{0}, record[1:]...)
+			for c := 0; c <= len(staged); c++ {
+				for _, commit := range []bool{false, true} {
+					if commit && c < len(staged) {
+						continue // the commit byte is written only after the whole record
+					}
+					// The grow's committed shard files are in place; the
+					// manifest is cut back to the committed text and a
+					// handle opened on it before the grow is written.
+					manifest := copyRelationDir(t, grown)
+					end := int64(len(committed))
+					if err := os.Truncate(manifest, end); err != nil {
+						t.Fatal(err)
+					}
+					live, err := OpenSharded(manifest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					writeAt(t, manifest, staged[:c], end)
+					want, wantRows, wantShards := []*MemoryRelation{mem}, mem.NumTuples(), 2
+					if commit {
+						writeAt(t, manifest, record[:1], end)
+						want, wantRows, wantShards = append(want, tail), wantRows+grow.rows, wantShards+grow.shards
+					}
+					if _, err := live.Reopen(); err != nil {
+						t.Fatalf("c=%d commit=%v: Reopen: %v", c, commit, err)
+					}
+					if live.NumTuples() != wantRows || live.NumShards() != wantShards {
+						t.Errorf("c=%d commit=%v: Reopen sees %d rows in %d shards, want %d in %d",
+							c, commit, live.NumTuples(), live.NumShards(), wantRows, wantShards)
+					}
+					live.Close()
+					checkRows(t, manifest, want...)
+
+					if _, err := AppendToSharded(manifest, next, AppendOptions{}); err != nil {
+						t.Fatalf("c=%d commit=%v: next grow: %v", c, commit, err)
+					}
+					checkRows(t, manifest, append(want, next)...)
+					after, err := os.ReadFile(manifest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The next grow's one line follows the committed text directly.
+					prefix := string(committed)
+					if commit {
+						prefix = string(full)
+					}
+					rest := strings.TrimPrefix(string(after), prefix)
+					if !strings.HasPrefix(string(after), prefix) || !strings.HasPrefix(rest, "shard 6 rel-s") ||
+						!strings.HasSuffix(rest, ".opr\n") || strings.Count(rest, "\n") != 1 || strings.IndexByte(rest, 0) >= 0 {
+						t.Errorf("c=%d commit=%v: next grow left %q", c, commit, after)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedReopenDuringGrow races readers against ~50 grows that mix
+// one-shard and two-shard appends. Every shard list a fresh
+// OpenSharded or a long-lived handle's Reopen observes must be the
+// base plus a whole number of completed grows — never a two-shard grow
+// cut after its first line. Meaningful under -race.
+func TestShardedReopenDuringGrow(t *testing.T) {
+	const grows = 50
+	manifest, mem := writeShardedFixture(t, 73, []int{20, 20}, []int{DiskFormatV2, DiskFormatV2}, 8)
+	// rowsAt maps each shard count a whole number of grows reaches to
+	// the relation's row count there. Grows add 1, 2, 1, 2, ... shards,
+	// so a two-shard grow cut after one line (base+1 mod 3) is absent.
+	rowsAt := map[int]int{2: mem.NumTuples()}
+	tails := make([]*MemoryRelation, grows)
+	rng := rand.New(rand.NewSource(79))
+	for i, shards, rows := 0, 2, mem.NumTuples(); i < grows; i++ {
+		tails[i] = appendFixtureTail(rng, 6)
+		shards, rows = shards+1+i%2, rows+6
+		rowsAt[shards] = rows
+	}
+	live, err := OpenSharded(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	check := func(how string, sr *ShardedRelation) {
+		if rows, ok := rowsAt[sr.NumShards()]; !ok || rows != sr.NumTuples() {
+			t.Errorf("%s saw %d rows in %d shards: not a whole number of grows", how, sr.NumTuples(), sr.NumShards())
+		}
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sr, err := OpenSharded(manifest)
+			if err != nil {
+				t.Errorf("OpenSharded during grows: %v", err)
+				return
+			}
+			check("OpenSharded", sr)
+			sr.Close()
+			seen := live.NumShards()
+			if _, err := live.Reopen(); err != nil {
+				t.Errorf("Reopen during grows: %v", err)
+				return
+			}
+			check("Reopen", live)
+			if live.NumShards() < seen {
+				t.Errorf("Reopen went back from %d to %d shards", seen, live.NumShards())
+			}
+		}
+	}()
+	for i, tail := range tails {
+		opts := AppendOptions{}
+		if i%2 == 1 {
+			opts.RowsPerShard = 3 // two 3-row shards
+		}
+		if _, err := AppendToSharded(manifest, tail, opts); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	<-done
+	checkRows(t, manifest, append([]*MemoryRelation{mem}, tails...)...)
 }

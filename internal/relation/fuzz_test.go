@@ -54,15 +54,18 @@ func FuzzOpenSharded(f *testing.F) {
 	f.Add("OPTSHARD 1\nshard x s0.opr\nshard 3 s1.opr junk\n")
 	f.Add("OPTR not a manifest")
 	f.Add("")
-	// Appended-manifest shapes: AppendToSharded rewrites manifests
-	// as existing lines verbatim plus appended `m-sNNNNN.opr` lines, so
+	// Appended-manifest shapes: AppendToSharded writes appended
+	// `m-sNNNNN.opr` lines after the existing text, so
 	// opened-after-append relations look like these — including a shard
-	// repeated between the seed and appended sections, and appended
-	// lines whose files are missing (a torn cleanup).
+	// repeated between the seed and appended sections, appended lines
+	// whose files are missing (a torn cleanup), and an uncommitted
+	// staged tail led by a NUL.
 	f.Add("OPTSHARD 1\nshard 7 s0.opr\nshard 3 s1.opr\nshard 7 m-s00002.opr\n")
 	f.Add("OPTSHARD 1\nshard 7 s0.opr\nshard 7 s0.opr\nshard 3 s1.opr\n")
 	f.Add("OPTSHARD 1\nshard 7 s0.opr\nshard 3 m-s00001.opr\nshard 3 m-s00002.opr\n")
 	f.Add("OPTSHARD 1\nshard 7 s0.opr\nshard 0 m-s00001.opr\n")
+	f.Add("OPTSHARD 1\nshard 7 s0.opr\n\x00hard 3 s1.opr\n")
+	f.Add("OPTSHARD 1\nshard 7 s0.opr\x00shard 3 s1.o")
 	f.Fuzz(func(t *testing.T, manifest string) {
 		dir := t.TempDir()
 		for i, rows := range []int{7, 3} {

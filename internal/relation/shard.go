@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -45,6 +46,15 @@ import (
 // (same attribute names and kinds, in the same order); shards may mix
 // on-disk format versions freely — a relation can be grown with v2 or
 // v3 shards while old v1 shards stay in place.
+//
+// The manifest's committed text ends at its first NUL byte, or at the
+// end of the file when it holds none. A grow (AppendToSharded) writes
+// its new `shard` lines in place past the committed end: staged with a
+// NUL in place of their first byte, committed by writing that byte (see
+// appendManifest). Whatever follows the committed end is an
+// uncommitted staged tail that every reader ignores and the next grow
+// overwrites. A grow never rewrites the committed text, so its
+// comments, blank lines and custom shard names survive.
 
 const (
 	// ShardManifestVersion is the current manifest format version.
@@ -124,19 +134,16 @@ type ShardedRelation struct {
 type shardSet struct {
 	shards  []*DiskRelation
 	paths   []string             // resolved shard paths, manifest order
-	entries []shardManifestEntry // parsed manifest lines, raw path text preserved
+	entries []shardManifestEntry // parsed manifest lines
 	starts  []int                // starts[i] = global row of shard i's first tuple; len(shards)+1 entries
 	numRows int
 }
 
-// shardManifestEntry is one parsed manifest line. raw preserves the
-// path exactly as written (before resolving against the manifest
-// directory), so a ShardedWriter growing the relation can rewrite
-// existing lines verbatim.
+// shardManifestEntry is one parsed manifest line, its path resolved
+// against the manifest's directory.
 type shardManifestEntry struct {
 	rows int
 	path string
-	raw  string
 }
 
 // parseShardManifest parses and validates manifest text (not the shard
@@ -173,15 +180,14 @@ func parseShardManifest(name string, data []byte, dir string) ([]shardManifestEn
 		if err != nil || rows < 0 {
 			return nil, fmt.Errorf("relation: %s:%d: bad shard row count %q", name, line, fields[1])
 		}
-		raw := strings.TrimSpace(fields[2])
-		if raw == "" {
+		path := strings.TrimSpace(fields[2])
+		if path == "" {
 			return nil, fmt.Errorf("relation: %s:%d: empty shard path", name, line)
 		}
-		path := raw
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(dir, path)
 		}
-		entries = append(entries, shardManifestEntry{rows: rows, path: path, raw: raw})
+		entries = append(entries, shardManifestEntry{rows: rows, path: path})
 		if len(entries) > maxManifestShards {
 			return nil, fmt.Errorf("relation: %s: more than %d shards", name, maxManifestShards)
 		}
@@ -209,20 +215,26 @@ func sameSchema(a, b Schema) bool {
 	return true
 }
 
-// readShardManifest stats, reads, and parses the manifest at path.
-func readShardManifest(manifestPath string) ([]shardManifestEntry, error) {
+// readShardManifest stats, reads, and parses the manifest at path,
+// returning its entries and its committed text: everything before the
+// first NUL byte, so a grow's staged tail is never read.
+func readShardManifest(manifestPath string) ([]shardManifestEntry, []byte, error) {
 	st, err := os.Stat(manifestPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.Size() > maxManifestBytes {
-		return nil, fmt.Errorf("relation: %s: implausible %d-byte shard manifest", manifestPath, st.Size())
+		return nil, nil, fmt.Errorf("relation: %s: implausible %d-byte shard manifest", manifestPath, st.Size())
 	}
 	data, err := os.ReadFile(manifestPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return parseShardManifest(manifestPath, data, filepath.Dir(manifestPath))
+	if end := bytes.IndexByte(data, 0); end >= 0 {
+		data = data[:end]
+	}
+	entries, err := parseShardManifest(manifestPath, data, filepath.Dir(manifestPath))
+	return entries, data, err
 }
 
 // buildShardSet opens manifest entries [from, len(entries)), reusing
@@ -279,7 +291,7 @@ func buildShardSet(manifestPath string, entries []shardManifestEntry, prefix []*
 // schemas for exact equality across shards — before any row is served,
 // so a corrupt or drifted manifest fails at open, not mid-scan.
 func OpenSharded(manifestPath string) (*ShardedRelation, error) {
-	entries, err := readShardManifest(manifestPath)
+	entries, _, err := readShardManifest(manifestPath)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +317,7 @@ func (sr *ShardedRelation) Reopen() (added int, err error) {
 	sr.reopenMu.Lock()
 	defer sr.reopenMu.Unlock()
 	old := sr.cur.Load()
-	entries, err := readShardManifest(sr.manifestPath)
+	entries, _, err := readShardManifest(sr.manifestPath)
 	if err != nil {
 		return 0, err
 	}
@@ -796,13 +808,15 @@ func (o ShardedWriterOptions) rowsPerShard() (int, error) {
 // ShardedWriter streams tuples into a sharded relation: shard files are
 // written next to the manifest path (named <base>-s00000.opr,
 // <base>-s00001.opr, …), a new shard starting whenever the splitting
-// policy says so, and the manifest itself is written last — to a temp
-// file renamed into place on Close, so a crashed or failed write never
-// leaves a manifest pointing at missing or short shards. The same
-// writer grows an existing relation (AppendToSharded): existing
-// manifest lines are kept verbatim and new shards are numbered past
-// any base-named file already on disk, so existing shard files are
-// never touched and the old relation stays a valid prefix of the new.
+// policy says so, and the manifest itself is written last, on Close,
+// so a crashed or failed write never leaves a manifest pointing at
+// missing or short shards. A fresh manifest is a temp file renamed into
+// place. The same writer grows an existing relation (AppendToSharded):
+// the new `shard` lines are committed in place past the manifest's
+// committed end (appendManifest), leaving its existing text as it is,
+// and new shards are numbered past any base-named file already on
+// disk, so existing shard files are never touched and the old relation
+// stays a valid prefix of the new.
 type ShardedWriter struct {
 	manifestPath string
 	dir          string
@@ -811,16 +825,19 @@ type ShardedWriter struct {
 	format       int
 	groupRows    int
 	rowsPerShard int
-	// entries holds the manifest lines: the existing ones (a grow keeps
-	// them verbatim) followed by every shard this writer committed.
+	// entries holds the manifest lines: the existing ones followed by
+	// every shard this writer committed.
 	entries  []shardManifestEntry
 	existing int
-	next     int // shard file number of the current (or next) shard
-	cur      *DiskWriter
-	curRows  int
-	rows     int
-	closed   bool
-	closeErr error // sticky result of the first Close
+	// committed is a grow's committed manifest text, which its new lines
+	// follow (nil for a fresh relation).
+	committed []byte
+	next      int // shard file number of the current (or next) shard
+	cur       *DiskWriter
+	curRows   int
+	rows      int
+	closed    bool
+	closeErr  error // sticky result of the first Close
 	// writeErr latches a failed shard rollover: the writer has lost rows
 	// (a shard closed but its successor was never created), so every
 	// later Append and the final Close must fail rather than commit a
@@ -839,7 +856,7 @@ func NewShardedWriter(manifestPath string, schema Schema, opts ShardedWriterOpti
 	if err != nil {
 		return nil, err
 	}
-	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, nil, 0)
+	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -849,11 +866,12 @@ func NewShardedWriter(manifestPath string, schema Schema, opts ShardedWriterOpti
 	return sw, nil
 }
 
-// newShardedWriter builds a writer whose manifest starts with existing
-// (nil for a fresh relation) and whose first shard is numbered next.
-// No file is created until the first shard starts, so a grow that
-// appends nothing leaves the directory and the manifest untouched.
-func newShardedWriter(manifestPath string, schema Schema, format, groupRows, rowsPerShard int, existing []shardManifestEntry, next int) (*ShardedWriter, error) {
+// newShardedWriter builds a writer whose manifest starts with existing,
+// parsed from the committed text committed (both nil for a fresh
+// relation), and whose first shard is numbered next. No file is created
+// until the first shard starts, so a grow that appends nothing leaves
+// the directory and the manifest untouched.
+func newShardedWriter(manifestPath string, schema Schema, format, groupRows, rowsPerShard int, existing []shardManifestEntry, committed []byte, next int) (*ShardedWriter, error) {
 	if err := checkFormat(format); err != nil {
 		return nil, err
 	}
@@ -867,6 +885,7 @@ func newShardedWriter(manifestPath string, schema Schema, format, groupRows, row
 		rowsPerShard: rowsPerShard,
 		entries:      existing,
 		existing:     len(existing),
+		committed:    committed,
 		next:         next,
 	}, nil
 }
@@ -901,14 +920,12 @@ func (sw *ShardedWriter) startShard() error {
 	return nil
 }
 
-// finishShard commits the current shard and records its manifest entry
-// (relative path: shards always live beside the manifest).
+// finishShard commits the current shard and records its manifest entry.
 func (sw *ShardedWriter) finishShard() error {
 	if err := sw.cur.Close(); err != nil {
 		return err
 	}
-	name := shardFileName(sw.base, sw.next)
-	sw.entries = append(sw.entries, shardManifestEntry{rows: sw.curRows, path: filepath.Join(sw.dir, name), raw: name})
+	sw.entries = append(sw.entries, shardManifestEntry{rows: sw.curRows, path: filepath.Join(sw.dir, shardFileName(sw.base, sw.next))})
 	sw.next++
 	sw.cur = nil
 	return nil
@@ -946,12 +963,14 @@ func (sw *ShardedWriter) Append(nums []float64, bools []bool) error {
 	return nil
 }
 
-// Close finalizes the last shard and writes the manifest (temp file in
-// the manifest's directory, renamed into place), so readers only ever
-// see a manifest whose shards are complete. A grow that appended no
-// rows leaves the manifest byte-identical. A failed Close removes
-// every shard the writer committed, leaves the manifest as it was, and
-// is sticky: repeated calls return the first error instead of a false
+// Close finalizes the last shard, then commits the manifest: a fresh
+// one as a temp file in the manifest's directory renamed into place, a
+// grow's new lines in place past the committed end (appendManifest).
+// Either way readers only ever see a manifest whose shards are
+// complete. A grow that appended no rows leaves the manifest
+// byte-identical. A failed Close removes every shard the writer
+// committed, leaves the manifest's committed text as it was, and is
+// sticky: repeated calls return the first error instead of a false
 // success.
 func (sw *ShardedWriter) Close() error {
 	if sw.closed {
@@ -979,13 +998,16 @@ func (sw *ShardedWriter) commit() error {
 	if len(sw.entries) == sw.existing {
 		return nil // nothing appended: manifest untouched
 	}
-	// The manifest is data, not a secret: a fresh one carries the mode
-	// of the shard files it points at, a grown one keeps its own.
-	modeOf := sw.manifestPath
 	if sw.existing == 0 {
-		modeOf = sw.entries[0].path
+		// The manifest is data, not a secret: a fresh one carries the
+		// mode of the shard files it points at.
+		return writeShardManifest(sw.manifestPath, sw.entries, outputMode([]string{sw.entries[0].path}))
 	}
-	return writeShardManifest(sw.manifestPath, sw.entries, outputMode([]string{modeOf}))
+	var record []byte
+	if c := sw.committed; c[len(c)-1] != '\n' { // never empty: it parsed, so it holds the header
+		record = append(record, '\n')
+	}
+	return appendManifest(sw.manifestPath, int64(len(sw.committed)), appendShardLines(record, sw.entries[sw.existing:]))
 }
 
 // Discard abandons the write: every file this writer created is
@@ -1025,26 +1047,75 @@ func (sw *ShardedWriter) writeFrom(src Relation) error {
 	return sw.Close()
 }
 
-// writeShardManifest renders entries as manifest text — each line from
-// raw, so existing lines are rewritten verbatim — and commits it over
-// path through a staged temp file, so readers see the old manifest or
-// the new one, never a torn one.
-func writeShardManifest(path string, entries []shardManifestEntry, mode os.FileMode) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d\n", shardManifestMagic, ShardManifestVersion)
+// appendShardLines appends one `shard <rows> <path>` line per entry the
+// writer made to b. Those shards live beside the manifest, so each path
+// is written relative to it: the file's base name.
+func appendShardLines(b []byte, entries []shardManifestEntry) []byte {
 	for _, e := range entries {
-		fmt.Fprintf(&b, "shard %d %s\n", e.rows, e.raw)
+		b = fmt.Appendf(b, "shard %d %s\n", e.rows, filepath.Base(e.path))
 	}
+	return b
+}
+
+// writeShardManifest writes a fresh relation's manifest — the header
+// and one line per entry — and commits it over path through a staged
+// temp file, so readers see no manifest or the whole one, never a torn
+// one. Grows commit through appendManifest instead.
+func writeShardManifest(path string, entries []shardManifestEntry, mode os.FileMode) error {
+	data := appendShardLines(fmt.Appendf(nil, "%s %d\n", shardManifestMagic, ShardManifestVersion), entries)
 	tf, err := createStaged(path)
 	if err != nil {
 		return err
 	}
-	if _, err := tf.WriteString(b.String()); err != nil {
+	if _, err := tf.Write(data); err != nil {
 		tf.Close()
 		os.Remove(tf.Name())
 		return err
 	}
 	return commitStaged(tf, path, mode)
+}
+
+// appendManifest is the one commit of a grow. record — whole `shard`
+// lines, led by a newline when the committed text lacks its final one —
+// is written in place at end, the committed manifest's length, so the
+// manifest's inode is never replaced. The record is staged in one
+// positioned write with a NUL in place of its first byte; every reader
+// ends the committed manifest at the first NUL, and since paths cannot
+// hold NUL and any torn prefix of the staged write starts with it, a
+// reader (or a crash at any byte) sees the old relation until the
+// commit writes that one byte, and the whole grow after it. An
+// uncommitted tail an earlier failed grow left past end is overwritten
+// and cut off before the commit; a failed grow truncates the manifest
+// back to end. Durability belongs here: sync the staged record, write
+// the commit byte, sync again.
+func appendManifest(path string, end int64, record []byte) (err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Truncate(path, end)
+		}
+	}()
+	staged := append([]byte{0}, record[1:]...)
+	if _, err := f.WriteAt(staged, end); err != nil {
+		return err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if size := end + int64(len(record)); st.Size() > size {
+		if err := f.Truncate(size); err != nil {
+			return err
+		}
+	}
+	_, err = f.WriteAt(record[:1], end)
+	return err
 }
 
 // ConvertToSharded streams an open relation into a sharded relation at
@@ -1106,17 +1177,17 @@ type AppendOptions struct {
 
 // AppendToSharded streams every tuple of src onto the end of the
 // sharded relation at manifestPath: the tuples land in fresh shard
-// files next to the manifest, and the manifest is rewritten —
-// existing lines verbatim, new `shard` lines added — through the same
-// temp+rename commit as a fresh write, so a reader that opens (or
-// Reopens) it sees either the old relation or the fully grown one.
-// The source schema must equal the relation's schema exactly (names
-// and kinds, in order) — mismatches are refused before any file is
-// created. On any error the appended shard files are removed and the
-// manifest is left as it was, so the relation either grows by all of
-// src or not at all.
+// files next to the manifest, and their `shard` lines are committed in
+// place past the manifest's committed end (appendManifest) — the
+// existing text, comments included, is never rewritten — so a reader
+// that opens (or Reopens) it sees either the old relation or the fully
+// grown one. The source schema must equal the relation's schema
+// exactly (names and kinds, in order) — mismatches are refused before
+// any file is created. On any error the appended shard files are
+// removed and the manifest's committed text is left as it was, so the
+// relation either grows by all of src or not at all.
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
-	entries, err := readShardManifest(manifestPath)
+	entries, committed, err := readShardManifest(manifestPath)
 	if err != nil {
 		return 0, err
 	}
@@ -1147,7 +1218,7 @@ func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (row
 	if rps <= 0 {
 		rps = math.MaxInt // the whole stream in one shard
 	}
-	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, next)
+	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, committed, next)
 	if err != nil {
 		return 0, err
 	}

@@ -563,7 +563,9 @@ func TestOpenDataSniffsBackends(t *testing.T) {
 
 // TestShardManifestCorruption exercises the targeted failure modes a
 // drifted or damaged manifest can exhibit: each must fail at open with
-// a descriptive error, never a panic or a silently wrong relation.
+// a descriptive error, never a panic or a silently wrong relation. A
+// grow's uncommitted staged tail (led by a NUL) is not damage: the
+// manifest opens as its committed shards only.
 func TestShardManifestCorruption(t *testing.T) {
 	dir := t.TempDir()
 	schema := bankSchema()
@@ -598,19 +600,25 @@ func TestShardManifestCorruption(t *testing.T) {
 		name     string
 		manifest string
 		wantErr  string
+		wantRows int // for valid manifests
 	}{
-		{"valid", "OPTSHARD 1\nshard 10 a.opr\nshard 20 b.opr\n", ""},
-		{"comments-and-blanks", "OPTSHARD 1\n\n# part one\nshard 10 a.opr\n", ""},
-		{"bad-magic", "NOTSHARD 1\nshard 10 a.opr\n", "not a shard manifest"},
-		{"bad-version", "OPTSHARD 9\nshard 10 a.opr\n", "version"},
-		{"no-shards", "OPTSHARD 1\n# empty\n", "no shards"},
-		{"missing-file", "OPTSHARD 1\nshard 10 a.opr\nshard 5 gone.opr\n", "shard 1"},
-		{"row-count-mismatch", "OPTSHARD 1\nshard 10 a.opr\nshard 21 b.opr\n", "manifest declares"},
-		{"mixed-schemas", "OPTSHARD 1\nshard 10 a.opr\nshard 1 other.opr\n", "schema"},
-		{"malformed-line", "OPTSHARD 1\nshard 10\n", "malformed"},
-		{"negative-rows", "OPTSHARD 1\nshard -3 a.opr\n", "row count"},
-		{"empty-path", "OPTSHARD 1\nshard 10  \n", "malformed"},
-		{"empty-file", "", "empty shard manifest"},
+		{"valid", "OPTSHARD 1\nshard 10 a.opr\nshard 20 b.opr\n", "", 30},
+		{"comments-and-blanks", "OPTSHARD 1\n\n# part one\nshard 10 a.opr\n", "", 10},
+		{"staged-tail", "OPTSHARD 1\nshard 10 a.opr\n\x00hard 20 b.opr\n", "", 10},
+		{"torn-staged-tail", "OPTSHARD 1\nshard 10 a.opr\n\x00hard 2", "", 10},
+		{"staged-tail-after-missing-newline", "OPTSHARD 1\nshard 10 a.opr\x00shard 20 b.opr\n", "", 10},
+		{"staged-tail-after-committed-garbage", "OPTSHARD 1\nshard 10 a.opr\nshard 5 gone.opr\n\x00hard 20 b.opr\n", "shard 1", 0},
+		{"staged-header", "\x00PTSHARD 1\nshard 10 a.opr\n", "empty shard manifest", 0},
+		{"bad-magic", "NOTSHARD 1\nshard 10 a.opr\n", "not a shard manifest", 0},
+		{"bad-version", "OPTSHARD 9\nshard 10 a.opr\n", "version", 0},
+		{"no-shards", "OPTSHARD 1\n# empty\n", "no shards", 0},
+		{"missing-file", "OPTSHARD 1\nshard 10 a.opr\nshard 5 gone.opr\n", "shard 1", 0},
+		{"row-count-mismatch", "OPTSHARD 1\nshard 10 a.opr\nshard 21 b.opr\n", "manifest declares", 0},
+		{"mixed-schemas", "OPTSHARD 1\nshard 10 a.opr\nshard 1 other.opr\n", "schema", 0},
+		{"malformed-line", "OPTSHARD 1\nshard 10\n", "malformed", 0},
+		{"negative-rows", "OPTSHARD 1\nshard -3 a.opr\n", "row count", 0},
+		{"empty-path", "OPTSHARD 1\nshard 10  \n", "malformed", 0},
+		{"empty-file", "", "empty shard manifest", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -623,7 +631,10 @@ func TestShardManifestCorruption(t *testing.T) {
 				if err != nil {
 					t.Fatalf("valid manifest rejected: %v", err)
 				}
-				sr.Close()
+				defer sr.Close()
+				if sr.NumTuples() != c.wantRows {
+					t.Errorf("opened %d rows, want %d", sr.NumTuples(), c.wantRows)
+				}
 				return
 			}
 			if err == nil {

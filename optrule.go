@@ -641,12 +641,13 @@ type DeltaStats = miner.DeltaStats
 type AppendOptions = relation.AppendOptions
 
 // AppendToSharded appends every row of src to the sharded relation at
-// manifestPath: new rows land in fresh shard files and the manifest is
-// committed by temp+rename, so concurrent readers see either the old
-// relation or the whole grown one, never a torn state. Open handles
-// keep their snapshot until ShardedRelation.Reopen (or a session's
-// RefreshFromStorage) picks up the growth. A schema mismatch is
-// refused before any file is touched.
+// manifestPath: new rows land in fresh shard files and their manifest
+// lines are committed in place past the manifest's committed end, so
+// concurrent readers see either the old relation or the whole grown
+// one, never a torn state. Open handles keep their snapshot until
+// ShardedRelation.Reopen (or a session's RefreshFromStorage) picks up
+// the growth. A schema mismatch is refused before any file is
+// touched.
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (int, error) {
 	return relation.AppendToSharded(manifestPath, src, opts)
 }
