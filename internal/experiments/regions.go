@@ -81,7 +81,7 @@ func Regions(gridSide int, cellTuples int, seed int64) (RegionResult, error) {
 		}
 		row := RegionRow{Workload: wl.name}
 		start := time.Now()
-		rect, _, err := region.MaxGainRect(g, 0.5)
+		rect, _, err := region.MaxGainRect(g, 0.5, 1)
 		if err != nil {
 			return res, err
 		}
@@ -89,7 +89,7 @@ func Regions(gridSide int, cellTuples int, seed int64) (RegionResult, error) {
 		row.RectGain = rect.Gain
 
 		start = time.Now()
-		rc, _, err := region.MaxGainRectilinearConvex(g, 0.5)
+		rc, _, err := region.MaxGainRectilinearConvex(g, 0.5, 1)
 		if err != nil {
 			return res, err
 		}
@@ -97,7 +97,7 @@ func Regions(gridSide int, cellTuples int, seed int64) (RegionResult, error) {
 		row.ConvexGain = rc.Gain
 
 		start = time.Now()
-		xm, _, err := region.MaxGainXMonotone(g, 0.5)
+		xm, _, err := region.MaxGainXMonotone(g, 0.5, 1)
 		if err != nil {
 			return res, err
 		}

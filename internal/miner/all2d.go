@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"optrule/internal/bucketing"
+	"optrule/internal/fanout"
 	"optrule/internal/plan"
 	"optrule/internal/region"
 	"optrule/internal/relation"
@@ -31,20 +31,20 @@ import (
 //     legacy per-pair path consume, so boundaries are bit-identical;
 //  2. one fused counting scan locates each tuple's bucket ONCE per
 //     attribute and then fills all d(d−1)/2 pair grids. On relations
-//     that support range scans the counting scan is segmented across
-//     workers with boundaries snapped to the storage layer's block
-//     groups (relation.AlignedSegments), each worker filling private
-//     grids that are merged at the end — grid cells are integer
-//     counts, so the merge is exact and the result is identical to a
-//     serial scan. The scan's ColumnSet selects only the
-//     participating columns, so the v2 columnar format reads just
-//     those column blocks.
+//     that support range scans the scan runs in plan's countRange:
+//     relation.PlanScanChunks cuts the rows into storage-aligned
+//     chunks of about equal estimated cost, Config.PEs pool slots
+//     claim them, and each slot folds its chunks into private grids
+//     that are merged at the end — grid cells are integer counts, so
+//     the merge is exact and the result is identical to a serial
+//     scan. The scan's ColumnSet selects only the participating
+//     columns, so the columnar formats read just those column blocks.
 //
 // What remains here is extraction: the region kernels (rectangle
 // sweep, x-monotone and rectilinear-convex DPs) run on the in-memory
-// grids, fanned out over a worker pool across (pair, kind) tasks, each
-// task using the parallel region kernels for whatever share of the
-// pool it gets.
+// grids, fanned out over Config.Workers workers across (pair, kind)
+// tasks, each kernel running on whatever share of those workers its
+// task gets.
 
 // Options2D selects what MineAll2D mines.
 type Options2D struct {
@@ -136,11 +136,11 @@ func (e *engine2D) rectRule(pr *pair2D, kind RuleKind, workers int) (*Rule2D, er
 	var err error
 	switch kind {
 	case OptimizedConfidence:
-		rect, ok, err = region.OptimalRectConfidenceParallel(pr.Grid, e.cfg.MinSupport*float64(pr.N), workers)
+		rect, ok, err = region.OptimalRectConfidence(pr.Grid, e.cfg.MinSupport*float64(pr.N), workers)
 	case OptimizedSupport:
-		rect, ok, err = region.OptimalRectSupportParallel(pr.Grid, e.cfg.MinConfidence, workers)
+		rect, ok, err = region.OptimalRectSupport(pr.Grid, e.cfg.MinConfidence, workers)
 	case OptimizedGain:
-		rect, ok, err = region.MaxGainRectParallel(pr.Grid, e.cfg.MinConfidence, workers)
+		rect, ok, err = region.MaxGainRect(pr.Grid, e.cfg.MinConfidence, workers)
 		if err == nil && ok && rect.Gain <= 0 {
 			ok = false // no rectangle beats the threshold anywhere
 		}
@@ -197,9 +197,9 @@ func (e *engine2D) regionRule(pr *pair2D, class RegionClass, workers int) (*Regi
 	var err error
 	switch class {
 	case XMonotoneClass:
-		xm, ok, err = region.MaxGainXMonotoneParallel(pr.Grid, e.cfg.MinConfidence, workers)
+		xm, ok, err = region.MaxGainXMonotone(pr.Grid, e.cfg.MinConfidence, workers)
 	case RectilinearConvexClass:
-		xm, ok, err = region.MaxGainRectilinearConvexParallel(pr.Grid, e.cfg.MinConfidence, workers)
+		xm, ok, err = region.MaxGainRectilinearConvex(pr.Grid, e.cfg.MinConfidence, workers)
 	default:
 		return nil, fmt.Errorf("miner: region class %v not supported here (rectangles use Kinds)", class)
 	}
@@ -268,42 +268,20 @@ func (e *engine2D) mineAll() (*Result2D, error) {
 	if len(tasks) == 0 {
 		return res, nil
 	}
-	outer := e.cfg.Workers
-	if outer > len(tasks) {
-		outer = len(tasks)
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner := e.cfg.Workers / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer := max(1, min(e.cfg.Workers, len(tasks)))
+	inner := max(1, e.cfg.Workers/outer)
 	rules := make([]*Rule2D, len(tasks))
 	regions := make([]*RegionRule, len(tasks))
 	errs := make([]error, len(tasks))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range jobs {
-				tk := tasks[t]
-				pr := &e.pairs[tk.pair]
-				if tk.isRegion {
-					regions[t], errs[t] = e.regionRule(pr, tk.class, inner)
-				} else {
-					rules[t], errs[t] = e.rectRule(pr, tk.kind, inner)
-				}
-			}
-		}()
-	}
-	for t := range tasks {
-		jobs <- t
-	}
-	close(jobs)
-	wg.Wait()
+	fanout.Each(outer, len(tasks), func(_, t int) {
+		tk := tasks[t]
+		pr := &e.pairs[tk.pair]
+		if tk.isRegion {
+			regions[t], errs[t] = e.regionRule(pr, tk.class, inner)
+		} else {
+			rules[t], errs[t] = e.rectRule(pr, tk.kind, inner)
+		}
+	})
 	for t, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("miner: pair (%s, %s): %w",

@@ -154,8 +154,11 @@ type Config struct {
 	// Seed makes mining deterministic. The per-attribute sample streams
 	// are derived from it.
 	Seed int64
-	// Workers bounds the number of numeric attributes mined
-	// concurrently. Default runtime.GOMAXPROCS(0).
+	// Workers bounds the extraction workers: the numeric attributes
+	// (1-D rule drivers) mined concurrently, the 2-D (pair, kind)
+	// tasks run concurrently, and each region kernel's share of them
+	// (Workers divided by the concurrent tasks). Default
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// MineNegations also mines rules whose objective is (C = no).
 	MineNegations bool
@@ -164,8 +167,8 @@ type Config struct {
 	// scans. 0 means all CPUs (runtime.GOMAXPROCS(0)) and 1 forces a
 	// serial scan. Results are bit-identical at any setting: float
 	// target sums (the average operator) are added in the serial scan's
-	// order. Workers parallelizes ACROSS attributes; PEs parallelizes
-	// WITHIN one scan.
+	// order. Workers parallelizes extraction; PEs parallelizes the
+	// counting WITHIN one scan.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

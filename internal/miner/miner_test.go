@@ -2,7 +2,9 @@ package miner
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -133,6 +135,14 @@ func TestMineAllTopRuleIsPlanted(t *testing.T) {
 	}
 }
 
+// TestMineDeterministicAcrossWorkerCounts pins answers across
+// Config.Workers, which bounds the 1-D extraction pool, the 2-D
+// (pair, kind) task pool and each region kernel's share of it: MineAll
+// rule for rule, and one mixed session batch — 1-D rules (all drivers,
+// and one under a condition), top-k, conjunctive, average, and 2-D
+// rules over every pair at grid 16 with all three rectangle kinds and
+// both region classes, plus a two-task single pair whose kernels get
+// several workers each — bit for bit at Workers 1, 2, 3 and 8.
 func TestMineDeterministicAcrossWorkerCounts(t *testing.T) {
 	rel, _ := bankRelation(t, 10000)
 	var prev []Rule
@@ -152,6 +162,90 @@ func TestMineDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 		prev = res.Rules
+	}
+
+	allKinds := []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain}
+	batch := []Query{
+		{Op: OpRules, Kinds: allKinds},
+		{Op: OpRules, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true,
+			Conditions: []Condition{{Attr: "AutoWithdraw", Value: true}}},
+		{Op: OpTopK, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true, K: 3},
+		{Op: OpConjunctive, Numeric: "Age",
+			Objectives: []Condition{{Attr: "CardLoan", Value: true}},
+			Conditions: []Condition{{Attr: "Mortgage", Value: true}}},
+		{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1},
+		{Op: OpRules2D, Objective: "CardLoan", ObjectiveValue: true, GridSide: 16,
+			Kinds: allKinds, Regions: []RegionClass{XMonotoneClass, RectilinearConvexClass}},
+		{Op: OpRules2D, Numeric: "Balance", NumericB: "Age", Objective: "CardLoan",
+			ObjectiveValue: true, GridSide: 16, Kinds: []RuleKind{OptimizedGain},
+			Regions: []RegionClass{RectilinearConvexClass}},
+	}
+	var want []Answer
+	for _, workers := range []int{1, 2, 3, 8} {
+		s, err := NewSession(rel, Config{Buckets: 100, Seed: 11, Workers: workers, MineGain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ExecuteBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range got {
+			if a.Err != nil {
+				t.Fatalf("workers=%d: query %d: %v", workers, i, a.Err)
+			}
+		}
+		if len(got[5].Rules2D) == 0 || len(got[5].Regions) == 0 || len(got[6].Regions) == 0 {
+			t.Fatalf("workers=%d: 2-D answers mined nothing: %+v", workers, got[5:])
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if path, ok := sameBits(reflect.ValueOf(got[i]), reflect.ValueOf(want[i]), "Answer"); !ok {
+				t.Fatalf("workers=%d: query %d differs from workers=1 at %s", workers, i, path)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same value, comparing
+// floats by their bits (so NaN matches NaN and -0 differs from +0);
+// path names the first difference.
+func sameBits(a, b reflect.Value, path string) (string, bool) {
+	if a.Kind() != b.Kind() {
+		return path, false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return path, math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return path, a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem(), path)
+	case reflect.Slice, reflect.Array:
+		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return path, false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if p, ok := sameBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); !ok {
+				return p, false
+			}
+		}
+		return path, true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if p, ok := sameBits(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); !ok {
+				return p, false
+			}
+		}
+		return path, true
+	case reflect.Map, reflect.Func, reflect.Chan:
+		panic("sameBits: unsupported kind " + a.Kind().String())
+	default:
+		return path, reflect.DeepEqual(a.Interface(), b.Interface())
 	}
 }
 

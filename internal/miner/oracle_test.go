@@ -124,11 +124,11 @@ func mine2DPerPair(rel relation.Relation, numericA, numericB, objective string, 
 	var ok bool
 	switch kind {
 	case OptimizedConfidence:
-		rect, ok, err = region.OptimalRectConfidence(grid, cfg.MinSupport*float64(n))
+		rect, ok, err = region.OptimalRectConfidence(grid, cfg.MinSupport*float64(n), 1)
 	case OptimizedSupport:
-		rect, ok, err = region.OptimalRectSupport(grid, cfg.MinConfidence)
+		rect, ok, err = region.OptimalRectSupport(grid, cfg.MinConfidence, 1)
 	case OptimizedGain:
-		rect, ok, err = region.MaxGainRect(grid, cfg.MinConfidence)
+		rect, ok, err = region.MaxGainRect(grid, cfg.MinConfidence, 1)
 		if err == nil && ok && rect.Gain <= 0 {
 			ok = false // no rectangle beats the threshold anywhere
 		}
@@ -273,9 +273,9 @@ func mineRegionPerPair(rel relation.Relation, numericA, numericB, objective stri
 	var ok bool
 	switch class {
 	case XMonotoneClass:
-		xm, ok, err = region.MaxGainXMonotone(grid, cfg.MinConfidence)
+		xm, ok, err = region.MaxGainXMonotone(grid, cfg.MinConfidence, 1)
 	case RectilinearConvexClass:
-		xm, ok, err = region.MaxGainRectilinearConvex(grid, cfg.MinConfidence)
+		xm, ok, err = region.MaxGainRectilinearConvex(grid, cfg.MinConfidence, 1)
 	default:
 		return nil, fmt.Errorf("miner: region class %v not supported here (rectangles use Mine2D)", class)
 	}

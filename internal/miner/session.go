@@ -8,6 +8,7 @@ import (
 
 	"optrule/internal/bucketing"
 	"optrule/internal/core"
+	"optrule/internal/fanout"
 	"optrule/internal/plan"
 	"optrule/internal/relation"
 )
@@ -374,54 +375,26 @@ func (s *Session) extract(a *Answer, r *plan.Resolved, set *plan.StatsSet) {
 // MineAll assembly.
 func (s *Session) extractRules(r *plan.Resolved, set *plan.StatsSet) ([]Rule, error) {
 	schema := s.rel.Schema()
-	type out struct {
-		pos   int
-		rules []Rule
-		err   error
-	}
-	jobs := make(chan int)
-	outs := make(chan out, len(r.Drivers))
-	workers := s.cfg.Workers
-	if workers > len(r.Drivers) {
-		workers = len(r.Drivers)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				st, ok := set.Groups[r.Keys[pos]]
-				if !ok {
-					outs <- out{pos: pos, err: fmt.Errorf("miner: group %+v missing from working set", r.Keys[pos])}
-					continue
-				}
-				counts, err := st.Counts(r.Objs, nil, true)
-				if err != nil {
-					outs <- out{pos: pos, err: err}
-					continue
-				}
-				rules, err := extractRulesFromCounts(schema, r.Drivers[pos], r.Objs, r.Filter,
-					r.Kinds, r.MinSupport, r.MinConfidence, counts)
-				outs <- out{pos: pos, rules: rules, err: err}
-			}
-		}()
-	}
-	for pos := range r.Drivers {
-		jobs <- pos
-	}
-	close(jobs)
-	wg.Wait()
-	close(outs)
 	byPos := make([][]Rule, len(r.Drivers))
-	for o := range outs {
-		if o.err != nil {
-			return nil, o.err
+	errs := make([]error, len(r.Drivers))
+	fanout.Each(s.cfg.Workers, len(r.Drivers), func(_, pos int) {
+		st, ok := set.Groups[r.Keys[pos]]
+		if !ok {
+			errs[pos] = fmt.Errorf("miner: group %+v missing from working set", r.Keys[pos])
+			return
 		}
-		byPos[o.pos] = o.rules
+		counts, err := st.Counts(r.Objs, nil, true)
+		if err != nil {
+			errs[pos] = err
+			return
+		}
+		byPos[pos], errs[pos] = extractRulesFromCounts(schema, r.Drivers[pos], r.Objs, r.Filter,
+			r.Kinds, r.MinSupport, r.MinConfidence, counts)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	var rules []Rule
 	for _, rs := range byPos {

@@ -7,10 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"optrule/internal/bucketing"
+	"optrule/internal/fanout"
 	"optrule/internal/region"
 	"optrule/internal/relation"
 )
@@ -328,16 +328,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	for s := 1; s < pes; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			slot(s)
-		}()
-	}
-	slot(0)
-	wg.Wait() // every slot returns once all chunks settle or ctx ends
+	fanout.Run(pes, slot) // every slot returns once all chunks settle or ctx ends
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("plan: counting: %w", err)
 	}

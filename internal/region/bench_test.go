@@ -16,7 +16,7 @@ func BenchmarkRectSweep64(b *testing.B) {
 	minSup := float64(g.Total()) * 0.02
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := OptimalRectConfidence(g, minSup); err != nil {
+		if _, _, err := OptimalRectConfidence(g, minSup, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,7 +26,7 @@ func BenchmarkRectSupportSweep64(b *testing.B) {
 	g := benchGrid(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := OptimalRectSupport(g, 0.5); err != nil {
+		if _, _, err := OptimalRectSupport(g, 0.5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkMaxGainRect64(b *testing.B) {
 	g := benchGrid(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainRect(g, 0.5); err != nil {
+		if _, _, err := MaxGainRect(g, 0.5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkXMonotoneDP64(b *testing.B) {
 	g := benchGrid(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainXMonotone(g, 0.5); err != nil {
+		if _, _, err := MaxGainXMonotone(g, 0.5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkRectConvexDP64(b *testing.B) {
 	g := benchGrid(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainRectilinearConvex(g, 0.5); err != nil {
+		if _, _, err := MaxGainRectilinearConvex(g, 0.5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func BenchmarkRectSweepParallel256(b *testing.B) {
 	minSup := float64(g.Total()) * 0.02
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := OptimalRectConfidenceParallel(g, minSup, benchWorkers()); err != nil {
+		if _, _, err := OptimalRectConfidence(g, minSup, benchWorkers()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func BenchmarkMaxGainRectParallel256(b *testing.B) {
 	g := benchGrid(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainRectParallel(g, 0.5, benchWorkers()); err != nil {
+		if _, _, err := MaxGainRect(g, 0.5, benchWorkers()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkXMonotoneDPParallel256(b *testing.B) {
 	g := benchGrid(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainXMonotoneParallel(g, 0.5, benchWorkers()); err != nil {
+		if _, _, err := MaxGainXMonotone(g, 0.5, benchWorkers()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkRectConvexDPParallel256(b *testing.B) {
 	g := benchGrid(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxGainRectilinearConvexParallel(g, 0.5, benchWorkers()); err != nil {
+		if _, _, err := MaxGainRectilinearConvex(g, 0.5, benchWorkers()); err != nil {
 			b.Fatal(err)
 		}
 	}

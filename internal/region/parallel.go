@@ -1,141 +1,73 @@
 package region
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "optrule/internal/fanout"
 
-// Parallel kernel plumbing. All three region classes fan their work
-// over a pool of goroutines in ways chosen to keep results EXACTLY
-// identical to the serial kernels:
+// Parallel kernel plumbing. Every kernel takes a worker count and runs
+// on the one worker pool (internal/fanout); with one worker each fan-out
+// below runs inline, so the serial kernel is the same code, not a twin.
+// Results are EXACTLY identical for any worker count:
 //
-//   - the rectangle sweeps hand out r1 values dynamically (the work
-//     per r1 shrinks as r1 grows, so static splits would be lopsided),
-//     record each r1's locally-best candidate, and fold the per-r1
-//     bests back in r1 order with the same strict comparison the
-//     serial fold uses — a left fold over the same candidate sequence;
-//   - the DPs partition each column's interval table across workers;
-//     every cell is a pure function of the previous column's state, so
-//     any partition computes the same values and backtracking args,
-//     and the best-cell scan again folds per-partition results in
-//     index order.
+//   - the rectangle sweeps hand out r1 values dynamically and in
+//     increasing order (the work per r1 shrinks as r1 grows, so static
+//     splits would be lopsided). Each worker carries its running best —
+//     and with it the solver sweeps' pruning — across the r1 values it
+//     claims, so it computes the serial fold over them; the workers'
+//     bests then fold by the same comparison, ties to the lowest r1,
+//     which is the first best of the serial fold over all r1;
+//   - the DPs split each column's interval table into one contiguous
+//     span per worker; every cell is a pure function of the previous
+//     column's state, so any partition computes the same values and
+//     backtracking args, and the best-cell scan folds per-row results
+//     in index order.
 //
 // Candidate comparisons are exact (integer-valued counts, float
-// equality on identical arithmetic), so the folds are associative over
-// contiguous regrouping and the parallel kernels are deterministic.
+// equality on identical arithmetic), so the folds do not depend on how
+// the work was partitioned.
 
-// parallelFor runs fn over [0, n) split into one contiguous chunk per
-// worker. fn must be safe to run concurrently on disjoint ranges.
+// parallelFor runs fn over [0, n) split into one contiguous span per
+// worker, on at most n workers. One worker calls fn(0, n) directly:
+// the closure that hands the pool's workers their spans would cost an
+// allocation per call, and the DPs call this several times per column.
 func parallelFor(workers, n int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
+	k := min(workers, n)
+	if k <= 1 {
+		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fanout.Run(k, func(w int) {
+		fn(w*n/k, (w+1)*n/k)
+	})
 }
 
-// optimalRectParallel distributes the rectangle sweep's r1 values over
-// workers goroutines, each with its own pooled scratch, and folds the
-// per-r1 bests in r1 order. uf/vf are the grid's flat cells.
-func optimalRectParallel(uf []int, vf []float64, rows, cols int,
-	solve rectSolve, better func(a, b Rect) bool, prune rectPrune, workers int) (Rect, bool, error) {
-	type rowBest struct {
-		rect  Rect
-		found bool
-		err   error
-	}
-	bests := make([]rowBest, rows)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newSweepScratch(cols)
-			for {
-				r1 := int(next.Add(1)) - 1
-				if r1 >= rows {
-					return
-				}
-				rect, found, err := sweepRowRange(uf, vf, rows, cols, r1, r1+1, solve, better, prune, sc)
-				bests[r1] = rowBest{rect: rect, found: found, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	var best Rect
-	found := false
-	for r1 := 0; r1 < rows; r1++ {
-		b := bests[r1]
-		if b.err != nil {
-			return Rect{}, false, b.err
+// run sweeps every r1 in [0, rows) on up to workers workers and
+// returns the best rectangle.
+func (s rectSweep) run(workers int) (Rect, bool, error) {
+	ws := s.newWorkers(max(1, min(workers, s.rows)))
+	fanout.Each(len(ws), s.rows, func(w, r1 int) {
+		if sw := &ws[w]; sw.err == nil {
+			s.row(sw, r1)
 		}
-		if !b.found {
-			continue
-		}
-		if !found || better(b.rect, best) {
-			best = b.rect
-			found = true
-		}
-	}
-	return best, found, nil
+	})
+	return s.fold(ws)
 }
 
-// gainSweepParallel is optimalRectParallel's Kadane counterpart.
-func gainSweepParallel(uf []int, vf []float64, rows, cols int, theta float64, workers int) (Rect, bool) {
-	type rowBest struct {
-		rect  Rect
-		found bool
-	}
-	bests := make([]rowBest, rows)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			u := make([]int, cols)
-			v := make([]float64, cols)
-			f := make([]float64, cols+1)
-			for {
-				r1 := int(next.Add(1)) - 1
-				if r1 >= rows {
-					return
-				}
-				rect, found := gainSweepRange(uf, vf, rows, cols, r1, r1+1, theta, u, v, f)
-				bests[r1] = rowBest{rect: rect, found: found}
-			}
-		}()
-	}
-	wg.Wait()
-	var best Rect
-	found := false
-	for r1 := 0; r1 < rows; r1++ {
-		b := bests[r1]
-		if !b.found {
-			continue
+// fold returns the best of the workers' bests, ties to the lowest r1:
+// the first best of the serial fold, since each worker's best is the
+// first best of the r1 values it claimed.
+func (s rectSweep) fold(ws []sweepWorker) (Rect, bool, error) {
+	var best *sweepWorker
+	for w := range ws {
+		sw := &ws[w]
+		if sw.err != nil {
+			return Rect{}, false, sw.err
 		}
-		if !found || b.rect.Gain > best.Gain {
-			best = b.rect
-			found = true
+		if sw.found && (best == nil || s.better(sw.best, best.best) ||
+			!s.better(best.best, sw.best) && sw.best.R1 < best.best.R1) {
+			best = sw
 		}
 	}
-	return best, found
+	if best == nil {
+		return Rect{}, false, nil
+	}
+	return best.best, true, nil
 }

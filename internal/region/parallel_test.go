@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The parallel kernels must be rule-for-rule identical to the serial
-// kernels — not merely close: the miner's differential tests pin the
-// fused 2-D engine (which uses the parallel kernels) against the
-// legacy per-pair path (which used the serial ones), so any divergence
-// here would surface as a mining difference. Grids are random with
+// Every kernel must return exactly its one-worker (serial) result at
+// any worker count — not merely close: the miner's differential tests
+// pin the fused 2-D engine (which gives kernels several workers)
+// against the per-pair oracle (which runs them with one), so any
+// divergence here would surface as a mining difference. Grids are random with
 // zero cells allowed, shapes deliberately non-square, and worker
 // counts sweep past the row count to exercise the clamping.
 
@@ -25,11 +25,11 @@ func TestParallelRectKernelsMatchSerial(t *testing.T) {
 		minSup := float64(rng.Intn(g.Total() + 1))
 		theta := float64(rng.Intn(101)) / 100
 		for _, workers := range []int{2, 3, 8, 33} {
-			sc, okS, err := OptimalRectConfidence(g, minSup)
+			sc, okS, err := OptimalRectConfidence(g, minSup, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pc, okP, err := OptimalRectConfidenceParallel(g, minSup, workers)
+			pc, okP, err := OptimalRectConfidence(g, minSup, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,11 +38,11 @@ func TestParallelRectKernelsMatchSerial(t *testing.T) {
 					trial, workers, sc, okS, pc, okP)
 			}
 
-			ss, okS, err := OptimalRectSupport(g, theta)
+			ss, okS, err := OptimalRectSupport(g, theta, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, okP, err := OptimalRectSupportParallel(g, theta, workers)
+			ps, okP, err := OptimalRectSupport(g, theta, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,11 +51,11 @@ func TestParallelRectKernelsMatchSerial(t *testing.T) {
 					trial, workers, ss, okS, ps, okP)
 			}
 
-			sg, okS, err := MaxGainRect(g, theta)
+			sg, okS, err := MaxGainRect(g, theta, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pg, okP, err := MaxGainRectParallel(g, theta, workers)
+			pg, okP, err := MaxGainRect(g, theta, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +64,84 @@ func TestParallelRectKernelsMatchSerial(t *testing.T) {
 					trial, workers, sg, okS, pg, okP)
 			}
 		}
+	}
+}
+
+// TestParallelRectTiesMatchSerial pins the sweeps' tie rule across
+// workers: on grids built from a few repeated cells, many rectangles
+// tie (equal confidence, support or gain) in different workers' r1
+// values, and the fold of the workers' bests must still return the
+// serial sweep's first best, the one with the lowest r1.
+func TestParallelRectTiesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	cells := [][2]int{{0, 0}, {2, 1}, {4, 2}, {2, 2}}
+	for trial := 0; trial < 100; trial++ {
+		rows, cols := 2+rng.Intn(20), 1+rng.Intn(20)
+		g, err := NewGrid(rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		palette := cells[:2+rng.Intn(len(cells)-1)]
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				cell := palette[rng.Intn(len(palette))]
+				g.U[r][c], g.V[r][c] = cell[0], float64(cell[1])
+			}
+		}
+		minSup := float64(rng.Intn(g.Total() + 1))
+		theta := []float64{0, 0.5, 1}[rng.Intn(3)]
+		kernels := []struct {
+			name string
+			run  func(workers int) (Rect, bool, error)
+		}{
+			{"confidence", func(w int) (Rect, bool, error) { return OptimalRectConfidence(g, minSup, w) }},
+			{"support", func(w int) (Rect, bool, error) { return OptimalRectSupport(g, theta, w) }},
+			{"gain", func(w int) (Rect, bool, error) { return MaxGainRect(g, theta, w) }},
+		}
+		for _, k := range kernels {
+			want, okW, err := k.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				got, okG, err := k.run(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if okG != okW || got != want {
+					t.Fatalf("trial %d %s workers %d: serial=%+v/%v parallel=%+v/%v",
+						trial, k.name, workers, want, okW, got, okG)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepFoldTiesToLowestR1 pins the fold of the workers' bests
+// without depending on which worker claimed which r1: a worker whose
+// best sits at a later r1 loses a tie to one whose best sits earlier,
+// whatever their order, and a strictly better best wins regardless.
+func TestSweepFoldTiesToLowestR1(t *testing.T) {
+	s := rectSweep{better: betterSupport}
+	at := func(r1, count int) sweepWorker {
+		return sweepWorker{best: Rect{R1: r1, R2: r1, Count: count}, found: true}
+	}
+	for _, tc := range []struct {
+		ws   []sweepWorker
+		want Rect
+	}{
+		{[]sweepWorker{at(2, 5), at(1, 5)}, Rect{R1: 1, R2: 1, Count: 5}},
+		{[]sweepWorker{at(1, 5), at(2, 5)}, Rect{R1: 1, R2: 1, Count: 5}},
+		{[]sweepWorker{at(3, 5), {}, at(0, 4), at(4, 5)}, Rect{R1: 3, R2: 3, Count: 5}},
+		{[]sweepWorker{at(0, 4), at(5, 6)}, Rect{R1: 5, R2: 5, Count: 6}},
+	} {
+		got, ok, err := s.fold(tc.ws)
+		if err != nil || !ok || got != tc.want {
+			t.Errorf("fold(%+v) = %+v/%v/%v, want %+v", tc.ws, got, ok, err, tc.want)
+		}
+	}
+	if _, ok, err := s.fold([]sweepWorker{{}, {}}); ok || err != nil {
+		t.Errorf("fold of empty workers = %v/%v, want not found", ok, err)
 	}
 }
 
@@ -79,7 +157,7 @@ func TestParallelRectMatchesNaiveOracle(t *testing.T) {
 			continue
 		}
 		minSup := float64(rng.Intn(g.Total() + 1))
-		par, okP, err := OptimalRectConfidenceParallel(g, minSup, 4)
+		par, okP, err := OptimalRectConfidence(g, minSup, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +170,7 @@ func TestParallelRectMatchesNaiveOracle(t *testing.T) {
 				trial, par, okP, naive, okN, g.U, g.V, minSup)
 		}
 		theta := float64(rng.Intn(101)) / 100
-		parS, okP, err := OptimalRectSupportParallel(g, theta, 4)
+		parS, okP, err := OptimalRectSupport(g, theta, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +198,11 @@ func TestParallelDPsMatchSerial(t *testing.T) {
 		}
 		theta := float64(rng.Intn(101)) / 100
 		for _, workers := range []int{2, 5, 16} {
-			sx, okS, err := MaxGainXMonotone(g, theta)
+			sx, okS, err := MaxGainXMonotone(g, theta, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			px, okP, err := MaxGainXMonotoneParallel(g, theta, workers)
+			px, okP, err := MaxGainXMonotone(g, theta, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +211,11 @@ func TestParallelDPsMatchSerial(t *testing.T) {
 					trial, workers, sx, px)
 			}
 
-			sr, okS, err := MaxGainRectilinearConvex(g, theta)
+			sr, okS, err := MaxGainRectilinearConvex(g, theta, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prc, okP, err := MaxGainRectilinearConvexParallel(g, theta, workers)
+			prc, okP, err := MaxGainRectilinearConvex(g, theta, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +240,11 @@ func TestGridFlatFallback(t *testing.T) {
 		lit.V[r] = append([]float64(nil), g.V[r]...)
 	}
 	minSup := float64(g.Total() / 4)
-	want, okW, err := OptimalRectConfidence(g, minSup)
+	want, okW, err := OptimalRectConfidence(g, minSup, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, okG, err := OptimalRectConfidence(lit, minSup)
+	got, okG, err := OptimalRectConfidence(lit, minSup, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +258,7 @@ func TestGridFlatFallback(t *testing.T) {
 		copy(reb.V[r], g.V[r])
 	}
 	reb.U[2] = append([]int(nil), g.U[2]...)
-	got2, okG2, err := OptimalRectConfidence(reb, minSup)
+	got2, okG2, err := OptimalRectConfidence(reb, minSup, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

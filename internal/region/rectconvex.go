@@ -40,11 +40,11 @@ package region
 // not depend on the rule; only which of several equally optimal
 // regions is returned does.
 //
-// The parallel variant builds the four box tables concurrently (each
-// pass partitioned across workers: rows for the b' pass, columns for
-// the a' pass) and partitions every layer's DP-cell fill by a; each
-// cell is a pure function of the previous column's tables, so parallel
-// results are exactly the serial ones.
+// With several workers the four box tables build concurrently (each
+// pass split across workers: rows for the b' pass, columns for the a'
+// pass) and every layer's DP-cell fill is split by a; each cell is a
+// pure function of the previous column's tables, so the result is the
+// same for any worker count.
 
 // layer indices: pa=0 a-descending stage, pa=1 a-ascending stage;
 // pb=0 b-ascending stage, pb=1 b-descending stage.
@@ -170,16 +170,10 @@ func (t boxTable) fold(dst, src, n int) {
 // maximizing the gain Σ(v − θ·u). The result is reported in the same
 // per-column interval form as x-monotone regions (rectilinear-convex
 // regions are a subclass); Validate plus the unimodality of the
-// endpoints is checked by the tests.
-func MaxGainRectilinearConvex(g *Grid, theta float64) (XMonotoneRegion, bool, error) {
-	return MaxGainRectilinearConvexParallel(g, theta, 1)
-}
-
-// MaxGainRectilinearConvexParallel is MaxGainRectilinearConvex with the
-// box-table builds and DP-cell fills partitioned across workers
-// goroutines. Results — including the backtracked column intervals —
-// are identical to the serial kernel for any worker count.
-func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMonotoneRegion, bool, error) {
+// endpoints is checked by the tests. The box-table builds and DP-cell
+// fills are split across up to workers workers; the result, including
+// the backtracked column intervals, is the same for any count.
+func MaxGainRectilinearConvex(g *Grid, theta float64, workers int) (XMonotoneRegion, bool, error) {
 	if err := g.validate(); err != nil {
 		return XMonotoneRegion{}, false, err
 	}
@@ -219,16 +213,10 @@ func MaxGainRectilinearConvexParallel(g *Grid, theta float64, workers int) (XMon
 	// The four layers' builds and fills are independent given the
 	// previous column, so they run concurrently — but never with more
 	// goroutines than the caller's worker budget: layerPar layers run
-	// at once, each with layerWorkers of the pool. workers=1 stays
-	// fully serial.
-	layerPar := workers
-	if layerPar > 4 {
-		layerPar = 4
-	}
-	layerWorkers := workers / layerPar
-	if layerWorkers < 1 {
-		layerWorkers = 1
-	}
+	// at once, each with layerWorkers of the pool. One worker runs
+	// everything inline.
+	layerPar := max(1, min(workers, 4))
+	layerWorkers := max(1, workers/layerPar)
 
 	for c := 0; c < cols; c++ {
 		colGain := gainT[c*rows : (c+1)*rows]

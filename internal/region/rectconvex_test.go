@@ -67,7 +67,7 @@ func TestRectConvexMatchesBruteForce(t *testing.T) {
 		cols := 1 + rng.Intn(4)
 		g := randomGrid(rng, rows, cols, 4)
 		theta := float64(rng.Intn(101)) / 100
-		fast, ok, err := MaxGainRectilinearConvex(g, theta)
+		fast, ok, err := MaxGainRectilinearConvex(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestRectConvexTieRuleMatchesReference(t *testing.T) {
 		theta := float64(rng.Intn(101)) / 100
 		want := referenceRectConvex(g, theta)
 		for _, workers := range []int{1, 2, 5} {
-			got, ok, err := MaxGainRectilinearConvexParallel(g, theta, workers)
+			got, ok, err := MaxGainRectilinearConvex(g, theta, workers)
 			if err != nil || !ok {
 				t.Fatalf("trial %d workers %d: ok=%v err=%v", trial, workers, ok, err)
 			}
@@ -228,15 +228,15 @@ func TestRegionClassHierarchy(t *testing.T) {
 		cols := 2 + rng.Intn(5)
 		g := randomGrid(rng, rows, cols, 5)
 		theta := 0.5
-		rect, _, err := MaxGainRect(g, theta)
+		rect, _, err := MaxGainRect(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, _, err := MaxGainRectilinearConvex(g, theta)
+		rc, _, err := MaxGainRectilinearConvex(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xm, _, err := MaxGainXMonotone(g, theta)
+		xm, _, err := MaxGainXMonotone(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestRectConvexDiamond(t *testing.T) {
 			}
 		}
 	}
-	rc, ok, err := MaxGainRectilinearConvex(g, 0.5)
+	rc, ok, err := MaxGainRectilinearConvex(g, 0.5, 1)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRectConvexDiamond(t *testing.T) {
 	// A rectangle can capture at most the middle 3 columns × rows 1-3
 	// (9 cells, 8 hot... actually [1,3]x[1,3]: hot cells 3+3+3 minus
 	// corners of diamond... compute: best rectangle gain must be lower.
-	rect, _, err := MaxGainRect(g, 0.5)
+	rect, _, err := MaxGainRect(g, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +332,11 @@ func TestDPSlabReuse(t *testing.T) {
 	}
 	type result struct{ xm, rc XMonotoneRegion }
 	solve := func(g *Grid, theta float64) result {
-		xm, ok, err := MaxGainXMonotoneParallel(g, theta, 2)
+		xm, ok, err := MaxGainXMonotone(g, theta, 2)
 		if err != nil || !ok {
 			t.Fatalf("x-monotone: ok=%v err=%v", ok, err)
 		}
-		rc, ok, err := MaxGainRectilinearConvexParallel(g, theta, 2)
+		rc, ok, err := MaxGainRectilinearConvex(g, theta, 2)
 		if err != nil || !ok {
 			t.Fatalf("rectilinear-convex: ok=%v err=%v", ok, err)
 		}

@@ -20,17 +20,15 @@
 // A Grid stores its cells in ONE contiguous row-major backing array
 // (U and V are row views into it), so the kernels stream cache lines
 // instead of chasing row pointers, and a grid costs two allocations
-// regardless of side. The optimization kernels come in two flavors:
-//
-//   - the serial functions (OptimalRectConfidence, MaxGainXMonotone,
-//     …) are the reference implementations, also used as oracles;
-//   - the *Parallel variants split their work across a worker pool —
-//     the rectangle sweep partitions row-pair ranges, the x-monotone
-//     and rectilinear-convex DPs partition each column's interval
-//     table — and are pinned rule-for-rule identical to the serial
-//     kernels by differential tests, so callers may pick purely by
-//     hardware. The parallelism is what raises the practical grid
-//     side from 64 to 256.
+// regardless of side. There are five kernels, one entry point each:
+// the three rectangle kinds (OptimalRectConfidence, OptimalRectSupport,
+// MaxGainRect) and the two region classes (MaxGainXMonotone,
+// MaxGainRectilinearConvex). Each takes a worker count: the rectangle
+// sweeps hand out row-pair ranges by r1, the DPs split each column's
+// interval table, and one worker runs the same code inline, serially.
+// Differential tests pin every worker count to the one-worker result
+// and to naive oracles, so callers may pick purely by hardware. The
+// parallelism is what raises the practical grid side from 64 to 256.
 //
 // The two region DPs (MaxGainXMonotone, MaxGainRectilinearConvex) both
 // run in O(cols · rows²) time: per column, every interval's best
@@ -288,108 +286,153 @@ func pruneSupport(u []int, v []float64, best Rect) bool {
 	return total <= best.Count
 }
 
-// sweepScratch is one worker's pooled state for the rectangle sweep:
-// the collapsed row-range accumulators, the compacted copies, and the
-// 1-D solver's scratch.
-type sweepScratch struct {
-	u    []int
-	v    []float64
-	cu   []int
-	cv   []float64
-	cmap []int
-	core core.Scratch
+// rectSweep is one rectangle sweep over a grid's flat cells uf/vf:
+// every row pair r1 <= r2 collapses into one column sequence (the
+// running column sums of rows r1..r2), and either the 1-D solver runs
+// on the compacted sequence (solve set, pruned by prune, candidates
+// ordered by better) or, with solve nil, Kadane finds its maximum-gain
+// column range at theta. Both cost O(rows²·cols) plus the solver.
+type rectSweep struct {
+	uf         []int
+	vf         []float64
+	rows, cols int
+	solve      rectSolve
+	prune      rectPrune
+	better     func(a, b Rect) bool
+	theta      float64
 }
 
-func newSweepScratch(cols int) *sweepScratch {
-	return &sweepScratch{
-		u:    make([]int, cols),
-		v:    make([]float64, cols),
-		cu:   make([]int, 0, cols),
-		cv:   make([]float64, 0, cols),
-		cmap: make([]int, 0, cols),
+// sweepWorker is one worker's state for a rectangle sweep: the
+// collapsed row-range accumulators, the compacted copies and 1-D solver
+// scratch (solver sweeps) or the gain-prefix table (Kadane sweeps), and
+// the running best over the r1 values the worker has claimed.
+type sweepWorker struct {
+	u     []int
+	v     []float64
+	f     []float64
+	cu    []int
+	cv    []float64
+	cmap  []int
+	core  core.Scratch
+	best  Rect
+	found bool
+	err   error
+}
+
+// newWorkers allocates n workers' state from one int and one float slab.
+func (s rectSweep) newWorkers(n int) []sweepWorker {
+	c := s.cols
+	ws := make([]sweepWorker, n)
+	ints, floats := make([]int, n*3*c), make([]float64, n*(3*c+1))
+	for w := range ws {
+		in, fl := ints[w*3*c:(w+1)*3*c], floats[w*(3*c+1):(w+1)*(3*c+1)]
+		ws[w].u, ws[w].cu, ws[w].cmap = in[:c], in[c:c:2*c], in[2*c:2*c:3*c]
+		ws[w].v, ws[w].cv, ws[w].f = fl[:c], fl[c:c:2*c], fl[2*c:]
 	}
+	return ws
 }
 
-// sweepRowRange folds the 1-D solver over the row pairs r1 ∈
-// [r1lo, r1hi), r2 ∈ [r1, rows): for each r1 the row collapse is
-// incremental (extending the range to r2 adds row r2's cells to the
-// running column sums), so the whole sweep costs O(rows²·cols) plus
-// the solver. Candidates are folded with better in iteration order, so
-// any partition of r1 values merged back in r1 order reproduces the
-// full serial fold exactly.
-func sweepRowRange(uf []int, vf []float64, rows, cols, r1lo, r1hi int,
-	solve rectSolve, better func(a, b Rect) bool, prune rectPrune, sc *sweepScratch) (Rect, bool, error) {
-	u, v := sc.u, sc.v
-	var best Rect
-	found := false
-	for r1 := r1lo; r1 < r1hi; r1++ {
-		for c := range u {
-			u[c], v[c] = 0, 0
+// row folds row r1's candidates into sw's running best.
+func (s rectSweep) row(sw *sweepWorker, r1 int) {
+	if s.solve == nil {
+		sw.best, sw.found = gainRow(s.uf, s.vf, s.rows, s.cols, r1, s.theta, sw.u, sw.v, sw.f, sw.best, sw.found)
+		return
+	}
+	sw.best, sw.found, sw.err = solveRow(s.uf, s.vf, s.rows, s.cols, r1, s.solve, s.better, s.prune, sw, sw.best, sw.found)
+}
+
+// solveRow folds the 1-D solver over the row pairs (r1, r2), r2 ∈
+// [r1, rows), into the running best. The row collapse is incremental
+// (extending the range to r2 adds row r2's cells to the running column
+// sums), and candidates fold in (r2, solver) order with a strict
+// comparison, so a worker that claims r1 values in increasing order
+// computes exactly the serial fold over them, first best kept on ties.
+func solveRow(uf []int, vf []float64, rows, cols, r1 int, solve rectSolve, better func(a, b Rect) bool,
+	prune rectPrune, sw *sweepWorker, best Rect, found bool) (Rect, bool, error) {
+	u, v := sw.u, sw.v
+	for c := range u {
+		u[c], v[c] = 0, 0
+	}
+	for r2 := r1; r2 < rows; r2++ {
+		row := r2 * cols
+		for c := 0; c < cols; c++ {
+			u[c] += uf[row+c]
+			v[c] += vf[row+c]
 		}
-		for r2 := r1; r2 < rows; r2++ {
-			row := r2 * cols
-			for c := 0; c < cols; c++ {
-				u[c] += uf[row+c]
-				v[c] += vf[row+c]
-			}
-			sc.cu, sc.cv, sc.cmap = compactColumns(u, v, sc.cu, sc.cv, sc.cmap)
-			if len(sc.cu) == 0 {
-				continue
-			}
-			if found && prune != nil && prune(sc.cu, sc.cv, best) {
-				continue
-			}
-			p, ok, err := solve(sc.cu, sc.cv, &sc.core)
-			if err != nil {
-				return Rect{}, false, err
-			}
-			if !ok {
-				continue
-			}
-			cand := Rect{
-				R1: r1, R2: r2,
-				C1: sc.cmap[p.S], C2: sc.cmap[p.T],
-				Count: p.Count, SumV: p.SumV, Conf: p.Conf,
-			}
-			if !found || better(cand, best) {
-				best = cand
-				found = true
-			}
+		sw.cu, sw.cv, sw.cmap = compactColumns(u, v, sw.cu, sw.cv, sw.cmap)
+		if len(sw.cu) == 0 {
+			continue
+		}
+		if found && prune != nil && prune(sw.cu, sw.cv, best) {
+			continue
+		}
+		p, ok, err := solve(sw.cu, sw.cv, &sw.core)
+		if err != nil {
+			return best, found, err
+		}
+		if !ok {
+			continue
+		}
+		cand := Rect{
+			R1: r1, R2: r2,
+			C1: sw.cmap[p.S], C2: sw.cmap[p.T],
+			Count: p.Count, SumV: p.SumV, Conf: p.Conf,
+		}
+		if !found || better(cand, best) {
+			best = cand
+			found = true
 		}
 	}
 	return best, found, nil
 }
 
-// optimalRect runs the row-range sweep with a 1-D solver per collapsed
-// row range: O(Rows²·Cols) plus the solver costs. workers > 1 splits
-// the sweep's r1 values across a worker pool (see optimalRectParallel);
-// the result is identical either way.
+// gainRow is solveRow's Kadane counterpart: each collapsed row range's
+// best column range by gain, folded with a strict comparison.
+func gainRow(uf []int, vf []float64, rows, cols, r1 int, theta float64,
+	u []int, v, f []float64, best Rect, found bool) (Rect, bool) {
+	for c := range u {
+		u[c], v[c] = 0, 0
+	}
+	for r2 := r1; r2 < rows; r2++ {
+		row := r2 * cols
+		for c := 0; c < cols; c++ {
+			u[c] += uf[row+c]
+			v[c] += vf[row+c]
+		}
+		// Kadane via the gain-prefix table, as in core.MaxGainRange:
+		// the best range ending at c is f[c+1] − min_{k<=c} f[k].
+		minIdx := 0
+		for c := 0; c < cols; c++ {
+			f[c+1] = f[c] + v[c] - theta*float64(u[c])
+			if f[c] < f[minIdx] {
+				minIdx = c
+			}
+			gain := f[c+1] - f[minIdx]
+			if !found || gain > best.Gain {
+				best = Rect{R1: r1, R2: r2, C1: minIdx, C2: c, Gain: gain}
+				found = true
+			}
+		}
+	}
+	return best, found
+}
+
+// optimalRect validates the grid and runs the solver sweep on workers
+// workers (see rectSweep.run).
 func optimalRect(g *Grid, solve rectSolve, better func(a, b Rect) bool, prune rectPrune, workers int) (Rect, bool, error) {
 	if err := g.validate(); err != nil {
 		return Rect{}, false, err
 	}
-	rows, cols := g.Rows(), g.Cols()
 	uf, vf := g.flat()
-	if workers > rows {
-		workers = rows
-	}
-	if workers > 1 {
-		return optimalRectParallel(uf, vf, rows, cols, solve, better, prune, workers)
-	}
-	return sweepRowRange(uf, vf, rows, cols, 0, rows, solve, better, prune, newSweepScratch(cols))
+	s := rectSweep{uf: uf, vf: vf, rows: g.Rows(), cols: g.Cols(), solve: solve, prune: prune, better: better}
+	return s.run(workers)
 }
 
 // OptimalRectConfidence finds the rectangle maximizing confidence among
 // rectangles with at least minSupCount tuples; ties prefer larger
-// support. ok is false when no rectangle is ample.
-func OptimalRectConfidence(g *Grid, minSupCount float64) (Rect, bool, error) {
-	return OptimalRectConfidenceParallel(g, minSupCount, 1)
-}
-
-// OptimalRectConfidenceParallel is OptimalRectConfidence with the
-// row-pair sweep partitioned across workers goroutines. Results are
-// rule-for-rule identical to the serial kernel for any worker count.
-func OptimalRectConfidenceParallel(g *Grid, minSupCount float64, workers int) (Rect, bool, error) {
+// support. ok is false when no rectangle is ample. The row-pair sweep
+// runs on up to workers workers; the result is the same for any count.
+func OptimalRectConfidence(g *Grid, minSupCount float64, workers int) (Rect, bool, error) {
 	return optimalRect(g, func(u []int, v []float64, sc *core.Scratch) (core.Pair, bool, error) {
 		return core.OptimalSlopePairScratch(u, v, minSupCount, sc)
 	}, betterConfidence, pruneConfidence, workers)
@@ -408,15 +451,9 @@ func betterConfidence(a, b Rect) bool {
 }
 
 // OptimalRectSupport finds the rectangle maximizing support among
-// rectangles whose confidence is at least theta.
-func OptimalRectSupport(g *Grid, theta float64) (Rect, bool, error) {
-	return OptimalRectSupportParallel(g, theta, 1)
-}
-
-// OptimalRectSupportParallel is OptimalRectSupport with the row-pair
-// sweep partitioned across workers goroutines; results are identical
-// to the serial kernel for any worker count.
-func OptimalRectSupportParallel(g *Grid, theta float64, workers int) (Rect, bool, error) {
+// rectangles whose confidence is at least theta. The row-pair sweep
+// runs on up to workers workers; the result is the same for any count.
+func OptimalRectSupport(g *Grid, theta float64, workers int) (Rect, bool, error) {
 	return optimalRect(g, func(u []int, v []float64, sc *core.Scratch) (core.Pair, bool, error) {
 		return core.OptimalSupportPairScratch(u, v, theta, sc)
 	}, betterSupport, pruneSupport, workers)
@@ -426,89 +463,38 @@ func betterSupport(a, b Rect) bool {
 	return a.Count > b.Count
 }
 
+func betterGain(a, b Rect) bool {
+	return a.Gain > b.Gain
+}
+
 // MaxGainRect finds the rectangle maximizing the gain Σ(v − θ·u) —
 // the 2-D optimized-gain region, O(Rows²·Cols) via Kadane per collapsed
-// row range.
-func MaxGainRect(g *Grid, theta float64) (Rect, bool, error) {
-	return MaxGainRectParallel(g, theta, 1)
-}
-
-// gainSweepRange runs Kadane over the collapsed row ranges r1 ∈
-// [r1lo, r1hi), reusing the caller's accumulators. Candidates fold in
-// iteration order with a strict comparison, so partitioned runs merged
-// in r1 order match the serial fold exactly.
-func gainSweepRange(uf []int, vf []float64, rows, cols, r1lo, r1hi int, theta float64,
-	u []int, v, f []float64) (Rect, bool) {
-	var best Rect
-	found := false
-	for r1 := r1lo; r1 < r1hi; r1++ {
-		for c := range u {
-			u[c], v[c] = 0, 0
-		}
-		for r2 := r1; r2 < rows; r2++ {
-			row := r2 * cols
-			for c := 0; c < cols; c++ {
-				u[c] += uf[row+c]
-				v[c] += vf[row+c]
-			}
-			// Kadane via the gain-prefix table, as in core.MaxGainRange:
-			// the best range ending at c is f[c+1] − min_{k<=c} f[k].
-			minIdx := 0
-			for c := 0; c < cols; c++ {
-				f[c+1] = f[c] + v[c] - theta*float64(u[c])
-				if f[c] < f[minIdx] {
-					minIdx = c
-				}
-				gain := f[c+1] - f[minIdx]
-				if !found || gain > best.Gain {
-					best = Rect{R1: r1, R2: r2, C1: minIdx, C2: c, Gain: gain}
-					found = true
-				}
-			}
-		}
-	}
-	return best, found
-}
-
-// MaxGainRectParallel is MaxGainRect with the row-pair sweep
-// partitioned across workers goroutines; results are identical to the
-// serial kernel for any worker count.
-func MaxGainRectParallel(g *Grid, theta float64, workers int) (Rect, bool, error) {
+// row range. The row-pair sweep runs on up to workers workers; the
+// result is the same for any count.
+func MaxGainRect(g *Grid, theta float64, workers int) (Rect, bool, error) {
 	if err := g.validate(); err != nil {
 		return Rect{}, false, err
 	}
-	rows, cols := g.Rows(), g.Cols()
 	uf, vf := g.flat()
-	var best Rect
-	var found bool
-	if workers > rows {
-		workers = rows
+	cols := g.Cols()
+	s := rectSweep{uf: uf, vf: vf, rows: g.Rows(), cols: cols, better: betterGain, theta: theta}
+	best, found, err := s.run(workers)
+	if err != nil || !found {
+		return Rect{}, false, err
 	}
-	if workers > 1 {
-		best, found = gainSweepParallel(uf, vf, rows, cols, theta, workers)
-	} else {
-		best, found = gainSweepRange(uf, vf, rows, cols, 0, rows, theta,
-			make([]int, cols), make([]float64, cols), make([]float64, cols+1))
-	}
-	if !found {
-		return Rect{}, false, nil
-	}
-	// Fill in the winner's statistics with one more collapse.
-	u := make([]int, cols)
-	v := make([]float64, cols)
-	for r := best.R1; r <= best.R2; r++ {
-		row := r * cols
-		for c := 0; c < cols; c++ {
-			u[c] += uf[row+c]
-			v[c] += vf[row+c]
-		}
-	}
+	// Fill in the winner's statistics, summing each column over the
+	// winner's rows and then the columns, as a collapse would.
 	for c := best.C1; c <= best.C2; c++ {
-		best.Count += u[c]
-		best.SumV += v[c]
+		u, v := 0, 0.0
+		for r := best.R1; r <= best.R2; r++ {
+			u += uf[r*cols+c]
+			v += vf[r*cols+c]
+		}
+		best.Count += u
+		best.SumV += v
 	}
 	if best.Count > 0 {
 		best.Conf = best.SumV / float64(best.Count)
 	}
-	return best, found, nil
+	return best, true, nil
 }

@@ -51,7 +51,7 @@ func TestOptimalRectConfidenceSmallPlanted(t *testing.T) {
 			}
 		}
 	}
-	rect, ok, err := OptimalRectConfidence(g, 40)
+	rect, ok, err := OptimalRectConfidence(g, 40, 1)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestOptimalRectSupportExpandsWhileConfident(t *testing.T) {
 	// θ=0.5: center row alone gives 30 tuples at conf 1.0; adding any
 	// other full row drops to (30+6)/60 = 0.6 >= 0.5; all three rows:
 	// 42/90 ≈ 0.47 < 0.5. Optimal: two rows, 60 tuples.
-	rect, ok, err := OptimalRectSupport(g, 0.5)
+	rect, ok, err := OptimalRectSupport(g, 0.5, 1)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRectMatchesNaiveProperty(t *testing.T) {
 			return true
 		}
 		minSup := float64(rng.Intn(g.Total() + 1))
-		fast, okF, err1 := OptimalRectConfidence(g, minSup)
+		fast, okF, err1 := OptimalRectConfidence(g, minSup, 1)
 		naive, okN, err2 := NaiveOptimalRectConfidence(g, minSup)
 		if err1 != nil || err2 != nil || okF != okN {
 			return false
@@ -109,7 +109,7 @@ func TestRectMatchesNaiveProperty(t *testing.T) {
 			return false
 		}
 		theta := float64(rng.Intn(101)) / 100
-		fastS, okFS, err3 := OptimalRectSupport(g, theta)
+		fastS, okFS, err3 := OptimalRectSupport(g, theta, 1)
 		naiveS, okNS, err4 := NaiveOptimalRectSupport(g, theta)
 		if err3 != nil || err4 != nil || okFS != okNS {
 			return false
@@ -134,7 +134,7 @@ func TestRectSweepSeededTrials(t *testing.T) {
 			continue
 		}
 		minSup := float64(rng.Intn(g.Total()))
-		fast, okF, err := OptimalRectConfidence(g, minSup)
+		fast, okF, err := OptimalRectConfidence(g, minSup, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestMaxGainRectMatchesBruteForce(t *testing.T) {
 		cols := 1 + rng.Intn(5)
 		g := randomGrid(rng, rows, cols, 4)
 		theta := float64(rng.Intn(101)) / 100
-		fast, ok, err := MaxGainRect(g, theta)
+		fast, ok, err := MaxGainRect(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,22 +194,22 @@ func TestMaxGainRectMatchesBruteForce(t *testing.T) {
 }
 
 func TestRectValidation(t *testing.T) {
-	if _, _, err := OptimalRectConfidence(nil, 1); err == nil {
+	if _, _, err := OptimalRectConfidence(nil, 1, 1); err == nil {
 		t.Errorf("nil grid accepted")
 	}
 	g, _ := NewGrid(2, 2)
 	g.U[1] = g.U[1][:1] // ragged
-	if _, _, err := OptimalRectSupport(g, 0.5); err == nil {
+	if _, _, err := OptimalRectSupport(g, 0.5, 1); err == nil {
 		t.Errorf("ragged grid accepted")
 	}
 	g2, _ := NewGrid(2, 2)
 	g2.U[0][0] = -1
-	if _, _, err := MaxGainRect(g2, 0.5); err == nil {
+	if _, _, err := MaxGainRect(g2, 0.5, 1); err == nil {
 		t.Errorf("negative count accepted")
 	}
 	// Entirely empty grid: no ample rectangle.
 	g3, _ := NewGrid(2, 2)
-	if _, ok, err := OptimalRectConfidence(g3, 1); err != nil || ok {
+	if _, ok, err := OptimalRectConfidence(g3, 1, 1); err != nil || ok {
 		t.Errorf("empty grid should return ok=false: %v %v", ok, err)
 	}
 }

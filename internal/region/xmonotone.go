@@ -26,12 +26,12 @@ import (
 // paper's hand-probing algorithm, but exact, and entirely adequate at
 // the display-scale grids 2-D mining runs at.
 //
-// The parallel variant partitions each column's interval-gain table
-// and DP-cell fill across workers; only the staircase table (whose
-// cells depend on their left and lower neighbors) stays serial. Every
-// DP cell — value AND backtracking choice — is a pure function of the
-// previous column's state, so the parallel kernel is exactly identical
-// to the serial one.
+// With several workers, each column's interval-gain table and DP-cell
+// fill are split across them; only the staircase table (whose cells
+// depend on their left and lower neighbors) stays serial. Every DP
+// cell — value AND backtracking choice — is a pure function of the
+// previous column's state, so the result is the same for any worker
+// count.
 
 // ColumnInterval is one column's slice of an x-monotone region.
 type ColumnInterval struct {
@@ -100,20 +100,14 @@ func transposedGain(uf []int, vf []float64, rows, cols int, theta float64) []flo
 
 // MaxGainXMonotone returns the x-monotone region maximizing the gain
 // Σ(v − θ·u) over the grid. ok is false only for an invalid grid; on
-// any valid grid some single-cell region exists.
+// any valid grid some single-cell region exists. Each column's interval
+// table is split across up to workers workers; the result, including
+// the backtracked column intervals, is the same for any count.
 //
 // Note the orientation: "columns" here are the grid's SECOND index (the
 // second numeric attribute), and the per-column interval is a row
 // range, so the region is monotone along the column axis.
-func MaxGainXMonotone(g *Grid, theta float64) (XMonotoneRegion, bool, error) {
-	return MaxGainXMonotoneParallel(g, theta, 1)
-}
-
-// MaxGainXMonotoneParallel is MaxGainXMonotone with each column's
-// interval table partitioned across workers goroutines. Results —
-// including the backtracked column intervals — are identical to the
-// serial kernel for any worker count.
-func MaxGainXMonotoneParallel(g *Grid, theta float64, workers int) (XMonotoneRegion, bool, error) {
+func MaxGainXMonotone(g *Grid, theta float64, workers int) (XMonotoneRegion, bool, error) {
 	if err := g.validate(); err != nil {
 		return XMonotoneRegion{}, false, err
 	}

@@ -52,7 +52,7 @@ func TestXMonotoneMatchesBruteForce(t *testing.T) {
 		cols := 1 + rng.Intn(4)
 		g := randomGrid(rng, rows, cols, 4)
 		theta := float64(rng.Intn(101)) / 100
-		fast, ok, err := MaxGainXMonotone(g, theta)
+		fast, ok, err := MaxGainXMonotone(g, theta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,11 @@ func TestXMonotoneBeatsRectangle(t *testing.T) {
 		cols := 2 + rng.Intn(5)
 		g := randomGrid(rng, rows, cols, 5)
 		theta := 0.5
-		xm, okX, err := MaxGainXMonotone(g, theta)
+		xm, okX, err := MaxGainXMonotone(g, theta, 1)
 		if err != nil || !okX {
 			t.Fatal(err)
 		}
-		rect, okR, err := MaxGainRect(g, theta)
+		rect, okR, err := MaxGainRect(g, theta, 1)
 		if err != nil || !okR {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestXMonotoneBeatsRectangle(t *testing.T) {
 			}
 		}
 	}
-	xm, _, err := MaxGainXMonotone(g, 0.5)
+	xm, _, err := MaxGainXMonotone(g, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rect, _, err := MaxGainRect(g, 0.5)
+	rect, _, err := MaxGainRect(g, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestXMonotoneSingleColumnAndCell(t *testing.T) {
 	g, _ := NewGrid(3, 1)
 	g.U[0][0], g.U[1][0], g.U[2][0] = 2, 2, 2
 	g.V[0][0], g.V[1][0], g.V[2][0] = 0, 2, 0
-	xm, ok, err := MaxGainXMonotone(g, 0.5)
+	xm, ok, err := MaxGainXMonotone(g, 0.5, 1)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestXMonotoneSingleColumnAndCell(t *testing.T) {
 }
 
 func TestXMonotoneValidation(t *testing.T) {
-	if _, _, err := MaxGainXMonotone(nil, 0.5); err == nil {
+	if _, _, err := MaxGainXMonotone(nil, 0.5, 1); err == nil {
 		t.Errorf("nil grid accepted")
 	}
 	r := XMonotoneRegion{}

@@ -141,9 +141,9 @@ func (sr *ShardedRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []
 // consecutive atoms are packed greedily until a chunk holds its fair
 // share of the total estimate — zone-pruned groups are effectively
 // free, so a chunk covering a pruned region spans many more rows than
-// one covering surviving groups. Otherwise the static equal-row
-// AlignedSegments split is returned as chunks, which preserves the
-// pre-scheduler behavior exactly.
+// one covering surviving groups. Relations that price no atoms (memory
+// relations, v1 files) get the static equal-row AlignedSegments split:
+// one chunk per worker, each priced by its row count.
 //
 // The plan is deterministic: same relation state, columns, predicate,
 // and pes yield the same chunks. len(result) >= 1 for non-empty

@@ -523,9 +523,9 @@ func (sr *ShardedRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Ba
 // shard in the window: v3 shards prune through their zone maps, v1/v2
 // shards deliver everything — so a mixed-format relation prunes
 // exactly where its storage can. The concurrent multi-shard pipeline
-// (SetConcurrentScans > 1) has no pruned variant and falls back to the
-// plain concurrent scan: still correct (pruning is an optimization,
-// never a filter), just without the skip savings.
+// (SetConcurrentScans > 1) has no pruned variant, so it serves only an
+// empty predicate; any other pruned scan runs shard by shard, and its
+// skipped rows and counted bytes do not depend on the scan setting.
 func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error {
 	sr.ops.RLock()
 	defer sr.ops.RUnlock()
@@ -543,7 +543,7 @@ func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred 
 		return nil
 	}
 	first, last := ss.shardAt(start), ss.shardAt(end-1)
-	if sr.scanAhead > 1 && first < last {
+	if sr.scanAhead > 1 && first < last && pred.Empty() {
 		return sr.scanRangeConcurrent(ss, start, end, first, last, cols, fn)
 	}
 	for i := first; i <= last; i++ {

@@ -680,3 +680,67 @@ func TestShardedScanRaceConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedPrunedScanIgnoresConcurrentScans pins that zone-map
+// pruning does not depend on the scan setting: on a clustered v3 shard
+// set, a pruned scan whose predicate refutes most block groups skips
+// the same rows, delivers the same rows and counts the same bytes with
+// concurrent sub-scans off (0) and on (3).
+func TestShardedPrunedScanIgnoresConcurrentScans(t *testing.T) {
+	const n, lo, hi, gr = 10000, 4200, 4800, 500
+	path := filepath.Join(t.TempDir(), "clustered.oprs")
+	schema := Schema{{Name: "ID", Kind: Numeric}, {Name: "V", Kind: Numeric}, {Name: "Flag", Kind: Boolean}}
+	sw, err := NewShardedWriter(path, schema, ShardedWriterOptions{RowsPerShard: 2500, Format: DiskFormatV3, GroupRows: gr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := sw.Append([]float64{float64(i), float64(i % 7)}, []bool{i >= lo && i < hi}); err != nil {
+			sw.Discard()
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	pred := &Predicate{Bools: []BoolPredicate{{Attr: 2, Want: true}}}
+	cols := ColumnSet{Numeric: []int{0, 1}, Bool: []int{2}}
+	type result struct {
+		delivered, skipped, matches int
+		bytes                       int64
+	}
+	run := func(ahead int) result {
+		sr.SetConcurrentScans(ahead)
+		sr.ResetBytesRead()
+		var res result
+		err := sr.ScanRangePruned(0, n, cols, pred,
+			func(rows int) error { res.skipped += rows; return nil },
+			func(b *Batch) error {
+				res.delivered += b.Len
+				for _, f := range b.Bool[0][:b.Len] {
+					if f {
+						res.matches++
+					}
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.bytes = sr.BytesRead()
+		return res
+	}
+	serial, concurrent := run(0), run(3)
+	// The flag band [4200, 4800) touches groups 8 and 9 of 20.
+	if want := n - 2*gr; serial.skipped != want || serial.delivered != 2*gr || serial.matches != hi-lo {
+		t.Fatalf("serial pruned scan: %+v, want %d rows skipped and %d matches", serial, want, hi-lo)
+	}
+	if concurrent != serial {
+		t.Errorf("pruned scan with 3 concurrent sub-scans = %+v, serial = %+v", concurrent, serial)
+	}
+}

@@ -1,7 +1,6 @@
 // Package sampling implements the random sampling primitives used by
 // the bucketing step (Algorithm 3.1): uniform sampling with replacement
-// from a relation of known size, realized as a single sequential scan,
-// and reservoir sampling for streams of unknown size.
+// from a relation of known size, realized as a single sequential scan.
 //
 // The paper's analysis (Section 3.2) assumes each sample point is drawn
 // independently and uniformly at random *with replacement*; the indexed
@@ -346,42 +345,3 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 	}
 	return out, nil
 }
-
-// Reservoir maintains a uniform without-replacement sample of a stream
-// of float64 values whose length is unknown in advance (Vitter's
-// Algorithm R). It is provided for completeness: Algorithm 3.1 knows N
-// and uses with-replacement sampling, but streaming ingest pipelines
-// often do not.
-type Reservoir struct {
-	k      int
-	seen   int
-	rng    *rand.Rand
-	sample []float64
-}
-
-// NewReservoir creates a reservoir holding at most k values.
-func NewReservoir(k int, rng *rand.Rand) (*Reservoir, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("sampling: reservoir size %d must be positive", k)
-	}
-	return &Reservoir{k: k, rng: rng, sample: make([]float64, 0, k)}, nil
-}
-
-// Offer feeds one value from the stream.
-func (r *Reservoir) Offer(v float64) {
-	r.seen++
-	if len(r.sample) < r.k {
-		r.sample = append(r.sample, v)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.k {
-		r.sample[j] = v
-	}
-}
-
-// Seen returns how many values have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
-// Sample returns the current sample. The returned slice is owned by the
-// reservoir; callers should copy it if they keep feeding values.
-func (r *Reservoir) Sample() []float64 { return r.sample }

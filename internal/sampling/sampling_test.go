@@ -177,67 +177,3 @@ func TestColumnWithReplacementPropertyCountAndMembership(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestReservoirBasics(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	r, err := NewReservoir(10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		r.Offer(float64(i))
-	}
-	if r.Seen() != 1000 {
-		t.Errorf("Seen = %d, want 1000", r.Seen())
-	}
-	s := r.Sample()
-	if len(s) != 10 {
-		t.Fatalf("sample size %d, want 10", len(s))
-	}
-	seen := map[float64]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 1000 {
-			t.Errorf("sample value %g out of stream range", v)
-		}
-		if seen[v] {
-			t.Errorf("without-replacement sample has duplicate %g", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestReservoirShortStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	r, _ := NewReservoir(10, rng)
-	for i := 0; i < 3; i++ {
-		r.Offer(float64(i))
-	}
-	if len(r.Sample()) != 3 {
-		t.Errorf("short stream should keep everything, got %d", len(r.Sample()))
-	}
-	if _, err := NewReservoir(0, rng); err == nil {
-		t.Errorf("zero-size reservoir accepted")
-	}
-}
-
-func TestReservoirApproximatelyUniform(t *testing.T) {
-	// Each of 100 stream values should appear in a size-10 reservoir
-	// with probability 1/10; over 2000 trials each value's count should
-	// be near 200.
-	counts := make([]int, 100)
-	for trial := 0; trial < 2000; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		r, _ := NewReservoir(10, rng)
-		for i := 0; i < 100; i++ {
-			r.Offer(float64(i))
-		}
-		for _, v := range r.Sample() {
-			counts[int(v)]++
-		}
-	}
-	for i, c := range counts {
-		if c < 120 || c > 290 {
-			t.Errorf("value %d kept %d times over 2000 trials; want ~200", i, c)
-		}
-	}
-}

@@ -141,10 +141,10 @@
 //     ShardedRelation.SetConcurrentScans(n) runs up to n shard
 //     sub-scans at once — each with its own double-buffered read-ahead
 //     pipeline — while still delivering tuples in global row order;
-//   - the parallel counting engines (Config.PEs, MineAll2D) plan their
-//     segments across shard boundaries: AlignedSegments snaps cuts to
-//     shard and per-shard block-group boundaries, so workers never
-//     split a shard's block group and never contend for one file;
+//   - the parallel counting scan (Config.PEs) plans its chunks across
+//     shard boundaries: PlanScanChunks cuts only at shard and
+//     per-shard block-group boundaries into chunks of about equal
+//     estimated cost, so workers never split a shard's block group;
 //   - per-shard state (group directories, prefetch buffers, point-read
 //     mappings) stays bounded no matter how large the logical relation
 //     grows — the same decomposition that later extends to multi-node
