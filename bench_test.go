@@ -329,11 +329,12 @@ func BenchmarkMineAllDiskV1(b *testing.B) { benchMineAllDisk(b, DiskFormatV1) }
 // at the cost of per-block decoding.
 func BenchmarkMineAllDiskV3(b *testing.B) { benchMineAllDisk(b, DiskFormatV3) }
 
-// benchMineAllDiskSharded is the 1M-tuple MineAll workload over the
-// SAME data split across 4 v2 shard files — the sharded backend's
-// overhead/benefit relative to BenchmarkMineAllDisk. concurrent > 1
-// scans that many shards at once, each with its own prefetcher.
-func benchMineAllDiskSharded(b *testing.B, concurrent int) {
+// BenchmarkMineAllDiskSharded is the 1M-tuple MineAll workload over
+// the SAME data split across 4 v2 shard files — the sharded backend's
+// overhead/benefit relative to BenchmarkMineAllDisk. Each shard is
+// scanned through its own prefetcher; with PEs > 1 the counting scan's
+// workers take chunks cut at shard boundaries.
+func BenchmarkMineAllDiskSharded(b *testing.B) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		b.Fatal(err)
@@ -347,7 +348,6 @@ func benchMineAllDiskSharded(b *testing.B, concurrent int) {
 		b.Fatal(err)
 	}
 	defer rel.Close()
-	rel.SetConcurrentScans(concurrent)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MineAll(rel, Config{Buckets: 1000, Seed: 1}); err != nil {
@@ -357,15 +357,6 @@ func benchMineAllDiskSharded(b *testing.B, concurrent int) {
 	b.StopTimer()
 	b.ReportMetric(float64(rel.BytesRead())/float64(b.N), "diskB/op")
 }
-
-// BenchmarkMineAllDiskSharded scans the 4 shards serially — the
-// layout-overhead measurement against BenchmarkMineAllDisk.
-func BenchmarkMineAllDiskSharded(b *testing.B) { benchMineAllDiskSharded(b, 0) }
-
-// BenchmarkMineAllDiskShardedConcurrent runs all 4 shard sub-scans
-// concurrently (in-order delivery); on multi-core, multi-disk hardware
-// this is where sharding beats the single file.
-func BenchmarkMineAllDiskShardedConcurrent(b *testing.B) { benchMineAllDiskSharded(b, 4) }
 
 // benchScanDisk2of8 measures a selective scan — 2 columns of a d=8
 // numeric relation, the shape of a targeted Mine query on a wide

@@ -32,7 +32,8 @@
 // groups; -format v1 writes the legacy row-major format. With -shards N (N >
 // 1) the output is a SHARDED relation: -out names the manifest
 // (conventionally *.oprs) and N shard files are written next to it —
-// the layout whose sub-scans can run on independent disks in parallel.
+// the layout whose shards can sit on independent disks, read in
+// parallel by the counting workers.
 // The convert subcommand migrates between any of these: it sniffs
 // whether -in is a single file or a manifest, and -shards picks the
 // output layout (0 or 1 = single file). Conversion is only needed to

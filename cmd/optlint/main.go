@@ -1,7 +1,7 @@
 // Command optlint runs the engine's invariant analyzer suite
 // (internal/analysis/optlint): determinism of rule output, integer
-// exactness of parallel merges, BytesRead accounting, and crash-safe
-// writes.
+// exactness of parallel merges, BytesRead accounting, crash-safe
+// writes, and one parallel scheduler.
 //
 // Two modes, selected automatically:
 //

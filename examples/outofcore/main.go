@@ -44,14 +44,13 @@
 // row order is the concatenation of the shards, so mining results are
 // rule-for-rule identical to the single file — this example asserts
 // that below. Shard when the relation outgrows one device, when shards
-// can sit on independent disks so SetConcurrentScans(n) multiplies
-// sequential bandwidth (each shard sub-scan runs its own double-
-// buffered prefetcher, results still arrive in row order), or when
-// data arrives in natural batches that should stay individually
-// replaceable. Choosing the split: keep every shard many block groups
-// large (tens of MB or more) so per-shard pipeline startup stays
-// negligible, and pick the shard count from the hardware — one shard
-// (or a few) per independent disk. Shard count is NOT a parallelism
+// can sit on independent disks (each shard scan runs its own double-
+// buffered prefetcher, and the parallel counting pass gives each worker
+// chunks cut at shard boundaries), or when data arrives in natural
+// batches that should stay individually replaceable. Choosing the
+// split: keep every shard many block groups large (tens of MB or more)
+// so per-shard pipeline startup stays negligible, and pick the shard
+// count from the hardware — one shard (or a few) per independent disk. Shard count is NOT a parallelism
 // knob for CPUs; Config.PEs and Config.Workers cover that, and the
 // parallel counting engines already split work at shard and
 // block-group boundaries on any layout.
@@ -192,8 +191,8 @@ func main() {
 	}
 
 	// Shard the same relation four ways (in production each shard would
-	// sit on its own disk) and mine again with concurrent sub-scans:
-	// same logical relation, same global row order, identical rules.
+	// sit on its own disk) and mine again: same logical relation, same
+	// global row order, identical rules.
 	manifest := filepath.Join(dir, "transactions.oprs")
 	if err := optrule.ConvertToSharded(rel, manifest, 4, 0); err != nil {
 		log.Fatal(err)
@@ -203,12 +202,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sharded.Close()
-	sharded.SetConcurrentScans(4)
 	sup2, conf2, err := optrule.Mine(sharded, "Amount", "Premium", true, nil, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsame rules mined from %d shards (concurrent sub-scans, %.1f MB read):\n",
+	fmt.Printf("\nsame rules mined from %d shards (%.1f MB read):\n",
 		sharded.NumShards(), float64(sharded.BytesRead())/1e6)
 	if sup2 != nil {
 		fmt.Println("  ", sup2)

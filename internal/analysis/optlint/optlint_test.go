@@ -14,6 +14,7 @@ func TestFloatMerge(t *testing.T)  { analysistest.Run(t, optlint.FloatMerge, "fl
 func TestByteCount(t *testing.T)   { analysistest.Run(t, optlint.ByteCount, "bytecount") }
 func TestAtomicWrite(t *testing.T) { analysistest.Run(t, optlint.AtomicWrite, "atomicwrite") }
 func TestCloseCheck(t *testing.T)  { analysistest.Run(t, optlint.CloseCheck, "closecheck") }
+func TestGoStmt(t *testing.T)      { analysistest.Run(t, optlint.GoStmt, "gostmt") }
 
 // TestSuiteSelfCheck runs the full suite over the whole module the way
 // cmd/optlint does and requires zero findings: every true positive is

@@ -1,7 +1,8 @@
-// Package optlint is the engine's analyzer suite: six checks that
+// Package optlint is the engine's analyzer suite: seven checks that
 // mechanically enforce the invariants optrule's correctness arguments
 // lean on — deterministic rule output, integer-exact parallel merges,
-// accurate BytesRead accounting, and crash-safe writes. cmd/optlint
+// accurate BytesRead accounting, crash-safe writes, and one parallel
+// scheduler. cmd/optlint
 // runs the suite standalone or under `go vet -vettool`; the self-check
 // test keeps the repo clean; intended exceptions carry
 // //optlint:ignore <analyzer> <reason> directives.
@@ -24,6 +25,7 @@ func Suite() []*analysis.Analyzer {
 		ByteCount,
 		AtomicWrite,
 		CloseCheck,
+		GoStmt,
 	}
 }
 

@@ -263,11 +263,11 @@ func TestKernelExperimentRuns(t *testing.T) {
 }
 
 // TestShardsIdenticalBytes pins the sharding contract: every layout —
-// single file, 2 and 3 shards, serial and concurrent sub-scans — mines
-// the same rules, and the counted bytes are equal up to Boolean bitmap
-// padding (each shard rounds every Boolean column up to whole bytes: at
-// most one byte per Boolean attribute per shard), because sharding
-// changes where rows live, never how many are read.
+// single file, 2 and 3 shards — mines the same rules, and the counted
+// bytes are equal up to Boolean bitmap padding (each shard rounds every
+// Boolean column up to whole bytes: at most one byte per Boolean
+// attribute per shard), because sharding changes where rows live, never
+// how many are read.
 func TestShardsIdenticalBytes(t *testing.T) {
 	const n, seed = 20000, 1
 	bank, err := datagen.NewBank(datagen.BankConfig{})
@@ -296,20 +296,16 @@ func TestShardsIdenticalBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		pad := int64(boolAttrs * shards)
-		for _, ahead := range []int{0, shards} {
-			sr.SetConcurrentScans(ahead)
-			sr.ResetBytesRead()
-			got, err := miner.MineAll(sr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Rules, want.Rules) {
-				t.Errorf("%d shards, ahead=%d: rules differ from the single file's", shards, ahead)
-			}
-			if d := sr.BytesRead() - singleBytes; d < 0 || d > pad {
-				t.Errorf("%d shards, ahead=%d: read %d bytes, single file %d (allowed padding %d)",
-					shards, ahead, sr.BytesRead(), singleBytes, pad)
-			}
+		got, err := miner.MineAll(sr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rules, want.Rules) {
+			t.Errorf("%d shards: rules differ from the single file's", shards)
+		}
+		if d := sr.BytesRead() - singleBytes; d < 0 || d > pad {
+			t.Errorf("%d shards: read %d bytes, single file %d (allowed padding %d)",
+				shards, sr.BytesRead(), singleBytes, pad)
 		}
 		sr.Close()
 	}

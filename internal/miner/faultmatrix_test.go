@@ -14,21 +14,19 @@ import (
 
 // faultMatrixBackends opens the same bank tuple stream on every
 // storage backend: memory, v1/v2/v3 single files, and a sharded
-// relation with concurrent sub-scans.
+// relation.
 func faultMatrixBackends(t *testing.T, n int) map[string]relation.Relation {
 	t.Helper()
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := shardedOf(t, bank, n, 42, 3)
-	sharded.SetConcurrentScans(2)
 	return map[string]relation.Relation{
 		"memory":  datagen.MustMaterialize(bank, n, 42),
 		"v1":      diskOfFormat(t, bank, n, 42, relation.DiskFormatV1),
 		"v2":      diskOfFormat(t, bank, n, 42, relation.DiskFormatV2),
 		"v3":      diskOfFormat(t, bank, n, 42, relation.DiskFormatV3),
-		"sharded": sharded,
+		"sharded": shardedOf(t, bank, n, 42, 3),
 	}
 }
 

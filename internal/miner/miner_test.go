@@ -1,10 +1,13 @@
 package miner
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -214,38 +217,90 @@ func TestMineDeterministicAcrossWorkerCounts(t *testing.T) {
 // floats by their bits (so NaN matches NaN and -0 differs from +0);
 // path names the first difference.
 func sameBits(a, b reflect.Value, path string) (string, bool) {
-	if a.Kind() != b.Kind() {
-		return path, false
+	type leaf struct {
+		path string
+		bits []byte
 	}
-	switch a.Kind() {
+	var wa, wb []leaf
+	bitWalk(a, path, func(p string, bits []byte) { wa = append(wa, leaf{p, bits}) })
+	bitWalk(b, path, func(p string, bits []byte) { wb = append(wb, leaf{p, bits}) })
+	for i := range min(len(wa), len(wb)) {
+		if wa[i].path != wb[i].path || !bytes.Equal(wa[i].bits, wb[i].bits) {
+			return wa[i].path, false
+		}
+	}
+	return path, len(wa) == len(wb)
+}
+
+// bitWalk calls leaf with the canonical bytes of every part of v, in a
+// fixed order: floats as math.Float64bits, integers as 64 bits, the
+// dynamic type and nil-ness of every pointer and interface, the length
+// and nil-ness of every slice, string and map, and map entries sorted
+// by their keys' bytes. Two values with the same walk are equal bit for
+// bit; path names the part each leaf comes from.
+func bitWalk(v reflect.Value, path string, leaf func(path string, bits []byte)) {
+	u64 := func(x uint64) []byte { return binary.LittleEndian.AppendUint64(nil, x) }
+	switch v.Kind() {
 	case reflect.Float32, reflect.Float64:
-		return path, math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+		leaf(path, u64(math.Float64bits(v.Float())))
+	case reflect.Bool:
+		if v.Bool() {
+			leaf(path, []byte{1})
+		} else {
+			leaf(path, []byte{0})
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		leaf(path, u64(uint64(v.Int())))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		leaf(path, u64(v.Uint()))
+	case reflect.String:
+		leaf(path, append(u64(uint64(v.Len())), v.String()...))
 	case reflect.Pointer, reflect.Interface:
-		if a.IsNil() || b.IsNil() {
-			return path, a.IsNil() == b.IsNil()
+		if v.IsNil() {
+			leaf(path, []byte("nil"))
+			return
 		}
-		return sameBits(a.Elem(), b.Elem(), path)
+		if v.Kind() == reflect.Interface {
+			leaf(path, []byte(v.Elem().Type().String()))
+		}
+		bitWalk(v.Elem(), path, leaf)
 	case reflect.Slice, reflect.Array:
-		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
-			return path, false
+		if v.Kind() == reflect.Slice && v.IsNil() {
+			leaf(path, []byte("nil"))
+			return
 		}
-		for i := 0; i < a.Len(); i++ {
-			if p, ok := sameBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); !ok {
-				return p, false
-			}
+		leaf(path, u64(uint64(v.Len())))
+		for i := 0; i < v.Len(); i++ {
+			bitWalk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), leaf)
 		}
-		return path, true
 	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if p, ok := sameBits(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); !ok {
-				return p, false
-			}
+		for i := 0; i < v.NumField(); i++ {
+			bitWalk(v.Field(i), path+"."+v.Type().Field(i).Name, leaf)
 		}
-		return path, true
-	case reflect.Map, reflect.Func, reflect.Chan:
-		panic("sameBits: unsupported kind " + a.Kind().String())
+	case reflect.Map:
+		if v.IsNil() {
+			leaf(path, []byte("nil"))
+			return
+		}
+		leaf(path, u64(uint64(v.Len())))
+		type entry struct {
+			key []byte
+			k   reflect.Value
+		}
+		var entries []entry
+		for _, k := range v.MapKeys() {
+			var key []byte
+			bitWalk(k, "", func(_ string, bits []byte) { key = append(key, bits...) })
+			entries = append(entries, entry{key, k})
+		}
+		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
+		for _, e := range entries {
+			p := fmt.Sprintf("%s[%x]", path, e.key)
+			leaf(p, e.key)
+			bitWalk(v.MapIndex(e.k), p, leaf)
+		}
 	default:
-		return path, reflect.DeepEqual(a.Interface(), b.Interface())
+		panic("bitWalk: unsupported kind " + v.Kind().String())
 	}
 }
 

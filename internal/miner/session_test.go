@@ -686,7 +686,7 @@ func TestSessionConcurrentMemory(t *testing.T) {
 }
 
 // TestSessionConcurrentSharded races concurrent batches on one shared
-// session over the sharded disk backend (concurrent sub-scans on).
+// session over the sharded disk backend.
 func TestSessionConcurrentSharded(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -701,6 +701,5 @@ func TestSessionConcurrentSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	sr.SetConcurrentScans(2)
 	sessionConcurrencyCheck(t, sr)
 }

@@ -29,8 +29,8 @@ func shardedOf(t *testing.T, src datagen.RowSource, n int, seed int64, shards in
 // TestMineAllShardedMatchesSingleFile pins the sharded backend's core
 // contract: MineAll over a sharded relation is rule-for-rule identical
 // to MineAll over the equivalent single-file relation — for bank and
-// retail data, serial and concurrent sub-scans, and with the parallel
-// counting engine planning segments across shard boundaries (PEs > 1).
+// retail data, serially and with the parallel counting engine planning
+// chunks across shard boundaries (PEs > 1).
 // It also reads the same counted bytes, plus at most one byte per
 // Boolean attribute per shard: each shard rounds every Boolean column
 // up to whole bytes.
@@ -70,18 +70,15 @@ func TestMineAllShardedMatchesSingleFile(t *testing.T) {
 			if len(want.Rules) == 0 {
 				t.Fatalf("%s/%s: degenerate differential test, no rules mined", g.name, c.name)
 			}
-			for _, ahead := range []int{0, 2} {
-				sharded.SetConcurrentScans(ahead)
-				sharded.ResetBytesRead()
-				got, err := MineAll(sharded, c.cfg)
-				if err != nil {
-					t.Fatalf("%s/%s/ahead=%d: sharded: %v", g.name, c.name, ahead, err)
-				}
-				sameRules(t, g.name+"/"+c.name, got, want)
-				if d := sharded.BytesRead() - single.BytesRead(); d < 0 || d > pad {
-					t.Errorf("%s/%s/ahead=%d: sharded read %d bytes, single file %d (allowed padding %d)",
-						g.name, c.name, ahead, sharded.BytesRead(), single.BytesRead(), pad)
-				}
+			sharded.ResetBytesRead()
+			got, err := MineAll(sharded, c.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: sharded: %v", g.name, c.name, err)
+			}
+			sameRules(t, g.name+"/"+c.name, got, want)
+			if d := sharded.BytesRead() - single.BytesRead(); d < 0 || d > pad {
+				t.Errorf("%s/%s: sharded read %d bytes, single file %d (allowed padding %d)",
+					g.name, c.name, sharded.BytesRead(), single.BytesRead(), pad)
 			}
 		}
 	}

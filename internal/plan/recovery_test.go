@@ -14,8 +14,8 @@ import (
 )
 
 // recoveryFixture builds a sharded bank relation (range-scannable, with
-// concurrent shard sub-scans to tear down on a fault) plus the Defaults
-// the recovery tests share.
+// per-shard prefetchers to tear down on a fault) plus the Defaults the
+// recovery tests share.
 func recoveryFixture(t *testing.T, n, shards int) (*relation.ShardedRelation, Defaults) {
 	t.Helper()
 	bank, err := datagen.NewBank(datagen.BankConfig{})

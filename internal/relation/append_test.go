@@ -700,3 +700,100 @@ func TestShardedReopenDuringGrow(t *testing.T) {
 	<-done
 	checkRows(t, manifest, append([]*MemoryRelation{mem}, tails...)...)
 }
+
+// errManifestOp is the failure faultyManifest injects.
+var errManifestOp = errors.New("injected manifest file failure")
+
+// faultyManifest is a grow's manifest file whose named operation
+// ("write" for the staged record, "stat", "truncate", "commit" for the
+// commit byte, or "close") runs and then reports errManifestOp.
+type faultyManifest struct {
+	*os.File
+	op     string
+	writes int
+}
+
+func (f *faultyManifest) fail(op string, err error) error {
+	if err == nil && op == f.op {
+		return errManifestOp
+	}
+	return err
+}
+
+func (f *faultyManifest) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(b, off)
+	f.writes++
+	if f.writes > 1 {
+		return n, f.fail("commit", err)
+	}
+	return n, f.fail("write", err)
+}
+
+func (f *faultyManifest) Stat() (os.FileInfo, error) {
+	st, err := f.File.Stat()
+	return st, f.fail("stat", err)
+}
+
+func (f *faultyManifest) Truncate(size int64) error {
+	return f.fail("truncate", f.File.Truncate(size))
+}
+
+func (f *faultyManifest) Close() error { return f.fail("close", f.File.Close()) }
+
+// TestShardedGrowCommitFaultRollsBack fails each file operation of a
+// grow's manifest commit in turn — the staged write, the stat, the cut
+// of an earlier grow's leftover tail, the commit byte and the close —
+// each after the operation ran. Every failure must roll the manifest
+// back to exactly its committed text, leave an open relation's Reopen
+// and a fresh OpenSharded on the old rows, and remove the grow's shard
+// files.
+func TestShardedGrowCommitFaultRollsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, op := range []string{"write", "stat", "truncate", "commit", "close"} {
+		t.Run(op, func(t *testing.T) {
+			manifest, mem := writeShardedFixture(t, 79, []int{20, 12}, []int{DiskFormatV2, DiskFormatV3}, 8)
+			committed, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An earlier failed grow's staged tail, longer than this grow's
+			// record, so the commit has a leftover to cut.
+			writeAt(t, manifest, append([]byte{0}, strings.Repeat("shard 1 stale.opr\n", 20)...), int64(len(committed)))
+			listing := dirListing(t, filepath.Dir(manifest))
+			live, err := OpenSharded(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+
+			tail := appendFixtureTail(rng, 9)
+			sw, err := growWriter(manifest, tail.Schema(), AppendOptions{RowsPerShard: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw.openManifest = func(path string) (manifestFile, error) {
+				f, err := os.OpenFile(path, os.O_WRONLY, 0)
+				if err != nil {
+					return nil, err
+				}
+				return &faultyManifest{File: f, op: op}, nil
+			}
+			if err := sw.writeFrom(tail); !errors.Is(err, errManifestOp) {
+				t.Fatalf("grow with a failing %s: err = %v, want the injected failure", op, err)
+			}
+
+			if got, err := os.ReadFile(manifest); err != nil || string(got) != string(committed) {
+				t.Errorf("manifest after the failed grow = %q (%v), want the committed %q", got, err, committed)
+			}
+			if added, err := live.Reopen(); err != nil || added != 0 ||
+				live.NumTuples() != mem.NumTuples() || live.NumShards() != 2 {
+				t.Errorf("Reopen after the failed grow: added %d (%v), %d rows in %d shards, want the old %d in 2",
+					added, err, live.NumTuples(), live.NumShards(), mem.NumTuples())
+			}
+			checkRows(t, manifest, mem)
+			if got := dirListing(t, filepath.Dir(manifest)); !reflect.DeepEqual(got, listing) {
+				t.Errorf("failed grow left the directory at %v, want %v", got, listing)
+			}
+		})
+	}
+}

@@ -31,12 +31,6 @@ func TestScanRangeBoundsUnified(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	shc, err := OpenSharded(shPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shc.Close()
-	shc.SetConcurrentScans(2)
 
 	backends := []struct {
 		name string
@@ -46,7 +40,6 @@ func TestScanRangeBoundsUnified(t *testing.T) {
 		{"disk-v1", v1},
 		{"disk-v2", v2},
 		{"sharded", sh},
-		{"sharded-concurrent", shc},
 	}
 	cases := []struct {
 		name       string

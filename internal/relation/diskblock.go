@@ -517,6 +517,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 		return fg
 	}
 
+	//optlint:ignore gostmt the read-ahead prefetcher is one pipeline stage per scan (it reads group g+1 while the consumer decodes g), not a fan-out; its teardown is pinned by the leak tests
 	go func() {
 		defer close(prefDone)
 		defer close(ready)

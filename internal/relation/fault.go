@@ -21,8 +21,7 @@ import (
 // callback stream, after the configured number of rows has been
 // delivered — which exercises BOTH directions at once: the caller sees
 // a mid-stream storage error, and the wrapped backend sees a consumer
-// error mid-scan (the path that tears down read-ahead prefetchers and
-// concurrent shard sub-scans).
+// error mid-scan (the path that tears down read-ahead prefetchers).
 
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
 // can assert errors.Is(err, ErrInjected) through any number of layers.

@@ -229,7 +229,7 @@ func TestFaultClose(t *testing.T) {
 
 // TestFaultRangeAndPrunedScans pins fault delivery through the optional
 // scan surfaces, composed over the sharded backend — the injected error
-// must tear down the concurrent sub-scan pipeline cleanly and surface
+// must tear down each shard's read-ahead pipeline cleanly and surface
 // with its identity intact.
 func TestFaultRangeAndPrunedScans(t *testing.T) {
 	manifest, mem := writeShardedFixture(t, 10, []int{400, 300, 300}, []int{DiskFormatV1, DiskFormatV2, DiskFormatV2}, 128)
@@ -238,7 +238,6 @@ func TestFaultRangeAndPrunedScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	sr.SetConcurrentScans(3)
 	for name, scan := range map[string]func(fr *FaultRelation, fn func(*Batch) error) error{
 		"range": func(fr *FaultRelation, fn func(*Batch) error) error {
 			return fr.ScanRange(100, 900, ColumnSet{Numeric: []int{0}}, fn)

@@ -10,9 +10,9 @@ import (
 
 // settleGoroutines polls until the goroutine count drops back to at
 // most base+slack, failing the test if leaked scan pipelines keep it
-// elevated. Prefetcher and shard producer goroutines exit through
-// channel teardown, not synchronously with the scan return, so a short
-// settle window is part of the contract being pinned.
+// elevated. Prefetcher goroutines exit through channel teardown, not
+// synchronously with the scan return, so a short settle window is part
+// of the contract being pinned.
 func settleGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
 	const slack = 3
@@ -37,14 +37,11 @@ var errConsumer = errors.New("consumer rejected batch")
 // TestScanTeardownOnConsumerError drives every backend's scan pipeline
 // through its consumer-error path — the callback fails mid-stream —
 // and pins that (a) the exact error surfaces, un-wrapped and
-// un-replaced, and (b) the read-ahead machinery behind the scan (v2/v3
-// double-buffered prefetchers, sharded concurrent sub-scans) shuts
-// down without leaking goroutines, across many repetitions.
+// un-replaced, and (b) the read-ahead machinery behind the scan (the
+// v2/v3 double-buffered prefetchers, one per shard of a sharded scan)
+// shuts down without leaking goroutines, across many repetitions.
 func TestScanTeardownOnConsumerError(t *testing.T) {
 	fixtures := closeRaceFixtures(t, 3000)
-	if sr, ok := fixtures["sharded"].(*ShardedRelation); ok {
-		sr.SetConcurrentScans(3)
-	}
 	base := runtime.NumGoroutine()
 	for name, rel := range fixtures {
 		t.Run(name, func(t *testing.T) {
@@ -69,14 +66,11 @@ func TestScanTeardownOnConsumerError(t *testing.T) {
 
 // TestScanTeardownOnInjectedFault is the storage-side twin: the fault
 // harness cuts streams at varying rows THROUGH each backend's pipeline
-// (the wrapper's callback error reaches the prefetcher/sub-scan
-// machinery as a consumer failure), and repeated injected failures
-// must neither leak pipeline goroutines nor corrupt later scans.
+// (the wrapper's callback error reaches the prefetcher machinery as a
+// consumer failure), and repeated injected failures must neither leak
+// pipeline goroutines nor corrupt later scans.
 func TestScanTeardownOnInjectedFault(t *testing.T) {
 	fixtures := closeRaceFixtures(t, 3000)
-	if sr, ok := fixtures["sharded"].(*ShardedRelation); ok {
-		sr.SetConcurrentScans(3)
-	}
 	base := runtime.NumGoroutine()
 	for name, rel := range fixtures {
 		t.Run(name, func(t *testing.T) {

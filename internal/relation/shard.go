@@ -24,10 +24,10 @@ import (
 //
 // Sharding is the horizontal decomposition that breaks the single-file
 // / single-spindle ceiling: each shard can live on its own disk (or
-// eventually its own node), each shard sub-scan runs its own
+// eventually its own node), each shard scan runs its own
 // double-buffered read-ahead pipeline, and the parallel counting
-// engines split work at shard boundaries so workers never contend for
-// one file. Per-shard state stays bounded no matter how large the
+// executor splits work at shard boundaries so its workers never contend
+// for one file. Per-shard state stays bounded no matter how large the
 // logical relation grows.
 //
 // Manifest format (text, line-oriented, version negotiated):
@@ -66,15 +66,7 @@ const (
 	maxManifestBytes = 1 << 20
 	// maxManifestShards bounds the declared shard count.
 	maxManifestShards = 1 << 16
-	// shardScanDepth is the number of copied batches in flight per shard
-	// prefetcher during a concurrent scan (double buffering: the
-	// consumer's current batch plus one being filled).
-	shardScanDepth = 2
 )
-
-// errShardStop aborts shard sub-scans when a concurrent scan is torn
-// down early (consumer error or early abort).
-var errShardStop = errors.New("relation: shard scan stopped")
 
 // DataRelation is the full storage surface shared by the disk-backed
 // backends — the single-file DiskRelation and the ShardedRelation —
@@ -116,10 +108,6 @@ type ShardedRelation struct {
 	// reopenMu serializes Reopen (and orders it against Close) without
 	// blocking scans, which only read the snapshot pointer.
 	reopenMu sync.Mutex
-	// scanAhead > 1 enables concurrent sub-scans: Scan/ScanRange runs up
-	// to scanAhead shards' scans at once, each with its own prefetcher,
-	// delivering batches in global row order. See SetConcurrentScans.
-	scanAhead int
 
 	// ops mirrors DiskRelation.ops: scans and point reads hold the read
 	// lock so Close can refuse with ErrBusy instead of tearing down
@@ -372,20 +360,6 @@ func (sr *ShardedRelation) StoragePaths() []string {
 	return append(out, ss.paths...)
 }
 
-// SetConcurrentScans configures how many shard sub-scans a single
-// Scan/ScanRange call may run at once. ahead <= 1 (the default) scans
-// shards serially in manifest order — fully deterministic, including
-// the counted BytesRead of early-aborted scans. ahead > 1 runs up to
-// that many shards' scans concurrently in a sliding window, each with
-// its own double-buffered prefetcher, delivering batches to the
-// callback in global row order; tuple delivery is identical to the
-// serial scan, but a scan the callback aborts early may have read (and
-// counted) up to the window's read-ahead beyond the abort point.
-// Not safe to call concurrently with in-flight scans.
-func (sr *ShardedRelation) SetConcurrentScans(ahead int) {
-	sr.scanAhead = ahead
-}
-
 // BytesRead sums the counted payload bytes delivered from disk across
 // all shards since open (or the last ResetBytesRead). Safe for
 // concurrent use.
@@ -485,47 +459,21 @@ func (sr *ShardedRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 
 // ScanRange implements RangeScanner: the global row range [start, end)
 // is translated into per-shard sub-ranges and streamed shard by shard
-// in global row order. With SetConcurrentScans(n > 1), up to n shards'
-// sub-scans run at once (each with its own read-ahead pipeline) while
-// batches are still delivered to fn in row order. Bounds semantics are
+// in global row order, each shard through its own read-ahead pipeline.
+// It is ScanRangePruned with no predicate. Bounds semantics are
 // identical to the other backends: start/end outside [0, NumTuples()]
 // or start > end error; start == end scans nothing.
 func (sr *ShardedRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
-	sr.ops.RLock()
-	defer sr.ops.RUnlock()
-	ss := sr.cur.Load()
-	if err := cols.Validate(sr.schema); err != nil {
-		return err
-	}
-	if start < 0 || end > ss.numRows || start > end {
-		return fmt.Errorf("relation: scan range [%d,%d) out of [0,%d)", start, end, ss.numRows)
-	}
-	if start == end {
-		return nil
-	}
-	first, last := ss.shardAt(start), ss.shardAt(end-1)
-	if sr.scanAhead > 1 && first < last {
-		return sr.scanRangeConcurrent(ss, start, end, first, last, cols, fn)
-	}
-	for i := first; i <= last; i++ {
-		lo, hi := ss.shardRange(i, start, end)
-		if lo >= hi {
-			continue // empty shard inside the window
-		}
-		if err := ss.shards[i].ScanRange(lo, hi, cols, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sr.ScanRangePruned(start, end, cols, nil, nil, fn)
 }
 
 // ScanRangePruned implements PrunedRangeScanner by delegating to each
-// shard in the window: v3 shards prune through their zone maps, v1/v2
-// shards deliver everything — so a mixed-format relation prunes
-// exactly where its storage can. The concurrent multi-shard pipeline
-// (SetConcurrentScans > 1) has no pruned variant, so it serves only an
-// empty predicate; any other pruned scan runs shard by shard, and its
-// skipped rows and counted bytes do not depend on the scan setting.
+// shard in the window, in manifest order: v3 shards prune through their
+// zone maps, v1/v2 shards deliver everything — so a mixed-format
+// relation prunes exactly where its storage can. A nil or empty pred
+// makes every shard a plain range scan. Shards are read one after
+// another; parallel counting splits the relation into chunks at shard
+// boundaries and scans each chunk on its own worker.
 func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error {
 	sr.ops.RLock()
 	defer sr.ops.RUnlock()
@@ -542,149 +490,15 @@ func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred 
 	if start == end {
 		return nil
 	}
-	first, last := ss.shardAt(start), ss.shardAt(end-1)
-	if sr.scanAhead > 1 && first < last && pred.Empty() {
-		return sr.scanRangeConcurrent(ss, start, end, first, last, cols, fn)
-	}
-	for i := first; i <= last; i++ {
-		lo, hi := ss.shardRange(i, start, end)
+	for i, last := ss.shardAt(start), ss.shardAt(end-1); i <= last; i++ {
+		// [start, end) clipped to shard i, in the shard's own rows.
+		lo, hi := max(start-ss.starts[i], 0), min(end, ss.starts[i+1])-ss.starts[i]
 		if lo >= hi {
 			continue // empty shard inside the window
 		}
 		if err := ss.shards[i].ScanRangePruned(lo, hi, cols, pred, skip, fn); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// shardRange clips the global range [start, end) to shard i's rows and
-// translates it to shard-local coordinates.
-func (ss *shardSet) shardRange(i, start, end int) (lo, hi int) {
-	lo, hi = 0, ss.starts[i+1]-ss.starts[i]
-	if s := start - ss.starts[i]; s > lo {
-		lo = s
-	}
-	if e := end - ss.starts[i]; e < hi {
-		hi = e
-	}
-	return lo, hi
-}
-
-// shardBatch carries one copied batch from a shard prefetcher to the
-// in-order consumer of a concurrent scan. Slices are owned by the
-// batch and recycled through the stream's free list.
-type shardBatch struct {
-	len     int
-	numeric [][]float64
-	bools   [][]bool
-	err     error
-}
-
-// shardStream is one shard's asynchronous sub-scan: out delivers
-// filled batches in shard row order; free returns consumed batches to
-// the producer for reuse, bounding the stream at shardScanDepth
-// buffers regardless of shard size.
-type shardStream struct {
-	out  chan *shardBatch
-	free chan *shardBatch
-}
-
-// startShardStream launches shard i's sub-scan of local rows [lo, hi)
-// as a producer goroutine. The producer copies each scan batch into an
-// owned buffer (the underlying scan reuses its batches) and blocks on
-// the free list, so at most shardScanDepth copies exist per shard. A
-// closed stop channel tears the producer down on any consumer exit
-// path.
-func startShardStream(ss *shardSet, i, lo, hi int, cols ColumnSet, stop <-chan struct{}) *shardStream {
-	st := &shardStream{
-		out:  make(chan *shardBatch, shardScanDepth),
-		free: make(chan *shardBatch, shardScanDepth),
-	}
-	for j := 0; j < shardScanDepth; j++ {
-		st.free <- nil // allocated lazily by the producer
-	}
-	sh := ss.shards[i]
-	go func() {
-		defer close(st.out)
-		err := sh.ScanRange(lo, hi, cols, func(b *Batch) error {
-			var sb *shardBatch
-			select {
-			case sb = <-st.free:
-			case <-stop:
-				return errShardStop
-			}
-			if sb == nil {
-				sb = &shardBatch{
-					numeric: make([][]float64, len(cols.Numeric)),
-					bools:   make([][]bool, len(cols.Bool)),
-				}
-			}
-			sb.len = b.Len
-			for k := range b.Numeric {
-				sb.numeric[k] = append(sb.numeric[k][:0], b.Numeric[k][:b.Len]...)
-			}
-			for k := range b.Bool {
-				sb.bools[k] = append(sb.bools[k][:0], b.Bool[k][:b.Len]...)
-			}
-			select {
-			case st.out <- sb:
-			case <-stop:
-				return errShardStop
-			}
-			return nil
-		})
-		if err != nil && err != errShardStop {
-			select {
-			case st.out <- &shardBatch{err: err}:
-			case <-stop:
-			}
-		}
-	}()
-	return st
-}
-
-// scanRangeConcurrent is ScanRange's multi-shard pipeline: a sliding
-// window of scanAhead shard sub-scans runs concurrently — shard i is
-// consumed in order while shards i+1..i+scanAhead-1 prefetch — so the
-// next shard's disk reads overlap the current shard's decode-and-count
-// work, and on multi-disk layouts the spindles stream in parallel.
-// Memory stays bounded at scanAhead × shardScanDepth copied batches.
-func (sr *ShardedRelation) scanRangeConcurrent(ss *shardSet, start, end, first, last int, cols ColumnSet, fn func(*Batch) error) error {
-	stop := make(chan struct{})
-	defer close(stop) // tears down every launched producer on any exit
-	streams := make([]*shardStream, last-first+1)
-	launch := func(i int) {
-		if i > last {
-			return
-		}
-		lo, hi := ss.shardRange(i, start, end)
-		streams[i-first] = startShardStream(ss, i, lo, hi, cols, stop)
-	}
-	for i := first; i < first+sr.scanAhead && i <= last; i++ {
-		launch(i)
-	}
-	batch := &Batch{
-		Numeric: make([][]float64, len(cols.Numeric)),
-		Bool:    make([][]bool, len(cols.Bool)),
-	}
-	for i := first; i <= last; i++ {
-		for sb := range streams[i-first].out {
-			if sb.err != nil {
-				return sb.err
-			}
-			batch.Len = sb.len
-			copy(batch.Numeric, sb.numeric)
-			copy(batch.Bool, sb.bools)
-			if err := fn(batch); err != nil {
-				return err
-			}
-			select {
-			case streams[i-first].free <- sb:
-			default:
-			}
-		}
-		launch(i + sr.scanAhead)
 	}
 	return nil
 }
@@ -843,6 +657,9 @@ type ShardedWriter struct {
 	// later Append and the final Close must fail rather than commit a
 	// manifest that silently drops the tail of the stream.
 	writeErr error
+	// openManifest opens the manifest for a grow's commit; tests swap
+	// in a file whose operations fail.
+	openManifest func(path string) (manifestFile, error)
 }
 
 // NewShardedWriter creates a sharded relation rooted at manifestPath
@@ -886,6 +703,7 @@ func newShardedWriter(manifestPath string, schema Schema, format, groupRows, row
 		entries:      existing,
 		existing:     len(existing),
 		committed:    committed,
+		openManifest: openManifestFile,
 		next:         next,
 	}, nil
 }
@@ -1007,7 +825,11 @@ func (sw *ShardedWriter) commit() error {
 	if c := sw.committed; c[len(c)-1] != '\n' { // never empty: it parsed, so it holds the header
 		record = append(record, '\n')
 	}
-	return appendManifest(sw.manifestPath, int64(len(sw.committed)), appendShardLines(record, sw.entries[sw.existing:]))
+	f, err := sw.openManifest(sw.manifestPath)
+	if err != nil {
+		return err
+	}
+	return appendManifest(f, sw.manifestPath, int64(len(sw.committed)), appendShardLines(record, sw.entries[sw.existing:]))
 }
 
 // Discard abandons the write: every file this writer created is
@@ -1087,12 +909,9 @@ func writeShardManifest(path string, entries []shardManifestEntry, mode os.FileM
 // uncommitted tail an earlier failed grow left past end is overwritten
 // and cut off before the commit; a failed grow truncates the manifest
 // back to end. Durability belongs here: sync the staged record, write
-// the commit byte, sync again.
-func appendManifest(path string, end int64, record []byte) (err error) {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
+// the commit byte, sync again. appendManifest closes f, the manifest
+// at path opened for writing.
+func appendManifest(f manifestFile, path string, end int64, record []byte) (err error) {
 	defer func() {
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -1116,6 +935,20 @@ func appendManifest(path string, end int64, record []byte) (err error) {
 	}
 	_, err = f.WriteAt(record[:1], end)
 	return err
+}
+
+// manifestFile is the part of *os.File a grow's commit writes through.
+type manifestFile interface {
+	WriteAt(b []byte, off int64) (int, error)
+	Stat() (os.FileInfo, error)
+	Truncate(size int64) error
+	Close() error
+}
+
+// openManifestFile opens the manifest at path for a grow's in-place
+// commit.
+func openManifestFile(path string) (manifestFile, error) {
+	return os.OpenFile(path, os.O_WRONLY, 0)
 }
 
 // ConvertToSharded streams an open relation into a sharded relation at
@@ -1187,19 +1020,32 @@ type AppendOptions struct {
 // removed and the manifest's committed text is left as it was, so the
 // relation either grows by all of src or not at all.
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
-	entries, committed, err := readShardManifest(manifestPath)
+	sw, err := growWriter(manifestPath, src.Schema(), opts)
 	if err != nil {
 		return 0, err
 	}
+	if err := sw.writeFrom(src); err != nil {
+		return 0, err
+	}
+	return sw.rows, nil
+}
+
+// growWriter returns the writer of a grow of the relation at
+// manifestPath by rows of the given schema; see AppendToSharded.
+func growWriter(manifestPath string, srcSchema Schema, opts AppendOptions) (*ShardedWriter, error) {
+	entries, committed, err := readShardManifest(manifestPath)
+	if err != nil {
+		return nil, err
+	}
 	dr, err := OpenDisk(entries[0].path)
 	if err != nil {
-		return 0, fmt.Errorf("relation: %s: shard 0: %w", manifestPath, err)
+		return nil, fmt.Errorf("relation: %s: shard 0: %w", manifestPath, err)
 	}
 	schema := dr.Schema()
 	dr.Close()
-	if !sameSchema(schema, src.Schema()) {
-		return 0, fmt.Errorf("relation: append schema %v does not match %s schema %v",
-			src.Schema().Names(), manifestPath, schema.Names())
+	if !sameSchema(schema, srcSchema) {
+		return nil, fmt.Errorf("relation: append schema %v does not match %s schema %v",
+			srcSchema.Names(), manifestPath, schema.Names())
 	}
 	// Number past any existing file: a relation written with custom
 	// shard names, or grown and partially cleaned up, may hold
@@ -1211,21 +1057,14 @@ func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (row
 			break
 		}
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	rps := opts.RowsPerShard
 	if rps <= 0 {
 		rps = math.MaxInt // the whole stream in one shard
 	}
-	sw, err := newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, committed, next)
-	if err != nil {
-		return 0, err
-	}
-	if err := sw.writeFrom(src); err != nil {
-		return 0, err
-	}
-	return sw.rows, nil
+	return newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, committed, next)
 }
 
 // storagePathsOf returns the files backing rel, when it declares them.

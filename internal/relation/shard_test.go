@@ -99,21 +99,18 @@ func TestShardedRoundTrip(t *testing.T) {
 	wantBal, _ := mem.NumericColumn(0)
 	wantCL, _ := mem.BoolColumn(2)
 
-	// Full scan and assorted ranges, serial and concurrent, must agree
-	// with the in-memory twin — including ranges inside one shard,
-	// straddling shard boundaries, and straddling the empty shard.
+	// Full scan and assorted ranges must agree with the in-memory twin —
+	// including ranges inside one shard, straddling shard boundaries, and
+	// straddling the empty shard.
 	ranges := [][2]int{{0, 4200}, {0, 1}, {999, 1001}, {500, 3100}, {1000, 1000}, {3499, 3501}, {4200, 4200}, {17, 4012}}
-	for _, ahead := range []int{0, 2, 3, 100} {
-		sr.SetConcurrentScans(ahead)
-		for _, rg := range ranges {
-			nums, bools := collectRange(t, sr, rg[0], rg[1])
-			if len(nums) != rg[1]-rg[0] {
-				t.Fatalf("ahead=%d range %v: delivered %d rows", ahead, rg, len(nums))
-			}
-			for i := range nums {
-				if nums[i] != wantBal[rg[0]+i] || bools[i] != wantCL[rg[0]+i] {
-					t.Fatalf("ahead=%d range %v: row %d differs", ahead, rg, rg[0]+i)
-				}
+	for _, rg := range ranges {
+		nums, bools := collectRange(t, sr, rg[0], rg[1])
+		if len(nums) != rg[1]-rg[0] {
+			t.Fatalf("range %v: delivered %d rows", rg, len(nums))
+		}
+		for i := range nums {
+			if nums[i] != wantBal[rg[0]+i] || bools[i] != wantCL[rg[0]+i] {
+				t.Fatalf("range %v: row %d differs", rg, rg[0]+i)
 			}
 		}
 	}
@@ -126,25 +123,22 @@ func TestShardedScanEarlyAbortAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	for _, ahead := range []int{0, 2} {
-		sr.SetConcurrentScans(ahead)
-		// Callback error propagates from any shard.
-		want := errSentinel("stop")
-		seen := 0
-		err := sr.Scan(ColumnSet{Numeric: []int{0}}, func(b *Batch) error {
-			seen += b.Len
-			if seen > 1200 { // inside shard 1
-				return want
-			}
-			return nil
-		})
-		if err != want {
-			t.Errorf("ahead=%d: callback error lost: %v", ahead, err)
+	// Callback error propagates from any shard.
+	want := errSentinel("stop")
+	seen := 0
+	err = sr.Scan(ColumnSet{Numeric: []int{0}}, func(b *Batch) error {
+		seen += b.Len
+		if seen > 1200 { // inside shard 1
+			return want
 		}
-		// Column validation errors match the other backends.
-		if err := sr.Scan(ColumnSet{Numeric: []int{2}}, func(*Batch) error { return nil }); err == nil {
-			t.Errorf("ahead=%d: bool column as numeric accepted", ahead)
-		}
+		return nil
+	})
+	if err != want {
+		t.Errorf("callback error lost: %v", err)
+	}
+	// Column validation errors match the other backends.
+	if err := sr.Scan(ColumnSet{Numeric: []int{2}}, func(*Batch) error { return nil }); err == nil {
+		t.Errorf("bool column as numeric accepted")
 	}
 	// A missing shard file surfaces as a scan error, not a panic.
 	sr2, err := OpenSharded(path)
@@ -155,11 +149,8 @@ func TestShardedScanEarlyAbortAndErrors(t *testing.T) {
 	if err := os.Remove(sr2.StoragePaths()[2]); err != nil {
 		t.Fatal(err)
 	}
-	for _, ahead := range []int{0, 2} {
-		sr2.SetConcurrentScans(ahead)
-		if err := sr2.Scan(ColumnSet{Numeric: []int{0}}, func(*Batch) error { return nil }); err == nil {
-			t.Errorf("ahead=%d: scan with deleted shard succeeded", ahead)
-		}
+	if err := sr2.Scan(ColumnSet{Numeric: []int{0}}, func(*Batch) error { return nil }); err == nil {
+		t.Errorf("scan with deleted shard succeeded")
 	}
 }
 
@@ -648,8 +639,9 @@ func TestShardManifestCorruption(t *testing.T) {
 	}
 }
 
-// TestShardedScanRaceConcurrent runs overlapping concurrent full scans
-// plus point reads on a sharded relation; meaningful under -race.
+// TestShardedScanRaceConcurrent runs overlapping full scans plus point
+// reads on a sharded relation from several goroutines; meaningful under
+// -race.
 func TestShardedScanRaceConcurrent(t *testing.T) {
 	path, _ := writeShardedFixture(t, 17, []int{900, 900, 900}, []int{DiskFormatV2, DiskFormatV2, DiskFormatV1}, 256)
 	sr, err := OpenSharded(path)
@@ -657,7 +649,6 @@ func TestShardedScanRaceConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	sr.SetConcurrentScans(3)
 	done := make(chan error, 4)
 	for g := 0; g < 2; g++ {
 		go func() {
@@ -681,11 +672,11 @@ func TestShardedScanRaceConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedPrunedScanIgnoresConcurrentScans pins that zone-map
-// pruning does not depend on the scan setting: on a clustered v3 shard
-// set, a pruned scan whose predicate refutes most block groups skips
-// the same rows, delivers the same rows and counts the same bytes with
-// concurrent sub-scans off (0) and on (3).
+// TestShardedPrunedScanIgnoresConcurrentScans pins zone-map pruning
+// across shards: on a clustered v3 shard set, a pruned scan whose
+// predicate refutes most block groups delivers only the two groups the
+// flag band touches, reports every other row as skipped, and counts
+// only the delivered groups' bytes.
 func TestShardedPrunedScanIgnoresConcurrentScans(t *testing.T) {
 	const n, lo, hi, gr = 10000, 4200, 4800, 500
 	path := filepath.Join(t.TempDir(), "clustered.oprs")
@@ -714,33 +705,25 @@ func TestShardedPrunedScanIgnoresConcurrentScans(t *testing.T) {
 		delivered, skipped, matches int
 		bytes                       int64
 	}
-	run := func(ahead int) result {
-		sr.SetConcurrentScans(ahead)
-		sr.ResetBytesRead()
-		var res result
-		err := sr.ScanRangePruned(0, n, cols, pred,
-			func(rows int) error { res.skipped += rows; return nil },
-			func(b *Batch) error {
-				res.delivered += b.Len
-				for _, f := range b.Bool[0][:b.Len] {
-					if f {
-						res.matches++
-					}
+	var got result
+	err = sr.ScanRangePruned(0, n, cols, pred,
+		func(rows int) error { got.skipped += rows; return nil },
+		func(b *Batch) error {
+			got.delivered += b.Len
+			for _, f := range b.Bool[0][:b.Len] {
+				if f {
+					got.matches++
 				}
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.bytes = sr.BytesRead()
-		return res
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial, concurrent := run(0), run(3)
+	got.bytes = sr.BytesRead()
 	// The flag band [4200, 4800) touches groups 8 and 9 of 20.
-	if want := n - 2*gr; serial.skipped != want || serial.delivered != 2*gr || serial.matches != hi-lo {
-		t.Fatalf("serial pruned scan: %+v, want %d rows skipped and %d matches", serial, want, hi-lo)
-	}
-	if concurrent != serial {
-		t.Errorf("pruned scan with 3 concurrent sub-scans = %+v, serial = %+v", concurrent, serial)
+	want := result{delivered: 2 * gr, skipped: n - 2*gr, matches: hi - lo, bytes: 1632}
+	if got != want {
+		t.Fatalf("pruned scan = %+v, want %+v", got, want)
 	}
 }

@@ -137,14 +137,13 @@
 // Sharding is the horizontal decomposition that breaks the
 // single-file / single-spindle ceiling:
 //
-//   - each shard can live on its own disk, and
-//     ShardedRelation.SetConcurrentScans(n) runs up to n shard
-//     sub-scans at once — each with its own double-buffered read-ahead
-//     pipeline — while still delivering tuples in global row order;
+//   - each shard can live on its own disk, and each shard scan runs
+//     its own double-buffered read-ahead pipeline;
 //   - the parallel counting scan (Config.PEs) plans its chunks across
 //     shard boundaries: PlanScanChunks cuts only at shard and
 //     per-shard block-group boundaries into chunks of about equal
-//     estimated cost, so workers never split a shard's block group;
+//     estimated cost, so workers never split a shard's block group,
+//     and its one worker pool is what reads shards in parallel;
 //   - per-shard state (group directories, prefetch buffers, point-read
 //     mappings) stays bounded no matter how large the logical relation
 //     grows — the same decomposition that later extends to multi-node
@@ -158,8 +157,8 @@
 // and mines in one scan pipeline gains nothing from sharding — prefer
 // a single v2 file. Shard when the relation outgrows one device (or
 // one file-size/backup boundary), when shards can sit on independent
-// disks so concurrent sub-scans multiply sequential bandwidth, or
-// when data arrives in natural batches (per day, per region) that
+// disks so the counting workers' chunks stream from several spindles
+// at once, or when data arrives in natural batches (per day, per region) that
 // should remain individually replaceable. Keep shards large — many
 // block groups each, i.e. tens of MB at least — so per-shard pipeline
 // startup stays negligible; choose the shard count from the hardware
@@ -287,8 +286,8 @@
 // (FaultConfig) — scans that die before the first batch or at a chosen
 // row, artificially short batches, stalls, Close errors — all injected
 // at the consumer boundary so both the caller's error path and the
-// backend's mid-scan teardown (prefetchers, concurrent shard sub-scans)
-// are exercised. Every injected error wraps ErrInjected. The fault
+// backend's mid-scan teardown (the per-file and per-shard read-ahead
+// prefetchers) are exercised. Every injected error wraps ErrInjected. The fault
 // matrix tests drive every failure mode across every storage backend
 // and worker count and require bit-identical rules; see examples/faults
 // for a walkthrough. Relatedly, closing a disk or sharded relation
@@ -324,6 +323,10 @@
 //   - closecheck — Close errors on write handles must be checked:
 //     delayed write errors surface at Close, and dropping them can
 //     commit a truncated file while reporting success.
+//   - gostmt — the root package and internal/... start goroutines
+//     only in internal/fanout, the one worker pool every fan-out runs
+//     on; the disk read-ahead prefetcher, one pipeline stage per scan,
+//     is the single waived exception.
 //
 // Run the suite locally, standalone or as a vet tool:
 //
