@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -60,27 +62,121 @@ func answerDigest(a Answer) string {
 }
 
 // TestAnswerDigests pins every answer of digestQueries to a committed
-// SHA-256 on every backend — memory, a v2 file, a v3 file, 4 v2 shards
-// and 4 shards mixing v2 and v3 — at PEs = Workers = 1, 2 and 4, both
-// when one session answers the whole batch and when each query runs
-// alone in a fresh session. Any change to sampling, bucketing,
-// counting, the float sums' order or extraction moves a digest. The
-// digests hold on amd64, whose Go compiler never fuses a multiply and
-// an add into one rounding; other architectures may.
+// SHA-256 on every backend (see checkDigests). Any change to sampling,
+// bucketing, counting, the float sums' order or extraction moves a
+// digest.
 func TestAnswerDigests(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are committed for amd64, where float arithmetic is never fused")
-	}
-	const n, seed = 6000, 29
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Buckets: 100, Seed: 11, ExactDomainLimit: 100}
+	checkDigests(t, bank, 6000, 29, cfg, digestQueries, digestWant)
+}
+
+// locateSource is the locate-stress relation: the column shapes whose
+// sampled cuts are hardest to locate. Skew is LogNormal(8, 1.2), whose
+// equi-depth cuts crowd the low end of their span; Int73 holds the 73
+// integers 18..90, so 1000 buckets repeat every cut many times; Centred
+// is a zero-centred normal with −0, +0 and subnormals mixed in. Every
+// numeric column has NaN, +Inf and −Inf holes, so cuts can be infinite.
+// Obj leans on Skew and Int73 so every rule kind has something to find.
+type locateSource struct{}
+
+func (locateSource) Schema() relation.Schema {
+	return relation.Schema{
+		{Name: "Skew", Kind: relation.Numeric},
+		{Name: "Int73", Kind: relation.Numeric},
+		{Name: "Centred", Kind: relation.Numeric},
+		{Name: "Obj", Kind: relation.Boolean},
+		{Name: "Cond", Kind: relation.Boolean},
+	}
+}
+
+func (locateSource) Row(rng *rand.Rand, nums []float64, bools []bool) ([]float64, []bool) {
+	skew := math.Exp(8 + 1.2*rng.NormFloat64())
+	age := float64(18 + rng.Intn(73))
+	centred := rng.NormFloat64()
+	switch rng.Intn(20) {
+	case 0:
+		centred = math.Copysign(0, -1)
+	case 1:
+		centred = 0
+	case 2:
+		centred = math.SmallestNonzeroFloat64 * float64(rng.Intn(9)-4)
+	}
+	p := 0.3
+	if skew > 5000 && skew <= 20000 {
+		p += 0.4
+	}
+	if age > 40 && age <= 55 {
+		p += 0.2
+	}
+	vals := [3]float64{skew, age, centred}
+	for i := range vals {
+		switch rng.Intn(50) {
+		case 0:
+			vals[i] = math.NaN()
+		case 1:
+			vals[i] = math.Inf(1)
+		case 2:
+			vals[i] = math.Inf(-1)
+		}
+	}
+	nums = append(nums, vals[:]...)
+	bools = append(bools, rng.Float64() < p, rng.Float64() < 0.5)
+	return nums, bools
+}
+
+// locateQueries is the locate-stress batch: 1-D rules of all three
+// kinds over every driver with negations, a conditioned rule on the
+// lognormal driver, top-k over the duplicate-cut driver, and a 2-D
+// query over the lognormal and signed-zero drivers with both region
+// classes.
+var locateQueries = []Query{
+	{Op: OpRules, Kinds: []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain}, Negations: true},
+	{Op: OpRules, Numeric: "Skew", Objective: "Obj", ObjectiveValue: true,
+		Conditions: []Condition{{Attr: "Cond", Value: true}}},
+	{Op: OpTopK, Numeric: "Int73", Objective: "Obj", ObjectiveValue: true, K: 3},
+	{Op: OpRules2D, Numeric: "Skew", NumericB: "Centred", Objective: "Obj", ObjectiveValue: true, GridSide: 16,
+		Kinds:   []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain},
+		Regions: []RegionClass{XMonotoneClass, RectilinearConvexClass}},
+}
+
+// locateWant holds the committed SHA-256 of each locateQueries answer.
+var locateWant = []string{
+	"3d85e82f1de244c459e9bb6ef645cd5193c33abccb05f10f9748fce784b84423",
+	"796fb60ea54345e6d35adb424b1829c5717da53617560dbc4a6467f6f599d4b3",
+	"5fe5634b0a8dda445376eb3f3603c4c9f962b9cc69e36c0110dd81b9daab6e60",
+	"bd1bb16eed10aad0ed18a1c4c1e712bf6db17e132b7730ab1726fd4f5eec6f5f",
+}
+
+// TestAnswerDigestsLocateStress pins the locate-stress batch the same
+// way at M = 1000 with every column sampled (ExactDomainLimit 0): the
+// lognormal, duplicate-cut, signed-zero, subnormal and infinite cuts
+// all reach the bucket locate of the counting pass.
+func TestAnswerDigestsLocateStress(t *testing.T) {
+	cfg := Config{Buckets: 1000, Seed: 13}
+	checkDigests(t, locateSource{}, 6000, 31, cfg, locateQueries, locateWant)
+}
+
+// checkDigests pins every answer of queries over n rows of src to its
+// committed SHA-256 in want on every backend — memory, a v2 file, a v3
+// file, 4 v2 shards and 4 shards mixing v2 and v3 — at PEs = Workers =
+// 1, 2 and 4, both when one session answers the whole batch and when
+// each query runs alone in a fresh session. The digests hold on amd64,
+// whose Go compiler never fuses a multiply and an add into one
+// rounding; other architectures may.
+func checkDigests(t *testing.T, src datagen.RowSource, n int, seed int64, base Config, queries []Query, want []string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are committed for amd64, where float arithmetic is never fused")
+	}
 	mixed := filepath.Join(t.TempDir(), "mixed.oprs")
-	if err := datagen.WriteSharded(mixed, bank, n/2, seed, 2, relation.DiskFormatV2); err != nil {
+	if err := datagen.WriteSharded(mixed, src, n/2, seed, 2, relation.DiskFormatV2); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := datagen.MaterializeRange(bank, seed, n/2, n/2)
+	tail, err := datagen.MaterializeRange(src, seed, n/2, n/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +192,17 @@ func TestAnswerDigests(t *testing.T) {
 		name string
 		rel  relation.Relation
 	}{
-		{"memory", datagen.MustMaterialize(bank, n, seed)},
-		{"v2", diskOfFormat(t, bank, n, seed, relation.DiskFormatV2)},
-		{"v3", diskOfFormat(t, bank, n, seed, relation.DiskFormatV3)},
-		{"sharded-v2", shardedOf(t, bank, n, seed, 4)},
+		{"memory", datagen.MustMaterialize(src, n, seed)},
+		{"v2", diskOfFormat(t, src, n, seed, relation.DiskFormatV2)},
+		{"v3", diskOfFormat(t, src, n, seed, relation.DiskFormatV3)},
+		{"sharded-v2", shardedOf(t, src, n, seed, 4)},
 		{"sharded-mixed", mixedRel},
 	}
-	got := make([]string, len(digestQueries))
+	got := make([]string, len(queries))
 	for _, b := range backends {
 		for _, par := range []int{1, 2, 4} {
-			cfg := Config{Buckets: 100, Seed: 11, PEs: par, Workers: par, ExactDomainLimit: 100}
+			cfg := base
+			cfg.PEs, cfg.Workers = par, par
 			answer := func(queries []Query) []Answer {
 				t.Helper()
 				s, err := NewSession(b.rel, cfg)
@@ -118,8 +215,8 @@ func TestAnswerDigests(t *testing.T) {
 				}
 				return answers
 			}
-			batch := answer(digestQueries)
-			for i, q := range digestQueries {
+			batch := answer(queries)
+			for i, q := range queries {
 				for _, run := range []struct {
 					mode string
 					a    Answer
@@ -132,8 +229,8 @@ func TestAnswerDigests(t *testing.T) {
 						t.Fatalf("%s/par=%d/%s: query %d mined nothing", b.name, par, mode, i)
 					}
 					got[i] = answerDigest(a)
-					if got[i] != digestWant[i] {
-						t.Errorf("%s/par=%d/%s: query %d (%v) digest %s, want %s", b.name, par, mode, i, q.Op, got[i], digestWant[i])
+					if got[i] != want[i] {
+						t.Errorf("%s/par=%d/%s: query %d (%v) digest %s, want %s", b.name, par, mode, i, q.Op, got[i], want[i])
 					}
 				}
 			}
