@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"unsafe"
 
 	"optrule/internal/relation"
 	"optrule/internal/sampling"
@@ -24,24 +25,46 @@ import (
 // assigns tuple value x to the bucket with p_{i−1} < x <= p_i.
 type Boundaries struct {
 	cuts []float64
-	// Locate acceleration: an equi-width slot table over the cut span.
-	// slotBase[s] is the first cut index whose slot is >= s, so a lookup
-	// narrows the binary search to the (usually empty or single-cut)
-	// range of one slot. Nil when the span is degenerate or tiny; Locate
-	// then falls back to the plain binary search.
-	slotBase  []int32
-	slotLo    float64
-	slotScale float64
-	// cutsPad is cuts followed by two +Inf sentinels, so LocateBatch's
-	// final two-candidate refinement can load both candidate cuts
-	// unconditionally (independent loads instead of a dependent chain).
-	// Built with slotBase.
-	cutsPad []float64
+	// loc is the locate table Locate and LocateBatch share; nil only
+	// without cuts (one bucket).
+	loc *locateTable
 }
 
-// locateIndexMinCuts is the cut count below which the slot table is not
-// worth its footprint.
-const locateIndexMinCuts = 16
+// locateTable narrows a locate to one slot of an equi-width slot table
+// laid over the distinct cuts in a monotone frame of x, fitted at build
+// time to the cuts (see buildLocateIndex). The linear frame maps x to
+// (x−lo)·scale; the key frame maps x to (key(x+0)−klo)>>shift, where
+// key is the order-preserving bit key stats.SortFloat64s sorts by, so
+// its slots are equi-width in each binade and a skewed column's cuts
+// spread over them. Both maps are monotone, so the narrowed search
+// returns exactly the plain binary search's index.
+type locateTable struct {
+	keyed bool
+	// last is the last cut: a value above it is in the last bucket.
+	last float64
+	// Linear frame: slot count, origin and scale.
+	k         int
+	lo, scale float64
+	// Key frame: the key of the first distinct cut and the slot width
+	// as a shift.
+	klo   uint64
+	shift uint
+	// base[s] is the first distinct cut whose slot is >= s, for s in
+	// [0, slots]; a lookup in slot s searches distinct cuts
+	// [base[s], base[s+1]].
+	base []int32
+	// pad is the distinct cuts followed by two +Inf sentinels, so the
+	// final two-candidate refinement loads both candidate cuts
+	// unconditionally (independent loads instead of a dependent chain).
+	pad []float64
+	// first[j] is the first cut index equal to distinct cut j, and
+	// first[len(pad)−2] is len(cuts). Nil when the cuts are distinct and
+	// the frame is linear: a distinct index is then a cut index.
+	first []int32
+}
+
+// slotsPerCut is the slot table's target size per distinct cut.
+const slotsPerCut = 4
 
 // NewBoundaries wraps interior cut points. The cuts must be
 // non-decreasing and NaN-free (NaN defeats any ordering, so it can
@@ -60,48 +83,126 @@ func NewBoundaries(cuts []float64) (Boundaries, error) {
 	return b, nil
 }
 
-// buildLocateIndex precomputes the slot table. Counting spends most of
-// its CPU in Locate (one lookup per tuple per driver), so an O(1)
+// buildLocateIndex builds the locate table. Counting spends most of its
+// CPU locating (one lookup per tuple per driver), so an O(1)
 // average-case locate is what lets the scan itself dominate the
 // counting pass, as the paper's out-of-core cost model assumes.
+//
+// The table indexes the distinct cuts (−0 and +0 are one cut) and maps
+// each back to its first cut index, so a column with few values and
+// many buckets searches its values, not its repeated cuts. Of the two
+// frames it keeps the one that leaves fewer distinct cuts per slot,
+// weighted by rows: equi-depth cuts each stand for an equal share of
+// the rows, so the cut density stands in for the row density and no
+// data is needed. The linear frame wins ties and needs a finite,
+// non-empty cut span; the key frame always applies.
 func (b *Boundaries) buildLocateIndex() {
 	cuts := b.cuts
-	if len(cuts) < locateIndexMinCuts {
+	if len(cuts) == 0 {
 		return
 	}
-	lo, hi := cuts[0], cuts[len(cuts)-1]
-	span := hi - lo
-	// Degenerate spans (all cuts equal, infinities) keep binary search.
-	if !(span > 0) || math.IsInf(span, 0) {
-		return
-	}
-	k := 4 * len(cuts)
-	scale := float64(k) / span
-	if math.IsInf(scale, 0) || scale <= 0 {
-		return
-	}
-	b.slotLo, b.slotScale = lo, scale
-	// slotOf is monotone in x, so cut slots are non-decreasing; fill
-	// base[s] = first cut index whose slot is >= s.
-	base := make([]int32, k+1)
-	i := 0
-	for s := 0; s <= k; s++ {
-		for i < len(cuts) && b.slotOf(cuts[i], k) < s {
-			i++
+	nu := 1
+	for i := 1; i < len(cuts); i++ {
+		if cuts[i] != cuts[i-1] {
+			nu++
 		}
-		base[s] = int32(i)
 	}
-	b.slotBase = base
-	b.cutsPad = make([]float64, len(cuts)+2)
-	copy(b.cutsPad, cuts)
-	b.cutsPad[len(cuts)] = math.Inf(1)
-	b.cutsPad[len(cuts)+1] = math.Inf(1)
+	t := &locateTable{last: cuts[len(cuts)-1], keyed: true}
+
+	// Key frame: the narrowest power-of-two slot width that keeps the
+	// table within slotsPerCut slots per distinct cut.
+	t.klo = floatKey(cuts[0])
+	for (floatKey(t.last)-t.klo)>>t.shift >= uint64(slotsPerCut*nu) {
+		t.shift++
+	}
+	slot := func(x float64) int { return keySlot(x, t.klo, t.shift) }
+	nslots := slot(t.last) + 1
+
+	// Linear frame, when the span allows it and it is at least as good.
+	k, lo, span := slotsPerCut*nu, cuts[0], t.last-cuts[0]
+	if scale := float64(k) / span; span > 0 && !math.IsInf(span, 0) && !math.IsInf(scale, 0) {
+		lin := func(x float64) int { return linearSlot(x, lo, scale, k) }
+		if rowCost(cuts, lin) <= rowCost(cuts, slot) {
+			slot, nslots = lin, k
+			t.keyed, t.k, t.lo, t.scale = false, k, lo, scale
+		}
+	}
+
+	// One pass over the distinct cuts fills pad, first and base, where
+	// base[s] is the first distinct cut whose slot is >= s.
+	pad := make([]float64, 0, nu+2)
+	var first []int32
+	if t.keyed || nu < len(cuts) {
+		first = make([]int32, 0, nu+1)
+	}
+	base := make([]int32, nslots+1)
+	s := 0
+	for i, c := range cuts {
+		if i > 0 && c == cuts[i-1] {
+			continue
+		}
+		for cs := slot(c); s <= cs; s++ {
+			base[s] = int32(len(pad))
+		}
+		pad = append(pad, c)
+		if first != nil {
+			first = append(first, int32(i))
+		}
+	}
+	for ; s <= nslots; s++ {
+		base[s] = int32(nu)
+	}
+	t.base = base
+	t.pad = append(pad, math.Inf(1), math.Inf(1))
+	if first != nil {
+		t.first = append(first, int32(len(cuts)))
+	}
+	b.loc = t
 }
 
-// slotOf maps x (with x > cuts[0]) to its slot in [0, k-1]. Monotone
-// non-decreasing in x, which is what makes the narrowed search exact.
-func (b *Boundaries) slotOf(x float64, k int) int {
-	s := int((x - b.slotLo) * b.slotScale)
+// rowCost is a frame's distinct cuts per slot weighted by rows, up to a
+// constant factor: each cut carries an equal share of the rows, and a
+// row in a slot searches that slot's distinct cuts.
+func rowCost(cuts []float64, slot func(float64) int) int64 {
+	var cost int64
+	for i := 0; i < len(cuts); {
+		s, distinct, e := slot(cuts[i]), 1, i+1
+		for ; e < len(cuts) && slot(cuts[e]) == s; e++ {
+			if cuts[e] != cuts[e-1] {
+				distinct++
+			}
+		}
+		cost += int64(e-i) * int64(distinct)
+		i = e
+	}
+	return cost
+}
+
+// floatKey is the order-preserving bit key of x: flip every bit of a
+// negative, only the sign bit of a non-negative. Callers key x+0, which
+// turns −0 into +0, so equal floats get equal keys.
+func floatKey(x float64) uint64 {
+	u := math.Float64bits(x + 0)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+// keySlot maps x <= the last cut to its key-frame slot: its key,
+// raised to at least klo (so x below the first cut, −Inf included,
+// lands in slot 0), offset and shifted. Monotone non-decreasing in x.
+func keySlot(x float64, klo uint64, shift uint) int {
+	k := floatKey(x)
+	if k < klo {
+		k = klo
+	}
+	return int((k - klo) >> (shift & 63))
+}
+
+// linearSlot maps x <= the last cut to its linear-frame slot in [0, k).
+// Clamping replaces a low-side special case with a conditional move:
+// x below the first cut (including −Inf, whose product converts to the
+// minimum int) lands in slot 0. Monotone non-decreasing in x.
+func linearSlot(x, lo, scale float64, k int) int {
+	s := int((x - lo) * scale)
 	if s < 0 {
 		s = 0
 	}
@@ -111,6 +212,34 @@ func (b *Boundaries) slotOf(x float64, k int) int {
 	return s
 }
 
+// searchSlot returns the first distinct cut index j in [lo, hi] with
+// x <= pad[j], given that every cut below lo is < x and that x <=
+// pad[hi] (hi may be the first sentinel). Slots rarely hold more than
+// two cuts (the table has slotsPerCut slots per cut), so after the
+// almost-never-taken narrowing loop the answer is lo plus how many of
+// the next two cuts x exceeds. The sentinels make both candidate loads
+// safe and INDEPENDENT, and the two compares are branch-free — the
+// data-dependent branch of the plain binary search was this kernel's
+// dominant mispredict cost.
+func searchSlot(pad []float64, lo, hi int, x float64) int {
+	for hi-lo > 2 {
+		mid := int(uint(lo+hi) >> 1)
+		if x <= pad[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	d0, d1 := 0, 0
+	if x > pad[lo] {
+		d0 = 1
+	}
+	if x > pad[lo+1] {
+		d1 = 1
+	}
+	return lo + d0 + d1
+}
+
 // NumBuckets returns M.
 func (b Boundaries) NumBuckets() int { return len(b.cuts) + 1 }
 
@@ -118,128 +247,107 @@ func (b Boundaries) NumBuckets() int { return len(b.cuts) + 1 }
 // returned slice.
 func (b Boundaries) Cuts() []float64 { return b.cuts }
 
+// SizeBytes returns the memory b holds: its header, the cuts and the
+// locate table (slot, distinct-cut and first-index arrays).
+func (b Boundaries) SizeBytes() int64 {
+	n := int64(unsafe.Sizeof(b)) + 8*int64(cap(b.cuts))
+	if t := b.loc; t != nil {
+		n += int64(unsafe.Sizeof(*t)) + 4*int64(cap(t.base)) + 8*int64(cap(t.pad)) + 4*int64(cap(t.first))
+	}
+	return n
+}
+
 // Locate returns the bucket index of value x: the smallest i with
-// x <= cuts[i], or M−1 if x exceeds every cut, as in step 4 of
-// Algorithm 3.1. With the slot table this is O(1) on average (a table
-// lookup narrows the binary search to one slot's cuts); without it,
-// O(log M) binary search. Both paths return identical indices.
+// x <= cuts[i], or M−1 if x exceeds every cut (or is NaN), as in step 4
+// of Algorithm 3.1. The locate table makes this O(1) on average, with
+// exactly the plain binary search's result.
 func (b Boundaries) Locate(x float64) int {
-	cuts := b.cuts
-	if b.slotBase != nil {
-		if x <= cuts[0] {
-			return 0
-		}
-		last := len(cuts) - 1
-		if x > cuts[last] || math.IsNaN(x) {
-			// NaN compares false everywhere, which the binary search
-			// resolves to len(cuts); preserve that exactly.
-			return len(cuts)
-		}
-		k := len(b.slotBase) - 1
-		s := b.slotOf(x, k)
-		// Cuts below base[s] are < x; the first cut at slot >= s+1 is
-		// > x, so the answer lies in [base[s], base[s+1]] (the latter
-		// clamped onto the last cut, which we know satisfies x <= cut).
-		lo, hi := int(b.slotBase[s]), int(b.slotBase[s+1])
-		if hi > last {
-			hi = last
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if x <= cuts[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
+	t := b.loc
+	if t == nil || x != x || x > t.last {
+		return len(b.cuts) // one bucket, NaN, or past the last cut
 	}
-	lo, hi := 0, len(cuts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if x <= cuts[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	var s int
+	if t.keyed {
+		s = keySlot(x, t.klo, t.shift)
+	} else {
+		s = linearSlot(x, t.lo, t.scale, t.k)
 	}
-	return lo
+	j := searchSlot(t.pad, int(t.base[s]), int(t.base[s+1]), x)
+	if t.first == nil {
+		return j
+	}
+	return int(t.first[j])
 }
 
 // LocateBatch writes the bucket index of every value in col into out
 // (which must have len(col)), with −1 for NaN values. It is the batch
-// form of Locate with the slot-table lookup inlined and the table
-// fields hoisted out of the loop: the fused 2-D counting scan locates
-// every tuple once per attribute, and at that call rate the per-value
-// method-call overhead of Locate is the dominant counting cost.
+// form of Locate with the table fields hoisted out of the loop and one
+// loop per table shape, so no row branches on the frame: the counting
+// scan locates every tuple once per attribute, and at that call rate
+// the per-value overhead of Locate is the dominant counting cost.
 // Indices agree exactly with Locate (NaN aside, which Locate maps to
 // the last bucket and callers filter first).
 func (b Boundaries) LocateBatch(col []float64, out []int32) {
 	out = out[:len(col)] // one bounds proof for both arrays
-	base := b.slotBase
-	if base == nil {
+	t := b.loc
+	if t == nil { // one bucket
+		for row, x := range col {
+			out[row] = 0
+			if x != x { // NaN
+				out[row] = -1
+			}
+		}
+		return
+	}
+	base, pad, first := t.base, t.pad, t.first
+	nc, last := int32(len(b.cuts)), t.last
+	switch {
+	case t.keyed:
+		klo, shift := t.klo, t.shift
 		for row, x := range col {
 			if x != x { // NaN
 				out[row] = -1
 				continue
 			}
-			out[row] = int32(b.Locate(x))
-		}
-		return
-	}
-	cuts, pad := b.cuts, b.cutsPad
-	slo, sscale := b.slotLo, b.slotScale
-	nc := len(cuts)
-	kslots := len(base) - 1
-	cLast := cuts[nc-1]
-	for row, x := range col {
-		if x != x { // NaN
-			out[row] = -1
-			continue
-		}
-		if x > cLast {
-			// Beyond the last cut (including +Inf, whose slot product
-			// does not convert to a usable int): last bucket.
-			out[row] = int32(nc)
-			continue
-		}
-		// Clamping the slot index replaces Locate's low-side special
-		// case with a conditional move: x <= cuts[0] (including −Inf)
-		// clamps to slot 0, whose search range starts at cut 0. The
-		// searched range and result are exactly Locate's.
-		s := int((x - slo) * sscale)
-		if s < 0 {
-			s = 0
-		}
-		if s >= kslots {
-			s = kslots - 1
-		}
-		lo, hi := int(base[s]), int(base[s+1])
-		// Slots rarely hold more than two cuts (the table has 4 slots
-		// per cut), so after the almost-never-taken narrowing loop the
-		// answer is lo plus how many of the next two cuts x exceeds.
-		// The sentinel padding makes both candidate loads safe and
-		// INDEPENDENT, and the two compares are branch-free — the
-		// data-dependent branch of the plain binary search was this
-		// kernel's dominant mispredict cost.
-		for hi-lo > 2 {
-			mid := int(uint(lo+hi) >> 1)
-			if x <= cuts[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
+			if x > last {
+				out[row] = nc
+				continue
 			}
+			s := keySlot(x, klo, shift)
+			out[row] = first[searchSlot(pad, int(base[s]), int(base[s+1]), x)]
 		}
-		// x <= cuts[hi] (hi = nc−1 at most here, since x <= cLast) and
-		// sentinels are +Inf, so overshoot past hi is impossible.
-		d0, d1 := 0, 0
-		if x > pad[lo] {
-			d0 = 1
+	case first != nil:
+		lo, scale, k := t.lo, t.scale, t.k
+		for row, x := range col {
+			if x != x { // NaN
+				out[row] = -1
+				continue
+			}
+			if x > last {
+				out[row] = nc
+				continue
+			}
+			s := linearSlot(x, lo, scale, k)
+			out[row] = first[searchSlot(pad, int(base[s]), int(base[s+1]), x)]
 		}
-		if x > pad[lo+1] {
-			d1 = 1
+	default:
+		// Distinct cuts in the linear frame: distinct indices are cut
+		// indices, so no first-index load.
+		lo, scale, k := t.lo, t.scale, t.k
+		for row, x := range col {
+			if x != x { // NaN
+				out[row] = -1
+				continue
+			}
+			if x > last {
+				// Beyond the last cut (including +Inf, whose slot
+				// product does not convert to a usable int): last bucket.
+				out[row] = nc
+				continue
+			}
+			s := linearSlot(x, lo, scale, k)
+			out[row] = int32(searchSlot(pad, int(base[s]), int(base[s+1]), x))
 		}
-		out[row] = int32(lo + d0 + d1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"optrule/internal/relation"
 	"optrule/internal/stats"
@@ -232,4 +233,44 @@ func TestDistinctValueBoundariesFinest(t *testing.T) {
 func ExactBoundaries(column []float64, m int) (Boundaries, error) {
 	sorted := stats.SortedCopy(column)
 	return FromSortedSample(sorted, m)
+}
+
+// TestBoundariesSizeBytes checks SizeBytes against a hand count on
+// amd64: a 32-byte Boundaries header (cuts slice, table pointer), 8
+// bytes per cut, and with any cut a 128-byte table header plus 4 bytes
+// per slot-table entry, 8 per distinct cut and sentinel, and 4 per
+// first-index entry.
+func TestBoundariesSizeBytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("hand count is for 64-bit words")
+	}
+	seq := func(n int, rep int) []float64 {
+		cuts := make([]float64, n)
+		for i := range cuts {
+			cuts[i] = float64(1 + i/rep)
+		}
+		return cuts
+	}
+	for _, c := range []struct {
+		name string
+		cuts []float64
+		want int64
+	}{
+		// No table without cuts.
+		{"one bucket", nil, 32},
+		// 100 distinct cuts, linear frame, 400 slots, no first-index map:
+		// 32 + 100·8 + 128 + 401·4 + 102·8.
+		{"distinct", seq(100, 1), 32 + 800 + 128 + 1604 + 816},
+		// 5 values × 20: 20 slots, 5 distinct cuts, first-index map:
+		// 32 + 100·8 + 128 + 21·4 + 7·8 + 6·4.
+		{"duplicates", seq(100, 20), 32 + 800 + 128 + 84 + 56 + 24},
+	} {
+		b, err := NewBoundaries(c.cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.SizeBytes(); got != c.want {
+			t.Errorf("%s: SizeBytes = %d, want %d", c.name, got, c.want)
+		}
+	}
 }

@@ -17,7 +17,10 @@ import (
 //   - fig9: 8 numeric drivers × 8 Boolean objectives at 1000 buckets,
 //     the paper's Fig. 9 MineAll shape;
 //   - bank: 6 drivers × 3 Booleans, 2 drivers with none (average-style
-//     bucket counts) and one 64×64 pair grid.
+//     bucket counts) and one 64×64 pair grid;
+//   - filtered: 4 drivers × 3 Booleans, each group behind a
+//     two-condition filter on random Booleans (the conditioned rules'
+//     shape), so the masked effective-index arm runs.
 //
 // PEs is left at 0, so -cpu picks the worker count.
 func BenchmarkCountBatch(b *testing.B) {
@@ -26,10 +29,12 @@ func BenchmarkCountBatch(b *testing.B) {
 		name            string
 		nums, bools     int
 		withBools, bare int
+		filter          int // conditions of every group's filter
 		pair            bool
 	}{
 		{name: "fig9", nums: 8, bools: 8, withBools: 8},
 		{name: "bank", nums: 8, bools: 3, withBools: 6, bare: 2, pair: true},
+		{name: "filtered", nums: 4, bools: 3, withBools: 4, filter: 2},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			var schema relation.Schema
@@ -57,10 +62,14 @@ func BenchmarkCountBatch(b *testing.B) {
 			for _, a := range schema.BooleanIndices() {
 				conds = append(conds, bucketing.BoolCond{Attr: a, Want: true})
 			}
+			var filter []bucketing.BoolCond
+			for k, bc := range conds[:shape.filter] {
+				filter = append(filter, bucketing.BoolCond{Attr: bc.Attr, Want: k%2 == 0})
+			}
 			req := NewRequirements()
 			for i, driver := range schema.NumericIndices()[:shape.withBools+shape.bare] {
-				key, _ := groupKey(driver, d.Buckets, false, nil)
-				n := req.group(key, driver, nil)
+				key, uniq := groupKey(driver, d.Buckets, false, filter)
+				n := req.group(key, driver, uniq)
 				if i < shape.withBools {
 					n.addBools(conds)
 				}

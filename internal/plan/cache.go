@@ -177,11 +177,10 @@ func (c *LRUCache) GetBoundEntry(k BoundKey) (BoundEntry, bool) {
 }
 
 // PutBounds implements Cache. rows is the relation's row count at
-// sampling time.
+// sampling time. The entry is charged the boundaries' footprint, cuts
+// and locate table both (Boundaries.SizeBytes).
 func (c *LRUCache) PutBounds(k BoundKey, b bucketing.Boundaries, rows int) {
-	// A Boundaries value is dominated by its cut array; the slot table
-	// adds ~4 int32 slots per cut.
-	c.put(k, BoundEntry{B: b, Rows: rows}, int64(b.NumBuckets())*28+64)
+	c.put(k, BoundEntry{B: b, Rows: rows}, b.SizeBytes())
 }
 
 // Get1D implements Cache.

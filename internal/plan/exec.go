@@ -718,6 +718,12 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 // their outputs are bit-identical. A state with target sums then logs
 // the batch's target values for the ordered replay (see sumLog), under
 // either kernel.
+//
+// Filter columns are random Booleans, on which a per-row branch
+// mispredicts about half the time, so masks are built branch-free: a
+// filter's first condition assigns col[row] == want and each later one
+// ANDs in through b2u. Masks stay []bool, which the reference kernel
+// reads too.
 func (st *execState) countBatch(b *relation.Batch) {
 	n := b.Len
 	if st.tallied+int64(n) > math.MaxUint32 {
@@ -738,16 +744,17 @@ func (st *execState) countBatch(b *relation.Batch) {
 			st.masks[f] = make([]bool, n)
 		}
 		mask := st.masks[f][:n]
-		for row := range mask {
-			mask[row] = true
-		}
-		for _, bc := range st.filters[f] {
-			col := b.Bool[st.boolPos[bc.Attr]]
+		for k, bc := range st.filters[f] {
+			col := b.Bool[st.boolPos[bc.Attr]][:n]
 			want := bc.Want
-			for row := 0; row < n; row++ {
-				if col[row] != want {
-					mask[row] = false
+			if k == 0 {
+				for row, x := range col {
+					mask[row] = x == want
 				}
+				continue
+			}
+			for row, x := range col {
+				mask[row] = b2u(mask[row])&b2u(x == want) != 0
 			}
 		}
 	}
@@ -790,17 +797,16 @@ func (st *execState) countBatchVec(b *relation.Batch) {
 				eff[row] = i
 			}
 		} else {
+			// Filtered rows are random Booleans, so pick by arithmetic:
+			// keep is all ones for a masked-in row with a bucket, else
+			// zero, and the row goes to its bucket or the trash slot.
 			mask := st.masks[c.maskIdx][:n]
 			for row, i := range idx {
-				if !mask[row] {
-					eff[row] = trash
-					continue
-				}
-				if i < 0 {
-					nans++
-					i = trash
-				}
-				eff[row] = i
+				in := int32(b2u(mask[row]))
+				nan := int32(uint32(i) >> 31) // 1 for a NaN driver (−1)
+				nans += int(in & nan)
+				keep := -(in &^ nan)
+				eff[row] = trash ^ (i^trash)&keep
 			}
 		}
 		c.nans = nans

@@ -73,6 +73,25 @@ func TestCanonicalFilter(t *testing.T) {
 	}
 }
 
+// TestPutBoundsChargesFootprint pins a boundary entry's cache charge to
+// the boundaries' own footprint (cuts plus locate table), which a
+// 1000-bucket set with a slot table puts above 32 bytes per cut.
+func TestPutBoundsChargesFootprint(t *testing.T) {
+	cuts := make([]float64, 999)
+	for i := range cuts {
+		cuts[i] = float64(i)
+	}
+	b, err := bucketing.NewBoundaries(cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(-1)
+	c.PutBounds(BoundKey{Attr: 0, M: b.NumBuckets()}, b, 10)
+	if got := c.Stats().Bytes; got != b.SizeBytes() || got < 32*int64(len(cuts)) {
+		t.Errorf("bounds entry charged %d bytes; footprint %d, floor %d", got, b.SizeBytes(), 32*len(cuts))
+	}
+}
+
 func TestLRUCacheEvictionOrder(t *testing.T) {
 	c := NewCache(-1) // unbounded for setup
 	mk := func(i int) (GroupKey, *Stats1D) {

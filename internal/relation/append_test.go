@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -241,37 +242,59 @@ func TestShardedReopenDuringScan(t *testing.T) {
 	}
 }
 
-// TestShardedAppenderContinuesNumbering pins that appended shard files
-// never truncate an existing base-named file: numbering skips past any
-// <base>-sNNNNN.opr already on disk.
-func TestShardedAppenderContinuesNumbering(t *testing.T) {
-	manifest, _ := writeShardedFixture(t, 19, []int{10}, []int{DiskFormatV2}, 16)
+// TestShardedGrowReclaimsOrphanShards pins the orphan rule: before it
+// numbers new shards, a grow removes exactly the files named
+// <base>-sNNNNN.opr numbered above the highest base-named shard the
+// committed manifest names — the shards of a grow that never
+// committed. Every committed shard keeps its bytes, and base-named
+// files at or below that number and files under other names survive.
+func TestShardedGrowReclaimsOrphanShards(t *testing.T) {
+	manifest, mem := writeShardedFixture(t, 19, []int{10}, []int{DiskFormatV2}, 16)
 	dir := filepath.Dir(manifest)
-	// Plant an unrelated file at the first append slot.
-	blocker := filepath.Join(dir, "rel-s00001.opr")
-	if err := os.WriteFile(blocker, []byte("precious"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(23))
-	tail := appendFixtureTail(rng, 5)
-	if _, err := AppendToSharded(manifest, tail, AppendOptions{}); err != nil {
+	first := appendFixtureTail(rng, 5)
+	if _, err := AppendToSharded(manifest, first, AppendOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(blocker)
-	if err != nil {
+	// The manifest now names part-00.opr and rel-s00001.opr.
+	committed := map[string][]byte{}
+	for _, name := range []string{"part-00.opr", "rel-s00001.opr"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed[name] = data
+	}
+	orphans := []string{"rel-s00002.opr", "rel-s00007.opr"}
+	keep := []string{"rel-s00000.opr", "rel-s2.opr", "rel-s000002.opr", "rel-s00002.opr.bak", "other-s00002.opr"}
+	for _, name := range append(append([]string{}, orphans...), keep...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := appendFixtureTail(rng, 4)
+	if _, err := AppendToSharded(manifest, second, AppendOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "precious" {
-		t.Errorf("append truncated an existing base-named file")
+	for _, name := range keep {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != name {
+			t.Errorf("%s: got %q, %v; want it untouched", name, got, err)
+		}
 	}
-	sr, err := OpenSharded(manifest)
-	if err != nil {
-		t.Fatal(err)
+	for name, want := range committed {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("committed shard %s changed (%v)", name, err)
+		}
 	}
-	defer sr.Close()
-	if sr.NumTuples() != 15 {
-		t.Errorf("relation holds %d tuples, want 15", sr.NumTuples())
+	// The orphan at the next number was replaced by the grow's own
+	// shard; the one above it is gone.
+	if _, err := OpenDisk(filepath.Join(dir, "rel-s00002.opr")); err != nil {
+		t.Errorf("grow's shard rel-s00002.opr: %v", err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "rel-s00007.opr")); !os.IsNotExist(err) {
+		t.Errorf("orphan rel-s00007.opr survived: %v", err)
+	}
+	checkRows(t, manifest, mem, first, second)
 }
 
 // dirListing returns the sorted file names in dir.
@@ -604,11 +627,52 @@ func TestShardedTornGrowMatrix(t *testing.T) {
 					live.Close()
 					checkRows(t, manifest, want...)
 
+					named, _, err := readShardManifest(manifest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shardBytes := map[string][]byte{}
+					for _, e := range named {
+						if shardBytes[e.path], err = os.ReadFile(e.path); err != nil {
+							t.Fatal(err)
+						}
+					}
 					if _, err := AppendToSharded(manifest, next, AppendOptions{}); err != nil {
 						t.Fatalf("c=%d commit=%v: next grow: %v", c, commit, err)
 					}
 					checkRows(t, manifest, append(want, next)...)
-					after, err := os.ReadFile(manifest)
+					// The next grow reclaimed any uncommitted grow's shards:
+					// every file left in the directory is the manifest or a
+					// shard it names, and every committed shard still opens
+					// with its bytes and rows unchanged.
+					after, _, err := readShardManifest(manifest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					files := map[string]bool{filepath.Base(manifest): true}
+					for _, e := range after {
+						files[filepath.Base(e.path)] = true
+					}
+					for _, name := range dirListing(t, filepath.Dir(manifest)) {
+						if !files[name] {
+							t.Errorf("c=%d commit=%v: next grow left orphan %s", c, commit, name)
+						}
+					}
+					for i, e := range named {
+						data, err := os.ReadFile(e.path)
+						if err != nil || !bytes.Equal(data, shardBytes[e.path]) {
+							t.Errorf("c=%d commit=%v: committed shard %s changed (%v)", c, commit, e.path, err)
+						}
+						dr, err := OpenDisk(e.path)
+						if err != nil {
+							t.Fatalf("c=%d commit=%v: committed shard %s: %v", c, commit, e.path, err)
+						}
+						if dr.NumTuples() != e.rows {
+							t.Errorf("c=%d commit=%v: shard %d holds %d rows, want %d", c, commit, i, dr.NumTuples(), e.rows)
+						}
+						dr.Close()
+					}
+					text, err := os.ReadFile(manifest)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -617,10 +681,10 @@ func TestShardedTornGrowMatrix(t *testing.T) {
 					if commit {
 						prefix = string(full)
 					}
-					rest := strings.TrimPrefix(string(after), prefix)
-					if !strings.HasPrefix(string(after), prefix) || !strings.HasPrefix(rest, "shard 6 rel-s") ||
+					rest := strings.TrimPrefix(string(text), prefix)
+					if !strings.HasPrefix(string(text), prefix) || !strings.HasPrefix(rest, "shard 6 rel-s") ||
 						!strings.HasSuffix(rest, ".opr\n") || strings.Count(rest, "\n") != 1 || strings.IndexByte(rest, 0) >= 0 {
-						t.Errorf("c=%d commit=%v: next grow left %q", c, commit, after)
+						t.Errorf("c=%d commit=%v: next grow left %q", c, commit, text)
 					}
 				}
 			}

@@ -1018,7 +1018,9 @@ type AppendOptions struct {
 // exactly (names and kinds, in order) — mismatches are refused before
 // any file is created. On any error the appended shard files are
 // removed and the manifest's committed text is left as it was, so the
-// relation either grows by all of src or not at all.
+// relation either grows by all of src or not at all. A grow that crashed
+// before its commit byte leaves its shard files behind; the next grow
+// deletes them before numbering its own (reclaimOrphanShards).
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
 	sw, err := growWriter(manifestPath, src.Schema(), opts)
 	if err != nil {
@@ -1047,24 +1049,67 @@ func growWriter(manifestPath string, srcSchema Schema, opts AppendOptions) (*Sha
 		return nil, fmt.Errorf("relation: append schema %v does not match %s schema %v",
 			srcSchema.Names(), manifestPath, schema.Names())
 	}
-	// Number past any existing file: a relation written with custom
-	// shard names, or grown and partially cleaned up, may hold
-	// base-named files beyond len(entries). Never overwrite one.
-	next := len(entries)
-	for dir, base := filepath.Dir(manifestPath), shardBaseName(manifestPath); ; next++ {
-		_, err := os.Stat(filepath.Join(dir, shardFileName(base, next)))
-		if os.IsNotExist(err) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	next, err := reclaimOrphanShards(manifestPath, entries)
+	if err != nil {
+		return nil, err
 	}
 	rps := opts.RowsPerShard
 	if rps <= 0 {
 		rps = math.MaxInt // the whole stream in one shard
 	}
 	return newShardedWriter(manifestPath, schema, opts.Format, opts.GroupRows, rps, entries, committed, next)
+}
+
+// reclaimOrphanShards removes the shard files a failed or crashed grow
+// left behind and returns the number the next new shard takes. Such a
+// grow wrote its shards but never committed the manifest lines naming
+// them, so they are exactly the files next to the manifest named
+// <base>-sNNNNN.opr (shardFileName) whose number is above the highest
+// base-named shard the committed manifest names. With one writer per
+// manifest no live writer can own one, and no reader opens a file the
+// committed manifest does not name. Committed shards, base-named files
+// numbered at or below that highest one, and files under any other
+// name are never touched. New shards then number from past both the
+// entry count and that highest shard, so a grow never overwrites a
+// file the manifest names.
+func reclaimOrphanShards(manifestPath string, entries []shardManifestEntry) (next int, err error) {
+	dir, base := filepath.Dir(manifestPath), shardBaseName(manifestPath)
+	top := -1
+	for _, e := range entries {
+		if d, name := filepath.Split(e.path); filepath.Clean(d) == dir {
+			if i, ok := shardFileNumber(base, name); ok && i > top {
+				top = i
+			}
+		}
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range files {
+		if i, ok := shardFileNumber(base, f.Name()); ok && i > top {
+			if err := os.Remove(filepath.Join(dir, f.Name())); err != nil && !os.IsNotExist(err) {
+				return 0, err
+			}
+		}
+	}
+	return max(len(entries), top+1), nil
+}
+
+// shardFileNumber returns i when name is exactly shardFileName(base, i).
+func shardFileNumber(base, name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, base+"-s")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, ".opr"); !ok || len(digits) > 9 {
+		return 0, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || shardFileName(base, i) != name {
+		return 0, false
+	}
+	return i, true
 }
 
 // storagePathsOf returns the files backing rel, when it declares them.
