@@ -57,10 +57,14 @@
 // originally built with `-kind bank -n 4000000 -seed 1` grows into a
 // bit-identical twin of a from-scratch 4010000-row generation via
 // `append -skip 4000000 -n 10000`. A schema mismatch is refused
-// before any file is touched. Appending is what makes incremental
-// mining (miner.Session.RefreshFromStorage; its byte ceiling is pinned
-// by miner's TestAppendByteCeiling) O(Δ) instead of O(n): open sessions
-// fold statistics for just the appended tail into their caches.
+// before any file is touched. Run one append per relation at a time:
+// each append deletes the shard files an unfinished one left behind,
+// so a second append running alongside would delete the first one's
+// new shards before they are committed. Appending is what makes
+// incremental mining (miner.Session.RefreshFromStorage; its byte
+// ceiling is pinned by miner's TestAppendByteCeiling) O(Δ) instead of
+// O(n): open sessions fold statistics for just the appended tail into
+// their caches.
 package main
 
 import (
@@ -288,7 +292,7 @@ func runConvert(args []string) error {
 // from the first skip rows is missing).
 func runAppend(args []string) error {
 	fs := flag.NewFlagSet("optdata append", flag.ContinueOnError)
-	to := fs.String("to", "", "shard manifest of the relation to grow (required; append needs a sharded relation — use convert to shard a single file first)")
+	to := fs.String("to", "", "shard manifest of the relation to grow (required; append needs a sharded relation — use convert to shard a single file first; run one append per relation at a time)")
 	in := fs.String("in", "", "CSV file holding the rows to append; mutually exclusive with generated rows")
 	kind := fs.String("kind", "bank", "generated rows: data set kind (bank, retail, or perf)")
 	n := fs.Int("n", 0, "generated rows: number of tuples to append")

@@ -297,6 +297,103 @@ func TestShardedGrowReclaimsOrphanShards(t *testing.T) {
 	checkRows(t, manifest, mem, first, second)
 }
 
+// TestShardedGrowKeepsShardsNamedByOtherPaths pins that the orphan
+// rule matches committed shards by file identity, not path text: a
+// manifest that names its shards by absolute path, through "..", or
+// from behind a symlinked directory, grown through a manifest path
+// spelled another way, keeps every committed shard and still reclaims
+// the real orphan. A manifest naming a missing shard is refused before
+// any file is created.
+func TestShardedGrowKeepsShardsNamedByOtherPaths(t *testing.T) {
+	// setup writes two committed shards rel-s00000.opr and
+	// rel-s00001.opr, a manifest naming them by lines(dir), and an
+	// orphan rel-s00004.opr.
+	setup := func(t *testing.T, lines func(dir string) string) (string, *MemoryRelation, map[string][]byte) {
+		manifest, mem := writeShardedFixture(t, 83, []int{10, 6}, []int{DiskFormatV2, DiskFormatV2}, 8)
+		dir := filepath.Dir(manifest)
+		committed := map[string][]byte{}
+		for i := range 2 {
+			name := shardFileName("rel", i)
+			if err := os.Rename(filepath.Join(dir, fmt.Sprintf("part-%02d.opr", i)), filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed[name] = data
+		}
+		if err := os.WriteFile(manifest, []byte("OPTSHARD 1\n"+lines(dir)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "rel-s00004.opr"), []byte("orphan"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return manifest, mem, committed
+	}
+	absolute := func(dir string) string {
+		return fmt.Sprintf("shard 10 %s\nshard 6 %s\n", filepath.Join(dir, "rel-s00000.opr"), filepath.Join(dir, "rel-s00001.opr"))
+	}
+	for _, tc := range []struct {
+		name  string
+		lines func(dir string) string
+		// via returns the manifest path the grow is given.
+		via func(t *testing.T, manifest string) string
+	}{
+		{"absolute entries, relative manifest path", absolute, func(t *testing.T, manifest string) string {
+			t.Chdir(filepath.Dir(manifest))
+			return filepath.Base(manifest)
+		}},
+		{"dot-dot entries", func(dir string) string {
+			up := filepath.Join("..", filepath.Base(dir))
+			return fmt.Sprintf("shard 10 %s\nshard 6 %s\n", filepath.Join(up, "rel-s00000.opr"), filepath.Join(up, "rel-s00001.opr"))
+		}, func(t *testing.T, manifest string) string { return manifest }},
+		{"absolute entries, symlinked directory", absolute, func(t *testing.T, manifest string) string {
+			link := filepath.Join(t.TempDir(), "via")
+			if err := os.Symlink(filepath.Dir(manifest), link); err != nil {
+				t.Skip("symlinks unavailable:", err)
+			}
+			return filepath.Join(link, filepath.Base(manifest))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			manifest, mem, committed := setup(t, tc.lines)
+			dir := filepath.Dir(manifest)
+			tail := appendFixtureTail(rand.New(rand.NewSource(89)), 5)
+			if _, err := AppendToSharded(tc.via(t, manifest), tail, AppendOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for name, want := range committed {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("committed shard %s changed (%v)", name, err)
+				}
+			}
+			if _, err := OpenDisk(filepath.Join(dir, "rel-s00002.opr")); err != nil {
+				t.Errorf("grow's shard rel-s00002.opr: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "rel-s00004.opr")); !os.IsNotExist(err) {
+				t.Errorf("orphan rel-s00004.opr survived: %v", err)
+			}
+			checkRows(t, manifest, mem, tail)
+		})
+	}
+	t.Run("missing shard", func(t *testing.T) {
+		manifest, _, _ := setup(t, absolute)
+		dir := filepath.Dir(manifest)
+		if err := os.Remove(filepath.Join(dir, "rel-s00001.opr")); err != nil {
+			t.Fatal(err)
+		}
+		before := dirListing(t, dir)
+		tail := appendFixtureTail(rand.New(rand.NewSource(97)), 3)
+		if _, err := AppendToSharded(manifest, tail, AppendOptions{}); err == nil {
+			t.Fatal("grow of a manifest naming a missing shard succeeded")
+		}
+		if got := dirListing(t, dir); !reflect.DeepEqual(got, before) {
+			t.Errorf("refused grow changed the directory: %v, want %v", got, before)
+		}
+	})
+}
+
 // dirListing returns the sorted file names in dir.
 func dirListing(t *testing.T, dir string) []string {
 	t.Helper()

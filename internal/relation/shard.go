@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -1021,6 +1022,11 @@ type AppendOptions struct {
 // relation either grows by all of src or not at all. A grow that crashed
 // before its commit byte leaves its shard files behind; the next grow
 // deletes them before numbering its own (reclaimOrphanShards).
+//
+// Readers may run concurrently with a grow, but a manifest takes one
+// writer at a time: a second grow started while another is between
+// writing its shards and committing them deletes those shards as
+// orphans, and the first grow then commits lines naming deleted files.
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (rows int, err error) {
 	sw, err := growWriter(manifestPath, src.Schema(), opts)
 	if err != nil {
@@ -1065,32 +1071,55 @@ func growWriter(manifestPath string, srcSchema Schema, opts AppendOptions) (*Sha
 // grow wrote its shards but never committed the manifest lines naming
 // them, so they are exactly the files next to the manifest named
 // <base>-sNNNNN.opr (shardFileName) whose number is above the highest
-// base-named shard the committed manifest names. With one writer per
-// manifest no live writer can own one, and no reader opens a file the
-// committed manifest does not name. Committed shards, base-named files
-// numbered at or below that highest one, and files under any other
-// name are never touched. New shards then number from past both the
-// entry count and that highest shard, so a grow never overwrites a
-// file the manifest names.
+// such file the committed manifest names. Committed shards are matched
+// by file identity (os.SameFile), not by path text, so a manifest that
+// names its shards by absolute path, through "..", or through a
+// symlinked directory keeps every one of them. A grow of a manifest
+// with a missing shard is refused before any file is touched. With one
+// writer per manifest no live writer can own an orphan, and no reader
+// opens a file the committed manifest does not name. Committed shards,
+// base-named files numbered at or below the highest committed one, and
+// files under any other name are never touched. New shards then number
+// from past both the entry count and that highest shard, so a grow
+// never overwrites a file the manifest names.
 func reclaimOrphanShards(manifestPath string, entries []shardManifestEntry) (next int, err error) {
 	dir, base := filepath.Dir(manifestPath), shardBaseName(manifestPath)
-	top := -1
-	for _, e := range entries {
-		if d, name := filepath.Split(e.path); filepath.Clean(d) == dir {
-			if i, ok := shardFileNumber(base, name); ok && i > top {
-				top = i
-			}
+	named := make([]os.FileInfo, len(entries))
+	for k, e := range entries {
+		if named[k], err = os.Stat(e.path); err != nil {
+			return 0, fmt.Errorf("relation: %s: shard %d: %w", manifestPath, k, err)
 		}
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
 	}
+	top := -1
+	var found []int
 	for _, f := range files {
-		if i, ok := shardFileNumber(base, f.Name()); ok && i > top {
-			if err := os.Remove(filepath.Join(dir, f.Name())); err != nil && !os.IsNotExist(err) {
-				return 0, err
+		i, ok := shardFileNumber(base, f.Name())
+		if !ok {
+			continue
+		}
+		fi, err := os.Stat(filepath.Join(dir, f.Name()))
+		if err != nil {
+			if os.IsNotExist(err) {
+				continue
 			}
+			return 0, err
+		}
+		if slices.ContainsFunc(named, func(c os.FileInfo) bool { return os.SameFile(c, fi) }) {
+			top = max(top, i)
+		} else {
+			found = append(found, i)
+		}
+	}
+	for _, i := range found {
+		if i <= top {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, shardFileName(base, i))); err != nil && !os.IsNotExist(err) {
+			return 0, err
 		}
 	}
 	return max(len(entries), top+1), nil

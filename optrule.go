@@ -650,7 +650,10 @@ type AppendOptions = relation.AppendOptions
 // one, never a torn state. Open handles keep their snapshot until
 // ShardedRelation.Reopen (or a session's RefreshFromStorage) picks up
 // the growth. A schema mismatch is refused before any file is
-// touched.
+// touched. A manifest takes one writer at a time: run no two grows of
+// it at once, since a grow deletes the shard files that an
+// uncommitted grow left behind, and those of a grow still in flight
+// look the same.
 func AppendToSharded(manifestPath string, src Relation, opts AppendOptions) (int, error) {
 	return relation.AppendToSharded(manifestPath, src, opts)
 }
