@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -231,6 +232,128 @@ func checkDigests(t *testing.T, src datagen.RowSource, n int, seed int64, base C
 					got[i] = answerDigest(a)
 					if got[i] != want[i] {
 						t.Errorf("%s/par=%d/%s: query %d (%v) digest %s, want %s", b.name, par, mode, i, q.Op, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("digests of the last run: %q", got)
+	}
+}
+
+// appendQueries is the append-then-query digest batch: all-driver 1-D
+// rules, both average operators (float target sums) and one 2-D pair
+// with both region classes.
+var appendQueries = []Query{
+	digestQueries[0],
+	digestQueries[5],
+	digestQueries[6],
+	{Op: OpRules2D, Numeric: "Balance", NumericB: "Age", Objective: "CardLoan", ObjectiveValue: true, GridSide: 16,
+		Regions: []RegionClass{XMonotoneClass, RectilinearConvexClass}},
+}
+
+// appendWant holds the committed SHA-256 of each appendQueries answer,
+// first after the within-budget append, then after the over-budget one.
+var appendWant = [2][]string{
+	{
+		"153a6e0967ebe436d190fe480c987b1e4db874ca9c6f3f22aae45ba91d447c78",
+		"2865a59b5212b3b8a2cc1959d198ff575f812203735c2f7b3f0cb7eb0346c716",
+		"5daa9bb0def1528ebc0734f4828951233347effcd6962c3f44de85be219a2541",
+		"1c81dc1b9eef496516622d7214b2cadf3495550504cc2289d93f2f74613a9a27",
+	},
+	{
+		"9ba582f90cbe87ad28322d6c8f56cd69b1ad514db8a65e34be554c742d5b5bab",
+		"14f2aca5c5ec93c8f333820269df36d8c1b66b7a63b7dd84f2d00eaa38b958b1",
+		"1cc42741896a5dd93cf369371839008e18bf2dfd55e3806ae6dfd342d2b912b5",
+		"bf17d539b279e457700cc33128936f168fb494dda408ba7eb6eddb09d6c940f3",
+	},
+}
+
+// TestAnswerDigestsAfterAppend pins the answers of a warm session that
+// grows twice: first inside the §3.4 bucket-error budget (the refresh
+// folds every cached statistic), then past it (the cached boundaries
+// and everything counted over them give way to the cold path), each
+// append followed directly by appendQueries. It runs over memory
+// (Session.Append) and 3-shard v2 and v3 relations (AppendToSharded,
+// then RefreshFromStorage) at PEs = Workers = 1, 2 and 4; every run
+// must hit the same committed digests.
+func TestAnswerDigestsAfterAppend(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are committed for amd64, where float arithmetic is never fused")
+	}
+	const seed, base, small, bulk = 37, 4000, 100, 800
+	bank, err := datagen.NewBank(datagen.BankConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := datagen.Materialize(bank, base+small+bulk, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Buckets: 100, Seed: 11, ExactDomainLimit: 100}
+	got := [2][]string{make([]string, len(appendQueries)), make([]string, len(appendQueries))}
+	for _, format := range []int{0, relation.DiskFormatV2, relation.DiskFormatV3} {
+		for _, par := range []int{1, 2, 4} {
+			name := fmt.Sprintf("memory/par=%d", par)
+			var rel relation.Relation
+			var manifest string
+			if format == 0 {
+				rel = datagen.MustMaterialize(bank, base, seed)
+			} else {
+				name = fmt.Sprintf("sharded-v%d/par=%d", format, par)
+				manifest = filepath.Join(t.TempDir(), "bank.oprs")
+				if err := datagen.WriteSharded(manifest, bank, base, seed, 3, format); err != nil {
+					t.Fatal(err)
+				}
+				sr, err := relation.OpenSharded(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sr.Close() })
+				rel = sr
+			}
+			c := cfg
+			c.PEs, c.Workers = par, par
+			sess, err := NewSession(rel, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.ExecuteBatch(appendQueries); err != nil {
+				t.Fatal(err)
+			}
+			start := base
+			for step, n := range []int{small, bulk} {
+				var ds DeltaStats
+				if format == 0 {
+					nums, bools := sliceRows(t, full, start, start+n)
+					ds, err = sess.Append(nums, bools)
+				} else {
+					if _, err = relation.AppendToSharded(manifest, tailRelation(t, full, start, start+n),
+						relation.AppendOptions{Format: format}); err != nil {
+						t.Fatal(err)
+					}
+					ds, err = sess.RefreshFromStorage()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				start += n
+				if tripped := ds.Resamples > 0; tripped != (step == 1) {
+					t.Fatalf("%s: append %d tripped the budget: %v", name, step, tripped)
+				}
+				answers, err := sess.ExecuteBatch(appendQueries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range answers {
+					if a.Err != nil {
+						t.Fatalf("%s: append %d: query %d: %v", name, step, i, a.Err)
+					}
+					got[step][i] = answerDigest(a)
+					if got[step][i] != appendWant[step][i] {
+						t.Errorf("%s: append %d: query %d (%v) digest %s, want %s",
+							name, step, i, a.Query.Op, got[step][i], appendWant[step][i])
 					}
 				}
 			}
