@@ -143,7 +143,7 @@ type jsonAvg struct {
 // runBatch executes a queries file against the relation in one
 // session. Per-query failures are reported (and fail the command)
 // without suppressing the other answers. With cacheStats set, the
-// session cache's occupancy and delta-merge telemetry follow the
+// session cache's occupancy and hit/miss traffic follow the
 // answers (on stderr under -json, keeping stdout a clean document).
 func runBatch(rel relation.Relation, path string, cfg miner.Config, jsonOut, cacheStats bool, w *os.File) error {
 	data, err := os.ReadFile(path)
@@ -233,13 +233,9 @@ func runBatch(rel relation.Relation, path string, cfg miner.Config, jsonOut, cac
 	return nil
 }
 
-// printCacheStats renders the session cache summary: occupancy,
-// hit/miss traffic, and the delta-merge counters that tell whether
-// appends since the session opened were absorbed by O(Δ) tail folds
-// or forced boundary re-sampling.
+// printCacheStats renders the session cache summary: occupancy and
+// hit/miss traffic.
 func printCacheStats(w *os.File, st miner.CacheStats) {
 	fmt.Fprintf(w, "cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions\n",
 		st.Entries, st.Bytes, st.MaxBytes, st.Hits, st.Misses, st.Evictions)
-	fmt.Fprintf(w, "delta: %d tail scans over %d rows, %d entries folded, %d boundary re-samples\n",
-		st.DeltaTailScans, st.DeltaRowsScanned, st.DeltaEntriesFolded, st.DeltaResamples)
 }

@@ -70,7 +70,7 @@ func run(args []string, w *os.File) error {
 	all2D := fs.Bool("all2d", false, "2-D mining: mine every numeric attribute pair against -objective in two relation scans (fused engine); -numerics restricts the attributes")
 	numerics := fs.String("numerics", "", "all-pairs 2-D mining: comma-separated numeric attributes to pair up (default: all)")
 	batch := fs.String("batch", "", "batch mode: path to a queries JSON file, answered by one session in two relation scans (see cmd/optmine/batch.go for the format)")
-	cacheStats := fs.Bool("cachestats", false, "batch mode: print the session cache's occupancy and delta-merge telemetry after the batch (to stderr under -json)")
+	cacheStats := fs.Bool("cachestats", false, "batch mode: print the session cache's occupancy and hit/miss traffic after the batch (to stderr under -json)")
 	avg := fs.Bool("avg", false, "average-operator mode (Section 5); requires -numeric and -target")
 	target := fs.String("target", "", "average mode: target numeric attribute B")
 	minAvg := fs.Float64("minavg", 0, "average mode: minimum average for the max-support range (0 = skip)")

@@ -17,16 +17,16 @@
 //     re-sampling;
 //
 //  3. the warmed batch re-runs on the grown relation with ZERO
-//     relation reads, and the delta telemetry shows what the refresh
-//     did;
+//     relation reads;
 //
 //  4. a bulk append blows the §3.4 bucket-error budget, and the
-//     refresh re-samples boundaries instead of folding — the
-//     correctness backstop.
+//     refresh drops the stale boundaries instead of folding, so the
+//     next batch re-samples and recounts them like a cold session —
+//     the correctness backstop.
 //
 // The walkthrough checks its own claims and exits non-zero when the
 // refresh scans more than the appended tail, the re-query reads any
-// byte, or the bulk refresh fails to re-sample.
+// byte, or the bulk refresh fails to drop its over-budget boundaries.
 //
 //	go run ./examples/append
 package main
@@ -110,7 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nappended %d rows; refresh scanned %d tail rows, folded %d cached entries, "+
-		"re-sampled %d boundary sets (%.2f MB read)\n",
+		"dropped %d boundary sets (%.2f MB read)\n",
 		added, stats.RowsScanned, stats.EntriesFolded, stats.Resamples,
 		float64(rel.BytesRead())/(1<<20))
 	if stats.RowsScanned != int64(added) {
@@ -131,16 +131,13 @@ func main() {
 	}
 	printFirstRule(answers)
 
-	st := session.CacheStats()
-	fmt.Printf("\ntelemetry: %d tail scans over %d rows, %d entries folded, %d re-samples\n",
-		st.DeltaTailScans, st.DeltaRowsScanned, st.DeltaEntriesFolded, st.DeltaResamples)
-
 	// Moment 4: a bulk load. 20% growth exceeds the bucket-error
 	// budget (≈0.5/√SampleFactor ≈ 7.9% at the default sample factor):
 	// reusing the old boundaries could push bucket sizes outside the
-	// paper's error guarantee, so the refresh re-samples them over the
-	// full relation — exactly what a cold session would compute — and
-	// drops the affected counts to recount on next demand.
+	// paper's error guarantee, so the refresh drops them with every
+	// count made over them. The next batch samples them over the full
+	// relation — exactly what a cold session would compute — and
+	// recounts.
 	bulk, err := sampleDay(rng, 40000)
 	if err != nil {
 		log.Fatal(err)
@@ -152,15 +149,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nbulk append of 40000 rows: %d boundary sets re-sampled, %d entries dropped "+
+	fmt.Printf("\nbulk append of 40000 rows: %d boundary sets and %d entries dropped "+
 		"(growth left the bucket-error budget)\n", stats.Resamples, stats.EntriesDropped)
 	if stats.Resamples == 0 {
-		log.Fatal("bulk append stayed inside the bucket-error budget; want a re-sample")
+		log.Fatal("bulk append stayed inside the bucket-error budget; want its boundaries dropped")
 	}
 	if _, err := session.ExecuteBatch(batch); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("next batch recounted against fresh boundaries over %d tuples\n", rel.NumTuples())
+	fmt.Printf("next batch re-sampled and recounted over %d tuples\n", rel.NumTuples())
 }
 
 // bankSchema is the example's customer schema.

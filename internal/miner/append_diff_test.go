@@ -1,6 +1,9 @@
 package miner
 
 import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -202,8 +205,9 @@ func TestAppendThenQueryMatchesColdRebuild(t *testing.T) {
 				if ds.EntriesFolded == 0 {
 					t.Fatalf("append round %d folded nothing", r)
 				}
-				if ds.RowsScanned != int64(delta) {
-					t.Fatalf("append round %d scanned %d rows, want %d", r, ds.RowsScanned, delta)
+				if ds.TailScans != 1 || ds.RowsScanned != int64(delta) {
+					t.Fatalf("append round %d: %d tail scans over %d rows, want 1 over %d",
+						r, ds.TailScans, ds.RowsScanned, delta)
 				}
 			}
 
@@ -250,120 +254,208 @@ func TestAppendThenQueryMatchesColdRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireAnswersEqual(t, b.name, incr, want)
-
-			cs := sess.CacheStats()
-			if cs.DeltaTailScans != rounds {
-				t.Errorf("cache counted %d tail scans, want %d", cs.DeltaTailScans, rounds)
-			}
-			if cs.DeltaRowsScanned != int64(delta*rounds) {
-				t.Errorf("cache counted %d delta rows, want %d", cs.DeltaRowsScanned, delta*rounds)
-			}
 		})
 	}
 }
 
-// TestAppendOverBudgetMatchesPlainColdSession pins the re-sample path:
-// a huge append blows the bucket-error budget, the refresh re-samples
-// with the cold RNG streams and drops the dependent statistics, and
-// the re-queried answers equal a PLAIN cold session's — no boundary
-// pinning, because the re-sampled boundaries already are the cold
-// boundaries.
+// TestAppendOverBudgetMatchesPlainColdSession pins the over-budget
+// path: a huge append blows the bucket-error budget, the refresh drops
+// the stale boundaries and every statistic counted over them, and the
+// next batch samples and counts them like a cold session. So the
+// re-queried answers equal a PLAIN cold session's, with no boundary
+// pinning — also when a second, small append lands before any query,
+// since nothing is sampled until a batch needs it.
 func TestAppendOverBudgetMatchesPlainColdSession(t *testing.T) {
 	const base = 2000
-	total := base * 2
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := datagen.Materialize(bank, total, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := datagen.Materialize(bank, base, 23)
+	full, err := datagen.Materialize(bank, 2*base+100, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Buckets: 150, Seed: 17, MinSupport: 0.05, MinConfidence: 0.55}
 	queries := appendDiffQueries()
-	sess, err := NewSession(mem, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tails := range [][]int{{base}, {base, 100}} {
+		mem, err := datagen.Materialize(bank, base, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(mem, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.ExecuteBatch(queries); err != nil {
+			t.Fatal(err)
+		}
+		n := base
+		for i, delta := range tails {
+			nums, bools := sliceRows(t, full, n, n+delta)
+			n += delta
+			ds, err := sess.Append(nums, bools)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && ds.Resamples == 0 {
+				t.Fatalf("100%% growth did not trip the bucket-error budget")
+			}
+			if ds.EntriesFolded != 0 {
+				t.Fatalf("appends %v: %d entries folded after a trip, want 0", tails, ds.EntriesFolded)
+			}
+		}
+		incr, err := sess.ExecuteBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := datagen.Materialize(bank, n, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewSession(grown, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.ExecuteBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAnswersEqual(t, fmt.Sprintf("over-budget appends %v", tails), incr, want)
 	}
-	if _, err := sess.ExecuteBatch(queries); err != nil {
-		t.Fatal(err)
-	}
-	nums, bools := sliceRows(t, full, base, total)
-	ds, err := sess.Append(nums, bools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Resamples == 0 {
-		t.Fatalf("100%% growth did not re-sample")
-	}
-	if ds.EntriesFolded != 0 {
-		t.Fatalf("%d entries folded across a re-sample, want 0", ds.EntriesFolded)
-	}
-	incr, err := sess.ExecuteBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewSession(full, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.ExecuteBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireAnswersEqual(t, "over-budget", incr, want)
 }
 
-// TestAverageAfterAppendRecountsAndMatches pins the float-sum
-// discipline: the fold strips target sums (their accumulation order is
-// observable in the last bits), so the next average query recounts
-// them serially over the full relation — and lands bit-identical to a
-// cold session over the same boundaries.
+// sumSource is a relation whose two target columns mix ±1e16 with 0.5
+// and 1: against 1e16 a 1 is absorbed or rounds the sum, so adding a
+// bucket's rows in any other grouping than the cold scan's row order
+// (summing the tail on its own and adding it to the cached sum, say)
+// changes the sum's bits.
+type sumSource struct{}
+
+func (sumSource) Schema() relation.Schema {
+	return relation.Schema{
+		{Name: "X", Kind: relation.Numeric},
+		{Name: "T", Kind: relation.Numeric},
+		{Name: "U", Kind: relation.Numeric},
+		{Name: "C", Kind: relation.Boolean},
+	}
+}
+
+func (sumSource) Row(rng *rand.Rand, nums []float64, bools []bool) ([]float64, []bool) {
+	big := func() float64 {
+		switch r := rng.Intn(300); {
+		case r == 0:
+			return 1e16
+		case r == 1:
+			return -1e16
+		case r < 100:
+			return 0.5
+		}
+		return 1
+	}
+	x := rng.Float64() * 100
+	t, u := big(), big()
+	return append(nums, x, t, u), append(bools, rng.Intn(2) == 0)
+}
+
+// TestAverageAfterAppendRecountsAndMatches pins the float-sum fold: a
+// refresh continues each cached target sum over the appended tail in
+// row order, so average queries after an append read nothing and still
+// answer bit-identically to a cold session over the same boundaries,
+// with ±1e16 targets that expose any other addition order. It runs over
+// memory and 3-shard v2 and v3 relations at PEs = Workers = 1, 2 and 4,
+// and checks that the refresh reads only the tail.
 func TestAverageAfterAppendRecountsAndMatches(t *testing.T) {
-	const base, delta = 3000, 60
-	bank, err := datagen.NewBank(datagen.BankConfig{})
-	if err != nil {
-		t.Fatal(err)
+	const seed, base, delta = 23, 3000, 60
+	src := sumSource{}
+	full := datagen.MustMaterialize(src, base+delta, seed)
+	avg := []Query{
+		{Op: OpAverage, Numeric: "X", Target: "T", MinSupport: 0.1},
+		{Op: OpAverage, Numeric: "X", Target: "U", MinSupport: 0.1},
+		{Op: OpSupportRange, Numeric: "X", Target: "U", MinAverage: 1},
 	}
-	full, err := datagen.Materialize(bank, base+delta, 23)
-	if err != nil {
-		t.Fatal(err)
+	for _, format := range []int{0, relation.DiskFormatV2, relation.DiskFormatV3} {
+		for _, par := range []int{1, 2, 4} {
+			// grow appends rows [base, base+delta) to store, the storage
+			// under the session.
+			var store relation.RangeScanner
+			var grow func()
+			name := fmt.Sprintf("memory/par=%d", par)
+			if format == 0 {
+				mem := datagen.MustMaterialize(src, base, seed)
+				store, grow = mem, func() {
+					nums, bools := sliceRows(t, full, base, base+delta)
+					for i := range nums {
+						mem.MustAppend(nums[i], bools[i])
+					}
+				}
+			} else {
+				name = fmt.Sprintf("sharded-v%d/par=%d", format, par)
+				manifest := filepath.Join(t.TempDir(), "sum.oprs")
+				if err := datagen.WriteSharded(manifest, src, base, seed, 3, format); err != nil {
+					t.Fatal(err)
+				}
+				sr, err := relation.OpenSharded(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sr.Close() })
+				store, grow = sr, func() {
+					if _, err := relation.AppendToSharded(manifest, tailRelation(t, full, base, base+delta),
+						relation.AppendOptions{Format: format}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sr.Reopen(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			counting := &relation.RangeCountingRelation{R: store}
+			cfg := Config{Buckets: 20, Seed: 17, PEs: par, Workers: par}
+			sess, err := NewSession(counting, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.ExecuteBatch(avg); err != nil {
+				t.Fatal(err)
+			}
+
+			grow()
+			scans, rows := len(counting.Ranges), counting.Rows
+			ds, err := sess.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.RowsScanned != delta || counting.Rows-rows != delta {
+				t.Errorf("%s: refresh scanned %d rows (%d delivered), want the %d-row tail",
+					name, ds.RowsScanned, counting.Rows-rows, delta)
+			}
+			for _, r := range counting.Ranges[scans:] {
+				if r[0] < base && r[0] != r[1] {
+					t.Errorf("%s: refresh scanned [%d,%d), below the old count %d", name, r[0], r[1], base)
+				}
+			}
+			scans, rows = len(counting.Ranges), counting.Rows
+			incr, err := sess.ExecuteBatch(avg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(counting.Ranges) != scans || counting.Rows != rows {
+				t.Errorf("%s: re-query issued %d scans over %d rows, want none",
+					name, len(counting.Ranges)-scans, counting.Rows-rows)
+			}
+
+			cold, err := NewSession(store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold.StatsCache().CopyBoundsFrom(sess.StatsCache())
+			want, err := cold.ExecuteBatch(avg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireAnswersEqual(t, name, incr, want)
+		}
 	}
-	mem, err := datagen.Materialize(bank, base, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Buckets: 150, Seed: 17}
-	avg := []Query{{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1}}
-	sess, err := NewSession(mem, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.ExecuteBatch(avg); err != nil {
-		t.Fatal(err)
-	}
-	nums, bools := sliceRows(t, full, base, base+delta)
-	if _, err := sess.Append(nums, bools); err != nil {
-		t.Fatal(err)
-	}
-	incr, err := sess.ExecuteBatch(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewSession(full, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.StatsCache().CopyBoundsFrom(sess.StatsCache())
-	want, err := cold.ExecuteBatch(avg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireAnswersEqual(t, "average", incr, want)
 }
 
 // TestConcurrentBatchesAndAppends drives query batches against
@@ -597,5 +689,51 @@ func TestAppendByteCeiling(t *testing.T) {
 	}
 	if ds.EntriesFolded != 0 {
 		t.Errorf("over-budget refresh folded %d entries, want 0", ds.EntriesFolded)
+	}
+}
+
+// BenchmarkAverageAfterAppend times an average query that follows an
+// append: 200k bank rows in memory, then per iteration a 1% (2,000-row)
+// Session.Append and one average query. Accumulated growth crosses the
+// §3.4 bucket-error budget every eight or nine appends, so one such
+// iteration samples and counts the group cold.
+func BenchmarkAverageAfterAppend(b *testing.B) {
+	const base, step = 200_000, 2_000
+	bank, err := datagen.NewBank(datagen.BankConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mem, err := datagen.Materialize(bank, base, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := NewSession(mem, Config{Buckets: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	avg := []Query{{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.1}}
+	query := func() {
+		answers, err := sess.ExecuteBatch(avg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if answers[0].Err != nil {
+			b.Fatal(answers[0].Err)
+		}
+	}
+	query()
+	rng := rand.New(rand.NewSource(2))
+	nums, bools := make([][]float64, step), make([][]bool, step)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range nums {
+			nums[r], bools[r] = bank.Row(rng, nil, nil)
+		}
+		b.StartTimer()
+		if _, err := sess.Append(nums, bools); err != nil {
+			b.Fatal(err)
+		}
+		query()
 	}
 }

@@ -77,8 +77,8 @@ func (a *Answer) rule(kind RuleKind) *Rule {
 }
 
 // DeltaStats reports what one incremental refresh (Append or
-// RefreshFromStorage) did: tail rows scanned, boundary sets
-// re-sampled, entries folded vs dropped. See plan.DeltaStats.
+// RefreshFromStorage) did: tail rows scanned, boundary sets dropped
+// over budget, entries folded vs dropped. See plan.DeltaStats.
 type DeltaStats = plan.DeltaStats
 
 // RowAppender is the storage capability Session.Append needs: an
@@ -183,9 +183,11 @@ func (s *Session) InvalidateCache() {
 
 // Append adds rows to the session's relation (which must be a
 // RowAppender, e.g. a MemoryRelation) and incrementally folds them
-// into every cached statistic: a counting scan over just the appended
-// tail, integer-exact merges, and — only when accumulated growth
-// exceeds the Section 3.4 bucket-error budget — a boundary re-sample.
+// into every cached statistic with one counting scan over just the
+// appended tail (see plan.RunDelta). Boundaries whose accumulated
+// growth exceeds the Section 3.4 bucket-error budget are dropped
+// instead, with everything counted over them; the next batch that
+// needs them samples and counts them cold.
 // Each row i is nums[i]/bools[i] in schema column order. On a row
 // error nothing is appended; rows are validated before any lands.
 func (s *Session) Append(nums [][]float64, bools [][]bool) (DeltaStats, error) {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 
 	"optrule/internal/bucketing"
@@ -32,8 +31,7 @@ type BoundEntry struct {
 	Rows int
 }
 
-// CacheStats reports a cache's occupancy and traffic, including the
-// incremental-append delta-merge counters.
+// CacheStats reports a cache's occupancy and traffic.
 type CacheStats struct {
 	Entries   int
 	Bytes     int64
@@ -41,17 +39,6 @@ type CacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// DeltaTailScans counts counting scans the delta executor ran over
-	// appended tails; DeltaRowsScanned totals the tail rows they
-	// delivered. DeltaResamples counts boundary sets re-sampled because
-	// appended growth exceeded the bucket-error budget, and
-	// DeltaEntriesFolded counts cached groups and pair grids updated by
-	// an integer-exact fold (entries dropped pending re-sampled
-	// boundaries are not folded; they recount on next demand).
-	DeltaTailScans     int64
-	DeltaRowsScanned   int64
-	DeltaResamples     int64
-	DeltaEntriesFolded int64
 }
 
 // LRUCache is the session statistics cache: size-accounted, bounded,
@@ -69,12 +56,6 @@ type LRUCache struct {
 	hits     int64
 	misses   int64
 	evicts   int64
-
-	// Delta-merge telemetry; see CacheStats.
-	deltaTailScans     int64
-	deltaRowsScanned   int64
-	deltaResamples     int64
-	deltaEntriesFolded int64
 }
 
 // DefaultCacheBytes is the default session cache budget.
@@ -247,80 +228,43 @@ func (c *LRUCache) Put2D(k PairKey, s *Stats2D) *Stats2D {
 	return s
 }
 
-// CopyBoundsFrom copies every cached boundary entry of src into c.
-// Differential tests use it to pin a control session to the boundaries
-// another session sampled, isolating counting behavior from sampling
-// position.
+// CopyBoundsFrom copies every cached boundary entry of src into c,
+// least recently used first, so c's LRU order among them follows
+// src's. Differential tests use it to pin a control session to the
+// boundaries another session sampled, isolating counting behavior from
+// sampling position.
 func (c *LRUCache) CopyBoundsFrom(src *LRUCache) {
-	type kv struct {
-		k BoundKey
-		v BoundEntry
-	}
-	src.mu.Lock()
-	var pairs []kv
-	for k, el := range src.entries {
-		if bk, ok := k.(BoundKey); ok {
-			pairs = append(pairs, kv{bk, el.Value.(*entry).value.(BoundEntry)})
+	for _, e := range src.snapshot() {
+		if bk, ok := e.key.(BoundKey); ok {
+			be := e.value.(BoundEntry)
+			c.PutBounds(bk, be.B, be.Rows)
 		}
-	}
-	src.mu.Unlock()
-	// Insert in a fixed order so the destination's LRU order does not
-	// inherit the source map's randomized iteration order.
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i].k, pairs[j].k
-		if a.Attr != b.Attr {
-			return a.Attr < b.Attr
-		}
-		if a.M != b.M {
-			return a.M < b.M
-		}
-		return !a.Exact && b.Exact
-	})
-	for _, p := range pairs {
-		c.PutBounds(p.k, p.v.B, p.v.Rows)
 	}
 }
 
-// snapshotForDelta returns every cached entry by kind, under one
-// critical section, for the delta executor's planning pass.
-func (c *LRUCache) snapshotForDelta() (bounds map[BoundKey]BoundEntry, groups map[GroupKey]*Stats1D, pairs map[PairKey]*Stats2D) {
+// snapshot returns a copy of every cached entry, least recently used
+// first, under one critical section.
+func (c *LRUCache) snapshot() []entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bounds = map[BoundKey]BoundEntry{}
-	groups = map[GroupKey]*Stats1D{}
-	pairs = map[PairKey]*Stats2D{}
-	for k, el := range c.entries {
-		switch key := k.(type) {
-		case BoundKey:
-			bounds[key] = el.Value.(*entry).value.(BoundEntry)
-		case GroupKey:
-			groups[key] = el.Value.(*entry).value.(*Stats1D)
-		case PairKey:
-			pairs[key] = el.Value.(*entry).value.(*Stats2D)
-		}
+	out := make([]entry, 0, c.order.Len())
+	for el := c.order.Back(); el != nil; el = el.Prev() {
+		out = append(out, *el.Value.(*entry))
 	}
-	return bounds, groups, pairs
+	return out
 }
 
 // dropForDelta removes the given keys (any mix of bound, group, and
-// pair keys) in one critical section. The delta executor drops entries
-// whose boundaries it re-sampled; they recount cold on next demand.
+// pair keys) in one critical section. The delta executor drops the
+// boundary sets an append pushed past the bucket-error budget and the
+// groups and grids counted over them; they are sampled and counted
+// again, cold, on next demand.
 func (c *LRUCache) dropForDelta(keys []any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, k := range keys {
 		c.removeLocked(k)
 	}
-}
-
-// noteDelta folds one refresh's telemetry into the counters.
-func (c *LRUCache) noteDelta(tailScans, rowsScanned, resamples, folded int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deltaTailScans += tailScans
-	c.deltaRowsScanned += rowsScanned
-	c.deltaResamples += resamples
-	c.deltaEntriesFolded += folded
 }
 
 // SetMaxBytes rebounds the cache (0 restores DefaultCacheBytes,
@@ -351,16 +295,12 @@ func (c *LRUCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:            c.order.Len(),
-		Bytes:              c.bytes,
-		MaxBytes:           c.maxBytes,
-		Hits:               c.hits,
-		Misses:             c.misses,
-		Evictions:          c.evicts,
-		DeltaTailScans:     c.deltaTailScans,
-		DeltaRowsScanned:   c.deltaRowsScanned,
-		DeltaResamples:     c.deltaResamples,
-		DeltaEntriesFolded: c.deltaEntriesFolded,
+		Entries:   c.order.Len(),
+		Bytes:     c.bytes,
+		MaxBytes:  c.maxBytes,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evicts,
 	}
 }
 

@@ -177,9 +177,9 @@ func TestRunDeltaScansTailOnly(t *testing.T) {
 }
 
 // TestRunDeltaResamplesOverBudget pins the Section 3.4 budget: a large
-// append re-samples boundaries over the full relation — bit-identical
-// to a cold session's — and drops the entries counted over the stale
-// cuts.
+// append drops every boundary set it pushed over budget together with
+// the entries counted over them, and the next batch re-samples them
+// over the full relation — bit-identical to a cold session's cuts.
 func TestRunDeltaResamplesOverBudget(t *testing.T) {
 	const oldN, newN = 500, 1000
 	rel := deltaTestRel(t, oldN)
@@ -193,14 +193,18 @@ func TestRunDeltaResamplesOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Resamples == 0 {
-		t.Fatalf("50%% append did not re-sample (budget %.3f)", resampleBudget(d.SampleFactor))
+	if ds.Resamples != 4 || ds.EntriesFolded != 0 || ds.EntriesDropped != 3 {
+		t.Fatalf("resamples %d folded %d dropped %d, want 4 resamples, 0 folded, 3 dropped (budget %.3f)",
+			ds.Resamples, ds.EntriesFolded, ds.EntriesDropped, resampleBudget(d.SampleFactor))
 	}
-	if ds.EntriesFolded != 0 || ds.EntriesDropped != 3 {
-		t.Fatalf("folded %d dropped %d, want 0 folded 3 dropped", ds.EntriesFolded, ds.EntriesDropped)
+	if st := cache.Stats(); st.Entries != 0 {
+		t.Fatalf("cache holds %d entries after the trip, want 0", st.Entries)
 	}
-	// The re-sampled boundaries must equal what a cold session over the
-	// grown relation samples: same seed, same per-attribute RNG streams.
+	// The next batch samples what the refresh dropped, with the same
+	// seed and per-attribute RNG streams as a cold session.
+	if _, err := Run(rel, d, cache, deltaTestReq(1)); err != nil {
+		t.Fatal(err)
+	}
 	control := NewCache(-1)
 	if _, err := Run(rel, d, control, deltaTestReq(1)); err != nil {
 		t.Fatal(err)
@@ -208,7 +212,7 @@ func TestRunDeltaResamplesOverBudget(t *testing.T) {
 	for _, bk := range []BoundKey{{Attr: 0, M: 10}, {Attr: 1, M: 10}, {Attr: 0, M: 8}, {Attr: 1, M: 8}} {
 		got, ok := cache.GetBounds(bk)
 		if !ok {
-			t.Fatalf("boundaries %+v missing after resample", bk)
+			t.Fatalf("boundaries %+v missing after the next batch", bk)
 		}
 		want, ok := control.GetBounds(bk)
 		if !ok {
@@ -279,6 +283,9 @@ func TestRunDeltaInvalidatesWithoutRangeScans(t *testing.T) {
 	}
 	if !ds.Invalidated {
 		t.Fatalf("non-range-scanner refresh did not invalidate")
+	}
+	if ds.EntriesDropped != 3 {
+		t.Errorf("fallback reported %d entries dropped, want the 3 groups and grids", ds.EntriesDropped)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
 		t.Errorf("cache still holds %d entries after fallback invalidation", st.Entries)

@@ -186,7 +186,8 @@ func scanParallelism(rel relation.Relation, d Defaults) int {
 // tally memory grows with the worker count rather than the chunk count.
 // Float target sums bypass the tally states: each chunk logs them and a
 // sumLog replays the logs in chunk order, in chunks of at most about
-// sumChunkRows rows. A failed attempt is retried under Defaults.Scatter
+// sumChunkRows rows, on top of the cached sums of any scheduled group
+// already in set (a refresh's tail scan; see newSumLog). A failed attempt is retried under Defaults.Scatter
 // by the slot that made it, which first drops its state and requeues
 // every other chunk the state had folded. Every merged statistic is an
 // integer count or an extreme, so the totals are bit-identical across
@@ -1072,8 +1073,9 @@ func (st *execState) publish(set *StatsSet, sums *sumLog) {
 			M: m, Total: gs.total, NaNs: gs.nans,
 			U:      counts[:m:m],
 			MinVal: minv, MaxVal: maxv,
-			V:   map[bucketing.BoolCond][]int{},
-			Sum: map[int][]float64{},
+			V:      map[bucketing.BoolCond][]int{},
+			Sum:    map[int][]float64{},
+			filter: gs.need.Filter,
 		}
 		l := gs.lanes[0]
 		for e := range s.U {

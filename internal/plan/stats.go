@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"optrule/internal/bucketing"
@@ -58,12 +57,7 @@ func canonicalFilter(conds []bucketing.BoolCond) (string, []bucketing.BoolCond) 
 		return "", nil
 	}
 	canon := append([]bucketing.BoolCond(nil), conds...)
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].Attr != canon[j].Attr {
-			return canon[i].Attr < canon[j].Attr
-		}
-		return !canon[i].Want && canon[j].Want
-	})
+	sortConds(canon)
 	uniq := canon[:0]
 	for _, c := range canon {
 		if len(uniq) == 0 || uniq[len(uniq)-1] != c {
@@ -84,36 +78,14 @@ func canonicalFilter(conds []bucketing.BoolCond) (string, []bucketing.BoolCond) 
 	return b.String(), uniq
 }
 
-// parseCanonicalFilter is canonicalFilter's inverse: it rebuilds the
-// condition list from a GroupKey.Filter rendering. The delta executor
-// uses it to reconstruct a cached group's filter without the original
-// query, so an appended tail is counted under exactly the conditions
-// the cached statistic was.
-func parseCanonicalFilter(s string) ([]bucketing.BoolCond, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]bucketing.BoolCond, 0, len(parts))
-	for _, p := range parts {
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("plan: malformed canonical filter term %q", p)
+// sortConds orders conditions by attribute, then false before true.
+func sortConds(conds []bucketing.BoolCond) {
+	sort.Slice(conds, func(i, j int) bool {
+		if conds[i].Attr != conds[j].Attr {
+			return conds[i].Attr < conds[j].Attr
 		}
-		attr, err := strconv.Atoi(p[:eq])
-		if err != nil || attr < 0 {
-			return nil, fmt.Errorf("plan: malformed canonical filter term %q", p)
-		}
-		switch p[eq+1:] {
-		case "0":
-			out = append(out, bucketing.BoolCond{Attr: attr, Want: false})
-		case "1":
-			out = append(out, bucketing.BoolCond{Attr: attr, Want: true})
-		default:
-			return nil, fmt.Errorf("plan: malformed canonical filter term %q", p)
-		}
-	}
-	return out, nil
+		return !conds[i].Want && conds[j].Want
+	})
 }
 
 // Stats1D is one driver group's cached sufficient statistics: the
@@ -138,6 +110,10 @@ type Stats1D struct {
 	V map[bucketing.BoolCond][]int
 	// Sum holds one per-bucket value-sum row per tallied target.
 	Sum map[int][]float64
+	// filter is the canonical filter the group was counted under
+	// (GroupNeed.Filter), so a refresh can count an appended tail under
+	// the same conditions.
+	filter []bucketing.BoolCond
 }
 
 // Covers reports whether the statistic already holds everything need
@@ -173,8 +149,9 @@ func (s *Stats1D) mergedWith(fresh *Stats1D) *Stats1D {
 		M: s.M, N: s.N, Total: s.Total, NaNs: s.NaNs, Gen: s.Gen,
 		U:      s.U,
 		MinVal: s.MinVal, MaxVal: s.MaxVal,
-		V:   make(map[bucketing.BoolCond][]int, len(s.V)+len(fresh.V)),
-		Sum: make(map[int][]float64, len(s.Sum)+len(fresh.Sum)),
+		V:      make(map[bucketing.BoolCond][]int, len(s.V)+len(fresh.V)),
+		Sum:    make(map[int][]float64, len(s.Sum)+len(fresh.Sum)),
+		filter: s.filter,
 	}
 	if out.MinVal == nil {
 		out.MinVal, out.MaxVal = fresh.MinVal, fresh.MaxVal
@@ -201,22 +178,20 @@ func (s *Stats1D) mergedWith(fresh *Stats1D) *Stats1D {
 // foldedWith returns a NEW statistic equal to s plus the appended
 // tail's tallies, advancing the generation to gen. Like mergedWith it
 // is copy-on-write: published statistics are read concurrently without
-// locks, so neither input is touched. All folds are integer-exact
-// (counts add; extremes take min/max) EXCEPT float target sums, whose
-// accumulation order is observable in the last bits — a folded sum
-// would differ from a cold recount — so Sum rows are STRIPPED: the
-// next query needing one recounts it over the full relation (in the
-// serial scan's addition order at any worker count) and merges it back
-// in, preserving bit-identity with a cold rebuild. Rows of s that tail
-// does not carry are dropped the same way (the tail scan is planned
-// FROM s, so in practice tail carries everything).
+// locks, so neither input is touched. Counts add and extremes take
+// min/max, exactly. Target sums are taken from tail as they are: the
+// tail scan's replay started from s's sums (see newSumLog), so they
+// already continue the cold scan's addition sequence over every row.
+// Rows of s that tail does not carry are dropped (the tail scan is
+// planned FROM s, so in practice tail carries everything).
 func (s *Stats1D) foldedWith(tail *Stats1D, gen int64) *Stats1D {
 	out := &Stats1D{
 		M: s.M, N: s.N + tail.N, Total: s.Total + tail.Total, NaNs: s.NaNs + tail.NaNs,
-		Gen: gen,
-		U:   addInts(s.U, tail.U),
-		V:   make(map[bucketing.BoolCond][]int, len(s.V)),
-		Sum: map[int][]float64{},
+		Gen:    gen,
+		U:      addInts(s.U, tail.U),
+		V:      make(map[bucketing.BoolCond][]int, len(s.V)),
+		Sum:    tail.Sum,
+		filter: s.filter,
 	}
 	if s.MinVal != nil && tail.MinVal != nil {
 		out.MinVal = foldExtremes(s.MinVal, tail.MinVal, false)

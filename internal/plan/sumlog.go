@@ -71,7 +71,11 @@ type sumSeg struct {
 
 // newSumLog returns the ordered replay for a schedule counted in chunks
 // chunks by workers workers, or nil when no group carries target sums:
-// integer-only schedules build none of this bookkeeping.
+// integer-only schedules build none of this bookkeeping. A scheduled
+// group already in set is a cached statistic a refresh is extending
+// over an appended tail: each of its targets' totals starts from a
+// copy of the cached row, so the replay continues the addition
+// sequence that produced it. Every other group starts from zero.
 func newSumLog(set *StatsSet, groups []*GroupNeed, chunks, workers int) (*sumLog, error) {
 	if !carriesTargets(groups) {
 		return nil, nil
@@ -92,9 +96,13 @@ func newSumLog(set *StatsSet, groups []*GroupNeed, chunks, workers int) (*sumLog
 		if err != nil {
 			return nil, err
 		}
+		seed := set.Groups[g.Key]
 		sums := make([][]float64, len(g.Targets))
-		for k := range sums {
+		for k, t := range g.Targets {
 			sums[k] = make([]float64, b.NumBuckets()+1)
+			if seed != nil {
+				copy(sums[k], seed.Sum[t])
+			}
 		}
 		l.logged = append(l.logged, gi)
 		l.sums[gi] = sums

@@ -218,8 +218,7 @@
 // actually turns — is answered with ZERO scans, because thresholds
 // live in the query plane. Sessions are safe for concurrent callers,
 // so one session can back a serving layer; Session.CacheStats exposes
-// occupancy, hit rates, and delta-merge telemetry, and SetCacheLimit
-// rebounds the budget.
+// occupancy and hit rates, and SetCacheLimit rebounds the budget.
 //
 // The relation may GROW under a live session. Because the cached
 // statistics are per-bucket counts, an append of Δ rows does not
@@ -228,17 +227,19 @@
 // AppendToSharded / `optdata append`), and Session.Refresh (anything
 // else that grew in place) run ONE counting scan over just the
 // appended tail and fold the partial statistics into every cached
-// entry. The fold is integer-exact — counts, grids, and extremes
-// merge in fixed order; order-sensitive float sums (the average
-// operator's target sums) are stripped and recounted on next demand —
-// so a refreshed session answers bit-identically to a cold rebuild
-// over the grown relation with the same boundaries. Ingest is O(Δ),
-// not O(n): miner's TestAppendByteCeiling fails if a 1% append costs
-// more than 5% of a cold rebuild's counted bytes.
+// entry, each refresh returning a DeltaStats report. Counts, grids,
+// and extremes fold exactly; the average operator's float target sums
+// continue from the cached sums in row order, the cold scan's own
+// addition sequence. So a refreshed session answers bit-identically to
+// a cold rebuild over the grown relation with the same boundaries, and
+// an average query after an append costs O(Δ). Ingest is O(Δ), not
+// O(n): miner's TestAppendByteCeiling fails if a 1% append costs more
+// than 5% of a cold rebuild's counted bytes.
 // Bucket boundaries are reused until the accumulated appended
 // fraction exceeds the §3.4 bucket-error budget (≈0.5/√SampleFactor);
-// past it the refresh re-samples the affected attributes over the
-// full relation, exactly as a cold session would. Each refresh
+// past it the refresh drops them and everything counted over them, and
+// the next batch samples and counts them over the full relation like a
+// cold session, with the same random streams. Each refresh
 // advances an internal cache generation, so batches racing an append
 // never mix statistics from different relation snapshots.
 // InvalidateCache remains for the one case appends cannot absorb: a
@@ -634,9 +635,9 @@ func NewSession(rel Relation, cfg Config) (*Session, error) {
 }
 
 // DeltaStats reports what one session refresh did with appended rows:
-// tail rows scanned, cache entries folded, boundary sets re-sampled
-// past the bucket-error budget, and whether the cache had to be
-// invalidated outright.
+// tail rows scanned, cache entries folded or dropped, boundary sets
+// dropped past the bucket-error budget (the next batch re-samples
+// them), and whether the cache had to be invalidated outright.
 type DeltaStats = miner.DeltaStats
 
 // AppendOptions configures AppendToSharded: the format version and
