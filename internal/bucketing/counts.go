@@ -85,20 +85,28 @@ func newCounts(m int, opts Options) *Counts {
 	return c
 }
 
-// Compact removes empty buckets, returning new counts whose buckets all
+// Compact removes empty buckets, returning counts whose buckets all
 // satisfy the u_i >= 1 assumption of Section 4's algorithms, plus a
-// mapping from compact bucket index to original bucket index. Adjacent
-// bucket order is preserved, so ranges of consecutive compact buckets
-// are still ranges of consecutive original buckets.
+// mapping from compact bucket index to original bucket index. When no
+// bucket is empty it returns c itself and a nil mapping (the
+// identity). Adjacent bucket order is preserved, so ranges of
+// consecutive compact buckets are still ranges of consecutive original
+// buckets.
 func (c *Counts) Compact() (*Counts, []int) {
-	keep := make([]int, 0, c.M)
+	nonEmpty := 0
+	for _, u := range c.U {
+		if u > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == c.M {
+		return c, nil
+	}
+	keep := make([]int, 0, nonEmpty)
 	for i, u := range c.U {
 		if u > 0 {
 			keep = append(keep, i)
 		}
-	}
-	if len(keep) == c.M {
-		return c, identity(c.M)
 	}
 	out := &Counts{
 		M:     len(keep),
@@ -133,14 +141,6 @@ func (c *Counts) Compact() (*Counts, []int) {
 		}
 	}
 	return out, keep
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // validateOptions checks every referenced attribute against the schema.

@@ -40,16 +40,18 @@ func engineCount(t *testing.T, rel relation.Relation, driver int, bounds bucketi
 	if err != nil {
 		t.Fatalf("pes=%d: %v", pes, err)
 	}
-	c, err := set.Groups[r.Keys[0]].Counts(opts.Bools, opts.Targets, opts.TrackExtremes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// bucketing.Count allocates one (possibly empty) row list per kind.
-	if c.V == nil {
-		c.V = [][]int{}
+	st := set.Groups[r.Keys[0]]
+	c := &bucketing.Counts{M: st.M, N: st.N, Total: st.Total, NaNs: st.NaNs, U: st.U,
+		V: [][]int{}, Sum: [][]float64{}}
+	for _, bc := range opts.Bools {
+		c.V = append(c.V, st.V[bc])
 	}
-	if c.Sum == nil {
-		c.Sum = [][]float64{}
+	for _, t := range opts.Targets {
+		c.Sum = append(c.Sum, st.Sum[t])
+	}
+	if opts.TrackExtremes {
+		c.MinVal, c.MaxVal = st.MinVal, st.MaxVal
 	}
 	return c
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"optrule/internal/hull"
-)
+import "optrule/internal/hull"
 
 // OptimalSlopePair computes the optimized-confidence rule's range
 // (Definition 4.2) in O(M) time using the convex hull tree of
@@ -26,27 +22,31 @@ func OptimalSlopePair(u []int, v []float64, minSupCount float64) (best Pair, ok 
 // OptimalSlopePairScratch is OptimalSlopePair with pooled working
 // storage; see Scratch. sc may be nil.
 func OptimalSlopePairScratch(u []int, v []float64, minSupCount float64, sc *Scratch) (best Pair, ok bool, err error) {
-	if err := validate(u, v); err != nil {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	p, err := sc.Prepare(u, v)
+	if err != nil {
 		return Pair{}, false, err
 	}
-	m := len(u)
-	pu, pv := sc.prefixes(u, v)
+	return p.OptimalSlopePair(minSupCount, sc)
+}
+
+// OptimalSlopePair is the package function OptimalSlopePair over p's
+// buckets: Algorithm 4.2's tangent sweep over the hull tree Algorithm
+// 4.1 prepared, the only part of the solve that depends on
+// minSupCount. sc holds the sweep's state.
+func (p *Prepared) OptimalSlopePair(minSupCount float64, sc *Scratch) (best Pair, ok bool, err error) {
+	m := len(p.U)
+	pu, pv := p.pu, p.pv
 	if float64(pu[m]) < minSupCount {
 		return Pair{}, false, nil // not even the full range is ample
 	}
-
-	// Points Q_0 … Q_M; X strictly increasing because u_i >= 1.
-	pts := sc.points(m + 1)
-	for k := 0; k <= m; k++ {
-		pts[k] = hull.Point{X: float64(pu[k]), Y: pv[k]}
+	tree, err := sc.sweepTree(p)
+	if err != nil {
+		return Pair{}, false, err
 	}
-	tree := &hull.Tree{}
-	if sc != nil {
-		tree = &sc.tree
-	}
-	if err := tree.Init(pts); err != nil {
-		return Pair{}, false, fmt.Errorf("core: building hull tree: %w", err)
-	}
+	pts := p.pts
 
 	// L = (lm, lt): the most recently computed tangent (anchor Q_lm,
 	// terminating point Q_lt). bs/bt track the best pair seen so far.

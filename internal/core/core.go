@@ -17,13 +17,23 @@
 // bucket i, the same two functions compute the maximum-average range
 // and the maximum-support range of Section 5.
 //
-// Both functions run in O(M) time after O(M) preprocessing of the
-// cumulative sums. Quadratic reference implementations
-// (NaiveOptimalSlopePair, NaiveOptimalSupportPair) are provided both as
-// the baselines of the paper's Figures 10 and 11 and as oracles for
-// property testing. Bentley's Kadane-style maximum-gain range is
-// included to demonstrate (as Section 4.2 notes) that gain maximization
-// is NOT equivalent to the optimized-support problem.
+// Both functions run in O(M) time. Part of that work depends only on
+// the buckets, not on the threshold: validation, the cumulative sums
+// PU/PV, the hull points Q_k, and Algorithm 4.1's preparatory phase
+// (the hull tree's branch stacks). Prepare does it once and returns a
+// Prepared; its methods run only the threshold-dependent part —
+// Algorithm 4.2's tangent sweep, or Algorithms 4.3–4.4's gain table,
+// effective indices and two-pointer — so a caller that re-queries the
+// same buckets at new thresholds (a serving session's cached
+// statistics) pays only the sweep. The (u, v) entry points prepare
+// into a Scratch and run the same methods: each solver has one body.
+//
+// Quadratic reference implementations (NaiveOptimalSlopePair,
+// NaiveOptimalSupportPair) are provided both as the baselines of the
+// paper's Figures 10 and 11 and as oracles for property testing.
+// Bentley's Kadane-style maximum-gain range is included to demonstrate
+// (as Section 4.2 notes) that gain maximization is NOT equivalent to
+// the optimized-support problem.
 package core
 
 import "fmt"

@@ -70,13 +70,25 @@ func OptimalSupportPair(u []int, v []float64, theta float64) (best Pair, ok bool
 // OptimalSupportPairScratch is OptimalSupportPair with pooled working
 // storage; see Scratch. sc may be nil.
 func OptimalSupportPairScratch(u []int, v []float64, theta float64, sc *Scratch) (best Pair, ok bool, err error) {
-	if err := validate(u, v); err != nil {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	p, err := sc.Prepare(u, v)
+	if err != nil {
 		return Pair{}, false, err
 	}
-	m := len(u)
-	f := sc.gainPrefix(u, v, theta)
+	return p.OptimalSupportPair(theta, sc)
+}
+
+// OptimalSupportPair is the package function OptimalSupportPair over
+// p's buckets: the gain table, effective indices and two-pointer of
+// Algorithms 4.3–4.4, all of which depend on theta. sc holds their
+// tables.
+func (p *Prepared) OptimalSupportPair(theta float64, sc *Scratch) (best Pair, ok bool, err error) {
+	m := len(p.U)
+	f := sc.gainPrefix(p, theta)
 	eff := effectiveIndices(f, sc.effective(m))
-	pu, pv := sc.prefixes(u, v)
+	pu, pv := p.pu, p.pv
 
 	// Algorithm 4.4: scan effective indices from the largest down while
 	// the top pointer i descends from M−1; Lemma 4.2 (top is

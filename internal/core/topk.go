@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Top-K disjoint optimized ranges: a practical extension of the paper's
 // single-range optimization. After reporting the optimal range, the
 // natural follow-up question is "and where is the next such cluster?".
@@ -16,21 +18,30 @@ type segment struct {
 	ok     bool
 }
 
-// solveSegment runs solve on u[lo..hi] and rebases the result.
-func solveSegment(u []int, v []float64, lo, hi int,
-	solve func(u []int, v []float64) (Pair, bool, error)) (segment, error) {
+// solveSegment runs solve on p's buckets lo..hi and rebases the
+// result. The whole range is solved over p itself; a proper sub-range
+// is prepared into sc first.
+func solveSegment(p *Prepared, lo, hi int, sc *Scratch,
+	solve func(*Prepared) (Pair, bool, error)) (segment, error) {
 	seg := segment{lo: lo, hi: hi}
 	if lo > hi {
 		return seg, nil
 	}
-	p, ok, err := solve(u[lo:hi+1], v[lo:hi+1])
+	q := p
+	if lo > 0 || hi < len(p.U)-1 {
+		var err error
+		if q, err = sc.Prepare(p.U[lo:hi+1], p.V[lo:hi+1]); err != nil {
+			return seg, err
+		}
+	}
+	pr, ok, err := solve(q)
 	if err != nil {
 		return seg, err
 	}
 	if ok {
-		p.S += lo
-		p.T += lo
-		seg.pair = p
+		pr.S += lo
+		pr.T += lo
+		seg.pair = pr
 		seg.ok = true
 	}
 	return seg, nil
@@ -38,17 +49,18 @@ func solveSegment(u []int, v []float64, lo, hi int,
 
 // topK runs the greedy disjoint-range loop with the given per-segment
 // solver and a comparator that returns true when a is strictly better
-// than b.
-func topK(u []int, v []float64, k int,
-	solve func(u []int, v []float64) (Pair, bool, error),
+// than b. p must not live in sc: the segments after the first are
+// prepared into sc.
+func topK(p *Prepared, k int, sc *Scratch,
+	solve func(*Prepared) (Pair, bool, error),
 	better func(a, b Pair) bool) ([]Pair, error) {
-	if err := validate(u, v); err != nil {
-		return nil, err
+	if p == &sc.prep {
+		return nil, fmt.Errorf("core: top-k over a Prepared that lives in its own Scratch")
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	first, err := solveSegment(u, v, 0, len(u)-1, solve)
+	first, err := solveSegment(p, 0, len(p.U)-1, sc, solve)
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +83,14 @@ func topK(u []int, v []float64, k int,
 		out = append(out, chosen.pair)
 		// Split the winning segment around the emitted range.
 		segs = append(segs[:best], segs[best+1:]...)
-		left, err := solveSegment(u, v, chosen.lo, chosen.pair.S-1, solve)
+		left, err := solveSegment(p, chosen.lo, chosen.pair.S-1, sc, solve)
 		if err != nil {
 			return nil, err
 		}
 		if left.ok {
 			segs = append(segs, left)
 		}
-		right, err := solveSegment(u, v, chosen.pair.T+1, chosen.hi, solve)
+		right, err := solveSegment(p, chosen.pair.T+1, chosen.hi, sc, solve)
 		if err != nil {
 			return nil, err
 		}
@@ -89,12 +101,14 @@ func topK(u []int, v []float64, k int,
 	return out, nil
 }
 
-// TopKSlopePairs returns up to k pairwise-disjoint bucket ranges in
-// decreasing confidence order, each ample (support count >= minSupCount)
-// and each the optimal slope pair of the segment it was drawn from.
-func TopKSlopePairs(u []int, v []float64, minSupCount float64, k int) ([]Pair, error) {
-	solve := func(su []int, sv []float64) (Pair, bool, error) {
-		return OptimalSlopePair(su, sv, minSupCount)
+// TopKSlopePairs returns up to k pairwise-disjoint bucket ranges of
+// p's buckets in decreasing confidence order, each ample (support
+// count >= minSupCount) and each the optimal slope pair of the segment
+// it was drawn from. The first, whole-range segment sweeps p's
+// prepared hull; the sub-range segments are prepared into sc.
+func (p *Prepared) TopKSlopePairs(minSupCount float64, k int, sc *Scratch) ([]Pair, error) {
+	solve := func(q *Prepared) (Pair, bool, error) {
+		return q.OptimalSlopePair(minSupCount, sc)
 	}
 	better := func(a, b Pair) bool {
 		// Higher confidence first; ties by larger support.
@@ -105,16 +119,17 @@ func TopKSlopePairs(u []int, v []float64, minSupCount float64, k int) ([]Pair, e
 		}
 		return a.Count > b.Count
 	}
-	return topK(u, v, k, solve, better)
+	return topK(p, k, sc, solve, better)
 }
 
-// TopKSupportPairs returns up to k pairwise-disjoint bucket ranges in
-// decreasing support order, each confident (average >= theta) and each
-// the optimal support pair of the segment it was drawn from.
-func TopKSupportPairs(u []int, v []float64, theta float64, k int) ([]Pair, error) {
-	solve := func(su []int, sv []float64) (Pair, bool, error) {
-		return OptimalSupportPair(su, sv, theta)
+// TopKSupportPairs returns up to k pairwise-disjoint bucket ranges of
+// p's buckets in decreasing support order, each confident (average >=
+// theta) and each the optimal support pair of the segment it was drawn
+// from; sc as for TopKSlopePairs.
+func (p *Prepared) TopKSupportPairs(theta float64, k int, sc *Scratch) ([]Pair, error) {
+	solve := func(q *Prepared) (Pair, bool, error) {
+		return q.OptimalSupportPair(theta, sc)
 	}
 	better := func(a, b Pair) bool { return a.Count > b.Count }
-	return topK(u, v, k, solve, better)
+	return topK(p, k, sc, solve, better)
 }

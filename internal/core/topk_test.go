@@ -5,11 +5,29 @@ import (
 	"testing"
 )
 
+// topKSlopePairs and topKSupportPairs run the top-k loops over (u, v)
+// prepared afresh, with a fresh Scratch.
+func topKSlopePairs(u []int, v []float64, minSupCount float64, k int) ([]Pair, error) {
+	p, err := Prepare(u, v)
+	if err != nil {
+		return nil, err
+	}
+	return p.TopKSlopePairs(minSupCount, k, &Scratch{})
+}
+
+func topKSupportPairs(u []int, v []float64, theta float64, k int) ([]Pair, error) {
+	p, err := Prepare(u, v)
+	if err != nil {
+		return nil, err
+	}
+	return p.TopKSupportPairs(theta, k, &Scratch{})
+}
+
 func TestTopKSlopePairsTwoClusters(t *testing.T) {
 	// Two high-confidence clusters separated by a cold zone.
 	u := []int{10, 10, 10, 10, 10, 10, 10}
 	v := []float64{1, 9, 9, 0, 8, 8, 1}
-	pairs, err := TopKSlopePairs(u, v, 20, 3)
+	pairs, err := topKSlopePairs(u, v, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +56,7 @@ func TestTopKSupportPairsDisjointAndConfident(t *testing.T) {
 		u, v := randomBuckets(rng, m, 10)
 		theta := 0.4 + 0.4*rng.Float64()
 		k := 1 + rng.Intn(5)
-		pairs, err := TopKSupportPairs(u, v, theta, k)
+		pairs, err := topKSupportPairs(u, v, theta, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +98,7 @@ func TestTopKSlopePairsFirstIsGlobalOptimum(t *testing.T) {
 		m := 3 + rng.Intn(30)
 		u, v := randomBuckets(rng, m, 8)
 		minSup := float64(rng.Intn(30))
-		pairs, err := TopKSlopePairs(u, v, minSup, 4)
+		pairs, err := topKSlopePairs(u, v, minSup, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,20 +118,20 @@ func TestTopKSlopePairsFirstIsGlobalOptimum(t *testing.T) {
 func TestTopKEdgeCases(t *testing.T) {
 	u := []int{10}
 	v := []float64{5}
-	pairs, err := TopKSlopePairs(u, v, 5, 0)
+	pairs, err := topKSlopePairs(u, v, 5, 0)
 	if err != nil || pairs != nil {
 		t.Errorf("k=0 should return nothing: %v %v", pairs, err)
 	}
-	pairs, err = TopKSlopePairs(u, v, 5, 10)
+	pairs, err = topKSlopePairs(u, v, 5, 10)
 	if err != nil || len(pairs) != 1 {
 		t.Errorf("k beyond available ranges should return what exists: %v %v", pairs, err)
 	}
 	// Nothing qualifies.
-	pairs, err = TopKSupportPairs([]int{10}, []float64{1}, 0.9, 3)
+	pairs, err = topKSupportPairs([]int{10}, []float64{1}, 0.9, 3)
 	if err != nil || len(pairs) != 0 {
 		t.Errorf("unsatisfiable threshold should return empty: %v %v", pairs, err)
 	}
-	if _, err := TopKSupportPairs(nil, nil, 0.5, 1); err == nil {
+	if _, err := topKSupportPairs(nil, nil, 0.5, 1); err == nil {
 		t.Errorf("empty input accepted")
 	}
 }

@@ -3,6 +3,7 @@ package hull
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -240,7 +241,7 @@ func TestTreeBranchStacksDisjointCover(t *testing.T) {
 		seen[idx]++
 	}
 	for i := 0; i < n; i++ {
-		for _, idx := range tree.d[i] {
+		for _, idx := range tree.dBuf[tree.dOff[i+1]:tree.dOff[i]] {
 			seen[idx]++
 		}
 	}
@@ -248,6 +249,64 @@ func TestTreeBranchStacksDisjointCover(t *testing.T) {
 		if c != 1 {
 			t.Errorf("node %d appears %d times across U_0 and branches, want exactly 1", i, c)
 		}
+	}
+}
+
+// TestTreeCopyFromSharesArenaReadOnly: sweeps over copies of one
+// prepared tree see every suffix hull the source would, concurrently,
+// and a copy's later Init (over other points) leaves the shared branch
+// arena untouched, so the source keeps serving copies.
+func TestTreeCopyFromSharesArenaReadOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mk := func(n int) []Point {
+		pts := make([]Point, n)
+		x := 0.0
+		for i := range pts {
+			x += 1 + rng.Float64()
+			pts[i] = Point{X: x, Y: rng.NormFloat64()}
+		}
+		return pts
+	}
+	pts := mk(300)
+	src, err := NewTree(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(tr *Tree) {
+		for m := 0; m < len(pts); m++ {
+			tr.AdvanceTo(m)
+			if got, want := tr.HullLeftToRight(), UpperHull(pts[m:]); len(got) != len(want) {
+				t.Errorf("U_%d: %d nodes, want %d", m, len(got), len(want))
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tr Tree
+			for r := 0; r < 3; r++ {
+				tr.CopyFrom(src)
+				sweep(&tr)
+			}
+		}()
+	}
+	wg.Wait()
+	// A copy re-Inited over a smaller problem, one the shared arena could
+	// hold, must still build its own.
+	var tr Tree
+	tr.CopyFrom(src)
+	tr.AdvanceTo(100)
+	if err := tr.Init(mk(250)); err != nil {
+		t.Fatal(err)
+	}
+	tr.AdvanceTo(249)
+	tr.CopyFrom(src)
+	sweep(&tr)
+	if src.Cur() != 0 || len(src.stack) != len(UpperHull(pts)) {
+		t.Fatalf("source tree changed: cur %d, %d stack nodes", src.Cur(), len(src.stack))
 	}
 }
 

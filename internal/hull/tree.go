@@ -1,6 +1,9 @@
 package hull
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tree is the convex hull tree of Algorithm 4.1. Given points
 // Q_0 … Q_{n−1} sorted by strictly increasing X, the preparatory phase
@@ -14,17 +17,26 @@ import "fmt"
 // Algorithm 4.2: position StackLen()−1 is the top (the leftmost hull
 // node Q_cur), position 0 the bottom (the rightmost node Q_{n−1});
 // walking down the stack visits the hull clockwise (left to right).
+//
+// The branch stacks never change after Init, so one prepared tree can
+// serve many sweeps: CopyFrom gives a sweep its own stack and positions
+// over another tree's branch arena.
 type Tree struct {
 	pts   []Point
 	stack []int
-	// Branch stacks D_i. Every node is popped at most once during the
-	// preparatory phase and all pops for step i are contiguous, so the
-	// branches are slices of one shared arena — the whole tree costs
-	// four allocations regardless of size.
-	d    [][]int
+	pos   []int
+	cur   int
+	// Branch stacks: D_i is dBuf[dOff[i+1]:dOff[i]], with dOff[n] = 0.
+	// Every node is popped at most once during the preparatory phase and
+	// all pops for step i are contiguous, so the branches are ranges of
+	// one arena addressed by int32 offsets.
+	dOff []int32
 	dBuf []int
-	pos  []int
-	cur  int
+	// ownOff and ownBuf are the arena storage Init fills. dOff and dBuf
+	// alias them, or, after CopyFrom, the source tree's arena, which this
+	// tree only reads: Init writes to ownOff and ownBuf alone.
+	ownOff []int32
+	ownBuf []int
 }
 
 // Init runs the preparatory phase over pts, which must be sorted by
@@ -39,67 +51,76 @@ func (t *Tree) Init(pts []Point) error {
 	if n == 0 {
 		return fmt.Errorf("hull: no points")
 	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("hull: %d points exceed the branch arena's int32 offsets", n)
+	}
 	for i := 1; i < n; i++ {
 		if pts[i].X <= pts[i-1].X {
 			return fmt.Errorf("hull: X not strictly increasing at %d (%g after %g)", i, pts[i].X, pts[i-1].X)
 		}
 	}
 	t.pts = pts
-	if cap(t.stack) < n {
-		t.stack = make([]int, 0, n)
-	} else {
-		t.stack = t.stack[:0]
-	}
-	if cap(t.dBuf) < n {
-		t.dBuf = make([]int, 0, n)
-	} else {
-		t.dBuf = t.dBuf[:0]
-	}
-	if cap(t.d) >= n {
-		t.d = t.d[:n]
-	} else {
-		t.d = make([][]int, n)
-	}
-	if cap(t.pos) >= n {
-		t.pos = t.pos[:n]
-	} else {
-		t.pos = make([]int, n)
-	}
+	t.stack = intsCap(t.stack, n)
+	t.pos = intsCap(t.pos, n)[:n]
 	for i := range t.pos {
 		t.pos[i] = -1
 	}
+	if cap(t.ownOff) < n+1 {
+		t.ownOff = make([]int32, n+1)
+	}
+	off := t.ownOff[:n+1]
+	// At most n−1 pops: buf never outgrows its capacity n.
+	buf := intsCap(t.ownBuf, n)
+	off[n] = 0
 	for i := n - 1; i >= 0; i-- {
 		// Clockwise search: pop hull nodes that fall below the tangent
 		// from Q_i, recording them on the branch stack D_i.
-		start := len(t.dBuf)
 		for len(t.stack) >= 2 {
 			top := t.stack[len(t.stack)-1]
 			second := t.stack[len(t.stack)-2]
-			if CompareSlopes(t.pts[i], t.pts[top], t.pts[second]) <= 0 {
-				t.popToBuf()
-			} else {
+			if CompareSlopes(t.pts[i], t.pts[top], t.pts[second]) > 0 {
 				break
 			}
+			t.stack = t.stack[:len(t.stack)-1]
+			t.pos[top] = -1
+			buf = append(buf, top)
 		}
-		t.d[i] = t.dBuf[start:len(t.dBuf):len(t.dBuf)]
+		off[i] = int32(len(buf))
 		t.push(i)
 	}
+	t.ownOff, t.ownBuf = off, buf
+	t.dOff, t.dBuf = off, buf
 	t.cur = 0
 	return nil
+}
+
+// CopyFrom makes t a copy of src's current hull state for an
+// independent sweep: t gets its own stack and positions and reads
+// src's points and branch arena without changing them. src may serve
+// any number of such copies, concurrently, as long as nothing advances
+// or re-Inits src itself. A later Init on t fills t's own arena, never
+// src's.
+func (t *Tree) CopyFrom(src *Tree) {
+	n := len(src.pts)
+	t.pts = src.pts
+	t.stack = append(intsCap(t.stack, n), src.stack...)
+	t.pos = append(intsCap(t.pos, n), src.pos...)
+	t.cur = src.cur
+	t.dOff, t.dBuf = src.dOff, src.dBuf
+}
+
+// intsCap returns buf emptied, with capacity for at least n ints.
+func intsCap(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, 0, n)
+	}
+	return buf[:0]
 }
 
 // push puts node on top of S.
 func (t *Tree) push(node int) {
 	t.stack = append(t.stack, node)
 	t.pos[node] = len(t.stack) - 1
-}
-
-// popToBuf removes the top of S and records it on the branch arena.
-func (t *Tree) popToBuf() {
-	top := t.stack[len(t.stack)-1]
-	t.stack = t.stack[:len(t.stack)-1]
-	t.pos[top] = -1
-	t.dBuf = append(t.dBuf, top)
 }
 
 // Advance performs one restoration step, turning U_cur into U_{cur+1}.
@@ -117,7 +138,7 @@ func (t *Tree) Advance() {
 	t.pos[top] = -1
 	// … and push back the branch D_cur in top-to-bottom order (reverse
 	// of pop order), which restores U_{cur+1} with Q_{cur+1} on top.
-	branch := t.d[t.cur]
+	branch := t.dBuf[t.dOff[t.cur+1]:t.dOff[t.cur]]
 	for j := len(branch) - 1; j >= 0; j-- {
 		t.push(branch[j])
 	}

@@ -32,12 +32,9 @@ func (a AvgRange) String() string {
 		a.Target, a.Driver, a.Low, a.High, a.Average, a.Count, 100*a.Support, a.OverallAverage)
 }
 
-// fillAvg assembles an AvgRange from a bucket-range solution.
-func fillAvg(driver, target string, p core.Pair, c *bucketing.Counts) AvgRange {
-	totalSum := 0.0
-	for _, x := range c.Sum[0] {
-		totalSum += x
-	}
+// fillAvg assembles an AvgRange from a bucket-range solution over c's
+// buckets, whose target values sum to totalSum.
+func fillAvg(driver, target string, p core.Pair, c *bucketing.Counts, totalSum float64) AvgRange {
 	return AvgRange{
 		Driver:         driver,
 		Target:         target,

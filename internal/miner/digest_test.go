@@ -72,7 +72,7 @@ func TestAnswerDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Buckets: 100, Seed: 11, ExactDomainLimit: 100}
-	checkDigests(t, bank, 6000, 29, cfg, digestQueries, digestWant)
+	checkDigests(t, bank, 6000, 29, cfg, allBackends, digestQueries, digestWant)
 }
 
 // locateSource is the locate-stress relation: the column shapes whose
@@ -158,82 +158,195 @@ var locateWant = []string{
 // all reach the bucket locate of the counting pass.
 func TestAnswerDigestsLocateStress(t *testing.T) {
 	cfg := Config{Buckets: 1000, Seed: 13}
-	checkDigests(t, locateSource{}, 6000, 31, cfg, locateQueries, locateWant)
+	checkDigests(t, locateSource{}, 6000, 31, cfg, allBackends, locateQueries, locateWant)
+}
+
+// allBackends are the backends the bank and locate-stress batches run
+// on: memory, a v2 file, a v3 file, 4 v2 shards and 4 shards mixing v2
+// and v3.
+var allBackends = []string{"memory", "v2", "v3", "sharded-v2", "sharded-mixed"}
+
+// digestBackend builds the named backend over n rows of src: one of
+// allBackends, or "sharded-v3" (3 v3 shards).
+func digestBackend(t *testing.T, name string, src datagen.RowSource, n int, seed int64) relation.Relation {
+	t.Helper()
+	switch name {
+	case "memory":
+		return datagen.MustMaterialize(src, n, seed)
+	case "v2":
+		return diskOfFormat(t, src, n, seed, relation.DiskFormatV2)
+	case "v3":
+		return diskOfFormat(t, src, n, seed, relation.DiskFormatV3)
+	case "sharded-v2":
+		return shardedOf(t, src, n, seed, 4)
+	case "sharded-v3":
+		path := filepath.Join(t.TempDir(), "v3.oprs")
+		if err := datagen.WriteSharded(path, src, n, seed, 3, relation.DiskFormatV3); err != nil {
+			t.Fatal(err)
+		}
+		return openSharded(t, path)
+	case "sharded-mixed":
+		mixed := filepath.Join(t.TempDir(), "mixed.oprs")
+		if err := datagen.WriteSharded(mixed, src, n/2, seed, 2, relation.DiskFormatV2); err != nil {
+			t.Fatal(err)
+		}
+		tail, err := datagen.MaterializeRange(src, seed, n/2, n/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := relation.AppendToSharded(mixed, tail, relation.AppendOptions{RowsPerShard: n / 4, Format: relation.DiskFormatV3}); err != nil {
+			t.Fatal(err)
+		}
+		return openSharded(t, mixed)
+	}
+	t.Fatalf("unknown backend %q", name)
+	return nil
+}
+
+// openSharded opens a shard manifest for the rest of the test.
+func openSharded(t *testing.T, path string) *relation.ShardedRelation {
+	t.Helper()
+	sr, err := relation.OpenSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sr.Close() })
+	return sr
+}
+
+// rethreshold returns q at seeded other thresholds — minimum support
+// and confidence where q's op reads them, the support-range floor
+// scaled around its original, another K — so it needs the statistics
+// q did and nothing else.
+func rethreshold(q Query, rng *rand.Rand) Query {
+	avg := q.Op == OpAverage || q.Op == OpSupportRange
+	if q.Op != OpSupportRange {
+		q.MinSupport = 0.02 + 0.2*rng.Float64()
+	}
+	if !avg {
+		q.MinConfidence = 0.3 + 0.5*rng.Float64()
+	}
+	switch q.Op {
+	case OpSupportRange:
+		q.MinAverage *= 0.8 + 0.4*rng.Float64()
+	case OpTopK:
+		q.K = 1 + rng.Intn(5)
+	}
+	return q
+}
+
+// retailQueries is the retail digest batch over the basket generator
+// (numeric Amount and ItemCount, five item Booleans): 1-D rules of all
+// three kinds over every driver with negations, top-k, both average
+// operators and a conjunctive rule. With ExactDomainLimit 100,
+// ItemCount is bucketed by its exact domain and Amount by samples.
+var retailQueries = []Query{
+	{Op: OpRules, Kinds: []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain}, Negations: true},
+	{Op: OpTopK, Numeric: "Amount", Objective: "Wine", ObjectiveValue: true, K: 3},
+	{Op: OpAverage, Numeric: "Amount", Target: "ItemCount", MinSupport: 0.1},
+	{Op: OpSupportRange, Numeric: "ItemCount", Target: "Amount", MinAverage: 50},
+	{Op: OpConjunctive, Numeric: "Amount",
+		Objectives: []Condition{{Attr: "Wine", Value: true}},
+		Conditions: []Condition{{Attr: "Pizza", Value: true}}},
+}
+
+// retailWant holds the committed SHA-256 of each retailQueries answer.
+var retailWant = []string{
+	"8d658e0199da9f162e946bb2267e5dffb083f6490db65803b50eb9b37f439408",
+	"2d34b15b8fe54293cf7a459514c63e68620e59873ca09447fd08c3b0019bceb0",
+	"122d94c6e9e92bc7191a096dfad03299510c2d41afd4a849345eb51026196ebd",
+	"c9c6e364c939fd039fcfc451cdd0fcf3026f1c6c0801112c38b76e0432a37d8c",
+	"1ea3306d3ee621345fab068e0534eabc94bf3a627cec5740daaa28266853c418",
+}
+
+// TestAnswerDigestsRetail pins the retail batch over memory, a v3 file
+// and 3 v3 shards.
+func TestAnswerDigestsRetail(t *testing.T) {
+	retail, err := datagen.NewRetail(datagen.DefaultRetailConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Buckets: 100, Seed: 17, ExactDomainLimit: 100}
+	checkDigests(t, retail, 6000, 41, cfg, []string{"memory", "v3", "sharded-v3"}, retailQueries, retailWant)
 }
 
 // checkDigests pins every answer of queries over n rows of src to its
-// committed SHA-256 in want on every backend — memory, a v2 file, a v3
-// file, 4 v2 shards and 4 shards mixing v2 and v3 — at PEs = Workers =
-// 1, 2 and 4, both when one session answers the whole batch and when
-// each query runs alone in a fresh session. The digests hold on amd64,
-// whose Go compiler never fuses a multiply and an add into one
-// rounding; other architectures may.
-func checkDigests(t *testing.T, src datagen.RowSource, n int, seed int64, base Config, queries []Query, want []string) {
+// committed SHA-256 in want on each named backend (see digestBackend)
+// at PEs = Workers = 1, 2 and 4, both when one session answers the
+// whole batch and when each query runs alone in a fresh session. It
+// then re-thresholds each query (rethreshold, seeded by its position)
+// on the batch session, whose cache already holds every statistic:
+// each warm answer must come without a cache miss and equal a fresh
+// session's answer to the same query. The digests hold on amd64, whose
+// Go compiler never fuses a multiply and an add into one rounding;
+// other architectures may.
+func checkDigests(t *testing.T, src datagen.RowSource, n int, seed int64, base Config,
+	backends []string, queries []Query, want []string) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are committed for amd64, where float arithmetic is never fused")
 	}
-	mixed := filepath.Join(t.TempDir(), "mixed.oprs")
-	if err := datagen.WriteSharded(mixed, src, n/2, seed, 2, relation.DiskFormatV2); err != nil {
-		t.Fatal(err)
+	warmQueries := make([]Query, len(queries))
+	for i, q := range queries {
+		warmQueries[i] = rethreshold(q, rand.New(rand.NewSource(seed+int64(i))))
 	}
-	tail, err := datagen.MaterializeRange(src, seed, n/2, n/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := relation.AppendToSharded(mixed, tail, relation.AppendOptions{RowsPerShard: n / 4, Format: relation.DiskFormatV3}); err != nil {
-		t.Fatal(err)
-	}
-	mixedRel, err := relation.OpenSharded(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mixedRel.Close() })
-	backends := []struct {
-		name string
-		rel  relation.Relation
-	}{
-		{"memory", datagen.MustMaterialize(src, n, seed)},
-		{"v2", diskOfFormat(t, src, n, seed, relation.DiskFormatV2)},
-		{"v3", diskOfFormat(t, src, n, seed, relation.DiskFormatV3)},
-		{"sharded-v2", shardedOf(t, src, n, seed, 4)},
-		{"sharded-mixed", mixedRel},
-	}
+	var fresh []Answer // fresh sessions' answers to warmQueries
 	got := make([]string, len(queries))
-	for _, b := range backends {
+	for _, name := range backends {
+		rel := digestBackend(t, name, src, n, seed)
 		for _, par := range []int{1, 2, 4} {
 			cfg := base
 			cfg.PEs, cfg.Workers = par, par
-			answer := func(queries []Query) []Answer {
+			session := func() *Session {
 				t.Helper()
-				s, err := NewSession(b.rel, cfg)
+				s, err := NewSession(rel, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				return s
+			}
+			answer := func(s *Session, queries []Query) []Answer {
+				t.Helper()
 				answers, err := s.ExecuteBatch(queries)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return answers
 			}
-			batch := answer(queries)
+			warm := session()
+			batch := answer(warm, queries)
 			for i, q := range queries {
 				for _, run := range []struct {
 					mode string
 					a    Answer
-				}{{"batch", batch[i]}, {"one-shot", answer([]Query{q})[0]}} {
+				}{{"batch", batch[i]}, {"one-shot", answer(session(), []Query{q})[0]}} {
 					mode, a := run.mode, run.a
 					if a.Err != nil {
-						t.Fatalf("%s/par=%d/%s: query %d: %v", b.name, par, mode, i, a.Err)
+						t.Fatalf("%s/par=%d/%s: query %d: %v", name, par, mode, i, a.Err)
 					}
 					if len(a.Rules)+len(a.Rules2D)+len(a.Regions) == 0 && a.Range == nil {
-						t.Fatalf("%s/par=%d/%s: query %d mined nothing", b.name, par, mode, i)
+						t.Fatalf("%s/par=%d/%s: query %d mined nothing", name, par, mode, i)
 					}
 					got[i] = answerDigest(a)
 					if got[i] != want[i] {
-						t.Errorf("%s/par=%d/%s: query %d (%v) digest %s, want %s", b.name, par, mode, i, q.Op, got[i], want[i])
+						t.Errorf("%s/par=%d/%s: query %d (%v) digest %s, want %s", name, par, mode, i, q.Op, got[i], want[i])
 					}
 				}
+			}
+			if fresh == nil {
+				for _, q := range warmQueries {
+					fresh = append(fresh, answer(session(), []Query{q})[0])
+				}
+			}
+			misses := warm.CacheStats().Misses
+			for i, q := range warmQueries {
+				a := answer(warm, []Query{q})[0]
+				if fmt.Sprint(a.Err) != fmt.Sprint(fresh[i].Err) || answerDigest(a) != answerDigest(fresh[i]) {
+					t.Errorf("%s/par=%d/warm: query %d (%+v) answers %+v, a fresh session %+v", name, par, i, q, a, fresh[i])
+				}
+			}
+			if m := warm.CacheStats().Misses; m != misses {
+				t.Errorf("%s/par=%d/warm: %d cache misses re-thresholding the batch, want 0", name, par, m-misses)
 			}
 		}
 	}
@@ -270,48 +383,81 @@ var appendWant = [2][]string{
 	},
 }
 
+// sumAppendQueries is the ±1e16 append digest batch over sumSource:
+// the average operators over both wild targets, whose folded sums only
+// match a cold scan's bits when the tail continues the cached sums in
+// row order, and 1-D rules over X.
+var sumAppendQueries = []Query{
+	{Op: OpAverage, Numeric: "X", Target: "T", MinSupport: 0.1},
+	{Op: OpAverage, Numeric: "X", Target: "U", MinSupport: 0.05},
+	{Op: OpSupportRange, Numeric: "X", Target: "U", MinAverage: 1},
+	{Op: OpRules, Numeric: "X", Objective: "C", ObjectiveValue: true},
+}
+
+// sumAppendWant holds the committed SHA-256 of each sumAppendQueries
+// answer, after the within-budget append and after the over-budget one.
+var sumAppendWant = [2][]string{
+	{
+		"95b140497abe1a6cd44842958447e275700391132a503667a6425c19b6461936",
+		"00e1e836b9b8fa5a62cdbf966b9227bcf860a8a3842e446b211f799a7fd3f791",
+		"f5078d11bc9849777dc5da6cd8eaab91e2a1658bef7ba0cb5c187473a0823b75",
+		"a9134bd4dbe2b3d0069b1a280af141eb4d2b29bb7a800fb98e686a2eda0a88d2",
+	},
+	{
+		"92ba106e5ad18843d98717d6483c2df756ce0f50236bb92961c99e7b5fa3a7a5",
+		"23f41d0021dcb17fb87467b9a372420f4657116ffde2cb022228ef37cae2d864",
+		"1286601f8338d6ff579dff1db4aaa588b9dded222fb47bbcae1fe79a6fb2b5cd",
+		"1e91b81dbaa9e4472d2019d35483e96fe5715c73d60b514c71bd1fdb3cdd3342",
+	},
+}
+
 // TestAnswerDigestsAfterAppend pins the answers of a warm session that
 // grows twice: first inside the §3.4 bucket-error budget (the refresh
 // folds every cached statistic), then past it (the cached boundaries
 // and everything counted over them give way to the cold path), each
-// append followed directly by appendQueries. It runs over memory
-// (Session.Append) and 3-shard v2 and v3 relations (AppendToSharded,
-// then RefreshFromStorage) at PEs = Workers = 1, 2 and 4; every run
-// must hit the same committed digests.
+// append followed directly by the batch. It runs the bank batch
+// (appendQueries) and the ±1e16 batch (sumAppendQueries, whose folded
+// target sums and their prepared rows must follow each append) over
+// memory (Session.Append) and 3-shard v2 and v3 relations
+// (AppendToSharded, then RefreshFromStorage) at PEs = Workers = 1, 2
+// and 4; every run must hit the same committed digests.
 func TestAnswerDigestsAfterAppend(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are committed for amd64, where float arithmetic is never fused")
 	}
-	const seed, base, small, bulk = 37, 4000, 100, 800
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := datagen.Materialize(bank, base+small+bulk, seed)
+	checkAppendDigests(t, bank, 37, appendQueries, appendWant)
+	checkAppendDigests(t, sumSource{}, 43, sumAppendQueries, sumAppendWant)
+}
+
+// checkAppendDigests runs TestAnswerDigestsAfterAppend's two appends
+// over src and pins queries' answers after each to want.
+func checkAppendDigests(t *testing.T, src datagen.RowSource, seed int64, queries []Query, want [2][]string) {
+	t.Helper()
+	const base, small, bulk = 4000, 100, 800
+	full, err := datagen.Materialize(src, base+small+bulk, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Buckets: 100, Seed: 11, ExactDomainLimit: 100}
-	got := [2][]string{make([]string, len(appendQueries)), make([]string, len(appendQueries))}
+	got := [2][]string{make([]string, len(queries)), make([]string, len(queries))}
 	for _, format := range []int{0, relation.DiskFormatV2, relation.DiskFormatV3} {
 		for _, par := range []int{1, 2, 4} {
 			name := fmt.Sprintf("memory/par=%d", par)
 			var rel relation.Relation
 			var manifest string
 			if format == 0 {
-				rel = datagen.MustMaterialize(bank, base, seed)
+				rel = datagen.MustMaterialize(src, base, seed)
 			} else {
 				name = fmt.Sprintf("sharded-v%d/par=%d", format, par)
-				manifest = filepath.Join(t.TempDir(), "bank.oprs")
-				if err := datagen.WriteSharded(manifest, bank, base, seed, 3, format); err != nil {
+				manifest = filepath.Join(t.TempDir(), "rel.oprs")
+				if err := datagen.WriteSharded(manifest, src, base, seed, 3, format); err != nil {
 					t.Fatal(err)
 				}
-				sr, err := relation.OpenSharded(manifest)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sr.Close() })
-				rel = sr
+				rel = openSharded(t, manifest)
 			}
 			c := cfg
 			c.PEs, c.Workers = par, par
@@ -319,7 +465,7 @@ func TestAnswerDigestsAfterAppend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sess.ExecuteBatch(appendQueries); err != nil {
+			if _, err := sess.ExecuteBatch(queries); err != nil {
 				t.Fatal(err)
 			}
 			start := base
@@ -342,7 +488,7 @@ func TestAnswerDigestsAfterAppend(t *testing.T) {
 				if tripped := ds.Resamples > 0; tripped != (step == 1) {
 					t.Fatalf("%s: append %d tripped the budget: %v", name, step, tripped)
 				}
-				answers, err := sess.ExecuteBatch(appendQueries)
+				answers, err := sess.ExecuteBatch(queries)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -351,9 +497,9 @@ func TestAnswerDigestsAfterAppend(t *testing.T) {
 						t.Fatalf("%s: append %d: query %d: %v", name, step, i, a.Err)
 					}
 					got[step][i] = answerDigest(a)
-					if got[step][i] != appendWant[step][i] {
+					if got[step][i] != want[step][i] {
 						t.Errorf("%s: append %d: query %d (%v) digest %s, want %s",
-							name, step, i, a.Query.Op, got[step][i], appendWant[step][i])
+							name, step, i, a.Query.Op, got[step][i], want[step][i])
 					}
 				}
 			}

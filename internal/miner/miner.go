@@ -250,39 +250,32 @@ func condString(s relation.Schema, conds []bucketing.BoolCond) string {
 	return strings.Join(parts, " and ")
 }
 
-// extractRulesFromCounts is the kind-selectable rule extraction every
-// 1-D path funnels through. For each objective it emits the requested
-// kinds in the fixed order support, confidence, gain (whatever subset
-// kinds names), which keeps the lift-sorted assembly stable across the
-// session and the test oracles.
-func extractRulesFromCounts(s relation.Schema, numAttr int, objectives []bucketing.BoolCond,
+// driverRules is the kind-selectable rule extraction every 1-D rule
+// path funnels through. compact holds the driver's non-empty buckets
+// and prepared(k) the solver inputs of objective k over them. For each
+// objective it emits the requested kinds in the fixed order support,
+// confidence, gain (whatever subset kinds names), which keeps the
+// lift-sorted assembly stable across the session and the test oracles.
+func driverRules(s relation.Schema, numAttr int, objectives []bucketing.BoolCond,
 	filter []bucketing.BoolCond, kinds []RuleKind, minSupport, minConfidence float64,
-	counts *bucketing.Counts) ([]Rule, error) {
-	if counts.N == 0 {
-		return nil, nil // filter excluded everything; no rules
-	}
-	compact, _ := counts.Compact()
+	compact *bucketing.Counts, prepared func(k int) (*core.Prepared, error), sc *core.Scratch) ([]Rule, error) {
 	cond := condString(s, filter)
-
 	var rules []Rule
-	var err error
 	for k, obj := range objectives {
-		v := make([]float64, compact.M)
-		hits := 0
-		for i, c := range compact.V[k] {
-			v[i] = float64(c)
-			hits += c
+		p, err := prepared(k)
+		if err != nil {
+			return nil, err
 		}
-		baseline := float64(hits) / float64(compact.N)
+		_, hits := p.Totals()
 		base := Rule{
 			Numeric:        s[numAttr].Name,
 			Objective:      s[obj.Attr].Name,
 			ObjectiveValue: obj.Want,
 			Condition:      cond,
-			Baseline:       baseline,
+			Baseline:       hits / float64(compact.N),
 			Buckets:        compact.M,
 		}
-		rules, err = appendKindRules(rules, base, compact, v, kinds, minSupport, minConfidence)
+		rules, err = appendKindRules(rules, base, compact, p, kinds, minSupport, minConfidence, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -301,33 +294,33 @@ func wantKind(kinds []RuleKind, kind RuleKind) bool {
 }
 
 // appendKindRules runs the requested Section 4 optimizations over one
-// (u, v) bucket sequence and appends the found rules to rules, always
-// in the order support, confidence, gain.
-func appendKindRules(rules []Rule, base Rule, compact *bucketing.Counts, v []float64,
-	kinds []RuleKind, minSupport, minConfidence float64) ([]Rule, error) {
+// prepared bucket sequence p (compact's buckets) on sc and appends the
+// found rules to rules, always in the order support, confidence, gain.
+func appendKindRules(rules []Rule, base Rule, compact *bucketing.Counts, p *core.Prepared,
+	kinds []RuleKind, minSupport, minConfidence float64, sc *core.Scratch) ([]Rule, error) {
 	if wantKind(kinds, OptimizedSupport) {
-		if p, ok, err := core.OptimalSupportPair(compact.U, v, minConfidence); err != nil {
+		if pair, ok, err := p.OptimalSupportPair(minConfidence, sc); err != nil {
 			return nil, err
 		} else if ok {
 			r := base
 			r.Kind = OptimizedSupport
-			fillPair(&r, p, compact)
+			fillPair(&r, pair, compact)
 			rules = append(rules, r)
 		}
 	}
 	if wantKind(kinds, OptimizedConfidence) {
 		minSupCount := minSupport * float64(compact.N)
-		if p, ok, err := core.OptimalSlopePair(compact.U, v, minSupCount); err != nil {
+		if pair, ok, err := p.OptimalSlopePair(minSupCount, sc); err != nil {
 			return nil, err
 		} else if ok {
 			r := base
 			r.Kind = OptimizedConfidence
-			fillPair(&r, p, compact)
+			fillPair(&r, pair, compact)
 			rules = append(rules, r)
 		}
 	}
 	if wantKind(kinds, OptimizedGain) {
-		gs, gt, gain, err := core.MaxGainRange(compact.U, v, minConfidence)
+		gs, gt, gain, err := core.MaxGainRange(p.U, p.V, minConfidence)
 		if err != nil {
 			return nil, err
 		}
@@ -337,8 +330,8 @@ func appendKindRules(rules []Rule, base Rule, compact *bucketing.Counts, v []flo
 			r.Gain = gain
 			count, sumV := 0, 0.0
 			for i := gs; i <= gt; i++ {
-				count += compact.U[i]
-				sumV += v[i]
+				count += p.U[i]
+				sumV += p.V[i]
 			}
 			r.Low = compact.MinVal[gs]
 			r.High = compact.MaxVal[gt]

@@ -369,6 +369,27 @@ func rulesFromCounts(s relation.Schema, numAttr int, objectives []bucketing.Bool
 		cfg.MinSupport, cfg.MinConfidence, counts)
 }
 
+// extractRulesFromCounts is the session's per-driver rule extraction
+// over freshly counted (not cached) statistics: each objective row is
+// prepared from the counts, then driverRules runs as in the session.
+func extractRulesFromCounts(s relation.Schema, numAttr int, objectives []bucketing.BoolCond,
+	filter []bucketing.BoolCond, kinds []RuleKind, minSupport, minConfidence float64,
+	counts *bucketing.Counts) ([]Rule, error) {
+	if counts.N == 0 {
+		return nil, nil // filter excluded everything; no rules
+	}
+	compact, _ := counts.Compact()
+	prepared := func(k int) (*core.Prepared, error) {
+		v := make([]float64, compact.M)
+		for i, c := range compact.V[k] {
+			v[i] = float64(c)
+		}
+		return core.Prepare(compact.U, v)
+	}
+	return driverRules(s, numAttr, objectives, filter, kinds, minSupport, minConfidence,
+		compact, prepared, &core.Scratch{})
+}
+
 // mineAllSetup validates cfg and the relation and derives the shared
 // inputs of both MineAll pipelines: the numeric attribute positions and
 // the Boolean objective conditions.
@@ -539,6 +560,15 @@ func averageSetup(rel relation.Relation, driver, target string, cfg Config) (*bu
 	return compact, nil
 }
 
+// sumOf adds xs up in order.
+func sumOf(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
+
 // legacyMaxAverageRange is the pre-session pipeline, kept as the
 // differential-testing reference for the session-backed MaxAverageRange.
 func legacyMaxAverageRange(rel relation.Relation, driver, target string, minSupport float64, cfg Config) (AvgRange, error) {
@@ -560,7 +590,7 @@ func legacyMaxAverageRange(rel relation.Relation, driver, target string, minSupp
 	if !ok {
 		return AvgRange{}, fmt.Errorf("miner: no range reaches support %g", minSupport)
 	}
-	return fillAvg(driver, target, p, compact), nil
+	return fillAvg(driver, target, p, compact, sumOf(compact.Sum[0])), nil
 }
 
 // legacyMaxSupportRange is the pre-session pipeline, kept as the
@@ -581,7 +611,7 @@ func legacyMaxSupportRange(rel relation.Relation, driver, target string, minAver
 	if !ok {
 		return AvgRange{}, fmt.Errorf("miner: no range reaches average %g", minAverage)
 	}
-	return fillAvg(driver, target, p, compact), nil
+	return fillAvg(driver, target, p, compact, sumOf(compact.Sum[0])), nil
 }
 
 // legacyMineTopK is the pre-session pipeline (its own sampling pass +
@@ -628,12 +658,16 @@ func legacyMineTopK(rel relation.Relation, numeric, objective string, objectiveV
 		hits += c
 	}
 
+	prepared, err := core.Prepare(compact.U, v)
+	if err != nil {
+		return nil, err
+	}
 	var pairs []core.Pair
 	switch kind {
 	case OptimizedConfidence:
-		pairs, err = core.TopKSlopePairs(compact.U, v, cfg.MinSupport*float64(compact.N), k)
+		pairs, err = prepared.TopKSlopePairs(cfg.MinSupport*float64(compact.N), k, &core.Scratch{})
 	case OptimizedSupport:
-		pairs, err = core.TopKSupportPairs(compact.U, v, cfg.MinConfidence, k)
+		pairs, err = prepared.TopKSupportPairs(cfg.MinConfidence, k, &core.Scratch{})
 	default:
 		return nil, fmt.Errorf("miner: unknown rule kind %v", kind)
 	}
@@ -724,7 +758,11 @@ func legacyMineConjunctive(rel relation.Relation, numeric string, objectives []C
 	compact, keep := uCounts.Compact()
 	v := make([]float64, compact.M)
 	hits := 0
-	for j, i := range keep {
+	for j := range v {
+		i := j
+		if keep != nil {
+			i = keep[j]
+		}
 		v[j] = float64(vCounts.U[i])
 		hits += vCounts.U[i]
 	}

@@ -74,15 +74,18 @@ func (s *Session) Profile(numeric, objective string, objectiveValue bool, bucket
 
 // extractProfile reads one profile off the cached group.
 func (s *Session) extractProfile(r *plan.Resolved, set *plan.StatsSet) (*Profile, error) {
-	st, ok := set.Groups[r.Keys[0]]
-	if !ok {
-		return nil, fmt.Errorf("miner: group %+v missing from working set", r.Keys[0])
-	}
-	counts, err := st.Counts(r.Objs, nil, true)
+	st, rows, err := s.group(set, r.Keys[0])
 	if err != nil {
 		return nil, err
 	}
-	compact, _ := counts.Compact()
+	row, ok := st.V[r.Objs[0]]
+	if !ok {
+		return nil, fmt.Errorf("miner: objective row %+v missing from cached group", r.Objs[0])
+	}
+	compact, keep, err := compacted(rows)
+	if err != nil {
+		return nil, err
+	}
 	schema := s.rel.Schema()
 	p := &Profile{
 		Numeric:        schema[r.Drivers[0]].Name,
@@ -91,13 +94,17 @@ func (s *Session) extractProfile(r *plan.Resolved, set *plan.StatsSet) (*Profile
 		N:              compact.N,
 	}
 	hits := 0
-	for i := 0; i < compact.M; i++ {
-		hits += compact.V[0][i]
+	for j := 0; j < compact.M; j++ {
+		v := row[j]
+		if keep != nil {
+			v = row[keep[j]]
+		}
+		hits += v
 		p.Buckets = append(p.Buckets, ProfileBucket{
-			Lo:      compact.MinVal[i],
-			Hi:      compact.MaxVal[i],
-			Support: compact.U[i],
-			Conf:    float64(compact.V[0][i]) / float64(compact.U[i]),
+			Lo:      compact.MinVal[j],
+			Hi:      compact.MaxVal[j],
+			Support: compact.U[j],
+			Conf:    float64(v) / float64(compact.U[j]),
 		})
 	}
 	p.Overall = float64(hits) / float64(compact.N)

@@ -123,6 +123,11 @@ type Session struct {
 	refreshMu sync.RWMutex
 	gen       int64
 	rows      int
+
+	// scratches pools the Section 4 solvers' working storage across
+	// extractions (*core.Scratch); the cached statistics hold the
+	// threshold-independent inputs, so a warm solve allocates nothing.
+	scratches sync.Pool
 }
 
 // NewSession validates cfg and creates a session over rel. The
@@ -150,10 +155,15 @@ func NewSession(rel relation.Relation, cfg Config) (*Session, error) {
 			PEs:              cfg.PEs,
 			Scatter:          cfg.Scatter,
 		},
-		c:    plan.NewCache(0),
-		rows: rel.NumTuples(),
+		c:         plan.NewCache(0),
+		rows:      rel.NumTuples(),
+		scratches: sync.Pool{New: func() any { return new(core.Scratch) }},
 	}, nil
 }
+
+// scratch takes a solver Scratch from the pool; put it back with
+// s.scratches.Put when the solves are done.
+func (s *Session) scratch() *core.Scratch { return s.scratches.Get().(*core.Scratch) }
 
 // SetCacheLimit rebounds the statistics cache to maxBytes (0 restores
 // the default budget, negative removes the bound), evicting
@@ -374,24 +384,31 @@ func (s *Session) extract(a *Answer, r *plan.Resolved, set *plan.StatsSet) {
 // extractRules runs the Section 4 algorithms for every driver of a
 // 1-D rule query on the worker pool and merges the per-driver rule
 // sets in schema order, sorted by descending lift — exactly the
-// MineAll assembly.
+// MineAll assembly. Each driver's solves sweep its cached group's
+// prepared rows; the first extraction over a group builds them.
 func (s *Session) extractRules(r *plan.Resolved, set *plan.StatsSet) ([]Rule, error) {
 	schema := s.rel.Schema()
 	byPos := make([][]Rule, len(r.Drivers))
 	errs := make([]error, len(r.Drivers))
 	fanout.Each(s.cfg.Workers, len(r.Drivers), func(_, pos int) {
-		st, ok := set.Groups[r.Keys[pos]]
-		if !ok {
-			errs[pos] = fmt.Errorf("miner: group %+v missing from working set", r.Keys[pos])
-			return
-		}
-		counts, err := st.Counts(r.Objs, nil, true)
+		st, rows, err := s.group(set, r.Keys[pos])
 		if err != nil {
 			errs[pos] = err
 			return
 		}
-		byPos[pos], errs[pos] = extractRulesFromCounts(schema, r.Drivers[pos], r.Objs, r.Filter,
-			r.Kinds, r.MinSupport, r.MinConfidence, counts)
+		if st.N == 0 {
+			return // filter excluded everything; no rules
+		}
+		compact, _, err := compacted(rows)
+		if err != nil {
+			errs[pos] = err
+			return
+		}
+		sc := s.scratch()
+		defer s.scratches.Put(sc)
+		byPos[pos], errs[pos] = driverRules(schema, r.Drivers[pos], r.Objs, r.Filter,
+			r.Kinds, r.MinSupport, r.MinConfidence, compact,
+			func(k int) (*core.Prepared, error) { return rows.V(r.Objs[k]) }, sc)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -408,30 +425,56 @@ func (s *Session) extractRules(r *plan.Resolved, set *plan.StatsSet) ([]Rule, er
 	return rules, nil
 }
 
+// group looks a driver group up in the batch's working set, with the
+// solver inputs the session's cache keeps for it.
+func (s *Session) group(set *plan.StatsSet, key plan.GroupKey) (*plan.Stats1D, *plan.PreparedRows, error) {
+	st, ok := set.Groups[key]
+	if !ok {
+		return nil, nil, fmt.Errorf("miner: group %+v missing from working set", key)
+	}
+	return st, s.c.Prepared(key, st), nil
+}
+
+// compacted returns the group's non-empty buckets and their original
+// positions (see PreparedRows.Compacted); every answer reports their
+// observed value extremes.
+func compacted(rows *plan.PreparedRows) (*bucketing.Counts, []int, error) {
+	compact, keep := rows.Compacted()
+	if compact.MinVal == nil {
+		return nil, nil, fmt.Errorf("miner: extremes missing from cached group")
+	}
+	return compact, keep, nil
+}
+
 // extractConjunctive reruns the §4.3 recipe on the two cached groups:
-// u_i over C1 and v_i over C1 ∧ C2 share one set of boundaries.
+// u_i over C1 and v_i over C1 ∧ C2 share one set of boundaries. The
+// (u, v) pair spans two statistics, so its solver inputs are prepared
+// per request, on a pooled Scratch.
 func (s *Session) extractConjunctive(r *plan.Resolved, set *plan.StatsSet) ([]Rule, error) {
 	schema := s.rel.Schema()
-	uStats, ok := set.Groups[r.UKey]
-	if !ok {
-		return nil, fmt.Errorf("miner: group %+v missing from working set", r.UKey)
-	}
-	vStats, ok := set.Groups[r.VKey]
-	if !ok {
-		return nil, fmt.Errorf("miner: group %+v missing from working set", r.VKey)
-	}
-	uCounts, err := uStats.Counts(nil, nil, true)
+	uStats, uRows, err := s.group(set, r.UKey)
 	if err != nil {
 		return nil, err
 	}
-	if uCounts.N == 0 {
+	vStats, _, err := s.group(set, r.VKey)
+	if err != nil {
+		return nil, err
+	}
+	if uStats.N == 0 {
 		return nil, nil // C1 excludes everything
 	}
 	// Compact on u (v is bounded by u bucketwise).
-	compact, keep := uCounts.Compact()
+	compact, keep, err := compacted(uRows)
+	if err != nil {
+		return nil, err
+	}
 	v := make([]float64, compact.M)
 	hits := 0
-	for j, i := range keep {
+	for j := range v {
+		i := j
+		if keep != nil {
+			i = keep[j]
+		}
 		v[j] = float64(vStats.U[i])
 		hits += vStats.U[i]
 	}
@@ -446,79 +489,92 @@ func (s *Session) extractConjunctive(r *plan.Resolved, set *plan.StatsSet) ([]Ru
 		Baseline:       float64(hits) / float64(compact.N),
 		Buckets:        compact.M,
 	}
-	return appendKindRules(nil, base, compact, v, r.Kinds, r.MinSupport, r.MinConfidence)
-}
-
-// extractTopK mines the ranked disjoint ranges from the cached group.
-func (s *Session) extractTopK(r *plan.Resolved, set *plan.StatsSet) ([]Rule, error) {
-	schema := s.rel.Schema()
-	st, ok := set.Groups[r.Keys[0]]
-	if !ok {
-		return nil, fmt.Errorf("miner: group %+v missing from working set", r.Keys[0])
-	}
-	counts, err := st.Counts(r.Objs, nil, true)
+	sc := s.scratch()
+	defer s.scratches.Put(sc)
+	p, err := sc.Prepare(compact.U, v)
 	if err != nil {
 		return nil, err
 	}
-	compact, _ := counts.Compact()
-	v := make([]float64, compact.M)
-	hits := 0
-	for i, c := range compact.V[0] {
-		v[i] = float64(c)
-		hits += c
+	return appendKindRules(nil, base, compact, p, r.Kinds, r.MinSupport, r.MinConfidence, sc)
+}
+
+// extractTopK mines the ranked disjoint ranges from the cached group:
+// the first, whole-range segment sweeps the group's prepared row, the
+// split segments are prepared on a pooled Scratch.
+func (s *Session) extractTopK(r *plan.Resolved, set *plan.StatsSet) ([]Rule, error) {
+	schema := s.rel.Schema()
+	_, rows, err := s.group(set, r.Keys[0])
+	if err != nil {
+		return nil, err
 	}
+	compact, _, err := compacted(rows)
+	if err != nil {
+		return nil, err
+	}
+	p, err := rows.V(r.Objs[0])
+	if err != nil {
+		return nil, err
+	}
+	sc := s.scratch()
+	defer s.scratches.Put(sc)
 	var pairs []core.Pair
 	switch r.Kinds[0] {
 	case OptimizedConfidence:
-		pairs, err = core.TopKSlopePairs(compact.U, v, r.MinSupport*float64(compact.N), r.K)
+		pairs, err = p.TopKSlopePairs(r.MinSupport*float64(compact.N), r.K, sc)
 	case OptimizedSupport:
-		pairs, err = core.TopKSupportPairs(compact.U, v, r.MinConfidence, r.K)
+		pairs, err = p.TopKSupportPairs(r.MinConfidence, r.K, sc)
 	default:
 		return nil, fmt.Errorf("miner: unknown rule kind %v", r.Kinds[0])
 	}
 	if err != nil {
 		return nil, err
 	}
+	_, hits := p.Totals()
 	rules := make([]Rule, 0, len(pairs))
-	for _, p := range pairs {
+	for _, pair := range pairs {
 		rule := Rule{
 			Kind:           r.Kinds[0],
 			Numeric:        schema[r.Drivers[0]].Name,
 			Objective:      schema[r.Objs[0].Attr].Name,
 			ObjectiveValue: r.Objs[0].Want,
-			Baseline:       float64(hits) / float64(compact.N),
+			Baseline:       hits / float64(compact.N),
 			Buckets:        compact.M,
 		}
-		fillPair(&rule, p, compact)
+		fillPair(&rule, pair, compact)
 		rules = append(rules, rule)
 	}
 	return rules, nil
 }
 
-// extractAverage answers the Section 5 decision-support queries from
-// the cached group's per-bucket target sums.
+// extractAverage answers the Section 5 decision-support queries by
+// sweeping the cached group's prepared target-sum row.
 func (s *Session) extractAverage(r *plan.Resolved, set *plan.StatsSet) (*AvgRange, error) {
 	schema := s.rel.Schema()
-	st, ok := set.Groups[r.Keys[0]]
-	if !ok {
-		return nil, fmt.Errorf("miner: group %+v missing from working set", r.Keys[0])
-	}
-	counts, err := st.Counts(nil, []int{r.Target}, true)
+	_, rows, err := s.group(set, r.Keys[0])
 	if err != nil {
 		return nil, err
 	}
-	compact, _ := counts.Compact()
+	compact, _, err := compacted(rows)
+	if err != nil {
+		return nil, err
+	}
+	p, err := rows.Sum(r.Target)
+	if err != nil {
+		return nil, err
+	}
 	driver := schema[r.Drivers[0]].Name
 	target := schema[r.Target].Name
-	var p core.Pair
+	sc := s.scratch()
+	defer s.scratches.Put(sc)
+	var pair core.Pair
 	var found bool
 	if r.Op == plan.OpAverage {
-		p, found, err = core.OptimalSlopePair(compact.U, compact.Sum[0], r.MinSupport*float64(compact.N))
+		pair, found, err = p.OptimalSlopePair(r.MinSupport*float64(compact.N), sc)
 		if err == nil && !found {
 			err = fmt.Errorf("miner: no range reaches support %g", r.MinSupport)
 		}
 	} else {
-		p, found, err = core.OptimalSupportPair(compact.U, compact.Sum[0], r.MinAverage)
+		pair, found, err = p.OptimalSupportPair(r.MinAverage, sc)
 		if err == nil && !found {
 			err = fmt.Errorf("miner: no range reaches average %g", r.MinAverage)
 		}
@@ -526,7 +582,8 @@ func (s *Session) extractAverage(r *plan.Resolved, set *plan.StatsSet) (*AvgRang
 	if err != nil {
 		return nil, err
 	}
-	out := fillAvg(driver, target, p, compact)
+	_, total := p.Totals()
+	out := fillAvg(driver, target, pair, compact, total)
 	return &out, nil
 }
 

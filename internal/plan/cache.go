@@ -74,11 +74,13 @@ func NewCache(maxBytes int64) *LRUCache {
 	}
 }
 
-// entry is one cached statistic with its accounted size.
+// entry is one cached statistic with its accounted size and, for a
+// 1-D statistic, the solver inputs prepared from it (see Prepared).
 type entry struct {
 	key   any
 	value any
 	bytes int64
+	prep  *PreparedRows
 }
 
 // get returns the entry for key, marking it most recently used.
@@ -111,7 +113,7 @@ func (c *LRUCache) putLocked(key any, value any, bytes int64) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += bytes - e.bytes
-		e.value, e.bytes = value, bytes
+		e.value, e.bytes, e.prep = value, bytes, nil
 		c.order.MoveToFront(el)
 	} else {
 		el := c.order.PushFront(&entry{key: key, value: value, bytes: bytes})
@@ -198,6 +200,26 @@ func (c *LRUCache) Put1D(k GroupKey, s *Stats1D) *Stats1D {
 	}
 	c.putLocked(k, s, s.sizeBytes())
 	return s
+}
+
+// Prepared returns the solver inputs prepared from s, kept in the
+// cache entry for k so every batch that binds s shares them; each row
+// is built on first use (see PreparedRows) and was charged with s by
+// Put1D. When the entry no longer holds s — it was evicted, merged or
+// folded after the batch bound s — the rows are fresh and kept only by
+// the caller.
+func (c *LRUCache) Prepared(k GroupKey, s *Stats1D) *PreparedRows {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		if e := el.Value.(*entry); e.value == any(s) {
+			if e.prep == nil {
+				e.prep = &PreparedRows{s: s}
+			}
+			return e.prep
+		}
+	}
+	return &PreparedRows{s: s}
 }
 
 // Get2D implements Cache.

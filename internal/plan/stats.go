@@ -227,9 +227,9 @@ func foldExtremes(a, b []float64, max bool) []float64 {
 }
 
 // sizeBytes estimates the statistic's memory footprint for cache
-// accounting.
+// accounting, its prepared solver inputs included.
 func (s *Stats1D) sizeBytes() int64 {
-	b := int64(64) // struct + map overhead, roughly
+	b := int64(64) + s.preparedBytes() // struct + map overhead, roughly
 	b += int64(len(s.U)) * 8
 	b += int64(len(s.MinVal)+len(s.MaxVal)) * 8
 	for _, row := range s.V {
@@ -239,41 +239,6 @@ func (s *Stats1D) sizeBytes() int64 {
 		b += int64(len(row))*8 + 32
 	}
 	return b
-}
-
-// Counts assembles a bucketing.Counts view over the statistic for the
-// requested objective conditions and targets, in the given order. The
-// returned Counts aliases the cached slices; callers treat it as
-// read-only (Compact allocates fresh storage when it drops buckets).
-func (s *Stats1D) Counts(bools []bucketing.BoolCond, targets []int, extremes bool) (*bucketing.Counts, error) {
-	c := &bucketing.Counts{
-		M:     s.M,
-		N:     s.N,
-		Total: s.Total,
-		NaNs:  s.NaNs,
-		U:     s.U,
-	}
-	for _, bc := range bools {
-		row, ok := s.V[bc]
-		if !ok {
-			return nil, fmt.Errorf("plan: objective row %+v missing from cached group", bc)
-		}
-		c.V = append(c.V, row)
-	}
-	for _, t := range targets {
-		row, ok := s.Sum[t]
-		if !ok {
-			return nil, fmt.Errorf("plan: target row %d missing from cached group", t)
-		}
-		c.Sum = append(c.Sum, row)
-	}
-	if extremes {
-		if s.MinVal == nil {
-			return nil, fmt.Errorf("plan: extremes missing from cached group")
-		}
-		c.MinVal, c.MaxVal = s.MinVal, s.MaxVal
-	}
-	return c, nil
 }
 
 // Stats2D is one attribute pair's cached grid plus the per-bucket value
