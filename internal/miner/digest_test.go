@@ -162,9 +162,10 @@ func TestAnswerDigestsLocateStress(t *testing.T) {
 }
 
 // allBackends are the backends the bank and locate-stress batches run
-// on: memory, a v2 file, a v3 file, 4 v2 shards and 4 shards mixing v2
-// and v3.
-var allBackends = []string{"memory", "v2", "v3", "sharded-v2", "sharded-mixed"}
+// on: memory, a v1 file, a v2 file, a v3 file, 4 v2 shards, 4 shards
+// mixing v2 and v3, 4 shards mixing v1, v2 and v3, and a healthy
+// FaultRelation over a v3 file.
+var allBackends = []string{"memory", "v1", "v2", "v3", "sharded-v2", "sharded-mixed", "sharded-v1mixed", "fault-v3"}
 
 // digestBackend builds the named backend over n rows of src: one of
 // allBackends, or "sharded-v3" (3 v3 shards).
@@ -173,6 +174,8 @@ func digestBackend(t *testing.T, name string, src datagen.RowSource, n int, seed
 	switch name {
 	case "memory":
 		return datagen.MustMaterialize(src, n, seed)
+	case "v1":
+		return diskOfFormat(t, src, n, seed, relation.DiskFormatV1)
 	case "v2":
 		return diskOfFormat(t, src, n, seed, relation.DiskFormatV2)
 	case "v3":
@@ -198,6 +201,24 @@ func digestBackend(t *testing.T, name string, src datagen.RowSource, n int, seed
 			t.Fatal(err)
 		}
 		return openSharded(t, mixed)
+	case "sharded-v1mixed":
+		// Shards v1, v2, v3, v2 of n/4 rows each.
+		path := filepath.Join(t.TempDir(), "v1mixed.oprs")
+		if err := datagen.WriteSharded(path, src, n/4, seed, 1, relation.DiskFormatV1); err != nil {
+			t.Fatal(err)
+		}
+		for i, format := range []int{relation.DiskFormatV2, relation.DiskFormatV3, relation.DiskFormatV2} {
+			tail, err := datagen.MaterializeRange(src, seed, (i+1)*n/4, n/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := relation.AppendToSharded(path, tail, relation.AppendOptions{Format: format}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return openSharded(t, path)
+	case "fault-v3":
+		return relation.NewFaultRelation(diskOfFormat(t, src, n, seed, relation.DiskFormatV3), relation.FaultConfig{})
 	}
 	t.Fatalf("unknown backend %q", name)
 	return nil
