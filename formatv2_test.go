@@ -77,7 +77,7 @@ func TestMineAllV2MatchesV1(t *testing.T) {
 
 // TestMineAllV2TwoScanInvariant pins that the fused two-scan pipeline
 // of PR 1 survives the storage swap: MineAll over a v2 relation issues
-// exactly one sampling scan plus one counting scan.
+// one point-read sampling pass plus one counting scan.
 func TestMineAllV2TwoScanInvariant(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -85,15 +85,17 @@ func TestMineAllV2TwoScanInvariant(t *testing.T) {
 	}
 	_, v2 := writeBothFormats(t, bank, 20000, 2)
 	counting := &relation.CountingRelation{R: v2}
-	res, err := MineAll(counting, Config{Buckets: 200, Seed: 3})
+	res, err := MineAll(counting, Config{Buckets: 200, Seed: 3, PEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rules) == 0 {
 		t.Fatalf("mined no rules")
 	}
-	if counting.Scans != 2 {
-		t.Errorf("MineAll over v2 issued %d scans, want exactly 2 (sampling + counting)", counting.Scans)
+	// Bank has 3 numeric attributes: 3 sampling point reads.
+	if n := v2.NumTuples(); counting.PointReads != 3 || len(counting.Ranges) != 1 || counting.Ranges[0] != [2]int{0, n} {
+		t.Errorf("MineAll over v2 issued %d point reads and scans %v, want 3 point reads and one scan of [0,%d)",
+			counting.PointReads, counting.Ranges, n)
 	}
 }
 

@@ -198,7 +198,7 @@ func TestSessionBatchV3MatchesV2(t *testing.T) {
 
 // TestMineAllV3TwoScanInvariant pins that the fused two-scan pipeline
 // survives the compressed format: MineAll over a v3 relation issues
-// exactly one sampling scan plus one counting scan.
+// one point-read sampling pass plus one counting scan.
 func TestMineAllV3TwoScanInvariant(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -206,15 +206,17 @@ func TestMineAllV3TwoScanInvariant(t *testing.T) {
 	}
 	_, v3 := writeV2V3(t, bank, 20000, 2)
 	counting := &relation.CountingRelation{R: v3}
-	res, err := MineAll(counting, Config{Buckets: 200, Seed: 3})
+	res, err := MineAll(counting, Config{Buckets: 200, Seed: 3, PEs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rules) == 0 {
 		t.Fatalf("mined no rules")
 	}
-	if counting.Scans != 2 {
-		t.Errorf("MineAll over v3 issued %d scans, want exactly 2 (sampling + counting)", counting.Scans)
+	// Bank has 3 numeric attributes: 3 sampling point reads.
+	if n := v3.NumTuples(); counting.PointReads != 3 || len(counting.Ranges) != 1 || counting.Ranges[0] != [2]int{0, n} {
+		t.Errorf("MineAll over v3 issued %d point reads and scans %v, want 3 point reads and one scan of [0,%d)",
+			counting.PointReads, counting.Ranges, n)
 	}
 }
 

@@ -15,6 +15,7 @@ func TestByteCount(t *testing.T)   { analysistest.Run(t, optlint.ByteCount, "byt
 func TestAtomicWrite(t *testing.T) { analysistest.Run(t, optlint.AtomicWrite, "atomicwrite") }
 func TestCloseCheck(t *testing.T)  { analysistest.Run(t, optlint.CloseCheck, "closecheck") }
 func TestGoStmt(t *testing.T)      { analysistest.Run(t, optlint.GoStmt, "gostmt") }
+func TestCapSniff(t *testing.T)    { analysistest.Run(t, optlint.CapSniff, "capsniff") }
 
 // TestSuiteSelfCheck runs the full suite over the whole module the way
 // cmd/optlint does and requires zero findings: every true positive is

@@ -1,8 +1,8 @@
-// Package optlint is the engine's analyzer suite: seven checks that
+// Package optlint is the engine's analyzer suite: eight checks that
 // mechanically enforce the invariants optrule's correctness arguments
 // lean on — deterministic rule output, integer-exact parallel merges,
-// accurate BytesRead accounting, crash-safe writes, and one parallel
-// scheduler. cmd/optlint
+// accurate BytesRead accounting, crash-safe writes, one parallel
+// scheduler, and one storage contract. cmd/optlint
 // runs the suite standalone or under `go vet -vettool`; the self-check
 // test keeps the repo clean; intended exceptions carry
 // //optlint:ignore <analyzer> <reason> directives.
@@ -26,6 +26,7 @@ func Suite() []*analysis.Analyzer {
 		AtomicWrite,
 		CloseCheck,
 		GoStmt,
+		CapSniff,
 	}
 }
 

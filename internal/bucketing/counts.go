@@ -247,48 +247,37 @@ func countBatch(c *Counts, b *relation.Batch, bounds Boundaries, opts Options, t
 // Count performs step 4 of Algorithm 3.1 in a single sequential scan:
 // it assigns every tuple to its bucket by binary search and accumulates
 // the per-bucket statistics requested in opts. O(N log M). A filter is
-// pushed down to the storage layer when the relation supports pruned
-// scans (see prunedScanner).
+// pushed down to the storage layer as the scan's predicate (see
+// filterPred).
 func Count(rel relation.Relation, driver int, bounds Boundaries, opts Options) (*Counts, error) {
 	if err := validateOptions(rel.Schema(), driver, opts); err != nil {
 		return nil, err
 	}
 	cols, targetPos, boolPos, filterPos := scanColumns(driver, opts)
 	c := newCounts(bounds.NumBuckets(), opts)
-	fn := func(b *relation.Batch) error {
+	err := rel.ScanRangePruned(0, rel.NumTuples(), cols, filterPred(opts), c.skip, func(b *relation.Batch) error {
 		countBatch(c, b, bounds, opts, targetPos, boolPos, filterPos)
 		return nil
-	}
-	var err error
-	if prs, pred := prunedScanner(rel, opts); prs != nil {
-		err = prs.ScanRangePruned(0, rel.NumTuples(), cols, pred, c.skip, fn)
-	} else {
-		err = rel.Scan(cols, fn)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// prunedScanner returns rel as a PrunedRangeScanner together with
-// opts.Filter as its pushdown predicate, or nil when there is no filter
-// or rel cannot prune. Every filter condition is a Boolean conjunct,
+// filterPred returns opts.Filter as a pushdown predicate, or nil when
+// there is no filter. Every filter condition is a Boolean conjunct,
 // which is exactly what the v3 zone maps (per-block true counts) can
 // refute.
-func prunedScanner(rel relation.Relation, opts Options) (relation.PrunedRangeScanner, *relation.Predicate) {
+func filterPred(opts Options) *relation.Predicate {
 	if len(opts.Filter) == 0 {
-		return nil, nil
-	}
-	prs, ok := rel.(relation.PrunedRangeScanner)
-	if !ok {
-		return nil, nil
+		return nil
 	}
 	pred := &relation.Predicate{}
 	for _, bc := range opts.Filter {
 		pred.Bools = append(pred.Bools, relation.BoolPredicate{Attr: bc.Attr, Want: bc.Want})
 	}
-	return prs, pred
+	return pred
 }
 
 // skip accounts rows a pruned scan never read. The filter provably

@@ -262,7 +262,7 @@ func TestCountScanIsTheCountingScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pes := range []int{1, 4} {
-		rel := &relation.RangeCountingRelation{R: mem}
+		rel := &relation.CountingRelation{R: mem}
 		if err := CountScan(rel, 0, bounds, pes); err != nil {
 			t.Fatal(err)
 		}

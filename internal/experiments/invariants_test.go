@@ -87,11 +87,11 @@ func TestColScanByteModel(t *testing.T) {
 }
 
 // TestFusedExperimentShape compares the per-attribute bucketing
-// pipeline (one sampling pass plus one counting scan per numeric
-// attribute) with the fused plan executor (one sampling scan plus one
-// counting scan in total) on the same disk relation: 2d scans against
-// 2, and fewer streamed rows as soon as there is more than one
-// attribute.
+// pipeline (one sampling scan plus one counting scan per numeric
+// attribute) with the fused plan executor (one point read per
+// attribute plus one counting scan in total) on the same disk relation:
+// 2d scans against 1, and fewer streamed rows as soon as there is more
+// than one attribute.
 func TestFusedExperimentShape(t *testing.T) {
 	const n, buckets, seed = 20000, 1000, 1
 	for _, d := range []int{1, 3} {
@@ -106,7 +106,7 @@ func TestFusedExperimentShape(t *testing.T) {
 			opts.Bools = append(opts.Bools, bucketing.BoolCond{Attr: b, Want: true})
 		}
 		opts.TrackExtremes = true
-		dflt := plan.Defaults{Buckets: buckets, GridSide: 32, SampleFactor: 40, Seed: seed}
+		dflt := plan.Defaults{Buckets: buckets, GridSide: 32, SampleFactor: 40, Seed: seed, PEs: 1}
 
 		legacy := &relation.CountingRelation{R: rel}
 		for _, attr := range s.NumericIndices() {
@@ -131,8 +131,9 @@ func TestFusedExperimentShape(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if fused.Scans != 2 {
-			t.Errorf("attrs=%d: fused pipeline issued %d scans, want 2", d, fused.Scans)
+		if fused.PointReads != d || len(fused.Ranges) != 1 || fused.Ranges[0] != [2]int{0, n} {
+			t.Errorf("attrs=%d: fused pipeline issued %d point reads and scans %v, want %d point reads and one scan of [0,%d)",
+				d, fused.PointReads, fused.Ranges, d, n)
 		}
 		if want := 2 * d; legacy.Scans != want {
 			t.Errorf("attrs=%d: legacy pipeline issued %d scans, want %d", d, legacy.Scans, want)

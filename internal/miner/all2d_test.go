@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -267,7 +268,7 @@ func TestMine2DFusedMatchesPerPairNaN(t *testing.T) {
 
 // TestMineAll2DTwoScans pins the fused 2-D pipeline's cost model: over
 // a relation with d numeric attributes (d(d−1)/2 pairs), MineAll2D
-// performs exactly one sampling scan plus one counting scan, while the
+// performs one point-read sampling pass plus one counting scan, while the
 // legacy per-pair path pays three scans per pair.
 func TestMineAll2DTwoScans(t *testing.T) {
 	for _, numAttrs := range []int{4, 6} {
@@ -279,7 +280,7 @@ func TestMineAll2DTwoScans(t *testing.T) {
 		s := disk.Schema()
 		obj := s[s.BooleanIndices()[0]].Name
 		counting := &relation.CountingRelation{R: disk}
-		res, err := MineAll2D(counting, Options2D{Objective: obj, ObjectiveValue: true, GridSide: 16}, Config{Seed: 1})
+		res, err := MineAll2D(counting, Options2D{Objective: obj, ObjectiveValue: true, GridSide: 16}, Config{Seed: 1, PEs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,15 +291,7 @@ func TestMineAll2DTwoScans(t *testing.T) {
 		if len(res.Rules) == 0 {
 			t.Errorf("attrs=%d: no rules mined", numAttrs)
 		}
-		if counting.Scans != 2 {
-			t.Errorf("attrs=%d: MineAll2D issued %d scans, want exactly 2 (sampling + counting)",
-				numAttrs, counting.Scans)
-		}
-		// The sampling scan may abort early once every sample index is
-		// satisfied, so total rows delivered are at most two full passes.
-		if max := int64(2 * disk.NumTuples()); counting.Rows > max {
-			t.Errorf("attrs=%d: scans delivered %d rows, want <= %d", numAttrs, counting.Rows, max)
-		}
+		requireTwoPasses(t, fmt.Sprintf("attrs=%d", numAttrs), counting, numAttrs, 1, disk.NumTuples())
 		// The legacy path costs 3 scans PER PAIR on the same relation —
 		// the gap the fused engine exists to close.
 		fusedBytes := disk.BytesRead()

@@ -377,7 +377,7 @@ func TestAverageAfterAppendRecountsAndMatches(t *testing.T) {
 		for _, par := range []int{1, 2, 4} {
 			// grow appends rows [base, base+delta) to store, the storage
 			// under the session.
-			var store relation.RangeScanner
+			var store relation.Relation
 			var grow func()
 			name := fmt.Sprintf("memory/par=%d", par)
 			if format == 0 {
@@ -409,7 +409,7 @@ func TestAverageAfterAppendRecountsAndMatches(t *testing.T) {
 					}
 				}
 			}
-			counting := &relation.RangeCountingRelation{R: store}
+			counting := &relation.CountingRelation{R: store}
 			cfg := Config{Buckets: 20, Seed: 17, PEs: par, Workers: par}
 			sess, err := NewSession(counting, cfg)
 			if err != nil {
@@ -556,7 +556,7 @@ func TestSessionRefreshScansTailOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &relation.RangeCountingRelation{R: mem}
+	counting := &relation.CountingRelation{R: mem}
 	cfg := Config{Buckets: 150, Seed: 17, MinSupport: 0.05, MinConfidence: 0.55}
 	sess, err := NewSession(counting, cfg)
 	if err != nil {

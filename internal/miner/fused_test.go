@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -131,9 +132,22 @@ func TestMineAllFusedMatchesLegacyNaNExactDomains(t *testing.T) {
 	}
 }
 
+// requireTwoPasses asserts the fused pipeline's cost model on c, over
+// a relation of n rows counted at pes workers: a sampling pass of
+// pointReads point reads and no scan, then a counting pass whose scans
+// tile [0, n) exactly once and deliver every row once — one scan at
+// pes 1.
+func requireTwoPasses(t *testing.T, name string, c *relation.CountingRelation, pointReads, pes, n int) {
+	t.Helper()
+	if c.PointReads != pointReads || !c.Tiles(0, 0, n) || c.Rows != int64(n) || (pes == 1 && c.Scans != 1) {
+		t.Errorf("%s: %d point reads, then scans %v delivering %d rows; want %d point reads, then scans tiling [0,%d) once (one scan at PEs 1)",
+			name, c.PointReads, c.Ranges, c.Rows, pointReads, n)
+	}
+}
+
 // TestMineAllTwoScansOnDisk pins the fused pipeline's cost model: over
-// a disk relation, MineAll performs exactly one sampling scan plus one
-// counting scan regardless of the number of numeric attributes.
+// a disk relation, MineAll performs one point-read sampling pass plus
+// one counting pass regardless of the number of numeric attributes.
 func TestMineAllTwoScansOnDisk(t *testing.T) {
 	for _, numAttrs := range []int{1, 3, 8} {
 		shape, err := datagen.NewPerfShape(numAttrs, 3, nil)
@@ -141,23 +155,17 @@ func TestMineAllTwoScansOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		disk := diskOf(t, shape, 5000, 9)
-		counting := &relation.CountingRelation{R: disk}
-		res, err := MineAll(counting, Config{Buckets: 100, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rules) == 0 {
-			t.Errorf("attrs=%d: no rules mined", numAttrs)
-		}
-		if counting.Scans != 2 {
-			t.Errorf("attrs=%d: MineAll issued %d scans, want exactly 2 (sampling + counting)",
-				numAttrs, counting.Scans)
-		}
-		// The sampling scan may abort early once every sample index is
-		// satisfied, so total rows delivered are at most two full passes.
-		if max := int64(2 * disk.NumTuples()); counting.Rows > max {
-			t.Errorf("attrs=%d: scans delivered %d rows, want <= %d (two full passes)",
-				numAttrs, counting.Rows, max)
+		var counting *relation.CountingRelation
+		for _, pes := range []int{1, 4} {
+			counting = &relation.CountingRelation{R: disk}
+			res, err := MineAll(counting, Config{Buckets: 100, Seed: 1, PEs: pes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rules) == 0 {
+				t.Errorf("attrs=%d: no rules mined", numAttrs)
+			}
+			requireTwoPasses(t, fmt.Sprintf("attrs=%d/PEs=%d", numAttrs, pes), counting, numAttrs, pes, disk.NumTuples())
 		}
 		// The legacy path must cost d+1 scans on the same relation — the
 		// gap the fused engine exists to close.
@@ -176,22 +184,29 @@ func TestMineAllTwoScansOnDisk(t *testing.T) {
 }
 
 // TestMineAllTwoScansExactDomains: finest-bucket detection rides the
-// sampling scan, so ExactDomainLimit must not add passes.
+// sampling pass, so ExactDomainLimit must not add passes. Tracking
+// distinct values needs every row, so that pass is one full scan.
 func TestMineAllTwoScansExactDomains(t *testing.T) {
 	rel, err := datagen.Materialize(mustBank(t), 4000, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &relation.CountingRelation{R: rel}
-	res, err := MineAll(counting, Config{Buckets: 100, Seed: 1, ExactDomainLimit: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rules) == 0 {
-		t.Error("no rules mined")
-	}
-	if counting.Scans != 2 {
-		t.Errorf("MineAll with ExactDomainLimit issued %d scans, want exactly 2", counting.Scans)
+	n := rel.NumTuples()
+	for _, pes := range []int{1, 4} {
+		counting := &relation.CountingRelation{R: rel}
+		res, err := MineAll(counting, Config{Buckets: 100, Seed: 1, ExactDomainLimit: 80, PEs: pes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rules) == 0 {
+			t.Error("no rules mined")
+		}
+		// A memory relation counts in pes equal-row chunks.
+		if counting.PointReads != 0 || counting.Scans != 1+pes || counting.Ranges[0] != [2]int{0, n} ||
+			!counting.Tiles(1, 0, n) || counting.Rows != int64(2*n) {
+			t.Errorf("PEs=%d: %d point reads and scans %v over %d rows, want one sampling scan of [0,%d) then %d scans tiling it",
+				pes, counting.PointReads, counting.Ranges, counting.Rows, n, pes)
+		}
 	}
 }
 

@@ -148,9 +148,9 @@ func TestDefaultParallelMatchesSerial(t *testing.T) {
 			}
 		}
 
-		// Scan counts: both schedules split into chunks whenever there is
-		// more than one CPU.
-		counting := &relation.RangeCountingRelation{R: mem}
+		// Scan counts: both schedules count in one chunk per CPU, which
+		// on a memory relation are equal-row chunks tiling the relation.
+		counting := &relation.CountingRelation{R: mem}
 		s, err := NewSession(counting, Config{Buckets: 200, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -158,16 +158,17 @@ func TestDefaultParallelMatchesSerial(t *testing.T) {
 		if _, err := s.ExecuteBatch(noAvg); err != nil {
 			t.Fatal(err)
 		}
-		// One sampling scan, then the counting scan's chunks.
-		if chunks := counting.Scans - 1; (procs == 1) != (chunks == 1) {
-			t.Errorf("GOMAXPROCS %d: integer schedule counted in %d scans", procs, chunks)
+		// Point-read sampling, then the counting scan's chunks.
+		if counting.Scans != procs || !counting.Tiles(0, 0, n) {
+			t.Errorf("GOMAXPROCS %d: integer schedule counted in scans %v, want %d tiling [0,%d)", procs, counting.Ranges, procs, n)
 		}
 		before := counting.Scans
 		if _, err := s.ExecuteBatch(full); err != nil {
 			t.Fatal(err)
 		}
-		if chunks := counting.Scans - before; (procs == 1) != (chunks == 1) {
-			t.Errorf("GOMAXPROCS %d: average-carrying schedule counted in %d scans", procs, chunks)
+		if counting.Scans-before != procs || !counting.Tiles(before, 0, n) {
+			t.Errorf("GOMAXPROCS %d: average-carrying schedule counted in scans %v, want %d tiling [0,%d)",
+				procs, counting.Ranges[before:], procs, n)
 		}
 	}
 }

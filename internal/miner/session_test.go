@@ -234,10 +234,10 @@ func checkAnswers(t *testing.T, answers []Answer) {
 }
 
 // TestSessionBatchTwoScans pins the executor's cost contract: a mixed
-// 1-D/2-D batch costs exactly TWO relation scans (one sampling, one
-// counting), and a re-query batch with different thresholds, kinds,
-// and region classes costs ZERO scans — every statistic it needs is
-// cached.
+// 1-D/2-D batch costs exactly TWO passes (one point read per sampled
+// boundary set, one counting pass), and a re-query batch with different
+// thresholds, kinds, and region classes costs ZERO reads — every
+// statistic it needs is cached.
 func TestSessionBatchTwoScans(t *testing.T) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})
 	if err != nil {
@@ -247,62 +247,71 @@ func TestSessionBatchTwoScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &relation.CountingRelation{R: mem}
-	s, err := NewSession(counting, Config{Buckets: 200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mem.NumTuples()
+	for _, pes := range []int{1, 4} {
+		counting := &relation.CountingRelation{R: mem}
+		s, err := NewSession(counting, Config{Buckets: 200, Seed: 5, PEs: pes})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	answers, err := s.ExecuteBatch(mixedBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAnswers(t, answers)
-	if counting.Scans != 2 {
-		t.Fatalf("mixed batch cost %d scans, want exactly 2", counting.Scans)
-	}
+		// One point-read sampling pass, then one counting pass: a memory
+		// relation counts in pes equal-row chunks.
+		answers, err := s.ExecuteBatch(mixedBatch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswers(t, answers)
+		reads := counting.PointReads
+		if reads != 5 || counting.Scans != pes || !counting.Tiles(0, 0, n) {
+			t.Fatalf("PEs=%d: mixed batch cost %d point reads and scans %v, want 5 point reads and %d scans tiling [0,%d)",
+				pes, reads, counting.Ranges, pes, n)
+		}
 
-	// Same statistics, different query plane: thresholds, kinds, K, and
-	// region class all change; nothing may rescan.
-	requery := []Query{
-		{Op: OpRules, MinSupport: 0.2, MinConfidence: 0.7,
-			Kinds: []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain}},
-		{Op: OpRules, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true,
-			Conditions:    []plan.Condition{{Attr: "AutoWithdraw", Value: true}},
-			MinConfidence: 0.8},
-		{Op: OpRules2D, Numeric: "Balance", NumericB: "Age", Objective: "CardLoan",
-			ObjectiveValue: true, GridSide: 32,
-			Kinds:   []RuleKind{OptimizedGain},
-			Regions: []RegionClass{RectilinearConvexClass}},
-		{Op: OpTopK, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true, K: 5,
-			Kinds: []RuleKind{OptimizedSupport}},
-		{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.3},
-		{Op: OpSupportRange, Numeric: "Balance", Target: "Age", MinAverage: 1},
-	}
-	answers, err = s.ExecuteBatch(requery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAnswers(t, answers)
-	if counting.Scans != 2 {
-		t.Fatalf("cached re-query batch rescanned: %d scans total, want still 2", counting.Scans)
-	}
-	if st := s.CacheStats(); st.Hits == 0 || st.Entries == 0 {
-		t.Fatalf("cache did not serve the re-query: %+v", st)
-	}
+		// Same statistics, different query plane: thresholds, kinds, K,
+		// and region class all change; nothing may be read again.
+		requery := []Query{
+			{Op: OpRules, MinSupport: 0.2, MinConfidence: 0.7,
+				Kinds: []RuleKind{OptimizedSupport, OptimizedConfidence, OptimizedGain}},
+			{Op: OpRules, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true,
+				Conditions:    []plan.Condition{{Attr: "AutoWithdraw", Value: true}},
+				MinConfidence: 0.8},
+			{Op: OpRules2D, Numeric: "Balance", NumericB: "Age", Objective: "CardLoan",
+				ObjectiveValue: true, GridSide: 32,
+				Kinds:   []RuleKind{OptimizedGain},
+				Regions: []RegionClass{RectilinearConvexClass}},
+			{Op: OpTopK, Numeric: "Balance", Objective: "CardLoan", ObjectiveValue: true, K: 5,
+				Kinds: []RuleKind{OptimizedSupport}},
+			{Op: OpAverage, Numeric: "Balance", Target: "Age", MinSupport: 0.3},
+			{Op: OpSupportRange, Numeric: "Balance", Target: "Age", MinAverage: 1},
+		}
+		answers, err = s.ExecuteBatch(requery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswers(t, answers)
+		if counting.Scans != pes || counting.PointReads != reads {
+			t.Fatalf("PEs=%d: cached re-query batch read again: %d scans and %d point reads in total, want still %d and %d",
+				pes, counting.Scans, counting.PointReads, pes, reads)
+		}
+		if st := s.CacheStats(); st.Hits == 0 || st.Entries == 0 {
+			t.Fatalf("cache did not serve the re-query: %+v", st)
+		}
 
-	// A genuinely new statistic (an unseen objective row on a cached
-	// group) costs at most one more counting scan — the boundaries stay
-	// cached, so no sampling scan runs.
-	answers, err = s.ExecuteBatch([]Query{{
-		Op: OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: false,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAnswers(t, answers)
-	if counting.Scans != 3 {
-		t.Fatalf("new objective row cost %d extra scans, want exactly 1 (counting only)", counting.Scans-2)
+		// A genuinely new statistic (an unseen objective row on a cached
+		// group) costs one more counting pass — the boundaries stay
+		// cached, so no sampling pass runs.
+		answers, err = s.ExecuteBatch([]Query{{
+			Op: OpRules, Numeric: "Balance", Objective: "Mortgage", ObjectiveValue: false,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswers(t, answers)
+		if counting.Scans != 2*pes || counting.PointReads != reads || !counting.Tiles(pes, 0, n) {
+			t.Fatalf("PEs=%d: new objective row cost scans %v and %d point reads, want %d scans tiling [0,%d) and none",
+				pes, counting.Ranges[pes:], counting.PointReads-reads, pes, n)
+		}
 	}
 }
 

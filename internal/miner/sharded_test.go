@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -127,9 +128,9 @@ func TestMineAll2DShardedMatchesSingleFile(t *testing.T) {
 	}
 }
 
-// TestMineAllShardedTwoScans holds the exactly-two-scans invariant
-// across shards: sharding the storage must not change the pass count
-// the fused pipeline issues against the logical relation.
+// TestMineAllShardedTwoScans holds the two-pass invariant across
+// shards: sharding the storage must not change the passes the fused
+// pipeline issues against the logical relation.
 func TestMineAllShardedTwoScans(t *testing.T) {
 	shape, err := datagen.NewPerfShape(4, 3, nil)
 	if err != nil {
@@ -137,21 +138,16 @@ func TestMineAllShardedTwoScans(t *testing.T) {
 	}
 	for _, shards := range []int{2, 5} {
 		sharded := shardedOf(t, shape, 5000, 9, shards)
-		counting := &relation.CountingRelation{R: sharded}
-		res, err := MineAll(counting, Config{Buckets: 100, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rules) == 0 {
-			t.Errorf("shards=%d: no rules mined", shards)
-		}
-		if counting.Scans != 2 {
-			t.Errorf("shards=%d: MineAll issued %d scans, want exactly 2 (sampling + counting)",
-				shards, counting.Scans)
-		}
-		if max := int64(2 * sharded.NumTuples()); counting.Rows > max {
-			t.Errorf("shards=%d: scans delivered %d rows, want <= %d (two full passes)",
-				shards, counting.Rows, max)
+		for _, pes := range []int{1, 4} {
+			counting := &relation.CountingRelation{R: sharded}
+			res, err := MineAll(counting, Config{Buckets: 100, Seed: 1, PEs: pes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rules) == 0 {
+				t.Errorf("shards=%d: no rules mined", shards)
+			}
+			requireTwoPasses(t, fmt.Sprintf("shards=%d/PEs=%d", shards, pes), counting, 4, pes, sharded.NumTuples())
 		}
 	}
 }

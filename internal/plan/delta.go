@@ -32,8 +32,8 @@ type DeltaStats struct {
 	Resamples      int
 	EntriesFolded  int
 	EntriesDropped int
-	// Invalidated reports the fallback: the relation cannot scan ranges
-	// (or shrank), so the whole cache was dropped instead of folded.
+	// Invalidated reports that the relation shrank, so the whole cache
+	// was dropped instead of folded.
 	Invalidated bool
 }
 
@@ -75,8 +75,8 @@ func resampleBudget(sampleFactor int) float64 {
 //
 // So every folded statistic is bit-identical to a cold count over the
 // same boundaries. Entries are planned and folded in the cache's own
-// order, least recently used first. Relations that cannot scan ranges
-// fall back to invalidation. The caller (the session layer) must
+// order, least recently used first. A relation that shrank drops the
+// whole cache instead. The caller (the session layer) must
 // serialize RunDelta against batch execution and pass gen = one past
 // the generation the cached entries carry.
 func RunDelta(ctx context.Context, rel relation.Relation, d Defaults, cache *LRUCache, oldN, newN int, gen int64) (DeltaStats, error) {
@@ -85,10 +85,9 @@ func RunDelta(ctx context.Context, rel relation.Relation, d Defaults, cache *LRU
 		return ds, nil
 	}
 	entries := cache.snapshot()
-	if _, ok := rel.(relation.RangeScanner); newN < oldN || !ok {
-		// Shrinkage means an in-place rewrite, not an append; a relation
-		// without range scans gives the tail no address. Either way the
-		// cached statistics cannot be reconciled — drop them all.
+	if newN < oldN {
+		// Shrinkage means an in-place rewrite, not an append: the cached
+		// statistics cannot be reconciled — drop them all.
 		for _, e := range entries {
 			if _, ok := e.key.(BoundKey); !ok {
 				ds.EntriesDropped++

@@ -157,7 +157,7 @@ func TestRunDeltaScansTailOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendDeltaRows(rel, oldN, newN)
-	counting := &relation.RangeCountingRelation{R: rel}
+	counting := &relation.CountingRelation{R: rel}
 	ds, err := RunDelta(context.Background(), counting, d, cache, oldN, newN, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -264,31 +264,33 @@ func TestRunDeltaRepeatedAppendsAccumulate(t *testing.T) {
 	}
 }
 
-// TestRunDeltaInvalidatesWithoutRangeScans pins the fallback: a
-// relation that cannot address its tail drops the cache instead of
-// silently serving stale statistics.
-func TestRunDeltaInvalidatesWithoutRangeScans(t *testing.T) {
-	const oldN, newN = 500, 510
-	rel := deltaTestRel(t, oldN)
+// TestRunDeltaInvalidatesOnShrink pins the shrink path: a relation
+// with fewer rows than the cache was built over was rewritten in place,
+// so the refresh drops the whole cache, and scans nothing, instead of
+// serving stale statistics.
+func TestRunDeltaInvalidatesOnShrink(t *testing.T) {
+	const oldN, newN = 510, 500
 	cache := NewCache(-1)
 	d := deltaTestDefaults
-	if _, err := Run(rel, d, cache, deltaTestReq(0)); err != nil {
+	if _, err := Run(deltaTestRel(t, oldN), d, cache, deltaTestReq(0)); err != nil {
 		t.Fatal(err)
 	}
-	appendDeltaRows(rel, oldN, newN)
-	wrapped := &relation.CountingRelation{R: rel} // hides ScanRange
-	ds, err := RunDelta(context.Background(), wrapped, d, cache, oldN, newN, 1)
+	counting := &relation.CountingRelation{R: deltaTestRel(t, newN)}
+	ds, err := RunDelta(context.Background(), counting, d, cache, oldN, newN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ds.Invalidated {
-		t.Fatalf("non-range-scanner refresh did not invalidate")
+		t.Fatalf("a shrunk relation's refresh did not invalidate")
 	}
 	if ds.EntriesDropped != 3 {
-		t.Errorf("fallback reported %d entries dropped, want the 3 groups and grids", ds.EntriesDropped)
+		t.Errorf("shrink reported %d entries dropped, want the 3 groups and grids", ds.EntriesDropped)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
-		t.Errorf("cache still holds %d entries after fallback invalidation", st.Entries)
+		t.Errorf("cache still holds %d entries after the shrink", st.Entries)
+	}
+	if counting.Scans != 0 || counting.PointReads != 0 {
+		t.Errorf("shrink refresh issued %d scans and %d point reads, want none", counting.Scans, counting.PointReads)
 	}
 }
 

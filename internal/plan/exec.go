@@ -149,20 +149,12 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 // where 0 means runtime.GOMAXPROCS(0) and 1 forces a serial scan. The
 // schedule does not matter: integer tallies and extremes merge exactly,
 // and float target sums replay in the serial scan's addition order (see
-// sumLog), so every statistic is bit-identical at any worker count. A
-// relation without range scans counts serially.
-func scanParallelism(rel relation.Relation, d Defaults) int {
-	pes := d.PEs
-	if pes == 0 {
-		pes = runtime.GOMAXPROCS(0)
+// sumLog), so every statistic is bit-identical at any worker count.
+func scanParallelism(d Defaults) int {
+	if d.PEs == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if pes <= 1 {
-		return 1
-	}
-	if _, ok := rel.(relation.RangeScanner); !ok {
-		return 1
-	}
-	return pes
+	return max(1, d.PEs)
 }
 
 // ---------------------------------------------------------------------
@@ -199,7 +191,7 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	groups []*GroupNeed, pairs []*PairNeed, start, end int) error {
 	cols, numPos, boolPos := execLayout(groups, pairs)
 	pred := commonFilterPred(groups, pairs)
-	pes := max(1, min(scanParallelism(rel, d), end-start))
+	pes := max(1, min(scanParallelism(d), end-start))
 	chunks := []relation.ScanChunk{{Start: start, End: end}}
 	if pes > 1 {
 		// Target sums wait for replay until every earlier chunk is done,
@@ -353,35 +345,25 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 }
 
 // scanChunk is the one chunk scan: it tallies rows [start, end) into
-// st, through the zone-map pruned path when a pushdown predicate and a
-// PrunedRangeScanner are at hand, and checks ctx between batches. The
-// whole relation is read with a plain Scan, so relations without range
-// scans count serially.
+// st through one pruned range scan (pred is nil when nothing is pushed
+// down) and checks ctx between batches. Without a predicate nothing is
+// skipped, so no skip callback is allocated.
 func scanChunk(ctx context.Context, rel relation.Relation, cols relation.ColumnSet,
 	pred *relation.Predicate, st *execState, start, end int) error {
-	count := func(b *relation.Batch) error {
+	var skip func(rows int) error
+	if pred != nil {
+		skip = func(rows int) error {
+			st.skip(rows)
+			return nil
+		}
+	}
+	return rel.ScanRangePruned(start, end, cols, pred, skip, func(b *relation.Batch) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		st.countBatch(b)
 		return nil
-	}
-	if pred != nil {
-		if prs, ok := rel.(relation.PrunedRangeScanner); ok {
-			return prs.ScanRangePruned(start, end, cols, pred, func(rows int) error {
-				st.skip(rows)
-				return nil
-			}, count)
-		}
-	}
-	if start == 0 && end == rel.NumTuples() {
-		return rel.Scan(cols, count)
-	}
-	rs, ok := rel.(relation.RangeScanner)
-	if !ok {
-		return fmt.Errorf("plan: relation %T cannot scan row ranges", rel)
-	}
-	return rs.ScanRange(start, end, cols, count)
+	})
 }
 
 // boundsOf fetches a group's boundaries from the working set.

@@ -184,7 +184,7 @@ func TestRunDeltaParallelTailMatchesSerialAndCold(t *testing.T) {
 				}
 				d := deltaTestDefaults
 				d.PEs = pes
-				if planPEs := scanParallelism(l.rel, d); planPEs > 1 {
+				if planPEs := scanParallelism(d); planPEs > 1 {
 					cols, _, _ := execLayout(groups, pairs)
 					pred := commonFilterPred(groups, pairs)
 					straddles := false

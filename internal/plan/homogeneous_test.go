@@ -221,31 +221,39 @@ func TestHomogeneousMatchesCountPerDriver(t *testing.T) {
 	}
 }
 
-// TestHomogeneousOneCountingScan pins the two-scan contract for the
-// MineAll shape: one sampling scan, then ONE counting scan that streams
-// every row once, no matter how many drivers and objectives.
+// TestHomogeneousOneCountingScan pins the two-pass contract for the
+// MineAll shape: one point-read sampling pass (one read per sample:
+// two drivers at the 1-D and the grid resolution), then ONE counting
+// pass that streams every row once, no matter how many drivers and
+// objectives — one scan at PEs 1, chunk scans tiling the relation at
+// PEs 4.
 func TestHomogeneousOneCountingScan(t *testing.T) {
 	mem, _, _ := homRelations(t, 3000)
-	counting := &relation.CountingRelation{R: mem}
-	d := Defaults{Buckets: 30, GridSide: 8, SampleFactor: 40, Seed: 1}
-	set := runHom(t, counting, d, homRequirements(mem.Schema(), d, 8, nil, nil))
-	if counting.Scans != 2 {
-		t.Errorf("schedule issued %d scans, want 2 (sampling + counting)", counting.Scans)
-	}
-	scans, rows := counting.Scans, counting.Rows
-	// Boundaries cached, counts not: the counting scan alone.
-	cache := NewCache(0)
-	for k, b := range set.Bounds {
-		cache.PutBounds(k, b, mem.NumTuples())
-	}
-	if _, err := Run(counting, d, cache, homRequirements(mem.Schema(), d, 8, nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := counting.Scans - scans; got != 1 {
-		t.Errorf("counting pass issued %d scans, want 1", got)
-	}
-	if got := counting.Rows - rows; got != int64(mem.NumTuples()) {
-		t.Errorf("counting pass streamed %d rows, want %d", got, mem.NumTuples())
+	n := mem.NumTuples()
+	for _, pes := range []int{1, 4} {
+		counting := &relation.CountingRelation{R: mem}
+		d := Defaults{Buckets: 30, GridSide: 8, SampleFactor: 40, Seed: 1, PEs: pes}
+		set := runHom(t, counting, d, homRequirements(mem.Schema(), d, 8, nil, nil))
+		if counting.PointReads != 4 || counting.Scans != pes || !counting.Tiles(0, 0, n) {
+			t.Errorf("pes=%d: schedule issued %d point reads and scans %v, want 4 point reads and %d scans tiling [0,%d)",
+				pes, counting.PointReads, counting.Ranges, pes, n)
+		}
+		scans, rows := counting.Scans, counting.Rows
+		// Boundaries cached, counts not: the counting pass alone.
+		cache := NewCache(0)
+		for k, b := range set.Bounds {
+			cache.PutBounds(k, b, n)
+		}
+		if _, err := Run(counting, d, cache, homRequirements(mem.Schema(), d, 8, nil, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := counting.Scans - scans; got != pes || counting.PointReads != 4 || !counting.Tiles(scans, 0, n) {
+			t.Errorf("pes=%d: counting pass issued %d scans %v, want %d tiling [0,%d) and no point read",
+				pes, got, counting.Ranges[scans:], pes, n)
+		}
+		if got := counting.Rows - rows; got != int64(n) {
+			t.Errorf("pes=%d: counting pass streamed %d rows, want %d", pes, got, n)
+		}
 	}
 }
 

@@ -72,23 +72,22 @@ func runSchedule(t *testing.T, rel relation.Relation, d Defaults, queries []Quer
 	return RunContext(context.Background(), rel, d, NewCache(0), resolveAll(t, rel, d, queries))
 }
 
-// hookRel wraps a range-scannable relation and passes every range
-// scan's callback through hook, which may slow or fail the scan of the
-// chunk at start. Point reads pass through, so sampling is untouched.
-// It hides the wrapped relation's storage hints, so chunks are plain
-// aligned segments.
+// hookRel wraps a relation and passes every counting chunk scan's
+// callback through hook, which may slow or fail the scan of the chunk
+// at start. Point reads pass through, so sampling is untouched. It
+// prices no atoms (nil ScanCosts), so chunks are plain equal-row
+// segments.
 type hookRel struct {
 	relation.Relation
 	hook func(start int, fn func(*relation.Batch) error) func(*relation.Batch) error
 }
 
-func (h hookRel) ScanRange(start, end int, cols relation.ColumnSet, fn func(*relation.Batch) error) error {
-	return h.Relation.(relation.RangeScanner).ScanRange(start, end, cols, h.hook(start, fn))
+func (h hookRel) ScanRangePruned(start, end int, cols relation.ColumnSet, pred *relation.Predicate,
+	skip func(int) error, fn func(*relation.Batch) error) error {
+	return h.Relation.ScanRangePruned(start, end, cols, pred, skip, h.hook(start, fn))
 }
 
-func (h hookRel) ReadNumericPoints(attr int, rows []int, out []float64) error {
-	return h.Relation.(relation.NumericPointReader).ReadNumericPoints(attr, rows, out)
-}
+func (h hookRel) ScanCosts(relation.ColumnSet, *relation.Predicate) ([]int, []int64) { return nil, nil }
 
 // failAfter wraps fn to fail with an injected fault naming start once
 // rows rows are delivered.

@@ -150,7 +150,7 @@ func TestParallelTargetSumsMatchSerial(t *testing.T) {
 			folded := make([]float64, b.NumBuckets())
 			for _, c := range relation.PlanScanChunks(rels[0].rel, 5, cols, nil) {
 				part := make([]float64, b.NumBuckets())
-				err := rels[0].rel.(relation.RangeScanner).ScanRange(c.Start, c.End,
+				err := rels[0].rel.ScanRange(c.Start, c.End,
 					relation.ColumnSet{Numeric: []int{g.Driver, tgt}}, func(bt *relation.Batch) error {
 						for row := 0; row < bt.Len; row++ {
 							if i := b.Locate(bt.Numeric[0][row]); i >= 0 {

@@ -107,9 +107,11 @@ type stalledHead struct {
 
 	mu      sync.Mutex
 	tailRun chan struct{} // closed when the last chunk's scan starts
+	stalls  int           // head chunk scans that were held back
 }
 
-func (r *stalledHead) ScanRange(start, end int, cols relation.ColumnSet, fn func(*relation.Batch) error) error {
+func (r *stalledHead) ScanRangePruned(start, end int, cols relation.ColumnSet, pred *relation.Predicate,
+	skip func(int) error, fn func(*relation.Batch) error) error {
 	r.mu.Lock()
 	switch {
 	case end == r.NumTuples():
@@ -121,6 +123,7 @@ func (r *stalledHead) ScanRange(start, end int, cols relation.ColumnSet, fn func
 	case start == 0:
 		tail := make(chan struct{})
 		r.tailRun = tail
+		r.stalls++
 		r.mu.Unlock()
 		select {
 		case <-tail:
@@ -129,7 +132,7 @@ func (r *stalledHead) ScanRange(start, end int, cols relation.ColumnSet, fn func
 	default:
 		r.mu.Unlock()
 	}
-	return r.Relation.(relation.RangeScanner).ScanRange(start, end, cols, fn)
+	return r.Relation.ScanRangePruned(start, end, cols, pred, skip, fn)
 }
 
 // TestParallelTargetSumMemory bounds an average-carrying scan at PEs 2
@@ -179,7 +182,13 @@ func TestParallelTargetSumMemory(t *testing.T) {
 	}
 	stalled := &stalledHead{Relation: mem, stall: 200 * time.Millisecond}
 	serial := pass(t, stalled, d, warm, req, 1)
+	if stalled.stalls != 0 {
+		t.Fatalf("the serial pass stalled %d times; its one chunk is the whole relation", stalled.stalls)
+	}
 	parallel := pass(t, stalled, d, warm, req, pes)
+	if stalled.stalls != 3 {
+		t.Fatalf("the head chunk stalled in %d of the 3 parallel passes", stalled.stalls)
+	}
 	state := allocated(func() {
 		if _, err := newExecState(context.Background(), set, groups, nil, numPos, boolPos, nil); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package relation
 
 // Zone-map-aware scan scheduling. Static equal-row segmentation
-// (AlignedSegments) balances a parallel scan only when every row costs
+// balances a parallel scan only when every row costs
 // the same to read — exactly what stops being true once v3 zone maps
 // prune block groups: a worker whose segment happens to hold the
 // matching value range decodes every block while its neighbors skip
@@ -28,7 +28,7 @@ package relation
 // ScanChunk is one dynamically claimable unit of a parallel scan:
 // global rows [Start, End), with the scheduler's cost estimate (v3:
 // physical encoded bytes the scan will read after zone-map pruning;
-// fallbacks: row count). Pruned marks a chunk whose every block group
+// elsewhere: row count). Pruned marks a chunk whose every block group
 // the zone maps refute under the planning predicate: a pruned scan of
 // it is guaranteed to deliver zero batches, so a scheduler may settle
 // it without issuing the scan at all — the chunk's whole contribution
@@ -41,15 +41,8 @@ type ScanChunk struct {
 	Pruned     bool
 }
 
-// BlockCostModel is implemented by relations that can price storage-
-// aligned scan atoms from their block directory. ScanCosts returns the
-// atom boundaries (cuts, len k+1, cuts[0] = 0, cuts[k] = NumTuples())
-// and each atom's estimated read cost under the predicate (len k).
-// Atoms the zone maps prove empty under pred cost 0 — and ONLY those:
-// a 0-cost atom is a guarantee that scanning it under pred delivers no
-// rows, which the planner turns into scan-free Pruned chunks. A nil,
-// nil return means the relation has no directory to price from
-// (callers fall back to equal-row segmentation).
+// BlockCostModel is the pricing method of Relation (see
+// Relation.ScanCosts).
 type BlockCostModel interface {
 	ScanCosts(cols ColumnSet, pred *Predicate) (cuts []int, costs []int64)
 }
@@ -60,7 +53,7 @@ type BlockCostModel interface {
 // bounded.
 const scanChunksPerPE = 4
 
-// ScanCosts implements BlockCostModel for single-file relations. v3
+// ScanCosts implements Relation for single-file relations. v3
 // files price each block group as the encoded payload bytes of the
 // selected columns — zero when the group's zone maps refute pred — so
 // the estimate is exactly what BytesRead will charge for scanning the
@@ -106,24 +99,26 @@ func (dr *DiskRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []int
 	return cuts, costs
 }
 
-// ScanCosts implements BlockCostModel for sharded relations: the
-// per-shard atom lists concatenated in global row order, each shard's
-// cuts translated by its global start. If any shard cannot price its
-// atoms the whole relation declines, so the estimate never silently
-// mixes priced and unpriced regions.
+// ScanCosts implements Relation for sharded relations: the per-shard
+// atom lists concatenated in global row order, each shard's cuts
+// translated by its global start, so shard boundaries are always cuts.
+// A shard that prices nothing (v1) contributes atoms of
+// DefaultGroupRows rows, each priced by its row count as v2 groups are.
 func (sr *ShardedRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []int64) {
 	ss := sr.cur.Load()
 	cuts := []int{0}
 	var costs []int64
 	for i, shard := range ss.shards {
-		if shard.NumTuples() == 0 {
-			continue // empty shard: no atoms to contribute
-		}
+		base, n := ss.starts[i], shard.NumTuples()
 		sCuts, sCosts := shard.ScanCosts(cols, pred)
 		if sCuts == nil {
-			return nil, nil
+			for lo := 0; lo < n; lo += DefaultGroupRows {
+				hi := min(lo+DefaultGroupRows, n)
+				cuts = append(cuts, base+hi)
+				costs = append(costs, int64(hi-lo))
+			}
+			continue
 		}
-		base := ss.starts[i]
 		for j, c := range sCosts {
 			cuts = append(cuts, base+sCuts[j+1])
 			costs = append(costs, c)
@@ -137,13 +132,13 @@ func (sr *ShardedRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []
 
 // PlanScanChunks partitions [0, NumTuples()) into storage-aligned
 // chunks of roughly equal estimated scan cost for pes workers to claim
-// dynamically. When the relation prices its atoms (BlockCostModel),
+// dynamically. When the relation prices its atoms (ScanCosts),
 // consecutive atoms are packed greedily until a chunk holds its fair
 // share of the total estimate — zone-pruned groups are effectively
 // free, so a chunk covering a pruned region spans many more rows than
-// one covering surviving groups. Relations that price no atoms (memory
-// relations, v1 files) get the static equal-row AlignedSegments split:
-// one chunk per worker, each priced by its row count.
+// one covering surviving groups. Relations whose rows all cost the
+// same (nil costs: memory relations, v1 files) get pes equal-row
+// chunks, each priced by its row count.
 //
 // The plan is deterministic: same relation state, columns, predicate,
 // and pes yield the same chunks. len(result) >= 1 for non-empty
@@ -156,17 +151,12 @@ func PlanScanChunks(rel Relation, pes int, cols ColumnSet, pred *Predicate) []Sc
 	if pes < 1 {
 		pes = 1
 	}
-	var cuts []int
-	var costs []int64
-	if cm, ok := rel.(BlockCostModel); ok {
-		cuts, costs = cm.ScanCosts(cols, pred)
-	}
+	cuts, costs := rel.ScanCosts(cols, pred)
 	if cuts == nil {
-		segs := AlignedSegments(rel, n, pes)
 		chunks := make([]ScanChunk, 0, pes)
 		for p := 0; p < pes; p++ {
-			if segs[p+1] > segs[p] {
-				chunks = append(chunks, ScanChunk{Start: segs[p], End: segs[p+1], Cost: int64(segs[p+1] - segs[p])})
+			if lo, hi := p*n/pes, (p+1)*n/pes; hi > lo {
+				chunks = append(chunks, ScanChunk{Start: lo, End: hi, Cost: int64(hi - lo)})
 			}
 		}
 		return chunks

@@ -142,21 +142,24 @@ func TestPlanScanChunksPruned(t *testing.T) {
 	}
 }
 
-// TestPlanScanChunksFallback pins the no-directory path: a v1
-// (row-major) file has no atoms to price, so the plan degrades to the
-// static AlignedSegments split — the pre-scheduler behavior.
-func TestPlanScanChunksFallback(t *testing.T) {
+// TestPlanScanChunksUniformRows pins the plan for relations whose rows
+// all cost the same (nil ScanCosts): a v1 (row-major) file and a memory
+// relation get pes equal-row chunks [p·n/pes, (p+1)·n/pes), and the
+// empty ones are dropped when n < pes.
+func TestPlanScanChunksUniformRows(t *testing.T) {
 	schema := Schema{{Name: "V", Kind: Numeric}}
 	path := filepath.Join(t.TempDir(), "v1.opr")
 	dw, err := NewDiskWriter(path, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := MustNewMemoryRelation(schema)
 	n := 1000
 	for i := 0; i < n; i++ {
 		if err := dw.Append([]float64{float64(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
+		mem.MustAppend([]float64{float64(i)}, nil)
 	}
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
@@ -166,16 +169,87 @@ func TestPlanScanChunksFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dr.Close()
-	pes := 4
-	chunks := PlanScanChunks(dr, pes, ColumnSet{Numeric: []int{0}}, nil)
-	segs := AlignedSegments(dr, n, pes)
-	if len(chunks) != pes {
-		t.Fatalf("%d chunks, want %d", len(chunks), pes)
-	}
-	for p, c := range chunks {
-		if c.Start != segs[p] || c.End != segs[p+1] {
-			t.Errorf("chunk %d = [%d,%d), want segment [%d,%d)", p, c.Start, c.End, segs[p], segs[p+1])
+	cols := ColumnSet{Numeric: []int{0}}
+	for _, rel := range []Relation{dr, mem} {
+		if cuts, costs := rel.ScanCosts(cols, nil); cuts != nil || costs != nil {
+			t.Fatalf("%T prices atoms %v %v, want nil", rel, cuts, costs)
 		}
+		want := []ScanChunk{{0, 250, 250, false}, {250, 500, 250, false}, {500, 750, 250, false}, {750, 1000, 250, false}}
+		if got := PlanScanChunks(rel, 4, cols, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: chunks %v, want %v", rel, got, want)
+		}
+		want = []ScanChunk{{0, 333, 333, false}, {333, 666, 333, false}, {666, 1000, 334, false}}
+		if got := PlanScanChunks(rel, 3, cols, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: chunks %v, want %v", rel, got, want)
+		}
+	}
+	small := MustNewMemoryRelation(schema)
+	for i := 0; i < 3; i++ {
+		small.MustAppend([]float64{float64(i)}, nil)
+	}
+	want := []ScanChunk{{0, 1, 1, false}, {1, 2, 1, false}, {2, 3, 1, false}}
+	if got := PlanScanChunks(small, 5, cols, nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("3 rows at pes 5: chunks %v, want %v", got, want)
+	}
+}
+
+// TestPlanScanChunksShardSnapping pins chunk planning across shard
+// boundaries: over a sharded v2 relation every chunk boundary lands on
+// a shard or per-shard block-group boundary (a SnapSegment fixed
+// point), so counting workers never split a shard's group.
+func TestPlanScanChunksShardSnapping(t *testing.T) {
+	schema := Schema{{Name: "X", Kind: Numeric}}
+	path := filepath.Join(t.TempDir(), "seg.oprs")
+	sw, err := NewShardedWriter(path, schema, ShardedWriterOptions{Shards: 3, TotalRows: 9000, GroupRows: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9000; i++ {
+		if err := sw.Append([]float64{float64(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	for _, pes := range []int{2, 4, 8} {
+		at := 0
+		for _, c := range PlanScanChunks(sr, pes, ColumnSet{Numeric: []int{0}}, nil) {
+			if c.Start != at || c.End <= c.Start {
+				t.Fatalf("pes=%d: chunk %+v does not continue at %d", pes, c, at)
+			}
+			if snapped := sr.SnapSegment(c.End); snapped != c.End {
+				t.Errorf("pes=%d: chunk end %d splits a shard block group (snaps to %d)", pes, c.End, snapped)
+			}
+			at = c.End
+		}
+		if at != 9000 {
+			t.Fatalf("pes=%d: chunks cover %d of 9000 rows", pes, at)
+		}
+	}
+}
+
+// TestScanCostsShardedV1 pins the atoms of a v1 shard, which prices
+// nothing itself: DefaultGroupRows-row atoms priced by their row count,
+// with every shard boundary a cut.
+func TestScanCostsShardedV1(t *testing.T) {
+	rows := []int{DefaultGroupRows + 100, 300}
+	manifest, _ := writeShardedFixture(t, 5, rows, []int{DiskFormatV1, DiskFormatV2}, 128)
+	sr, err := OpenSharded(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	cuts, costs := sr.ScanCosts(ColumnSet{Numeric: []int{0}}, nil)
+	wantCuts := []int{0, DefaultGroupRows, rows[0], rows[0] + 128, rows[0] + 256, rows[0] + 300}
+	wantCosts := []int64{DefaultGroupRows, 100, 128, 128, 44}
+	if !reflect.DeepEqual(cuts, wantCuts) || !reflect.DeepEqual(costs, wantCosts) {
+		t.Errorf("ScanCosts = %v %v, want %v %v", cuts, costs, wantCuts, wantCosts)
 	}
 }
 

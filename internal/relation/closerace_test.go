@@ -94,7 +94,7 @@ func TestCloseDuringScanReturnsErrBusy(t *testing.T) {
 			// Usable-after-Close is part of the Close contract: point
 			// reads lazily re-establish what Close released.
 			out := make([]float64, 2)
-			if err := rel.(NumericPointReader).ReadNumericPoints(0, []int{0, 599}, out); err != nil {
+			if err := rel.ReadNumericPoints(0, []int{0, 599}, out); err != nil {
 				t.Errorf("point read after Close: %v", err)
 			}
 		})
@@ -122,7 +122,7 @@ func TestCloseScanChurn(t *testing.T) {
 							return
 						}
 						out := make([]float64, 1)
-						if err := rel.(NumericPointReader).ReadNumericPoints(0, []int{i}, out); err != nil {
+						if err := rel.ReadNumericPoints(0, []int{i}, out); err != nil {
 							t.Errorf("point read: %v", err)
 							return
 						}

@@ -602,24 +602,22 @@ func (dr *DiskRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch
 	return nil
 }
 
-// RangeScanner is implemented by relations that can scan an arbitrary
-// row range, enabling the parallel counting of Algorithm 3.2.
-type RangeScanner interface {
-	Relation
-	ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error
-}
+// RangeScanner is Relation: every relation scans row ranges.
+type RangeScanner = Relation
 
-// ScanAligner is implemented by relations whose ScanRange has a
-// preferred row alignment for segment boundaries: splitting work at
-// multiples of ScanAlignment lets the storage layer serve each segment
-// with whole storage units (v2 block groups). Callers must treat the
-// alignment as a hint — any range is still valid.
+// ScanAligner is implemented by the disk and sharded backends: their
+// block groups make multiples of ScanAlignment the cheapest segment
+// boundaries. The engine does not consult it; it plans scans from
+// Relation.ScanCosts, whose atoms are the block groups themselves.
 type ScanAligner interface {
 	ScanAlignment() int
 }
 
-// ScanRange makes MemoryRelation a RangeScanner.
-func (r *MemoryRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
-	n, numeric, boolean := r.snapshot()
-	return r.scanSnapshot(start, end, n, numeric, boolean, cols, fn)
+// SegmentSnapper is implemented by the sharded backend, whose preferred
+// cuts (shard boundaries plus each shard's own block-group grid) are
+// not multiples of one stride. SnapSegment returns the preferred
+// boundary nearest to cut, monotone in cut and within [0, NumTuples()].
+// The engine does not consult it; see ScanAligner.
+type SegmentSnapper interface {
+	SnapSegment(cut int) int
 }

@@ -67,11 +67,10 @@ type FaultConfig struct {
 }
 
 // FaultRelation wraps a Relation with deterministic fault injection.
-// It passes through the full optional storage surface — range scans,
-// pruned scans, point reads, alignment and snapping hints, byte
-// accounting — delegating to the wrapped value where supported and
-// degrading to the neutral behavior where not, so it composes over
-// every backend without changing what the planner sees.
+// It forwards the whole Relation contract to the wrapped value, so the
+// planner sees the wrapped relation's plan, and every scan method —
+// Scan, ScanRange, ScanRangePruned — draws one scan ordinal. Byte
+// accounting and Close reach the wrapped value when it has them.
 type FaultRelation struct {
 	inner Relation
 	cfg   FaultConfig
@@ -290,75 +289,44 @@ func (fs *FaultScanner) finish(err error) error {
 
 // Scan implements Relation.
 func (fr *FaultRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
-	fs := fr.beginScan()
-	if fs.faulty && !fs.cfg.StallOnly && fs.cfg.FailAfterRows <= 0 {
-		fs.stall()
-		return fs.errAt()
-	}
-	return fs.finish(fr.inner.Scan(cols, fs.Wrap(fn)))
+	return fr.faulted(fn, func(fn func(*Batch) error) error { return fr.inner.Scan(cols, fn) })
 }
 
-// ScanRange implements RangeScanner by delegation; wrapping a relation
-// without range scans yields a clear error rather than a silent full
-// scan, since callers gate parallel plans on this interface.
+// ScanRange implements Relation.
 func (fr *FaultRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
-	rs, ok := fr.inner.(RangeScanner)
-	if !ok {
-		return fmt.Errorf("relation: %T does not support range scans", fr.inner)
-	}
-	fs := fr.beginScan()
-	if fs.faulty && !fs.cfg.StallOnly && fs.cfg.FailAfterRows <= 0 {
-		fs.stall()
-		return fs.errAt()
-	}
-	return fs.finish(rs.ScanRange(start, end, cols, fs.Wrap(fn)))
+	return fr.faulted(fn, func(fn func(*Batch) error) error { return fr.inner.ScanRange(start, end, cols, fn) })
 }
 
-// ScanRangePruned implements PrunedRangeScanner when the wrapped
-// relation does, and falls back to the plain range scan otherwise
-// (pruning is an optimization, never a filter, so delivering every row
-// and never calling skip is correct).
+// ScanRangePruned implements Relation.
 func (fr *FaultRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error {
-	prs, ok := fr.inner.(PrunedRangeScanner)
-	if !ok {
-		return fr.ScanRange(start, end, cols, fn)
-	}
+	return fr.faulted(fn, func(fn func(*Batch) error) error {
+		return fr.inner.ScanRangePruned(start, end, cols, pred, skip, fn)
+	})
+}
+
+// faulted runs one scan of the wrapped relation under the next scan
+// ordinal's injections: scan issues it with the wrapped callback.
+func (fr *FaultRelation) faulted(fn func(*Batch) error, scan func(func(*Batch) error) error) error {
 	fs := fr.beginScan()
 	if fs.faulty && !fs.cfg.StallOnly && fs.cfg.FailAfterRows <= 0 {
 		fs.stall()
 		return fs.errAt()
 	}
-	return fs.finish(prs.ScanRangePruned(start, end, cols, pred, skip, fs.Wrap(fn)))
+	return fs.finish(scan(fs.Wrap(fn)))
 }
 
-// ReadNumericPoints implements NumericPointReader by delegation. Point
-// reads are never faulted: the sampling pass must stay deterministic so
-// a faulted run's boundaries — and therefore its rules — stay
-// comparable to the healthy run's.
+// ReadNumericPoints implements Relation. Point reads are never
+// faulted: the sampling pass must stay deterministic so a faulted
+// run's boundaries — and therefore its rules — stay comparable to the
+// healthy run's.
 func (fr *FaultRelation) ReadNumericPoints(attr int, rows []int, out []float64) error {
-	pr, ok := fr.inner.(NumericPointReader)
-	if !ok {
-		return fmt.Errorf("relation: %T does not support point reads", fr.inner)
-	}
-	return pr.ReadNumericPoints(attr, rows, out)
+	return fr.inner.ReadNumericPoints(attr, rows, out)
 }
 
-// ScanAlignment implements ScanAligner by delegation (1 — no preferred
-// alignment — when the wrapped relation declares none).
-func (fr *FaultRelation) ScanAlignment() int {
-	if a, ok := fr.inner.(ScanAligner); ok {
-		return a.ScanAlignment()
-	}
-	return 1
-}
-
-// SnapSegment implements SegmentSnapper by delegation (identity when
-// the wrapped relation has no preferred cuts).
-func (fr *FaultRelation) SnapSegment(cut int) int {
-	if sn, ok := fr.inner.(SegmentSnapper); ok {
-		return sn.SnapSegment(cut)
-	}
-	return cut
+// ScanCosts implements Relation: a faulted relation plans the chunks of
+// the relation it wraps.
+func (fr *FaultRelation) ScanCosts(cols ColumnSet, pred *Predicate) ([]int, []int64) {
+	return fr.inner.ScanCosts(cols, pred)
 }
 
 // BytesRead delegates to the wrapped relation (0 for backends without

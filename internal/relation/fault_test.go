@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -307,8 +308,8 @@ func TestFaultPointReadsNeverFaulted(t *testing.T) {
 }
 
 // TestFaultDelegatesHints pins the pass-through of the planner's
-// storage hints: alignment, snapping, and byte accounting reach the
-// wrapped backend, and degrade to neutral values over plain memory.
+// storage hints: scan costs and byte accounting reach the wrapped
+// backend, and byte accounting degrades to 0 over plain memory.
 func TestFaultDelegatesHints(t *testing.T) {
 	manifest, _ := writeShardedFixture(t, 12, []int{200, 300}, []int{DiskFormatV2, DiskFormatV2}, 128)
 	sr, err := OpenSharded(manifest)
@@ -317,11 +318,14 @@ func TestFaultDelegatesHints(t *testing.T) {
 	}
 	defer sr.Close()
 	fr := NewFaultRelation(sr, FaultConfig{})
-	if got, want := fr.ScanAlignment(), sr.ScanAlignment(); got != want {
-		t.Errorf("ScanAlignment = %d, want %d", got, want)
+	cols := ColumnSet{Numeric: []int{0}}
+	gotCuts, gotCosts := fr.ScanCosts(cols, nil)
+	wantCuts, wantCosts := sr.ScanCosts(cols, nil)
+	if !reflect.DeepEqual(gotCuts, wantCuts) || !reflect.DeepEqual(gotCosts, wantCosts) {
+		t.Errorf("ScanCosts = %v %v, want %v %v", gotCuts, gotCosts, wantCuts, wantCosts)
 	}
-	if got, want := fr.SnapSegment(250), sr.SnapSegment(250); got != want {
-		t.Errorf("SnapSegment(250) = %d, want %d", got, want)
+	if !reflect.DeepEqual(PlanScanChunks(fr, 4, cols, nil), PlanScanChunks(sr, 4, cols, nil)) {
+		t.Error("a faulted relation plans other chunks than the relation it wraps")
 	}
 	if _, _, err := collectScan(fr); err != nil {
 		t.Fatal(err)
@@ -335,8 +339,7 @@ func TestFaultDelegatesHints(t *testing.T) {
 	}
 
 	_, mem := writeTestFile(t, 50, 13)
-	plain := NewFaultRelation(mem, FaultConfig{})
-	if plain.ScanAlignment() != 1 || plain.SnapSegment(25) != 25 || plain.BytesRead() != 0 {
-		t.Error("neutral fallbacks wrong for a backend without hints")
+	if NewFaultRelation(mem, FaultConfig{}).BytesRead() != 0 {
+		t.Error("BytesRead over a backend without byte accounting is not 0")
 	}
 }

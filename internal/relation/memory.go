@@ -157,6 +157,24 @@ func (r *MemoryRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 	return r.scanSnapshot(0, n, n, numeric, boolean, cols, fn)
 }
 
+// ScanRange implements Relation.
+func (r *MemoryRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
+	n, numeric, boolean := r.snapshot()
+	return r.scanSnapshot(start, end, n, numeric, boolean, cols, fn)
+}
+
+// ScanRangePruned implements Relation. A memory relation has no zone
+// maps: it delivers every row and never calls skip.
+func (r *MemoryRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error {
+	if err := pred.Validate(r.schema); err != nil {
+		return err
+	}
+	return r.ScanRange(start, end, cols, fn)
+}
+
+// ScanCosts implements Relation: every row costs the same.
+func (r *MemoryRelation) ScanCosts(ColumnSet, *Predicate) ([]int, []int64) { return nil, nil }
+
 // scanSnapshot streams rows [start,end) of a captured snapshot.
 func (r *MemoryRelation) scanSnapshot(start, end, n int, numeric [][]float64, boolean [][]bool, cols ColumnSet, fn func(*Batch) error) error {
 	if err := cols.Validate(r.schema); err != nil {

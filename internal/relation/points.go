@@ -8,26 +8,20 @@ import (
 	"os"
 )
 
-// NumericPointReader is implemented by relations that can serve
-// scattered point reads of one numeric column. The fused sampling
-// phase uses it: Algorithm 3.1 needs only S = M·sampleFactor values
-// per attribute, but the largest sorted sample index lands within a
-// hair of the last row, so a "bounded" sequential scan reads and
-// decodes essentially the whole column to deliver a few thousand
-// values. Point reads fetch exactly the sampled cells — 8 bytes per
-// sample in the counted-I/O cost model — which is the one access
-// pattern where the paper's small-sorted-sample premise beats its
-// sequential-scan premise.
-//
-// rows must be sorted ascending and may contain duplicates
-// (with-replacement draws); out must have len(rows). Implementations
-// deliver out[i] = column value at rows[i].
+// NumericPointReader is the point-read method of Relation. Sampling
+// uses it: Algorithm 3.1 needs only S = M·sampleFactor values per
+// attribute, but the largest sorted sample index lands within a hair of
+// the last row, so a "bounded" sequential scan reads and decodes
+// essentially the whole column to deliver a few thousand values. Point
+// reads fetch exactly the sampled cells — 8 bytes per sample in the
+// counted-I/O cost model — which is the one access pattern where the
+// paper's small-sorted-sample premise beats its sequential-scan
+// premise.
 type NumericPointReader interface {
 	ReadNumericPoints(attr int, rows []int, out []float64) error
 }
 
-// ReadNumericPoints implements NumericPointReader by direct column
-// indexing.
+// ReadNumericPoints implements Relation by direct column indexing.
 func (r *MemoryRelation) ReadNumericPoints(attr int, rows []int, out []float64) error {
 	// NumericColumn captures the column header under the relation's read
 	// lock; rows beyond its captured length (concurrent appends) are out
@@ -147,7 +141,7 @@ func (dr *DiskRelation) pointOffset(p, row int) int64 {
 	return dr.dataOff + int64(row)*int64(dr.rowSize) + int64(8*p)
 }
 
-// ReadNumericPoints implements NumericPointReader for all disk
+// ReadNumericPoints implements Relation for all disk
 // formats: the value's location is computable directly (v1: fixed row
 // stride; v2/v3: the block entry's offset plus, for encoded v3 blocks,
 // O(1) bit arithmetic into the payload — never a block decode), so

@@ -62,22 +62,12 @@ func (p *Predicate) Validate(s Schema) error {
 	return nil
 }
 
-// PrunedRangeScanner is implemented by relations whose ScanRange can
-// use storage metadata (v3 zone maps) to skip whole storage blocks
-// that provably contain no predicate-matching row. Skipped rows are
-// reported through the skip callback in row order relative to the
-// delivered batches, so callers keep exact logical-row accounting
-// (e.g. the counting kernels add skipped rows to their totals — a
-// filter-rejected row contributes only to Total, whether it was read
-// or skipped). Relations without usable metadata simply never call
-// skip and deliver everything.
-type PrunedRangeScanner interface {
-	RangeScanner
-	ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error
-}
+// PrunedRangeScanner is Relation: every relation serves pruned range
+// scans, delivering every row where it has no zone maps.
+type PrunedRangeScanner = Relation
 
-// ScanRangePruned implements PrunedRangeScanner: v3 files consult their
-// zone maps; v1/v2 files have none and degrade to a plain ScanRange.
+// ScanRangePruned implements Relation: v3 files consult their zone
+// maps; v1/v2 files have none and deliver every row.
 func (dr *DiskRelation) ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error {
 	dr.ops.RLock()
 	defer dr.ops.RUnlock()

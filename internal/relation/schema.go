@@ -1,18 +1,26 @@
 // Package relation provides the storage substrate of the reproduction:
 // a columnar in-memory relation, a paged disk-backed relation for data
-// sets that do not fit in main memory, and CSV / binary codecs.
+// sets that do not fit in main memory, a sharded relation over many
+// such files, and CSV / binary codecs.
 //
-// The paper's algorithms only require two access patterns, both of which
-// this package exposes as streaming scans:
+// Every backend and wrapper implements the whole of one read contract,
+// Relation, and callers never ask which parts a relation supports. The
+// paper's algorithms need two access patterns from it:
 //
-//   - a full sequential scan of selected columns (bucket assignment and
-//     counting, Algorithm 3.1 step 4), and
+//   - a sequential scan of selected columns over a row range (bucket
+//     assignment and counting, Algorithm 3.1 step 4, and the parallel
+//     counting of Algorithm 3.2), optionally with a predicate the
+//     storage may use to skip blocks that hold no match; and
 //   - a uniform random sample of one numeric column (Algorithm 3.1
-//     steps 1–2), implemented on top of the scan by package sampling.
+//     steps 1–2), served by point reads at the sorted sample indices
+//     (package sampling).
 //
-// Avoiding random access is the point: the paper's premise is that the
-// database is far larger than main memory, so anything but sequential
-// scans and small sorted samples is prohibitively expensive.
+// ScanCosts prices storage-aligned atoms of a scan so the parallel
+// scheduler can cut chunks on block-group and shard boundaries.
+// Avoiding random access over the relation is the point: the paper's
+// premise is that the database is far larger than main memory, so
+// anything but sequential scans and small sorted samples is
+// prohibitively expensive.
 package relation
 
 import "fmt"
@@ -149,7 +157,14 @@ type Batch struct {
 	Bool    [][]bool
 }
 
-// Relation is a read-only table of tuples supporting streaming scans.
+// Relation is a read-only table of tuples: the one read contract every
+// backend and wrapper implements in full. Three rules make every method
+// meaningful on every backend:
+//
+//   - a nil predicate means a plain range scan;
+//   - a backend without zone maps delivers every row of the range and
+//     never calls skip;
+//   - nil costs mean every row costs the same to read.
 type Relation interface {
 	// Schema returns the relation's schema.
 	Schema() Schema
@@ -157,8 +172,28 @@ type Relation interface {
 	NumTuples() int
 	// Scan streams the selected columns in storage order, invoking fn
 	// with reused batches. fn returning an error aborts the scan and the
-	// error is propagated.
+	// error is propagated. It is ScanRange over [0, NumTuples()).
 	Scan(cols ColumnSet, fn func(*Batch) error) error
+	// ScanRange streams rows [start, end) like Scan. Disjoint ranges
+	// may be scanned concurrently.
+	ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error
+	// ScanRangePruned is ScanRange that may skip whole storage blocks
+	// which provably hold no row matching pred. Pruning is an
+	// optimization, not a filter: delivered rows still need the
+	// caller's filter. Skipped rows are reported through skip in row
+	// order relative to the delivered batches, so callers keep exact
+	// logical-row accounting; skip may be nil when pred is nil.
+	ScanRangePruned(start, end int, cols ColumnSet, pred *Predicate, skip func(rows int) error, fn func(*Batch) error) error
+	// ReadNumericPoints reads the numeric attribute attr at rows, which
+	// must be sorted ascending and may repeat (with-replacement draws);
+	// out must have len(rows) and receives out[i] = value at rows[i].
+	ReadNumericPoints(attr int, rows []int, out []float64) error
+	// ScanCosts prices a scan of cols under pred in storage-aligned
+	// atoms: cuts (len k+1, cuts[0] = 0, cuts[k] = NumTuples()) bound
+	// the atoms and costs (len k) estimate each one's read cost. An atom
+	// costs 0 only when scanning it under pred provably delivers no
+	// row. Nil costs mean rows cost the same (see PlanScanChunks).
+	ScanCosts(cols ColumnSet, pred *Predicate) (cuts []int, costs []int64)
 }
 
 // DefaultBatchSize is the number of tuples per scan batch.

@@ -69,15 +69,12 @@ const (
 	maxManifestShards = 1 << 16
 )
 
-// DataRelation is the full storage surface shared by the disk-backed
-// backends — the single-file DiskRelation and the ShardedRelation —
-// so callers (cmd/optdata, experiments) can treat either uniformly:
-// range scans, point reads, segment-alignment hints, the counted
-// BytesRead cost model, and resource release.
+// DataRelation is what the disk-backed backends — the single-file
+// DiskRelation and the ShardedRelation — add to Relation, so callers
+// (cmd/optdata, experiments) can treat either uniformly: the counted
+// BytesRead cost model and resource release.
 type DataRelation interface {
-	RangeScanner
-	NumericPointReader
-	ScanAligner
+	Relation
 	BytesRead() int64
 	ResetBytesRead()
 	Close() error
@@ -403,10 +400,9 @@ func (sr *ShardedRelation) Close() error {
 
 // ScanAlignment implements ScanAligner with the coarsest storage unit
 // of any shard (a v2 shard's block-group size, 1 for all-v1 shards).
-// For sharded relations the value is a granularity hint only —
-// AlignedSegments places the actual cuts through SnapSegment, because
-// shard boundaries fall at arbitrary global offsets and each shard's
-// group grid is phased to the shard's own first row.
+// For sharded relations the value is a granularity hint only: shard
+// boundaries fall at arbitrary global offsets and each shard's group
+// grid is phased to the shard's own first row (see SnapSegment).
 func (sr *ShardedRelation) ScanAlignment() int {
 	g := 1
 	for _, sh := range sr.cur.Load().shards {
@@ -429,9 +425,7 @@ func (ss *shardSet) shardAt(row int) int {
 // the nearest preferred boundary — a multiple of the containing shard's
 // block-group size measured from that shard's first row, clamped to the
 // shard's own bounds (shard boundaries are themselves always preferred
-// cuts, since every shard starts a fresh group grid). Workers given
-// AlignedSegments built from these cuts therefore never split a
-// shard's block group.
+// cuts, since every shard starts a fresh group grid).
 func (sr *ShardedRelation) SnapSegment(cut int) int {
 	ss := sr.cur.Load()
 	if cut <= 0 {
@@ -458,7 +452,7 @@ func (sr *ShardedRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 	return sr.ScanRange(0, sr.NumTuples(), cols, fn)
 }
 
-// ScanRange implements RangeScanner: the global row range [start, end)
+// ScanRange implements Relation: the global row range [start, end)
 // is translated into per-shard sub-ranges and streamed shard by shard
 // in global row order, each shard through its own read-ahead pipeline.
 // It is ScanRangePruned with no predicate. Bounds semantics are
@@ -468,7 +462,7 @@ func (sr *ShardedRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Ba
 	return sr.ScanRangePruned(start, end, cols, nil, nil, fn)
 }
 
-// ScanRangePruned implements PrunedRangeScanner by delegating to each
+// ScanRangePruned implements Relation by delegating to each
 // shard in the window, in manifest order: v3 shards prune through their
 // zone maps, v1/v2 shards deliver everything — so a mixed-format
 // relation prunes exactly where its storage can. A nil or empty pred
@@ -504,7 +498,7 @@ func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred 
 	return nil
 }
 
-// ReadNumericPoints implements NumericPointReader across shards: the
+// ReadNumericPoints implements Relation across shards: the
 // sorted global rows are split into per-shard runs and each run is
 // served by that shard's own point reader (mmap-backed where
 // available), preserving the 8-bytes-per-unique-row counted cost.

@@ -236,28 +236,6 @@ func TestShardedSnapSegment(t *testing.T) {
 			t.Errorf("SnapSegment(%d) = %d, want %d", c.cut, got, c.want)
 		}
 	}
-	// AlignedSegments over the sharded relation: monotone, covering, and
-	// every interior cut is a preferred boundary (snap-idempotent).
-	for _, pes := range []int{2, 3, 4} {
-		cuts := AlignedSegments(sr, sr.NumTuples(), pes)
-		if cuts[0] != 0 || cuts[pes] != sr.NumTuples() {
-			t.Fatalf("pes=%d: cuts %v do not cover", pes, cuts)
-		}
-		for p := 1; p < pes; p++ {
-			if cuts[p] < cuts[p-1] {
-				t.Fatalf("pes=%d: cuts %v not monotone", pes, cuts)
-			}
-			if got := sr.SnapSegment(cuts[p]); got != cuts[p] {
-				t.Errorf("pes=%d: interior cut %d is not a preferred boundary (snaps to %d)", pes, cuts[p], got)
-			}
-		}
-	}
-	// Small relations fall back to unaligned splits rather than emptying
-	// segments (the ScanAligner guard).
-	cuts := AlignedSegments(sr, 100, 4)
-	if !reflect.DeepEqual(cuts, []int{0, 25, 50, 75, 100}) {
-		t.Errorf("small-n cuts = %v, want unaligned quarters", cuts)
-	}
 }
 
 func TestShardedWriterPolicies(t *testing.T) {

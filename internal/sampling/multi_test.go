@@ -135,34 +135,33 @@ func TestMultiColumnWithReplacementAbortsAfterTrackersOverflow(t *testing.T) {
 	}
 }
 
+// TestMultiColumnWithReplacementEarlyAbort pins where sampling stops
+// reading: without distinct tracking the fused pass reads no row at all,
+// only one point read per request, and a single-column sample scans
+// exactly the rows up to its largest sampled index.
 func TestMultiColumnWithReplacementEarlyAbort(t *testing.T) {
 	n := 50000
 	rel := twoColumnRelation(t, n)
-	// Replay the index draws to compute exactly where the scan may stop:
-	// the end of the batch containing the largest sampled index.
-	maxIdx := 0
-	for _, seed := range []int64{9, 10} {
-		idx, err := WithReplacementIndices(rand.New(rand.NewSource(seed)), n, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if last := idx[len(idx)-1]; last > maxIdx {
-			maxIdx = last
-		}
-	}
-	wantRows := (maxIdx/relation.DefaultBatchSize + 1) * relation.DefaultBatchSize
-	if wantRows > n {
-		wantRows = n
-	}
 	counting := &relation.CountingRelation{R: rel}
 	rngs := []*rand.Rand{rand.New(rand.NewSource(9)), rand.New(rand.NewSource(10))}
 	if _, err := MultiColumnWithReplacement(counting, []int{0, 1}, 10, rngs, 0); err != nil {
 		t.Fatal(err)
 	}
-	if counting.Scans != 1 {
-		t.Errorf("scans = %d, want 1", counting.Scans)
+	if counting.Scans != 0 || counting.Rows != 0 || counting.PointReads != 2 {
+		t.Errorf("fused sampling issued %d scans over %d rows and %d point reads, want 0, 0 and 2",
+			counting.Scans, counting.Rows, counting.PointReads)
 	}
-	if counting.Rows != int64(wantRows) {
-		t.Errorf("scan read %d rows; want abort after batch containing last index (%d rows)", counting.Rows, wantRows)
+
+	idx, err := WithReplacementIndices(rand.New(rand.NewSource(9)), n, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := idx[len(idx)-1] + 1
+	counting = &relation.CountingRelation{R: rel}
+	if _, err := ColumnWithReplacement(counting, 0, 10, rand.New(rand.NewSource(9))); err != nil {
+		t.Fatal(err)
+	}
+	if len(counting.Ranges) != 1 || counting.Ranges[0] != [2]int{0, limit} || counting.Rows != int64(limit) {
+		t.Errorf("single-column sampling scanned %v (%d rows), want [0,%d)", counting.Ranges, counting.Rows, limit)
 	}
 }

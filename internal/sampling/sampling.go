@@ -1,11 +1,12 @@
 // Package sampling implements the random sampling primitives used by
 // the bucketing step (Algorithm 3.1): uniform sampling with replacement
-// from a relation of known size, realized as a single sequential scan.
+// from a relation of known size, realized as point reads at sorted
+// indices, or as one sequential scan when distinct values are tracked.
 //
 // The paper's analysis (Section 3.2) assumes each sample point is drawn
 // independently and uniformly at random *with replacement*; the indexed
 // sampler below preserves exactly that distribution while touching the
-// underlying data in storage order only — no random I/O.
+// underlying data in storage order only.
 package sampling
 
 import (
@@ -75,25 +76,6 @@ func WithReplacementIndices(rng *rand.Rand, n, s int) ([]int, error) {
 	return idx, nil
 }
 
-// boundedScan returns a scan function over rel that stops after the
-// row at index limit-1: when rel supports range scans, the scan is
-// issued as ScanRange(0, limit), so the storage layer never reads the
-// tail at all — on the v2 columnar format the read-ahead pipeline
-// skips every block group past the last sampled index instead of
-// fetching it and aborting afterwards. Otherwise the plain Scan is
-// returned and the caller's early-abort error does the bounding.
-func boundedScan(rel relation.Relation, limit int) func(relation.ColumnSet, func(*relation.Batch) error) error {
-	if rs, ok := rel.(relation.RangeScanner); ok {
-		if limit > rel.NumTuples() {
-			limit = rel.NumTuples()
-		}
-		return func(cols relation.ColumnSet, fn func(*relation.Batch) error) error {
-			return rs.ScanRange(0, limit, cols, fn)
-		}
-	}
-	return rel.Scan
-}
-
 // ColumnWithReplacement draws a uniform with-replacement sample of size
 // s from the numeric attribute at schema position attr, using a single
 // sequential scan of rel. The returned values are in no particular
@@ -101,8 +83,10 @@ func boundedScan(rel relation.Relation, limit int) func(relation.ColumnSet, func
 // sorted index order), which is irrelevant to the bucketing step since
 // the sample is sorted immediately afterwards.
 //
-// The sampled indices are sorted, so the scan is bounded at the largest
-// one: on range-scanning relations rows past it are never read.
+// The sampled indices are sorted, so the scan is the range [0, largest
+// index], and rows past it are never read: on the v2 columnar format
+// the read-ahead pipeline skips every block group past the last
+// sampled index instead of fetching it.
 func ColumnWithReplacement(rel relation.Relation, attr int, s int, rng *rand.Rand) ([]float64, error) {
 	n := rel.NumTuples()
 	idx, err := WithReplacementIndices(rng, n, s)
@@ -116,10 +100,7 @@ func ColumnWithReplacement(rel relation.Relation, attr int, s int, rng *rand.Ran
 	out := make([]float64, 0, s)
 	next := 0 // next position in idx to satisfy
 	at := 0   // global row number of the batch start
-	err = boundedScan(rel, limit)(relation.ColumnSet{Numeric: []int{attr}}, func(b *relation.Batch) error {
-		if next >= len(idx) {
-			return errDone
-		}
+	err = rel.ScanRange(0, limit, relation.ColumnSet{Numeric: []int{attr}}, func(b *relation.Batch) error {
 		hi := at + b.Len
 		for next < len(idx) && idx[next] < hi {
 			v := b.Numeric[0][idx[next]-at]
@@ -135,7 +116,7 @@ func ColumnWithReplacement(rel relation.Relation, attr int, s int, rng *rand.Ran
 		at = hi
 		return nil
 	})
-	if err != nil && err != errDone {
+	if err != nil {
 		return nil, err
 	}
 	if len(out) != s {
@@ -144,7 +125,8 @@ func ColumnWithReplacement(rel relation.Relation, attr int, s int, rng *rand.Ran
 	return out, nil
 }
 
-// errDone aborts a scan early once every sampled index is satisfied.
+// errDone aborts the tracking scan once every sample is satisfied and
+// every distinct tracker overflowed.
 var errDone = fmt.Errorf("sampling: done")
 
 // MultiSample is the output of the fused sampling pass for one attribute.
@@ -175,14 +157,12 @@ type MultiSample struct {
 // trackDistinct distinct finite values and no NaNs; tracking forces a
 // full scan (no early abort once samples are satisfied).
 //
-// When the relation serves point reads (relation.NumericPointReader)
-// and no distinct tracking is requested, the samples are fetched
-// directly at their sorted indices instead of scanning: the largest
-// sample index is within ~n/S rows of the end, so the "bounded" scan
-// reads essentially every row to deliver S of them, where point reads
-// cost 8 bytes per sample. The sampled values — and therefore the
-// bucket boundaries and every downstream rule — are identical either
-// way.
+// Without distinct tracking the samples are point reads at their
+// sorted indices, not a scan: the largest sample index is within ~n/S
+// rows of the end, so a bounded scan would read essentially every row
+// to deliver S of them, where point reads cost 8 bytes per sample. The
+// sampled values — and therefore the bucket boundaries and every
+// downstream rule — are identical either way.
 func MultiColumnWithReplacement(rel relation.Relation, attrs []int, s int, rngs []*rand.Rand, trackDistinct int) ([]MultiSample, error) {
 	if len(attrs) != len(rngs) {
 		return nil, fmt.Errorf("sampling: %d attributes but %d rngs", len(attrs), len(rngs))
@@ -212,8 +192,10 @@ type ColumnRequest struct {
 // heterogeneous per-request sample sizes: every request draws exactly
 // the stream ColumnWithReplacement(rel, req.Attr, req.S, req.Rng)
 // would, so per-request results stay bit-identical to the unfused
-// path, while the relation is scanned at most ONCE for the whole set.
-// Requests needing no rows at all (S = 0, no tracking) trigger no scan.
+// path. Without distinct tracking every request is one point read of
+// its sorted indices; with it, the relation is scanned ONCE for the
+// whole set. Requests needing no rows at all (S = 0, no tracking)
+// trigger no read.
 func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSample, error) {
 	n := rel.NumTuples()
 	out := make([]MultiSample, len(reqs))
@@ -251,10 +233,10 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 		}
 		colOf[k] = p
 	}
-	if pr, ok := rel.(relation.NumericPointReader); ok && !anyTracking {
+	if !anyTracking {
 		for k := range reqs {
 			sample := make([]float64, len(idx[k]))
-			if err := pr.ReadNumericPoints(reqs[k].Attr, idx[k], sample); err != nil {
+			if err := rel.ReadNumericPoints(reqs[k].Attr, idx[k], sample); err != nil {
 				return nil, err
 			}
 			out[k].Sample = sample
@@ -272,15 +254,9 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 			dist[k].seen = make(map[float64]struct{})
 		}
 	}
-	// Distinct tracking needs every row; pure sampling needs none past
-	// the largest sorted index of any request, so the scan is bounded
-	// there (rows past it are never read on range-scanning relations).
-	scan := rel.Scan
-	if !anyTracking {
-		scan = boundedScan(rel, limit)
-	}
+	// Distinct tracking needs every row.
 	at := 0 // global row number of the batch start
-	err := scan(relation.ColumnSet{Numeric: uniq}, func(b *relation.Batch) error {
+	err := rel.Scan(relation.ColumnSet{Numeric: uniq}, func(b *relation.Batch) error {
 		pending := false
 		tracking := false
 		for k := range reqs {

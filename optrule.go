@@ -20,19 +20,21 @@
 //
 // The paper's premise is that the database is far larger than main
 // memory, making sequential scans the currency of performance. MineAll
-// therefore reads the relation exactly TWICE, no matter how many
-// numeric attributes it has: a fused sampling scan draws every
-// attribute's Algorithm 3.1 sample and builds all bucket boundaries in
-// one pass, a fused counting scan tallies per-bucket statistics for
-// every (numeric, Boolean) attribute combination in a second pass, and
+// therefore reads the relation in exactly TWO passes, no matter how many
+// numeric attributes it has: a fused sampling pass draws every
+// attribute's Algorithm 3.1 sample — point reads at the sorted sample
+// indices, or one scan when exact domains need every distinct value —
+// and builds all bucket boundaries, a fused counting scan tallies
+// per-bucket statistics for every (numeric, Boolean) attribute
+// combination in a second pass, and
 // the Section 4 rule optimizations then run on the in-memory counts
 // across a worker pool. Targeted queries (Mine, MineConjunctive,
 // MineTopK, …) instead scan only the columns they touch.
 //
 // The two-dimensional layer (§1.4) follows the same discipline.
 // MineAll2D mines rectangle, x-monotone, and rectilinear-convex rules
-// for EVERY requested attribute pair in exactly two relation scans:
-// the fused sampling scan builds per-attribute grid boundaries, and
+// for EVERY requested attribute pair in exactly two passes: the fused
+// sampling pass builds per-attribute grid boundaries, and
 // one fused counting scan locates each tuple's bucket once per
 // attribute and fills all d(d−1)/2 pair grids simultaneously —
 // segmented across workers at storage-block-aligned boundaries, with
@@ -180,11 +182,11 @@
 //     and 2-D pair grids. A batch's needs are deduplicated: ten
 //     queries touching the same attribute plan one statistic.
 //  2. EXECUTE — the statistics missing from the session cache are
-//     materialized in at most TWO relation scans regardless of batch
-//     size or mix: one fused sampling scan builds every missing
-//     boundary set, one fused counting scan fills every missing count
-//     group and pair grid (segmented across processing elements on
-//     range-scanning storage). Every batch, same-shape or mixed, runs
+//     materialized in at most TWO passes over the relation regardless
+//     of batch size or mix: one fused sampling pass builds every
+//     missing boundary set, one fused counting scan fills every missing
+//     count group and pair grid (segmented across processing
+//     elements). Every batch, same-shape or mixed, runs
 //     on one batch-vectorized counting kernel — per-batch columnar
 //     passes over precomputed effective-bucket arrays instead of
 //     per-tuple branching. It packs each row's Boolean conditions,
@@ -328,6 +330,10 @@
 //     only in internal/fanout, the one worker pool every fan-out runs
 //     on; the disk read-ahead prefetcher, one pipeline stage per scan,
 //     is the single waived exception.
+//   - capsniff — no type assertion or type switch in the root package
+//     or internal/... targets an interface of the storage layer: every
+//     relation implements the whole Relation contract, so no plan may
+//     depend on which methods a relation has.
 //
 // Run the suite locally, standalone or as a vet tool:
 //
@@ -392,8 +398,14 @@ type Attribute = relation.Attribute
 // Schema is an ordered list of attributes.
 type Schema = relation.Schema
 
-// Relation is a read-only table supporting streaming scans. Both the
-// in-memory and the disk-backed implementations satisfy it.
+// Relation is the one read contract of the storage layer: streaming and
+// range scans (optionally pruned by a predicate), point reads of one
+// numeric column, and scan-cost atoms for chunk planning. Every backend
+// and wrapper implements all of it, and the engine never asks which
+// methods a relation has, so a caller's own implementation must provide
+// every method too. Three rules keep that cheap: a nil predicate means
+// a plain range scan, storage without zone maps delivers every row and
+// never calls skip, and nil costs mean every row costs the same.
 type Relation = relation.Relation
 
 // ColumnSet selects which attributes a Relation.Scan decodes, by
@@ -558,8 +570,7 @@ type ShardedWriter = relation.ShardedWriter
 type ShardedWriterOptions = relation.ShardedWriterOptions
 
 // DataRelation is the storage surface shared by DiskRelation and
-// ShardedRelation: range scans, point reads, alignment hints, counted
-// BytesRead, Close.
+// ShardedRelation: Relation plus counted BytesRead and Close.
 type DataRelation = relation.DataRelation
 
 // OpenSharded opens a sharded relation from its manifest file, opening
