@@ -480,7 +480,7 @@ func DistinctValueBoundaries(rel relation.Relation, attr, maxDistinct int) (Boun
 				// NaN is never equal to itself, so it can neither be a
 				// distinct "value" nor a well-ordered cut point; finest
 				// buckets don't apply (callers fall back to sampling,
-				// exactly as the fused MultiSampledBoundarySpecs does).
+				// exactly as SampleBoundaries does).
 				return fmt.Errorf("bucketing: attribute %d contains NaN; use equi-depth buckets instead", attr)
 			}
 			if _, ok := seen[v]; !ok {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"optrule/internal/relation"
@@ -133,19 +134,20 @@ func TestMultiSampledBoundariesSingleBucket(t *testing.T) {
 	}
 }
 
-// MultiSampledBoundaries fuses steps 1–3 of Algorithm 3.1 for several
-// numeric attributes into ONE sampling scan: each attrs[k] gets an
-// independent with-replacement sample of m·sampleFactor values driven by
-// rngs[k] (the same stream SampledBoundaries would consume), and its
-// equi-depth cut points are read off the sorted sample. Per-attribute
-// results are identical to SampledBoundaries(rel, attrs[k], m,
-// sampleFactor, rngs[k]).
+// MultiSampledBoundaries runs steps 1–3 of Algorithm 3.1 for several
+// numeric attributes at one resolution on the sampling pool: each
+// attrs[k] gets an independent with-replacement sample of
+// m·sampleFactor values driven by rngs[k] (the same stream
+// SampledBoundaries would consume), and its equi-depth cut points are
+// read off the sorted sample. Per-attribute results are identical to
+// SampledBoundaries(rel, attrs[k], m, sampleFactor, rngs[k]).
 //
-// If exactDomainLimit > 0, the same scan also tracks each attribute's
-// distinct value set; attributes with at most exactDomainLimit distinct
-// finite values (and no NaNs) get finest buckets (Definition 2.5) —
-// one bucket per distinct value — exactly as DistinctValueBoundaries
-// would build, while the rest fall back to the sampled cut points.
+// If exactDomainLimit > 0, one tracking scan draws the samples and
+// each attribute's distinct value set; attributes with at most
+// exactDomainLimit distinct finite values (and no NaNs) get finest
+// buckets (Definition 2.5) — one bucket per distinct value — exactly
+// as DistinctValueBoundaries would build, while the rest fall back to
+// the sampled cut points.
 func MultiSampledBoundaries(rel relation.Relation, attrs []int, m, sampleFactor, exactDomainLimit int, rngs []*rand.Rand) ([]Boundaries, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("bucketing: bucket count %d must be positive", m)
@@ -158,5 +160,5 @@ func MultiSampledBoundaries(rel relation.Relation, attrs []int, m, sampleFactor,
 		specs[k] = BoundarySpec{Attr: attr, M: m, SampleFactor: sampleFactor,
 			ExactDomainLimit: exactDomainLimit}
 	}
-	return MultiSampledBoundarySpecs(rel, specs, rngs)
+	return SampleBoundaries(rel, specs, rngs, runtime.GOMAXPROCS(0))
 }

@@ -24,11 +24,13 @@ import (
 // which serves 2-D pair grids and 1-D count groups from the SAME two
 // scans and caches them across session queries:
 //
-//  1. one fused sampling scan (sampling.MultiColumnRequests via
-//     bucketing.MultiSampledBoundarySpecs) draws every attribute's
-//     Algorithm 3.1 sample and builds per-attribute grid boundaries —
-//     the same per-attribute random streams the 1-D pipeline and the
-//     legacy per-pair path consume, so boundaries are bit-identical;
+//  1. one sampling phase (bucketing.SampleBoundaries) builds every
+//     attribute's grid boundaries on the worker pool, each worker
+//     drawing, point-reading, sorting and cutting one attribute's
+//     Algorithm 3.1 sample at a time in buffers it reuses — the same
+//     per-attribute random streams the 1-D pipeline and the legacy
+//     per-pair path consume, so boundaries are bit-identical at any
+//     worker count;
 //  2. one fused counting scan locates each tuple's bucket ONCE per
 //     attribute and then fills all d(d−1)/2 pair grids. On relations
 //     that support range scans the scan runs in plan's countRange:

@@ -168,7 +168,7 @@ type Config struct {
 	// serial scan. Results are bit-identical at any setting: float
 	// target sums (the average operator) are added in the serial scan's
 	// order. Workers parallelizes extraction; PEs parallelizes the
-	// counting WITHIN one scan.
+	// counting WITHIN one scan, and the sampling phase's boundary sets.
 	PEs int
 	// MineGain also mines optimized-gain rules (maximize
 	// Σ(v − MinConfidence·u) with Kadane's algorithm) alongside the two

@@ -26,8 +26,9 @@ func AttrRNG(seed int64, attr int) *rand.Rand {
 }
 
 // Run materializes every statistic in req, reading the relation at
-// most twice: one fused sampling scan builds every missing boundary
-// set, one fused counting scan fills every missing count group and
+// most twice: a sampling phase builds every missing boundary set (point
+// reads on the worker pool, or one scan when a set asks for finest
+// buckets), one fused counting scan fills every missing count group and
 // pair grid. Statistics already covered by cache cost nothing. The
 // returned StatsSet is the batch's private working set — extraction
 // reads it without touching the cache again, so concurrent eviction
@@ -39,7 +40,7 @@ func Run(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (*St
 // RunContext is Run under a context: cancellation and deadlines are
 // observed between phases, between batches of the counting scan, and
 // throughout its worker pool (whose per-attempt timeouts derive from
-// it). The sampling scan itself runs to completion — it is
+// it). The sampling phase itself runs to completion — it is
 // bounded by the sample size, not the relation size.
 func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Cache, req *Requirements) (*StatsSet, error) {
 	set := newStatsSet()
@@ -109,7 +110,7 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 				SampleFactor: d.SampleFactor, ExactDomainLimit: exact}
 			rngs[i] = AttrRNG(d.Seed, bk.Attr)
 		}
-		bounds, err := bucketing.MultiSampledBoundarySpecs(rel, specs, rngs)
+		bounds, err := bucketing.SampleBoundaries(rel, specs, rngs, scanParallelism(d))
 		if err != nil {
 			return nil, fmt.Errorf("plan: bucketing: %w", err)
 		}
@@ -145,11 +146,13 @@ func RunContext(ctx context.Context, rel relation.Relation, d Defaults, cache Ca
 	return set, nil
 }
 
-// scanParallelism picks the counting scan's worker count: Defaults.PEs,
-// where 0 means runtime.GOMAXPROCS(0) and 1 forces a serial scan. The
-// schedule does not matter: integer tallies and extremes merge exactly,
-// and float target sums replay in the serial scan's addition order (see
-// sumLog), so every statistic is bit-identical at any worker count.
+// scanParallelism picks the worker count of the sampling phase and the
+// counting scan: Defaults.PEs, where 0 means runtime.GOMAXPROCS(0) and
+// 1 forces a serial run. The schedule does not matter: each boundary
+// set is a function of its own rows and random stream, integer tallies
+// and extremes merge exactly, and float target sums replay in the
+// serial scan's addition order (see sumLog), so every statistic is
+// bit-identical at any worker count.
 func scanParallelism(d Defaults) int {
 	if d.PEs == 0 {
 		return runtime.GOMAXPROCS(0)

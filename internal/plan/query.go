@@ -1,9 +1,9 @@
 // Package plan is the query planning layer of the miner: a small query
 // IR, a planner that dedupes the sufficient statistics a batch of
 // queries needs, and an executor that materializes the missing
-// statistics in at most TWO relation scans (one fused sampling scan,
-// one fused counting scan) regardless of how many queries the batch
-// holds.
+// statistics in at most TWO relation scans (a sampling phase of point
+// reads, scanning only for finest buckets, and one fused counting scan)
+// regardless of how many queries the batch holds.
 //
 // The key observation — the paper's own — is that the bucketed counts
 // are *sufficient statistics*: once an attribute's (or attribute

@@ -20,10 +20,10 @@ type Defaults struct {
 	SampleFactor     int
 	ExactDomainLimit int
 	Seed             int64
-	// PEs is the counting scan's worker count (Algorithm 3.2): 0 means
-	// runtime.GOMAXPROCS(0), 1 a serial scan. Every statistic, float
-	// target sums included, is bit-identical at any worker count; see
-	// scanParallelism.
+	// PEs is the worker count of the sampling phase and the counting
+	// scan (Algorithm 3.2): 0 means runtime.GOMAXPROCS(0), 1 a serial
+	// run. Every statistic, boundaries and float target sums included,
+	// is bit-identical at any worker count; see scanParallelism.
 	PEs int
 	// Scatter sets the counting executor's per-chunk retry policy for
 	// batches and delta refreshes alike (scatter.go). The zero value

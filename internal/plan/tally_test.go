@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -40,6 +41,10 @@ func TestParallelTallyMemoryPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A collection during a measured pass empties the sync.Pool of
+	// block-scan buffers, and the pass then pays for fresh ones; pause
+	// the collector so both passes run on the filled pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pass(t, dr, d, warm, req, 2) // fill the scan buffer pools for both workers
 	serial, parallel := pass(t, dr, d, warm, req, 1), pass(t, dr, d, warm, req, 2)
 

@@ -38,10 +38,16 @@ func BenchmarkMemoryScan1M(b *testing.B) {
 	b.SetBytes(int64(rel.NumTuples()) * 9) // 8B float + 1B bool per tuple
 }
 
-func BenchmarkDiskScan1M(b *testing.B) {
+// BenchmarkDiskScan1M scans one numeric and one Boolean column of a
+// 1M-row v1 file; the V2 variant reads the same rows through the
+// block-group engine, which decodes the Boolean blocks.
+func BenchmarkDiskScan1M(b *testing.B)   { benchDiskScan1M(b, DiskFormatV1) }
+func BenchmarkDiskScan1MV2(b *testing.B) { benchDiskScan1M(b, DiskFormatV2) }
+
+func benchDiskScan1M(b *testing.B, format int) {
 	mem := benchMemory(b, 1000000)
 	path := filepath.Join(b.TempDir(), "bench.opr")
-	dw, err := NewDiskWriter(path, mem.Schema())
+	dw, err := NewDiskWriterFormat(path, mem.Schema(), format)
 	if err != nil {
 		b.Fatal(err)
 	}

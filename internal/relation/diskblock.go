@@ -632,12 +632,32 @@ func decodeRaw(dst []float64, src []byte) []float64 {
 	return dst
 }
 
+// bitBools[b] is byte b's eight bits, LSB first, as bools.
+var bitBools = func() (t [256][8]bool) {
+	for b := range t {
+		for j := range t[b] {
+			t[b][j] = b&(1<<j) != 0
+		}
+	}
+	return t
+}()
+
 // decodeBits unpacks len(dst) bits of src, LSB first, starting at bit
-// bitBase of its first byte, and returns dst.
+// bitBase of its first byte, and returns dst. Whole source bytes copy
+// eight bools at once from bitBools; an unaligned head (bitBase > 0)
+// and a tail of fewer than eight bits take one bit at a time.
 //
 //go:noinline
 func decodeBits(dst []bool, src []byte, bitBase int) []bool {
-	for i := range dst {
+	i := 0
+	for ; i < len(dst) && (bitBase+i)&7 != 0; i++ {
+		bit := bitBase + i
+		dst[i] = src[bit>>3]&(1<<uint(bit&7)) != 0
+	}
+	for j := (bitBase + i) >> 3; i+8 <= len(dst); i, j = i+8, j+1 {
+		*(*[8]bool)(dst[i : i+8]) = bitBools[src[j]]
+	}
+	for ; i < len(dst); i++ {
 		bit := bitBase + i
 		dst[i] = src[bit>>3]&(1<<uint(bit&7)) != 0
 	}

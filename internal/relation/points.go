@@ -43,8 +43,8 @@ func (r *MemoryRelation) ReadNumericPoints(attr int, rows []int, out []float64) 
 }
 
 // validatePointRead checks the shared preconditions of the disk
-// implementations.
-func (dr *DiskRelation) validatePointRead(attr int, rows []int, out []float64) error {
+// implementations on rows offset by base (see readNumericPoints).
+func (dr *DiskRelation) validatePointRead(attr int, rows []int, base int, out []float64) error {
 	if attr < 0 || attr >= len(dr.schema) || dr.schema[attr].Kind != Numeric {
 		return fmt.Errorf("relation: point read attribute %d is not a numeric column", attr)
 	}
@@ -52,10 +52,10 @@ func (dr *DiskRelation) validatePointRead(attr int, rows []int, out []float64) e
 		return fmt.Errorf("relation: %d rows but %d outputs", len(rows), len(out))
 	}
 	for i, row := range rows {
-		if row < 0 || row >= dr.numRows {
+		if row -= base; row < 0 || row >= dr.numRows {
 			return fmt.Errorf("relation: point read row %d out of [0,%d)", row, dr.numRows)
 		}
-		if i > 0 && row < rows[i-1] {
+		if i > 0 && rows[i] < rows[i-1] {
 			return fmt.Errorf("relation: point read rows not sorted at %d", i)
 		}
 	}
@@ -153,9 +153,17 @@ func (dr *DiskRelation) pointOffset(p, row int) int64 {
 // price, versus a whole column block per group for a scan — even
 // though a v3 packed value physically touches fewer bytes.
 func (dr *DiskRelation) ReadNumericPoints(attr int, rows []int, out []float64) error {
+	return dr.readNumericPoints(attr, rows, 0, out)
+}
+
+// readNumericPoints is ReadNumericPoints of rows offset by base: it
+// reads this relation's row rows[i]−base into out[i]. A sharded
+// relation serves each shard's run of its global rows this way, with
+// the shard's first global row as base, so it never copies the rows.
+func (dr *DiskRelation) readNumericPoints(attr int, rows []int, base int, out []float64) error {
 	dr.ops.RLock()
 	defer dr.ops.RUnlock()
-	if err := dr.validatePointRead(attr, rows, out); err != nil {
+	if err := dr.validatePointRead(attr, rows, base, out); err != nil {
 		return err
 	}
 	if len(rows) == 0 {
@@ -179,6 +187,7 @@ func (dr *DiskRelation) ReadNumericPoints(attr int, rows []int, out []float64) e
 			out[i] = out[i-1] // with-replacement duplicate
 			continue
 		}
+		row -= base
 		read++
 		var off int64
 		if dr.version == DiskFormatV1 {

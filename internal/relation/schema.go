@@ -187,6 +187,8 @@ type Relation interface {
 	// ReadNumericPoints reads the numeric attribute attr at rows, which
 	// must be sorted ascending and may repeat (with-replacement draws);
 	// out must have len(rows) and receives out[i] = value at rows[i].
+	// Concurrent calls are allowed, with each other and with scans: the
+	// sampling phase point-reads several attributes at once.
 	ReadNumericPoints(attr int, rows []int, out []float64) error
 	// ScanCosts prices a scan of cols under pred in storage-aligned
 	// atoms: cuts (len k+1, cuts[0] = 0, cuts[k] = NumTuples()) bound

@@ -500,8 +500,9 @@ func (sr *ShardedRelation) ScanRangePruned(start, end int, cols ColumnSet, pred 
 
 // ReadNumericPoints implements Relation across shards: the
 // sorted global rows are split into per-shard runs and each run is
-// served by that shard's own point reader (mmap-backed where
-// available), preserving the 8-bytes-per-unique-row counted cost.
+// served in place by that shard's own point reader (mmap-backed where
+// available), rebased by the shard's first row rather than copied,
+// preserving the 8-bytes-per-unique-row counted cost.
 func (sr *ShardedRelation) ReadNumericPoints(attr int, rows []int, out []float64) error {
 	sr.ops.RLock()
 	defer sr.ops.RUnlock()
@@ -523,17 +524,10 @@ func (sr *ShardedRelation) ReadNumericPoints(attr int, rows []int, out []float64
 	if len(rows) == 0 {
 		return nil
 	}
-	local := make([]int, 0, len(rows))
 	for j := 0; j < len(rows); {
 		i := ss.shardAt(rows[j])
-		hi := ss.starts[i+1]
-		k := j
-		local = local[:0]
-		for k < len(rows) && rows[k] < hi {
-			local = append(local, rows[k]-ss.starts[i])
-			k++
-		}
-		if err := ss.shards[i].ReadNumericPoints(attr, local, out[j:k]); err != nil {
+		k := j + sort.SearchInts(rows[j:], ss.starts[i+1])
+		if err := ss.shards[i].readNumericPoints(attr, rows[j:k], ss.starts[i], out[j:k]); err != nil {
 			return err
 		}
 		j = k

@@ -2,10 +2,12 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -180,6 +182,32 @@ func TestShardedPointReads(t *testing.T) {
 	}
 	if got := sr.BytesRead() - before; got != int64(unique)*8 {
 		t.Errorf("point reads counted %d bytes, want %d", got, unique*8)
+	}
+	// Each shard serves its run of the global rows in place: a read
+	// allocates a few bytes per shard, not a rebased copy of the rows
+	// (8 B per row).
+	many := make([]int, 4000)
+	for i := range many {
+		many[i] = i * 900 / len(many)
+	}
+	manyOut := make([]float64, len(many))
+	least := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := sr.ReadNumericPoints(0, many, manyOut); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= uint64(2*len(many)) {
+		t.Errorf("a %d-row sharded point read allocated %d B, want under %d", len(many), least, 2*len(many))
+	}
+	for i, row := range many {
+		if manyOut[i] != want[row] {
+			t.Fatalf("row %d = %g, want %g", row, manyOut[i], want[row])
+		}
 	}
 	// Validation errors, same contract as DiskRelation.
 	if err := sr.ReadNumericPoints(2, []int{0}, out[:1]); err == nil {

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -27,32 +28,63 @@ func twoColumnRelation(t testing.TB, n int) *relation.MemoryRelation {
 	return rel
 }
 
+// MultiColumnWithReplacement samples several numeric attributes at one
+// size s, attrs[k] from rngs[k], the way bucketing dispatches a
+// sampling phase: with trackDistinct > 0, one MultiColumnRequests
+// tracking scan for the whole set; without, one PointSample per
+// attribute. Either way each sample is bit-identical to
+// ColumnWithReplacement(rel, attrs[k], s, rngs[k]).
+func MultiColumnWithReplacement(rel relation.Relation, attrs []int, s int, rngs []*rand.Rand, trackDistinct int) ([]MultiSample, error) {
+	if len(attrs) != len(rngs) {
+		return nil, fmt.Errorf("sampling: %d attributes but %d rngs", len(attrs), len(rngs))
+	}
+	if trackDistinct > 0 {
+		reqs := make([]ColumnRequest, len(attrs))
+		for k := range attrs {
+			reqs[k] = ColumnRequest{Attr: attrs[k], S: s, Rng: rngs[k], TrackDistinct: trackDistinct}
+		}
+		return MultiColumnRequests(rel, reqs)
+	}
+	out := make([]MultiSample, len(attrs))
+	for k, attr := range attrs {
+		out[k].Sample = make([]float64, s)
+		if err := PointSample(rel, attr, rngs[k], make([]int, s), out[k].Sample); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func TestMultiColumnWithReplacementMatchesSingleColumn(t *testing.T) {
 	rel := twoColumnRelation(t, 20000) // > 2 batches
 	attrs := []int{0, 1}
 	const s = 500
-	rngs := []*rand.Rand{rand.New(rand.NewSource(3)), rand.New(rand.NewSource(4))}
-	got, err := MultiColumnWithReplacement(rel, attrs, s, rngs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, attr := range attrs {
-		want, err := ColumnWithReplacement(rel, attr, s, rand.New(rand.NewSource(3+int64(k))))
+	// trackDistinct 0 point-reads; 1 runs the tracking scan, whose
+	// trackers overflow at once, so both drop every Distinct slice.
+	for _, track := range []int{0, 1} {
+		rngs := []*rand.Rand{rand.New(rand.NewSource(3)), rand.New(rand.NewSource(4))}
+		got, err := MultiColumnWithReplacement(rel, attrs, s, rngs, track)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got[k].Sample) != s {
-			t.Fatalf("attr %d: sample size %d, want %d", attr, len(got[k].Sample), s)
-		}
-		// NaN != NaN, so compare bit patterns.
-		for i := range want {
-			g, w := got[k].Sample[i], want[i]
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("attr %d: sample[%d] = %v, want %v (fused pass must be bit-identical)", attr, i, g, w)
+		for k, attr := range attrs {
+			want, err := ColumnWithReplacement(rel, attr, s, rand.New(rand.NewSource(3+int64(k))))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got[k].Distinct != nil {
-			t.Errorf("attr %d: distinct tracking was not requested", attr)
+			if len(got[k].Sample) != s {
+				t.Fatalf("track %d attr %d: sample size %d, want %d", track, attr, len(got[k].Sample), s)
+			}
+			// NaN != NaN, so compare bit patterns.
+			for i := range want {
+				g, w := got[k].Sample[i], want[i]
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("track %d attr %d: sample[%d] = %v, want %v (fused pass must be bit-identical)", track, attr, i, g, w)
+				}
+			}
+			if got[k].Distinct != nil {
+				t.Errorf("track %d attr %d: got a distinct set from an overflowing or absent tracker", track, attr)
+			}
 		}
 	}
 }

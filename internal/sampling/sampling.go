@@ -34,22 +34,33 @@ const intHoldsFloat64 = bits.UintSize == 64
 // sampling phase's CPU profile; the sampled-index distribution is
 // unchanged.
 func WithReplacementIndices(rng *rand.Rand, n, s int) ([]int, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sampling: population size %d must be positive", n)
-	}
 	if s < 0 {
 		return nil, fmt.Errorf("sampling: negative sample size %d", s)
 	}
 	idx := make([]int, s)
-	if s == 0 {
-		return idx, nil
+	if err := drawIndices(rng, n, idx); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
+// drawIndices is WithReplacementIndices into the caller's buffer: it
+// fills idx with len(idx) sorted with-replacement draws from [0, n),
+// consuming exactly the random stream WithReplacementIndices(rng, n,
+// len(idx)) would.
+func drawIndices(rng *rand.Rand, n int, idx []int) error {
+	if n <= 0 {
+		return fmt.Errorf("sampling: population size %d must be positive", n)
+	}
+	if len(idx) == 0 {
+		return nil
 	}
 	// idx first holds the running sums themselves, as float64 bit
 	// patterns, so the draw needs no second array. A 32-bit int cannot
 	// hold one; there the sums get their own array.
 	var cum []float64
 	if !intHoldsFloat64 {
-		cum = make([]float64, s)
+		cum = make([]float64, len(idx))
 	}
 	total := 0.0
 	for i := range idx {
@@ -73,7 +84,29 @@ func WithReplacementIndices(rng *rand.Rand, n, s int) ([]int, error) {
 		}
 		idx[i] = k
 	}
-	return idx, nil
+	return nil
+}
+
+// PointSample draws a with-replacement sample of len(out) values of the
+// numeric attribute attr by point reads: it fills idx (len(idx) ==
+// len(out)) with the sorted indices drawIndices draws from rng and
+// reads those rows into out. The values are exactly the sample
+// ColumnWithReplacement(rel, attr, len(out), rng) scans for, at 8
+// counted bytes per unique row instead of a scan to the largest index,
+// which lands within ~n/S rows of the end. An empty sample draws
+// nothing and reads nothing. The buffers are the caller's, so one
+// worker can reuse them for every sample it draws.
+func PointSample(rel relation.Relation, attr int, rng *rand.Rand, idx []int, out []float64) error {
+	if len(idx) != len(out) {
+		return fmt.Errorf("sampling: %d indices but %d outputs", len(idx), len(out))
+	}
+	if err := drawIndices(rng, rel.NumTuples(), idx); err != nil {
+		return err
+	}
+	if len(idx) == 0 {
+		return nil
+	}
+	return rel.ReadNumericPoints(attr, idx, out)
 }
 
 // ColumnWithReplacement draws a uniform with-replacement sample of size
@@ -142,38 +175,6 @@ type MultiSample struct {
 	Distinct []float64
 }
 
-// MultiColumnWithReplacement fuses the sampling passes of several
-// numeric attributes into ONE sequential scan: for each attrs[k] it
-// draws an independent uniform with-replacement sample of size s driven
-// by rngs[k], consuming exactly the random stream that
-// ColumnWithReplacement(rel, attrs[k], s, rngs[k]) would, so per-attribute
-// results are bit-identical to the unfused path. This is what lets the
-// miner's boundary-construction phase cost one scan of the relation
-// instead of one scan per attribute.
-//
-// If trackDistinct > 0 the scan additionally records each attribute's
-// distinct value set for the finest-bucket path (Definition 2.5): an
-// attribute's Distinct slice is populated only if it has at most
-// trackDistinct distinct finite values and no NaNs; tracking forces a
-// full scan (no early abort once samples are satisfied).
-//
-// Without distinct tracking the samples are point reads at their
-// sorted indices, not a scan: the largest sample index is within ~n/S
-// rows of the end, so a bounded scan would read essentially every row
-// to deliver S of them, where point reads cost 8 bytes per sample. The
-// sampled values — and therefore the bucket boundaries and every
-// downstream rule — are identical either way.
-func MultiColumnWithReplacement(rel relation.Relation, attrs []int, s int, rngs []*rand.Rand, trackDistinct int) ([]MultiSample, error) {
-	if len(attrs) != len(rngs) {
-		return nil, fmt.Errorf("sampling: %d attributes but %d rngs", len(attrs), len(rngs))
-	}
-	reqs := make([]ColumnRequest, len(attrs))
-	for k := range attrs {
-		reqs[k] = ColumnRequest{Attr: attrs[k], S: s, Rng: rngs[k], TrackDistinct: trackDistinct}
-	}
-	return MultiColumnRequests(rel, reqs)
-}
-
 // ColumnRequest is one attribute's share of a fused sampling scan: a
 // with-replacement sample of size S driven by Rng, plus optional
 // distinct-value tracking for the finest-bucket path. Requests are
@@ -188,14 +189,19 @@ type ColumnRequest struct {
 	TrackDistinct int // 0 = off
 }
 
-// MultiColumnRequests generalizes MultiColumnWithReplacement to
-// heterogeneous per-request sample sizes: every request draws exactly
-// the stream ColumnWithReplacement(rel, req.Attr, req.S, req.Rng)
-// would, so per-request results stay bit-identical to the unfused
-// path. Without distinct tracking every request is one point read of
-// its sorted indices; with it, the relation is scanned ONCE for the
-// whole set. Requests needing no rows at all (S = 0, no tracking)
-// trigger no read.
+// MultiColumnRequests is the exact-domain sampling pass: ONE scan of
+// the relation draws every request's sample and records the distinct
+// values of the requests that track them (Definition 2.5's finest
+// buckets). Every request draws exactly the stream
+// ColumnWithReplacement(rel, req.Attr, req.S, req.Rng) would, so
+// per-request samples stay bit-identical to the unfused path.
+//
+// An attribute's Distinct slice is populated only if it has at most
+// TrackDistinct distinct finite values and no NaNs. A live tracker
+// needs every row; the scan stops once every sample is satisfied and
+// every tracker overflowed. A set with no tracking request samples
+// cheaper by point reads (PointSample), and requests needing no rows
+// at all (S = 0, no tracking) trigger no read.
 func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSample, error) {
 	n := rel.NumTuples()
 	out := make([]MultiSample, len(reqs))
@@ -233,16 +239,6 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 		}
 		colOf[k] = p
 	}
-	if !anyTracking {
-		for k := range reqs {
-			sample := make([]float64, len(idx[k]))
-			if err := rel.ReadNumericPoints(reqs[k].Attr, idx[k], sample); err != nil {
-				return nil, err
-			}
-			out[k].Sample = sample
-		}
-		return out, nil
-	}
 	type distinct struct {
 		seen     map[float64]struct{}
 		overflow bool
@@ -254,7 +250,6 @@ func MultiColumnRequests(rel relation.Relation, reqs []ColumnRequest) ([]MultiSa
 			dist[k].seen = make(map[float64]struct{})
 		}
 	}
-	// Distinct tracking needs every row.
 	at := 0 // global row number of the batch start
 	err := rel.Scan(relation.ColumnSet{Numeric: uniq}, func(b *relation.Batch) error {
 		pending := false

@@ -94,6 +94,37 @@ func TestWithReplacementIndicesErrors(t *testing.T) {
 	}
 }
 
+// TestPointSampleReusesBuffers draws samples of several sizes into one
+// pair of dirty buffers: each must equal ColumnWithReplacement's sample
+// from the same stream, and the draw must allocate nothing.
+func TestPointSampleReusesBuffers(t *testing.T) {
+	rel := makeRelation(t, 5000)
+	idx, out := make([]int, 3000), make([]float64, 3000)
+	for i := range idx {
+		idx[i], out[i] = -1, math.NaN()
+	}
+	for _, s := range []int{3000, 0, 17, 2999} {
+		seed := int64(40 + s)
+		if err := PointSample(rel, 0, rand.New(rand.NewSource(seed)), idx[:s], out[:s]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ColumnWithReplacement(rel, 0, s, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out[:s], want) {
+			t.Fatalf("s=%d: point sample differs from the scanned sample", s)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if allocs := testing.AllocsPerRun(1, func() { _ = drawIndices(rng, 5000, idx[:s]) }); allocs != 0 {
+			t.Errorf("s=%d: index draw made %v allocations, want 0", s, allocs)
+		}
+	}
+	if err := PointSample(rel, 0, rand.New(rand.NewSource(1)), idx[:3], out[:4]); err == nil {
+		t.Error("mismatched index and output buffers accepted")
+	}
+}
+
 func TestColumnWithReplacementExactCount(t *testing.T) {
 	rel := makeRelation(t, 10)
 	rng := rand.New(rand.NewSource(7))

@@ -18,9 +18,24 @@ const radixSortMin = 512
 // to the extremes by their bit patterns rather than to arbitrary
 // positions, which no caller relies on).
 func SortFloat64s(xs []float64) {
+	var buf []float64
+	if len(xs) >= radixSortMin {
+		buf = make([]float64, len(xs))
+	}
+	SortFloat64sBuf(xs, buf)
+}
+
+// SortFloat64sBuf is SortFloat64s with the caller's radix scratch: buf
+// must hold at least len(xs) values once len(xs) reaches the radix
+// cutoff, and its contents are overwritten. A caller sorting many
+// samples reuses one buf for all of them.
+func SortFloat64sBuf(xs, buf []float64) {
 	if len(xs) < radixSortMin {
 		sort.Float64s(xs)
 		return
+	}
+	if len(buf) < len(xs) {
+		panic("stats: radix scratch shorter than the slice to sort")
 	}
 	// Map each float to a uint64 key that orders like the float: flip
 	// all bits of negatives, flip only the sign bit of non-negatives.
@@ -36,7 +51,7 @@ func SortFloat64s(xs []float64) {
 		}
 		xs[i] = math.Float64frombits(b)
 	}
-	keys, buf := xs, make([]float64, len(xs))
+	keys, buf := xs, buf[:len(xs)]
 	var counts [256]int
 	for shift := uint(0); shift < 64; shift += 8 {
 		for i := range counts {

@@ -85,6 +85,33 @@ func checkSpecialKeys(t *testing.T) {
 	}
 }
 
+// TestSortFloat64sBufReusesScratch sorts slices of several lengths with
+// one dirty scratch buffer, longer than most of them, and requires
+// SortFloat64s's result bit for bit and no allocation.
+func TestSortFloat64sBufReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	buf := make([]float64, 5000)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	for _, n := range []int{5000, 0, 511, 512, 2600, 40} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Exp(rng.NormFloat64()*5) - 3
+		}
+		want := append([]float64(nil), xs...)
+		SortFloat64s(want)
+		if allocs := testing.AllocsPerRun(1, func() { SortFloat64sBuf(xs, buf) }); n >= radixSortMin && allocs != 0 {
+			t.Errorf("n=%d: %v allocations, want 0", n, allocs)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: [%d] = %v, want %v", n, i, xs[i], want[i])
+			}
+		}
+	}
+}
+
 func BenchmarkSortFloat64sRadix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := make([]float64, 40000)
