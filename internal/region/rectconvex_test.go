@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -308,6 +309,34 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 	}
 }
 
+// TestSlabPoolSurvivesCollection pins the free list: a kept slab comes
+// back after two collections (a sync.Pool would have dropped it), no
+// more than GOMAXPROCS slabs are kept, and a slab too large to keep
+// goes to the sync.Pool instead.
+func TestSlabPoolSurvivesCollection(t *testing.T) {
+	var sp slabPool
+	s := sp.get(1000)
+	sp.put(s)
+	runtime.GC()
+	runtime.GC()
+	if got := sp.get(900); got != s || len(*got) != 900 {
+		t.Fatalf("kept slab not returned after two collections")
+	}
+	for range runtime.GOMAXPROCS(0) + 3 {
+		sp.put(sp.get(10))
+		fresh := make([]int32, 10)
+		sp.put(&fresh)
+	}
+	if len(sp.kept) > runtime.GOMAXPROCS(0) {
+		t.Fatalf("kept %d slabs, want at most GOMAXPROCS = %d", len(sp.kept), runtime.GOMAXPROCS(0))
+	}
+	var bp slabPool
+	bp.put(bp.get(keepCells + 1))
+	if len(bp.kept) != 0 {
+		t.Fatalf("a slab over keepCells was kept")
+	}
+}
+
 // TestDPSlabReuse pins the recycled backtracking slabs: a small
 // tie-heavy grid, then a 64×64 one, run through both DPs on freshly
 // allocated slabs; then each runs again on recycled slabs overwritten
@@ -317,7 +346,10 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 func TestDPSlabReuse(t *testing.T) {
 	drain := func() {
 		for _, sp := range []*slabPool{&choicePool, &backPool} {
-			for sp.p.Get() != nil {
+			sp.mu.Lock()
+			sp.kept = nil
+			sp.mu.Unlock()
+			for sp.big.Get() != nil {
 			}
 		}
 	}

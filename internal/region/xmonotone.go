@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -65,20 +66,54 @@ type cellBest struct {
 // needs no clearing: every interval cell (a <= b) of every column is
 // written before backtracking reads it, and backtracking reads no
 // other cell.
-type slabPool struct{ p sync.Pool }
+//
+// Slabs of at most keepCells cells (grid sides up to about 100) are
+// kept on a free list that a collection does not empty, at most
+// GOMAXPROCS of them, so a batch's DPs allocate the same bytes whether
+// or not the collector runs during it. Larger slabs go through a
+// sync.Pool, which lets an idle one go.
+type slabPool struct {
+	mu   sync.Mutex
+	kept []*[]int32
+	big  sync.Pool
+}
+
+// keepCells is the largest slab the free list keeps: 16 MB.
+const keepCells = 1 << 22
 
 // get returns a slab of n cells with stale contents.
 func (sp *slabPool) get(n int) *[]int32 {
-	if s, ok := sp.p.Get().(*[]int32); ok && cap(*s) >= n {
+	var s *[]int32
+	if n <= keepCells {
+		sp.mu.Lock()
+		if k := len(sp.kept); k > 0 {
+			s = sp.kept[k-1]
+			sp.kept = sp.kept[:k-1]
+		}
+		sp.mu.Unlock()
+	} else {
+		s, _ = sp.big.Get().(*[]int32)
+	}
+	if s != nil && cap(*s) >= n {
 		*s = (*s)[:n]
 		return s
 	}
-	s := make([]int32, n)
-	return &s
+	fresh := make([]int32, n)
+	return &fresh
 }
 
 // put hands a slab back once nothing reads it.
-func (sp *slabPool) put(s *[]int32) { sp.p.Put(s) }
+func (sp *slabPool) put(s *[]int32) {
+	if cap(*s) > keepCells {
+		sp.big.Put(s)
+		return
+	}
+	sp.mu.Lock()
+	if len(sp.kept) < runtime.GOMAXPROCS(0) {
+		sp.kept = append(sp.kept, s)
+	}
+	sp.mu.Unlock()
+}
 
 // choicePool and backPool hold the x-monotone and rectilinear-convex
 // backtracking slabs.
