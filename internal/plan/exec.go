@@ -11,6 +11,7 @@ import (
 
 	"optrule/internal/bucketing"
 	"optrule/internal/fanout"
+	"optrule/internal/freelist"
 	"optrule/internal/region"
 	"optrule/internal/relation"
 )
@@ -277,6 +278,13 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 	// slots[s] is pool slot s's tally state, nil until it counts a chunk
 	// and after a failed attempt.
 	slots := make([]*execState, pes)
+	defer func() {
+		for _, st := range slots {
+			if st != nil {
+				st.release()
+			}
+		}
+	}()
 	slot := func(s int) {
 		var folded []int // chunks slots[s] holds
 		for {
@@ -296,6 +304,9 @@ func countRange(ctx context.Context, rel relation.Relation, d Defaults, set *Sta
 					break
 				}
 				// The failed attempt left the state partial.
+				if st != nil {
+					st.release()
+				}
 				slots[s] = nil
 				if ctx.Err() != nil {
 					sums.finish(i)
@@ -382,36 +393,59 @@ func (s *StatsSet) boundsOf(k BoundKey) (bucketing.Boundaries, error) {
 // The counting kernel: any mix of 1-D groups and 2-D pair grids in
 // one scan. Each tuple's bucket is located ONCE per distinct
 // (attribute, resolution) and shared by every consumer; per-filter row
-// masks and per-condition-run row codes are computed once per batch.
-// Counts live in integer scatter tables and are derived into U, V and
-// N only when the scan publishes; float target sums go through the
-// ordered replay (see sumLog).
+// masks and per-condition-block row codes are computed once per batch.
+// Then each group, and each pair, counts the batch in one branch-free
+// row loop per shape. Everywhere in the kernel, bucket index −1 is the
+// trash bucket: a locate pass's NaN rows, a filter's masked-out rows
+// and a pair's rows outside either bucketing all land there, so no row
+// loop tests a row, and publish drops the trash. Counts live in
+// integer cells and are derived into U, V and N only when the scan
+// publishes; float target sums go through the ordered replay (see
+// sumLog). A worker's cells, extremes and row scratch live in one
+// arena that outlives the scan (see arena).
 
 // effCombo is one distinct (boundary set, filter) combination's
-// effective-index pass: eff[row] is the row's bucket index with
-// masked-out and NaN-driver rows redirected to the trash slot m, so
-// every group sharing the combination tallies with branch-free
-// scatter loops. nans counts the batch's masked-in NaN-driver rows.
+// effective-index pass: eff[row] is the row's bucket index, or −1 when
+// the filter masks the row out or its driver is NaN. nans counts the
+// batch's masked-in NaN-driver rows. Unfiltered groups count straight
+// from their locate pass.
 type effCombo struct {
 	loc     int // locate task index
-	maskIdx int // distinct filter index, -1 when unfiltered
-	m       int // bucket count; also the trash slot
+	maskIdx int // distinct filter index
 
 	eff  []int32
 	nans int
 }
 
 // laneBits is how many Boolean conditions one lane packs into a row
-// code at most: a lane over b conditions has 1<<b cells per bucket.
-const laneBits = 3
+// code at most: a lane over b conditions has 1<<b cells in each
+// bucket's record, a full lane laneCells.
+const (
+	laneBits  = 3
+	laneCells = 1 << laneBits
+)
 
-// codePass is one distinct run of up to laneBits (Bool column, want)
-// conditions: code[row] has bit k set when the row meets condition k.
-// Every lane over the same run shares the pass.
+// blockLanes is how many lanes one row loop counts: a group with more
+// lanes runs one loop per block of blockLanes. A loop views a record's
+// block as an array of blockCells cells, the power of two at or above
+// its lanes' cells, so masking a lane's cell index bounds it; recPad cells
+// follow a group's last record to keep that view inside the cells.
+const (
+	blockLanes = 3
+	blockCells = 4 * laneCells
+	recPad     = blockCells
+)
+
+// codePass is one distinct block of up to blockLanes*laneBits (Bool
+// column, want) conditions. Byte j of code[row] is the cell, within
+// the block of a record, that the row's lane j counts in: j*laneCells
+// plus the lane's code, whose bit k is set when the row meets the
+// lane's condition k. Every group block over the same conditions
+// shares the pass.
 type codePass struct {
-	cols []int // Bool column position per condition
-	flip uint8 // bit k set when condition k wants false
-	code []uint8
+	cols []int  // Bool column position per condition
+	mix  uint32 // XORed into every word: each lane's offset and wants-false bits
+	code []uint32
 }
 
 // cells is a scatter table of 32-bit counts. Before a count could wrap,
@@ -419,6 +453,35 @@ type codePass struct {
 type cells struct {
 	n    []uint32
 	wide []int
+}
+
+// arena is one tally state's memory: every group's and pair's cells
+// and extremes, and the per-batch row scratch. A state takes its arena
+// from arenas and hands it back once its counts are published, so a
+// batch allocates no tally memory when a worker's arena from an
+// earlier batch is free.
+type arena struct {
+	cells []uint32
+	ext   [][2]float64
+	rows  []int32  // located and effective bucket indices
+	codes []uint32 // code passes' row codes
+}
+
+// arenas keeps released arenas through collections, one per
+// GOMAXPROCS: the same bounded free list as the block scans' buffers
+// and the region DPs' slabs. An arena of more than arenaKeepCells
+// cells (16 MB) is not kept.
+var arenas freelist.List[*arena]
+
+const arenaKeepCells = 1 << 22
+
+// fit returns s cut to n elements, on a new array only when s's is
+// too short; the contents are stale.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // execState is one worker's private tally state.
@@ -434,7 +497,12 @@ type execState struct {
 	masks   [][]bool
 
 	combos []*effCombo // distinct (loc, maskIdx) effective-index passes
-	codes  []*codePass // distinct condition runs
+	codes  []*codePass // distinct condition blocks
+
+	// ar backs the state's cells, extremes, idx, effective indices and
+	// codes; rowCap is the batch length its row scratch is cut for.
+	ar     *arena
+	rowCap int
 
 	// tallied counts the rows scattered into the 32-bit cells since
 	// their last fold; no cell can hold more.
@@ -452,32 +520,36 @@ type execState struct {
 	pairs  []*pairState
 }
 
-// groupState tallies one group. Each lane covers a run of up to
-// laneBits of need.Bools, in order: cell e<<bits | code of its table
-// counts bucket e's rows whose conditions match code (bit k for the
-// run's condition k). A group without Bools keeps one zero-bit lane,
-// its bucket counts. Tables and extremes carry one trash bucket, m,
-// that absorbs masked-out and NaN-driver rows so the vectorized
-// kernel's loops carry no per-row branch; publish drops it.
+// groupState tallies one group in bucket-major records: bucket e's
+// record is cells [(e+1)*stride, (e+2)*stride), the trash bucket's the
+// first, where stride sums 1<<bits over the group's lanes, so one
+// row's scatter-adds all land in one record. Each lane covers a run of
+// up to laneBits of need.Bools, in order, at offset off of the record:
+// cell off+code counts the bucket's rows whose conditions match code
+// (bit k for the run's condition k). Only a group's last lane may be
+// partial, so lane j sits at j*laneCells. A group without Bools keeps
+// one zero-bit lane, its bucket counts. An unfiltered group's trash
+// record counts its NaN drivers.
 type groupState struct {
-	need    *GroupNeed
-	col     int // driver column position
-	loc     int // locate task index
-	maskIdx int // distinct filter index, -1 when unfiltered
-	combo   int // effective-index pass (loc, maskIdx)
-	m       int
+	need   *GroupNeed
+	col    int // driver column position
+	loc    int // locate task index
+	combo  int // effective-index pass, -1 when unfiltered
+	m      int
+	stride int // cells per record
 
-	total, nans int
-	lanes       []*lane
-	minv, maxv  []float64
-	targetCol   []int
+	total, nans int // nans: NaN drivers counted by effective-index passes
+	lanes       []lane
+	blocks      []int // code pass per block of blockLanes lanes, -1 for the zero-bit lane
+	cells
+	ext       [][2]float64 // bucket e's least and greatest driver value at e+1; nil without extremes
+	targetCol []int
 }
 
-// lane is one group's table over one condition run.
+// lane is one group's run of conditions within its records.
 type lane struct {
-	code int // code pass index; -1 for the zero-bit lane
 	bits uint
-	cells
+	off  int // first cell within a record
 }
 
 type pairState struct {
@@ -488,21 +560,17 @@ type pairState struct {
 	flip       uint8 // 1 when the objective wants false
 
 	// grid is the published result. The kernels tally cell<<1 | hit
-	// into cells, where hit is the row's objective bit; its last two
-	// slots form a trash cell for rows outside either bucketing, and
-	// publish derives the grid's U and V from the rest. The axis
-	// extreme arrays carry one trash slot each for the same reason.
+	// into cells, where hit is the row's objective bit and the cells
+	// form a (rows+1)×(cols+1) grid whose first row and column are the
+	// axes' trash buckets; publish derives the grid's U and V from the
+	// rest. extA and extB hold each axis bucket's extremes, laid out
+	// like a group's.
 	grid *region.Grid
 	gu   []int
 	gv   []float64
 	cols int
 	cells
-	minA, maxA []float64
-	minB, maxB []float64
-
-	effCell []int32 // per batch row: flat cell index, or the trash cell
-	effA    []int32 // row-bucket index, or its trash slot
-	effB    []int32 // column-bucket index, or its trash slot
+	extA, extB [][2]float64
 }
 
 // layout computes the union column set and position maps.
@@ -547,8 +615,9 @@ func execLayout(groups []*GroupNeed, pairs []*PairNeed) (relation.ColumnSet, map
 // one (see export_test.go). Production contexts never carry it.
 type kernelKey struct{}
 
-// newExecState builds one worker's tally state. Its target sums are
-// logged into sums, which must be non-nil when a group carries targets.
+// newExecState builds one worker's tally state on an arena from
+// arenas. Its target sums are logged into sums, which must be non-nil
+// when a group carries targets.
 func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs []*PairNeed,
 	numPos, boolPos map[int]int, sums *sumLog) (*execState, error) {
 	st := &execState{boolPos: boolPos}
@@ -588,23 +657,23 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		return i
 	}
 	comboOf := map[[2]int]int{}
-	combo := func(loc, mi, m int) int {
+	combo := func(loc, mi int) int {
 		key := [2]int{loc, mi}
 		if i, ok := comboOf[key]; ok {
 			return i
 		}
 		i := len(st.combos)
 		comboOf[key] = i
-		st.combos = append(st.combos, &effCombo{loc: loc, maskIdx: mi, m: m})
+		st.combos = append(st.combos, &effCombo{loc: loc, maskIdx: mi})
 		return i
 	}
-	type runKey struct {
+	type blockKey struct {
 		n     int
-		conds [laneBits]bucketing.BoolCond
+		conds [blockLanes * laneBits]bucketing.BoolCond
 	}
-	codeOf := map[runKey]int{}
+	codeOf := map[blockKey]int{}
 	code := func(conds []bucketing.BoolCond) int {
-		key := runKey{n: len(conds)}
+		key := blockKey{n: len(conds)}
 		copy(key.conds[:], conds)
 		if i, ok := codeOf[key]; ok {
 			return i
@@ -612,8 +681,12 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		p := &codePass{}
 		for k, bc := range conds {
 			p.cols = append(p.cols, boolPos[bc.Attr])
+			j := k / laneBits
+			if k%laneBits == 0 {
+				p.mix |= uint32(j*laneCells) << (8 * j)
+			}
 			if !bc.Want {
-				p.flip |= 1 << k
+				p.mix |= 1 << (8*j + k%laneBits)
 			}
 		}
 		i := len(st.codes)
@@ -621,6 +694,8 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		st.codes = append(st.codes, p)
 		return i
 	}
+	// Lay the state out, then cut its cells and extremes from the arena.
+	var nCells, nExt int
 	for _, g := range groups {
 		loc, err := locate(g.boundKey())
 		if err != nil {
@@ -628,28 +703,28 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 		}
 		m := st.locB[loc].NumBuckets()
 		mi := maskIdx(g.Filter, g.Key.Filter)
-		gs := &groupState{
-			need: g, col: numPos[g.Driver], loc: loc,
-			maskIdx: mi, combo: combo(loc, mi, m), m: m,
+		gs := &groupState{need: g, col: numPos[g.Driver], loc: loc, combo: -1, m: m}
+		if mi >= 0 {
+			gs.combo = combo(loc, mi)
 		}
 		for k := 0; k == 0 || k < len(g.Bools); k += laneBits {
-			l := &lane{code: -1}
-			if run := g.Bools[k:min(k+laneBits, len(g.Bools))]; len(run) > 0 {
-				l.code, l.bits = code(run), uint(len(run))
+			bits := min(laneBits, len(g.Bools)-k)
+			gs.lanes = append(gs.lanes, lane{bits: uint(bits), off: gs.stride})
+			gs.stride += 1 << bits
+		}
+		for k := 0; k == 0 || k < len(g.Bools); k += blockLanes * laneBits {
+			p := -1
+			if run := g.Bools[k:min(k+blockLanes*laneBits, len(g.Bools))]; len(run) > 0 {
+				p = code(run)
 			}
-			l.n = make([]uint32, (m+1)<<l.bits)
-			gs.lanes = append(gs.lanes, l)
+			gs.blocks = append(gs.blocks, p)
 		}
 		for _, t := range g.Targets {
 			gs.targetCol = append(gs.targetCol, numPos[t])
 		}
+		nCells += (m+1)*gs.stride + recPad
 		if g.TrackExtremes {
-			gs.minv = make([]float64, m+1)
-			gs.maxv = make([]float64, m+1)
-			for i := range gs.minv {
-				gs.minv[i] = math.Inf(1)
-				gs.maxv[i] = math.Inf(-1)
-			}
+			nExt += m + 1
 		}
 		st.groups = append(st.groups, gs)
 	}
@@ -677,22 +752,89 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 			colA: numPos[p.A], colB: numPos[p.B],
 			objCol: boolPos[p.Obj.Attr],
 			grid:   g, gu: gu, gv: gv, cols: colsN,
-			cells: cells{n: make([]uint32, (rows*colsN+1)<<1)},
-			minA:  make([]float64, rows+1), maxA: make([]float64, rows+1),
-			minB: make([]float64, colsN+1), maxB: make([]float64, colsN+1),
 		}
 		if !p.Obj.Want {
 			ps.flip = 1
 		}
-		for i := range ps.minA {
-			ps.minA[i], ps.maxA[i] = math.Inf(1), math.Inf(-1)
-		}
-		for i := range ps.minB {
-			ps.minB[i], ps.maxB[i] = math.Inf(1), math.Inf(-1)
-		}
+		nCells += (rows + 1) * (colsN + 1) << 1
+		nExt += rows + 1 + colsN + 1
 		st.pairs = append(st.pairs, ps)
 	}
+	ar, ok := arenas.Get()
+	if !ok {
+		ar = &arena{}
+	}
+	st.ar = ar
+	ar.cells = fit(ar.cells, nCells)
+	clear(ar.cells)
+	ar.ext = fit(ar.ext, nExt)
+	freeCells, freeExt := ar.cells, ar.ext
+	cut := func(n int) []uint32 {
+		c := freeCells[:n:n]
+		freeCells = freeCells[n:]
+		return c
+	}
+	ext := func(buckets int) [][2]float64 {
+		x := freeExt[: buckets+1 : buckets+1]
+		freeExt = freeExt[len(x):]
+		for e := range x {
+			x[e] = [2]float64{math.Inf(1), math.Inf(-1)}
+		}
+		return x
+	}
+	for _, gs := range st.groups {
+		gs.n = cut((gs.m+1)*gs.stride + recPad)
+		if gs.need.TrackExtremes {
+			gs.ext = ext(gs.m)
+		}
+	}
+	for _, ps := range st.pairs {
+		ps.n = cut((ps.grid.Rows() + 1) * (ps.cols + 1) << 1)
+		ps.extA = ext(ps.grid.Rows())
+		ps.extB = ext(ps.cols)
+	}
 	return st, nil
+}
+
+// release hands st's arena back to arenas. Nothing may read st's
+// cells, extremes or row scratch afterwards.
+func (st *execState) release() {
+	if st.ar != nil && cap(st.ar.cells) <= arenaKeepCells {
+		arenas.Put(st.ar)
+	}
+	st.ar = nil
+}
+
+// fitRows cuts the state's row scratch (located and effective indices,
+// row codes) from its arena for batches of up to n rows.
+func (st *execState) fitRows(n int) {
+	if n <= st.rowCap {
+		return
+	}
+	st.rowCap = n
+	ar := st.ar
+	ar.rows = fit(ar.rows, (len(st.idx)+len(st.combos))*n)
+	ar.codes = fit(ar.codes, len(st.codes)*n)
+	rows := func(k int) []int32 { return ar.rows[k*n : (k+1)*n : (k+1)*n] }
+	for t := range st.idx {
+		st.idx[t] = rows(t)
+	}
+	for c, cb := range st.combos {
+		cb.eff = rows(len(st.idx) + c)
+	}
+	for p, cp := range st.codes {
+		cp.code = ar.codes[p*n : (p+1)*n : (p+1)*n]
+	}
+}
+
+// buckets returns the per-row bucket indices gs counts a batch of n
+// rows from: its effective-index pass when it is filtered, else its
+// locate pass, with −1 for a row counted into no bucket.
+func (st *execState) buckets(gs *groupState, n int) []int32 {
+	if gs.combo >= 0 {
+		return st.combos[gs.combo].eff[:n]
+	}
+	return st.idx[gs.loc][:n]
 }
 
 // countBatch tallies one batch into every group and pair. When the
@@ -716,12 +858,10 @@ func (st *execState) countBatch(b *relation.Batch) {
 		st.fold()
 	}
 	st.tallied += int64(n)
+	st.fitRows(n)
 	// Bucket indices once per (attribute, resolution): every group and
 	// pair sharing the boundary set shares the locate pass.
 	for t := range st.locKeys {
-		if cap(st.idx[t]) < n {
-			st.idx[t] = make([]int32, n)
-		}
 		st.locB[t].LocateBatch(b.Numeric[st.locCol[t]][:n], st.idx[t][:n])
 	}
 	// Row masks once per distinct filter.
@@ -755,168 +895,246 @@ func (st *execState) countBatch(b *relation.Batch) {
 }
 
 // countBatchVec is the batch-vectorized kernel. The per-tuple
-// branching of the reference kernel — mask check, NaN check, extreme
-// tracking, per-condition conditionals — is restructured into columnar
-// passes: one effective-index pass per distinct (boundary set, filter)
-// combination routes every excluded row to a trash bucket, one code
-// pass per distinct condition run packs the row's condition bits into a
-// byte, and each lane and extreme then runs one tight scatter loop over
-// the whole batch with no row-level control flow. A row costs one
-// scatter-add per lane, not one per condition plus one for its bucket.
-// Trash-bucket garbage never surfaces: publish drops it.
+// branching of the reference kernel (mask check, NaN check, extreme
+// tracking, per-condition conditionals) becomes columnar passes and
+// branch-free row loops. One effective-index pass per distinct
+// (boundary set, filter) combination sends masked-out rows to the
+// trash bucket, and one code pass per distinct condition block packs a
+// row's condition bits into one word. Then each group counts the batch
+// in one row loop per block of up to blockLanes lanes, over its
+// effective-index pass or straight over its locate pass: a row costs
+// one scatter-add per lane, all into its bucket's record, and the
+// first block also folds the row into its bucket's extremes. Each pair
+// counts in one loop that scatters the row into its cell and updates
+// both axes' extremes.
 func (st *execState) countBatchVec(b *relation.Batch) {
 	n := b.Len
 	for _, c := range st.combos {
-		if cap(c.eff) < n {
-			c.eff = make([]int32, n)
-		}
-		eff := c.eff[:n]
-		idx := st.idx[c.loc][:n]
-		trash := int32(c.m)
-		nans := 0
-		if c.maskIdx < 0 {
-			for row, i := range idx {
-				if i < 0 { // NaN driver: belongs to no bucket
-					nans++
-					i = trash
-				}
-				eff[row] = i
-			}
-		} else {
-			// Filtered rows are random Booleans, so pick by arithmetic:
-			// keep is all ones for a masked-in row with a bucket, else
-			// zero, and the row goes to its bucket or the trash slot.
-			mask := st.masks[c.maskIdx][:n]
-			for row, i := range idx {
-				in := int32(b2u(mask[row]))
-				nan := int32(uint32(i) >> 31) // 1 for a NaN driver (−1)
-				nans += int(in & nan)
-				keep := -(in &^ nan)
-				eff[row] = trash ^ (i^trash)&keep
-			}
-		}
-		c.nans = nans
+		c.nans = effPass(c.eff[:n], st.idx[c.loc][:n], st.masks[c.maskIdx])
 	}
 	for _, p := range st.codes {
 		p.build(b)
 	}
 	for _, gs := range st.groups {
-		c := st.combos[gs.combo]
-		eff := c.eff[:n]
+		if gs.combo >= 0 {
+			gs.nans += st.combos[gs.combo].nans
+		}
 		gs.total += n
-		gs.nans += c.nans
-		if gs.minv != nil {
-			col := b.Numeric[gs.col][:n]
-			minv, maxv := gs.minv, gs.maxv
-			for row, e := range eff {
-				x := col[row]
-				if x < minv[e] {
-					minv[e] = x
-				}
-				if x > maxv[e] {
-					maxv[e] = x
-				}
-			}
-		}
-		for _, l := range gs.lanes {
-			t := l.n
-			if l.code < 0 {
-				for _, e := range eff {
-					t[e]++
-				}
-				continue
-			}
-			code := st.codes[l.code].code[:len(eff)]
-			bits := l.bits & 63 // a masked shift compiles to one instruction
-			for row, e := range eff {
-				t[int(e)<<bits|int(code[row])]++
-			}
-		}
+		gs.count(b, st.buckets(gs, n), st.codes)
 	}
 	for _, ps := range st.pairs {
-		ia := st.idx[ps.locA][:n]
-		ib := st.idx[ps.locB][:n]
-		if cap(ps.effCell) < n {
-			ps.effCell = make([]int32, n)
-			ps.effA = make([]int32, n)
-			ps.effB = make([]int32, n)
+		countPair(ps.n, st.idx[ps.locA][:n], st.idx[ps.locB][:n], ps.cols,
+			b.Bool[ps.objCol], ps.flip, b.Numeric[ps.colA], b.Numeric[ps.colB], ps.extA, ps.extB)
+	}
+}
+
+// effPass fills an effective-index pass: eff[row] is idx[row] for a
+// row mask keeps and −1 for one it drops. It returns the kept rows'
+// NaN drivers. Filtered rows are random Booleans, so it picks by
+// arithmetic instead of branching.
+func effPass(eff, idx []int32, mask []bool) (nans int) {
+	eff, mask = eff[:len(idx)], mask[:len(idx)]
+	for row, i := range idx {
+		in := int32(b2u(mask[row]))
+		nans += int(in & int32(uint32(i)>>31))
+		eff[row] = i | (in - 1)
+	}
+	return nans
+}
+
+// count runs the group's row loops over one batch whose rows' buckets
+// are idx: one loop per block of blockLanes lanes, the first of which
+// also folds the extremes.
+func (gs *groupState) count(b *relation.Batch, idx []int32, codes []*codePass) {
+	var x []float64
+	if gs.ext != nil {
+		x = b.Numeric[gs.col]
+	}
+	for k, p := range gs.blocks {
+		lanes := gs.lanes[k*blockLanes : min((k+1)*blockLanes, len(gs.lanes))]
+		rec, ext := gs.n[lanes[0].off:], gs.ext
+		if k > 0 {
+			ext = nil
 		}
-		effCell := ps.effCell[:n]
-		effA := ps.effA[:n]
-		effB := ps.effB[:n]
-		cols := int32(ps.cols)
-		trashCell := int32(len(ps.n)>>1 - 1)
-		trashA := int32(len(ps.minA) - 1)
-		trashB := int32(len(ps.minB) - 1)
-		for row := 0; row < n; row++ {
-			ri, rj := ia[row], ib[row]
-			if ri < 0 || rj < 0 {
-				// A row outside either axis's bucketing contributes to no
-				// cell and — matching the reference kernel — to neither
-				// axis's extremes.
-				effCell[row] = trashCell
-				effA[row] = trashA
-				effB[row] = trashB
-				continue
-			}
-			effCell[row] = ri*cols + rj
-			effA[row] = ri
-			effB[row] = rj
+		var code []uint32
+		if p >= 0 {
+			code = codes[p].code
 		}
-		t := ps.n
-		obj := b.Bool[ps.objCol][:len(effCell)]
-		flip := ps.flip
-		for row, e := range effCell {
-			t[int(e)<<1|int(b2u(obj[row])^flip)]++
-		}
-		colA := b.Numeric[ps.colA][:n]
-		minA, maxA := ps.minA, ps.maxA
-		for row, e := range effA {
-			a := colA[row]
-			if a < minA[e] {
-				minA[e] = a
-			}
-			if a > maxA[e] {
-				maxA[e] = a
-			}
-		}
-		colB := b.Numeric[ps.colB][:n]
-		minB, maxB := ps.minB, ps.maxB
-		for row, e := range effB {
-			bv := colB[row]
-			if bv < minB[e] {
-				minB[e] = bv
-			}
-			if bv > maxB[e] {
-				maxB[e] = bv
-			}
+		switch {
+		case p < 0 && ext != nil:
+			count0x(rec, idx, x, ext)
+		case p < 0:
+			count0(rec, idx)
+		case len(lanes) == 1 && ext != nil:
+			count1x(rec, gs.stride, idx, code, x, ext)
+		case len(lanes) == 1:
+			count1(rec, gs.stride, idx, code)
+		case len(lanes) == 2 && ext != nil:
+			count2x(rec, gs.stride, idx, code, x, ext)
+		case len(lanes) == 2:
+			count2(rec, gs.stride, idx, code)
+		case ext != nil:
+			count3x(rec, gs.stride, idx, code, x, ext)
+		default:
+			count3(rec, gs.stride, idx, code)
 		}
 	}
 }
 
-// build fills the pass's code byte for every row of b.
+// The per-shape row loops. Each counts one batch for one block of a
+// group's lanes: idx holds each row's bucket (−1 for the trash
+// bucket), rec the group's records from the block's first lane on,
+// stride cells apart and the trash bucket's first, and code each row's
+// cells within the block, one byte per lane (see codePass). count0
+// counts a zero-bit lane, whose record is its bucket's one cell. The x
+// variants also fold each row's driver value x into its bucket's
+// extremes ext. Each loop takes its slices as parameters, so its
+// values stay in registers, and views a row's block of its record as
+// one array, so the lanes' scatter-adds share one bounds check.
+
+func count0(rec []uint32, idx []int32) {
+	for _, i := range idx {
+		rec[i+1]++
+	}
+}
+
+func count0x(rec []uint32, idx []int32, x []float64, ext [][2]float64) {
+	x = x[:len(idx)]
+	for row, i := range idx {
+		rec[i+1]++
+		extend(ext, i, x[row])
+	}
+}
+
+func count1(rec []uint32, stride int, idx []int32, code []uint32) {
+	code = code[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[laneCells]uint32)(rec[j : j+laneCells : j+laneCells])
+		r[code[row]&(laneCells-1)]++
+	}
+}
+
+func count1x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, ext [][2]float64) {
+	code, x = code[:len(idx)], x[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[laneCells]uint32)(rec[j : j+laneCells : j+laneCells])
+		r[code[row]&(laneCells-1)]++
+		extend(ext, i, x[row])
+	}
+}
+
+func count2(rec []uint32, stride int, idx []int32, code []uint32) {
+	code = code[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[2 * laneCells]uint32)(rec[j : j+2*laneCells : j+2*laneCells])
+		c := code[row]
+		r[c&(2*laneCells-1)]++
+		r[c>>8&(2*laneCells-1)]++
+	}
+}
+
+func count2x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, ext [][2]float64) {
+	code, x = code[:len(idx)], x[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[2 * laneCells]uint32)(rec[j : j+2*laneCells : j+2*laneCells])
+		c := code[row]
+		r[c&(2*laneCells-1)]++
+		r[c>>8&(2*laneCells-1)]++
+		extend(ext, i, x[row])
+	}
+}
+
+func count3(rec []uint32, stride int, idx []int32, code []uint32) {
+	code = code[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[blockCells]uint32)(rec[j : j+blockCells : j+blockCells])
+		c := code[row]
+		r[c&(blockCells-1)]++
+		r[c>>8&(blockCells-1)]++
+		r[c>>16&(blockCells-1)]++
+	}
+}
+
+func count3x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, ext [][2]float64) {
+	code, x = code[:len(idx)], x[:len(idx)]
+	for row, i := range idx {
+		j := (int(i) + 1) * stride
+		r := (*[blockCells]uint32)(rec[j : j+blockCells : j+blockCells])
+		c := code[row]
+		r[c&(blockCells-1)]++
+		r[c>>8&(blockCells-1)]++
+		r[c>>16&(blockCells-1)]++
+		extend(ext, i, x[row])
+	}
+}
+
+// extend folds v into bucket i's extremes, ext[i+1] (the trash
+// bucket's first): its least and its greatest value. A NaN changes
+// neither.
+func extend(ext [][2]float64, i int32, v float64) {
+	mm := &ext[i+1]
+	if v < mm[0] {
+		mm[0] = v
+	}
+	if v > mm[1] {
+		mm[1] = v
+	}
+}
+
+// countPair counts one batch into a pair's grid cells t and both axes'
+// extremes extA and extB: ia and ib hold each row's bucket on either
+// axis (−1 for NaN), cols the grid's column count, obj the objective
+// column and flip 1 when the objective wants false. A row outside
+// either axis's bucketing lands in the trash row or column of t and in
+// both axes' trash buckets, so it touches no real cell or extreme.
+func countPair(t []uint32, ia, ib []int32, cols int, obj []bool, flip uint8, a, b []float64, extA, extB [][2]float64) {
+	ib, obj, a, b = ib[:len(ia)], obj[:len(ia)], a[:len(ia)], b[:len(ia)]
+	for row, ri := range ia {
+		rj := ib[row]
+		t[((int(ri)+1)*(cols+1)+int(rj)+1)<<1|int(b2u(obj[row])^flip)]++
+		// −1 on either axis is all ones, which the OR spreads to both.
+		extend(extA, ri|rj>>31, a[row])
+		extend(extB, rj|ri>>31, b[row])
+	}
+}
+
+// build fills the pass's code word for every row of b, one lane's
+// conditions at a time; the last lane's pass also applies mix.
 func (p *codePass) build(b *relation.Batch) {
 	n := b.Len
-	if cap(p.code) < n {
-		p.code = make([]uint8, n)
-	}
 	code := p.code[:n]
-	c0 := b.Bool[p.cols[0]][:n]
-	switch len(p.cols) {
-	case 1:
-		for row, x := range c0 {
-			code[row] = b2u(x) ^ p.flip
+	for k := 0; k < len(p.cols); k += laneBits {
+		shift := uint(8 * (k / laneBits))
+		keep := ^uint32(0) // the earlier lanes' bytes
+		if k == 0 {
+			keep = 0
 		}
-	case 2:
-		c1 := b.Bool[p.cols[1]][:n]
-		for row, x := range c0 {
-			code[row] = (b2u(x) | b2u(c1[row])<<1) ^ p.flip
+		var mix uint32
+		if k+laneBits >= len(p.cols) {
+			mix = p.mix
 		}
-	default:
-		c1 := b.Bool[p.cols[1]][:n]
-		c2 := b.Bool[p.cols[2]][:n]
-		for row, x := range c0 {
-			code[row] = (b2u(x) | b2u(c1[row])<<1 | b2u(c2[row])<<2) ^ p.flip
+		c0 := b.Bool[p.cols[k]][:n]
+		switch min(laneBits, len(p.cols)-k) {
+		case 1:
+			for row, x := range c0 {
+				code[row] = (code[row]&keep | uint32(b2u(x))<<shift) ^ mix
+			}
+		case 2:
+			c1 := b.Bool[p.cols[k+1]][:n]
+			for row, x := range c0 {
+				code[row] = (code[row]&keep | uint32(b2u(x)|b2u(c1[row])<<1)<<shift) ^ mix
+			}
+		default:
+			c1 := b.Bool[p.cols[k+1]][:n]
+			c2 := b.Bool[p.cols[k+2]][:n]
+			for row, x := range c0 {
+				code[row] = (code[row]&keep | uint32(b2u(x)|b2u(c1[row])<<1|b2u(c2[row])<<2)<<shift) ^ mix
+			}
 		}
 	}
 }
@@ -942,9 +1160,7 @@ func (st *execState) skip(rows int) {
 // fold moves every 32-bit cell's count into its 64-bit totals.
 func (st *execState) fold() {
 	for _, gs := range st.groups {
-		for _, l := range gs.lanes {
-			l.fold()
-		}
+		gs.fold()
 	}
 	for _, ps := range st.pairs {
 		ps.fold()
@@ -988,6 +1204,18 @@ func (c *cells) at(i int) int {
 	return x
 }
 
+// mergeExtremes folds o's extremes into ext.
+func mergeExtremes(ext, o [][2]float64) {
+	for e := range ext {
+		if o[e][0] < ext[e][0] {
+			ext[e][0] = o[e][0]
+		}
+		if o[e][1] > ext[e][1] {
+			ext[e][1] = o[e][1]
+		}
+	}
+}
+
 // merge folds other's tallies into st, trash buckets included, first
 // folding st's 32-bit cells when the two states' rows together could
 // wrap one. Every statistic is an integer count or an extreme (tally
@@ -1002,56 +1230,43 @@ func (st *execState) merge(other *execState) {
 		og := other.groups[i]
 		gs.total += og.total
 		gs.nans += og.nans
-		for k, l := range gs.lanes {
-			l.add(&og.lanes[k].cells)
-		}
-		if gs.minv != nil {
-			for j := range gs.minv {
-				if og.minv[j] < gs.minv[j] {
-					gs.minv[j] = og.minv[j]
-				}
-				if og.maxv[j] > gs.maxv[j] {
-					gs.maxv[j] = og.maxv[j]
-				}
-			}
-		}
+		gs.add(&og.cells)
+		mergeExtremes(gs.ext, og.ext)
 	}
 	for i, ps := range st.pairs {
 		op := other.pairs[i]
 		ps.add(&op.cells)
-		for j := range ps.minA {
-			if op.minA[j] < ps.minA[j] {
-				ps.minA[j] = op.minA[j]
-			}
-			if op.maxA[j] > ps.maxA[j] {
-				ps.maxA[j] = op.maxA[j]
-			}
-		}
-		for j := range ps.minB {
-			if op.minB[j] < ps.minB[j] {
-				ps.minB[j] = op.minB[j]
-			}
-			if op.maxB[j] > ps.maxB[j] {
-				ps.maxB[j] = op.maxB[j]
-			}
-		}
+		mergeExtremes(ps.extA, op.extA)
+		mergeExtremes(ps.extB, op.extB)
 	}
+}
+
+// extremes copies the real buckets' least and greatest values out of
+// ext into one new array, each slice capped so no later append reaches
+// the other.
+func extremes(ext [][2]float64) (lo, hi []float64) {
+	m := len(ext) - 1
+	out := make([]float64, 2*m)
+	for e, mm := range ext[1:] {
+		out[e], out[m+e] = mm[0], mm[1]
+	}
+	return out[:m:m], out[m:]
 }
 
 // publish converts the final tally state and the replayed target sums
 // into cached statistics. A group's U sums each bucket's cells of its
-// first lane; V for condition k sums the cells of lane k/laneBits whose
-// code has bit k%laneBits set. A grid cell's U sums its two objective
-// cells and its V is the hit cell. Trash buckets are dropped, and the
-// extreme arrays are sliced with full capacity caps so no later append
-// can reach into them.
+// record's first lane; V for condition k sums the cells of lane
+// k/laneBits whose code has bit k%laneBits set. An unfiltered group's
+// NaN drivers are its trash record's first-lane cells. A grid cell's U
+// sums its two objective cells and its V is the hit cell. Trash
+// buckets are dropped, and the extremes are copied out of the arena,
+// which the state's next owner overwrites.
 func (st *execState) publish(set *StatsSet, sums *sumLog) {
 	for gi, gs := range st.groups {
 		m := gs.m
 		var minv, maxv []float64
-		if gs.minv != nil {
-			minv = gs.minv[:m:m]
-			maxv = gs.maxv[:m:m]
+		if gs.ext != nil {
+			minv, maxv = extremes(gs.ext)
 		}
 		counts := make([]int, m*(1+len(gs.need.Bools)))
 		s := &Stats1D{
@@ -1062,47 +1277,50 @@ func (st *execState) publish(set *StatsSet, sums *sumLog) {
 			Sum:    map[int][]float64{},
 			filter: gs.need.Filter,
 		}
-		l := gs.lanes[0]
-		for e := range s.U {
-			for c := e << l.bits; c < (e+1)<<l.bits; c++ {
-				s.U[e] += l.at(c)
+		first := gs.lanes[0]
+		for c := range 1 << first.bits {
+			if gs.combo < 0 {
+				s.NaNs += gs.at(c)
 			}
-			s.N += s.U[e]
+			for e := range s.U {
+				s.U[e] += gs.at((e+1)*gs.stride + c)
+			}
+		}
+		for _, u := range s.U {
+			s.N += u
 		}
 		for k, bc := range gs.need.Bools {
 			l, bit := gs.lanes[k/laneBits], k%laneBits
 			v := counts[(k+1)*m : (k+2)*m : (k+2)*m]
 			for e := range v {
-				base := e << l.bits
-				for code := 0; code < 1<<l.bits; code++ {
+				base := (e+1)*gs.stride + l.off
+				for code := range 1 << l.bits {
 					if code>>bit&1 != 0 {
-						v[e] += l.at(base | code)
+						v[e] += gs.at(base + code)
 					}
 				}
 			}
 			s.V[bc] = v
 		}
 		for k, t := range gs.need.Targets {
-			s.Sum[t] = sums.sums[gi][k][:m:m]
+			s.Sum[t] = sums.sums[gi][k][1 : m+1 : m+1]
 		}
 		set.Groups[gs.need.Key] = s
 	}
 	for _, ps := range st.pairs {
 		hits := 0
+		cols := ps.grid.Cols()
 		for c := range ps.gu {
-			miss, hit := ps.at(c<<1), ps.at(c<<1|1)
+			cell := (c/cols+1)*(cols+1) + c%cols + 1
+			miss, hit := ps.at(cell<<1), ps.at(cell<<1|1)
 			ps.gu[c] = miss + hit
 			ps.gv[c] = float64(hit)
 			hits += hit
 		}
-		ra, ca := ps.grid.Rows(), ps.grid.Cols()
-		set.Pairs[ps.need.Key] = &Stats2D{
-			Grid: ps.grid,
-			MinA: ps.minA[:ra:ra], MaxA: ps.maxA[:ra:ra],
-			MinB: ps.minB[:ca:ca], MaxB: ps.maxB[:ca:ca],
-			N:    ps.grid.Total(),
-			Hits: hits,
-		}
+		s := &Stats2D{Grid: ps.grid, N: ps.grid.Total(), Hits: hits}
+		s.MinA, s.MaxA = extremes(ps.extA)
+		s.MinB, s.MaxB = extremes(ps.extB)
+		set.Pairs[ps.need.Key] = s
 	}
 }
 

@@ -22,11 +22,12 @@ func runRef(rel relation.Relation, d Defaults, cache Cache, req *Requirements) (
 // loop per group and pair, the differential baseline the vectorized
 // kernel is pinned against. It computes each row's lane codes from the
 // raw Boolean columns, one condition at a time, and scatters only the
-// counted rows into the same lane tables, so merge and publish are
-// kernel-agnostic; TestKernelWideBooleansMatchBruteForce checks the
-// tables' derivation against plain per-row counts. Target sums are
-// logged (see sumLog): each target-carrying group's per-row bucket is
-// written into the group's effective-index pass for countBatch to log.
+// counted rows into the same bucket-major records, so merge and publish
+// are kernel-agnostic; TestKernelWideBooleansMatchBruteForce checks the
+// records' derivation against plain per-row counts. Target sums are
+// logged (see sumLog): a filtered target-carrying group's per-row
+// bucket is written into its effective-index pass for countBatch to
+// log; an unfiltered one logs its locate pass.
 func (st *execState) countBatchRef(b *relation.Batch) {
 	n := b.Len
 	for _, gs := range st.groups {
@@ -34,18 +35,14 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 		idx := st.idx[gs.loc][:n]
 		col := b.Numeric[gs.col]
 		var mask []bool
-		if gs.maskIdx >= 0 {
-			mask = st.masks[gs.maskIdx][:n]
+		if gs.combo >= 0 {
+			mask = st.masks[st.combos[gs.combo].maskIdx][:n]
 		}
-		var eff []int32 // logged buckets; the trash slot unless counted
-		if len(gs.targetCol) > 0 {
-			c := st.combos[gs.combo]
-			if cap(c.eff) < n {
-				c.eff = make([]int32, n)
-			}
-			eff = c.eff[:n]
+		var eff []int32 // a filtered group's logged buckets; −1 unless counted
+		if len(gs.targetCol) > 0 && gs.combo >= 0 {
+			eff = st.combos[gs.combo].eff[:n]
 			for row := range eff {
-				eff[row] = int32(gs.m)
+				eff[row] = -1
 			}
 		}
 		for row := 0; row < n; row++ {
@@ -60,13 +57,13 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			if eff != nil {
 				eff[row] = int32(i)
 			}
-			if gs.minv != nil {
+			if gs.ext != nil {
 				x := col[row]
-				if x < gs.minv[i] {
-					gs.minv[i] = x
+				if x < gs.ext[i+1][0] {
+					gs.ext[i+1][0] = x
 				}
-				if x > gs.maxv[i] {
-					gs.maxv[i] = x
+				if x > gs.ext[i+1][1] {
+					gs.ext[i+1][1] = x
 				}
 			}
 			for li, l := range gs.lanes {
@@ -77,7 +74,7 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 						code |= 1 << k
 					}
 				}
-				l.n[i<<l.bits|code]++
+				gs.n[(i+1)*gs.stride+l.off+code]++
 			}
 		}
 	}
@@ -88,8 +85,7 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 		colB := b.Numeric[ps.colB]
 		obj := b.Bool[ps.objCol]
 		cols := ps.cols
-		minA, maxA := ps.minA, ps.maxA
-		minB, maxB := ps.minB, ps.maxB
+		extA, extB := ps.extA, ps.extB
 		want := ps.need.Obj.Want
 		for row := 0; row < n; row++ {
 			ri := int(ia[row])
@@ -100,24 +96,24 @@ func (st *execState) countBatchRef(b *relation.Batch) {
 			if rj < 0 {
 				continue
 			}
-			cell := (ri*cols + rj) << 1
+			cell := ((ri+1)*(cols+1) + rj + 1) << 1
 			if obj[row] == want {
 				cell |= 1
 			}
 			ps.n[cell]++
 			a := colA[row]
-			if a < minA[ri] {
-				minA[ri] = a
+			if a < extA[ri+1][0] {
+				extA[ri+1][0] = a
 			}
-			if a > maxA[ri] {
-				maxA[ri] = a
+			if a > extA[ri+1][1] {
+				extA[ri+1][1] = a
 			}
 			bv := colB[row]
-			if bv < minB[rj] {
-				minB[rj] = bv
+			if bv < extB[rj+1][0] {
+				extB[rj+1][0] = bv
 			}
-			if bv > maxB[rj] {
-				maxB[rj] = bv
+			if bv > extB[rj+1][1] {
+				extB[rj+1][1] = bv
 			}
 		}
 	}

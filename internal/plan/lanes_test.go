@@ -324,36 +324,45 @@ func (f *foldFixture) published(st *execState) *StatsSet {
 	return out
 }
 
-// table is one cells table of a state and the number of its cells
-// that lie outside the trash bucket.
+// table is one cells table of a state and the indices of its cells
+// that lie outside the trash buckets.
 type table struct {
 	*cells
-	real int
+	real []int
 }
 
-// tables returns every table of st: each group's lanes, then each
+// tables returns every table of st: each group's records, then each
 // pair's grid table.
 func tables(st *execState) []table {
 	var out []table
 	for _, gs := range st.groups {
-		for _, l := range gs.lanes {
-			out = append(out, table{&l.cells, gs.m << l.bits})
+		var real []int
+		for i := gs.stride; i < (gs.m+1)*gs.stride; i++ {
+			real = append(real, i)
 		}
+		out = append(out, table{&gs.cells, real})
 	}
 	for _, ps := range st.pairs {
-		out = append(out, table{&ps.cells, len(ps.gu) << 1})
+		var real []int
+		for r := 1; r <= ps.grid.Rows(); r++ {
+			for c := 1; c <= ps.cols; c++ {
+				cell := r*(ps.cols+1) + c
+				real = append(real, cell<<1, cell<<1|1)
+			}
+		}
+		out = append(out, table{&ps.cells, real})
 	}
 	return out
 }
 
 // busiest returns, per table of a counted state, the cell outside the
-// trash bucket that took the most rows.
+// trash buckets that took the most rows.
 func busiest(st *execState) []int {
 	var out []int
 	for _, c := range tables(st) {
-		best := 0
-		for i, x := range c.n[:c.real] {
-			if x > c.n[best] {
+		best := c.real[0]
+		for _, i := range c.real {
+			if c.n[i] > c.n[best] {
 				best = i
 			}
 		}

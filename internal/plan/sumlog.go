@@ -51,7 +51,7 @@ type sumLog struct {
 
 	mu      sync.Mutex
 	advance sync.Cond     // broadcast when the head moves on
-	sums    [][][]float64 // per scheduled group (nil without targets), per target: the padded totals
+	sums    [][][]float64 // per scheduled group (nil without targets), per target: the padded totals, trash first
 	head    int           // lowest chunk whose log is not fully replayed
 	pend    [][]*sumSeg   // per chunk: closed segments awaiting replay, in row order
 	rows    []int         // per chunk: logged rows in closed segments
@@ -61,8 +61,8 @@ type sumLog struct {
 }
 
 // sumSeg is one segment of a chunk's log: for rows [0, n), each logged
-// group's effective bucket (its trash slot for excluded rows) and each
-// of its targets' values.
+// group's bucket (−1, the trash bucket, for a row it counts nowhere)
+// and each of its targets' values.
 type sumSeg struct {
 	n   int
 	eff [][]int32     // per logged group
@@ -101,7 +101,7 @@ func newSumLog(set *StatsSet, groups []*GroupNeed, chunks, workers int) (*sumLog
 		for k, t := range g.Targets {
 			sums[k] = make([]float64, b.NumBuckets()+1)
 			if seed != nil {
-				copy(sums[k], seed.Sum[t])
+				copy(sums[k][1:], seed.Sum[t])
 			}
 		}
 		l.logged = append(l.logged, gi)
@@ -179,14 +179,15 @@ func (l *sumLog) close(chunk int, s *sumSeg, last bool) {
 }
 
 // replay adds one segment into the totals, row by row: the addition
-// sequence of a scan over the same rows.
+// sequence of a scan over the same rows. Bucket e's total is at e+1,
+// the trash bucket's first.
 func (l *sumLog) replay(s *sumSeg) {
 	for j, vals := range s.val {
 		eff := s.eff[j][:s.n]
 		for k, val := range vals {
 			sk := l.sums[l.logged[j]][k]
 			for row, e := range eff {
-				sk[e] += val[row]
+				sk[e+1] += val[row]
 			}
 		}
 	}
@@ -222,8 +223,8 @@ func (w *chunkLog) begin(chunk int) {
 }
 
 // record logs the rows of a counted batch past the writer's skip. Each
-// logged group's effective buckets are its effective-index pass's,
-// which the kernel has just filled.
+// logged group's buckets are the ones it counted from (see
+// execState.buckets), which the kernel has just filled.
 func (w *chunkLog) record(st *execState, b *relation.Batch) {
 	r0 := min(w.skip, b.Len)
 	w.skip -= r0
@@ -235,7 +236,7 @@ func (w *chunkLog) record(st *execState, b *relation.Batch) {
 		n := min(b.Len-r0, relation.DefaultBatchSize-s.n)
 		for j, gi := range w.l.logged {
 			gs := st.groups[gi]
-			copy(s.eff[j][s.n:], st.combos[gs.combo].eff[r0:r0+n])
+			copy(s.eff[j][s.n:], st.buckets(gs, b.Len)[r0:r0+n])
 			for k, col := range gs.targetCol {
 				copy(s.val[j][k][s.n:], b.Numeric[col][r0:r0+n])
 			}

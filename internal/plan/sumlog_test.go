@@ -218,8 +218,8 @@ func testSumLog(t *testing.T, m, chunks, workers int) *sumLog {
 	return l
 }
 
-// logRows is one segment's content: a bucket (m is the trash slot) and
-// a target value per row.
+// logRows is one segment's content: a bucket (−1 is the trash bucket)
+// and a target value per row.
 type logRows struct {
 	eff []int32
 	val []float64
@@ -233,12 +233,13 @@ func (r logRows) fill(l *sumLog) *sumSeg {
 	return s
 }
 
-// addInOrder sums segments' rows one by one into m+1 padded totals.
+// addInOrder sums segments' rows one by one into m+1 padded totals,
+// the trash bucket's first.
 func addInOrder(m int, segs ...logRows) []float64 {
 	sums := make([]float64, m+1)
 	for _, r := range segs {
 		for row, e := range r.eff {
-			sums[e] += r.val[row]
+			sums[e+1] += r.val[row]
 		}
 	}
 	return sums
@@ -270,7 +271,7 @@ func TestSumLogReplaysInChunkOrder(t *testing.T) {
 	seg := func() logRows {
 		var r logRows
 		for row := 0; row < 60; row++ {
-			r.eff = append(r.eff, int32(rng.Intn(m+1)))
+			r.eff = append(r.eff, int32(rng.Intn(m+1)-1))
 			r.val = append(r.val, []float64{1e16, -1e16, 1, 0.5, 3}[rng.Intn(5)])
 		}
 		return r
@@ -312,7 +313,7 @@ func TestSumLogBackpressure(t *testing.T) {
 	const m = 2
 	l := testSumLog(t, m, 3, 1)
 	rows := func(i int) logRows {
-		return logRows{eff: []int32{int32(i % (m + 1))}, val: []float64{float64(i%7) + 0.25}}
+		return logRows{eff: []int32{int32(i%(m+1) - 1)}, val: []float64{float64(i%7) + 0.25}}
 	}
 	ahead := 3 * l.limit
 	var closed atomic.Int64

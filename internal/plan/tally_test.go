@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -41,11 +40,10 @@ func TestParallelTallyMemoryPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A collection during a measured pass empties the sync.Pool of
-	// block-scan buffers, and the pass then pays for fresh ones; pause
-	// the collector so both passes run on the filled pools.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	pass(t, dr, d, warm, req, 2) // fill the scan buffer pools for both workers
+	// The block-scan buffers and tally arenas sit on free lists that a
+	// collection does not empty, so both passes run on filled lists
+	// whenever the collector runs.
+	pass(t, dr, d, warm, req, 2) // fill the scan buffer lists for both workers
 	serial, parallel := pass(t, dr, d, warm, req, 1), pass(t, dr, d, warm, req, 2)
 
 	// One tally state, with the scratch its first batch allocates. The

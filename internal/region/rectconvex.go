@@ -199,9 +199,8 @@ func MaxGainRectilinearConvex(g *Grid, theta float64, workers int) (XMonotoneReg
 	// (layer·rr + flat index) extended by cell idx of layer l at column
 	// c, or −1 when the region starts there. One recycled slab for the
 	// whole call; at grid side 256 it is the DP's dominant memory cost.
-	backSlab := backPool.get(cols * 4 * rr)
-	defer backPool.put(backSlab)
-	back := *backSlab
+	back := backPool.Get(cols * 4 * rr)
+	defer backPool.Put(back)
 
 	bestGain := negInfF
 	bestCol, bestIdx, bestLayer := -1, -1, 0

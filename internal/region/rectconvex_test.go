@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"optrule/internal/freelist"
 )
 
 // bruteForceRectConvexGain enumerates every rectilinear-convex region
@@ -309,31 +311,42 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 	}
 }
 
-// TestSlabPoolSurvivesCollection pins the free list: a kept slab comes
-// back after two collections (a sync.Pool would have dropped it), no
-// more than GOMAXPROCS slabs are kept, and a slab too large to keep
-// goes to the sync.Pool instead.
+// TestSlabPoolSurvivesCollection pins freelist.Slabs, the free list
+// of the DP slabs and of the block scans' fetch buffers, over a DP
+// slab and a scan buffer: a kept slab comes back after two collections
+// (a sync.Pool would have dropped it), no more than PerProc slabs per
+// GOMAXPROCS are kept, and a slab too large to keep goes to the
+// sync.Pool instead.
 func TestSlabPoolSurvivesCollection(t *testing.T) {
-	var sp slabPool
-	s := sp.get(1000)
-	sp.put(s)
+	t.Run("dp_slab", func(t *testing.T) {
+		checkSlabsSurvive(t, func() *freelist.Slabs[int32] { return &freelist.Slabs[int32]{Max: keepCells} })
+	})
+	t.Run("scan_buffer", func(t *testing.T) {
+		checkSlabsSurvive(t, func() *freelist.Slabs[byte] { return &freelist.Slabs[byte]{Max: 1 << 20, PerProc: 2} })
+	})
+}
+
+func checkSlabsSurvive[E any](t *testing.T, fresh func() *freelist.Slabs[E]) {
+	sp := fresh()
+	s := sp.Get(1000)
+	sp.Put(s)
 	runtime.GC()
 	runtime.GC()
-	if got := sp.get(900); got != s || len(*got) != 900 {
+	if got := sp.Get(900); &got[0] != &s[0] || len(got) != 900 {
 		t.Fatalf("kept slab not returned after two collections")
 	}
-	for range runtime.GOMAXPROCS(0) + 3 {
-		sp.put(sp.get(10))
-		fresh := make([]int32, 10)
-		sp.put(&fresh)
+	bound := max(1, sp.PerProc) * runtime.GOMAXPROCS(0)
+	for range bound + 3 {
+		sp.Put(sp.Get(10))
+		sp.Put(make([]E, 10))
 	}
-	if len(sp.kept) > runtime.GOMAXPROCS(0) {
-		t.Fatalf("kept %d slabs, want at most GOMAXPROCS = %d", len(sp.kept), runtime.GOMAXPROCS(0))
+	if sp.Len() != bound {
+		t.Fatalf("kept %d slabs, want the bound %d", sp.Len(), bound)
 	}
-	var bp slabPool
-	bp.put(bp.get(keepCells + 1))
-	if len(bp.kept) != 0 {
-		t.Fatalf("a slab over keepCells was kept")
+	big := fresh()
+	big.Put(big.Get(big.Max + 1))
+	if big.Len() != 0 {
+		t.Fatalf("a slab over Max was kept")
 	}
 }
 
@@ -345,21 +358,16 @@ func TestSlabPoolSurvivesCollection(t *testing.T) {
 // reference's.
 func TestDPSlabReuse(t *testing.T) {
 	drain := func() {
-		for _, sp := range []*slabPool{&choicePool, &backPool} {
-			sp.mu.Lock()
-			sp.kept = nil
-			sp.mu.Unlock()
-			for sp.big.Get() != nil {
-			}
-		}
+		choicePool = freelist.Slabs[int32]{Max: keepCells}
+		backPool = freelist.Slabs[int32]{Max: keepCells}
 	}
 	poison := func() {
-		for _, sp := range []*slabPool{&choicePool, &backPool} {
-			s := sp.get(64 * 4 * 64 * 64)
-			for i := range *s {
-				(*s)[i] = 1 // a valid but stale link: layer 0, cell (0, 1)
+		for _, sp := range []*freelist.Slabs[int32]{&choicePool, &backPool} {
+			s := sp.Get(64 * 4 * 64 * 64)
+			for i := range s {
+				s[i] = 1 // a valid but stale link: layer 0, cell (0, 1)
 			}
-			sp.put(s)
+			sp.Put(s)
 		}
 	}
 	type result struct{ xm, rc XMonotoneRegion }

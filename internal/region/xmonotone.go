@@ -2,8 +2,8 @@ package region
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"optrule/internal/freelist"
 )
 
 // X-monotone regions (§1.4 of the paper; developed in the SIGMOD'96
@@ -61,63 +61,21 @@ type cellBest struct {
 	found bool
 }
 
-// slabPool recycles one DP's backtracking slabs across calls; at grid
-// side 64 the rectilinear-convex slab alone is 4 MB. A recycled slab
-// needs no clearing: every interval cell (a <= b) of every column is
-// written before backtracking reads it, and backtracking reads no
-// other cell.
-//
-// Slabs of at most keepCells cells (grid sides up to about 100) are
-// kept on a free list that a collection does not empty, at most
-// GOMAXPROCS of them, so a batch's DPs allocate the same bytes whether
-// or not the collector runs during it. Larger slabs go through a
-// sync.Pool, which lets an idle one go.
-type slabPool struct {
-	mu   sync.Mutex
-	kept []*[]int32
-	big  sync.Pool
-}
+// choicePool and backPool recycle the x-monotone and
+// rectilinear-convex DPs' backtracking slabs across calls; at grid side
+// 64 the rectilinear-convex slab alone is 4 MB. A recycled slab needs
+// no clearing: every interval cell (a <= b) of every column is written
+// before backtracking reads it, and backtracking reads no other cell.
+// Slabs of at most keepCells cells (grid sides up to about 100) stay on
+// the free list through collections, so a batch's DPs allocate the
+// same bytes whether or not the collector runs during it.
+var (
+	choicePool = freelist.Slabs[int32]{Max: keepCells}
+	backPool   = freelist.Slabs[int32]{Max: keepCells}
+)
 
-// keepCells is the largest slab the free list keeps: 16 MB.
+// keepCells is the largest slab the free lists keep: 16 MB.
 const keepCells = 1 << 22
-
-// get returns a slab of n cells with stale contents.
-func (sp *slabPool) get(n int) *[]int32 {
-	var s *[]int32
-	if n <= keepCells {
-		sp.mu.Lock()
-		if k := len(sp.kept); k > 0 {
-			s = sp.kept[k-1]
-			sp.kept = sp.kept[:k-1]
-		}
-		sp.mu.Unlock()
-	} else {
-		s, _ = sp.big.Get().(*[]int32)
-	}
-	if s != nil && cap(*s) >= n {
-		*s = (*s)[:n]
-		return s
-	}
-	fresh := make([]int32, n)
-	return &fresh
-}
-
-// put hands a slab back once nothing reads it.
-func (sp *slabPool) put(s *[]int32) {
-	if cap(*s) > keepCells {
-		sp.big.Put(s)
-		return
-	}
-	sp.mu.Lock()
-	if len(sp.kept) < runtime.GOMAXPROCS(0) {
-		sp.kept = append(sp.kept, s)
-	}
-	sp.mu.Unlock()
-}
-
-// choicePool and backPool hold the x-monotone and rectilinear-convex
-// backtracking slabs.
-var choicePool, backPool slabPool
 
 // transposedGain returns gainT with gainT[c*rows+r] = V[r][c] − θ·U[r][c]:
 // the per-cell gains laid out column-major, so the per-column DP loops
@@ -163,9 +121,8 @@ func MaxGainXMonotone(g *Grid, theta float64, workers int) (XMonotoneRegion, boo
 	// Backtracking: choice[c*rows*rows+a*rows+b] = the previous column's
 	// interval index (a'<<16|b') extended by (a,b), or -1 when the region
 	// starts at column c. One recycled slab for the whole call.
-	choiceSlab := choicePool.get(cols * rows * rows)
-	defer choicePool.put(choiceSlab)
-	choice := *choiceSlab
+	choice := choicePool.Get(cols * rows * rows)
+	defer choicePool.Put(choice)
 
 	bestGain := negInfF
 	bestCol, bestIdx := -1, -1

@@ -7,7 +7,9 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
+	"unsafe"
+
+	"optrule/internal/freelist"
 )
 
 // The block-group engine of formats v2 and v3. Both store rows in block
@@ -325,15 +327,10 @@ type blockFetch struct {
 }
 
 // blockBufPool recycles fetch buffers across scans so steady-state
-// pipelines allocate nothing per window.
-var blockBufPool sync.Pool
-
-func getBlockBuf(size int) []byte {
-	if b, ok := blockBufPool.Get().([]byte); ok && cap(b) >= size {
-		return b[:size]
-	}
-	return make([]byte, size)
-}
+// pipelines allocate nothing per window. It keeps up to scanReadAhead
+// buffers of at most 16 MB per GOMAXPROCS, the buffers of as many
+// concurrent scans as there are workers, through collections.
+var blockBufPool = freelist.Slabs[byte]{Max: 1 << 24, PerProc: scanReadAhead}
 
 // scanState is the consumer-side scratch of one block scan, reused
 // window to window: the batch handed to fn, one window of values per
@@ -349,15 +346,15 @@ type scanState struct {
 
 // scanStatePool recycles scan states across scans, so the many chunk
 // scans of one parallel count allocate scratch per worker, not per
-// chunk.
-var scanStatePool sync.Pool
+// chunk, whether or not a collection runs during the count.
+var scanStatePool freelist.List[*scanState]
 
 // getScanState returns a scan state cut to nums numeric and bools
 // Boolean columns. A recycled state keeps every buffer long enough for
 // its new role; decoded-group buffers are sized by the scan when an
 // encoded block first needs one.
 func getScanState(nums, bools int) *scanState {
-	st, ok := scanStatePool.Get().(*scanState)
+	st, ok := scanStatePool.Get()
 	if !ok {
 		st = &scanState{}
 	}
@@ -451,7 +448,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 		for {
 			select {
 			case fg, ok := <-ready:
-				if ok && fg.buf != nil {
+				if ok {
 					blockBufPool.Put(fg.buf)
 				}
 				if !ok {
@@ -459,9 +456,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 					ready = nil
 				}
 			case buf := <-free:
-				if buf != nil {
-					blockBufPool.Put(buf)
-				}
+				blockBufPool.Put(buf)
 			default:
 				return
 			}
@@ -483,7 +478,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 			}
 		}
 		if cap(buf) < total {
-			buf = getBlockBuf(max(total, bufCap))
+			buf = blockBufPool.Get(max(total, bufCap))
 		}
 		buf = buf[:total]
 		fg := blockFetch{group: g, first: first, rows: rows, head: head, buf: buf}
@@ -564,9 +559,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 			select {
 			case free <- fg.buf:
 			default:
-				if fg.buf != nil {
-					blockBufPool.Put(fg.buf)
-				}
+				blockBufPool.Put(fg.buf)
 			}
 			if err := skipFn(fg.rows); err != nil {
 				return err
@@ -583,7 +576,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 		for k, p := range numSel {
 			blk := dr.numBlock(fg.group, p)
 			if blk.enc == v3EncRaw {
-				batch.Numeric[k] = decodeRaw(st.win[k][:n], fg.buf[pos:pos+8*n])
+				batch.Numeric[k] = rawFloats(st.win[k][:n], fg.buf[pos:pos+8*n])
 				pos += 8 * n
 				continue
 			}
@@ -619,10 +612,29 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 	return nil
 }
 
+// littleEndian reports whether this host stores a float64 in the
+// files' byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rawFloats returns the len(dst) values of a raw block's bytes src.
+// On a little-endian host an 8-byte-aligned src already holds them as
+// float64s, so it is returned in place, valid as long as src is; the
+// batch contract (no retention past the callback) covers that, since a
+// fetch buffer returns to the pipeline only after the callback.
+// Otherwise, say after an encoded block of unaligned length in the
+// same fetch, the values are decoded into dst.
+func rawFloats(dst []float64, src []byte) []float64 {
+	if littleEndian && len(dst) > 0 && uintptr(unsafe.Pointer(&src[0]))%8 == 0 {
+		return unsafe.Slice((*float64)(unsafe.Pointer(&src[0])), len(dst))
+	}
+	return decodeRaw(dst, src)
+}
+
 // decodeRaw decodes len(dst) little-endian float64 values from src and
-// returns dst. It and decodeBits stay out of line: inlined into
-// scanBlocks' consumer loop, whose many live values force register
-// spills, the decode ran ~1.5x slower.
+// returns dst: the byte-order-independent path of rawFloats, taken for
+// unaligned blocks and on big-endian hosts. It and decodeBits stay out
+// of line: inlined into scanBlocks' consumer loop, whose many live
+// values force register spills, the decode ran ~1.5x slower.
 //
 //go:noinline
 func decodeRaw(dst []float64, src []byte) []float64 {

@@ -41,7 +41,9 @@ func SortFloat64sBuf(xs, buf []float64) {
 	// all bits of negatives, flip only the sign bit of non-negatives.
 	// The keys live in xs itself, as float64 bit patterns that are only
 	// moved, never computed on, so every pass needs just one scratch
-	// buffer.
+	// buffer. The same pass counts all eight byte histograms, so each
+	// scatter pass below reads the keys once.
+	var counts [8][256]int
 	for i, x := range xs {
 		b := math.Float64bits(x)
 		if b&(1<<63) != 0 {
@@ -50,29 +52,32 @@ func SortFloat64sBuf(xs, buf []float64) {
 			b |= 1 << 63
 		}
 		xs[i] = math.Float64frombits(b)
+		counts[0][uint8(b)]++
+		counts[1][uint8(b>>8)]++
+		counts[2][uint8(b>>16)]++
+		counts[3][uint8(b>>24)]++
+		counts[4][uint8(b>>32)]++
+		counts[5][uint8(b>>40)]++
+		counts[6][uint8(b>>48)]++
+		counts[7][uint8(b>>56)]++
 	}
 	keys, buf := xs, buf[:len(xs)]
-	var counts [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, k := range keys {
-			counts[(math.Float64bits(k)>>shift)&0xff]++
-		}
+	for d := range counts {
+		shift := uint(8 * d)
+		c := &counts[d]
 		// Skip passes where every key shares the byte.
-		if counts[(math.Float64bits(keys[0])>>shift)&0xff] == len(keys) {
+		if c[uint8(math.Float64bits(keys[0])>>shift)] == len(keys) {
 			continue
 		}
 		pos := 0
-		for i, c := range counts {
-			counts[i] = pos
-			pos += c
+		for i, n := range c {
+			c[i] = pos
+			pos += n
 		}
 		for _, k := range keys {
-			b := (math.Float64bits(k) >> shift) & 0xff
-			buf[counts[b]] = k
-			counts[b]++
+			b := uint8(math.Float64bits(k) >> shift)
+			buf[c[b]] = k
+			c[b]++
 		}
 		keys, buf = buf, keys
 	}

@@ -139,3 +139,105 @@ func BenchmarkSortFloat64sStdlib(b *testing.B) {
 		sort.Float64s(xs)
 	}
 }
+
+// sortFloat64sTwoPass is the radix sort as it stood before its byte
+// histograms were counted in one pass: each byte's pass counts its own
+// histogram, then scatters. TestSortFloat64sMatchesTwoPassRadix pins
+// SortFloat64sBuf to its output bits.
+func sortFloat64sTwoPass(xs []float64) {
+	if len(xs) < radixSortMin {
+		sort.Float64s(xs)
+		return
+	}
+	for i, x := range xs {
+		b := math.Float64bits(x)
+		if b&(1<<63) != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		xs[i] = math.Float64frombits(b)
+	}
+	keys, buf := xs, make([]float64, len(xs))
+	var counts [256]int
+	for shift := uint(0); shift < 64; shift += 8 {
+		for i := range counts {
+			counts[i] = 0
+		}
+		for _, k := range keys {
+			counts[(math.Float64bits(k)>>shift)&0xff]++
+		}
+		if counts[(math.Float64bits(keys[0])>>shift)&0xff] == len(keys) {
+			continue
+		}
+		pos := 0
+		for i, c := range counts {
+			counts[i] = pos
+			pos += c
+		}
+		for _, k := range keys {
+			b := (math.Float64bits(k) >> shift) & 0xff
+			buf[counts[b]] = k
+			counts[b]++
+		}
+		keys, buf = buf, keys
+	}
+	for i, x := range keys {
+		k := math.Float64bits(x)
+		if k&(1<<63) != 0 {
+			k &^= 1 << 63
+		} else {
+			k = ^k
+		}
+		xs[i] = math.Float64frombits(k)
+	}
+}
+
+// TestSortFloat64sMatchesTwoPassRadix sorts inputs mixing ±0, ±Inf,
+// subnormals of both signs, NaNs with distinct payloads and signs, and
+// ordinary values, at lengths around the radix cutoff and with inputs
+// whose keys share bytes (constant-digit passes skipped), and requires
+// the two-pass radix sort's output bit for bit.
+func TestSortFloat64sMatchesTwoPassRadix(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{
+		math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000f_ffff_ffff_ffff), math.Float64frombits(1<<63 | 0x000f_ffff_ffff_ffff),
+		math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff8_0000_0000_0042),
+		math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff0_0000_0000_0007),
+		-math.MaxFloat64, math.MaxFloat64,
+	}
+	gens := map[string]func() float64{
+		"mixed": func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return special[rng.Intn(len(special))]
+			case 1:
+				return math.Float64frombits(uint64(rng.Intn(2))<<63 | uint64(rng.Int63n(1<<52)))
+			case 2:
+				return math.Float64frombits(0x7ff0_0000_0000_0000 | uint64(rng.Intn(2))<<63 | uint64(1+rng.Int63n(1<<52-1)))
+			default:
+				return rng.NormFloat64() * 1e3
+			}
+		},
+		"shared_bytes": func() float64 { return float64(rng.Intn(300)) }, // high bytes constant
+		"one_value":    func() float64 { return -0.5 },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{511, 512, 513, 4096, 40000} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = gen()
+			}
+			want := append([]float64(nil), xs...)
+			sortFloat64sTwoPass(want)
+			SortFloat64sBuf(xs, make([]float64, n))
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d: [%d] = %#x, want %#x", name, n, i, math.Float64bits(xs[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
