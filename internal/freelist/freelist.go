@@ -5,22 +5,24 @@
 // collection ran during a batch decided whether the batch re-allocated
 // its scratch: a batch's allocated bytes split into modes by the
 // collector's timing. A List keeps what it is handed until the next
-// Get, at most a fixed number of values per GOMAXPROCS, so the memory
-// it retains stays bounded by the worker count.
+// Get, at most a fixed number of values per GOMAXPROCS and none larger
+// than MaxBytes, so the memory it retains stays bounded by the worker
+// count.
 package freelist
 
 import (
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
-// List is a bounded LIFO of recycled values; the zero List keeps at
-// most GOMAXPROCS of them. It is safe for concurrent use.
-type List[T any] struct {
-	// PerProc is how many values the list keeps per GOMAXPROCS; 0
-	// means one.
-	PerProc int
+// MaxBytes is the most memory a list keeps in one value: 16 MB. A
+// larger value is left to the collector, so no list pins a huge one.
+const MaxBytes = 16 << 20
 
+// List is a bounded LIFO of recycled values; it keeps at most one per
+// GOMAXPROCS. The zero List is empty and safe for concurrent use.
+type List[T any] struct {
 	mu   sync.Mutex
 	kept []T
 }
@@ -38,15 +40,19 @@ func (l *List[T]) Get() (x T, ok bool) {
 	return x, ok
 }
 
-// Put keeps x for a later Get unless the list is full, in which case x
-// is left to the collector.
-func (l *List[T]) Put(x T) { l.put(x, l.PerProc) }
+// Put keeps x, which holds size bytes, for a later Get. When x holds
+// more than MaxBytes or the list is full, x is left to the collector.
+func (l *List[T]) Put(x T, size int) {
+	if size <= MaxBytes {
+		l.put(x, 1)
+	}
+}
 
-// put is Put with perProc values kept per GOMAXPROCS.
+// put keeps x unless the list holds perProc values per GOMAXPROCS.
 func (l *List[T]) put(x T, perProc int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.kept) < max(1, perProc)*runtime.GOMAXPROCS(0) {
+	if len(l.kept) < perProc*runtime.GOMAXPROCS(0) {
 		l.kept = append(l.kept, x)
 	}
 }
@@ -58,12 +64,10 @@ func (l *List[T]) Len() int {
 	return len(l.kept)
 }
 
-// Slabs recycles slices of E on a List. Slabs longer than Max elements
-// go through a sync.Pool instead, which lets an idle one go, so the
-// list never pins a huge slab. The zero Slabs keeps no slab on its list.
+// Slabs recycles slices of E on a List. Slabs of more than MaxBytes go
+// through a sync.Pool instead, which lets an idle one go, so the list
+// never pins a huge slab.
 type Slabs[E any] struct {
-	// Max is the longest slab the list keeps, in elements.
-	Max int
 	// PerProc is how many slabs the list keeps per GOMAXPROCS; 0 means
 	// one.
 	PerProc int
@@ -72,10 +76,16 @@ type Slabs[E any] struct {
 	big  sync.Pool
 }
 
+// small reports whether a slab of n elements fits the list.
+func (s *Slabs[E]) small(n int) bool {
+	var e E
+	return uintptr(n)*unsafe.Sizeof(e) <= MaxBytes
+}
+
 // Get returns a slab of n elements with stale contents.
 func (s *Slabs[E]) Get(n int) []E {
 	var slab []E
-	if n <= s.Max {
+	if s.small(n) {
 		slab, _ = s.list.Get()
 	} else if p, ok := s.big.Get().(*[]E); ok {
 		slab = *p
@@ -91,10 +101,10 @@ func (s *Slabs[E]) Put(slab []E) {
 	switch {
 	case cap(slab) == 0:
 		return
-	case cap(slab) > s.Max:
+	case !s.small(cap(slab)):
 		s.big.Put(&slab)
 	default:
-		s.list.put(slab, s.PerProc)
+		s.list.put(slab, max(1, s.PerProc))
 	}
 }
 

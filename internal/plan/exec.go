@@ -469,11 +469,14 @@ type arena struct {
 
 // arenas keeps released arenas through collections, one per
 // GOMAXPROCS: the same bounded free list as the block scans' buffers
-// and the region DPs' slabs. An arena of more than arenaKeepCells
-// cells (16 MB) is not kept.
+// and the region DPs' slabs. An arena holding more than
+// freelist.MaxBytes is not kept.
 var arenas freelist.List[*arena]
 
-const arenaKeepCells = 1 << 22
+// bytes returns the memory ar holds.
+func (ar *arena) bytes() int {
+	return 4*cap(ar.cells) + 16*cap(ar.ext) + 4*cap(ar.rows) + 4*cap(ar.codes)
+}
 
 // fit returns s cut to n elements, on a new array only when s's is
 // too short; the contents are stale.
@@ -542,7 +545,7 @@ type groupState struct {
 	lanes       []lane
 	blocks      []int // code pass per block of blockLanes lanes, -1 for the zero-bit lane
 	cells
-	ext       [][2]float64 // bucket e's least and greatest driver value at e+1; nil without extremes
+	ext       [][2]float64 // bucket e's least and greatest driver value at e+1; nil unless keepsExtremes
 	targetCol []int
 }
 
@@ -723,7 +726,7 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 			gs.targetCol = append(gs.targetCol, numPos[t])
 		}
 		nCells += (m+1)*gs.stride + recPad
-		if g.TrackExtremes {
+		if keepsExtremes(g) {
 			nExt += m + 1
 		}
 		st.groups = append(st.groups, gs)
@@ -784,7 +787,7 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 	}
 	for _, gs := range st.groups {
 		gs.n = cut((gs.m+1)*gs.stride + recPad)
-		if gs.need.TrackExtremes {
+		if keepsExtremes(gs.need) {
 			gs.ext = ext(gs.m)
 		}
 	}
@@ -796,11 +799,20 @@ func newExecState(ctx context.Context, set *StatsSet, groups []*GroupNeed, pairs
 	return st, nil
 }
 
+// keepsExtremes reports whether g's tally state folds its buckets'
+// extremes: when g tracks them, and when g has conditions. Every group
+// the resolver or a delta refresh gives conditions also tracks
+// extremes, so each row loop over condition codes folds extremes and
+// none needs a twin that does not.
+func keepsExtremes(g *GroupNeed) bool {
+	return g.TrackExtremes || len(g.Bools) > 0
+}
+
 // release hands st's arena back to arenas. Nothing may read st's
 // cells, extremes or row scratch afterwards.
 func (st *execState) release() {
-	if st.ar != nil && cap(st.ar.cells) <= arenaKeepCells {
-		arenas.Put(st.ar)
+	if st.ar != nil {
+		arenas.Put(st.ar, st.ar.bytes())
 	}
 	st.ar = nil
 }
@@ -943,40 +955,30 @@ func effPass(eff, idx []int32, mask []bool) (nans int) {
 }
 
 // count runs the group's row loops over one batch whose rows' buckets
-// are idx: one loop per block of blockLanes lanes, the first of which
-// also folds the extremes.
+// are idx: one loop per block of blockLanes lanes, each of which also
+// folds the rows into their buckets' extremes (see keepsExtremes). A
+// group with more than one block folds each row once per block, which
+// leaves the same extremes as once.
 func (gs *groupState) count(b *relation.Batch, idx []int32, codes []*codePass) {
-	var x []float64
-	if gs.ext != nil {
-		x = b.Numeric[gs.col]
+	if gs.ext == nil {
+		count0(gs.n, idx)
+		return
 	}
+	x := b.Numeric[gs.col]
 	for k, p := range gs.blocks {
+		if p < 0 {
+			count0x(gs.n, idx, x, gs.ext)
+			continue
+		}
 		lanes := gs.lanes[k*blockLanes : min((k+1)*blockLanes, len(gs.lanes))]
-		rec, ext := gs.n[lanes[0].off:], gs.ext
-		if k > 0 {
-			ext = nil
-		}
-		var code []uint32
-		if p >= 0 {
-			code = codes[p].code
-		}
-		switch {
-		case p < 0 && ext != nil:
-			count0x(rec, idx, x, ext)
-		case p < 0:
-			count0(rec, idx)
-		case len(lanes) == 1 && ext != nil:
-			count1x(rec, gs.stride, idx, code, x, ext)
-		case len(lanes) == 1:
-			count1(rec, gs.stride, idx, code)
-		case len(lanes) == 2 && ext != nil:
-			count2x(rec, gs.stride, idx, code, x, ext)
-		case len(lanes) == 2:
-			count2(rec, gs.stride, idx, code)
-		case ext != nil:
-			count3x(rec, gs.stride, idx, code, x, ext)
+		rec, code := gs.n[lanes[0].off:], codes[p].code
+		switch len(lanes) {
+		case 1:
+			count1x(rec, gs.stride, idx, code, x, gs.ext)
+		case 2:
+			count2x(rec, gs.stride, idx, code, x, gs.ext)
 		default:
-			count3(rec, gs.stride, idx, code)
+			count3x(rec, gs.stride, idx, code, x, gs.ext)
 		}
 	}
 }
@@ -987,8 +989,9 @@ func (gs *groupState) count(b *relation.Batch, idx []int32, codes []*codePass) {
 // stride cells apart and the trash bucket's first, and code each row's
 // cells within the block, one byte per lane (see codePass). count0
 // counts a zero-bit lane, whose record is its bucket's one cell. The x
-// variants also fold each row's driver value x into its bucket's
-// extremes ext. Each loop takes its slices as parameters, so its
+// loops also fold each row's driver value x into its bucket's extremes
+// ext; only a group without conditions or extremes runs count0. Each
+// loop takes its slices as parameters, so its
 // values stay in registers, and views a row's block of its record as
 // one array, so the lanes' scatter-adds share one bounds check.
 
@@ -1006,15 +1009,6 @@ func count0x(rec []uint32, idx []int32, x []float64, ext [][2]float64) {
 	}
 }
 
-func count1(rec []uint32, stride int, idx []int32, code []uint32) {
-	code = code[:len(idx)]
-	for row, i := range idx {
-		j := (int(i) + 1) * stride
-		r := (*[laneCells]uint32)(rec[j : j+laneCells : j+laneCells])
-		r[code[row]&(laneCells-1)]++
-	}
-}
-
 func count1x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, ext [][2]float64) {
 	code, x = code[:len(idx)], x[:len(idx)]
 	for row, i := range idx {
@@ -1022,17 +1016,6 @@ func count1x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, 
 		r := (*[laneCells]uint32)(rec[j : j+laneCells : j+laneCells])
 		r[code[row]&(laneCells-1)]++
 		extend(ext, i, x[row])
-	}
-}
-
-func count2(rec []uint32, stride int, idx []int32, code []uint32) {
-	code = code[:len(idx)]
-	for row, i := range idx {
-		j := (int(i) + 1) * stride
-		r := (*[2 * laneCells]uint32)(rec[j : j+2*laneCells : j+2*laneCells])
-		c := code[row]
-		r[c&(2*laneCells-1)]++
-		r[c>>8&(2*laneCells-1)]++
 	}
 }
 
@@ -1045,18 +1028,6 @@ func count2x(rec []uint32, stride int, idx []int32, code []uint32, x []float64, 
 		r[c&(2*laneCells-1)]++
 		r[c>>8&(2*laneCells-1)]++
 		extend(ext, i, x[row])
-	}
-}
-
-func count3(rec []uint32, stride int, idx []int32, code []uint32) {
-	code = code[:len(idx)]
-	for row, i := range idx {
-		j := (int(i) + 1) * stride
-		r := (*[blockCells]uint32)(rec[j : j+blockCells : j+blockCells])
-		c := code[row]
-		r[c&(blockCells-1)]++
-		r[c>>8&(blockCells-1)]++
-		r[c>>16&(blockCells-1)]++
 	}
 }
 
@@ -1265,7 +1236,7 @@ func (st *execState) publish(set *StatsSet, sums *sumLog) {
 	for gi, gs := range st.groups {
 		m := gs.m
 		var minv, maxv []float64
-		if gs.ext != nil {
+		if gs.need.TrackExtremes {
 			minv, maxv = extremes(gs.ext)
 		}
 		counts := make([]int, m*(1+len(gs.need.Bools)))

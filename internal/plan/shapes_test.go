@@ -112,10 +112,11 @@ func shapeRelations(t *testing.T, n int) map[string]relation.Relation {
 
 // shapeRequirements schedules, for each condition count of 0, 1, 2, 3,
 // 4, 9 and 10, an unfiltered and a filtered group over one boundary
-// set, so the two share one locate pass: one group tracks extremes and
-// the other does not, which sends every block of lanes through each
-// per-shape loop with and without extremes, and 10 conditions through
-// a second block. Some groups of either kind carry a target, and two
+// set, so the two share one locate pass. One group tracks extremes and
+// the other does not, which sends the groups without conditions through
+// count0x and count0; a group with conditions folds extremes either
+// way and publishes them only when it tracks them. 4 conditions fill
+// a partial last lane, and 10 run through a second block. Some groups of either kind carry a target, and two
 // pairs, one per axis order, carry a true and a false objective over
 // drivers with NaN holes on different rows.
 func shapeRequirements(s relation.Schema, d Defaults) *Requirements {
@@ -197,6 +198,9 @@ func TestKernelShapesMatchReference(t *testing.T) {
 					g := got.Groups[k]
 					if !sameFloats(w.MinVal, g.MinVal) || !sameFloats(w.MaxVal, g.MaxVal) {
 						t.Errorf("group %+v: extremes differ in their bits", k)
+					}
+					if tracked := req.Groups[k].TrackExtremes; (g.MinVal != nil) != tracked {
+						t.Errorf("group %+v: extremes published %v, tracked %v", k, g.MinVal != nil, tracked)
 					}
 					for tg, ws := range w.Sum {
 						if !sameFloats(ws, g.Sum[tg]) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"optrule/internal/freelist"
 )
@@ -319,10 +320,10 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 // sync.Pool instead.
 func TestSlabPoolSurvivesCollection(t *testing.T) {
 	t.Run("dp_slab", func(t *testing.T) {
-		checkSlabsSurvive(t, func() *freelist.Slabs[int32] { return &freelist.Slabs[int32]{Max: keepCells} })
+		checkSlabsSurvive(t, func() *freelist.Slabs[int32] { return &freelist.Slabs[int32]{} })
 	})
 	t.Run("scan_buffer", func(t *testing.T) {
-		checkSlabsSurvive(t, func() *freelist.Slabs[byte] { return &freelist.Slabs[byte]{Max: 1 << 20, PerProc: 2} })
+		checkSlabsSurvive(t, func() *freelist.Slabs[byte] { return &freelist.Slabs[byte]{PerProc: 2} })
 	})
 }
 
@@ -343,10 +344,11 @@ func checkSlabsSurvive[E any](t *testing.T, fresh func() *freelist.Slabs[E]) {
 	if sp.Len() != bound {
 		t.Fatalf("kept %d slabs, want the bound %d", sp.Len(), bound)
 	}
+	var e E
 	big := fresh()
-	big.Put(big.Get(big.Max + 1))
+	big.Put(big.Get(freelist.MaxBytes/int(unsafe.Sizeof(e)) + 1))
 	if big.Len() != 0 {
-		t.Fatalf("a slab over Max was kept")
+		t.Fatalf("a slab over freelist.MaxBytes was kept")
 	}
 }
 
@@ -358,8 +360,8 @@ func checkSlabsSurvive[E any](t *testing.T, fresh func() *freelist.Slabs[E]) {
 // reference's.
 func TestDPSlabReuse(t *testing.T) {
 	drain := func() {
-		choicePool = freelist.Slabs[int32]{Max: keepCells}
-		backPool = freelist.Slabs[int32]{Max: keepCells}
+		choicePool = freelist.Slabs[int32]{}
+		backPool = freelist.Slabs[int32]{}
 	}
 	poison := func() {
 		for _, sp := range []*freelist.Slabs[int32]{&choicePool, &backPool} {

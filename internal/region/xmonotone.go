@@ -66,16 +66,10 @@ type cellBest struct {
 // 64 the rectilinear-convex slab alone is 4 MB. A recycled slab needs
 // no clearing: every interval cell (a <= b) of every column is written
 // before backtracking reads it, and backtracking reads no other cell.
-// Slabs of at most keepCells cells (grid sides up to about 100) stay on
-// the free list through collections, so a batch's DPs allocate the
+// Slabs of at most freelist.MaxBytes (grid sides up to about 100) stay
+// on the free list through collections, so a batch's DPs allocate the
 // same bytes whether or not the collector runs during it.
-var (
-	choicePool = freelist.Slabs[int32]{Max: keepCells}
-	backPool   = freelist.Slabs[int32]{Max: keepCells}
-)
-
-// keepCells is the largest slab the free lists keep: 16 MB.
-const keepCells = 1 << 22
+var choicePool, backPool freelist.Slabs[int32]
 
 // transposedGain returns gainT with gainT[c*rows+r] = V[r][c] − θ·U[r][c]:
 // the per-cell gains laid out column-major, so the per-column DP loops

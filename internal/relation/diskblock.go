@@ -328,9 +328,9 @@ type blockFetch struct {
 
 // blockBufPool recycles fetch buffers across scans so steady-state
 // pipelines allocate nothing per window. It keeps up to scanReadAhead
-// buffers of at most 16 MB per GOMAXPROCS, the buffers of as many
-// concurrent scans as there are workers, through collections.
-var blockBufPool = freelist.Slabs[byte]{Max: 1 << 24, PerProc: scanReadAhead}
+// buffers of at most freelist.MaxBytes per GOMAXPROCS, the buffers of
+// as many concurrent scans as there are workers, through collections.
+var blockBufPool = freelist.Slabs[byte]{PerProc: scanReadAhead}
 
 // scanState is the consumer-side scratch of one block scan, reused
 // window to window: the batch handed to fn, one window of values per
@@ -348,6 +348,21 @@ type scanState struct {
 // scans of one parallel count allocate scratch per worker, not per
 // chunk, whether or not a collection runs during the count.
 var scanStatePool freelist.List[*scanState]
+
+// bytes returns the memory st's column buffers hold.
+func (st *scanState) bytes() int {
+	n := 8 * cap(st.scratch)
+	for _, w := range st.win[:cap(st.win)] {
+		n += 8 * cap(w)
+	}
+	for _, g := range st.grp[:cap(st.grp)] {
+		n += 8 * cap(g)
+	}
+	for _, b := range st.bools[:cap(st.bools)] {
+		n += cap(b)
+	}
+	return n
+}
 
 // getScanState returns a scan state cut to nums numeric and bools
 // Boolean columns. A recycled state keeps every buffer long enough for
@@ -548,7 +563,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 	}()
 
 	st := getScanState(len(numSel), len(boolSel))
-	defer scanStatePool.Put(st)
+	defer func() { scanStatePool.Put(st, st.bytes()) }()
 	batch := &st.batch
 	for fg := range ready {
 		if fg.err != nil {
