@@ -915,8 +915,9 @@ func (st *execState) countBatch(b *relation.Batch) {
 // row's condition bits into one word. Then each group counts the batch
 // in one row loop per block of up to blockLanes lanes, over its
 // effective-index pass or straight over its locate pass: a row costs
-// one scatter-add per lane, all into its bucket's record, and the
-// first block also folds the row into its bucket's extremes. Each pair
+// one scatter-add per lane, all into its bucket's record, and each
+// block of a group that keeps extremes also folds the row into its
+// bucket's extremes. Each pair
 // counts in one loop that scatters the row into its cell and updates
 // both axes' extremes.
 func (st *execState) countBatchVec(b *relation.Batch) {
