@@ -313,10 +313,10 @@ func benchMineAllDisk(b *testing.B, version int) {
 }
 
 // BenchmarkMineAllDisk runs the disk workload on the current default
-// format (v2 column-major block groups): the counting scan decodes
-// contiguous column blocks while the prefetcher reads ahead, and the
-// sampling scan touches only the numeric columns up to the last
-// sampled index.
+// format (v2 column-major block groups): the counting scan reads and
+// decodes contiguous column blocks one window at a time, and the
+// sampling pass point-reads only the sampled rows of the numeric
+// columns.
 func BenchmarkMineAllDisk(b *testing.B) { benchMineAllDisk(b, DiskFormatV2) }
 
 // BenchmarkMineAllDiskV1 is the same workload on the legacy row-major
@@ -332,7 +332,7 @@ func BenchmarkMineAllDiskV3(b *testing.B) { benchMineAllDisk(b, DiskFormatV3) }
 // BenchmarkMineAllDiskSharded is the 1M-tuple MineAll workload over
 // the SAME data split across 4 v2 shard files — the sharded backend's
 // overhead/benefit relative to BenchmarkMineAllDisk. Each shard is
-// scanned through its own prefetcher; with PEs > 1 the counting scan's
+// scanned through its own block scan; with PEs > 1 the counting scan's
 // workers take chunks cut at shard boundaries.
 func BenchmarkMineAllDiskSharded(b *testing.B) {
 	bank, err := datagen.NewBank(datagen.BankConfig{})

@@ -44,12 +44,12 @@
 // row order is the concatenation of the shards, so mining results are
 // rule-for-rule identical to the single file — this example asserts
 // that below. Shard when the relation outgrows one device, when shards
-// can sit on independent disks (each shard scan runs its own double-
-// buffered prefetcher, and the parallel counting pass gives each worker
-// chunks cut at shard boundaries), or when data arrives in natural
-// batches that should stay individually replaceable. Choosing the
-// split: keep every shard many block groups large (tens of MB or more)
-// so per-shard pipeline startup stays negligible, and pick the shard
+// can sit on independent disks (the parallel counting pass gives each
+// worker chunks cut at shard boundaries, each read through its own file
+// handle), or when data arrives in natural batches that should stay
+// individually replaceable. Choosing the split: keep every shard many
+// block groups large (tens of MB or more) so per-shard scan startup
+// stays negligible, and pick the shard
 // count from the hardware — one shard (or a few) per independent disk. Shard count is NOT a parallelism
 // knob for CPUs; Config.PEs and Config.Workers cover that, and the
 // parallel counting engines already split work at shard and

@@ -23,8 +23,9 @@ func TestBenchGuardrails(t *testing.T) {
 		bench func(*testing.B)
 		max   time.Duration
 	}{
-		// ~105-120ms healthy on a 2-vCPU host: 1M-tuple disk MineAll on
-		// the default v2 format.
+		// 17-24 ms healthy at GOMAXPROCS 2 (31-45 ms at 1) on a 2-vCPU
+		// x86-64 host, 16 runs of 20 ops: 1M-tuple disk MineAll on the
+		// default v2 format.
 		{"MineAllDisk", BenchmarkMineAllDisk, 500 * time.Millisecond},
 		// ~40ms healthy: single-pair 2-D miner on the 1M-tuple disk bank.
 		{"Mine2D", BenchmarkMine2D, 250 * time.Millisecond},

@@ -12,8 +12,8 @@ import (
 // kernels and the extraction tasks all run. A goroutine started
 // anywhere else is a second scheduler, with its own teardown, its own
 // ordering and its own share of the CPUs, that the worker-count and
-// fault-matrix suites do not cover. An intended exception (a storage
-// pipeline stage, not a fan-out) carries a reasoned waiver.
+// fault-matrix suites do not cover. Storage scans run on the caller's
+// goroutine, so shipped code has no exception and carries no waiver.
 var GoStmt = &analysis.Analyzer{
 	Name: "gostmt",
 	Doc: `flag go statements in the root package and internal/... outside

@@ -5,9 +5,8 @@
 // collection ran during a batch decided whether the batch re-allocated
 // its scratch: a batch's allocated bytes split into modes by the
 // collector's timing. A List keeps what it is handed until the next
-// Get, at most a fixed number of values per GOMAXPROCS and none larger
-// than MaxBytes, so the memory it retains stays bounded by the worker
-// count.
+// Get, at most one value per GOMAXPROCS and none larger than MaxBytes,
+// so the memory it retains stays bounded by the worker count.
 package freelist
 
 import (
@@ -43,16 +42,12 @@ func (l *List[T]) Get() (x T, ok bool) {
 // Put keeps x, which holds size bytes, for a later Get. When x holds
 // more than MaxBytes or the list is full, x is left to the collector.
 func (l *List[T]) Put(x T, size int) {
-	if size <= MaxBytes {
-		l.put(x, 1)
+	if size > MaxBytes {
+		return
 	}
-}
-
-// put keeps x unless the list holds perProc values per GOMAXPROCS.
-func (l *List[T]) put(x T, perProc int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.kept) < perProc*runtime.GOMAXPROCS(0) {
+	if len(l.kept) < runtime.GOMAXPROCS(0) {
 		l.kept = append(l.kept, x)
 	}
 }
@@ -68,10 +63,6 @@ func (l *List[T]) Len() int {
 // through a sync.Pool instead, which lets an idle one go, so the list
 // never pins a huge slab.
 type Slabs[E any] struct {
-	// PerProc is how many slabs the list keeps per GOMAXPROCS; 0 means
-	// one.
-	PerProc int
-
 	list List[[]E]
 	big  sync.Pool
 }
@@ -104,7 +95,8 @@ func (s *Slabs[E]) Put(slab []E) {
 	case !s.small(cap(slab)):
 		s.big.Put(&slab)
 	default:
-		s.list.put(slab, max(1, s.PerProc))
+		var e E
+		s.list.Put(slab, cap(slab)*int(unsafe.Sizeof(e)))
 	}
 }
 

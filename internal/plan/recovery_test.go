@@ -14,7 +14,7 @@ import (
 )
 
 // recoveryFixture builds a sharded bank relation (range-scannable, with
-// per-shard prefetchers to tear down on a fault) plus the Defaults the
+// per-shard block scans to end on a fault) plus the Defaults the
 // recovery tests share.
 func recoveryFixture(t *testing.T, n, shards int) (*relation.ShardedRelation, Defaults) {
 	t.Helper()

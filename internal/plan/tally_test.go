@@ -40,10 +40,10 @@ func TestParallelTallyMemoryPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The block-scan buffers and tally arenas sit on free lists that a
+	// The block-scan states and tally arenas sit on free lists that a
 	// collection does not empty, so both passes run on filled lists
 	// whenever the collector runs.
-	pass(t, dr, d, warm, req, 2) // fill the scan buffer lists for both workers
+	pass(t, dr, d, warm, req, 2) // fill the scan state and arena lists for both workers
 	serial, parallel := pass(t, dr, d, warm, req, 1), pass(t, dr, d, warm, req, 2)
 
 	// One tally state, with the scratch its first batch allocates. The

@@ -313,17 +313,13 @@ func TestIsRectilinearConvexNegativeCases(t *testing.T) {
 }
 
 // TestSlabPoolSurvivesCollection pins freelist.Slabs, the free list
-// of the DP slabs and of the block scans' fetch buffers, over a DP
-// slab and a scan buffer: a kept slab comes back after two collections
-// (a sync.Pool would have dropped it), no more than PerProc slabs per
-// GOMAXPROCS are kept, and a slab too large to keep goes to the
+// of the DP slabs: a kept slab comes back after two collections (a
+// sync.Pool would have dropped it), no more than one slab per
+// GOMAXPROCS is kept, and a slab too large to keep goes to the
 // sync.Pool instead.
 func TestSlabPoolSurvivesCollection(t *testing.T) {
 	t.Run("dp_slab", func(t *testing.T) {
 		checkSlabsSurvive(t, func() *freelist.Slabs[int32] { return &freelist.Slabs[int32]{} })
-	})
-	t.Run("scan_buffer", func(t *testing.T) {
-		checkSlabsSurvive(t, func() *freelist.Slabs[byte] { return &freelist.Slabs[byte]{PerProc: 2} })
 	})
 }
 
@@ -336,7 +332,7 @@ func checkSlabsSurvive[E any](t *testing.T, fresh func() *freelist.Slabs[E]) {
 	if got := sp.Get(900); &got[0] != &s[0] || len(got) != 900 {
 		t.Fatalf("kept slab not returned after two collections")
 	}
-	bound := max(1, sp.PerProc) * runtime.GOMAXPROCS(0)
+	bound := runtime.GOMAXPROCS(0)
 	for range bound + 3 {
 		sp.Put(sp.Get(10))
 		sp.Put(make([]E, 10))

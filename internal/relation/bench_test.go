@@ -40,9 +40,12 @@ func BenchmarkMemoryScan1M(b *testing.B) {
 
 // BenchmarkDiskScan1M scans one numeric and one Boolean column of a
 // 1M-row v1 file; the V2 variant reads the same rows through the
-// block-group engine, which decodes the Boolean blocks.
+// block-group engine, which reads the raw numeric blocks in place and
+// decodes the Boolean blocks, and the V3 variant reads them from
+// encoded blocks, each read whole and decoded once per group.
 func BenchmarkDiskScan1M(b *testing.B)   { benchDiskScan1M(b, DiskFormatV1) }
 func BenchmarkDiskScan1MV2(b *testing.B) { benchDiskScan1M(b, DiskFormatV2) }
+func BenchmarkDiskScan1MV3(b *testing.B) { benchDiskScan1M(b, DiskFormatV3) }
 
 func benchDiskScan1M(b *testing.B, format int) {
 	mem := benchMemory(b, 1000000)

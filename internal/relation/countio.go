@@ -16,11 +16,11 @@ import (
 //
 //   - payload reads charge the counter the moment the data is
 //     DELIVERED to the scan, so BytesRead is a pure function of the
-//     plan and how far the scan ran — never of prefetch races.
-//     payloadReadFull charges itself (streaming scans deliver
-//     immediately); uncountedReadAt leaves the charge to the caller
-//     (prefetchers charge whole staged groups on delivery, point reads
-//     charge logical bytes once the batch completes).
+//     plan and how far the scan ran. payloadReadFull charges itself
+//     (streaming scans deliver immediately); uncountedReadAt leaves the
+//     charge to the caller (block scans charge each window once all of
+//     its bytes are read, point reads charge logical bytes once the
+//     batch completes).
 //   - metadata reads (headers, directories, magic sniffs) never
 //     charge: BytesRead counts the payload bytes a scan pulls, and
 //     open-time metadata would smear a constant over every scan of the

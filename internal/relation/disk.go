@@ -525,9 +525,9 @@ func (dr *DiskRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 // ScanRange streams rows [start, end) through fn. Each call opens its
 // own file handle, so disjoint ranges may be scanned concurrently — the
 // access pattern of the parallel bucketing Algorithm 3.2. On v2 and v3
-// files the scan runs the block-group engine's overlapped read-ahead
-// pipeline (scanBlocks in diskblock.go); v1 files stream rows through
-// the loop below.
+// files the block-group engine reads and decodes one window at a time
+// on the caller's goroutine (scanBlocks in diskblock.go); v1 files
+// stream rows through the loop below.
 func (dr *DiskRelation) ScanRange(start, end int, cols ColumnSet, fn func(*Batch) error) error {
 	dr.ops.RLock()
 	defer dr.ops.RUnlock()

@@ -27,22 +27,18 @@ import (
 // offset per group (diskv2.go) while v3 records every block's offset,
 // encoding and zone map (diskv3.go). The reader expands either
 // directory into the same per-block entries; from there on one writer
-// flush, one scan pipeline and one point reader serve both versions.
+// flush, one scan loop and one point reader serve both versions.
 
 const (
 	// DefaultGroupRows is the block-group size NewDiskWriterV2 and
 	// NewDiskWriterV3 use when none is given: 64Ki rows keeps each raw
 	// numeric column block at 512 KB — large enough for sequential-read
-	// bandwidth, small enough that a handful of in-flight groups stay
-	// comfortably in memory.
+	// bandwidth, small enough that a scan holding one decoded group of
+	// its encoded columns stays comfortably in memory.
 	DefaultGroupRows = 1 << 16
 	// maxGroupRows bounds declared group sizes to keep hostile headers
 	// from demanding absurd buffers.
 	maxGroupRows = 1 << 22
-	// scanReadAhead is the depth of the scan pipeline: how many fetched
-	// windows may exist at once (the consumer's current one plus the
-	// prefetcher's read-ahead).
-	scanReadAhead = 2
 )
 
 // blockEntry is one column block of one block group: its file
@@ -308,35 +304,13 @@ func (dr *DiskRelation) openBlockMeta(f *os.File, r *bufio.Reader) error {
 	return nil
 }
 
-// blockFetch is one window of a block-group scan, passed by value (no
-// allocation per window) from the prefetcher to the decode loop:
-// group-relative rows [first, first+rows) of block group g. buf holds,
-// in selection order, each selected numeric column's bytes — the
-// window's rows of a raw block, or the whole block of an encoded one on
-// the group's first window (head) — then each selected Boolean column's
-// byte span of the window. A skip fetch carries a zone-refuted group's
-// remaining rows and no data.
-type blockFetch struct {
-	group int
-	first int
-	rows  int
-	head  bool
-	skip  bool
-	buf   []byte
-	err   error
-}
-
-// blockBufPool recycles fetch buffers across scans so steady-state
-// pipelines allocate nothing per window. It keeps up to scanReadAhead
-// buffers of at most freelist.MaxBytes per GOMAXPROCS, the buffers of
-// as many concurrent scans as there are workers, through collections.
-var blockBufPool = freelist.Slabs[byte]{PerProc: scanReadAhead}
-
-// scanState is the consumer-side scratch of one block scan, reused
-// window to window: the batch handed to fn, one window of values per
-// selected numeric column decoded from raw blocks, the current group's
-// encoded blocks decoded whole, and one window per selected Boolean.
+// scanState is the scratch of one block scan, reused window to window:
+// the fetch buffer a window is read into, the batch handed to fn, one
+// window of values per selected numeric column decoded from raw blocks,
+// the current group's encoded blocks decoded whole, and one window per
+// selected Boolean.
 type scanState struct {
+	buf     []byte
 	batch   Batch
 	win     [][]float64
 	grp     [][]float64
@@ -349,9 +323,9 @@ type scanState struct {
 // chunk, whether or not a collection runs during the count.
 var scanStatePool freelist.List[*scanState]
 
-// bytes returns the memory st's column buffers hold.
+// bytes returns the memory st's buffers hold.
 func (st *scanState) bytes() int {
-	n := 8 * cap(st.scratch)
+	n := cap(st.buf) + 8*cap(st.scratch)
 	for _, w := range st.win[:cap(st.win)] {
 		n += 8 * cap(w)
 	}
@@ -366,8 +340,8 @@ func (st *scanState) bytes() int {
 
 // getScanState returns a scan state cut to nums numeric and bools
 // Boolean columns. A recycled state keeps every buffer long enough for
-// its new role; decoded-group buffers are sized by the scan when an
-// encoded block first needs one.
+// its new role; the fetch buffer and the decoded-group buffers are
+// sized by the scan when a window first needs them.
 func getScanState(nums, bools int) *scanState {
 	st, ok := scanStatePool.Get()
 	if !ok {
@@ -396,23 +370,23 @@ func fitColumns[T any](cols [][]T, n, rows int) [][]T {
 	return cols
 }
 
-// scanBlocks streams rows [start, end) of a v2 or v3 file through fn
-// with an overlapped read-ahead pipeline: a prefetcher goroutine reads
-// window N+1 while this goroutine decodes window N into one batch and
-// runs fn. A window is up to DefaultBatchSize rows of one block group,
-// cut at group-relative multiples of DefaultBatchSize and clipped to
-// [start, end). Raw and bitmap blocks are row-addressable, so a window
-// reads only its own rows of them (one pread per column); the cuts are
-// byte-aligned, so the windows' Boolean byte spans tile each group's
-// span. An encoded block is read whole with the first window of its
-// group that the range touches and decoded once per group. BytesRead
-// charges exactly the bytes fetched, at delivery. When pred is
-// non-nil, a group whose zone maps prove no row can match is never
-// read: the prefetcher sends a skip fetch, the consumer reports the
-// group's rows through skipFn, and BytesRead grows by nothing. At most
-// scanReadAhead windows are in flight, so memory is bounded by that
-// many windows plus one decoded group of the selected encoded columns,
-// whatever the relation's size.
+// scanBlocks streams rows [start, end) of a v2 or v3 file through fn,
+// one window at a time on the caller's goroutine: it reads a window's
+// bytes into the scan's one fetch buffer, charges them to BytesRead,
+// decodes them into one batch and runs fn. A window is up to
+// DefaultBatchSize rows of one block group, cut at group-relative
+// multiples of DefaultBatchSize and clipped to [start, end). Raw and
+// bitmap blocks are row-addressable, so a window reads only its own
+// rows of them (one pread per column); the cuts are byte-aligned, so
+// the windows' Boolean byte spans tile each group's span. An encoded
+// block is read whole with the first window of its group that the
+// range touches and decoded once per group. BytesRead charges exactly
+// the bytes read, so a scan that fn stops early is charged for the
+// windows it delivered and nothing more. When pred is non-nil, a group
+// whose zone maps prove no row can match is never read: its rows go to
+// skipFn, and BytesRead grows by nothing. Memory is one window plus
+// one decoded group of the selected encoded columns, whatever the
+// relation's size.
 func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predicate, skipFn func(rows int) error, fn func(*Batch) error) error {
 	f, err := os.Open(dr.path)
 	if err != nil {
@@ -431,7 +405,7 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 	if pred != nil && pred.Empty() {
 		pred = nil
 	}
-	// A fetch buffer holds at least one full window of the selected
+	// The fetch buffer is first sized to a full window of the selected
 	// columns that are row-addressable in the first group (an unaligned
 	// first row can stretch a Boolean span by one byte); a group's first
 	// window grows it by that group's encoded blocks.
@@ -443,186 +417,96 @@ func (dr *DiskRelation) scanBlocks(start, end int, cols ColumnSet, pred *Predica
 		}
 	}
 
-	ready := make(chan blockFetch, scanReadAhead)
-	free := make(chan []byte, scanReadAhead)
-	for i := 0; i < scanReadAhead; i++ {
-		free <- nil // sized lazily by the prefetcher
-	}
-	stop := make(chan struct{})
-	prefDone := make(chan struct{})
-	// On every exit path — completion, callback error, early abort —
-	// stop the prefetcher, wait for it to exit, then reclaim all window
-	// buffers into the pool. Early aborts are the COMMON case (the
-	// sampling pass always stops at its last sorted index), so buffers
-	// parked in free or queued in ready must survive for the next scan,
-	// not be dropped for the GC. Draining is race-free only after
-	// prefDone: the prefetcher no longer touches either channel.
-	defer func() {
-		close(stop)
-		<-prefDone
-		for {
-			select {
-			case fg, ok := <-ready:
-				if ok {
-					blockBufPool.Put(fg.buf)
-				}
-				if !ok {
-					// Channel closed and empty; fall through to free.
-					ready = nil
-				}
-			case buf := <-free:
-				blockBufPool.Put(buf)
-			default:
-				return
-			}
-		}
-	}()
-
-	// fill reads group-relative rows [first, last) of block group g.
-	fill := func(g, first, last int, head bool, buf []byte) blockFetch {
+	st := getScanState(len(numSel), len(boolSel))
+	defer func() { scanStatePool.Put(st, st.bytes()) }()
+	batch := &st.batch
+	for row := start; row < end; {
+		g := row / dr.groupRows
+		gStart := g * dr.groupRows
 		gRows := dr.rowsInGroup(g)
-		rows := last - first
+		first := row - gStart
+		gEnd := min(gRows, end-gStart)
+		head := row == start || first == 0
+		if head && pred != nil && dr.v3GroupPruned(g, pred) {
+			if err := skipFn(gEnd - first); err != nil {
+				return err
+			}
+			row += gEnd - first
+			continue
+		}
+
+		// Read group-relative rows [first, last) of group g.
+		last := min((first/DefaultBatchSize+1)*DefaultBatchSize, gEnd)
+		n := last - first
 		byteLo := first / 8
 		boolLen := (last+7)/8 - byteLo
 		total := len(boolSel) * boolLen
 		for _, p := range numSel {
 			if blk := dr.numBlock(g, p); blk.enc == v3EncRaw {
-				total += 8 * rows
+				total += 8 * n
 			} else if head {
 				total += blk.encLen
 			}
 		}
-		if cap(buf) < total {
-			buf = blockBufPool.Get(max(total, bufCap))
+		if cap(st.buf) < total {
+			st.buf = make([]byte, max(total, bufCap))
 		}
-		buf = buf[:total]
-		fg := blockFetch{group: g, first: first, rows: rows, head: head, buf: buf}
+		buf := st.buf[:total]
 		pos := 0
 		for k, p := range numSel {
 			blk := dr.numBlock(g, p)
-			off, n := blk.off, blk.encLen
+			off, size := blk.off, blk.encLen
 			if blk.enc == v3EncRaw {
 				if blk.encLen != 8*gRows {
-					fg.err = fmt.Errorf("relation: group %d column %d of %s: raw block holds %d bytes, %d rows need %d",
+					return fmt.Errorf("relation: group %d column %d of %s: raw block holds %d bytes, %d rows need %d",
 						g, cols.Numeric[k], dr.path, blk.encLen, gRows, 8*gRows)
-					return fg
 				}
-				off, n = blk.off+int64(8*first), 8*rows
+				off, size = blk.off+int64(8*first), 8*n
 			} else if !head {
 				continue
 			}
-			if _, err := uncountedReadAt(f, buf[pos:pos+n], off); err != nil {
-				fg.err = fmt.Errorf("relation: reading column block of group %d of %s: %w", g, dr.path, err)
-				return fg
+			if _, err := uncountedReadAt(f, buf[pos:pos+size], off); err != nil {
+				return fmt.Errorf("relation: reading column block of group %d of %s: %w", g, dr.path, err)
 			}
-			pos += n
+			pos += size
 		}
 		for _, q := range boolSel {
 			if _, err := uncountedReadAt(f, buf[pos:pos+boolLen], dr.boolBlock(g, q).off+int64(byteLo)); err != nil {
-				fg.err = fmt.Errorf("relation: reading boolean block of group %d of %s: %w", g, dr.path, err)
-				return fg
+				return fmt.Errorf("relation: reading boolean block of group %d of %s: %w", g, dr.path, err)
 			}
 			pos += boolLen
 		}
-		return fg
-	}
+		dr.bytesRead.Add(int64(total))
 
-	//optlint:ignore gostmt the read-ahead prefetcher is one pipeline stage per scan (it reads group g+1 while the consumer decodes g), not a fan-out; its teardown is pinned by the leak tests
-	go func() {
-		defer close(prefDone)
-		defer close(ready)
-		for row := start; row < end; {
-			g := row / dr.groupRows
-			gStart := g * dr.groupRows
-			first := row - gStart
-			gEnd := min(dr.rowsInGroup(g), end-gStart)
-			head := row == start || first == 0
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-stop:
-				return
-			}
-			var fg blockFetch
-			if head && pred != nil && dr.v3GroupPruned(g, pred) {
-				// Hand the free-list token back through the consumer.
-				fg = blockFetch{group: g, first: first, rows: gEnd - first, skip: true, buf: buf}
-			} else {
-				fg = fill(g, first, min((first/DefaultBatchSize+1)*DefaultBatchSize, gEnd), head, buf)
-			}
-			select {
-			case ready <- fg:
-			case <-stop:
-				return
-			}
-			if fg.err != nil {
-				return
-			}
-			row += fg.rows
-		}
-	}()
-
-	st := getScanState(len(numSel), len(boolSel))
-	defer func() { scanStatePool.Put(st, st.bytes()) }()
-	batch := &st.batch
-	for fg := range ready {
-		if fg.err != nil {
-			blockBufPool.Put(fg.buf)
-			return fg.err
-		}
-		if fg.skip {
-			select {
-			case free <- fg.buf:
-			default:
-				blockBufPool.Put(fg.buf)
-			}
-			if err := skipFn(fg.rows); err != nil {
-				return err
-			}
-			continue
-		}
-		// Count bytes at delivery, not inside the prefetcher: a scan the
-		// caller aborts early must not charge for a window whose read-ahead
-		// happened to finish — whether it did is a goroutine race, and
-		// BytesRead is documented as a deterministic cost model.
-		dr.bytesRead.Add(int64(len(fg.buf)))
-		n := fg.rows
-		pos := 0
+		// Decode the window into the batch.
+		pos = 0
 		for k, p := range numSel {
-			blk := dr.numBlock(fg.group, p)
+			blk := dr.numBlock(g, p)
 			if blk.enc == v3EncRaw {
-				batch.Numeric[k] = rawFloats(st.win[k][:n], fg.buf[pos:pos+8*n])
+				batch.Numeric[k] = rawFloats(st.win[k][:n], buf[pos:pos+8*n])
 				pos += 8 * n
 				continue
 			}
-			if fg.head {
-				gRows := dr.rowsInGroup(fg.group)
+			if head {
 				if len(st.grp[k]) < gRows {
 					st.grp[k] = make([]float64, dr.groupRows)
 				}
-				if err := v3DecodeNumeric(blk, fg.buf[pos:pos+blk.encLen], gRows, st.grp[k], &st.scratch); err != nil {
-					blockBufPool.Put(fg.buf)
-					return fmt.Errorf("relation: group %d column %d of %s: %w", fg.group, cols.Numeric[k], dr.path, err)
+				if err := v3DecodeNumeric(blk, buf[pos:pos+blk.encLen], gRows, st.grp[k], &st.scratch); err != nil {
+					return fmt.Errorf("relation: group %d column %d of %s: %w", g, cols.Numeric[k], dr.path, err)
 				}
 				pos += blk.encLen
 			}
-			batch.Numeric[k] = st.grp[k][fg.first : fg.first+n]
+			batch.Numeric[k] = st.grp[k][first:last]
 		}
-		boolLen := (fg.first+n+7)/8 - fg.first/8
 		for k := range boolSel {
-			batch.Bool[k] = decodeBits(st.bools[k][:n], fg.buf[pos:pos+boolLen], fg.first%8)
+			batch.Bool[k] = decodeBits(st.bools[k][:n], buf[pos:pos+boolLen], first%8)
 			pos += boolLen
 		}
 		batch.Len = n
 		if err := fn(batch); err != nil {
-			blockBufPool.Put(fg.buf)
 			return err
 		}
-		select {
-		case free <- fg.buf:
-		default:
-			blockBufPool.Put(fg.buf)
-		}
+		row += n
 	}
 	return nil
 }
@@ -635,9 +519,9 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // On a little-endian host an 8-byte-aligned src already holds them as
 // float64s, so it is returned in place, valid as long as src is; the
 // batch contract (no retention past the callback) covers that, since a
-// fetch buffer returns to the pipeline only after the callback.
-// Otherwise, say after an encoded block of unaligned length in the
-// same fetch, the values are decoded into dst.
+// scan reads its next window into the fetch buffer only after the
+// callback returns. Otherwise, say after an encoded block of unaligned
+// length in the same window, the values are decoded into dst.
 func rawFloats(dst []float64, src []byte) []float64 {
 	if littleEndian && len(dst) > 0 && uintptr(unsafe.Pointer(&src[0]))%8 == 0 {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&src[0])), len(dst))
@@ -648,7 +532,7 @@ func rawFloats(dst []float64, src []byte) []float64 {
 // decodeRaw decodes len(dst) little-endian float64 values from src and
 // returns dst: the byte-order-independent path of rawFloats, taken for
 // unaligned blocks and on big-endian hosts. It and decodeBits stay out
-// of line: inlined into scanBlocks' consumer loop, whose many live
+// of line: inlined into scanBlocks' window loop, whose many live
 // values force register spills, the decode ran ~1.5x slower.
 //
 //go:noinline

@@ -665,10 +665,9 @@ func TestDiskV2SelectiveScanBytes(t *testing.T) {
 
 // TestDiskV2EarlyAbortBytesDeterministic pins that BytesRead is a
 // deterministic cost model even when the caller aborts the scan early:
-// only delivered windows are charged, never the prefetcher's in-flight
-// read-ahead (whether that read finished is a goroutine race). Both
-// block formats run through the one pipeline; the v3 file has a raw and
-// a delta-coded numeric column.
+// only delivered windows are charged, never a window past the one the
+// callback stopped. Both block formats run through the one scan loop;
+// the v3 file has a raw and a delta-coded numeric column.
 func TestDiskV2EarlyAbortBytesDeterministic(t *testing.T) {
 	v2Path, _ := writeTestFileV2(t, 20000, 7, 1000)
 	v3Path, _ := writeTestFileV3(t, 20000, 7, 1000)
@@ -755,7 +754,7 @@ func TestNewDiskWriterV2Errors(t *testing.T) {
 	}
 }
 
-// TestDiskV2WindowByteModel pins the batch-sized read-ahead windows of
+// TestDiskV2WindowByteModel pins the batch-sized windows of
 // the block-group scan against the per-group byte model, on a v2 file
 // and on a v3 file with the same rows (Balance raw, Age delta-coded).
 // Block groups of 20000 rows (not a multiple of DefaultBatchSize) hold

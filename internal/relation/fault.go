@@ -10,7 +10,7 @@ import (
 
 // Deterministic storage fault injection. FaultRelation wraps any
 // backend — memory, v1/v2/v3 disk, sharded — and injects failures into
-// its scan surface so the layers above (prefetchers, shard pipelines,
+// its scan surface so the layers above (block scans, sharded scans,
 // the plan executor and its per-chunk retries) can be driven through
 // their error paths on demand. Injection is seed-driven and
 // deterministic: which scans fail is a pure function of the config and
@@ -21,7 +21,8 @@ import (
 // callback stream, after the configured number of rows has been
 // delivered — which exercises BOTH directions at once: the caller sees
 // a mid-stream storage error, and the wrapped backend sees a consumer
-// error mid-scan (the path that tears down read-ahead prefetchers).
+// error mid-scan (the path that returns a scan's buffers and closes its
+// file handle).
 
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
 // can assert errors.Is(err, ErrInjected) through any number of layers.

@@ -138,7 +138,7 @@ func TestFaultAfterStreamEnd(t *testing.T) {
 // TestFaultShortBatchesFidelity pins the re-chunker: with ShortBatches
 // set, every delivered batch respects the cap and the concatenated
 // stream is byte-identical to the unwrapped scan — over both the memory
-// backend and the v2 prefetcher (whose batches the wrapper re-slices).
+// backend and the v2 block scan (whose batches the wrapper re-slices).
 func TestFaultShortBatchesFidelity(t *testing.T) {
 	n := 2*DefaultBatchSize + 77
 	path, mem := writeTestFile(t, n, 6)
@@ -230,8 +230,8 @@ func TestFaultClose(t *testing.T) {
 
 // TestFaultRangeAndPrunedScans pins fault delivery through the optional
 // scan surfaces, composed over the sharded backend — the injected error
-// must tear down each shard's read-ahead pipeline cleanly and surface
-// with its identity intact.
+// must end each shard's block scan cleanly and surface with its
+// identity intact.
 func TestFaultRangeAndPrunedScans(t *testing.T) {
 	manifest, mem := writeShardedFixture(t, 10, []int{400, 300, 300}, []int{DiskFormatV1, DiskFormatV2, DiskFormatV2}, 128)
 	sr, err := OpenSharded(manifest)

@@ -9,10 +9,10 @@ import (
 )
 
 // settleGoroutines polls until the goroutine count drops back to at
-// most base+slack, failing the test if leaked scan pipelines keep it
-// elevated. Prefetcher goroutines exit through channel teardown, not
-// synchronously with the scan return, so a short settle window is part
-// of the contract being pinned.
+// most base+slack, failing the test if a scan left goroutines behind.
+// Scans run on the caller's goroutine and start none, so the count
+// should already be back; the short settle window absorbs goroutines
+// the runtime and the testing package start and stop on their own.
 func settleGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
 	const slack = 3
@@ -34,12 +34,12 @@ func settleGoroutines(t *testing.T, base int, what string) {
 
 var errConsumer = errors.New("consumer rejected batch")
 
-// TestScanTeardownOnConsumerError drives every backend's scan pipeline
-// through its consumer-error path — the callback fails mid-stream —
-// and pins that (a) the exact error surfaces, un-wrapped and
-// un-replaced, and (b) the read-ahead machinery behind the scan (the
-// v2/v3 double-buffered prefetchers, one per shard of a sharded scan)
-// shuts down without leaking goroutines, across many repetitions.
+// TestScanTeardownOnConsumerError drives every backend's scan through
+// its consumer-error path — the callback fails mid-stream — and pins
+// that (a) the exact error surfaces, un-wrapped and un-replaced, and
+// (b) the scan behind it (one v2/v3 block scan per file or per shard
+// of a sharded scan) returns without leaving goroutines behind, across
+// many repetitions.
 func TestScanTeardownOnConsumerError(t *testing.T) {
 	fixtures := closeRaceFixtures(t, 3000)
 	base := runtime.NumGoroutine()
@@ -65,10 +65,10 @@ func TestScanTeardownOnConsumerError(t *testing.T) {
 }
 
 // TestScanTeardownOnInjectedFault is the storage-side twin: the fault
-// harness cuts streams at varying rows THROUGH each backend's pipeline
-// (the wrapper's callback error reaches the prefetcher machinery as a
-// consumer failure), and repeated injected failures must neither leak
-// pipeline goroutines nor corrupt later scans.
+// harness cuts streams at varying rows THROUGH each backend's scan
+// (the wrapper's callback error reaches the block scan as a consumer
+// failure), and repeated injected failures must neither leave
+// goroutines behind nor corrupt later scans.
 func TestScanTeardownOnInjectedFault(t *testing.T) {
 	fixtures := closeRaceFixtures(t, 3000)
 	base := runtime.NumGoroutine()
@@ -104,8 +104,8 @@ func TestScanTeardownOnInjectedFault(t *testing.T) {
 
 // TestScanEarlyAbortNoLeak pins the mundane variant: callers that stop
 // a scan early with a plain error (the every-day form of consumer
-// abort) can do so in a tight loop without accumulating pipeline
-// goroutines or file handles.
+// abort) can do so in a tight loop without accumulating goroutines or
+// file handles.
 func TestScanEarlyAbortNoLeak(t *testing.T) {
 	fixtures := closeRaceFixtures(t, 2000)
 	base := runtime.NumGoroutine()

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"optrule/internal/freelist"
 )
 
 // specialFloats are the values whose bits a raw block must carry
@@ -126,10 +128,10 @@ func TestScanRawAfterEncodedBlock(t *testing.T) {
 }
 
 // TestScanBuffersSurviveCollection pins the block scans' recycled
-// memory on its free lists: after a scan, its fetch buffers and scan
-// state are still kept through two collections (sync.Pools would have
-// dropped them), and many concurrent scans leave no more than the
-// lists' bounds behind.
+// memory on its free list: after a scan, the scan state it kept still
+// holds its fetch buffer through two collections (a sync.Pool would
+// have dropped it), and many concurrent scans leave at most one state
+// per GOMAXPROCS behind, none holding more than freelist.MaxBytes.
 func TestScanBuffersSurviveCollection(t *testing.T) {
 	path, _ := writeTestFileV2(t, 30000, 7, 4096)
 	dr, err := OpenDisk(path)
@@ -144,16 +146,18 @@ func TestScanBuffersSurviveCollection(t *testing.T) {
 		}
 	}
 	scan()
-	bufs, states := blockBufPool.Len(), scanStatePool.Len()
-	if bufs == 0 || states == 0 {
-		t.Fatalf("after a scan the lists keep %d buffers and %d scan states, want some of each", bufs, states)
+	st, ok := scanStatePool.Get()
+	if !ok || cap(st.buf) == 0 {
+		t.Fatalf("after a scan the list keeps no scan state with a fetch buffer")
 	}
+	buf := &st.buf[:1][0]
+	scanStatePool.Put(st, st.bytes())
 	runtime.GC()
 	runtime.GC()
-	if blockBufPool.Len() != bufs || scanStatePool.Len() != states {
-		t.Fatalf("two collections left %d buffers and %d scan states of %d and %d",
-			blockBufPool.Len(), scanStatePool.Len(), bufs, states)
+	if got, ok := scanStatePool.Get(); !ok || got != st || &got.buf[:1][0] != buf {
+		t.Fatalf("two collections dropped the kept scan state or its fetch buffer")
 	}
+	scanStatePool.Put(st, st.bytes())
 	var wg sync.WaitGroup
 	for range 3 * runtime.GOMAXPROCS(0) {
 		wg.Add(1)
@@ -163,10 +167,21 @@ func TestScanBuffersSurviveCollection(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n, bound := blockBufPool.Len(), scanReadAhead*runtime.GOMAXPROCS(0); n > bound {
-		t.Fatalf("kept %d fetch buffers, want at most %d", n, bound)
-	}
 	if n, bound := scanStatePool.Len(), runtime.GOMAXPROCS(0); n > bound {
 		t.Fatalf("kept %d scan states, want at most %d", n, bound)
+	}
+	var kept []*scanState
+	for {
+		st, ok := scanStatePool.Get()
+		if !ok {
+			break
+		}
+		if st.bytes() > freelist.MaxBytes {
+			t.Errorf("kept a scan state of %d bytes, over freelist.MaxBytes", st.bytes())
+		}
+		kept = append(kept, st)
+	}
+	for _, st := range kept {
+		scanStatePool.Put(st, st.bytes())
 	}
 }

@@ -25,8 +25,8 @@ import (
 //
 // Sharding is the horizontal decomposition that breaks the single-file
 // / single-spindle ceiling: each shard can live on its own disk (or
-// eventually its own node), each shard scan runs its own
-// double-buffered read-ahead pipeline, and the parallel counting
+// eventually its own node), each shard is scanned through its own file
+// handle one window at a time, and the parallel counting
 // executor splits work at shard boundaries so its workers never contend
 // for one file. Per-shard state stays bounded no matter how large the
 // logical relation grows.
@@ -454,7 +454,8 @@ func (sr *ShardedRelation) Scan(cols ColumnSet, fn func(*Batch) error) error {
 
 // ScanRange implements Relation: the global row range [start, end)
 // is translated into per-shard sub-ranges and streamed shard by shard
-// in global row order, each shard through its own read-ahead pipeline.
+// in global row order on the caller's goroutine, each shard through
+// its own block scan.
 // It is ScanRangePruned with no predicate. Bounds semantics are
 // identical to the other backends: start/end outside [0, NumTuples()]
 // or start > end error; start == end scans nothing.

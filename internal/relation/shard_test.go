@@ -14,7 +14,7 @@ import (
 
 // writeShardedFixture hand-writes a sharded relation: n pseudo-random
 // bank tuples split into contiguous shards of the given sizes, each in
-// the given format (parallel slices; formats[i] == DiskFormatV2 uses
+// the given format (parallel slices; a v2 or v3 shard uses
 // groupRows-row block groups). Returns the manifest path and the
 // in-memory twin. The same (n, seed) as writeTestFile yields identical
 // data.
@@ -30,9 +30,12 @@ func writeShardedFixture(t *testing.T, seed int64, sizes []int, formats []int, g
 		name := fmt.Sprintf("part-%02d.opr", i)
 		var dw *DiskWriter
 		var err error
-		if formats[i] == DiskFormatV2 {
+		switch formats[i] {
+		case DiskFormatV2:
 			dw, err = NewDiskWriterV2(filepath.Join(dir, name), schema, groupRows)
-		} else {
+		case DiskFormatV3:
+			dw, err = NewDiskWriterV3(filepath.Join(dir, name), schema, groupRows)
+		default:
 			dw, err = NewDiskWriter(filepath.Join(dir, name), schema)
 		}
 		if err != nil {

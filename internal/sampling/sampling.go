@@ -118,8 +118,8 @@ func PointSample(rel relation.Relation, attr int, rng *rand.Rand, idx []int, out
 //
 // The sampled indices are sorted, so the scan is the range [0, largest
 // index], and rows past it are never read: on the v2 columnar format
-// the read-ahead pipeline skips every block group past the last
-// sampled index instead of fetching it.
+// the block scan stops at the window holding the last sampled index
+// instead of reading the groups past it.
 func ColumnWithReplacement(rel relation.Relation, attr int, s int, rng *rand.Rand) ([]float64, error) {
 	n := rel.NumTuples()
 	idx, err := WithReplacementIndices(rng, n, s)

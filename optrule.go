@@ -55,15 +55,13 @@
 //   - v2 (NewDiskWriterV2, the default for new data) is column-major:
 //     tuples are grouped into block groups (64Ki rows by default) and
 //     each column is stored contiguously within a group, so a scan
-//     selecting k of d attributes reads ~k/d of the bytes. Scans run an
-//     overlapped read-ahead pipeline — a prefetcher goroutine reads the
-//     next batch-sized window of the selected column blocks while the
-//     caller decodes and counts the current one — with double-buffered
-//     pooled buffers, so memory stays bounded regardless of relation
-//     size. Parallel counting
-//     aligns its segment boundaries to block groups, and the sampling
-//     pass stops at the last sorted sample index instead of reading the
-//     tail.
+//     selecting k of d attributes reads ~k/d of the bytes. A scan reads
+//     one batch-sized window of the selected column blocks at a time
+//     into one reused buffer and decodes it on the caller's goroutine,
+//     so memory stays bounded regardless of relation size. Parallel
+//     counting aligns its segment boundaries to block groups, and the
+//     sampling pass stops at the last sorted sample index instead of
+//     reading the tail.
 //   - v3 (NewDiskWriterV3) keeps the v2 block-group layout but
 //     compresses each column block independently — delta-from-minimum
 //     bit packing for integer-valued numerics, a dictionary for
@@ -139,15 +137,14 @@
 // Sharding is the horizontal decomposition that breaks the
 // single-file / single-spindle ceiling:
 //
-//   - each shard can live on its own disk, and each shard scan runs
-//     its own double-buffered read-ahead pipeline;
+//   - each shard can live on its own disk, and each shard is scanned
+//     through its own file handle, one window at a time;
 //   - the parallel counting scan (Config.PEs) plans its chunks across
 //     shard boundaries: PlanScanChunks cuts only at shard and
 //     per-shard block-group boundaries into chunks of about equal
 //     estimated cost, so workers never split a shard's block group,
 //     and its one worker pool is what reads shards in parallel;
-//   - per-shard state (group directories, prefetch buffers, point-read
-//     mappings) stays bounded no matter how large the logical relation
+//   - per-shard state (group directories, point-read mappings) stays bounded no matter how large the logical relation
 //     grows — the same decomposition that later extends to multi-node
 //     scans.
 //
@@ -156,13 +153,13 @@
 // `optdata -shards N`, or ConvertToSharded over an existing relation;
 // open them with OpenSharded, or OpenData to sniff either backend from
 // a path. When to shard: a relation that fits comfortably on one disk
-// and mines in one scan pipeline gains nothing from sharding — prefer
+// and mines in one scan gains nothing from sharding — prefer
 // a single v2 file. Shard when the relation outgrows one device (or
 // one file-size/backup boundary), when shards can sit on independent
 // disks so the counting workers' chunks stream from several spindles
 // at once, or when data arrives in natural batches (per day, per region) that
 // should remain individually replaceable. Keep shards large — many
-// block groups each, i.e. tens of MB at least — so per-shard pipeline
+// block groups each, i.e. tens of MB at least — so per-shard scan
 // startup stays negligible; choose the shard count from the hardware
 // (≈ one shard, or a few, per independent disk), not from CPU count,
 // which Config.PEs and Workers already cover.
@@ -289,8 +286,8 @@
 // (FaultConfig) — scans that die before the first batch or at a chosen
 // row, artificially short batches, stalls, Close errors — all injected
 // at the consumer boundary so both the caller's error path and the
-// backend's mid-scan teardown (the per-file and per-shard read-ahead
-// prefetchers) are exercised. Every injected error wraps ErrInjected. The fault
+// backend's mid-scan teardown (the per-file and per-shard scans
+// returning their buffers and file handles) are exercised. Every injected error wraps ErrInjected. The fault
 // matrix tests drive every failure mode across every storage backend
 // and worker count and require bit-identical rules; see examples/faults
 // for a walkthrough. Relatedly, closing a disk or sharded relation
@@ -328,8 +325,8 @@
 //     commit a truncated file while reporting success.
 //   - gostmt — the root package and internal/... start goroutines
 //     only in internal/fanout, the one worker pool every fan-out runs
-//     on; the disk read-ahead prefetcher, one pipeline stage per scan,
-//     is the single waived exception.
+//     on; storage scans run on the caller's goroutine, and no go
+//     statement is waived.
 //   - capsniff — no type assertion or type switch in the root package
 //     or internal/... targets an interface of the storage layer: every
 //     relation implements the whole Relation contract, so no plan may
